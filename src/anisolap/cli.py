@@ -161,27 +161,59 @@ def _parse_args(argv) -> dict:
     return cfg
 
 
+def _number(value, name: str, kind=float):
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
+
+
+def _exponents(values, name: str) -> None:
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"{name} must be a non-empty list of exponents, got {values!r}")
+    for p in values:
+        if not _number(p, name) > 1.0:
+            raise ConfigError(f"every exponent in {name} must exceed 1, got {p!r}")
+
+
 def _validate(cfg: dict) -> dict:
     if cfg["command"] is None:
         raise ConfigError("missing command (use --command or a config file)")
     if cfg["command"] not in ("eigen", "optimize", "sweep", "verify", "bounds"):
         raise ConfigError(f"unknown command {cfg['command']!r}")
-    if not float(cfg["p"]) > 1.0:
+    if not _number(cfg["p"], "p") > 1.0:
         raise ConfigError(f"p must exceed 1, got {cfg['p']}")
-    if not 0.0 < float(cfg["a"]) <= 1.0:
+    if not 0.0 < _number(cfg["a"], "a") <= 1.0:
         raise ConfigError(f"a must lie in (0, 1], got {cfg['a']}")
-    if not 2 <= int(cfg["mesh_level"]) <= 9:
+    if cfg["b"] is not None:
+        _number(cfg["b"], "b")
+    if not 2 <= _number(cfg["mesh_level"], "mesh_level", int) <= 9:
         raise ConfigError(f"mesh_level must lie in [2, 9], got {cfg['mesh_level']}")
-    if int(cfg["grid_n"]) < 9:
+    if _number(cfg["grid_n"], "grid_n", int) < 9:
         raise ConfigError(f"grid_n must be at least 9, got {cfg['grid_n']}")
-    if not float(cfg["tol"]) > 0.0:
+    if not _number(cfg["tol"], "tol") > 0.0:
         raise ConfigError(f"tol must be positive, got {cfg['tol']}")
-    if int(cfg["n_boundary"]) < 16:
+    if _number(cfg["n_boundary"], "n_boundary", int) < 16:
         raise ConfigError(f"n_boundary must be at least 16, got {cfg['n_boundary']}")
+    _number(cfg["seed"], "seed", int)
+    _number(cfg["c0"], "c0")
+    _number(cfg["lam1p"], "lam1p")
+    if cfg["p_values"] is not None:
+        _exponents(cfg["p_values"], "p_values")
     try:
         domain_from_json(cfg["domain"])
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"bad domain spec: {exc}") from exc
+    if cfg["form"]:
+        try:
+            QuadForm.from_dict(cfg["form"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"bad form {cfg['form']!r}: {exc}") from exc
+    if cfg["verify"] is not None:
+        if not isinstance(cfg["verify"], dict):
+            raise ConfigError("verify must be a JSON object")
+        if "p_list" in cfg["verify"]:
+            _exponents(cfg["verify"]["p_list"], "verify.p_list")
     return cfg
 
 
@@ -196,6 +228,7 @@ def _cmd_eigen(cfg: dict) -> int:
     domain = domain_from_json(cfg["domain"])
     form = QuadForm.from_dict(cfg["form"]) if cfg["form"] else QuadForm.identity()
     opts = SolverOptions(tol=float(cfg["tol"]))
+    options = {"tol": opts.tol, "max_iter": opts.max_iter}
     mesh = build_mesh(domain, int(cfg["mesh_level"]), int(cfg["n_boundary"]))
     json_path, csv_path = _out_paths(cfg, "_eigenfunction.csv")
     try:
@@ -207,7 +240,7 @@ def _cmd_eigen(cfg: dict) -> int:
             "partial": True,
             "error": str(exc),
             "result": exc.best.to_dict(),
-            "options": {"tol": opts.tol, "max_iter": opts.max_iter},
+            "options": options,
         }
         _write_report(json_path, payload)
         print(f"eigen: solver failed, partial output in {json_path}", file=sys.stderr)
@@ -218,12 +251,7 @@ def _cmd_eigen(cfg: dict) -> int:
         "domain": domain_to_json(domain),
         "mesh_level": int(cfg["mesh_level"]),
         "result": res.to_dict(),
-        "options": {
-            "tol": opts.tol,
-            "max_iter": opts.max_iter,
-            "continuation": opts.continuation,
-            "step_rule": opts.step_rule,
-        },
+        "options": options,
     }
     _write_report(json_path, payload)
     write_nodal_values_csv(mesh, res.u, csv_path)

@@ -24,16 +24,13 @@ import numpy as np
 from .geometry import Disk, DomainSpec, Rectangle, rotate, shear_y
 from .mesh import build_mesh
 from .quadform import (
-    ClassTag,
     QuadForm,
     alpha_of_theta,
-    classify,
     decompose,
     make_Q_alpha,
     quant_lower_constant,
     quant_upper_bound,
     random_member,
-    theta_of_alpha,
 )
 from .solver import SolverOptions, solve_p, directional_constant
 

@@ -8,19 +8,18 @@ over zero-trace piecewise-linear functions.  The gradient energy is exact per
 triangle (the integrand is constant); |u|^p is integrated with the 3-point
 edge-midpoint rule, which reproduces the consistent mass matrix at p = 2.
 
-Two paths:
-
-* p = 2: inverse iteration on the generalized symmetric pencil (K, M) with a
-  direct sparse factorization of the stiffness operator.
-* general p > 1: projected gradient descent on the unit p-norm sphere with
-  backtracking line search, warm-started through a geometric continuation in
-  p from the p = 2 ground state.
+One path for every p > 1: inverse iteration on the generalized symmetric
+pencil (K, M), with a direct sparse factorization of the stiffness operator,
+gives the p = 2 ground state.  At p = 2 that is the answer.  For any other p
+it is the warm start of projected gradient descent on the unit p-norm sphere
+with backtracking line search, marched through a geometric continuation in p
+from 2 to p.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,18 +45,13 @@ _AXIS_MATS = {
 @dataclass
 class SolverOptions:
     tol: float = 1e-9           # relative eigenvalue change at termination
-    max_iter: int = 20000
-    continuation: bool = True   # warm-start general p from p = 2
-    step_rule: str = "backtracking"  # or "fixed"
-    step_size: float = 0.05     # only used by the fixed step rule
+    max_iter: int = 20000       # budget of the inverse iteration and of each descent stage
 
     def __post_init__(self) -> None:
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.step_rule not in ("backtracking", "fixed"):
-            raise ValueError(f"unknown step rule {self.step_rule!r}")
 
 
 @dataclass
@@ -65,7 +59,7 @@ class EigenResult:
     lam: float                # eigenvalue estimate
     u: np.ndarray             # nodal eigenfunction, nonnegative, unit p-norm
     iterations: int
-    residual: float           # relative eigenvalue change at termination
+    residual: float           # relative eigenvalue change when the last stage stopped
     p: float
     form: QuadForm
 
@@ -119,20 +113,12 @@ def pnorm_p(m: Mesh, u: np.ndarray, p: float) -> float:
     return float((m.tri_area / 3.0) @ (np.abs(mids) ** p).sum(axis=1))
 
 
-def pnorm(m: Mesh, u: np.ndarray, p: float) -> float:
-    return pnorm_p(m, u, p) ** (1.0 / p)
-
-
 def _energy_gradient(m: Mesh, m2: np.ndarray, p: float, u: np.ndarray) -> np.ndarray:
     g = _tri_gradients(m, u)
     q = np.maximum(np.einsum("ti,ij,tj->t", g, m2, g), 0.0)
     if p < 2.0:
-        qpow = np.maximum(q, GRAD_FLOOR) ** (0.5 * p - 1.0)
-    elif p == 2.0:
-        qpow = np.ones_like(q)
-    else:
-        qpow = q ** (0.5 * p - 1.0)
-    flux = (g @ m2.T) * (p * m.tri_area * qpow)[:, None]
+        q = np.maximum(q, GRAD_FLOOR)
+    flux = (g @ m2.T) * (p * m.tri_area * q ** (0.5 * p - 1.0))[:, None]
     contrib = np.einsum("ti,tij->tj", flux, m.grad_map)
     return np.bincount(m.triangles.ravel(), weights=contrib.ravel(), minlength=m.n_nodes)
 
@@ -146,16 +132,13 @@ def _pnorm_gradient(m: Mesh, p: float, u: np.ndarray) -> np.ndarray:
     return np.bincount(m.triangles.ravel(), weights=contrib.ravel(), minlength=m.n_nodes)
 
 
-def _rayleigh_and_grad(
-    m: Mesh, m2: np.ndarray, p: float, u: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Rayleigh quotient and its nodal gradient (boundary rows zeroed)."""
-    npow = pnorm_p(m, u, p)
-    e = _energy_m2(m, m2, p, u)
-    lam = e / npow
-    g = (_energy_gradient(m, m2, p, u) - lam * _pnorm_gradient(m, p, u)) / npow
+def _rayleigh_grad(m: Mesh, m2: np.ndarray, p: float, u: np.ndarray, lam: float) -> np.ndarray:
+    """Nodal gradient of the Rayleigh quotient (boundary rows zeroed) at a field
+    of unit p-norm whose quotient is ``lam``; the unit norm removes the
+    quotient's division by it."""
+    g = _energy_gradient(m, m2, p, u) - lam * _pnorm_gradient(m, p, u)
     g[m.boundary_node] = 0.0
-    return lam, g
+    return g
 
 
 def _assemble_quadratic(m: Mesh, m2: np.ndarray) -> tuple[sp.csr_matrix, sp.csr_matrix, np.ndarray]:
@@ -194,9 +177,10 @@ def _finalize(
     return EigenResult(lam, u, iterations, residual, p, form)
 
 
-def _solve_quadratic_m2(m: Mesh, m2: np.ndarray, opts: SolverOptions, form: QuadForm) -> EigenResult:
+def _inverse_iteration(m: Mesh, m2: np.ndarray, opts: SolverOptions, form: QuadForm) -> EigenResult:
     """Smallest eigenpair of K u = lam M u on interior nodes by inverse
-    iteration with a direct sparse factorization of K."""
+    iteration with a direct sparse factorization of K.  The result's residual
+    tells whether it reached ``opts.tol``; the caller decides what a miss means."""
     stiff, mass, interior = _assemble_quadratic(m, m2)
     lu = splu(stiff.tocsc())
     u = np.ones(len(interior))
@@ -215,19 +199,7 @@ def _solve_quadratic_m2(m: Mesh, m2: np.ndarray, opts: SolverOptions, form: Quad
             break
     full = np.zeros(m.n_nodes)
     full[interior] = u
-    result = _finalize(m, m2, full, 2.0, form, it, res)
-    if res > opts.tol:
-        raise SolverConvergenceError(
-            f"inverse iteration did not reach tol {opts.tol} in {opts.max_iter} iterations",
-            result,
-        )
-    return result
-
-
-def solve_p2(m: Mesh, q: QuadForm, opts: SolverOptions | None = None) -> EigenResult:
-    """Fundamental frequency at p = 2 for the given form."""
-    opts = opts or SolverOptions()
-    return _solve_quadratic_m2(m, _form_matrix(q), opts, q)
+    return _finalize(m, m2, full, 2.0, form, it, res)
 
 
 def _project(m: Mesh, p: float, u: np.ndarray) -> np.ndarray:
@@ -244,7 +216,6 @@ def _descent(
     m2: np.ndarray,
     p: float,
     u0: np.ndarray,
-    opts: SolverOptions,
     tol: float,
     max_iter: int,
 ) -> tuple[np.ndarray, float, int, float, bool]:
@@ -269,10 +240,7 @@ def _descent(
     history: list[float] = [lam]
     while it < max_iter:
         it += 1
-        ge = _energy_gradient(m, m2, p, u)
-        gn = _pnorm_gradient(m, p, u)
-        g = ge - lam * gn
-        g[m.boundary_node] = 0.0
+        g = _rayleigh_grad(m, m2, p, u, lam)
         gn2 = float(g @ g)
         if math.sqrt(gn2) <= 1e-14 * (1.0 + abs(lam)):
             return u, lam, it, 0.0, True
@@ -286,26 +254,19 @@ def _descent(
         t0 = min(max(t0, 1e-18), 1e8)
         u_prev, g_prev = u, g
 
-        if opts.step_rule == "fixed":
-            v = _project(m, p, u - opts.step_size * g)
+        t = t0
+        for _ in range(60):
+            v = _project(m, p, u - t * g)
             lam_v = _energy_m2(m, m2, p, v)
-            t = opts.step_size
+            if lam_v <= lam - 1e-4 * t * gn2:
+                break
+            t *= 0.5
         else:
-            t = t0
-            accepted = False
-            for _ in range(60):
-                v = _project(m, p, u - t * g)
-                lam_v = _energy_m2(m, m2, p, v)
-                if lam_v <= lam - 1e-4 * t * gn2:
-                    accepted = True
-                    break
-                t *= 0.5
-            if not accepted:
-                # Flat direction (or floating-point limit): the quotient cannot
-                # be decreased along the gradient, treat as stationary.
-                if lam_v < lam:
-                    u, lam = v, lam_v
-                return u, lam, it, 0.0, True
+            # Flat direction (or floating-point limit): the quotient cannot
+            # be decreased along the gradient, treat as stationary.
+            if lam_v < lam:
+                u, lam = v, lam_v
+            return u, lam, it, 0.0, True
 
         res = (lam - lam_v) / max(abs(lam_v), 1e-300)
         u, lam = v, lam_v
@@ -328,66 +289,53 @@ def _continuation_schedule(p: float) -> list[float]:
     return [2.0 * (p / 2.0) ** (k / CONTINUATION_STEPS) for k in range(1, CONTINUATION_STEPS + 1)]
 
 
-def _solve_p_m2(
-    m: Mesh,
-    m2: np.ndarray,
-    p: float,
-    opts: SolverOptions,
-    form: QuadForm,
-    u0: np.ndarray | None,
-    rng: np.random.Generator | None,
+def _solve(
+    m: Mesh, m2: np.ndarray, p: float, opts: SolverOptions, form: QuadForm, tol: float
 ) -> EigenResult:
+    """The solver path shared by every energy.
+
+    The inverse iteration stops at ``opts.tol`` and is the result at p = 2.
+    For other p it is only the warm start, so a miss there is not an error;
+    the continuation stages stop at max(tol, 1e-7), the final one at ``tol``,
+    and a miss of the final stage raises.  Every stage has ``opts.max_iter``
+    iterations; ``iterations`` counts all of them."""
     if p <= 1.0:
         raise ValueError(f"need p > 1, got {p}")
-    total_it = 0
-    if u0 is not None:
-        u = np.asarray(u0, dtype=float).copy()
-        if u.shape != (m.n_nodes,):
-            raise ValueError("u0 must have one entry per mesh node")
-        schedule = [p]
-    elif opts.continuation:
-        base = _solve_quadratic_m2(m, m2, opts, form)
-        total_it += base.iterations
-        u = base.u.copy()
-        schedule = _continuation_schedule(p)
-    else:
-        rng = rng or np.random.default_rng(0)
-        u = rng.uniform(0.5, 1.5, size=m.n_nodes)
-        schedule = [p]
-
-    lam = math.nan
-    res = math.inf
-    for i, pk in enumerate(schedule):
-        final = i == len(schedule) - 1
-        tol_k = opts.tol if final else max(opts.tol, 1e-7)
-        u, lam, it, res, converged = _descent(m, m2, pk, u, opts, tol_k, opts.max_iter)
-        total_it += it
-        if final and not converged:
+    base = _inverse_iteration(m, m2, opts, form)
+    if p == 2.0:
+        if base.residual > opts.tol:
             raise SolverConvergenceError(
-                f"descent did not reach tol {opts.tol} in {opts.max_iter} iterations at p={p}",
-                _finalize(m, m2, u, p, form, total_it, res),
+                f"inverse iteration did not reach tol {opts.tol} in {opts.max_iter} iterations",
+                base,
             )
-    return _finalize(m, m2, u, p, form, total_it, res)
+        return base
+
+    u = base.u
+    total_it = base.iterations
+    schedule = _continuation_schedule(p)
+    for i, pk in enumerate(schedule):
+        tol_k = tol if i == len(schedule) - 1 else max(tol, 1e-7)
+        u, _, it, res, converged = _descent(m, m2, pk, u, tol_k, opts.max_iter)
+        total_it += it
+    result = _finalize(m, m2, u, p, form, total_it, res)
+    if not converged:
+        raise SolverConvergenceError(
+            f"descent did not reach tol {tol} in {opts.max_iter} iterations at p={p}", result
+        )
+    return result
 
 
-def solve_p(
-    m: Mesh,
-    q: QuadForm,
-    p: float,
-    opts: SolverOptions | None = None,
-    *,
-    u0: np.ndarray | None = None,
-    rng: np.random.Generator | None = None,
-) -> EigenResult:
-    """Fundamental frequency for general p > 1.
+def solve_p(m: Mesh, q: QuadForm, p: float, opts: SolverOptions | None = None) -> EigenResult:
+    """Fundamental frequency for p > 1.
 
-    With ``opts.continuation`` (default) the iterate is warm-started from the
-    p = 2 ground state of the same form and marched through a geometric
-    schedule in p.  Passing ``u0`` skips continuation; passing ``rng`` with
-    ``continuation=False`` starts from a random positive field.
+    Inverse iteration on the p = 2 pencil of the form gives the result at
+    p = 2.  For other p its ground state is marched by projected descent
+    through a geometric schedule in p from 2 to p.  Raises
+    ``SolverConvergenceError``, carrying the last iterate, when the inverse
+    iteration at p = 2 or the final descent stage exhausts ``opts.max_iter``.
     """
     opts = opts or SolverOptions()
-    return _solve_p_m2(m, _form_matrix(q), p, opts, q, u0, rng)
+    return _solve(m, _form_matrix(q), p, opts, q, opts.tol)
 
 
 def directional_constant(
@@ -396,29 +344,21 @@ def directional_constant(
     """Infimum of the single-derivative energy sum_T |T| |(grad u)_axis|^p over
     zero-trace fields with unit p-norm.
 
-    The quadratic case is a generalized symmetric eigenproblem with the
-    degenerate axis form; general p reuses the descent machinery.  Because the
-    functional controls only one derivative, its minimizers can concentrate on
-    the widest cross-section and the descent tail decays as a power law; the
-    stopping tolerance is therefore floored at 1e-7 and the iterate is
-    accepted when the iteration cap is reached (the value is an upper estimate
-    of the discrete infimum, stable to a fraction of a percent)."""
+    The same solver path as ``solve_p``, with the degenerate axis form.
+    Because the functional controls only one derivative, its minimizers can
+    concentrate on the widest cross-section and the descent tail decays as a
+    power law; the descent tolerance is therefore floored at 1e-7 and the
+    iterate is accepted when the iteration cap is reached (the value is an
+    upper estimate of the discrete infimum, stable to a fraction of a
+    percent)."""
     if axis not in _AXIS_MATS:
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    if p <= 1.0:
-        raise ValueError(f"need p > 1, got {p}")
     opts = opts or SolverOptions()
-    m2 = _AXIS_MATS[axis]
-    marker = QuadForm.identity()  # result metadata only; the energy uses m2
-    if p == 2.0:
-        return _solve_quadratic_m2(m, m2, opts, marker).lam
-    base = _solve_quadratic_m2(m, m2, opts, marker)
-    u = base.u.copy()
-    tol = max(opts.tol, 1e-7)
-    lam = base.lam
-    for pk in _continuation_schedule(p):
-        u, lam, _, _, _ = _descent(m, m2, pk, u, opts, tol, opts.max_iter)
-    return lam
+    marker = QuadForm.identity()  # result metadata only; the energy uses the axis form
+    try:
+        return _solve(m, _AXIS_MATS[axis], p, opts, marker, max(opts.tol, 1e-7)).lam
+    except SolverConvergenceError as exc:
+        return exc.best.lam
 
 
 def lambda_anisotropic_two_routes(

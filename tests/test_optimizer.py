@@ -19,7 +19,7 @@ from anisolap import (
     normalize,
     random_member,
     run_verification,
-    solve_p2,
+    solve_p,
     spectral,
     theta_of_alpha,
     verify_Q0_limit,
@@ -35,7 +35,7 @@ SQUARE = Rectangle(1.0, 1.0)
 
 def test_lambda_max_returns_isotropic_value():
     lam, form = lambda_max(SQUARE, 0.25, 2.0, level=4)
-    ref = solve_p2(build_mesh(SQUARE, 4), QuadForm.identity()).lam
+    ref = solve_p(build_mesh(SQUARE, 4), QuadForm.identity(), 2.0).lam
     assert form == QuadForm.identity()
     assert lam == pytest.approx(ref, rel=1e-9)
 
@@ -118,7 +118,7 @@ def test_non_normalized_bounds():
         q = random_member(a, rng)
         scaled = QuadForm(scale * q.alpha, scale * q.beta, scale * q.gamma)
         _, qmax = normalize(scaled)
-        lam = solve_p2(mesh, scaled).lam
+        lam = solve_p(mesh, scaled, 2.0).lam
         slack = 1e-6 * lam + 10 * res.residual
         assert res.lambda_min * qmax - slack <= lam <= res.lambda_max * qmax + slack
 

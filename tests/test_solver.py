@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.special
+from scipy.sparse.linalg import eigsh
 
 from anisolap import (
     Disk,
@@ -23,9 +24,14 @@ from anisolap import (
     rotate,
     shear_y,
     solve_p,
-    solve_p2,
 )
-from anisolap.solver import _form_matrix, _rayleigh_and_grad
+from anisolap.solver import (
+    _AXIS_MATS,
+    _assemble_quadratic,
+    _energy_m2,
+    _form_matrix,
+    _rayleigh_grad,
+)
 
 PI2_HALF = math.pi**2 / 2.0
 
@@ -85,34 +91,34 @@ def test_pnorm_quadrature_exact_for_quadratics():
 
 def test_square_eigenvalue_oracle():
     m = build_mesh(Rectangle(1.0, 1.0), 5)
-    res = solve_p2(m, QuadForm.identity())
+    res = solve_p(m, QuadForm.identity(), 2.0)
     assert res.lam == pytest.approx(PI2_HALF, rel=5e-3)
     assert res.lam > PI2_HALF  # conforming space overestimates
 
 
 def test_disk_eigenvalue_oracle():
     m = build_mesh(Disk(1.0), 4, 64)
-    res = solve_p2(m, QuadForm.identity())
+    res = solve_p(m, QuadForm.identity(), 2.0)
     target = scipy.special.jn_zeros(0, 1)[0] ** 2
     assert res.lam == pytest.approx(target, rel=1e-2)
 
 
 def test_scalar_form_scales_exactly():
     m = build_mesh(Rectangle(1.0, 1.0), 4)
-    base = solve_p2(m, QuadForm.identity())
-    scaled = solve_p2(m, QuadForm(0.5, 0.0, 0.5))
+    base = solve_p(m, QuadForm.identity(), 2.0)
+    scaled = solve_p(m, QuadForm(0.5, 0.0, 0.5), 2.0)
     assert scaled.lam == pytest.approx(0.5 * base.lam, rel=1e-11)
 
 
 def test_refinement_decreases_eigenvalue():
-    vals = [solve_p2(build_mesh(Rectangle(1.0, 1.0), lv), QuadForm.identity()).lam for lv in (3, 4, 5)]
+    vals = [solve_p(build_mesh(Rectangle(1.0, 1.0), lv), QuadForm.identity(), 2.0).lam for lv in (3, 4, 5)]
     assert vals[0] >= vals[1] >= vals[2]
 
 
 def test_eigenresult_invariants():
     m = build_mesh(lshape(), 3)
     q = make_Q_alpha(0.25, 0.6)
-    res = solve_p2(m, q)
+    res = solve_p(m, q, 2.0)
     assert res.lam > 0
     assert np.all(res.u >= 0.0)
     assert np.all(res.u[m.boundary_node] == 0.0)
@@ -124,7 +130,7 @@ def test_eigenresult_invariants():
 def test_nonconvergence_carries_best_iterate():
     m = build_mesh(Rectangle(1.0, 1.0), 3)
     with pytest.raises(SolverConvergenceError) as info:
-        solve_p2(m, QuadForm.identity(), SolverOptions(max_iter=1))
+        solve_p(m, QuadForm.identity(), 2.0, SolverOptions(max_iter=1))
     best = info.value.best
     assert math.isfinite(best.lam) and best.lam > 0
 
@@ -134,18 +140,27 @@ def test_solver_options_validation():
         SolverOptions(tol=0.0)
     with pytest.raises(ValueError):
         SolverOptions(max_iter=0)
-    with pytest.raises(ValueError):
-        SolverOptions(step_rule="newton")
 
 
 # -------------------------------------------------------------- general p path
 
 
-def test_solve_p_matches_quadratic_path():
-    m = build_mesh(Rectangle(1.0, 1.0), 4)
-    ref = solve_p2(m, QuadForm.identity())
-    res = solve_p(m, QuadForm.identity(), 2.0)
-    assert res.lam == pytest.approx(ref.lam, rel=1e-6)
+def smallest_pencil_eigenvalue(m, m2) -> float:
+    stiff, mass, _ = _assemble_quadratic(m, m2)
+    return float(eigsh(stiff, k=1, M=mass, sigma=0.0, which="LM", return_eigenvectors=False)[0])
+
+
+@pytest.mark.parametrize("domain", [Rectangle(1.0, 1.0), lshape()], ids=["square", "lshape"])
+def test_solve_p2_matches_eigsh(domain):
+    m = build_mesh(domain, 4)
+    q = make_Q_alpha(0.25, 0.6)
+    res = solve_p(m, q, 2.0)
+    assert res.lam == pytest.approx(smallest_pencil_eigenvalue(m, _form_matrix(q)), rel=1e-8)
+    # p = 2 is the inverse iteration alone: its count exhausts a budget of one
+    # fewer iteration, and no descent step is added to it
+    assert solve_p(m, q, 2.0, SolverOptions(max_iter=res.iterations)).lam == res.lam
+    with pytest.raises(SolverConvergenceError):
+        solve_p(m, q, 2.0, SolverOptions(max_iter=res.iterations - 1))
 
 
 def test_solve_p_rejects_bad_exponent():
@@ -164,19 +179,6 @@ def test_domain_scaling_homogeneity():
     assert lam_large == pytest.approx(2.0 ** (-p) * lam_small, rel=1e-10)
 
 
-def test_two_initializations_agree():
-    m = build_mesh(Rectangle(1.0, 1.0), 4)
-    cont = solve_p(m, QuadForm.identity(), 3.0)
-    rand = solve_p(
-        m,
-        QuadForm.identity(),
-        3.0,
-        SolverOptions(continuation=False),
-        rng=np.random.default_rng(7),
-    )
-    assert rand.lam == pytest.approx(cont.lam, rel=1e-6)
-
-
 def test_general_p_invariants():
     m = build_mesh(Rectangle(1.0, 1.0), 4)
     q = make_Q_alpha(0.25, 0.8)
@@ -184,14 +186,6 @@ def test_general_p_invariants():
     assert np.all(res.u >= 0.0)
     assert pnorm_p(m, res.u, 2.5) == pytest.approx(1.0, abs=1e-10)
     assert res.lam == pytest.approx(energy(m, q, 2.5, res.u), rel=1e-10)
-
-
-def test_fixed_step_rule_converges_roughly():
-    m = build_mesh(Rectangle(1.0, 1.0), 3)
-    opts = SolverOptions(step_rule="fixed", step_size=0.002, tol=1e-7, max_iter=20000)
-    res = solve_p(m, QuadForm.identity(), 2.0, opts)
-    ref = solve_p2(m, QuadForm.identity())
-    assert res.lam == pytest.approx(ref.lam, rel=1e-3)
 
 
 def test_descent_direction_matches_finite_differences():
@@ -205,15 +199,14 @@ def test_descent_direction_matches_finite_differences():
         u = np.abs(base + 0.1 * (trial + 1) * rng.normal(size=m.n_nodes))
         u[m.boundary_node] = 0.0
         u /= pnorm_p(m, u, p) ** (1.0 / p)
-        lam, grad = _rayleigh_and_grad(m, m2, p, u)
+        lam = _energy_m2(m, m2, p, u)
+        grad = _rayleigh_grad(m, m2, p, u, lam)
         nodes = rng.choice(interior, size=5, replace=False)
         h = 1e-6
         for j in nodes:
             up, um = u.copy(), u.copy()
             up[j] += h
             um[j] -= h
-            from anisolap.solver import _energy_m2
-
             fd = (
                 _energy_m2(m, m2, p, up) / pnorm_p(m, up, p)
                 - _energy_m2(m, m2, p, um) / pnorm_p(m, um, p)
@@ -232,8 +225,8 @@ def test_monotone_under_pointwise_ordering():
         q2 = random_member(0.25, rng)
         dec = decompose(q2, 0.25)
         q1 = make_Q_alpha(0.25, dec.alpha_param)
-        lam1 = solve_p2(m, q1, opts).lam
-        lam2 = solve_p2(m, q2, opts).lam
+        lam1 = solve_p(m, q1, 2.0, opts).lam
+        lam2 = solve_p(m, q2, 2.0, opts).lam
         assert lam1 <= lam2 + 1e-9
 
 
@@ -248,11 +241,11 @@ def test_monotone_at_general_p():
 def test_bracketing_between_scaled_isotropic_values():
     m = build_mesh(Rectangle(1.0, 1.0), 4)
     a = 0.25
-    iso = solve_p2(m, QuadForm.identity()).lam
+    iso = solve_p(m, QuadForm.identity(), 2.0).lam
     rng = np.random.default_rng(23)
     for _ in range(10):
         q = random_member(a, rng)
-        lam = solve_p2(m, q).lam
+        lam = solve_p(m, q, 2.0).lam
         assert a * iso - 1e-9 <= lam <= iso + 1e-9
 
 
@@ -261,9 +254,9 @@ def test_rotation_covariance():
     # rotated domain, up to independent meshing errors
     theta = math.pi / 8
     q_rot = compose_rotation(QuadForm(0.25, 0.0, 1.0), theta)
-    lam_direct = solve_p2(build_mesh(Rectangle(1.0, 1.0), 5), q_rot).lam
-    lam_rotated = solve_p2(
-        build_mesh(rotate(Rectangle(1.0, 1.0), theta), 5), QuadForm(0.25, 0.0, 1.0)
+    lam_direct = solve_p(build_mesh(Rectangle(1.0, 1.0), 5), q_rot, 2.0).lam
+    lam_rotated = solve_p(
+        build_mesh(rotate(Rectangle(1.0, 1.0), theta), 5), QuadForm(0.25, 0.0, 1.0), 2.0
     ).lam
     assert lam_direct == pytest.approx(lam_rotated, rel=1e-2)
 
@@ -275,6 +268,17 @@ def test_directional_constant_square_quadratic():
     m = build_mesh(Rectangle(1.0, 1.0), 5)
     c = directional_constant(m, 2.0, "x")
     assert c == pytest.approx(math.pi**2 / 4.0, rel=1e-2)
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_directional_constant_quadratic_matches_eigsh(axis):
+    # the 1e-7 floor of the descent stages leaves the p = 2 inverse iteration
+    # at the caller's tolerance
+    m = build_mesh(Rectangle(1.0, 1.0), 4)
+    ref = smallest_pencil_eigenvalue(m, _AXIS_MATS[axis])
+    assert directional_constant(m, 2.0, axis) == pytest.approx(ref, rel=1e-7)
+    opts = SolverOptions(tol=1e-12)
+    assert directional_constant(m, 2.0, axis, opts) == pytest.approx(ref, rel=1e-10)
 
 
 def test_directional_constant_axis_symmetry():
@@ -322,7 +326,7 @@ def test_two_routes_disk_matches_ellipse_reference():
     a = 0.25
     r1, r2 = lambda_anisotropic_two_routes(Disk(1.0), a, 0.5, 2.0, level=4, n_boundary=32)
     ellipse = shear_y(Disk(1.0), a, n_boundary=32)
-    ref = a * solve_p2(build_mesh(ellipse, 4, 32), QuadForm.identity()).lam
+    ref = a * solve_p(build_mesh(ellipse, 4, 32), QuadForm.identity(), 2.0).lam
     assert r2 == pytest.approx(ref, rel=1e-8)
     assert r1 == pytest.approx(r2, rel=1e-2)
 
