@@ -6,7 +6,13 @@ angles in [0, pi/2]: for each angle the rotated domain is sheared to an
 isotropic problem whose frequency, scaled by a^(p/2), gives the profile
 value.  A coarse uniform grid plus golden-section refinement in the best
 bracket locates the minimizing angle; grid minima that tie within twice the
-solver residual are all refined and reported.
+largest solver error bound are all refined and reported.
+
+The solver's error bound on a value lam is ``residual * lam``: the dual-norm
+residual of the eigenpair times its eigenvalue.  The eigenvalue error of a
+near-eigenpair is of the order of the squared residual, so the bound is
+conservative.  It sets the tie tolerance of ``lambda_min`` and the margin
+floors of the verify suites.
 
 The verify_* functions evaluate the structural claims (strict maximizer,
 monotonicity, profile shape on disks and rectangles, quantitative bounds,

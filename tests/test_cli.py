@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -66,3 +67,14 @@ def test_verify_rectangle_suite_exits_1(tmp_path):
     report = json.loads(payload_text(out + ".json"))["payload"]["report"]
     failed = {e["name"] for e in report["entries"] if not e["passed"]}
     assert "rectangle_axis_argmin_set" in failed
+
+
+def test_eigen_failure_after_one_iteration_is_reported(tmp_path, monkeypatch):
+    # one inverse iteration has no relative change to test, but the partial
+    # result still carries a finite residual, so the report can be written
+    monkeypatch.setattr(cli, "SolverOptions", lambda tol: SolverOptions(tol=tol, max_iter=1))
+    rc, out = run_config(tmp_path, {"command": "eigen", "mesh_level": 2, "p": 2.0})
+    assert rc == 1
+    payload = json.loads(payload_text(out + ".json"))["payload"]
+    assert payload["status"] == "failed" and payload["partial"]
+    assert math.isfinite(payload["result"]["residual"])

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.special
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import eigsh, spsolve
 
 from anisolap import (
     Disk,
@@ -133,6 +134,7 @@ def test_nonconvergence_carries_best_iterate():
         solve_p(m, QuadForm.identity(), 2.0, SolverOptions(max_iter=1))
     best = info.value.best
     assert math.isfinite(best.lam) and best.lam > 0
+    assert math.isfinite(best.residual)
 
 
 def test_solver_options_validation():
@@ -186,6 +188,57 @@ def test_general_p_invariants():
     assert np.all(res.u >= 0.0)
     assert pnorm_p(m, res.u, 2.5) == pytest.approx(1.0, abs=1e-10)
     assert res.lam == pytest.approx(energy(m, q, 2.5, res.u), rel=1e-10)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_iterations_flat_under_refinement(p):
+    # the Sobolev-gradient step does not slow down as h shrinks; an l2
+    # gradient step needs about 4x the iterations per level
+    counts = [solve_p(build_mesh(lshape(), lv), QuadForm.identity(), p).iterations for lv in (3, 5)]
+    assert counts[1] <= 2 * counts[0]
+
+
+def independent_dual_residual(m, u: np.ndarray, lam: float, p: float) -> float:
+    """sqrt(r . K^-1 r) / lam for the isotropic energy, assembled from the node
+    coordinates alone: r is the gradient of E(u)/p - lam N(u)/p on interior
+    nodes and K the isotropic p = 2 stiffness there."""
+    xy = m.nodes[m.triangles]
+    edges = np.stack([xy[:, 1] - xy[:, 0], xy[:, 2] - xy[:, 0]], axis=1)
+    area = 0.5 * np.linalg.det(edges)
+    inv = np.linalg.inv(edges)  # columns: gradients of the barycentrics 1 and 2
+    grads = np.concatenate([-inv.sum(axis=2, keepdims=True), inv], axis=2).transpose(0, 2, 1)
+    du = np.einsum("tj,tji->ti", u[m.triangles], grads)
+    norm = np.linalg.norm(du, axis=1)
+    weight = np.zeros_like(norm)
+    weight[norm > 0.0] = norm[norm > 0.0] ** (p - 2.0)
+    r = np.zeros(m.n_nodes)
+    np.add.at(r, m.triangles, (area * weight)[:, None] * np.einsum("ti,tji->tj", du, grads))
+    for a, b in ((0, 1), (1, 2), (2, 0)):
+        mid = 0.5 * (u[m.triangles[:, a]] + u[m.triangles[:, b]])
+        share = lam * area / 6.0 * np.sign(mid) * np.abs(mid) ** (p - 1.0)
+        np.subtract.at(r, m.triangles[:, a], share)
+        np.subtract.at(r, m.triangles[:, b], share)
+    block = area[:, None, None] * np.einsum("tia,tja->tij", grads, grads)
+    rows = np.repeat(m.triangles, 3, axis=1).ravel()
+    cols = np.tile(m.triangles, (1, 3)).ravel()
+    stiff = sp.csr_matrix((block.ravel(), (rows, cols)), shape=(m.n_nodes,) * 2)
+    keep = np.flatnonzero(~m.boundary_node)
+    r = r[keep]
+    return math.sqrt(r @ spsolve(stiff[keep][:, keep].tocsc(), r)) / lam
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_residual_is_dual_norm(p):
+    m = build_mesh(lshape(), 4)
+    res = solve_p(m, QuadForm.identity(), p)
+    assert res.residual == pytest.approx(independent_dual_residual(m, res.u, res.lam, p), rel=1e-8)
+    assert res.residual <= 1e-4
+
+
+def test_disk_general_p_converges():
+    m = build_mesh(Disk(1.0), 4, 128)
+    res = solve_p(m, QuadForm.identity(), 1.5)
+    assert res.residual <= 1e-4
 
 
 def test_descent_direction_matches_finite_differences():
