@@ -31,7 +31,7 @@ import numpy as np
 
 from .geometry import domain_from_json, domain_to_json
 from .mesh import build_mesh, write_nodal_values_csv
-from .optimizer import lambda_min, run_verification
+from .optimizer import VERIFY_DEFAULTS, lambda_min, run_verification
 from .quadform import QuadForm, quant_lower_constant, quant_upper_bound
 from .solver import SolverConvergenceError, SolverOptions, solve_p
 
@@ -52,6 +52,7 @@ _DEFAULTS = {
     "form": None,
     "thetas": None,
     "a_values": None,
+    "b_values": None,
     "p_values": None,
     "c0": 1.0,
     "lam1p": 1.0,
@@ -168,12 +169,53 @@ def _number(value, name: str, kind=float):
         raise ConfigError(f"{name} must be a number, got {value!r}") from exc
 
 
-def _exponents(values, name: str) -> None:
+def _numbers(values, name: str, ok=lambda x: True, what: str = "") -> list[float]:
+    """The entries of a non-empty list of numbers, each satisfying ``ok``."""
     if not isinstance(values, list) or not values:
-        raise ConfigError(f"{name} must be a non-empty list of exponents, got {values!r}")
-    for p in values:
-        if not _number(p, name) > 1.0:
-            raise ConfigError(f"every exponent in {name} must exceed 1, got {p!r}")
+        raise ConfigError(f"{name} must be a non-empty list of numbers, got {values!r}")
+    nums = [_number(x, name) for x in values]
+    for x in nums:
+        if not ok(x):
+            raise ConfigError(f"every entry of {name} must {what}, got {x!r}")
+    return nums
+
+
+def _exponents(values, name: str) -> None:
+    _numbers(values, name, lambda p: p > 1.0, "exceed 1")
+
+
+def _verify_config(cfg: dict) -> dict:
+    """The config passed to ``run_verification``: the ``verify`` object over
+    the flag values."""
+    flags = {
+        "domain": cfg["domain"],
+        "a": float(cfg["a"]),
+        "p_list": [float(cfg["p"])],
+        "level": int(cfg["mesh_level"]),
+        "grid_n": int(cfg["grid_n"]),
+        "n_boundary": int(cfg["n_boundary"]),
+        "seed": int(cfg["seed"]),
+        "tol": float(cfg["tol"]),
+    }
+    if cfg["b"] is not None:
+        flags["b"] = float(cfg["b"])
+    return {**flags, **(cfg["verify"] or {})}
+
+
+def _validate_verify(v: dict) -> None:
+    _exponents(v["p_list"], "verify.p_list")
+    names = VERIFY_DEFAULTS["suites"]
+    suites = v["suites"]
+    if not isinstance(suites, list) or not suites or any(s not in names for s in suites):
+        raise ConfigError(f"verify.suites must be a non-empty list from {names}, got {suites!r}")
+    a, b = _number(v["a"], "verify.a"), _number(v["b"], "verify.b")
+    if not 0.0 < a <= b < 1.0:
+        raise ConfigError(f"verify needs 0 < a <= b < 1, got a={a}, b={b}")
+    seq = _numbers(v["a_sequence"], "verify.a_sequence", lambda x: 0.0 < x < 1.0, "lie in (0, 1)")
+    if any(a2 >= a1 for a1, a2 in zip(seq, seq[1:])):
+        raise ConfigError(f"verify.a_sequence must be strictly decreasing, got {seq}")
+    if _number(v["n_samples"], "verify.n_samples", int) < 1:
+        raise ConfigError(f"verify.n_samples must be at least 1, got {v['n_samples']}")
 
 
 def _validate(cfg: dict) -> dict:
@@ -200,6 +242,12 @@ def _validate(cfg: dict) -> dict:
     _number(cfg["lam1p"], "lam1p")
     if cfg["p_values"] is not None:
         _exponents(cfg["p_values"], "p_values")
+    if cfg["thetas"] is not None:
+        _numbers(cfg["thetas"], "thetas", lambda t: 0.0 <= t <= 0.5 * math.pi, "lie in [0, pi/2]")
+    if cfg["a_values"] is not None:
+        _numbers(cfg["a_values"], "a_values", lambda a: 0.0 < a <= 1.0, "lie in (0, 1]")
+    if cfg["b_values"] is not None:
+        _numbers(cfg["b_values"], "b_values")
     try:
         domain_from_json(cfg["domain"])
     except (ValueError, KeyError, TypeError) as exc:
@@ -209,11 +257,10 @@ def _validate(cfg: dict) -> dict:
             QuadForm.from_dict(cfg["form"])
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"bad form {cfg['form']!r}: {exc}") from exc
-    if cfg["verify"] is not None:
-        if not isinstance(cfg["verify"], dict):
-            raise ConfigError("verify must be a JSON object")
-        if "p_list" in cfg["verify"]:
-            _exponents(cfg["verify"]["p_list"], "verify.p_list")
+    if cfg["verify"] is not None and not isinstance(cfg["verify"], dict):
+        raise ConfigError("verify must be a JSON object")
+    if cfg["command"] == "verify":
+        _validate_verify({**VERIFY_DEFAULTS, **_verify_config(cfg)})
     return cfg
 
 
@@ -330,18 +377,7 @@ def _cmd_sweep(cfg: dict) -> int:
 
 
 def _cmd_verify(cfg: dict) -> int:
-    verify_cfg = dict(cfg["verify"] or {})
-    verify_cfg.setdefault("domain", cfg["domain"])
-    verify_cfg.setdefault("a", float(cfg["a"]))
-    if cfg["b"] is not None:
-        verify_cfg.setdefault("b", float(cfg["b"]))
-    verify_cfg.setdefault("p_list", [float(cfg["p"])])
-    verify_cfg.setdefault("level", int(cfg["mesh_level"]))
-    verify_cfg.setdefault("grid_n", int(cfg["grid_n"]))
-    verify_cfg.setdefault("n_boundary", int(cfg["n_boundary"]))
-    verify_cfg.setdefault("seed", int(cfg["seed"]))
-    verify_cfg.setdefault("tol", float(cfg["tol"]))
-    report = run_verification(verify_cfg)
+    report = run_verification(_verify_config(cfg))
     json_path, _ = _out_paths(cfg, "")
     payload = {"command": "verify", "status": "ok", "report": report}
     _write_report(json_path, payload)
@@ -355,7 +391,7 @@ def _cmd_verify(cfg: dict) -> int:
 
 def _cmd_bounds(cfg: dict) -> int:
     a_values = cfg["a_values"] or [float(cfg["a"])]
-    b_values = cfg.get("b_values") or [float(cfg["b"]) if cfg["b"] is not None else 0.5]
+    b_values = cfg["b_values"] or [float(cfg["b"]) if cfg["b"] is not None else 0.5]
     p_values = cfg["p_values"] or [float(cfg["p"])]
     c0 = float(cfg["c0"])
     lam1p = float(cfg["lam1p"])

@@ -17,11 +17,14 @@ floors of the verify suites.
 The verify_* functions evaluate the structural claims (strict maximizer,
 monotonicity, profile shape on disks and rectangles, quantitative bounds,
 behaviour as the coercivity level is relaxed) on concrete meshes and return
-report entries rather than raising.
+report entries rather than raising.  The quantitative and relaxation suites
+are judges only: they take optima that ``run_verification`` computes once per
+level and exponent, so the levels both suites use are searched once.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -46,6 +49,10 @@ FLAT_PROFILE_RTOL = 1e-2
 
 DEFAULT_GRID_N = 17
 DEFAULT_THETA_TOL = 1e-4
+
+# Relative slack of the suites' lower bounds (the directional floors are
+# computed on the same coarse meshes as the optima they bound).
+SLACK = 0.02
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -100,6 +107,33 @@ def profile_value(
     dom = shear_y(rotate(d, theta), a, n_boundary=n_boundary)
     res = solve_p(build_mesh(dom, level, n_boundary), QuadForm.identity(), p, opts)
     return a ** (0.5 * p) * res.lam, res.residual
+
+
+def lambda_anisotropic_two_routes(
+    d: DomainSpec,
+    a: float,
+    theta: float,
+    p: float,
+    opts: SolverOptions | None = None,
+    *,
+    level: int = 5,
+    n_boundary: int = 128,
+) -> tuple[float, float]:
+    """The same anisotropic frequency along two independent pipelines.
+
+    Route 1 solves the anisotropic problem with the extremal diagonal form on
+    the rotated domain; route 2 is ``profile_value``, the isotropic problem on
+    the sheared rotated domain scaled by a^(p/2).  The two agree at the
+    continuum by change of variables; discrete values differ by the meshing
+    error only.
+    """
+    if not 0.0 < a <= 1.0:
+        raise ValueError(f"need a in (0, 1], got {a}")
+    opts = opts or SolverOptions()
+    mesh = build_mesh(rotate(d, theta), level, n_boundary)
+    r1 = solve_p(mesh, QuadForm(a, 0.0, 1.0), p, opts).lam
+    r2, _ = profile_value(d, theta, a, p, opts, level=level, n_boundary=n_boundary)
+    return r1, r2
 
 
 def lambda_max(
@@ -351,156 +385,97 @@ def verify_rigidity(
     return entries
 
 
-def verify_quantitative(
-    d: DomainSpec,
-    a_grid,
-    b_grid,
-    p_list,
-    opts: SolverOptions | None = None,
-    *,
-    level: int = 4,
-    n_boundary: int = 128,
-    grid_n: int = 9,
-    theta_tol: float = 1e-3,
-    slack: float = 0.02,
-) -> list[dict]:
-    """Upper ratio bound and lower difference bound on the growth of the
-    optimal lower constant between two coercivity levels."""
-    opts = opts or SolverOptions()
-    a_grid = [float(x) for x in a_grid]
-    b_grid = [float(x) for x in b_grid]
-    if len(a_grid) != len(b_grid):
-        raise ValueError("a_grid and b_grid must pair up")
-    for a, b in zip(a_grid, b_grid):
-        if not (0.0 < a <= b < 1.0):
-            raise ValueError(f"need 0 < a <= b < 1, got ({a}, {b})")
-
-    lam_min_cache: dict[tuple[float, float], OptimizeResult] = {}
-    c0_cache: dict[float, float] = {}
-    iso_cache: dict[float, float] = {}
-
-    def lam_min_at(level_a: float, p: float) -> OptimizeResult:
-        key = (level_a, p)
-        if key not in lam_min_cache:
-            lam_min_cache[key] = lambda_min(
-                d, level_a, p, grid_n, opts,
-                level=level, n_boundary=n_boundary, theta_tol=theta_tol,
-            )
-        return lam_min_cache[key]
-
-    def c0_at(p: float) -> float:
-        if p not in c0_cache:
-            best = math.inf
-            for th in np.linspace(0.0, 0.5 * math.pi, grid_n):
-                mesh = build_mesh(rotate(d, float(th)), level, n_boundary)
-                best = min(best, directional_constant(mesh, p, "x", opts))
-            c0_cache[p] = best
-        return c0_cache[p]
-
-    def iso_at(p: float) -> float:
-        if p not in iso_cache:
-            iso_cache[p] = solve_p(
-                build_mesh(d, level, n_boundary), QuadForm.identity(), p, opts
-            ).lam
-        return iso_cache[p]
-
-    entries: list[dict] = []
-    for p in p_list:
-        p = float(p)
-        for a, b in zip(a_grid, b_grid):
-            res_a = lam_min_at(a, p)
-            if b == a:
-                ratio_excess, diff = 0.0, 0.0
-                bound_up = 0.0
-                lower_rhs = 0.0
-                residual = res_a.residual
-            else:
-                res_b = lam_min_at(b, p)
-                ratio_excess = res_b.lambda_min / res_a.lambda_min - 1.0
-                diff = res_b.lambda_min - res_a.lambda_min
-                bound_up = quant_upper_bound(a, b, p)
-                lower_rhs = quant_lower_constant(a, b, p, c0_at(p), iso_at(p)) * (b - a)
-                residual = max(res_a.residual, res_b.residual)
-            entries.append(
-                _entry(
-                    "upper_ratio_bound",
-                    "relative growth of the lower constant is within the closed-form bound",
-                    {"a": a, "b": b, "p": p, "measured": ratio_excess, "bound": bound_up},
-                    0.0,
-                    ratio_excess <= bound_up + 1e-12,
-                    level,
-                    residual,
-                )
-            )
-            entries.append(
-                _entry(
-                    "lower_difference_bound",
-                    "growth of the lower constant dominates the directional-constant bound",
-                    {
-                        "a": a,
-                        "b": b,
-                        "p": p,
-                        "measured": diff,
-                        "bound": lower_rhs,
-                        "c0": c0_at(p) if b > a else math.nan,
-                    },
-                    slack,
-                    diff >= (1.0 - slack) * lower_rhs - 1e-12,
-                    level,
-                    residual,
-                )
-            )
-            entries.append(
-                _entry(
-                    "lower_constant_monotone_in_level",
-                    "the optimal lower constant does not decrease with the coercivity level",
-                    {"a": a, "b": b, "p": p, "difference": diff},
-                    1e-9,
-                    diff >= -1e-9,
-                    level,
-                    residual,
-                )
-            )
-    return entries
-
-
-def verify_Q0_limit(
+def _directional_floor(
     d: DomainSpec,
     p: float,
-    a_sequence,
-    opts: SolverOptions | None = None,
+    axis: str,
+    grid_n: int,
+    opts: SolverOptions,
     *,
-    level: int = 4,
-    n_boundary: int = 128,
-    grid_n: int = 9,
-    theta_tol: float = 1e-3,
-    slack: float = 0.02,
-) -> list[dict]:
+    level: int,
+    n_boundary: int,
+) -> float:
+    """Smallest directional constant along ``axis`` over ``grid_n`` rotations
+    of the domain spread evenly over [0, pi/2]."""
+    return min(
+        directional_constant(build_mesh(rotate(d, float(th)), level, n_boundary), p, axis, opts)
+        for th in np.linspace(0.0, 0.5 * math.pi, grid_n)
+    )
+
+
+def verify_quantitative(res_a: OptimizeResult, res_b: OptimizeResult, c0: float) -> list[dict]:
+    """Upper ratio bound and lower difference bound on the growth of the
+    optimal lower constant between the levels of ``res_a`` and ``res_b``
+    (a <= b, same p).  ``c0`` is the minimized horizontal directional
+    constant of the rotated domain; the isotropic frequency in the lower bound
+    is ``res_a.lambda_max``."""
+    a, b, p, level = res_a.a, res_b.a, res_a.p, res_a.mesh_level
+    if not a <= b or res_b.p != p:
+        raise ValueError(f"need levels a <= b at one p, got ({a}, {b}) at p = ({p}, {res_b.p})")
+    if b == a:
+        ratio_excess, diff = 0.0, 0.0
+        bound_up = 0.0
+        lower_rhs = 0.0
+        residual = res_a.residual
+    else:
+        ratio_excess = res_b.lambda_min / res_a.lambda_min - 1.0
+        diff = res_b.lambda_min - res_a.lambda_min
+        bound_up = quant_upper_bound(a, b, p)
+        lower_rhs = quant_lower_constant(a, b, p, c0, res_a.lambda_max) * (b - a)
+        residual = max(res_a.residual, res_b.residual)
+    return [
+        _entry(
+            "upper_ratio_bound",
+            "relative growth of the lower constant is within the closed-form bound",
+            {"a": a, "b": b, "p": p, "measured": ratio_excess, "bound": bound_up},
+            0.0,
+            ratio_excess <= bound_up + 1e-12,
+            level,
+            residual,
+        ),
+        _entry(
+            "lower_difference_bound",
+            "growth of the lower constant dominates the directional-constant bound",
+            {
+                "a": a,
+                "b": b,
+                "p": p,
+                "measured": diff,
+                "bound": lower_rhs,
+                "c0": c0 if b > a else math.nan,
+            },
+            SLACK,
+            diff >= (1.0 - SLACK) * lower_rhs - 1e-12,
+            level,
+            residual,
+        ),
+        _entry(
+            "lower_constant_monotone_in_level",
+            "the optimal lower constant does not decrease with the coercivity level",
+            {"a": a, "b": b, "p": p, "difference": diff},
+            1e-9,
+            diff >= -1e-9,
+            level,
+            residual,
+        ),
+    ]
+
+
+def verify_Q0_limit(results: list[OptimizeResult], d0: float) -> list[dict]:
     """Behaviour as the coercivity level is relaxed toward zero: the optimal
-    lower constant decreases but stays above the minimized vertical
-    directional constant of the (unsheared) rotated domain."""
-    opts = opts or SolverOptions()
-    a_sequence = [float(a) for a in a_sequence]
-    if any(a2 >= a1 for a1, a2 in zip(a_sequence, a_sequence[1:])):
-        raise ValueError("a_sequence must be strictly decreasing")
-
-    vals = []
-    residual = 0.0
-    for a in a_sequence:
-        res = lambda_min(
-            d, a, p, grid_n, opts, level=level, n_boundary=n_boundary, theta_tol=theta_tol
-        )
-        vals.append(res.lambda_min)
-        residual = max(residual, res.residual)
-
+    lower constants of ``results`` (levels strictly decreasing, one p)
+    decrease but stay above ``d0``, the minimized vertical directional
+    constant of the (unsheared) rotated domain."""
+    a_sequence = [res.a for res in results]
+    if not results or any(a2 >= a1 for a1, a2 in zip(a_sequence, a_sequence[1:])):
+        raise ValueError(f"need a non-empty, strictly decreasing a_sequence, got {a_sequence}")
+    vals = [res.lambda_min for res in results]
+    residual = max(res.residual for res in results)
+    level = results[0].mesh_level
     nonincreasing = all(
         v2 <= v1 * (1.0 + 1e-9) for v1, v2 in zip(vals, vals[1:])
     )
-    d0 = math.inf
-    for th in np.linspace(0.0, 0.5 * math.pi, grid_n):
-        mesh = build_mesh(rotate(d, float(th)), level, n_boundary)
-        d0 = min(d0, directional_constant(mesh, p, "y", opts))
-    above = all(v >= (1.0 - slack) * d0 for v in vals)
+    above = all(v >= (1.0 - SLACK) * d0 for v in vals)
 
     return [
         _entry(
@@ -516,7 +491,7 @@ def verify_Q0_limit(
             "lower_constant_positive_floor",
             "all values stay above the minimized vertical directional constant",
             {"values": vals, "directional_floor": d0},
-            slack,
+            SLACK,
             above,
             level,
             residual,
@@ -529,15 +504,14 @@ def verify_disk(
     p: float,
     opts: SolverOptions | None = None,
     *,
-    radius: float = 1.0,
     level: int = 4,
     n_boundary: int = 32,
     grid_n: int = 9,
 ) -> list[dict]:
-    """On a disk every rotation is equivalent: the profile is flat and the
+    """On the unit disk every rotation is equivalent: the profile is flat and the
     optimum equals the scaled isotropic frequency of the sheared disk."""
     opts = opts or SolverOptions()
-    disk = Disk(radius)
+    disk = Disk(1.0)
     res = lambda_min(disk, a, p, grid_n, opts, level=level, n_boundary=n_boundary)
     values = np.array([v for _, v in res.theta_profile])
     spread = float((values.max() - values.min()) / values.mean())
@@ -576,7 +550,6 @@ def verify_rectangle(
     *,
     level: int = 4,
     grid_n: int = DEFAULT_GRID_N,
-    theta_tol: float = DEFAULT_THETA_TOL,
 ) -> list[dict]:
     """The tall rectangle with aspect 1/sqrt(a): its sheared image at angle 0
     is a square, which quadrilateral symmetrization singles out as optimal."""
@@ -584,7 +557,7 @@ def verify_rectangle(
     if not 0.0 < a < 1.0:
         raise ValueError(f"need a in (0, 1), got {a}")
     rect = Rectangle(1.0, 1.0 / math.sqrt(a))
-    res = lambda_min(rect, a, p, grid_n, opts, level=level, theta_tol=theta_tol)
+    res = lambda_min(rect, a, p, grid_n, opts, level=level)
 
     square = Rectangle(1.0, 1.0)
     lam_sq = solve_p(build_mesh(square, level), QuadForm.identity(), p, opts).lam
@@ -592,16 +565,18 @@ def verify_rectangle(
     rel_err = abs(res.lambda_min - target) / target
 
     argmins = [t for t, _ in res.tied_minima]
+    atol = 1e-3  # distance within which an argmin counts as an axis alignment
     endpoints = {0.0, 0.5 * math.pi}
     found_set_ok = all(
-        min(abs(t - e) for e in endpoints) <= max(theta_tol, 1e-3) for t in argmins
+        min(abs(t - e) for e in endpoints) <= atol for t in argmins
     )
     both_endpoints = all(
-        any(abs(t - e) <= max(theta_tol, 1e-3) for t in argmins) for e in endpoints
+        any(abs(t - e) <= atol for t in argmins) for e in endpoints
     )
 
     interior = [
-        v for t, v in res.theta_profile if theta_tol < t < 0.5 * math.pi - theta_tol
+        v for t, v in res.theta_profile
+        if DEFAULT_THETA_TOL < t < 0.5 * math.pi - DEFAULT_THETA_TOL
     ]
     margin = min(interior) - res.lambda_min if interior else math.nan
     margin_floor = 3.0 * max(res.residual, opts.tol * res.lambda_min)
@@ -625,7 +600,7 @@ def verify_rectangle(
                 "both_endpoints_attained": both_endpoints,
                 "profile_end_value": res.theta_profile[-1][1],
             },
-            max(theta_tol, 1e-3),
+            atol,
             found_set_ok and both_endpoints,
             level,
             res.residual,
@@ -642,25 +617,32 @@ def verify_rectangle(
     ]
 
 
+# The ``verify`` configuration that ``run_verification`` starts from.
+VERIFY_DEFAULTS = {
+    "domain": "square",
+    "a": 0.25,
+    "b": 0.5,
+    "p_list": [2.0],
+    "level": 3,
+    "grid_n": 9,
+    "n_boundary": 32,
+    "n_samples": 5,
+    "n_pairs": 8,
+    "a_sequence": [0.5, 0.25],
+    "seed": 0,
+    "tol": 1e-9,
+    "suites": ["rigidity", "quantitative", "relaxation", "disk", "rectangle"],
+}
+
+
 def run_verification(config: dict | None = None) -> dict:
     """Run the verification suites described by ``config`` and assemble a
-    deterministic report (used by the command-line ``verify`` command)."""
-    cfg = {
-        "domain": "square",
-        "a": 0.25,
-        "b": 0.5,
-        "p_list": [2.0],
-        "level": 3,
-        "grid_n": 9,
-        "n_boundary": 32,
-        "n_samples": 5,
-        "n_pairs": 8,
-        "a_sequence": [0.5, 0.25],
-        "seed": 0,
-        "tol": 1e-9,
-        "suites": ["rigidity", "quantitative", "relaxation", "disk", "rectangle"],
-    }
-    cfg.update(config or {})
+    deterministic report (used by the command-line ``verify`` command).
+
+    The quantitative and relaxation suites judge optimal lower constants at
+    the levels {a, b} and ``a_sequence``; each of those optima is computed
+    once per p, at angle resolution 1e-3, and shared by both suites."""
+    cfg = {**copy.deepcopy(VERIFY_DEFAULTS), **(config or {})}
     from .geometry import domain_from_json
 
     d = domain_from_json(cfg["domain"])
@@ -668,37 +650,46 @@ def run_verification(config: dict | None = None) -> dict:
     level = int(cfg["level"])
     grid_n = int(cfg["grid_n"])
     nb = int(cfg["n_boundary"])
+    suites = cfg["suites"]
+    a, b = float(cfg["a"]), float(cfg["b"])
+    a_sequence = [float(x) for x in cfg["a_sequence"]]
     entries: list[dict] = []
     p_list = [float(p) for p in cfg["p_list"]]
 
-    if "rigidity" in cfg["suites"]:
+    levels = []
+    if "quantitative" in suites:
+        levels += [a, b]
+    if "relaxation" in suites:
+        levels += a_sequence
+    optima = {
+        (lv, p): lambda_min(d, lv, p, grid_n, opts, level=level, n_boundary=nb, theta_tol=1e-3)
+        for p in p_list
+        for lv in dict.fromkeys(levels)
+    }
+
+    def floor(p: float, axis: str) -> float:
+        return _directional_floor(d, p, axis, grid_n, opts, level=level, n_boundary=nb)
+
+    if "rigidity" in suites:
         for p in p_list:
             entries += verify_rigidity(
-                d, float(cfg["a"]), p, int(cfg["n_samples"]), opts,
+                d, a, p, int(cfg["n_samples"]), opts,
                 level=level, n_boundary=nb, n_pairs=int(cfg["n_pairs"]),
                 seed=int(cfg["seed"]),
             )
-    if "quantitative" in cfg["suites"]:
-        entries += verify_quantitative(
-            d, [float(cfg["a"])], [float(cfg["b"])], p_list, opts,
-            level=level, n_boundary=nb, grid_n=grid_n,
-        )
-    if "relaxation" in cfg["suites"]:
+    if "quantitative" in suites:
         for p in p_list:
-            entries += verify_Q0_limit(
-                d, p, cfg["a_sequence"], opts,
-                level=level, n_boundary=nb, grid_n=grid_n,
-            )
-    if "disk" in cfg["suites"]:
+            c0 = floor(p, "x") if b > a else math.nan
+            entries += verify_quantitative(optima[a, p], optima[b, p], c0)
+    if "relaxation" in suites:
         for p in p_list:
-            entries += verify_disk(
-                float(cfg["a"]), p, opts, level=level, n_boundary=nb, grid_n=grid_n
-            )
-    if "rectangle" in cfg["suites"]:
+            entries += verify_Q0_limit([optima[x, p] for x in a_sequence], floor(p, "y"))
+    if "disk" in suites:
         for p in p_list:
-            entries += verify_rectangle(
-                float(cfg["a"]), p, opts, level=level, grid_n=grid_n
-            )
+            entries += verify_disk(a, p, opts, level=level, n_boundary=nb, grid_n=grid_n)
+    if "rectangle" in suites:
+        for p in p_list:
+            entries += verify_rectangle(a, p, opts, level=level, grid_n=grid_n)
 
     return {
         "config": cfg,

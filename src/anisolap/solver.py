@@ -33,8 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import SuperLU, splu
 
-from .geometry import DomainSpec, rotate, shear_y
-from .mesh import Mesh, build_mesh, interior_dof_map
+from .mesh import Mesh, interior_dof_map
 from .quadform import QuadForm
 
 # Smoothing floor inside Q(grad u)^((p-2)/2) factors for p < 2; the reported
@@ -65,7 +64,8 @@ class SolverOptions:
 @dataclass
 class EigenResult:
     lam: float                # eigenvalue estimate
-    u: np.ndarray             # nodal eigenfunction, nonnegative, unit p-norm
+    u: np.ndarray             # nodal eigenfunction, unit p-norm: at p = 2 the pencil
+                              # eigenvector (it may change sign), otherwise nonnegative
     iterations: int
     residual: float           # dual-norm residual sqrt(g.K^-1 g)/(p lam) of the returned pair
     p: float
@@ -179,15 +179,13 @@ def _precondition(lu: SuperLU, interior: np.ndarray, g: np.ndarray) -> np.ndarra
 def _finalize(
     m: Mesh,
     m2: np.ndarray,
-    u_full: np.ndarray,
+    u: np.ndarray,
     p: float,
     form: QuadForm,
     iterations: int,
     lu: SuperLU,
     interior: np.ndarray,
 ) -> EigenResult:
-    u = np.abs(u_full)
-    u[m.boundary_node] = 0.0
     u = u / pnorm_p(m, u, p) ** (1.0 / p)
     lam = _energy_m2(m, m2, p, u)
     g = _rayleigh_grad(m, m2, p, u, lam)
@@ -378,31 +376,3 @@ def directional_constant(
     except SolverConvergenceError as exc:
         return exc.best.lam
 
-
-def lambda_anisotropic_two_routes(
-    d: DomainSpec,
-    a: float,
-    theta: float,
-    p: float,
-    opts: SolverOptions | None = None,
-    *,
-    level: int = 5,
-    n_boundary: int = 128,
-) -> tuple[float, float]:
-    """The same anisotropic frequency along two independent pipelines.
-
-    Route 1 solves the anisotropic problem with the extremal diagonal form on
-    the rotated domain; route 2 solves the isotropic problem on the sheared
-    rotated domain and scales by a^(p/2).  The two agree at the continuum by
-    change of variables; discrete values differ by the meshing error only.
-    """
-    if not 0.0 < a <= 1.0:
-        raise ValueError(f"need a in (0, 1], got {a}")
-    opts = opts or SolverOptions()
-    rotated = rotate(d, theta)
-    mesh1 = build_mesh(rotated, level, n_boundary)
-    r1 = solve_p(mesh1, QuadForm(a, 0.0, 1.0), p, opts).lam
-    sheared = shear_y(rotated, a, n_boundary=n_boundary)
-    mesh2 = build_mesh(sheared, level, n_boundary)
-    r2 = a ** (0.5 * p) * solve_p(mesh2, QuadForm.identity(), p, opts).lam
-    return r1, r2

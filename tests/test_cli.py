@@ -28,8 +28,36 @@ def payload_text(path: str) -> str:
         {"command": "eigen", "p": "abc"},
         {"command": "verify", "verify": {"p_list": [0.5]}},
         {"command": "sweep", "p_values": [2.0, 1.0]},
+        {"command": "sweep", "thetas": [0.0, 2.0]},
+        {"command": "sweep", "a_values": [0.0]},
+        {"command": "bounds", "b_values": ["half"]},
+        {"command": "bounds", "b_values": 0.5},
+        {"command": "verify", "verify": {"suites": ["nonsense"]}},
+        {"command": "verify", "verify": {"suites": []}},
+        {"command": "verify", "verify": {"a_sequence": [0.25, 0.5]}},
+        {"command": "verify", "verify": {"a_sequence": [1.5, 0.5]}},
+        {"command": "verify", "verify": {"a": 0.75, "b": 0.5}},
+        {"command": "verify", "b": 1.0},
+        {"command": "verify", "verify": {"n_samples": 0}},
     ],
-    ids=["negative-beta", "missing-key", "non-numeric-p", "verify-p-list", "sweep-p-values"],
+    ids=[
+        "negative-beta",
+        "missing-key",
+        "non-numeric-p",
+        "verify-p-list",
+        "sweep-p-values",
+        "sweep-thetas",
+        "sweep-a-values",
+        "bounds-b-values",
+        "bounds-b-values-not-list",
+        "verify-unknown-suite",
+        "verify-no-suites",
+        "verify-a-sequence-increasing",
+        "verify-a-sequence-range",
+        "verify-a-above-b",
+        "verify-b-one",
+        "verify-n-samples",
+    ],
 )
 def test_bad_config_exits_2(tmp_path, capsys, config):
     rc, _ = run_config(tmp_path, config)

@@ -7,6 +7,7 @@ import pytest
 from anisolap import (
     ClassTag,
     Disk,
+    OptimizeResult,
     QuadForm,
     Rectangle,
     SolverOptions,
@@ -28,6 +29,8 @@ from anisolap import (
     verify_rectangle,
     verify_rigidity,
 )
+from anisolap import optimizer
+from anisolap.optimizer import _directional_floor
 
 PI2_HALF = math.pi**2 / 2.0
 SQUARE = Rectangle(1.0, 1.0)
@@ -141,8 +144,41 @@ def test_verify_rigidity_entries():
         assert "mesh_level" in e and "solver_residual" in e
 
 
-def test_verify_quantitative_entries():
-    entries = verify_quantitative(SQUARE, [0.25], [0.5], [2.0], level=3, grid_n=9)
+@pytest.fixture(scope="module")
+def square_optima():
+    """The optima and directional floors that ``run_verification`` judges,
+    on the square at level 3."""
+    opts = SolverOptions()
+    optima = {
+        a: lambda_min(SQUARE, a, 2.0, 9, opts, level=3, theta_tol=1e-3) for a in (0.5, 0.25)
+    }
+    floors = {
+        axis: _directional_floor(SQUARE, 2.0, axis, 9, opts, level=3, n_boundary=32)
+        for axis in ("x", "y")
+    }
+    return optima, floors
+
+
+def optimum(a: float, value: float, p: float = 2.0) -> OptimizeResult:
+    """A synthetic optimum for judging, no solver involved."""
+    return OptimizeResult(
+        lambda_min=value,
+        lambda_max=5.0,
+        theta_star=0.0,
+        alpha_star=alpha_of_theta(a, 0.0),
+        extremizer=QuadForm(a, 0.0, 1.0),
+        theta_profile=[],
+        flat_disk_flag=False,
+        a=a,
+        p=p,
+        mesh_level=3,
+        residual=1e-9,
+    )
+
+
+def test_verify_quantitative_entries(square_optima):
+    optima, floors = square_optima
+    entries = verify_quantitative(optima[0.25], optima[0.5], floors["x"])
     by_name = {e["name"]: e for e in entries}
     assert by_name["upper_ratio_bound"]["passed"]
     assert by_name["lower_difference_bound"]["passed"]
@@ -151,18 +187,69 @@ def test_verify_quantitative_entries():
     assert measured["measured"] <= measured["bound"]
 
 
-def test_verify_quantitative_equal_levels_degenerate():
-    entries = verify_quantitative(SQUARE, [0.25], [0.25], [2.0], level=3, grid_n=9)
+def test_verify_quantitative_equal_levels_degenerate(square_optima):
+    optima, _ = square_optima
+    entries = verify_quantitative(optima[0.25], optima[0.25], math.nan)
     for e in entries:
         assert e["passed"]
         assert e["measured"].get("measured", 0.0) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_verify_relaxation_entries():
-    entries = verify_Q0_limit(SQUARE, 2.0, [0.5, 0.25], level=3, grid_n=9)
+def test_verify_quantitative_fails_on_decrease():
+    entries = verify_quantitative(optimum(0.25, 2.0), optimum(0.5, 1.9), 1.0)
+    by_name = {e["name"]: e for e in entries}
+    assert by_name["upper_ratio_bound"]["passed"]
+    assert not by_name["lower_difference_bound"]["passed"]
+    assert not by_name["lower_constant_monotone_in_level"]["passed"]
+    with pytest.raises(ValueError):
+        verify_quantitative(optimum(0.5, 1.9), optimum(0.25, 2.0), 1.0)
+
+
+def test_verify_relaxation_entries(square_optima):
+    optima, floors = square_optima
+    entries = verify_Q0_limit([optima[0.5], optima[0.25]], floors["y"])
     assert all(e["passed"] for e in entries)
     vals = entries[0]["measured"]["values"]
     assert vals[0] >= vals[1]
+
+
+def test_verify_relaxation_fails_on_increase():
+    entries = verify_Q0_limit([optimum(0.5, 2.0), optimum(0.25, 2.1)], 1.0)
+    by_name = {e["name"]: e for e in entries}
+    assert not by_name["lower_constant_nonincreasing_in_relaxation"]["passed"]
+    assert by_name["lower_constant_positive_floor"]["passed"]
+    with pytest.raises(ValueError):
+        verify_Q0_limit([optimum(0.25, 2.0), optimum(0.5, 2.1)], 1.0)
+
+
+def test_verify_relaxation_floor_has_two_percent_slack():
+    results = [optimum(0.5, 2.0), optimum(0.25, 1.97)]
+    floor = verify_Q0_limit(results, 2.0)[1]
+    assert floor["name"] == "lower_constant_positive_floor" and floor["passed"]
+    assert not verify_Q0_limit(results, 2.02)[1]["passed"]  # 1.97 < 0.98 * 2.02
+
+
+def test_run_verification_shares_optima(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return lambda_min(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "lambda_min", counting)
+    report = run_verification(
+        {"level": 2, "p_list": [2.0, 3.0], "suites": ["quantitative", "relaxation"]}
+    )
+    assert [e["name"] for e in report["entries"]] == [
+        "upper_ratio_bound",
+        "lower_difference_bound",
+        "lower_constant_monotone_in_level",
+    ] * 2 + [
+        "lower_constant_nonincreasing_in_relaxation",
+        "lower_constant_positive_floor",
+    ] * 2
+    # levels {a, b} = {0.25, 0.5} and a_sequence [0.5, 0.25] share two optima per p
+    assert sorted(calls) == [(0.25, 2.0), (0.25, 3.0), (0.5, 2.0), (0.5, 3.0)]
 
 
 def test_verify_disk_entries():

@@ -323,11 +323,21 @@ def test_directional_constant_square_quadratic():
     assert c == pytest.approx(math.pi**2 / 4.0, rel=1e-2)
 
 
-@pytest.mark.parametrize("axis", ["x", "y"])
-def test_directional_constant_quadratic_matches_eigsh(axis):
+@pytest.mark.parametrize(
+    "domain, axis",
+    [
+        (Rectangle(1.0, 1.0), "x"),
+        (Rectangle(1.0, 1.0), "y"),
+        (rotate(Rectangle(1.0, 1.0), math.pi / 8), "x"),
+        (lshape(), "x"),
+    ],
+    ids=["x", "y", "rotated-square-x", "lshape-x"],
+)
+def test_directional_constant_quadratic_matches_eigsh(domain, axis):
     # the 1e-7 floor of the descent stages leaves the p = 2 inverse iteration
-    # at the caller's tolerance
-    m = build_mesh(Rectangle(1.0, 1.0), 4)
+    # at the caller's tolerance; on the rotated square and the L-shape the
+    # pencil's ground state changes sign, and the value is still its quotient
+    m = build_mesh(domain, 4)
     ref = smallest_pencil_eigenvalue(m, _AXIS_MATS[axis])
     assert directional_constant(m, 2.0, axis) == pytest.approx(ref, rel=1e-7)
     opts = SolverOptions(tol=1e-12)
