@@ -165,7 +165,7 @@ def _parse_args(argv) -> dict:
 def _number(value, name: str, kind=float):
     try:
         return kind(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name} must be a number, got {value!r}") from exc
 
 
@@ -202,7 +202,28 @@ def _verify_config(cfg: dict) -> dict:
     return {**flags, **(cfg["verify"] or {})}
 
 
+def _validate_run(cfg: dict, prefix: str, level_key: str) -> None:
+    """The mesh, angle-grid, solver and seed fields, which the flags and the
+    verify object share."""
+    level = cfg[level_key]
+    if not 2 <= _number(level, prefix + level_key, int) <= 9:
+        raise ConfigError(f"{prefix}{level_key} must lie in [2, 9], got {level}")
+    if _number(cfg["grid_n"], prefix + "grid_n", int) < 9:
+        raise ConfigError(f"{prefix}grid_n must be at least 9, got {cfg['grid_n']}")
+    if not _number(cfg["tol"], prefix + "tol") > 0.0:
+        raise ConfigError(f"{prefix}tol must be positive, got {cfg['tol']}")
+    if _number(cfg["n_boundary"], prefix + "n_boundary", int) < 16:
+        raise ConfigError(f"{prefix}n_boundary must be at least 16, got {cfg['n_boundary']}")
+    if _number(cfg["seed"], prefix + "seed", int) < 0:
+        raise ConfigError(f"{prefix}seed must be nonnegative, got {cfg['seed']}")
+    try:
+        domain_from_json(cfg["domain"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"bad {prefix}domain spec: {exc}") from exc
+
+
 def _validate_verify(v: dict) -> None:
+    _validate_run(v, "verify.", "level")
     _exponents(v["p_list"], "verify.p_list")
     names = VERIFY_DEFAULTS["suites"]
     suites = v["suites"]
@@ -214,8 +235,9 @@ def _validate_verify(v: dict) -> None:
     seq = _numbers(v["a_sequence"], "verify.a_sequence", lambda x: 0.0 < x < 1.0, "lie in (0, 1)")
     if any(a2 >= a1 for a1, a2 in zip(seq, seq[1:])):
         raise ConfigError(f"verify.a_sequence must be strictly decreasing, got {seq}")
-    if _number(v["n_samples"], "verify.n_samples", int) < 1:
-        raise ConfigError(f"verify.n_samples must be at least 1, got {v['n_samples']}")
+    for key in ("n_samples", "n_pairs"):
+        if _number(v[key], f"verify.{key}", int) < 1:
+            raise ConfigError(f"verify.{key} must be at least 1, got {v[key]}")
 
 
 def _validate(cfg: dict) -> dict:
@@ -229,15 +251,7 @@ def _validate(cfg: dict) -> dict:
         raise ConfigError(f"a must lie in (0, 1], got {cfg['a']}")
     if cfg["b"] is not None:
         _number(cfg["b"], "b")
-    if not 2 <= _number(cfg["mesh_level"], "mesh_level", int) <= 9:
-        raise ConfigError(f"mesh_level must lie in [2, 9], got {cfg['mesh_level']}")
-    if _number(cfg["grid_n"], "grid_n", int) < 9:
-        raise ConfigError(f"grid_n must be at least 9, got {cfg['grid_n']}")
-    if not _number(cfg["tol"], "tol") > 0.0:
-        raise ConfigError(f"tol must be positive, got {cfg['tol']}")
-    if _number(cfg["n_boundary"], "n_boundary", int) < 16:
-        raise ConfigError(f"n_boundary must be at least 16, got {cfg['n_boundary']}")
-    _number(cfg["seed"], "seed", int)
+    _validate_run(cfg, "", "mesh_level")
     _number(cfg["c0"], "c0")
     _number(cfg["lam1p"], "lam1p")
     if cfg["p_values"] is not None:
@@ -248,10 +262,6 @@ def _validate(cfg: dict) -> dict:
         _numbers(cfg["a_values"], "a_values", lambda a: 0.0 < a <= 1.0, "lie in (0, 1]")
     if cfg["b_values"] is not None:
         _numbers(cfg["b_values"], "b_values")
-    try:
-        domain_from_json(cfg["domain"])
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"bad domain spec: {exc}") from exc
     if cfg["form"]:
         try:
             QuadForm.from_dict(cfg["form"])

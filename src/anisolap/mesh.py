@@ -223,28 +223,26 @@ def build_mesh(domain: DomainSpec, level: int, n_boundary: int = 128) -> Mesh:
     return refine(triangulate(polygonize(domain, n_boundary)), level)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _csv_text(header: str, row: str, table: np.ndarray) -> str:
+    """The header line and one ``row``-formatted line per row of ``table``,
+    formatted in one pass (``%.17g`` gives the same text as ``format(x, ".17g")``)."""
+    return header + (row * len(table)) % tuple(table.ravel().tolist())
 
 
 def write_mesh_csv(m: Mesh, nodes_path, triangles_path) -> None:
     """Write node and triangle lists as CSV (x, y, boundary) / (i0, i1, i2)."""
+    nodes = np.column_stack([m.nodes, m.boundary_node])
     with open(nodes_path, "w", encoding="utf-8") as fh:
-        fh.write("x,y,boundary\n")
-        for (x, y), b in zip(m.nodes, m.boundary_node):
-            fh.write(f"{_fmt(x)},{_fmt(y)},{int(b)}\n")
+        fh.write(_csv_text("x,y,boundary\n", "%.17g,%.17g,%d\n", nodes))
     with open(triangles_path, "w", encoding="utf-8") as fh:
-        fh.write("i0,i1,i2\n")
-        for t in m.triangles:
-            fh.write(f"{t[0]},{t[1]},{t[2]}\n")
+        fh.write(_csv_text("i0,i1,i2\n", "%d,%d,%d\n", m.triangles))
 
 
 def write_nodal_values_csv(m: Mesh, values: np.ndarray, path, name: str = "u") -> None:
-    """Write per-node values as CSV rows (x, y, value)."""
+    """Write per-node values as CSV rows (x, y, value), floats at 17 significant digits."""
     values = np.asarray(values, dtype=float)
     if values.shape != (m.n_nodes,):
         raise ValueError("values must have one entry per mesh node")
+    table = np.column_stack([m.nodes, values])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"x,y,{name}\n")
-        for (x, y), v in zip(m.nodes, values):
-            fh.write(f"{_fmt(x)},{_fmt(y)},{_fmt(v)}\n")
+        fh.write(_csv_text(f"x,y,{name}\n", "%.17g,%.17g,%.17g\n", table))

@@ -4,24 +4,34 @@ The discrete problem minimizes the Rayleigh quotient
 
     R(u) = sum_T |T| Q(grad u|_T)^(p/2) / ||u||_p^p
 
-over zero-trace piecewise-linear functions.  The gradient energy is exact per
-triangle (the integrand is constant); |u|^p is integrated with the 3-point
-edge-midpoint rule, which reproduces the consistent mass matrix at p = 2.
+over zero-trace piecewise-linear functions, held as their values on the
+interior nodes.  A solve builds two sparse maps of its mesh once:
 
-One path for every p > 1, built on one direct sparse factorization of the
-form's p = 2 stiffness K.  Inverse iteration on the generalized symmetric
-pencil (K, M) gives the p = 2 ground state.  At p = 2 that is the answer.
-For any other p it is the warm start of projected descent on the unit p-norm
-sphere, marched through a geometric continuation in p from 2 to p.  The
-descent steps along the Sobolev gradient K^-1 g (Neuberger; for
-p-eigenvalues, Horak, EJDE 2011), so its iteration count stays nearly flat
-under mesh refinement where a plain l2 gradient step needs O(h^-2) steps.
+    G    (2 n_tri x n_int)  values -> x gradients of the triangles, then y
+    Mid  (3 n_tri x n_int)  values -> values at the triangles' edge midpoints
+
+and evaluates everything through them.  The energy E(u) = sum |T| Q(Gu)^(p/2)
+is exact per triangle (the integrand is constant); the p-norm N(u) =
+sum |T|/3 |Mid u|^p is the 3-point edge-midpoint rule.  Their gradients are
+G^T and Mid^T applied to per-triangle factors, and at p = 2 the same maps give
+the form's stiffness K = G^T (M2 (x) diag|T|) G and the consistent mass
+M = Mid^T diag(|T|/3) Mid.
+
+One path for every p > 1, built on one direct sparse factorization of K.
+Inverse iteration on the generalized symmetric pencil (K, M) gives the p = 2
+ground state.  At p = 2 that is the answer.  For any other p it is the warm
+start of projected descent on the unit p-norm sphere, marched through a
+geometric continuation in p from 2 to p.  The descent steps along the Sobolev
+gradient K^-1 g (Neuberger; for p-eigenvalues, Horak, EJDE 2011), so its
+iteration count stays nearly flat under mesh refinement where a plain l2
+gradient step needs O(h^-2) steps.  A line-search trial costs one product
+with G and one with Mid, and the accepted trial's products give the next
+gradient.
 
 Every result reports the dual-norm residual sqrt(g . K^-1 g) / (p lam) of the
-returned pair, g being the nodal gradient of E(u) - lam N(u) (E the gradient
-energy, N the p-norm to the p).  It measures how far the pair is from
-satisfying the discrete eigenvalue equation, whatever stopping rule ended
-the iteration.
+returned pair, g being the gradient of E(u) - lam N(u).  It measures how far
+the pair is from satisfying the discrete eigenvalue equation, whatever
+stopping rule ended the iteration.
 """
 
 from __future__ import annotations
@@ -93,119 +103,117 @@ def _form_matrix(q: QuadForm) -> np.ndarray:
     return np.array([[q.alpha, q.beta], [q.beta, q.gamma]])
 
 
-def _tri_gradients(m: Mesh, u: np.ndarray) -> np.ndarray:
-    return np.einsum("tij,tj->ti", m.grad_map, u[m.triangles])
+@dataclass
+class _Operators:
+    """Sparse maps from nodal values on a set of columns (the interior nodes
+    in a solve, every node for ``energy`` and ``pnorm_p``) to per-triangle
+    values.  Only ``grad`` and ``mid`` own arrays; ``grad_t`` and ``mid_t``
+    are their ``.T`` views, kept so that a product does not rebuild one."""
+
+    grad: sp.csr_matrix   # (2 n_tri, n_cols): x gradients of the triangles, then y gradients
+    mid: sp.csr_matrix    # (3 n_tri, n_cols): values at edge k of triangle t in row k n_tri + t
+    grad_t: sp.csc_matrix
+    mid_t: sp.csc_matrix
+    area: np.ndarray      # (n_tri,) |T|
+    weight: np.ndarray    # (3 n_tri,) midpoint-rule weights |T|/3
 
 
-def _energy_m2(m: Mesh, m2: np.ndarray, p: float, u: np.ndarray) -> float:
-    g = _tri_gradients(m, u)
-    q = np.maximum(np.einsum("ti,ij,tj->t", g, m2, g), 0.0)
-    return float(m.tri_area @ q ** (0.5 * p))
+def _operators(m: Mesh, cols: np.ndarray) -> _Operators:
+    """G and Mid of ``m`` on the columns ``cols`` (node -> column index, -1
+    for a node held at zero)."""
+    nt, n_cols = m.n_triangles, int(cols.max()) + 1
+    c = cols[m.triangles]
+
+    def csr(rows, idx, vals, n_rows):
+        rows, idx, vals = np.broadcast_arrays(rows, idx, vals)
+        keep = idx >= 0
+        return sp.csr_matrix((vals[keep], (rows[keep], idx[keep])), shape=(n_rows, n_cols))
+
+    grad = csr(np.arange(2 * nt).reshape(2, nt, 1), c, m.grad_map.transpose(1, 0, 2), 2 * nt)
+    # edge k of a triangle joins its local vertices k and k + 1
+    ends = np.stack([c, np.roll(c, -1, axis=1)])
+    mid = csr(np.arange(3 * nt).reshape(3, nt).T, ends, 0.5, 3 * nt)
+    return _Operators(grad, mid, grad.T, mid.T, m.tri_area, np.tile(m.tri_area / 3.0, 3))
+
+
+def _on_all_nodes(m: Mesh, u: np.ndarray) -> tuple[_Operators, np.ndarray]:
+    u = np.asarray(u, dtype=float)
+    if u.shape != (m.n_nodes,):
+        raise ValueError(f"field has {u.shape} entries, mesh has {m.n_nodes} nodes")
+    return _operators(m, np.arange(m.n_nodes)), u
+
+
+def _energy(ops: _Operators, m2: np.ndarray, p: float, gu: np.ndarray) -> float:
+    """sum_T |T| Q(grad u)^(p/2) from the stacked triangle gradients ``gu``."""
+    g = gu.reshape(2, -1)
+    q = np.maximum((g * (m2 @ g)).sum(axis=0), 0.0)
+    return float(ops.area @ q ** (0.5 * p))
 
 
 def energy(m: Mesh, q: QuadForm, p: float, u: np.ndarray) -> float:
     """Anisotropic gradient energy of a nodal field, exact per triangle."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (m.n_nodes,):
-        raise ValueError(f"field has {u.shape} entries, mesh has {m.n_nodes} nodes")
-    return _energy_m2(m, _form_matrix(q), p, u)
+    ops, u = _on_all_nodes(m, u)
+    return _energy(ops, _form_matrix(q), p, ops.grad @ u)
 
 
-def pnorm_p(m: Mesh, u: np.ndarray, p: float) -> float:
-    """Integral of |u|^p of the linear interpolant (edge-midpoint rule)."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (m.n_nodes,):
-        raise ValueError(f"field has {u.shape} entries, mesh has {m.n_nodes} nodes")
-    uv = u[m.triangles]
-    mids = 0.5 * (uv + uv[:, [1, 2, 0]])
-    return float((m.tri_area / 3.0) @ (np.abs(mids) ** p).sum(axis=1))
+def pnorm_p(m: Mesh | _Operators, u: np.ndarray, p: float) -> float:
+    """Integral of |u|^p of the linear interpolant (edge-midpoint rule).
+
+    ``u`` holds the nodal values of a field on the mesh ``m``.  Inside a
+    solve, ``m`` is the solve's operators and ``u`` the edge-midpoint values
+    ``Mid`` already gave (one call per trial point of the line search)."""
+    if isinstance(m, Mesh):
+        m, u = _on_all_nodes(m, u)
+        u = m.mid @ u
+    return float(m.weight @ np.abs(u) ** p)
 
 
-def _energy_gradient(m: Mesh, m2: np.ndarray, p: float, u: np.ndarray) -> np.ndarray:
-    g = _tri_gradients(m, u)
-    q = np.maximum(np.einsum("ti,ij,tj->t", g, m2, g), 0.0)
-    if p < 2.0:
-        q = np.maximum(q, GRAD_FLOOR)
-    flux = (g @ m2.T) * (p * m.tri_area * q ** (0.5 * p - 1.0))[:, None]
-    contrib = np.einsum("ti,tij->tj", flux, m.grad_map)
-    return np.bincount(m.triangles.ravel(), weights=contrib.ravel(), minlength=m.n_nodes)
+def _point(
+    ops: _Operators, m2: np.ndarray, p: float, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """``v`` scaled to unit p-norm, with its triangle gradients, its
+    edge-midpoint values and its Rayleigh quotient.  Energy and norm are
+    homogeneous, so the quotient is taken before the scaling."""
+    gu, y = ops.grad @ v, ops.mid @ v
+    nrm = pnorm_p(ops, y, p)
+    if nrm <= 0.0:
+        raise ValueError("candidate field vanishes identically")
+    lam = _energy(ops, m2, p, gu) / nrm
+    scale = nrm ** (-1.0 / p)
+    return v * scale, gu * scale, y * scale, lam
 
 
-def _pnorm_gradient(m: Mesh, p: float, u: np.ndarray) -> np.ndarray:
-    uv = u[m.triangles]
-    mids = 0.5 * (uv + uv[:, [1, 2, 0]])
-    w = (m.tri_area / 3.0)[:, None] * (0.5 * p) * np.sign(mids) * np.abs(mids) ** (p - 1.0)
-    contrib = w.copy()
-    contrib[:, [1, 2, 0]] += w
-    return np.bincount(m.triangles.ravel(), weights=contrib.ravel(), minlength=m.n_nodes)
+def _gradient(
+    ops: _Operators, m2: np.ndarray, p: float, gu: np.ndarray, y: np.ndarray, lam: float
+) -> np.ndarray:
+    """Gradient of the Rayleigh quotient on the operators' columns at a field
+    of unit p-norm, from its triangle gradients ``gu``, edge-midpoint values
+    ``y`` and quotient ``lam``; the unit norm removes the quotient's division
+    by it."""
+    g = gu.reshape(2, -1)
+    f = m2 @ g
+    q = np.maximum((g * f).sum(axis=0), GRAD_FLOOR if p < 2.0 else 0.0)
+    flux = f * (p * ops.area * q ** (0.5 * p - 1.0))
+    w = (lam * p) * ops.weight * np.sign(y) * np.abs(y) ** (p - 1.0)
+    return ops.grad_t @ flux.ravel() - ops.mid_t @ w
 
 
-def _rayleigh_grad(m: Mesh, m2: np.ndarray, p: float, u: np.ndarray, lam: float) -> np.ndarray:
-    """Nodal gradient of the Rayleigh quotient (boundary rows zeroed) at a field
-    of unit p-norm whose quotient is ``lam``; the unit norm removes the
-    quotient's division by it."""
-    g = _energy_gradient(m, m2, p, u) - lam * _pnorm_gradient(m, p, u)
-    g[m.boundary_node] = 0.0
-    return g
-
-
-def _assemble_quadratic(m: Mesh, m2: np.ndarray) -> tuple[sp.csr_matrix, sp.csr_matrix, np.ndarray]:
-    """Stiffness (weighted by the form) and consistent mass on interior nodes."""
-    idx, _ = interior_dof_map(m)
-    interior = np.flatnonzero(idx >= 0)
-    g = m.grad_map
-    block_k = np.einsum("tai,ab,tbj->tij", g, m2, g) * m.tri_area[:, None, None]
-    mass_local = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    block_m = mass_local[None, :, :] * m.tri_area[:, None, None]
-    rows = np.repeat(m.triangles, 3, axis=1).ravel()
-    cols = np.tile(m.triangles, (1, 3)).ravel()
-    n = m.n_nodes
-    k_full = sp.coo_matrix((block_k.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    m_full = sp.coo_matrix((block_m.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    return (
-        k_full[interior][:, interior].tocsr(),
-        m_full[interior][:, interior].tocsr(),
-        interior,
-    )
-
-
-def _precondition(lu: SuperLU, interior: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """K^-1 g on the interior nodes, zero on the boundary."""
-    d = np.zeros_like(g)
-    d[interior] = lu.solve(g[interior])
-    return d
-
-
-def _finalize(
-    m: Mesh,
-    m2: np.ndarray,
-    u: np.ndarray,
-    p: float,
-    form: QuadForm,
-    iterations: int,
-    lu: SuperLU,
-    interior: np.ndarray,
-) -> EigenResult:
-    u = u / pnorm_p(m, u, p) ** (1.0 / p)
-    lam = _energy_m2(m, m2, p, u)
-    g = _rayleigh_grad(m, m2, p, u, lam)
-    residual = math.sqrt(max(float(g @ _precondition(lu, interior, g)), 0.0)) / (p * lam)
-    return EigenResult(lam, u, iterations, residual, p, form)
+def _quadratic(ops: _Operators, m2: np.ndarray) -> tuple[sp.csc_matrix, sp.csc_matrix]:
+    """The p = 2 stiffness K = G^T (M2 (x) diag|T|) G and the consistent mass
+    M = Mid^T diag(|T|/3) Mid, which is |T|/12 (1 + delta_ij) per triangle."""
+    stiff = ops.grad_t @ (sp.kron(m2, sp.diags(ops.area), format="csr") @ ops.grad)
+    mass = ops.mid_t @ (sp.diags(ops.weight) @ ops.mid)
+    return stiff.tocsc(), mass.tocsc()
 
 
 def _inverse_iteration(
-    m: Mesh,
-    stiff: sp.csr_matrix,
-    mass: sp.csr_matrix,
-    lu: SuperLU,
-    interior: np.ndarray,
-    opts: SolverOptions,
+    stiff: sp.csc_matrix, mass: sp.csc_matrix, lu: SuperLU, opts: SolverOptions
 ) -> tuple[np.ndarray, int, bool]:
-    """Smallest eigenpair of K u = lam M u on interior nodes by inverse
-    iteration with the factorization ``lu`` of K, stopped when the relative
-    eigenvalue change reaches ``opts.tol``.  Returns (nodal field,
-    iterations, converged); the caller decides what a miss means."""
-    u = np.ones(len(interior))
+    """Smallest eigenpair of K u = lam M u by inverse iteration with the
+    factorization ``lu`` of K, stopped when the relative eigenvalue change
+    reaches ``opts.tol``.  Returns (u, iterations, converged); the caller
+    decides what a miss means."""
+    u = np.ones(stiff.shape[0])
     u /= math.sqrt(u @ (mass @ u))
     lam_prev = None
     res = math.inf
@@ -219,30 +227,12 @@ def _inverse_iteration(
         lam_prev = lam
         if res <= opts.tol:
             break
-    full = np.zeros(m.n_nodes)
-    full[interior] = u
-    return full, it, res <= opts.tol
-
-
-def _project(m: Mesh, p: float, u: np.ndarray) -> np.ndarray:
-    v = np.abs(u)
-    v[m.boundary_node] = 0.0
-    nrm = pnorm_p(m, v, p)
-    if nrm <= 0.0:
-        raise ValueError("candidate field vanishes identically")
-    return v / nrm ** (1.0 / p)
+    return u, it, res <= opts.tol
 
 
 def _descent(
-    m: Mesh,
-    m2: np.ndarray,
-    p: float,
-    u0: np.ndarray,
-    tol: float,
-    max_iter: int,
-    stiff: sp.csr_matrix,
-    lu: SuperLU,
-    interior: np.ndarray,
+    ops: _Operators, m2: np.ndarray, p: float, u0: np.ndarray, tol: float, max_iter: int,
+    stiff: sp.csc_matrix, lu: SuperLU,
 ) -> tuple[np.ndarray, int, bool]:
     """Projected Sobolev-gradient descent on the unit p-norm sphere.
 
@@ -252,11 +242,11 @@ def _descent(
     starts from the Barzilai-Borwein value s.Ks / s.y, measured in the same
     metric, and is halved until the Armijo condition on g.d holds.
     Nonnegativity is enforced by taking absolute values each iterate (the
-    quotient never increases under that replacement).  Convergence is declared
-    when the relative eigenvalue change stays below ``tol`` for three
+    quotient never increases under that replacement).  The accepted trial's
+    gradients and midpoint values give the next gradient.  Convergence is
+    declared when the relative eigenvalue change stays below ``tol`` for three
     consecutive steps.  Returns (u, iterations, converged)."""
-    u = _project(m, p, u0)
-    lam = _energy_m2(m, m2, p, u)
+    u, gu, y, lam = _point(ops, m2, p, np.abs(u0))
     u_prev: np.ndarray | None = None
     g_prev: np.ndarray | None = None
     t = 1.0 / (1.0 + abs(lam))
@@ -264,14 +254,14 @@ def _descent(
     it = 0
     while it < max_iter:
         it += 1
-        g = _rayleigh_grad(m, m2, p, u, lam)
-        d = _precondition(lu, interior, g)
+        g = _gradient(ops, m2, p, gu, y, lam)
+        d = lu.solve(g)
         gd = float(g @ d)
         if math.sqrt(max(gd, 0.0)) <= 1e-14 * (1.0 + abs(lam)):
             return u, it, True
         if u_prev is not None:
-            s = (u - u_prev)[interior]
-            sy = float(s @ (g - g_prev)[interior])
+            s = u - u_prev
+            sy = float(s @ (g - g_prev))
             t0 = float(s @ (stiff @ s)) / sy if sy > 0.0 else 2.0 * t
         else:
             t0 = t
@@ -280,20 +270,19 @@ def _descent(
 
         t = t0
         for _ in range(60):
-            v = _project(m, p, u - t * d)
-            lam_v = _energy_m2(m, m2, p, v)
-            if lam_v <= lam - 1e-4 * t * gd:
+            trial = _point(ops, m2, p, np.abs(u - t * d))
+            if trial[3] <= lam - 1e-4 * t * gd:
                 break
             t *= 0.5
         else:
             # Flat direction (or floating-point limit): the quotient cannot
             # be decreased along the gradient, treat as stationary.
-            if lam_v < lam:
-                u = v
+            if trial[3] < lam:
+                u = trial[0]
             return u, it, True
 
-        res = (lam - lam_v) / max(abs(lam_v), 1e-300)
-        u, lam = v, lam_v
+        res = (lam - trial[3]) / max(abs(trial[3]), 1e-300)
+        u, gu, y, lam = trial
         if abs(res) <= tol:
             small += 1
             if small >= 3:
@@ -322,18 +311,24 @@ def _solve(
     ``iterations`` counts all of them."""
     if p <= 1.0:
         raise ValueError(f"need p > 1, got {p}")
-    stiff, mass, interior = _assemble_quadratic(m, m2)
-    lu = splu(stiff.tocsc())
-    u, total_it, converged = _inverse_iteration(m, stiff, mass, lu, interior, opts)
+    ops = _operators(m, interior_dof_map(m)[0])
+    stiff, mass = _quadratic(ops, m2)
+    lu = splu(stiff)
+    u, total_it, converged = _inverse_iteration(stiff, mass, lu, opts)
     failure = f"inverse iteration did not reach tol {opts.tol}"
     if p != 2.0:
         schedule = _continuation_schedule(p)
         for i, pk in enumerate(schedule):
             tol_k = tol if i == len(schedule) - 1 else max(tol, 1e-7)
-            u, it, converged = _descent(m, m2, pk, u, tol_k, opts.max_iter, stiff, lu, interior)
+            u, it, converged = _descent(ops, m2, pk, u, tol_k, opts.max_iter, stiff, lu)
             total_it += it
         failure = f"descent did not reach tol {tol} at p={p}"
-    result = _finalize(m, m2, u, p, form, total_it, lu, interior)
+    u, gu, y, lam = _point(ops, m2, p, u)
+    g = _gradient(ops, m2, p, gu, y, lam)
+    residual = math.sqrt(max(float(g @ lu.solve(g)), 0.0)) / (p * lam)
+    full = np.zeros(m.n_nodes)
+    full[~m.boundary_node] = u
+    result = EigenResult(lam, full, total_it, residual, p, form)
     if not converged:
         raise SolverConvergenceError(f"{failure} in {opts.max_iter} iterations", result)
     return result

@@ -20,49 +20,118 @@ def payload_text(path: str) -> str:
         return "".join(line for line in fh if not line.startswith('  "generated_at"'))
 
 
+# Each bad config exits 2 with a message naming the field at fault.
 @pytest.mark.parametrize(
-    "config",
+    "config, field",
     [
-        {"command": "eigen", "form": {"alpha": 1.0, "beta": -0.1, "gamma": 1.0}},
-        {"command": "eigen", "form": {"alpha": 1.0, "gamma": 1.0}},
-        {"command": "eigen", "p": "abc"},
-        {"command": "verify", "verify": {"p_list": [0.5]}},
-        {"command": "sweep", "p_values": [2.0, 1.0]},
-        {"command": "sweep", "thetas": [0.0, 2.0]},
-        {"command": "sweep", "a_values": [0.0]},
-        {"command": "bounds", "b_values": ["half"]},
-        {"command": "bounds", "b_values": 0.5},
-        {"command": "verify", "verify": {"suites": ["nonsense"]}},
-        {"command": "verify", "verify": {"suites": []}},
-        {"command": "verify", "verify": {"a_sequence": [0.25, 0.5]}},
-        {"command": "verify", "verify": {"a_sequence": [1.5, 0.5]}},
-        {"command": "verify", "verify": {"a": 0.75, "b": 0.5}},
-        {"command": "verify", "b": 1.0},
-        {"command": "verify", "verify": {"n_samples": 0}},
-    ],
-    ids=[
-        "negative-beta",
-        "missing-key",
-        "non-numeric-p",
-        "verify-p-list",
-        "sweep-p-values",
-        "sweep-thetas",
-        "sweep-a-values",
-        "bounds-b-values",
-        "bounds-b-values-not-list",
-        "verify-unknown-suite",
-        "verify-no-suites",
-        "verify-a-sequence-increasing",
-        "verify-a-sequence-range",
-        "verify-a-above-b",
-        "verify-b-one",
-        "verify-n-samples",
+        pytest.param(
+            {"command": "eigen", "form": {"alpha": 1.0, "beta": -0.1, "gamma": 1.0}},
+            "form",
+            id="negative-beta",
+        ),
+        pytest.param(
+            {"command": "eigen", "form": {"alpha": 1.0, "gamma": 1.0}},
+            "form",
+            id="missing-key",
+        ),
+        pytest.param({"command": "eigen", "p": "abc"}, "p must", id="non-numeric-p"),
+        pytest.param(
+            {"command": "verify", "verify": {"p_list": [0.5]}},
+            "verify.p_list",
+            id="verify-p-list",
+        ),
+        pytest.param({"command": "sweep", "p_values": [2.0, 1.0]}, "p_values", id="sweep-p-values"),
+        pytest.param({"command": "sweep", "thetas": [0.0, 2.0]}, "thetas", id="sweep-thetas"),
+        pytest.param({"command": "sweep", "a_values": [0.0]}, "a_values", id="sweep-a-values"),
+        pytest.param({"command": "bounds", "b_values": ["half"]}, "b_values", id="bounds-b-values"),
+        pytest.param(
+            {"command": "bounds", "b_values": 0.5},
+            "b_values",
+            id="bounds-b-values-not-list",
+        ),
+        pytest.param(
+            {"command": "verify", "verify": {"suites": ["nonsense"]}},
+            "verify.suites",
+            id="verify-unknown-suite",
+        ),
+        pytest.param(
+            {"command": "verify", "verify": {"suites": []}},
+            "verify.suites",
+            id="verify-no-suites",
+        ),
+        pytest.param(
+            {"command": "verify", "verify": {"a_sequence": [0.25, 0.5]}},
+            "verify.a_sequence",
+            id="verify-a-sequence-increasing",
+        ),
+        pytest.param(
+            {"command": "verify", "verify": {"a_sequence": [1.5, 0.5]}},
+            "verify.a_sequence",
+            id="verify-a-sequence-range",
+        ),
+        pytest.param(
+            {"command": "verify", "verify": {"a": 0.75, "b": 0.5}},
+            "a <= b",
+            id="verify-a-above-b",
+        ),
+        pytest.param({"command": "verify", "b": 1.0}, "a <= b", id="verify-b-one"),
+        pytest.param(
+            {"command": "verify", "verify": {"n_samples": 0}},
+            "verify.n_samples",
+            id="verify-n-samples",
+        ),
+        pytest.param(
+            {"command": "verify", "verify": {"level": "abc", "suites": ["rigidity"]}},
+            "verify.level",
+            id="verify-level-string",
+        ),
+        pytest.param(
+            {"command": "verify", "verify": {"level": 1, "suites": ["rigidity"]}},
+            "verify.level",
+            id="verify-level-range",
+        ),
+        pytest.param(
+            {"command": "verify", "verify": {"level": math.inf, "suites": ["rigidity"]}},
+            "verify.level",
+            id="verify-level-infinite",
+        ),
+        pytest.param(
+            {"command": "verify", "verify": {"grid_n": 3, "suites": ["rectangle"]}},
+            "verify.grid_n",
+            id="verify-grid-n",
+        ),
+        pytest.param(
+            {"command": "verify", "verify": {"n_boundary": 4, "suites": ["disk"]}},
+            "verify.n_boundary",
+            id="verify-n-boundary",
+        ),
+        pytest.param(
+            {"command": "verify", "verify": {"n_pairs": 0, "level": 2, "suites": ["rigidity"]}},
+            "verify.n_pairs",
+            id="verify-n-pairs",
+        ),
+        pytest.param(
+            {"command": "verify", "verify": {"seed": -1, "level": 2, "suites": ["rigidity"]}},
+            "verify.seed",
+            id="verify-seed",
+        ),
+        pytest.param(
+            {"command": "verify", "verify": {"tol": 0.0, "level": 2, "suites": ["rigidity"]}},
+            "verify.tol",
+            id="verify-tol",
+        ),
+        pytest.param(
+            {"command": "verify", "verify": {"domain": "nonsense", "suites": ["rigidity"]}},
+            "verify.domain",
+            id="verify-domain",
+        ),
     ],
 )
-def test_bad_config_exits_2(tmp_path, capsys, config):
+def test_bad_config_exits_2(tmp_path, capsys, config, field):
     rc, _ = run_config(tmp_path, config)
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
     assert not (tmp_path / "run.json").exists()
 
 

@@ -14,6 +14,7 @@ from anisolap import (
     min_angle,
     polygonize,
     refine,
+    rotate,
     triangulate,
     write_mesh_csv,
     write_nodal_values_csv,
@@ -115,6 +116,30 @@ def test_csv_exports(tmp_path):
     assert lines[0] == "x,y,u" and len(lines) == m.n_nodes + 1
     with pytest.raises(ValueError):
         write_nodal_values_csv(m, np.ones(3), tmp_path / "bad.csv")
+
+
+def test_csv_exports_match_per_row_formatting(tmp_path):
+    # the writers format whole columns at once; the bytes must equal those of
+    # formatting every float on its own with ".17g"
+    m = build_mesh(rotate(lshape(), 0.4), 2)
+    rng = np.random.default_rng(3)
+    values = rng.normal(size=m.n_nodes) * 10.0 ** rng.integers(-30, 30, size=m.n_nodes)
+    values[:3] = [0.0, -0.0, 1.0 / 3.0]
+    write_nodal_values_csv(m, values, tmp_path / "u.csv", name="w")
+    write_mesh_csv(m, tmp_path / "nodes.csv", tmp_path / "tris.csv")
+
+    def fmt(x):
+        return format(float(x), ".17g")
+
+    expected = {
+        "u.csv": "x,y,w\n"
+        + "".join(f"{fmt(x)},{fmt(y)},{fmt(v)}\n" for (x, y), v in zip(m.nodes, values)),
+        "nodes.csv": "x,y,boundary\n"
+        + "".join(f"{fmt(x)},{fmt(y)},{int(b)}\n" for (x, y), b in zip(m.nodes, m.boundary_node)),
+        "tris.csv": "i0,i1,i2\n" + "".join(f"{t[0]},{t[1]},{t[2]}\n" for t in m.triangles),
+    }
+    for name, text in expected.items():
+        assert (tmp_path / name).read_bytes() == text.encode("utf-8")
 
 
 def test_build_mesh_disk_levels():

@@ -17,6 +17,7 @@ from anisolap import (
     decompose,
     directional_constant,
     energy,
+    interior_dof_map,
     lambda_anisotropic_two_routes,
     lshape,
     make_Q_alpha,
@@ -28,10 +29,11 @@ from anisolap import (
 )
 from anisolap.solver import (
     _AXIS_MATS,
-    _assemble_quadratic,
-    _energy_m2,
     _form_matrix,
-    _rayleigh_grad,
+    _gradient,
+    _operators,
+    _point,
+    _quadratic,
 )
 
 PI2_HALF = math.pi**2 / 2.0
@@ -147,8 +149,12 @@ def test_solver_options_validation():
 # -------------------------------------------------------------- general p path
 
 
+def interior_operators(m):
+    return _operators(m, interior_dof_map(m)[0])
+
+
 def smallest_pencil_eigenvalue(m, m2) -> float:
-    stiff, mass, _ = _assemble_quadratic(m, m2)
+    stiff, mass = _quadratic(interior_operators(m), m2)
     return float(eigsh(stiff, k=1, M=mass, sigma=0.0, which="LM", return_eigenvectors=False)[0])
 
 
@@ -241,30 +247,87 @@ def test_disk_general_p_converges():
     assert res.residual <= 1e-4
 
 
+def test_quadratic_matrices_match_element_assembly():
+    # K and M from the operators against a triangle-by-triangle assembly of
+    # the P1 stiffness of a form with beta != 0 and the consistent mass
+    m = build_mesh(lshape(), 3)
+    m2 = _form_matrix(QuadForm(0.7, 0.3, 1.1))
+    idx, n_int = interior_dof_map(m)
+    stiff_ref = np.zeros((n_int, n_int))
+    mass_ref = np.zeros((n_int, n_int))
+    for tri in m.triangles:
+        affine = np.column_stack([np.ones(3), m.nodes[tri]])
+        grads = np.linalg.inv(affine)[1:, :]  # column i: gradient of hat function i
+        area = 0.5 * abs(np.linalg.det(affine))
+        for a in range(3):
+            for b in range(3):
+                i, j = idx[tri[a]], idx[tri[b]]
+                if i >= 0 and j >= 0:
+                    stiff_ref[i, j] += area * grads[:, a] @ m2 @ grads[:, b]
+                    mass_ref[i, j] += area / 12.0 * (2.0 if a == b else 1.0)
+    stiff, mass = _quadratic(interior_operators(m), m2)
+    for got, ref in ((stiff, stiff_ref), (mass, mass_ref)):
+        assert np.max(np.abs(got.toarray() - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_descent_direction_matches_finite_differences():
     m = build_mesh(Rectangle(1.0, 1.0), 3)
     p = 2.5
-    m2 = _form_matrix(make_Q_alpha(0.25, 0.7))
+    q = make_Q_alpha(0.25, 0.7)
+    m2 = _form_matrix(q)
+    ops = interior_operators(m)
     rng = np.random.default_rng(13)
     interior = np.flatnonzero(~m.boundary_node)
     base = solve_p(m, QuadForm.identity(), 2.0).u
     for trial in range(3):
         u = np.abs(base + 0.1 * (trial + 1) * rng.normal(size=m.n_nodes))
         u[m.boundary_node] = 0.0
-        u /= pnorm_p(m, u, p) ** (1.0 / p)
-        lam = _energy_m2(m, m2, p, u)
-        grad = _rayleigh_grad(m, m2, p, u, lam)
-        nodes = rng.choice(interior, size=5, replace=False)
+        u[interior], gu, y, lam = _point(ops, m2, p, u[interior])
+        grad = _gradient(ops, m2, p, gu, y, lam)
         h = 1e-6
-        for j in nodes:
+        for j in rng.choice(len(interior), size=5, replace=False):
             up, um = u.copy(), u.copy()
-            up[j] += h
-            um[j] -= h
+            up[interior[j]] += h
+            um[interior[j]] -= h
             fd = (
-                _energy_m2(m, m2, p, up) / pnorm_p(m, up, p)
-                - _energy_m2(m, m2, p, um) / pnorm_p(m, um, p)
+                energy(m, q, p, up) / pnorm_p(m, up, p) - energy(m, q, p, um) / pnorm_p(m, um, p)
             ) / (2.0 * h)
             assert grad[j] == pytest.approx(fd, rel=1e-5, abs=1e-10)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_gradient_from_trial_values_matches_fresh_evaluation(p):
+    # the descent takes the next gradient from the accepted trial's scaled
+    # products; recomputing them from the scaled field must give the same
+    m = build_mesh(lshape(), 3)
+    q = make_Q_alpha(0.25, 0.6)
+    m2 = _form_matrix(q)
+    ops = interior_operators(m)
+    rng = np.random.default_rng(7)
+    u = np.abs(rng.normal(size=ops.grad.shape[1]))
+    d = rng.normal(size=u.shape)
+    v, gu, y, lam = _point(ops, m2, p, np.abs(u - 0.3 * d))
+    reused = _gradient(ops, m2, p, gu, y, lam)
+    full = np.zeros(m.n_nodes)
+    full[~m.boundary_node] = v
+    fresh = _gradient(ops, m2, p, ops.grad @ v, ops.mid @ v, energy(m, q, p, full))
+    assert pnorm_p(m, full, p) == pytest.approx(1.0, rel=1e-14)
+    assert np.max(np.abs(reused - fresh)) <= 1e-14 * np.max(np.abs(fresh))
+
+
+@pytest.mark.parametrize(
+    "level, p, form, iterations, lam",
+    [
+        (5, 1.5, QuadForm.identity(), 125, 5.701648947560),
+        (4, 3.0, make_Q_alpha(0.25, 0.6), 78, 8.436815129321),
+    ],
+    ids=["L5-p1.5-identity", "L4-p3-alpha"],
+)
+def test_descent_trajectory_is_pinned(level, p, form, iterations, lam):
+    # L-shape: iteration count and eigenvalue of the continuation + descent
+    res = solve_p(build_mesh(lshape(), level), form, p)
+    assert res.iterations == iterations
+    assert res.lam == pytest.approx(lam, rel=1e-10)
 
 
 # ----------------------------------------------------- form-ordering structure
