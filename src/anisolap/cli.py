@@ -136,7 +136,11 @@ def _parse_args(argv) -> dict:
     ap.add_argument("--b", type=float)
     ap.add_argument("--level", type=int, dest="mesh_level")
     ap.add_argument("--grid-n", type=int, dest="grid_n")
-    ap.add_argument("--tol", type=float)
+    ap.add_argument(
+        "--tol", type=float,
+        help="eigenvalue tolerance (default 1e-9): the p = 2 inverse iteration stops at this "
+        "relative change, the p-descent at dual-norm residual sqrt(tol/1000)",
+    )
     ap.add_argument("--n-boundary", type=int, dest="n_boundary")
     ap.add_argument("--out")
     ap.add_argument("--seed", type=int)
@@ -281,6 +285,14 @@ def _out_paths(cfg: dict, suffix: str) -> tuple[str, str]:
     return base + ".json", base + suffix
 
 
+def _report_failure(command: str, json_path: str, exc: SolverConvergenceError, **extra) -> int:
+    """Write the failed-run payload of ``command`` and return exit code 1."""
+    payload = {"command": command, "status": "failed", "partial": True, "error": str(exc), **extra}
+    _write_report(json_path, payload)
+    print(f"{command}: solver failed, partial output in {json_path}", file=sys.stderr)
+    return 1
+
+
 def _cmd_eigen(cfg: dict) -> int:
     domain = domain_from_json(cfg["domain"])
     form = QuadForm.from_dict(cfg["form"]) if cfg["form"] else QuadForm.identity()
@@ -291,17 +303,7 @@ def _cmd_eigen(cfg: dict) -> int:
     try:
         res = solve_p(mesh, form, float(cfg["p"]), opts)
     except SolverConvergenceError as exc:
-        payload = {
-            "command": "eigen",
-            "status": "failed",
-            "partial": True,
-            "error": str(exc),
-            "result": exc.best.to_dict(),
-            "options": options,
-        }
-        _write_report(json_path, payload)
-        print(f"eigen: solver failed, partial output in {json_path}", file=sys.stderr)
-        return 1
+        return _report_failure("eigen", json_path, exc, result=exc.best.to_dict(), options=options)
     payload = {
         "command": "eigen",
         "status": "ok",
@@ -334,15 +336,7 @@ def _cmd_optimize(cfg: dict) -> int:
             n_boundary=int(cfg["n_boundary"]),
         )
     except SolverConvergenceError as exc:
-        payload = {
-            "command": "optimize",
-            "status": "failed",
-            "partial": True,
-            "error": str(exc),
-        }
-        _write_report(json_path, payload)
-        print(f"optimize: solver failed, partial output in {json_path}", file=sys.stderr)
-        return 1
+        return _report_failure("optimize", json_path, exc)
     payload = {
         "command": "optimize",
         "status": "ok",
@@ -367,28 +361,34 @@ def _cmd_sweep(cfg: dict) -> int:
     a_values = cfg["a_values"] or [float(cfg["a"])]
     p_values = cfg["p_values"] or [float(cfg["p"])]
     opts = SolverOptions(tol=float(cfg["tol"]))
-    lines = ["theta,a,p,lambda"]
-    for p in p_values:
-        for a in a_values:
-            for th in thetas:
-                val, _ = profile_value(
-                    domain, float(th), float(a), float(p), opts,
-                    level=int(cfg["mesh_level"]), n_boundary=int(cfg["n_boundary"]),
-                )
-                lines.append(
-                    f"{_fmt_float(th)},{_fmt_float(a)},{_fmt_float(p)},{_fmt_float(val)}"
-                )
     csv_path = str(cfg["out"])
     if not csv_path.endswith(".csv"):
         csv_path += ".csv"
+    lines = ["theta,a,p,lambda"]
+    try:
+        for p in p_values:
+            for a in a_values:
+                for th in thetas:
+                    val, _ = profile_value(
+                        domain, float(th), float(a), float(p), opts,
+                        level=int(cfg["mesh_level"]), n_boundary=int(cfg["n_boundary"]),
+                    )
+                    lines.append(
+                        f"{_fmt_float(th)},{_fmt_float(a)},{_fmt_float(p)},{_fmt_float(val)}"
+                    )
+    except SolverConvergenceError as exc:
+        return _report_failure("sweep", csv_path[: -len(".csv")] + ".json", exc)
     _atomic_write(csv_path, "\n".join(lines) + "\n")
     print(f"sweep written to {csv_path}")
     return 0
 
 
 def _cmd_verify(cfg: dict) -> int:
-    report = run_verification(_verify_config(cfg))
     json_path, _ = _out_paths(cfg, "")
+    try:
+        report = run_verification(_verify_config(cfg))
+    except SolverConvergenceError as exc:
+        return _report_failure("verify", json_path, exc)
     payload = {"command": "verify", "status": "ok", "report": report}
     _write_report(json_path, payload)
     for e in report["entries"]:

@@ -210,6 +210,72 @@ def polygonize(d: DomainSpec, n_boundary: int = 1024) -> Polygon:
     raise TypeError(f"not a domain: {d!r}")
 
 
+def longest_chord(d: DomainSpec, arc: tuple[float, float]) -> float:
+    """Length of the longest segment inside the domain along a direction
+    whose angle lies in ``arc`` = (lo, hi), radians, 0 <= hi - lo <= pi.
+
+    Exact: 2r for a disk, and for a polygon the supremum over every open
+    segment in the domain, so a segment that only touches the boundary
+    counts as the limit of the segments beside it."""
+    lo, hi = float(arc[0]), float(arc[1])
+    if not 0.0 <= hi - lo <= math.pi:
+        raise ValueError(f"need an arc lo <= hi <= lo + pi, got {arc}")
+    if isinstance(d, Disk):
+        return 2.0 * d.radius
+    return _polygon_longest_chord(polygonize(d).vertices, lo, hi)
+
+
+def _polygon_longest_chord(v: np.ndarray, lo: float, hi: float) -> float:
+    """Longest chord of the polygon ``v`` over directions in [lo, hi].
+
+    Between two consecutive directions of the arc's ends and of the lines
+    through two vertices, the vertices keep their order across the lines, so
+    lines of one direction cell between two consecutive vertex offsets cross
+    the same edges in the same order.  There a chord's length, the distance
+    between the supporting lines of its two end edges, is affine along each
+    direction and convex along lines turning about a vertex of the chord, so
+    its supremum over the cell is at a corner: a line through one of the two
+    vertices at one end of the direction cell.  Each cell is sampled at its
+    centre to find its chords' end edges, which are then extended to the
+    corners."""
+    edge = np.roll(v, -1, axis=0) - v
+    edge_len = np.hypot(edge[:, 0], edge[:, 1])
+    i, j = np.triu_indices(len(v), 1)
+    turn = np.mod(np.arctan2(v[j, 1] - v[i, 1], v[j, 0] - v[i, 0]) - lo, math.pi)
+    cuts = np.unique(np.concatenate([[0.0, hi - lo], turn[turn < hi - lo]]))
+    cells = [(a, b) for a, b in zip(cuts, cuts[1:]) if b - a > 1e-12] or [(0.0, hi - lo)]
+    tiny = 1e-12 * float(np.max(np.abs(v)))
+    best = 0.0
+    for a, b in cells:
+        mid = lo + 0.5 * (a + b)
+        along = np.array([math.cos(mid), math.sin(mid)])
+        off = v @ np.array([-along[1], along[0]])
+        order = np.argsort(off)
+        for k0, k1 in zip(order, order[1:]):
+            if off[k1] - off[k0] <= tiny:
+                continue
+            h = off - 0.5 * (off[k0] + off[k1])
+            h_next = np.roll(h, -1)
+            cut = np.flatnonzero(h * h_next < 0.0)
+            point = v[cut] + edge[cut] * (h[cut] / (h[cut] - h_next[cut]))[:, None]
+            ends = cut[np.argsort(point @ along)].reshape(-1, 2)
+            for phi in (lo + a, lo + b):
+                e = np.array([math.cos(phi), math.sin(phi)])
+                slope = e[0] * edge[:, 1] - e[1] * edge[:, 0]
+                parallel = np.abs(slope) <= 1e-12 * edge_len
+                for k in (k0, k1):
+                    # position along the corner line through v[k] where it
+                    # meets each edge's supporting line; an edge parallel to
+                    # it is reached at v[k] itself
+                    w = v - v[k]
+                    t = np.where(
+                        parallel, 0.0,
+                        (w[:, 0] * edge[:, 1] - w[:, 1] * edge[:, 0]) / np.where(parallel, 1.0, slope),
+                    )
+                    best = max(best, float(np.max(np.abs(t[ends[:, 1]] - t[ends[:, 0]]))))
+    return best
+
+
 def lshape() -> Polygon:
     """Nonconvex L-shaped hexagon: the square [-1, 1]^2 minus its lower-right
     quadrant.  Area 3."""

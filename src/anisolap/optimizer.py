@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Disk, DomainSpec, Rectangle, rotate, shear_y
+from .geometry import Disk, DomainSpec, Rectangle, longest_chord, rotate, shear_y
 from .mesh import build_mesh
 from .quadform import (
     QuadForm,
@@ -50,9 +50,17 @@ FLAT_PROFILE_RTOL = 1e-2
 DEFAULT_GRID_N = 17
 DEFAULT_THETA_TOL = 1e-4
 
-# Relative slack of the suites' lower bounds (the directional floors are
-# computed on the same coarse meshes as the optima they bound).
+# Relative slack of the lower difference bound and the directional floor.
+# The directional constants are exact continuum values (closed form on the
+# longest chord), not mesh values; the optima they are compared with are
+# conforming finite-element values, which lie above their continuum values.
 SLACK = 0.02
+
+# Directions, in the unrotated domain, of the x and the y axis of the domain
+# rotated by theta in [0, pi/2]: R_theta^T e_x = (cos, -sin) sweeps the first
+# arc, R_theta^T e_y = (sin, cos) the second.
+X_ARC = (-0.5 * math.pi, 0.0)
+Y_ARC = (0.0, 0.5 * math.pi)
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -314,6 +322,8 @@ def verify_rigidity(
     frequency under pointwise ordering of forms, on random samples."""
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
+    if n_pairs < 1:
+        raise ValueError("n_pairs must be at least 1")
     opts = opts or SolverOptions()
     rng = np.random.default_rng(seed)
     mesh = build_mesh(d, level, n_boundary)
@@ -385,33 +395,20 @@ def verify_rigidity(
     return entries
 
 
-def _directional_floor(
-    d: DomainSpec,
-    p: float,
-    axis: str,
-    grid_n: int,
-    opts: SolverOptions,
-    *,
-    level: int,
-    n_boundary: int,
-) -> float:
-    """Smallest directional constant along ``axis`` over ``grid_n`` rotations
-    of the domain spread evenly over [0, pi/2]."""
-    return min(
-        directional_constant(build_mesh(rotate(d, float(th)), level, n_boundary), p, axis, opts)
-        for th in np.linspace(0.0, 0.5 * math.pi, grid_n)
-    )
-
-
-def verify_quantitative(res_a: OptimizeResult, res_b: OptimizeResult, c0: float) -> list[dict]:
+def verify_quantitative(res_a: OptimizeResult, res_b: OptimizeResult, chord: float) -> list[dict]:
     """Upper ratio bound and lower difference bound on the growth of the
     optimal lower constant between the levels of ``res_a`` and ``res_b``
-    (a <= b, same p).  ``c0`` is the minimized horizontal directional
-    constant of the rotated domain; the isotropic frequency in the lower bound
-    is ``res_a.lambda_max``."""
+    (a <= b, same p).
+
+    ``chord`` is the longest chord of the domain over the directions that the
+    x axis takes under the rotations in [0, pi/2] (``X_ARC``).  The minimized
+    horizontal directional constant of the rotated domain is then the closed
+    form c0 = ``directional_constant(chord, p)``.  The isotropic frequency in
+    the lower bound is ``res_a.lambda_max``."""
     a, b, p, level = res_a.a, res_b.a, res_a.p, res_a.mesh_level
     if not a <= b or res_b.p != p:
         raise ValueError(f"need levels a <= b at one p, got ({a}, {b}) at p = ({p}, {res_b.p})")
+    c0 = directional_constant(chord, p)
     if b == a:
         ratio_excess, diff = 0.0, 0.0
         bound_up = 0.0
@@ -442,7 +439,8 @@ def verify_quantitative(res_a: OptimizeResult, res_b: OptimizeResult, c0: float)
                 "p": p,
                 "measured": diff,
                 "bound": lower_rhs,
-                "c0": c0 if b > a else math.nan,
+                "c0": c0,
+                "chord": chord,
             },
             SLACK,
             diff >= (1.0 - SLACK) * lower_rhs - 1e-12,
@@ -461,14 +459,19 @@ def verify_quantitative(res_a: OptimizeResult, res_b: OptimizeResult, c0: float)
     ]
 
 
-def verify_Q0_limit(results: list[OptimizeResult], d0: float) -> list[dict]:
+def verify_Q0_limit(results: list[OptimizeResult], chord: float) -> list[dict]:
     """Behaviour as the coercivity level is relaxed toward zero: the optimal
     lower constants of ``results`` (levels strictly decreasing, one p)
-    decrease but stay above ``d0``, the minimized vertical directional
-    constant of the (unsheared) rotated domain."""
+    decrease but stay above d0, the minimized vertical directional constant
+    of the (unsheared) rotated domain.
+
+    ``chord`` is the longest chord of the domain over the directions that the
+    y axis takes under the rotations in [0, pi/2] (``Y_ARC``), and d0 is the
+    closed form ``directional_constant(chord, p)``."""
     a_sequence = [res.a for res in results]
     if not results or any(a2 >= a1 for a1, a2 in zip(a_sequence, a_sequence[1:])):
         raise ValueError(f"need a non-empty, strictly decreasing a_sequence, got {a_sequence}")
+    d0 = directional_constant(chord, results[0].p)
     vals = [res.lambda_min for res in results]
     residual = max(res.residual for res in results)
     level = results[0].mesh_level
@@ -490,7 +493,7 @@ def verify_Q0_limit(results: list[OptimizeResult], d0: float) -> list[dict]:
         _entry(
             "lower_constant_positive_floor",
             "all values stay above the minimized vertical directional constant",
-            {"values": vals, "directional_floor": d0},
+            {"values": vals, "directional_floor": d0, "chord": chord},
             SLACK,
             above,
             level,
@@ -667,9 +670,6 @@ def run_verification(config: dict | None = None) -> dict:
         for lv in dict.fromkeys(levels)
     }
 
-    def floor(p: float, axis: str) -> float:
-        return _directional_floor(d, p, axis, grid_n, opts, level=level, n_boundary=nb)
-
     if "rigidity" in suites:
         for p in p_list:
             entries += verify_rigidity(
@@ -678,12 +678,13 @@ def run_verification(config: dict | None = None) -> dict:
                 seed=int(cfg["seed"]),
             )
     if "quantitative" in suites:
+        chord = longest_chord(d, X_ARC)
         for p in p_list:
-            c0 = floor(p, "x") if b > a else math.nan
-            entries += verify_quantitative(optima[a, p], optima[b, p], c0)
+            entries += verify_quantitative(optima[a, p], optima[b, p], chord)
     if "relaxation" in suites:
+        chord = longest_chord(d, Y_ARC)
         for p in p_list:
-            entries += verify_Q0_limit([optima[x, p] for x in a_sequence], floor(p, "y"))
+            entries += verify_Q0_limit([optima[x, p] for x in a_sequence], chord)
     if "disk" in suites:
         for p in p_list:
             entries += verify_disk(a, p, opts, level=level, n_boundary=nb, grid_n=grid_n)

@@ -311,7 +311,10 @@ def quant_lower_constant(a: float, b: float, p: float, c0: float, lam1p: float) 
     Piecewise in p: ``p a^{(p-2)/2} c0 / 2`` for p >= 2 and
     ``p b^{(2-p)/2} lam1p^{(p-2)/2} c0^{2/p} / 2`` for 1 < p < 2, where ``c0``
     is the directional constant of the domain and ``lam1p`` its isotropic
-    fundamental frequency.
+    fundamental frequency.  For a domain whose longest chord along the
+    direction is l, c0 is the one-dimensional p-eigenvalue of an interval of
+    length l, (p - 1) (pi_p / l)^p with pi_p = 2 pi / (p sin(pi / p))
+    (``solver.directional_constant``).
     """
     if not 0.0 < a <= b < 1.0:
         raise ValueError(f"need 0 < a <= b < 1, got a={a}, b={b}")

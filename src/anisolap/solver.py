@@ -19,19 +19,21 @@ M = Mid^T diag(|T|/3) Mid.
 
 One path for every p > 1, built on one direct sparse factorization of K.
 Inverse iteration on the generalized symmetric pencil (K, M) gives the p = 2
-ground state.  At p = 2 that is the answer.  For any other p it is the warm
-start of projected descent on the unit p-norm sphere, marched through a
-geometric continuation in p from 2 to p.  The descent steps along the Sobolev
-gradient K^-1 g (Neuberger; for p-eigenvalues, Horak, EJDE 2011), so its
-iteration count stays nearly flat under mesh refinement where a plain l2
-gradient step needs O(h^-2) steps.  A line-search trial costs one product
-with G and one with Mid, and the accepted trial's products give the next
-gradient.
+ground state.  At p = 2 that is the answer.  For any other p it is the start
+of one projected descent on the unit p-norm sphere at p itself.  The descent
+steps along the Sobolev gradient K^-1 g (Neuberger; for p-eigenvalues, Horak,
+EJDE 2011), so its iteration count stays nearly flat under mesh refinement
+where a plain l2 gradient step needs O(h^-2) steps.  A line-search trial costs
+one product with G and one with Mid, and the accepted trial's products give
+the next gradient.
 
 Every result reports the dual-norm residual sqrt(g . K^-1 g) / (p lam) of the
 returned pair, g being the gradient of E(u) - lam N(u).  It measures how far
-the pair is from satisfying the discrete eigenvalue equation, whatever
-stopping rule ended the iteration.
+the pair is from satisfying the discrete eigenvalue equation.  The descent
+computes it every step (g . K^-1 g is the Armijo slope) and stops on it.
+
+``directional_constant`` is the closed-form constant of the one-derivative
+inequality; it needs no solve.
 """
 
 from __future__ import annotations
@@ -50,19 +52,20 @@ from .quadform import QuadForm
 # eigenvalue is always the unsmoothed quotient of the final iterate.
 GRAD_FLOOR = 1e-12
 
-# Number of geometric continuation steps 2 -> p.
-CONTINUATION_STEPS = 6
-
-_AXIS_MATS = {
-    "x": np.array([[1.0, 0.0], [0.0, 0.0]]),
-    "y": np.array([[0.0, 0.0], [0.0, 1.0]]),
-}
+# Safety factor of the descent's stopping bound.  Near the ground state the
+# relative eigenvalue error is about C residual^2; C measured between 1 and
+# 120 on the square, the L-shape and the disk at level 4, p = 1.5 and 3, with
+# the identity form and make_Q_alpha(0.25, 0.6).  Stopping at residual <=
+# sqrt(tol / RESIDUAL_SAFETY) keeps that error below tol for any C up to
+# RESIDUAL_SAFETY; the bound is 1e-6 at the default tol of 1e-9.
+RESIDUAL_SAFETY = 1000.0
 
 
 @dataclass
 class SolverOptions:
-    tol: float = 1e-9           # relative eigenvalue change per step that stops an iteration
-    max_iter: int = 20000       # budget of the inverse iteration and of each descent stage
+    tol: float = 1e-9           # eigenvalue tolerance: the inverse iteration stops at this relative
+                                # change per step, the descent at residual sqrt(tol / RESIDUAL_SAFETY)
+    max_iter: int = 20000       # iteration budget of the inverse iteration and of the descent, each
 
     def __post_init__(self) -> None:
         if not self.tol > 0.0:
@@ -231,9 +234,9 @@ def _inverse_iteration(
 
 
 def _descent(
-    ops: _Operators, m2: np.ndarray, p: float, u0: np.ndarray, tol: float, max_iter: int,
+    ops: _Operators, m2: np.ndarray, p: float, u0: np.ndarray, bound: float, max_iter: int,
     stiff: sp.csc_matrix, lu: SuperLU,
-) -> tuple[np.ndarray, int, bool]:
+) -> tuple[np.ndarray, float, float, int]:
     """Projected Sobolev-gradient descent on the unit p-norm sphere.
 
     Each step moves along d = K^-1 g, the gradient of the quotient in the
@@ -243,22 +246,26 @@ def _descent(
     metric, and is halved until the Armijo condition on g.d holds.
     Nonnegativity is enforced by taking absolute values each iterate (the
     quotient never increases under that replacement).  The accepted trial's
-    gradients and midpoint values give the next gradient.  Convergence is
-    declared when the relative eigenvalue change stays below ``tol`` for three
-    consecutive steps.  Returns (u, iterations, converged)."""
+    gradients and midpoint values give the next gradient.
+
+    An iteration is one gradient and one solve with K.  The descent stops as
+    soon as the dual-norm residual sqrt(g.d) / (p lam) is at most ``bound``,
+    at ``max_iter`` iterations, or when the line search finds no decrease.
+    Returns (u, lam, residual, iterations) of the last iterate; the caller
+    compares the residual with the bound."""
     u, gu, y, lam = _point(ops, m2, p, np.abs(u0))
     u_prev: np.ndarray | None = None
     g_prev: np.ndarray | None = None
     t = 1.0 / (1.0 + abs(lam))
-    small = 0
     it = 0
-    while it < max_iter:
+    while True:
         it += 1
         g = _gradient(ops, m2, p, gu, y, lam)
         d = lu.solve(g)
-        gd = float(g @ d)
-        if math.sqrt(max(gd, 0.0)) <= 1e-14 * (1.0 + abs(lam)):
-            return u, it, True
+        gd = max(float(g @ d), 0.0)
+        residual = math.sqrt(gd) / (p * lam)
+        if residual <= bound or it == max_iter:
+            return u, lam, residual, it
         if u_prev is not None:
             s = u - u_prev
             sy = float(s @ (g - g_prev))
@@ -275,99 +282,68 @@ def _descent(
                 break
             t *= 0.5
         else:
-            # Flat direction (or floating-point limit): the quotient cannot
-            # be decreased along the gradient, treat as stationary.
-            if trial[3] < lam:
-                u = trial[0]
-            return u, it, True
-
-        res = (lam - trial[3]) / max(abs(trial[3]), 1e-300)
+            # No decrease along the gradient (floating-point limit): the
+            # residual above the bound reports the miss.
+            return u, lam, residual, it
         u, gu, y, lam = trial
-        if abs(res) <= tol:
-            small += 1
-            if small >= 3:
-                return u, it, True
-        else:
-            small = 0
-    return u, it, False
-
-
-def _continuation_schedule(p: float) -> list[float]:
-    return [2.0 * (p / 2.0) ** (k / CONTINUATION_STEPS) for k in range(1, CONTINUATION_STEPS + 1)]
-
-
-def _solve(
-    m: Mesh, m2: np.ndarray, p: float, opts: SolverOptions, form: QuadForm, tol: float
-) -> EigenResult:
-    """The solver path shared by every energy.
-
-    One factorization of the form's p = 2 stiffness K serves the inverse
-    iteration, the descent's preconditioner and the reported residual.  The
-    inverse iteration stops at ``opts.tol`` and is the result at p = 2.  For
-    other p it is only the warm start, so a miss there is not an error; the
-    continuation stages stop at max(tol, 1e-7), the final one at ``tol``.  A
-    miss of the last step (the inverse iteration at p = 2, the final stage
-    otherwise) raises.  Every stage has ``opts.max_iter`` iterations;
-    ``iterations`` counts all of them."""
-    if p <= 1.0:
-        raise ValueError(f"need p > 1, got {p}")
-    ops = _operators(m, interior_dof_map(m)[0])
-    stiff, mass = _quadratic(ops, m2)
-    lu = splu(stiff)
-    u, total_it, converged = _inverse_iteration(stiff, mass, lu, opts)
-    failure = f"inverse iteration did not reach tol {opts.tol}"
-    if p != 2.0:
-        schedule = _continuation_schedule(p)
-        for i, pk in enumerate(schedule):
-            tol_k = tol if i == len(schedule) - 1 else max(tol, 1e-7)
-            u, it, converged = _descent(ops, m2, pk, u, tol_k, opts.max_iter, stiff, lu)
-            total_it += it
-        failure = f"descent did not reach tol {tol} at p={p}"
-    u, gu, y, lam = _point(ops, m2, p, u)
-    g = _gradient(ops, m2, p, gu, y, lam)
-    residual = math.sqrt(max(float(g @ lu.solve(g)), 0.0)) / (p * lam)
-    full = np.zeros(m.n_nodes)
-    full[~m.boundary_node] = u
-    result = EigenResult(lam, full, total_it, residual, p, form)
-    if not converged:
-        raise SolverConvergenceError(f"{failure} in {opts.max_iter} iterations", result)
-    return result
 
 
 def solve_p(m: Mesh, q: QuadForm, p: float, opts: SolverOptions | None = None) -> EigenResult:
     """Fundamental frequency for p > 1.
 
-    Inverse iteration on the p = 2 pencil of the form gives the result at
-    p = 2.  For other p its ground state is marched by projected descent
-    through a geometric schedule in p from 2 to p.  Raises
-    ``SolverConvergenceError``, carrying the last iterate, when the inverse
-    iteration at p = 2 or the final descent stage exhausts ``opts.max_iter``.
-    Either way the result's ``residual`` is the dual-norm residual of the
-    returned pair.
+    One factorization of the form's p = 2 stiffness K serves the inverse
+    iteration, the descent's preconditioner and the reported residual.  The
+    inverse iteration on the p = 2 pencil stops at the relative eigenvalue
+    change ``opts.tol`` and is the result at p = 2.  For other p its ground
+    state is the start of one projected descent at p, stopped at the residual
+    bound sqrt(opts.tol / RESIDUAL_SAFETY).  Raises ``SolverConvergenceError``,
+    carrying the last iterate, when the inverse iteration at p = 2 misses
+    ``opts.tol`` or the descent misses its bound; ``iterations`` counts the
+    iterations of both.  Either way the result's ``residual`` is the dual-norm
+    residual of the returned pair.
     """
+    if p <= 1.0:
+        raise ValueError(f"need p > 1, got {p}")
     opts = opts or SolverOptions()
-    return _solve(m, _form_matrix(q), p, opts, q, opts.tol)
+    m2 = _form_matrix(q)
+    ops = _operators(m, interior_dof_map(m)[0])
+    stiff, mass = _quadratic(ops, m2)
+    lu = splu(stiff)
+    u, iterations, converged = _inverse_iteration(stiff, mass, lu, opts)
+    if p == 2.0:
+        failure = f"inverse iteration did not reach tol {opts.tol} in {opts.max_iter} iterations"
+        u, gu, y, lam = _point(ops, m2, p, u)
+        g = _gradient(ops, m2, p, gu, y, lam)
+        residual = math.sqrt(max(float(g @ lu.solve(g)), 0.0)) / (p * lam)
+    else:
+        bound = math.sqrt(opts.tol / RESIDUAL_SAFETY)
+        u, lam, residual, it = _descent(ops, m2, p, u, bound, opts.max_iter, stiff, lu)
+        failure = f"descent stopped at residual {residual:.3g} > {bound:.3g} after {it} iterations"
+        iterations += it
+        converged = residual <= bound
+    full = np.zeros(m.n_nodes)
+    full[~m.boundary_node] = u
+    result = EigenResult(lam, full, iterations, residual, p, q)
+    if not converged:
+        raise SolverConvergenceError(failure, result)
+    return result
 
 
-def directional_constant(
-    m: Mesh, p: float, axis: str, opts: SolverOptions | None = None
-) -> float:
-    """Infimum of the single-derivative energy sum_T |T| |(grad u)_axis|^p over
-    zero-trace fields with unit p-norm.
+def directional_constant(chord: float, p: float) -> float:
+    """Optimal constant C in int |d_e u|^p >= C int |u|^p over zero-trace u,
+    for a domain whose longest chord in direction e has length ``chord``.
 
-    The same solver path as ``solve_p``, with the degenerate axis form.
-    Because the functional controls only one derivative, its minimizers can
-    concentrate on the widest cross-section and the descent tail decays as a
-    power law; the descent tolerance is therefore floored at 1e-7 and the
-    iterate is accepted when the iteration cap is reached (the value is an
-    upper estimate of the discrete infimum, stable to a fraction of a
-    percent)."""
-    if axis not in _AXIS_MATS:
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    opts = opts or SolverOptions()
-    marker = QuadForm.identity()  # result metadata only; the energy uses the axis form
-    try:
-        return _solve(m, _AXIS_MATS[axis], p, opts, marker, max(opts.tol, 1e-7)).lam
-    except SolverConvergenceError as exc:
-        return exc.best.lam
-
+    It is the first Dirichlet eigenvalue of the one-dimensional p-Laplacian
+    on an interval of that length, (p - 1) (pi_p / chord)^p with
+    pi_p = 2 pi / (p sin(pi / p)) (Biezuner, Ercole and Martins, J. Funct.
+    Anal. 2009): the one-dimensional inequality holds chord by chord, and
+    fields concentrated near the longest chord approach it.  The functional
+    controls one derivative only, so the infimum is not attained and no
+    finite-element value converges to it faster than the mesh resolves that
+    concentration; the closed form needs no solve."""
+    if not chord > 0.0:
+        raise ValueError(f"chord length must be positive, got {chord}")
+    if p <= 1.0:
+        raise ValueError(f"need p > 1, got {p}")
+    pi_p = 2.0 * math.pi / (p * math.sin(math.pi / p))
+    return (p - 1.0) * (pi_p / chord) ** p

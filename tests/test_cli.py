@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from anisolap import SolverOptions, cli
+from anisolap import SolverOptions, cli, optimizer
 
 
 def run_config(tmp_path, config: dict) -> tuple[int, str]:
@@ -175,3 +175,35 @@ def test_eigen_failure_after_one_iteration_is_reported(tmp_path, monkeypatch):
     payload = json.loads(payload_text(out + ".json"))["payload"]
     assert payload["status"] == "failed" and payload["partial"]
     assert math.isfinite(payload["result"]["residual"])
+
+
+@pytest.mark.parametrize(
+    "config, module",
+    [
+        ({"command": "verify", "verify": {"suites": ["rectangle"]}}, optimizer),
+        ({"command": "sweep", "thetas": [0.0, 0.5]}, cli),
+    ],
+    ids=["verify", "sweep"],
+)
+def test_solver_failure_is_reported(tmp_path, monkeypatch, capsys, config, module):
+    # a p-descent cut off after two iterations misses its residual bound
+    monkeypatch.setattr(module, "SolverOptions", lambda tol: SolverOptions(tol=tol, max_iter=2))
+    rc, out = run_config(tmp_path, {**config, "mesh_level": 2, "p": 3.0})
+    assert rc == 1
+    payload = json.loads(payload_text(out + ".json"))["payload"]
+    assert payload["command"] == config["command"]
+    assert payload["status"] == "failed" and payload["partial"]
+    assert "residual" in payload["error"]
+    assert "solver failed" in capsys.readouterr().err
+
+
+def test_verify_equal_levels_reports_finite_c0(tmp_path):
+    # a = b makes the difference bound trivial, but its entry still carries
+    # the closed-form constant, a finite number the report can hold
+    verify = {"a": 0.25, "b": 0.25, "suites": ["quantitative"]}
+    rc, out = run_config(tmp_path, {"command": "verify", "mesh_level": 2, "verify": verify})
+    assert rc == 0
+    entries = json.loads(payload_text(out + ".json"))["payload"]["report"]["entries"]
+    measured = entries[1]["measured"]
+    assert measured["c0"] == pytest.approx(math.pi**2 / 8.0)
+    assert measured["chord"] == pytest.approx(2.0 * math.sqrt(2.0))

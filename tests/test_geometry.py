@@ -10,6 +10,7 @@ from anisolap import (
     area,
     domain_from_json,
     domain_to_json,
+    longest_chord,
     lshape,
     named_domain,
     polygonize,
@@ -187,3 +188,74 @@ def test_json_rejects_bad_spec():
         domain_from_json({"radius": 1.0})
     with pytest.raises(ValueError):
         domain_from_json({"type": "torus"})
+
+
+# ------------------------------------------------------------ longest chords
+
+
+def sampled_longest_chord(d, lo: float, hi: float, n_dir: int = 721, n_off: int = 801) -> float:
+    """Longest chord over evenly sampled directions in [lo, hi] and offsets:
+    each line's crossings with the polygon's edges, sorted and paired into
+    the intervals inside.  A lower estimate of the supremum."""
+    v = polygonize(d).vertices
+    edge = np.roll(v, -1, axis=0) - v
+    best = 0.0
+    for phi in np.linspace(lo, hi, n_dir):
+        e = np.array([math.cos(phi), math.sin(phi)])
+        off = v @ np.array([-e[1], e[0]])
+        s = np.linspace(off.min(), off.max(), n_off + 2)[1:-1]
+        h = off[None, :] - s[:, None]
+        h_next = np.roll(h, -1, axis=1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            t = (v @ e)[None, :] + h / (h - h_next) * (edge @ e)[None, :]
+        t = np.sort(np.where(h * h_next < 0.0, t, np.inf), axis=1)
+        t[np.isinf(t)] = np.nan
+        best = max(best, float(np.nanmax(t[:, 1::2] - t[:, 0::2])))
+    return best
+
+
+QUARTER_X, QUARTER_Y = (-0.5 * math.pi, 0.0), (0.0, 0.5 * math.pi)
+
+
+@pytest.mark.parametrize(
+    "domain, arc",
+    [
+        (lshape(), QUARTER_X),
+        (lshape(), QUARTER_Y),
+        (lshape(), (0.2, 0.5)),
+        (lshape(), (0.0, math.pi)),
+        (rotate(Rectangle(1.0, 0.5), 0.3), QUARTER_X),
+        (rotate(Rectangle(1.0, 0.5), 0.3), (0.1, 0.2)),
+        (polygonize(Disk(1.0), 32), (0.05, 0.3)),
+    ],
+    ids=["lshape-x", "lshape-y", "lshape-narrow", "lshape-all", "rotated-rect-x",
+         "rotated-rect-narrow", "32-gon-narrow"],
+)
+def test_longest_chord_matches_dense_sampling(domain, arc):
+    exact = longest_chord(domain, arc)
+    sampled = sampled_longest_chord(domain, *arc)
+    assert sampled <= exact * (1.0 + 1e-12)
+    assert sampled >= exact * (1.0 - 2e-3)
+
+
+def test_longest_chord_closed_forms():
+    # the L-shape's diagonal through its reflex corner, its longest chord
+    # across the missing quadrant, and a rectangle along one direction
+    assert longest_chord(lshape(), QUARTER_Y) == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-14)
+    assert longest_chord(lshape(), QUARTER_X) == pytest.approx(math.sqrt(5.0), rel=1e-14)
+    rect = rotate(Rectangle(1.0, 2.0), 0.3)
+    assert longest_chord(rect, (0.0, 0.0)) == pytest.approx(2.0 / math.cos(0.3), rel=1e-14)
+    assert longest_chord(rect, (0.5 * math.pi, 0.5 * math.pi)) == pytest.approx(
+        4.0 / math.cos(0.3), rel=1e-14
+    )
+
+
+def test_longest_chord_disk_is_diameter():
+    for arc in (QUARTER_X, (0.3, 0.3)):
+        assert longest_chord(Disk(1.5, (0.4, -0.2)), arc) == 3.0
+
+
+def test_longest_chord_rejects_bad_arc():
+    for arc in ((0.5, 0.4), (0.0, 4.0)):
+        with pytest.raises(ValueError):
+            longest_chord(lshape(), arc)

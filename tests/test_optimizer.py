@@ -16,6 +16,7 @@ from anisolap import (
     classify,
     lambda_max,
     lambda_min,
+    longest_chord,
     lshape,
     normalize,
     random_member,
@@ -30,7 +31,7 @@ from anisolap import (
     verify_rigidity,
 )
 from anisolap import optimizer
-from anisolap.optimizer import _directional_floor
+from anisolap.optimizer import X_ARC, Y_ARC
 
 PI2_HALF = math.pi**2 / 2.0
 SQUARE = Rectangle(1.0, 1.0)
@@ -144,19 +145,27 @@ def test_verify_rigidity_entries():
         assert "mesh_level" in e and "solver_residual" in e
 
 
+def test_verify_rigidity_rejects_no_pairs():
+    # with no pair the worst gap would stay infinite, which no report can hold
+    with pytest.raises(ValueError, match="n_pairs"):
+        verify_rigidity(SQUARE, 0.25, 2.0, n_samples=1, level=2, n_pairs=0)
+
+
 @pytest.fixture(scope="module")
 def square_optima():
-    """The optima and directional floors that ``run_verification`` judges,
-    on the square at level 3."""
+    """The optima that ``run_verification`` judges, on the square at level 3,
+    and the square's longest chords over the two quarter-arcs (its diagonal)."""
     opts = SolverOptions()
     optima = {
         a: lambda_min(SQUARE, a, 2.0, 9, opts, level=3, theta_tol=1e-3) for a in (0.5, 0.25)
     }
-    floors = {
-        axis: _directional_floor(SQUARE, 2.0, axis, 9, opts, level=3, n_boundary=32)
-        for axis in ("x", "y")
-    }
-    return optima, floors
+    chords = {"x": longest_chord(SQUARE, X_ARC), "y": longest_chord(SQUARE, Y_ARC)}
+    return optima, chords
+
+
+def chord_of(constant: float) -> float:
+    """The chord whose directional constant at p = 2 is ``constant``."""
+    return math.pi / math.sqrt(constant)
 
 
 def optimum(a: float, value: float, p: float = 2.0) -> OptimizeResult:
@@ -177,9 +186,11 @@ def optimum(a: float, value: float, p: float = 2.0) -> OptimizeResult:
 
 
 def test_verify_quantitative_entries(square_optima):
-    optima, floors = square_optima
-    entries = verify_quantitative(optima[0.25], optima[0.5], floors["x"])
+    optima, chords = square_optima
+    entries = verify_quantitative(optima[0.25], optima[0.5], chords["x"])
     by_name = {e["name"]: e for e in entries}
+    # c0 of the square rotated over [0, pi/2]: the diagonal 2 sqrt(2) gives pi^2 / 8
+    assert by_name["lower_difference_bound"]["measured"]["c0"] == pytest.approx(math.pi**2 / 8.0)
     assert by_name["upper_ratio_bound"]["passed"]
     assert by_name["lower_difference_bound"]["passed"]
     assert by_name["lower_constant_monotone_in_level"]["passed"]
@@ -189,7 +200,7 @@ def test_verify_quantitative_entries(square_optima):
 
 def test_verify_quantitative_equal_levels_degenerate(square_optima):
     optima, _ = square_optima
-    entries = verify_quantitative(optima[0.25], optima[0.25], math.nan)
+    entries = verify_quantitative(optima[0.25], optima[0.25], 2.0 * math.sqrt(2.0))
     for e in entries:
         assert e["passed"]
         assert e["measured"].get("measured", 0.0) == pytest.approx(0.0, abs=1e-12)
@@ -206,15 +217,15 @@ def test_verify_quantitative_fails_on_decrease():
 
 
 def test_verify_relaxation_entries(square_optima):
-    optima, floors = square_optima
-    entries = verify_Q0_limit([optima[0.5], optima[0.25]], floors["y"])
+    optima, chords = square_optima
+    entries = verify_Q0_limit([optima[0.5], optima[0.25]], chords["y"])
     assert all(e["passed"] for e in entries)
     vals = entries[0]["measured"]["values"]
     assert vals[0] >= vals[1]
 
 
 def test_verify_relaxation_fails_on_increase():
-    entries = verify_Q0_limit([optimum(0.5, 2.0), optimum(0.25, 2.1)], 1.0)
+    entries = verify_Q0_limit([optimum(0.5, 2.0), optimum(0.25, 2.1)], chord_of(1.0))
     by_name = {e["name"]: e for e in entries}
     assert not by_name["lower_constant_nonincreasing_in_relaxation"]["passed"]
     assert by_name["lower_constant_positive_floor"]["passed"]
@@ -224,9 +235,9 @@ def test_verify_relaxation_fails_on_increase():
 
 def test_verify_relaxation_floor_has_two_percent_slack():
     results = [optimum(0.5, 2.0), optimum(0.25, 1.97)]
-    floor = verify_Q0_limit(results, 2.0)[1]
+    floor = verify_Q0_limit(results, chord_of(2.0))[1]
     assert floor["name"] == "lower_constant_positive_floor" and floor["passed"]
-    assert not verify_Q0_limit(results, 2.02)[1]["passed"]  # 1.97 < 0.98 * 2.02
+    assert not verify_Q0_limit(results, chord_of(2.02))[1]["passed"]  # 1.97 < 0.98 * 2.02
 
 
 def test_run_verification_shares_optima(monkeypatch):
