@@ -141,7 +141,11 @@ def _parse_args(argv) -> dict:
         help="eigenvalue tolerance (default 1e-9): the p = 2 inverse iteration stops at this "
         "relative change, the p-descent at dual-norm residual sqrt(tol/1000)",
     )
-    ap.add_argument("--n-boundary", type=int, dest="n_boundary")
+    ap.add_argument(
+        "--n-boundary", type=int, dest="n_boundary",
+        help="validated (at least 16) and kept for existing configs; it no longer changes "
+        "any mesh, a disk being meshed from its inscribed hexagon",
+    )
     ap.add_argument("--out")
     ap.add_argument("--seed", type=int)
     ns = ap.parse_args(argv)
@@ -298,7 +302,7 @@ def _cmd_eigen(cfg: dict) -> int:
     form = QuadForm.from_dict(cfg["form"]) if cfg["form"] else QuadForm.identity()
     opts = SolverOptions(tol=float(cfg["tol"]))
     options = {"tol": opts.tol, "max_iter": opts.max_iter}
-    mesh = build_mesh(domain, int(cfg["mesh_level"]), int(cfg["n_boundary"]))
+    mesh = build_mesh(domain, int(cfg["mesh_level"]))
     json_path, csv_path = _out_paths(cfg, "_eigenfunction.csv")
     try:
         res = solve_p(mesh, form, float(cfg["p"]), opts)
@@ -333,7 +337,6 @@ def _cmd_optimize(cfg: dict) -> int:
             int(cfg["grid_n"]),
             opts,
             level=int(cfg["mesh_level"]),
-            n_boundary=int(cfg["n_boundary"]),
         )
     except SolverConvergenceError as exc:
         return _report_failure("optimize", json_path, exc)
@@ -356,7 +359,7 @@ def _cmd_optimize(cfg: dict) -> int:
 def _cmd_sweep(cfg: dict) -> int:
     from .optimizer import profile_value
 
-    domain = domain_from_json(cfg["domain"])
+    mesh = build_mesh(domain_from_json(cfg["domain"]), int(cfg["mesh_level"]))
     thetas = cfg["thetas"] or list(np.linspace(0.0, 0.5 * math.pi, int(cfg["grid_n"])))
     a_values = cfg["a_values"] or [float(cfg["a"])]
     p_values = cfg["p_values"] or [float(cfg["p"])]
@@ -369,10 +372,7 @@ def _cmd_sweep(cfg: dict) -> int:
         for p in p_values:
             for a in a_values:
                 for th in thetas:
-                    val, _ = profile_value(
-                        domain, float(th), float(a), float(p), opts,
-                        level=int(cfg["mesh_level"]), n_boundary=int(cfg["n_boundary"]),
-                    )
+                    val, _ = profile_value(mesh, float(th), float(a), float(p), opts)
                     lines.append(
                         f"{_fmt_float(th)},{_fmt_float(a)},{_fmt_float(p)},{_fmt_float(val)}"
                     )

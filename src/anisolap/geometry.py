@@ -1,9 +1,11 @@
-"""Planar bounded domains and the two affine maps the anisotropy reduction
-needs: rotation of the domain and vertical shear ``(x, y) -> (x, sqrt(a) y)``.
+"""Planar bounded domains: disks, axis-aligned rectangles (given by
+half-extents) and simple counterclockwise polygons, with their areas, longest
+chords and JSON forms.
 
-Domains are disks, axis-aligned rectangles (given by half-extents), or simple
-counterclockwise polygons.  Curved boundaries are polygonized by inscribed
-regular polygons before meshing.
+Anisotropy never moves a domain: a rotated and sheared domain is the same
+domain carrying a quadratic form (see ``optimizer``).  A disk's coarse
+boundary is its inscribed hexagon (``polygonize``), which the mesh refines
+onto the circle.
 """
 
 from __future__ import annotations
@@ -141,64 +143,12 @@ def _rect_corners(r: Rectangle) -> np.ndarray:
     return np.array([[-hw, -hh], [hw, -hh], [hw, hh], [-hw, hh]])
 
 
-def rotate(d: DomainSpec, theta: float) -> DomainSpec:
-    """Rotate the domain by R_theta^T (counterclockwise by theta in [0, pi/2]).
-
-    Disks map to disks with rotated center; rectangles and polygons map to
-    polygons by exact vertex transport.
-    """
-    if theta < -1e-12 or theta > 0.5 * math.pi + 1e-12:
-        raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
-    theta = min(max(theta, 0.0), 0.5 * math.pi)
-    c, s = math.cos(theta), math.sin(theta)
-
-    def apply(v: np.ndarray) -> np.ndarray:
-        return np.column_stack([c * v[:, 0] - s * v[:, 1], s * v[:, 0] + c * v[:, 1]])
-
+def polygonize(d: DomainSpec) -> Polygon:
+    """Inscribed regular hexagon of a disk, the coarse boundary that
+    ``mesh.build_mesh`` refines onto the circle; exact passthrough for
+    rectangles and polygons."""
     if isinstance(d, Disk):
-        cx, cy = d.center
-        return Disk(d.radius, (c * cx - s * cy, s * cx + c * cy))
-    if isinstance(d, Rectangle):
-        if theta == 0.0:
-            return d
-        return Polygon(apply(_rect_corners(d)))
-    if isinstance(d, Polygon):
-        if theta == 0.0:
-            return d
-        return Polygon(apply(d.vertices))
-    raise TypeError(f"not a domain: {d!r}")
-
-
-def shear_y(d: DomainSpec, a: float, *, n_boundary: int = 1024) -> DomainSpec:
-    """Image of the domain under ``(x, y) -> (x, sqrt(a) y)`` for a in (0, 1].
-
-    Scales the area by exactly sqrt(a).  Disks become ellipses, returned as
-    polygons after boundary discretization with ``n_boundary`` vertices.
-    """
-    if not 0.0 < a <= 1.0:
-        raise ValueError(f"shear level a must lie in (0, 1], got {a}")
-    if a == 1.0:
-        return d
-    root = math.sqrt(a)
-    if isinstance(d, Disk):
-        poly = polygonize(d, n_boundary)
-        return shear_y(poly, a)
-    if isinstance(d, Rectangle):
-        return Rectangle(d.halfwidth, root * d.halfheight)
-    if isinstance(d, Polygon):
-        v = d.vertices.copy()
-        v[:, 1] *= root
-        return Polygon(v)
-    raise TypeError(f"not a domain: {d!r}")
-
-
-def polygonize(d: DomainSpec, n_boundary: int = 1024) -> Polygon:
-    """Inscribed polygon with ``n_boundary`` boundary vertices for curved
-    boundaries; exact passthrough for rectangles and polygons."""
-    if n_boundary < 16:
-        raise ValueError(f"n_boundary must be at least 16, got {n_boundary}")
-    if isinstance(d, Disk):
-        phi = 2.0 * math.pi * np.arange(n_boundary) / n_boundary
+        phi = math.pi / 3.0 * np.arange(6)
         cx, cy = d.center
         return Polygon(
             np.column_stack([cx + d.radius * np.cos(phi), cy + d.radius * np.sin(phi)])

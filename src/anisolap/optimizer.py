@@ -2,11 +2,15 @@
 
 The largest frequency needs no search (the isotropic form is the unique
 maximizer); the smallest reduces to a one-parameter search over rotation
-angles in [0, pi/2]: for each angle the rotated domain is sheared to an
-isotropic problem whose frequency, scaled by a^(p/2), gives the profile
-value.  A coarse uniform grid plus golden-section refinement in the best
-bracket locates the minimizing angle; grid minima that tie within twice the
-largest solver error bound are all refined and reported.
+angles theta in [0, pi/2].  With R the counterclockwise rotation by theta,
+the profile value at theta is the frequency of the form
+R^T diag(a, 1) R = make_Q_alpha(a, alpha_of_theta(a, theta)) on one mesh of
+the unmoved domain.  The change of variables x -> diag(1, sqrt(a)) R x makes
+it a^(p/2) times the isotropic frequency of the rotated, sheared domain, and
+the identity is exact for P1 elements on the mapped mesh, so a search meshes
+its domain once.  A coarse uniform grid plus golden-section refinement in
+the best bracket locates the minimizing angle; grid minima that tie within
+twice the largest solver error bound are all refined and reported.
 
 The solver's error bound on a value lam is ``residual * lam``: the dual-norm
 residual of the eigenpair times its eigenvalue.  The eigenvalue error of a
@@ -30,8 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Disk, DomainSpec, Rectangle, longest_chord, rotate, shear_y
-from .mesh import build_mesh
+from .geometry import Disk, DomainSpec, Rectangle, longest_chord
+from .mesh import Mesh, build_mesh
 from .quadform import (
     QuadForm,
     alpha_of_theta,
@@ -42,10 +46,6 @@ from .quadform import (
     random_member,
 )
 from .solver import SolverOptions, solve_p, directional_constant
-
-# Relative spread below which a rotation profile counts as constant
-# (re-meshing noise across angles dominates genuine variation there).
-FLAT_PROFILE_RTOL = 1e-2
 
 DEFAULT_GRID_N = 17
 DEFAULT_THETA_TOL = 1e-4
@@ -73,7 +73,6 @@ class OptimizeResult:
     alpha_star: float
     extremizer: QuadForm
     theta_profile: list[tuple[float, float]]
-    flat_disk_flag: bool
     tied_minima: list[tuple[float, float]] = field(default_factory=list)
     multiple_minima: bool = False
     a: float = math.nan
@@ -89,7 +88,6 @@ class OptimizeResult:
             "alpha_star": self.alpha_star,
             "extremizer": self.extremizer.to_dict(),
             "theta_profile": [[t, v] for t, v in self.theta_profile],
-            "flat_disk_flag": self.flat_disk_flag,
             "tied_minima": [[t, v] for t, v in self.tied_minima],
             "multiple_minima": self.multiple_minima,
             "a": self.a,
@@ -100,65 +98,18 @@ class OptimizeResult:
 
 
 def profile_value(
-    d: DomainSpec,
+    mesh: Mesh,
     theta: float,
     a: float,
     p: float,
     opts: SolverOptions | None = None,
-    *,
-    level: int = 5,
-    n_boundary: int = 128,
 ) -> tuple[float, float]:
-    """Frequency of the extremal diagonal form on the rotated domain, computed
-    through the sheared isotropic problem.  Returns (value, solver residual)."""
-    opts = opts or SolverOptions()
-    dom = shear_y(rotate(d, theta), a, n_boundary=n_boundary)
-    res = solve_p(build_mesh(dom, level, n_boundary), QuadForm.identity(), p, opts)
-    return a ** (0.5 * p) * res.lam, res.residual
-
-
-def lambda_anisotropic_two_routes(
-    d: DomainSpec,
-    a: float,
-    theta: float,
-    p: float,
-    opts: SolverOptions | None = None,
-    *,
-    level: int = 5,
-    n_boundary: int = 128,
-) -> tuple[float, float]:
-    """The same anisotropic frequency along two independent pipelines.
-
-    Route 1 solves the anisotropic problem with the extremal diagonal form on
-    the rotated domain; route 2 is ``profile_value``, the isotropic problem on
-    the sheared rotated domain scaled by a^(p/2).  The two agree at the
-    continuum by change of variables; discrete values differ by the meshing
-    error only.
-    """
-    if not 0.0 < a <= 1.0:
-        raise ValueError(f"need a in (0, 1], got {a}")
-    opts = opts or SolverOptions()
-    mesh = build_mesh(rotate(d, theta), level, n_boundary)
-    r1 = solve_p(mesh, QuadForm(a, 0.0, 1.0), p, opts).lam
-    r2, _ = profile_value(d, theta, a, p, opts, level=level, n_boundary=n_boundary)
-    return r1, r2
-
-
-def lambda_max(
-    d: DomainSpec,
-    a: float,
-    p: float,
-    opts: SolverOptions | None = None,
-    *,
-    level: int = 5,
-    n_boundary: int = 128,
-) -> tuple[float, QuadForm]:
-    """Largest frequency over the class: the isotropic value, no search."""
-    if not 0.0 <= a < 1.0:
-        raise ValueError(f"need a in [0, 1), got {a}")
-    opts = opts or SolverOptions()
-    res = solve_p(build_mesh(d, level, n_boundary), QuadForm.identity(), p, opts)
-    return res.lam, QuadForm.identity()
+    """Frequency on ``mesh`` of the extremal form at angle ``theta``,
+    ``make_Q_alpha(a, alpha_of_theta(a, theta))``, which at a = 1 is the
+    isotropic form.  Returns (value, solver residual)."""
+    q = QuadForm.identity() if a == 1.0 else make_Q_alpha(a, alpha_of_theta(a, theta))
+    res = solve_p(mesh, q, p, opts)
+    return res.lam, res.residual
 
 
 def _golden_min(f, lo: float, hi: float, xtol: float) -> tuple[float, float]:
@@ -191,16 +142,15 @@ def lambda_min(
     opts: SolverOptions | None = None,
     *,
     level: int = 5,
-    n_boundary: int = 128,
     theta_tol: float = DEFAULT_THETA_TOL,
 ) -> OptimizeResult:
     """Smallest frequency over the coercivity class at level ``a``.
 
-    Samples the rotation profile on a uniform grid, golden-section refines
-    every bracket whose grid value ties with the minimum within twice the
-    solver residual, and reports the recovered extremal form.  A profile that
-    is constant within ``FLAT_PROFILE_RTOL`` (disks) sets ``flat_disk_flag``
-    and skips refinement, every grid angle being minimizing.
+    Meshes the domain once at ``level``.  Samples the rotation profile on a
+    uniform grid, golden-section refines every bracket whose grid value ties
+    with the minimum within twice the solver error bound, and reports the
+    recovered extremal form.  ``lambda_max`` is the isotropic frequency on
+    the same mesh.
     """
     if not 0.0 < a < 1.0:
         raise ValueError(f"need a in (0, 1), got {a}")
@@ -208,55 +158,40 @@ def lambda_min(
         raise ValueError(f"grid_n must be at least 9, got {grid_n}")
     opts = opts or SolverOptions()
 
+    mesh = build_mesh(d, level)
     thetas = np.linspace(0.0, 0.5 * math.pi, grid_n)
     values = np.empty(grid_n)
     residuals = np.empty(grid_n)
     for i, th in enumerate(thetas):
-        values[i], residuals[i] = profile_value(
-            d, th, a, p, opts, level=level, n_boundary=n_boundary
-        )
+        values[i], residuals[i] = profile_value(mesh, th, a, p, opts)
     profile = [(float(t), float(v)) for t, v in zip(thetas, values)]
 
-    iso = solve_p(build_mesh(d, level, n_boundary), QuadForm.identity(), p, opts)
+    iso = solve_p(mesh, QuadForm.identity(), p, opts)
     max_residual = float(max(np.max(residuals * values), iso.residual * iso.lam))
 
     vmin = float(np.min(values))
-    vmean = float(np.mean(values))
-    spread = (float(np.max(values)) - vmin) / vmean
-    flat = spread < FLAT_PROFILE_RTOL
-
-    if flat:
-        i_star = int(np.argmin(values))
-        theta_star, lam_min = float(thetas[i_star]), vmin
-        tied = profile[:]
-        multiple = True
-    else:
-        tie_tol = 2.0 * max_residual
-        tied_idx = np.flatnonzero(values <= vmin + tie_tol)
-        # merge adjacent grid indices into brackets, refine each
-        groups: list[list[int]] = []
-        for i in tied_idx:
-            if groups and i == groups[-1][-1] + 1:
-                groups[-1].append(int(i))
-            else:
-                groups.append([int(i)])
-        tied = []
-        for grp in groups:
-            i_best = grp[int(np.argmin(values[grp]))]
-            lo = thetas[max(i_best - 1, 0)]
-            hi = thetas[min(i_best + 1, grid_n - 1)]
-            th_hat, v_hat = _golden_min(
-                lambda t: profile_value(d, t, a, p, opts, level=level, n_boundary=n_boundary)[0],
-                float(lo),
-                float(hi),
-                theta_tol,
-            )
-            if values[i_best] < v_hat:
-                th_hat, v_hat = float(thetas[i_best]), float(values[i_best])
-            tied.append((th_hat, v_hat))
-        tied.sort(key=lambda tv: tv[1])
-        theta_star, lam_min = tied[0]
-        multiple = len(groups) > 1
+    tie_tol = 2.0 * max_residual
+    tied_idx = np.flatnonzero(values <= vmin + tie_tol)
+    # merge adjacent grid indices into brackets, refine each
+    groups: list[list[int]] = []
+    for i in tied_idx:
+        if groups and i == groups[-1][-1] + 1:
+            groups[-1].append(int(i))
+        else:
+            groups.append([int(i)])
+    tied = []
+    for grp in groups:
+        i_best = grp[int(np.argmin(values[grp]))]
+        lo = thetas[max(i_best - 1, 0)]
+        hi = thetas[min(i_best + 1, grid_n - 1)]
+        th_hat, v_hat = _golden_min(
+            lambda t: profile_value(mesh, t, a, p, opts)[0], float(lo), float(hi), theta_tol
+        )
+        if values[i_best] < v_hat:
+            th_hat, v_hat = float(thetas[i_best]), float(values[i_best])
+        tied.append((th_hat, v_hat))
+    tied.sort(key=lambda tv: tv[1])
+    theta_star, lam_min = tied[0]
 
     alpha_star = alpha_of_theta(a, theta_star)
     extremizer = make_Q_alpha(a, alpha_star)
@@ -267,9 +202,8 @@ def lambda_min(
         alpha_star=alpha_star,
         extremizer=extremizer,
         theta_profile=profile,
-        flat_disk_flag=flat,
         tied_minima=tied,
-        multiple_minima=multiple,
+        multiple_minima=len(groups) > 1,
         a=a,
         p=p,
         mesh_level=level,
@@ -314,7 +248,6 @@ def verify_rigidity(
     opts: SolverOptions | None = None,
     *,
     level: int = 4,
-    n_boundary: int = 128,
     n_pairs: int = 20,
     seed: int = 0,
 ) -> list[dict]:
@@ -326,7 +259,7 @@ def verify_rigidity(
         raise ValueError("n_pairs must be at least 1")
     opts = opts or SolverOptions()
     rng = np.random.default_rng(seed)
-    mesh = build_mesh(d, level, n_boundary)
+    mesh = build_mesh(d, level)
     iso = solve_p(mesh, QuadForm.identity(), p, opts)
     margin_floor = 3.0 * max(iso.residual * iso.lam, opts.tol * iso.lam)
 
@@ -508,29 +441,26 @@ def verify_disk(
     opts: SolverOptions | None = None,
     *,
     level: int = 4,
-    n_boundary: int = 32,
     grid_n: int = 9,
 ) -> list[dict]:
-    """On the unit disk every rotation is equivalent: the profile is flat and the
-    optimum equals the scaled isotropic frequency of the sheared disk."""
+    """On the unit disk every rotation is equivalent: the profile is flat and
+    the optimum equals the scaled isotropic frequency of the sheared disk.
+    That target is the profile value at angle 0, a^(p/2) times the isotropic
+    frequency on the sheared image of the disk's mesh."""
     opts = opts or SolverOptions()
-    disk = Disk(1.0)
-    res = lambda_min(disk, a, p, grid_n, opts, level=level, n_boundary=n_boundary)
+    res = lambda_min(Disk(1.0), a, p, grid_n, opts, level=level)
     values = np.array([v for _, v in res.theta_profile])
     spread = float((values.max() - values.min()) / values.mean())
-
-    ellipse = shear_y(disk, a, n_boundary=n_boundary)
-    lam_ell = solve_p(build_mesh(ellipse, level, n_boundary), QuadForm.identity(), p, opts).lam
-    target = a ** (0.5 * p) * lam_ell
+    target = res.theta_profile[0][1]
     rel_err = abs(res.lambda_min - target) / target
 
     return [
         _entry(
             "disk_profile_flat",
             "rotation profile of a centered disk is constant within 1%",
-            {"spread": spread, "flat_flag": res.flat_disk_flag},
-            FLAT_PROFILE_RTOL,
-            res.flat_disk_flag and spread < FLAT_PROFILE_RTOL,
+            {"spread": spread},
+            0.01,
+            spread < 0.01,
             level,
             res.residual,
         ),
@@ -628,7 +558,6 @@ VERIFY_DEFAULTS = {
     "p_list": [2.0],
     "level": 3,
     "grid_n": 9,
-    "n_boundary": 32,
     "n_samples": 5,
     "n_pairs": 8,
     "a_sequence": [0.5, 0.25],
@@ -652,7 +581,6 @@ def run_verification(config: dict | None = None) -> dict:
     opts = SolverOptions(tol=float(cfg["tol"]))
     level = int(cfg["level"])
     grid_n = int(cfg["grid_n"])
-    nb = int(cfg["n_boundary"])
     suites = cfg["suites"]
     a, b = float(cfg["a"]), float(cfg["b"])
     a_sequence = [float(x) for x in cfg["a_sequence"]]
@@ -665,7 +593,7 @@ def run_verification(config: dict | None = None) -> dict:
     if "relaxation" in suites:
         levels += a_sequence
     optima = {
-        (lv, p): lambda_min(d, lv, p, grid_n, opts, level=level, n_boundary=nb, theta_tol=1e-3)
+        (lv, p): lambda_min(d, lv, p, grid_n, opts, level=level, theta_tol=1e-3)
         for p in p_list
         for lv in dict.fromkeys(levels)
     }
@@ -674,7 +602,7 @@ def run_verification(config: dict | None = None) -> dict:
         for p in p_list:
             entries += verify_rigidity(
                 d, a, p, int(cfg["n_samples"]), opts,
-                level=level, n_boundary=nb, n_pairs=int(cfg["n_pairs"]),
+                level=level, n_pairs=int(cfg["n_pairs"]),
                 seed=int(cfg["seed"]),
             )
     if "quantitative" in suites:
@@ -687,7 +615,7 @@ def run_verification(config: dict | None = None) -> dict:
             entries += verify_Q0_limit([optima[x, p] for x in a_sequence], chord)
     if "disk" in suites:
         for p in p_list:
-            entries += verify_disk(a, p, opts, level=level, n_boundary=nb, grid_n=grid_n)
+            entries += verify_disk(a, p, opts, level=level, grid_n=grid_n)
     if "rectangle" in suites:
         for p in p_list:
             entries += verify_rectangle(a, p, opts, level=level, grid_n=grid_n)

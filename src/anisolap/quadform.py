@@ -207,17 +207,6 @@ def make_Q_alpha(a: float, alpha: float) -> QuadForm:
     return QuadForm(alpha, beta, 1.0 + a - alpha)
 
 
-def rotation_for_alpha(a: float, alpha: float) -> np.ndarray:
-    """Orthogonal matrix A_alpha with ``Q_alpha(A_alpha v) = Q_a(v)``."""
-    _check_level_open(a)
-    if alpha < a - 1e-15 or alpha > 1.0 + 1e-15:
-        raise ValueError(f"alpha must lie in [{a}, 1], got {alpha}")
-    alpha = min(max(alpha, a), 1.0)
-    c = math.sqrt((1.0 - alpha) / (1.0 - a))
-    s = math.sqrt((alpha - a) / (1.0 - a))
-    return np.array([[c, s], [-s, c]])
-
-
 def alpha_of_theta(a: float, theta: float) -> float:
     """Extremal index swept by the rotation angle: ``1 - (1 - a) cos^2(theta)``."""
     _check_level_open(a)
@@ -234,20 +223,6 @@ def theta_of_alpha(a: float, alpha: float) -> float:
         raise ValueError(f"alpha must lie in [{a}, 1], got {alpha}")
     ratio = (1.0 - min(max(alpha, a), 1.0)) / (1.0 - a)
     return math.acos(math.sqrt(min(max(ratio, 0.0), 1.0)))
-
-
-def compose_rotation(q: QuadForm, theta: float) -> QuadForm:
-    """The form ``v -> q(R_theta^T v)`` for theta in [0, pi/2].
-
-    Raises ``NegativeBetaError`` when the rotated coefficients leave the
-    admissible half-space beta >= 0.
-    """
-    if theta < -1e-12 or theta > 0.5 * math.pi + 1e-12:
-        raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
-    c, s = math.cos(theta), math.sin(theta)
-    rot = np.array([[c, s], [-s, c]])
-    m = rot @ q.matrix() @ rot.T
-    return QuadForm(m[0, 0], 0.5 * (m[0, 1] + m[1, 0]), m[1, 1])
 
 
 def decompose(q: QuadForm, a: float) -> Decomposition:

@@ -207,3 +207,18 @@ def test_verify_equal_levels_reports_finite_c0(tmp_path):
     measured = entries[1]["measured"]
     assert measured["c0"] == pytest.approx(math.pi**2 / 8.0)
     assert measured["chord"] == pytest.approx(2.0 * math.sqrt(2.0))
+
+
+def test_sweep_at_full_coercivity_is_isotropic(tmp_path):
+    # a = 1 admits only the isotropic form, at every angle
+    rc, out = run_config(
+        tmp_path / "sweep", {"command": "sweep", "a_values": [1.0], "thetas": [0.3], "mesh_level": 3}
+    )
+    assert rc == 0
+    with open(out + ".csv", encoding="utf-8") as fh:
+        header, row = fh.read().splitlines()
+    assert header == "theta,a,p,lambda"
+    rc, out = run_config(tmp_path / "eigen", {"command": "eigen", "mesh_level": 3})
+    assert rc == 0
+    eigen = json.loads(payload_text(out + ".json"))["payload"]["result"]["lambda"]
+    assert float(row.split(",")[3]) == eigen

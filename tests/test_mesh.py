@@ -14,7 +14,6 @@ from anisolap import (
     min_angle,
     polygonize,
     refine,
-    rotate,
     triangulate,
     write_mesh_csv,
     write_nodal_values_csv,
@@ -28,7 +27,8 @@ def test_square_minimal_triangulation():
 
 
 def test_convex_polygon_triangle_count():
-    poly = polygonize(Disk(1.0), 16)
+    phi = 2.0 * math.pi * np.arange(16) / 16
+    poly = Polygon(np.column_stack([np.cos(phi), np.sin(phi)]))
     m = triangulate(poly)
     assert m.n_triangles == 14  # n - 2
     assert m.tri_area.sum() == pytest.approx(area(poly), rel=1e-10)
@@ -121,7 +121,8 @@ def test_csv_exports(tmp_path):
 def test_csv_exports_match_per_row_formatting(tmp_path):
     # the writers format whole columns at once; the bytes must equal those of
     # formatting every float on its own with ".17g"
-    m = build_mesh(rotate(lshape(), 0.4), 2)
+    c, s = math.cos(0.4), math.sin(0.4)
+    m = build_mesh(Polygon(lshape().vertices @ np.array([[c, -s], [s, c]]).T), 2)
     rng = np.random.default_rng(3)
     values = rng.normal(size=m.n_nodes) * 10.0 ** rng.integers(-30, 30, size=m.n_nodes)
     values[:3] = [0.0, -0.0, 1.0 / 3.0]
@@ -143,7 +144,17 @@ def test_csv_exports_match_per_row_formatting(tmp_path):
 
 
 def test_build_mesh_disk_levels():
-    m = build_mesh(Disk(1.0), 2, 32)
-    assert m.n_triangles == 30 * 4**2
-    # triangulated inscribed polygon keeps its area under refinement
-    assert m.tri_area.sum() == pytest.approx(16 * math.sin(2 * math.pi / 32), rel=1e-12)
+    disk = Disk(1.5, (0.5, -0.25))
+    coarse = build_mesh(disk, 1)
+    for level in range(2, 7):
+        m = build_mesh(disk, level)
+        # the centre and the inscribed hexagon, refined level times
+        assert m.n_triangles == 6 * 4**level
+        assert m.n_nodes == 3 * 2**level * (2**level + 1) + 1
+        assert int(m.boundary_node.sum()) == 6 * 2**level
+        radius = np.hypot(*(m.nodes[m.boundary_node] - disk.center).T)
+        np.testing.assert_allclose(radius, disk.radius, rtol=0.0, atol=1e-14)
+        # refinement keeps the coarse nodes, in order, so the meshes are nested
+        np.testing.assert_array_equal(m.nodes[: coarse.n_nodes], coarse.nodes)
+        assert math.degrees(min_angle(m)) >= 40.0
+        coarse = m

@@ -10,7 +10,6 @@ from anisolap import (
     QuadForm,
     alpha_of_theta,
     classify,
-    compose_rotation,
     decompose,
     make_Q_alpha,
     normalize,
@@ -18,10 +17,18 @@ from anisolap import (
     quant_upper_bound,
     random_member,
     reflect_y,
-    rotation_for_alpha,
     spectral,
     theta_of_alpha,
 )
+
+
+def rotated_diagonal(a: float, theta: float) -> QuadForm:
+    """The form v -> a x^2 + y^2 of R v, R the counterclockwise rotation by
+    theta: R^T diag(a, 1) R, built with numpy, independently of the family."""
+    c, s = math.cos(theta), math.sin(theta)
+    rot = np.array([[c, -s], [s, c]])
+    m = rot.T @ np.diag([a, 1.0]) @ rot
+    return QuadForm(m[0, 0], 0.5 * (m[0, 1] + m[1, 0]), m[1, 1])
 
 
 def unit_circle(n: int) -> np.ndarray:
@@ -231,41 +238,10 @@ def test_exact_slice_members_match_family():
     for _ in range(300):
         a = rng.uniform(0.05, 0.9)
         theta = rng.uniform(0.0, 0.5 * math.pi)
-        member = compose_rotation(QuadForm(a, 0.0, 1.0), theta)
+        member = rotated_diagonal(a, theta)
         rebuilt = make_Q_alpha(a, member.alpha)
         assert member.beta == pytest.approx(rebuilt.beta, abs=1e-12)
         assert member.gamma == pytest.approx(rebuilt.gamma, abs=1e-12)
-
-
-# ------------------------------------------------------ rotation correspondence
-
-
-def test_rotation_endpoints():
-    np.testing.assert_allclose(rotation_for_alpha(0.25, 0.25), np.eye(2), atol=1e-15)
-    np.testing.assert_allclose(
-        rotation_for_alpha(0.25, 1.0), np.array([[0.0, 1.0], [-1.0, 0.0]]), atol=1e-15
-    )
-
-
-def test_rotation_quarter_angle_entries():
-    mat = rotation_for_alpha(0.25, 0.625)
-    root_half = math.sqrt(0.5)
-    np.testing.assert_allclose(np.abs(mat), root_half, atol=1e-15)
-
-
-def test_rotation_composition_identity():
-    rng = np.random.default_rng(29)
-    for _ in range(1000):
-        a = rng.uniform(0.05, 0.9)
-        alpha = a + (1.0 - a) * rng.random()
-        q_alpha = make_Q_alpha(a, alpha)
-        q_a = QuadForm(a, 0.0, 1.0)
-        mat = rotation_for_alpha(a, alpha)
-        np.testing.assert_allclose(mat @ mat.T, np.eye(2), atol=1e-12)
-        vs = rng.normal(size=(8, 2))
-        lhs = q_alpha.eval(vs @ mat.T)
-        rhs = q_a.eval(vs)
-        np.testing.assert_allclose(lhs, rhs, atol=1e-12 * float(np.max(np.abs(rhs)) + 1))
 
 
 def test_angle_index_maps_are_inverse():
@@ -292,10 +268,9 @@ def test_angle_maps_reject_out_of_range():
 
 def test_compose_rotation_matches_family():
     rng = np.random.default_rng(37)
-    q_a = QuadForm(0.25, 0.0, 1.0)
     for _ in range(100):
         theta = rng.uniform(0.0, 0.5 * math.pi)
-        rotated = compose_rotation(q_a, theta)
+        rotated = rotated_diagonal(0.25, theta)
         rebuilt = make_Q_alpha(0.25, alpha_of_theta(0.25, theta))
         assert rotated.alpha == pytest.approx(rebuilt.alpha, abs=1e-12)
         assert rotated.beta == pytest.approx(rebuilt.beta, abs=1e-12)
