@@ -339,7 +339,8 @@ def _cmd_optimize(cfg: dict) -> int:
             level=int(cfg["mesh_level"]),
         )
     except SolverConvergenceError as exc:
-        return _report_failure("optimize", json_path, exc)
+        profile = [[t, v] for t, v in exc.theta_profile]
+        return _report_failure("optimize", json_path, exc, theta_profile=profile)
     payload = {
         "command": "optimize",
         "status": "ok",

@@ -45,7 +45,7 @@ from .quadform import (
     quant_upper_bound,
     random_member,
 )
-from .solver import SolverOptions, solve_p, directional_constant
+from .solver import SolverConvergenceError, SolverOptions, solve_p, directional_constant
 
 DEFAULT_GRID_N = 17
 DEFAULT_THETA_TOL = 1e-4
@@ -150,7 +150,9 @@ def lambda_min(
     uniform grid, golden-section refines every bracket whose grid value ties
     with the minimum within twice the solver error bound, and reports the
     recovered extremal form.  ``lambda_max`` is the isotropic frequency on
-    the same mesh.
+    the same mesh.  A ``SolverConvergenceError`` from any of these solves is
+    re-raised with the (theta, value) grid pairs computed before it as its
+    ``theta_profile``.
     """
     if not 0.0 < a < 1.0:
         raise ValueError(f"need a in (0, 1), got {a}")
@@ -160,36 +162,41 @@ def lambda_min(
 
     mesh = build_mesh(d, level)
     thetas = np.linspace(0.0, 0.5 * math.pi, grid_n)
-    values = np.empty(grid_n)
-    residuals = np.empty(grid_n)
-    for i, th in enumerate(thetas):
-        values[i], residuals[i] = profile_value(mesh, th, a, p, opts)
-    profile = [(float(t), float(v)) for t, v in zip(thetas, values)]
+    profile: list[tuple[float, float]] = []
+    residuals = []
+    try:
+        for th in thetas:
+            value, residual = profile_value(mesh, th, a, p, opts)
+            profile.append((float(th), value))
+            residuals.append(residual)
+        iso = solve_p(mesh, QuadForm.identity(), p, opts)
+        values = np.array([v for _, v in profile])
+        max_residual = float(max(np.max(np.array(residuals) * values), iso.residual * iso.lam))
 
-    iso = solve_p(mesh, QuadForm.identity(), p, opts)
-    max_residual = float(max(np.max(residuals * values), iso.residual * iso.lam))
-
-    vmin = float(np.min(values))
-    tie_tol = 2.0 * max_residual
-    tied_idx = np.flatnonzero(values <= vmin + tie_tol)
-    # merge adjacent grid indices into brackets, refine each
-    groups: list[list[int]] = []
-    for i in tied_idx:
-        if groups and i == groups[-1][-1] + 1:
-            groups[-1].append(int(i))
-        else:
-            groups.append([int(i)])
-    tied = []
-    for grp in groups:
-        i_best = grp[int(np.argmin(values[grp]))]
-        lo = thetas[max(i_best - 1, 0)]
-        hi = thetas[min(i_best + 1, grid_n - 1)]
-        th_hat, v_hat = _golden_min(
-            lambda t: profile_value(mesh, t, a, p, opts)[0], float(lo), float(hi), theta_tol
-        )
-        if values[i_best] < v_hat:
-            th_hat, v_hat = float(thetas[i_best]), float(values[i_best])
-        tied.append((th_hat, v_hat))
+        vmin = float(np.min(values))
+        tie_tol = 2.0 * max_residual
+        tied_idx = np.flatnonzero(values <= vmin + tie_tol)
+        # merge adjacent grid indices into brackets, refine each
+        groups: list[list[int]] = []
+        for i in tied_idx:
+            if groups and i == groups[-1][-1] + 1:
+                groups[-1].append(int(i))
+            else:
+                groups.append([int(i)])
+        tied = []
+        for grp in groups:
+            i_best = grp[int(np.argmin(values[grp]))]
+            lo = thetas[max(i_best - 1, 0)]
+            hi = thetas[min(i_best + 1, grid_n - 1)]
+            th_hat, v_hat = _golden_min(
+                lambda t: profile_value(mesh, t, a, p, opts)[0], float(lo), float(hi), theta_tol
+            )
+            if values[i_best] < v_hat:
+                th_hat, v_hat = float(thetas[i_best]), float(values[i_best])
+            tied.append((th_hat, v_hat))
+    except SolverConvergenceError as exc:
+        exc.theta_profile = profile
+        raise
     tied.sort(key=lambda tv: tv[1])
     theta_star, lam_min = tied[0]
 

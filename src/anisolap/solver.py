@@ -5,17 +5,20 @@ The discrete problem minimizes the Rayleigh quotient
     R(u) = sum_T |T| Q(grad u|_T)^(p/2) / ||u||_p^p
 
 over zero-trace piecewise-linear functions, held as their values on the
-interior nodes.  A solve builds two sparse maps of its mesh once:
+interior nodes.  Every operator a solve needs depends on the mesh alone, so
+``_operators`` builds one record per mesh, the first time a solve sees it, and
+keeps it for as long as the mesh lives.  Its two sparse maps
 
     G    (2 n_tri x n_int)  values -> x gradients of the triangles, then y
     Mid  (3 n_tri x n_int)  values -> values at the triangles' edge midpoints
 
-and evaluates everything through them.  The energy E(u) = sum |T| Q(Gu)^(p/2)
-is exact per triangle (the integrand is constant); the p-norm N(u) =
-sum |T|/3 |Mid u|^p is the 3-point edge-midpoint rule.  Their gradients are
-G^T and Mid^T applied to per-triangle factors, and at p = 2 the same maps give
-the form's stiffness K = G^T (M2 (x) diag|T|) G and the consistent mass
-M = Mid^T diag(|T|/3) Mid.
+evaluate everything else.  The energy E(u) = sum |T| Q(Gu)^(p/2) is exact per
+triangle (the integrand is constant); the p-norm N(u) = sum |T|/3 |Mid u|^p is
+the 3-point edge-midpoint rule.  Their gradients are G^T and Mid^T applied to
+per-triangle factors.  The record also holds the consistent mass
+M = Mid^T diag(|T|/3) Mid and three stiffness pieces K_xx = G_x^T diag|T| G_x,
+K_xy + K_yx and K_yy, so the p = 2 stiffness of a form q is the sum
+K(q) = alpha K_xx + beta (K_xy + K_yx) + gamma K_yy.
 
 One path for every p > 1, built on one direct sparse factorization of K.
 Inverse iteration on the generalized symmetric pencil (K, M) gives the p = 2
@@ -39,6 +42,7 @@ inequality; it needs no solve.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,57 +110,107 @@ def _form_matrix(q: QuadForm) -> np.ndarray:
     return np.array([[q.alpha, q.beta], [q.beta, q.gamma]])
 
 
+def _maps(m: Mesh, cols: np.ndarray) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """G and Mid of ``m`` on the columns ``cols`` (node -> column index, -1
+    for a node held at zero), as CSR built from its arrays: every row holds
+    at most three entries in distinct columns, in increasing column order."""
+    nt, n_cols = m.n_triangles, int(cols.max()) + 1
+
+    def csr(idx, data):
+        # idx (rows, k) holds each row's columns in increasing order, -1 first
+        keep = idx >= 0
+        indptr = np.zeros(len(idx) + 1, dtype=np.int64)
+        np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+        return sp.csr_matrix((data[keep], idx[keep], indptr), shape=(len(idx), n_cols))
+
+    # sort each triangle's columns, carrying its gradient weights along
+    c = cols[m.triangles]
+    order = np.argsort((c + (n_cols + 1) * np.arange(nt)[:, None]).ravel(), kind="stable")
+    c_sorted = c.ravel()[order].reshape(nt, 3)
+    data = np.concatenate([m.grad_map[:, k].ravel()[order] for k in (0, 1)]).reshape(2 * nt, 3)
+    grad = csr(np.tile(c_sorted, (2, 1)), data)
+    # edge k of a triangle joins its local vertices k and k + 1
+    a = c.T
+    b = np.roll(a, -1, axis=0)
+    ends = np.stack([np.minimum(a, b).ravel(), np.maximum(a, b).ravel()], axis=1)
+    mid = csr(ends, np.full(ends.shape, 0.5))
+    return grad, mid
+
+
 @dataclass
 class _Operators:
-    """Sparse maps from nodal values on a set of columns (the interior nodes
-    in a solve, every node for ``energy`` and ``pnorm_p``) to per-triangle
-    values.  Only ``grad`` and ``mid`` own arrays; ``grad_t`` and ``mid_t``
-    are their ``.T`` views, kept so that a product does not rebuild one."""
+    """Everything a solve needs of one mesh, on its interior nodes: the maps
+    G and Mid, the mass M and the three pieces of the p = 2 stiffness K(q).
+    ``grad_t`` and ``mid_t`` are the ``.T`` views of the maps, kept so that a
+    product does not rebuild one.  ``_operators`` builds one per mesh."""
 
-    grad: sp.csr_matrix   # (2 n_tri, n_cols): x gradients of the triangles, then y gradients
-    mid: sp.csr_matrix    # (3 n_tri, n_cols): values at edge k of triangle t in row k n_tri + t
+    grad: sp.csr_matrix   # (2 n_tri, n_int): x gradients of the triangles, then y gradients
+    mid: sp.csr_matrix    # (3 n_tri, n_int): values at edge k of triangle t in row k n_tri + t
     grad_t: sp.csc_matrix
     mid_t: sp.csc_matrix
     area: np.ndarray      # (n_tri,) |T|
     weight: np.ndarray    # (3 n_tri,) midpoint-rule weights |T|/3
+    mass: sp.csc_matrix   # M = Mid^T diag(|T|/3) Mid, which is |T|/12 (1 + delta_ij) per triangle
+    k_xx: sp.csc_matrix   # G_x^T diag|T| G_x
+    k_xy: sp.csc_matrix   # G_x^T diag|T| G_y + G_y^T diag|T| G_x
+    k_yy: sp.csc_matrix   # G_y^T diag|T| G_y
+
+    def stiffness(self, m2: np.ndarray) -> sp.csc_matrix:
+        """K = G^T (m2 (x) diag|T|) G of the symmetric 2x2 matrix ``m2``, as
+        the sum of the three pieces."""
+        return m2[0, 0] * self.k_xx + m2[0, 1] * self.k_xy + m2[1, 1] * self.k_yy
 
 
-def _operators(m: Mesh, cols: np.ndarray) -> _Operators:
-    """G and Mid of ``m`` on the columns ``cols`` (node -> column index, -1
-    for a node held at zero)."""
-    nt, n_cols = m.n_triangles, int(cols.max()) + 1
-    c = cols[m.triangles]
-
-    def csr(rows, idx, vals, n_rows):
-        rows, idx, vals = np.broadcast_arrays(rows, idx, vals)
-        keep = idx >= 0
-        return sp.csr_matrix((vals[keep], (rows[keep], idx[keep])), shape=(n_rows, n_cols))
-
-    grad = csr(np.arange(2 * nt).reshape(2, nt, 1), c, m.grad_map.transpose(1, 0, 2), 2 * nt)
-    # edge k of a triangle joins its local vertices k and k + 1
-    ends = np.stack([c, np.roll(c, -1, axis=1)])
-    mid = csr(np.arange(3 * nt).reshape(3, nt).T, ends, 0.5, 3 * nt)
-    return _Operators(grad, mid, grad.T, mid.T, m.tri_area, np.tile(m.tri_area / 3.0, 3))
+# Mesh -> its _Operators.  A Mesh is immutable and hashes by identity, so a
+# record stays valid for the mesh's life and is dropped with it.
+_RECORDS: weakref.WeakKeyDictionary[Mesh, _Operators] = weakref.WeakKeyDictionary()
 
 
-def _on_all_nodes(m: Mesh, u: np.ndarray) -> tuple[_Operators, np.ndarray]:
+def _operators(m: Mesh) -> _Operators:
+    """The operator record of ``m``, built on the first call for that mesh."""
+    ops = _RECORDS.get(m)
+    if ops is None:
+        grad, mid = _maps(m, interior_dof_map(m)[0])
+        nt, area = m.n_triangles, m.tri_area
+        weight = np.tile(area / 3.0, 3)
+
+        def scaled(rows, w):
+            # diag(w) rows, in CSC for the products with a transposed map
+            data = rows.data * np.repeat(w, np.diff(rows.indptr))
+            return sp.csr_matrix((data, rows.indices, rows.indptr), shape=rows.shape).tocsc()
+
+        gx, gy = grad[:nt], grad[nt:]
+        agx, agy = scaled(gx, area), scaled(gy, area)
+        k_xy = gx.T @ agy
+        ops = _Operators(
+            grad, mid, grad.T, mid.T, area, weight,
+            mass=mid.T @ scaled(mid, weight),
+            k_xx=gx.T @ agx,
+            k_xy=k_xy + k_xy.T.tocsc(),
+            k_yy=gy.T @ agy,
+        )
+        _RECORDS[m] = ops
+    return ops
+
+
+def _on_all_nodes(m: Mesh, u: np.ndarray) -> tuple[sp.csr_matrix, sp.csr_matrix, np.ndarray]:
     u = np.asarray(u, dtype=float)
     if u.shape != (m.n_nodes,):
         raise ValueError(f"field has {u.shape} entries, mesh has {m.n_nodes} nodes")
-    return _operators(m, np.arange(m.n_nodes)), u
+    return *_maps(m, np.arange(m.n_nodes)), u
 
 
-def _energy(ops: _Operators, m2: np.ndarray, p: float, gu: np.ndarray) -> float:
+def _energy(area: np.ndarray, m2: np.ndarray, p: float, gu: np.ndarray) -> float:
     """sum_T |T| Q(grad u)^(p/2) from the stacked triangle gradients ``gu``."""
     g = gu.reshape(2, -1)
     q = np.maximum((g * (m2 @ g)).sum(axis=0), 0.0)
-    return float(ops.area @ q ** (0.5 * p))
+    return float(area @ q ** (0.5 * p))
 
 
 def energy(m: Mesh, q: QuadForm, p: float, u: np.ndarray) -> float:
     """Anisotropic gradient energy of a nodal field, exact per triangle."""
-    ops, u = _on_all_nodes(m, u)
-    return _energy(ops, _form_matrix(q), p, ops.grad @ u)
+    grad, _, u = _on_all_nodes(m, u)
+    return _energy(m.tri_area, _form_matrix(q), p, grad @ u)
 
 
 def pnorm_p(m: Mesh | _Operators, u: np.ndarray, p: float) -> float:
@@ -166,8 +220,8 @@ def pnorm_p(m: Mesh | _Operators, u: np.ndarray, p: float) -> float:
     solve, ``m`` is the solve's operators and ``u`` the edge-midpoint values
     ``Mid`` already gave (one call per trial point of the line search)."""
     if isinstance(m, Mesh):
-        m, u = _on_all_nodes(m, u)
-        u = m.mid @ u
+        _, mid, u = _on_all_nodes(m, u)
+        return float(np.tile(m.tri_area / 3.0, 3) @ np.abs(mid @ u) ** p)
     return float(m.weight @ np.abs(u) ** p)
 
 
@@ -181,7 +235,7 @@ def _point(
     nrm = pnorm_p(ops, y, p)
     if nrm <= 0.0:
         raise ValueError("candidate field vanishes identically")
-    lam = _energy(ops, m2, p, gu) / nrm
+    lam = _energy(ops.area, m2, p, gu) / nrm
     scale = nrm ** (-1.0 / p)
     return v * scale, gu * scale, y * scale, lam
 
@@ -199,14 +253,6 @@ def _gradient(
     flux = f * (p * ops.area * q ** (0.5 * p - 1.0))
     w = (lam * p) * ops.weight * np.sign(y) * np.abs(y) ** (p - 1.0)
     return ops.grad_t @ flux.ravel() - ops.mid_t @ w
-
-
-def _quadratic(ops: _Operators, m2: np.ndarray) -> tuple[sp.csc_matrix, sp.csc_matrix]:
-    """The p = 2 stiffness K = G^T (M2 (x) diag|T|) G and the consistent mass
-    M = Mid^T diag(|T|/3) Mid, which is |T|/12 (1 + delta_ij) per triangle."""
-    stiff = ops.grad_t @ (sp.kron(m2, sp.diags(ops.area), format="csr") @ ops.grad)
-    mass = ops.mid_t @ (sp.diags(ops.weight) @ ops.mid)
-    return stiff.tocsc(), mass.tocsc()
 
 
 def _inverse_iteration(
@@ -291,12 +337,14 @@ def _descent(
 def solve_p(m: Mesh, q: QuadForm, p: float, opts: SolverOptions | None = None) -> EigenResult:
     """Fundamental frequency for p > 1.
 
-    One factorization of the form's p = 2 stiffness K serves the inverse
-    iteration, the descent's preconditioner and the reported residual.  The
-    inverse iteration on the p = 2 pencil stops at the relative eigenvalue
-    change ``opts.tol`` and is the result at p = 2.  For other p its ground
-    state is the start of one projected descent at p, stopped at the residual
-    bound sqrt(opts.tol / RESIDUAL_SAFETY).  Raises ``SolverConvergenceError``,
+    The operators of ``m`` come from its record, built by the first solve on
+    ``m``; the form's p = 2 stiffness K is the three-term sum of its pieces.
+    One factorization of K serves the inverse iteration, the descent's
+    preconditioner and the reported residual.  The inverse iteration on the
+    p = 2 pencil stops at the relative eigenvalue change ``opts.tol`` and is
+    the result at p = 2.  For other p its ground state is the start of one
+    projected descent at p, stopped at the residual bound
+    sqrt(opts.tol / RESIDUAL_SAFETY).  Raises ``SolverConvergenceError``,
     carrying the last iterate, when the inverse iteration at p = 2 misses
     ``opts.tol`` or the descent misses its bound; ``iterations`` counts the
     iterations of both.  Either way the result's ``residual`` is the dual-norm
@@ -306,10 +354,14 @@ def solve_p(m: Mesh, q: QuadForm, p: float, opts: SolverOptions | None = None) -
         raise ValueError(f"need p > 1, got {p}")
     opts = opts or SolverOptions()
     m2 = _form_matrix(q)
-    ops = _operators(m, interior_dof_map(m)[0])
-    stiff, mass = _quadratic(ops, m2)
-    lu = splu(stiff)
-    u, iterations, converged = _inverse_iteration(stiff, mass, lu, opts)
+    ops = _operators(m)
+    stiff = ops.stiffness(m2)
+    # K is symmetric positive definite: a symmetric ordering and diagonal
+    # pivots give less fill than the default column ordering
+    lu = splu(
+        stiff, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+    )
+    u, iterations, converged = _inverse_iteration(stiff, ops.mass, lu, opts)
     if p == 2.0:
         failure = f"inverse iteration did not reach tol {opts.tol} in {opts.max_iter} iterations"
         u, gu, y, lam = _point(ops, m2, p, u)

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from anisolap import SolverOptions, cli, optimizer
+from anisolap import SolverConvergenceError, SolverOptions, cli, optimizer
 
 
 def run_config(tmp_path, config: dict) -> tuple[int, str]:
@@ -195,6 +195,27 @@ def test_solver_failure_is_reported(tmp_path, monkeypatch, capsys, config, modul
     assert payload["status"] == "failed" and payload["partial"]
     assert "residual" in payload["error"]
     assert "solver failed" in capsys.readouterr().err
+
+
+def test_optimize_failure_keeps_profile_so_far(tmp_path, monkeypatch):
+    # the third grid angle fails: the payload keeps the two values before it
+    real = optimizer.profile_value
+    seen = []
+
+    def failing_at_third(mesh, theta, a, p, opts=None):
+        value = real(mesh, theta, a, p, opts)
+        seen.append((float(theta), value[0]))
+        if len(seen) == 3:
+            best = optimizer.solve_p(mesh, optimizer.QuadForm.identity(), p, opts)
+            raise SolverConvergenceError("descent stopped", best)
+        return value
+
+    monkeypatch.setattr(optimizer, "profile_value", failing_at_third)
+    rc, out = run_config(tmp_path, {"command": "optimize", "mesh_level": 2, "grid_n": 9})
+    assert rc == 1
+    payload = json.loads(payload_text(out + ".json"))["payload"]
+    assert payload["status"] == "failed" and payload["partial"]
+    assert payload["theta_profile"] == [list(row) for row in seen[:2]]
 
 
 def test_verify_equal_levels_reports_finite_c0(tmp_path):

@@ -11,6 +11,7 @@ from anisolap import (
     OptimizeResult,
     QuadForm,
     Rectangle,
+    SolverConvergenceError,
     SolverOptions,
     alpha_of_theta,
     build_mesh,
@@ -87,6 +88,14 @@ def test_lambda_min_rejects_bad_arguments():
         lambda_min(SQUARE, 1.0, 2.0)
     with pytest.raises(ValueError):
         lambda_min(SQUARE, 0.25, 2.0, grid_n=5)
+
+
+def test_lambda_min_failure_carries_profile_so_far():
+    # the first grid solve misses its budget, so no grid value precedes it
+    with pytest.raises(SolverConvergenceError) as info:
+        lambda_min(SQUARE, 0.25, 2.0, grid_n=9, opts=SolverOptions(max_iter=1), level=2)
+    assert info.value.theta_profile == []
+    assert math.isfinite(info.value.best.lam)
 
 
 def test_lambda_min_disk_flat_profile():

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from scipy.sparse.linalg import eigsh, spsolve
 
 from anisolap import (
     Disk,
+    Mesh,
     QuadForm,
     Rectangle,
     SolverConvergenceError,
@@ -27,12 +30,13 @@ from anisolap import (
     solve_p,
 )
 from anisolap.solver import (
+    _RECORDS,
     RESIDUAL_SAFETY,
     _form_matrix,
     _gradient,
+    _maps,
     _operators,
     _point,
-    _quadratic,
 )
 
 PI2_HALF = math.pi**2 / 2.0
@@ -159,13 +163,11 @@ def test_solver_options_validation():
 # -------------------------------------------------------------- general p path
 
 
-def interior_operators(m):
-    return _operators(m, interior_dof_map(m)[0])
-
-
 def smallest_pencil_eigenvalue(m, m2) -> float:
-    stiff, mass = _quadratic(interior_operators(m), m2)
-    return float(eigsh(stiff, k=1, M=mass, sigma=0.0, which="LM", return_eigenvectors=False)[0])
+    ops = _operators(m)
+    return float(
+        eigsh(ops.stiffness(m2), k=1, M=ops.mass, sigma=0.0, which="LM", return_eigenvectors=False)[0]
+    )
 
 
 @pytest.mark.parametrize("domain", [Rectangle(1.0, 1.0), lshape()], ids=["square", "lshape"])
@@ -277,26 +279,72 @@ def test_descent_budget_miss_raises():
 
 
 def test_quadratic_matrices_match_element_assembly():
-    # K and M from the operators against a triangle-by-triangle assembly of
-    # the P1 stiffness of a form with beta != 0 and the consistent mass
+    # K = alpha K_xx + beta (K_xy + K_yx) + gamma K_yy and M from the mesh's
+    # operator record against a triangle-by-triangle assembly of the P1
+    # stiffness and the consistent mass, for the identity and forms with
+    # beta > 0 and beta < 0
     m = build_mesh(lshape(), 3)
-    m2 = _form_matrix(QuadForm(0.7, 0.3, 1.1))
     idx, n_int = interior_dof_map(m)
-    stiff_ref = np.zeros((n_int, n_int))
-    mass_ref = np.zeros((n_int, n_int))
-    for tri in m.triangles:
-        affine = np.column_stack([np.ones(3), m.nodes[tri]])
-        grads = np.linalg.inv(affine)[1:, :]  # column i: gradient of hat function i
-        area = 0.5 * abs(np.linalg.det(affine))
-        for a in range(3):
-            for b in range(3):
-                i, j = idx[tri[a]], idx[tri[b]]
-                if i >= 0 and j >= 0:
-                    stiff_ref[i, j] += area * grads[:, a] @ m2 @ grads[:, b]
-                    mass_ref[i, j] += area / 12.0 * (2.0 if a == b else 1.0)
-    stiff, mass = _quadratic(interior_operators(m), m2)
-    for got, ref in ((stiff, stiff_ref), (mass, mass_ref)):
-        assert np.max(np.abs(got.toarray() - ref)) <= 1e-13 * np.max(np.abs(ref))
+    ops = _operators(m)
+    for m2 in (np.eye(2), _form_matrix(QuadForm(0.7, 0.3, 1.1)), np.array([[0.9, -0.4], [-0.4, 0.5]])):
+        stiff_ref = np.zeros((n_int, n_int))
+        mass_ref = np.zeros((n_int, n_int))
+        for tri in m.triangles:
+            affine = np.column_stack([np.ones(3), m.nodes[tri]])
+            grads = np.linalg.inv(affine)[1:, :]  # column i: gradient of hat function i
+            area = 0.5 * abs(np.linalg.det(affine))
+            for a in range(3):
+                for b in range(3):
+                    i, j = idx[tri[a]], idx[tri[b]]
+                    if i >= 0 and j >= 0:
+                        stiff_ref[i, j] += area * grads[:, a] @ m2 @ grads[:, b]
+                        mass_ref[i, j] += area / 12.0 * (2.0 if a == b else 1.0)
+        for got, ref in ((ops.stiffness(m2), stiff_ref), (ops.mass, mass_ref)):
+            assert np.max(np.abs(got.toarray() - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("interior", [True, False], ids=["interior", "all-nodes"])
+@pytest.mark.parametrize("domain", [Rectangle(1.0, 1.0), lshape(), Disk(1.0)], ids=["square", "lshape", "disk"])
+def test_maps_match_coo_assembly(domain, interior):
+    # G and Mid, built directly as CSR, equal a COO-built reference exactly:
+    # the same rows, column order, stored zeros and values
+    m = build_mesh(domain, 3)
+    cols = interior_dof_map(m)[0] if interior else np.arange(m.n_nodes)
+    nt, n_cols = m.n_triangles, int(cols.max()) + 1
+    c = cols[m.triangles]
+
+    def coo(rows, idx, vals, n_rows):
+        rows, idx, vals = np.broadcast_arrays(rows, idx, vals)
+        keep = idx >= 0
+        return sp.coo_matrix((vals[keep], (rows[keep], idx[keep])), shape=(n_rows, n_cols)).tocsr()
+
+    grad_ref = coo(np.arange(2 * nt).reshape(2, nt, 1), c, m.grad_map.transpose(1, 0, 2), 2 * nt)
+    ends = np.stack([c, np.roll(c, -1, axis=1)])
+    mid_ref = coo(np.arange(3 * nt).reshape(3, nt).T, ends, 0.5, 3 * nt)
+    for got, ref in zip(_maps(m, cols), (grad_ref, mid_ref)):
+        assert got.shape == ref.shape
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, field), getattr(ref, field))
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_solve_keeps_no_hidden_state(p):
+    # a mesh that has served other forms gives the same solve, bit for bit,
+    # as a fresh copy of it; its operator record is released with it
+    m = build_mesh(lshape(), 3)
+    q = make_Q_alpha(0.25, 0.6)
+    for other in (QuadForm.identity(), make_Q_alpha(0.5, 0.7)):
+        solve_p(m, other, p)
+    used = solve_p(m, q, p)
+    fresh = solve_p(Mesh.from_arrays(m.nodes, m.triangles), q, p)
+    assert used.lam == fresh.lam
+    assert np.array_equal(used.u, fresh.u)
+    assert used.iterations == fresh.iterations
+    assert used.residual == fresh.residual
+    record = weakref.ref(_RECORDS[m])
+    del m
+    gc.collect()
+    assert record() is None
 
 
 def test_descent_direction_matches_finite_differences():
@@ -304,7 +352,7 @@ def test_descent_direction_matches_finite_differences():
     p = 2.5
     q = make_Q_alpha(0.25, 0.7)
     m2 = _form_matrix(q)
-    ops = interior_operators(m)
+    ops = _operators(m)
     rng = np.random.default_rng(13)
     interior = np.flatnonzero(~m.boundary_node)
     base = solve_p(m, QuadForm.identity(), 2.0).u
@@ -331,7 +379,7 @@ def test_gradient_from_trial_values_matches_fresh_evaluation(p):
     m = build_mesh(lshape(), 3)
     q = make_Q_alpha(0.25, 0.6)
     m2 = _form_matrix(q)
-    ops = interior_operators(m)
+    ops = _operators(m)
     rng = np.random.default_rng(7)
     u = np.abs(rng.normal(size=ops.grad.shape[1]))
     d = rng.normal(size=u.shape)
