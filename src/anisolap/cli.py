@@ -248,7 +248,14 @@ def _validate_verify(v: dict) -> None:
             raise ConfigError(f"verify.{key} must be at least 1, got {v[key]}")
 
 
+def _known_keys(obj: dict, allowed, prefix: str = "") -> None:
+    unknown = [key for key in obj if key not in allowed]
+    if unknown:
+        raise ConfigError("unknown config key " + ", ".join(prefix + str(k) for k in unknown))
+
+
 def _validate(cfg: dict) -> dict:
+    _known_keys(cfg, _DEFAULTS)
     if cfg["command"] is None:
         raise ConfigError("missing command (use --command or a config file)")
     if cfg["command"] not in ("eigen", "optimize", "sweep", "verify", "bounds"):
@@ -277,6 +284,7 @@ def _validate(cfg: dict) -> dict:
             raise ConfigError(f"bad form {cfg['form']!r}: {exc}") from exc
     if cfg["verify"] is not None and not isinstance(cfg["verify"], dict):
         raise ConfigError("verify must be a JSON object")
+    _known_keys(cfg["verify"] or {}, [*VERIFY_DEFAULTS, "n_boundary"], "verify.")
     if cfg["command"] == "verify":
         _validate_verify({**VERIFY_DEFAULTS, **_verify_config(cfg)})
     return cfg
@@ -419,6 +427,10 @@ def _cmd_bounds(cfg: dict) -> int:
                     f"{_fmt_float(a)},{_fmt_float(b)},{_fmt_float(p)},"
                     f"{_fmt_float(up)},{_fmt_float(lo)}"
                 )
+    if len(lines) == 1:
+        raise ConfigError(
+            f"bounds needs a pair with 0 < a <= b < 1, got a {a_values} and b {b_values}"
+        )
     csv_path = str(cfg["out"])
     if not csv_path.endswith(".csv"):
         csv_path += ".csv"

@@ -8,9 +8,21 @@ R^T diag(a, 1) R = make_Q_alpha(a, alpha_of_theta(a, theta)) on one mesh of
 the unmoved domain.  The change of variables x -> diag(1, sqrt(a)) R x makes
 it a^(p/2) times the isotropic frequency of the rotated, sheared domain, and
 the identity is exact for P1 elements on the mapped mesh, so a search meshes
-its domain once.  A coarse uniform grid plus golden-section refinement in
-the best bracket locates the minimizing angle; grid minima that tie within
-twice the largest solver error bound are all refined and reported.
+its domain once.
+
+``lambda_min`` samples the profile on a uniform grid of angles and refines
+each grid minimum from the grid's own samples.  The contract is that the
+profile is unimodal on the grid bracket of that minimum (the grid point and
+its two neighbours): then the returned angle lies within ``theta_tol`` of a
+minimizer.  An interior grid minimum starts Brent's parabolic search with
+golden-section fallback on its bracket, whose three values are already known,
+and the search stops when both bracket ends lie within ``theta_tol`` of the
+best angle.  A grid minimum at an end of [0, pi/2] costs one solve
+``theta_tol`` inward: if that value is not lower, the endpoint is the answer;
+otherwise Brent's search runs on (endpoint, inward angle, neighbour).  A grid
+spacing of at most ``theta_tol`` needs no refinement.  A refined value is the
+least value evaluated, so it never exceeds its grid value.  Grid minima that
+tie within twice the largest solver error bound are all refined and reported.
 
 The solver's error bound on a value lam is ``residual * lam``: the dual-norm
 residual of the eigenpair times its eigenvalue.  The eigenvalue error of a
@@ -62,7 +74,8 @@ SLACK = 0.02
 X_ARC = (-0.5 * math.pi, 0.0)
 Y_ARC = (0.0, 0.5 * math.pi)
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Golden-section fraction of the fallback step in ``_refine_min``.
+_CGOLD = 0.5 * (3.0 - math.sqrt(5.0))
 
 
 @dataclass
@@ -112,26 +125,75 @@ def profile_value(
     return res.lam, res.residual
 
 
-def _golden_min(f, lo: float, hi: float, xtol: float) -> tuple[float, float]:
-    """Golden-section minimization on [lo, hi]; returns the best point seen."""
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    fc, fd = f(c), f(d)
-    best_x, best_f = (c, fc) if fc <= fd else (d, fd)
-    while hi - lo > xtol:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INVPHI * (hi - lo)
-            fc = f(c)
-            if fc < best_f:
-                best_x, best_f = c, fc
+def _refine_min(
+    f, thetas: np.ndarray, values: np.ndarray, i: int, tol: float
+) -> tuple[float, float]:
+    """Refine the grid minimum ``values[i]`` = f(``thetas[i]``) to (theta,
+    f(theta)) as the module docstring describes: theta lies within ``tol`` of
+    a minimizer if ``f`` is unimodal on the grid bracket of ``thetas[i]``.
+
+    On a bracket (lo, x, hi) whose three values are known, f(x) the least,
+    Brent's method (Algorithms for Minimization without Derivatives, 1973,
+    ch. 5) steps to the vertex of the parabola through the three best points
+    seen, or takes a golden-section step into the larger side of x when that
+    vertex leaves the bracket or the steps stop shrinking.  No step lands
+    within tol/2 of x.  f(x) is always the least value evaluated."""
+    x, fx = float(thetas[i]), float(values[i])
+    if thetas[1] - thetas[0] <= tol:
+        return x, fx
+    if 0 < i < len(thetas) - 1:
+        lo, hi = float(thetas[i - 1]), float(thetas[i + 1])
+        f_lo, f_hi = float(values[i - 1]), float(values[i + 1])
+    else:
+        inward = x + tol if i == 0 else x - tol
+        f_in = f(inward)
+        if f_in >= fx:
+            return x, fx
+        j = 1 if i == 0 else i - 1
+        (lo, f_lo), (hi, f_hi) = sorted([(x, fx), (float(thetas[j]), float(values[j]))])
+        x, fx = inward, f_in
+    (w, fw), (v, fv) = sorted([(lo, f_lo), (hi, f_hi)], key=lambda pt: pt[1])
+    step = last = hi - lo  # lets the first parabola through the bracket be taken
+    tol1 = 0.5 * tol
+    while max(x - lo, hi - x) > tol:
+        mid = 0.5 * (lo + hi)
+        r = (x - w) * (fx - fv)
+        q = (x - v) * (fx - fw)
+        num = (x - v) * q - (x - w) * r
+        q = 2.0 * (q - r)
+        if q > 0.0:
+            num = -num
+        q = abs(q)
+        before_last, last = last, step
+        if (
+            abs(before_last) > tol1
+            and abs(num) < abs(0.5 * q * before_last)
+            and q * (lo - x) < num < q * (hi - x)
+        ):
+            step = num / q
+            if x + step - lo < tol or hi - (x + step) < tol:
+                step = math.copysign(tol1, mid - x)
         else:
-            lo, c, fc = c, d, fd
-            d = lo + _INVPHI * (hi - lo)
-            fd = f(d)
-            if fd < best_f:
-                best_x, best_f = d, fd
-    return best_x, best_f
+            last = (hi - x) if x < mid else (lo - x)
+            step = _CGOLD * last
+        u = x + (step if abs(step) >= tol1 else math.copysign(tol1, step))
+        fu = f(u)
+        if fu <= fx:
+            if u < x:
+                hi = x
+            else:
+                lo = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                lo = u
+            else:
+                hi = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx
 
 
 def lambda_min(
@@ -146,24 +208,35 @@ def lambda_min(
 ) -> OptimizeResult:
     """Smallest frequency over the coercivity class at level ``a``.
 
-    Meshes the domain once at ``level``.  Samples the rotation profile on a
-    uniform grid, golden-section refines every bracket whose grid value ties
-    with the minimum within twice the solver error bound, and reports the
-    recovered extremal form.  ``lambda_max`` is the isotropic frequency on
-    the same mesh.  A ``SolverConvergenceError`` from any of these solves is
-    re-raised with the (theta, value) grid pairs computed before it as its
-    ``theta_profile``.
+    Meshes the domain once at ``level`` and samples the rotation profile at
+    ``grid_n`` uniform angles in [0, pi/2].  Every grid minimum whose value
+    ties with the least within twice the solver error bound is refined on
+    its own grid bracket (``_refine_min``): Brent's search from the bracket's
+    three known values for an interior point, one solve ``theta_tol`` inward
+    for an endpoint, none when the grid spacing is at most ``theta_tol``.
+    Provided the profile is unimodal on each such bracket, every angle in
+    ``tied_minima`` lies within ``theta_tol`` of a minimizer.  The least of
+    them gives ``theta_star`` and the recovered extremal form.
+    ``lambda_max`` is the isotropic frequency on the same mesh.  A
+    ``SolverConvergenceError`` from any of these solves is re-raised with the
+    (theta, value) grid pairs computed before it as its ``theta_profile``.
     """
     if not 0.0 < a < 1.0:
         raise ValueError(f"need a in (0, 1), got {a}")
     if grid_n < 9:
         raise ValueError(f"grid_n must be at least 9, got {grid_n}")
+    if not theta_tol > 0.0:
+        raise ValueError(f"theta_tol must be positive, got {theta_tol}")
     opts = opts or SolverOptions()
 
     mesh = build_mesh(d, level)
     thetas = np.linspace(0.0, 0.5 * math.pi, grid_n)
     profile: list[tuple[float, float]] = []
     residuals = []
+
+    def f(theta: float) -> float:
+        return profile_value(mesh, theta, a, p, opts)[0]
+
     try:
         for th in thetas:
             value, residual = profile_value(mesh, th, a, p, opts)
@@ -185,15 +258,8 @@ def lambda_min(
                 groups.append([int(i)])
         tied = []
         for grp in groups:
-            i_best = grp[int(np.argmin(values[grp]))]
-            lo = thetas[max(i_best - 1, 0)]
-            hi = thetas[min(i_best + 1, grid_n - 1)]
-            th_hat, v_hat = _golden_min(
-                lambda t: profile_value(mesh, t, a, p, opts)[0], float(lo), float(hi), theta_tol
-            )
-            if values[i_best] < v_hat:
-                th_hat, v_hat = float(thetas[i_best]), float(values[i_best])
-            tied.append((th_hat, v_hat))
+            i = grp[int(np.argmin(values[grp]))]
+            tied.append(_refine_min(f, thetas, values, i, theta_tol))
     except SolverConvergenceError as exc:
         exc.theta_profile = profile
         raise

@@ -50,6 +50,17 @@ def payload_text(path: str) -> str:
             id="bounds-b-values-not-list",
         ),
         pytest.param(
+            {"command": "bounds", "a_values": [0.6], "b_values": [0.5]},
+            "0 < a <= b < 1",
+            id="bounds-no-valid-pair",
+        ),
+        pytest.param({"command": "eigen", "level": 2}, "key level", id="unknown-key"),
+        pytest.param(
+            {"command": "verify", "verify": {"gridn": 3}},
+            "key verify.gridn",
+            id="verify-unknown-key",
+        ),
+        pytest.param(
             {"command": "verify", "verify": {"suites": ["nonsense"]}},
             "verify.suites",
             id="verify-unknown-suite",
@@ -133,6 +144,16 @@ def test_bad_config_exits_2(tmp_path, capsys, config, field):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
     assert not (tmp_path / "run.json").exists()
+    assert not (tmp_path / "run.csv").exists()
+
+
+def test_bounds_skips_invalid_pairs_of_a_grid(tmp_path):
+    rc, out = run_config(tmp_path, {"command": "bounds", "a_values": [0.25, 0.6], "b_values": [0.5]})
+    assert rc == 0
+    with open(out + ".csv", encoding="utf-8") as fh:
+        header, *rows = fh.read().splitlines()
+    assert header.startswith("a,b,p,") and len(rows) == 1
+    assert rows[0].startswith("0.25,0.5,")
 
 
 def test_eigen_exits_0_with_deterministic_payload(tmp_path):

@@ -88,6 +88,8 @@ def test_lambda_min_rejects_bad_arguments():
         lambda_min(SQUARE, 1.0, 2.0)
     with pytest.raises(ValueError):
         lambda_min(SQUARE, 0.25, 2.0, grid_n=5)
+    with pytest.raises(ValueError, match="theta_tol"):
+        lambda_min(SQUARE, 0.25, 2.0, theta_tol=0.0)  # the refinement would never stop
 
 
 def test_lambda_min_failure_carries_profile_so_far():
@@ -143,6 +145,87 @@ def test_optimize_result_serializable():
     res = lambda_min(SQUARE, 0.25, 2.0, grid_n=9, level=3)
     payload = json.dumps(res.to_dict())
     assert "lambda_min" in payload
+
+
+# ---------------------------------------------------------------- angle refinement
+
+
+def refined(monkeypatch, c: float, theta_tol: float = 1e-4):
+    """``lambda_min`` at grid_n = 9 with ``optimizer.profile_value`` replaced
+    by exp(4 (theta - c)) - 4 (theta - c), unimodal and asymmetric with
+    minimum 1 at c: the result and the number of profile calls beyond the
+    grid."""
+    calls = []
+
+    def profile(mesh, theta, a, p, opts=None):
+        calls.append(float(theta))
+        s = 4.0 * (theta - c)
+        return math.exp(s) - s, 0.0
+
+    monkeypatch.setattr(optimizer, "profile_value", profile)
+    res = lambda_min(SQUARE, 0.25, 2.0, 9, level=2, theta_tol=theta_tol)
+    assert len(res.tied_minima) == 1
+    return res, len(calls) - 9
+
+
+def test_refinement_finds_off_grid_interior_minimum(monkeypatch):
+    c = 0.3  # between the grid angles pi/16 and pi/8
+    res, extra = refined(monkeypatch, c)
+    assert abs(res.theta_star - c) <= 1e-4
+    assert res.lambda_min == pytest.approx(1.0, abs=1e-7)
+    assert 0 < extra <= 10  # golden section would spend about 18
+
+
+@pytest.mark.parametrize("c, end", [(-0.2, 0), (2.0, -1)], ids=["zero", "quarter"])
+def test_refinement_endpoint_minimum_costs_one_call(monkeypatch, c, end):
+    res, extra = refined(monkeypatch, c)
+    assert extra == 1
+    assert (res.theta_star, res.lambda_min) == res.theta_profile[end]
+
+
+@pytest.mark.parametrize(
+    "c, end", [(3e-4, 0), (0.5 * math.pi - 3e-4, -1)], ids=["zero", "quarter"]
+)
+def test_refinement_minimum_near_endpoint_is_found(monkeypatch, c, end):
+    # 3 tol inside the endpoint: the check tol inward is lower, so it refines
+    res, extra = refined(monkeypatch, c)
+    assert extra > 1
+    assert abs(res.theta_star - c) <= 1e-4
+    assert res.lambda_min < res.theta_profile[end][1]
+
+
+@pytest.mark.parametrize("c", [0.3, -0.2], ids=["interior", "endpoint"])
+def test_refinement_skipped_when_grid_resolves_tolerance(monkeypatch, c):
+    h = 0.5 * math.pi / 8
+    res, extra = refined(monkeypatch, c, theta_tol=h)
+    assert extra == 0
+    assert res.theta_star in [t for t, _ in res.theta_profile]
+
+
+def test_lambda_min_rectangle_spends_one_refinement_solve(monkeypatch):
+    # the minimizer theta = 0 is an endpoint: one check solve, then done
+    calls = []
+    real = optimizer.profile_value
+
+    def counting(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(optimizer, "profile_value", counting)
+    res = lambda_min(Rectangle(1.0, 2.0), 0.25, 2.0, grid_n=9, level=3)
+    assert len(calls) == 9 + 1
+    assert calls[-1] == pytest.approx(1e-4)
+    assert res.theta_star == 0.0
+
+
+def test_lambda_min_lshape_tied_minima_are_symmetric():
+    # the L-shape is symmetric about the line y = -x, which maps the form at
+    # theta to the form at pi/2 - theta: its two minimizers tie
+    res = lambda_min(lshape(), 0.25, 2.0, level=3)
+    assert res.multiple_minima
+    (t1, v1), (t2, v2) = res.tied_minima
+    assert abs(t1 + t2 - 0.5 * math.pi) <= 2e-4
+    assert v1 == pytest.approx(v2, rel=1e-9)
 
 
 # ---------------------------------------------------------------- suites
