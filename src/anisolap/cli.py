@@ -10,11 +10,31 @@ sweep     tabulate profile values over user theta/a/p grids as CSV
 verify    run the verification suites; JSON report, exit 0 iff all entries pass
 bounds    tabulate the closed-form quantitative constants as CSV
 
-Flags mirror the run configuration; a JSON config file passed with --config
-overrides flag values.  Numbers are serialized with 17 significant digits and
-output files are written atomically.  The JSON envelope carries a timestamp
-outside the deterministic ``payload`` section so repeated runs with the same
-seed produce byte-identical payloads.
+The run configuration is one flat JSON object; flags set some of its keys,
+and a config file passed with --config overrides flag values.  Its keys:
+
+  command              one of the commands above
+  domain               a name (square, disk, lshape) or a domain JSON object
+  p, a                 exponent and coercivity level
+  b                    upper level of verify and bounds (unset: 0.5)
+  mesh_level (--level) refinement level of the domain's mesh, in [2, 9]
+  grid_n               angles in the optimize, sweep and verify searches
+  tol                  eigenvalue tolerance (see --tol)
+  out                  output path, without or with its suffix
+  seed                 seed of the verify samples
+  n_boundary           validated (at least 16) and changes no mesh
+  form                 the eigen form {"alpha", "beta", "gamma"}
+  thetas, a_values     sweep grids
+  b_values             bounds grid
+  p_values             exponent list of sweep, bounds and verify (else [p])
+  c0, lam1p            constants of the bounds table
+  n_samples, n_pairs,  read by verify only: rigidity samples and pairs, the
+  a_sequence, suites   relaxation levels and the suites to run
+
+Numbers are serialized with 17 significant digits and output files are
+written atomically.  The JSON envelope carries a timestamp outside the
+deterministic ``payload`` section so repeated runs with the same seed produce
+byte-identical payloads.
 """
 
 from __future__ import annotations
@@ -23,14 +43,12 @@ import argparse
 import datetime
 import json
 import math
-import os
 import sys
-import tempfile
 
 import numpy as np
 
 from .geometry import domain_from_json, domain_to_json
-from .mesh import build_mesh, write_nodal_values_csv
+from .mesh import _atomic_write, build_mesh, write_nodal_values_csv
 from .optimizer import VERIFY_DEFAULTS, lambda_min, run_verification
 from .quadform import QuadForm, quant_lower_constant, quant_upper_bound
 from .solver import SolverConvergenceError, SolverOptions, solve_p
@@ -56,7 +74,7 @@ _DEFAULTS = {
     "p_values": None,
     "c0": 1.0,
     "lam1p": 1.0,
-    "verify": None,
+    **{key: VERIFY_DEFAULTS[key] for key in ("n_samples", "n_pairs", "a_sequence", "suites")},
 }
 
 
@@ -96,20 +114,6 @@ def dumps_stable(obj, indent: int = 0) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     raise ConfigError(f"cannot serialize value of type {type(obj).__name__}")
-
-
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _write_report(path: str, payload: dict) -> None:
@@ -193,69 +197,59 @@ def _exponents(values, name: str) -> None:
 
 
 def _verify_config(cfg: dict) -> dict:
-    """The config passed to ``run_verification``: the ``verify`` object over
-    the flag values."""
-    flags = {
+    """The config passed to ``run_verification``, read from the flat keys."""
+    return {
         "domain": cfg["domain"],
         "a": float(cfg["a"]),
-        "p_list": [float(cfg["p"])],
+        "b": float(VERIFY_DEFAULTS["b"] if cfg["b"] is None else cfg["b"]),
+        "p_list": [float(p) for p in cfg["p_values"] or [cfg["p"]]],
         "level": int(cfg["mesh_level"]),
         "grid_n": int(cfg["grid_n"]),
-        "n_boundary": int(cfg["n_boundary"]),
         "seed": int(cfg["seed"]),
         "tol": float(cfg["tol"]),
+        "n_samples": int(cfg["n_samples"]),
+        "n_pairs": int(cfg["n_pairs"]),
+        "a_sequence": cfg["a_sequence"],
+        "suites": cfg["suites"],
     }
-    if cfg["b"] is not None:
-        flags["b"] = float(cfg["b"])
-    return {**flags, **(cfg["verify"] or {})}
 
 
-def _validate_run(cfg: dict, prefix: str, level_key: str) -> None:
-    """The mesh, angle-grid, solver and seed fields, which the flags and the
-    verify object share."""
-    level = cfg[level_key]
-    if not 2 <= _number(level, prefix + level_key, int) <= 9:
-        raise ConfigError(f"{prefix}{level_key} must lie in [2, 9], got {level}")
-    if _number(cfg["grid_n"], prefix + "grid_n", int) < 9:
-        raise ConfigError(f"{prefix}grid_n must be at least 9, got {cfg['grid_n']}")
-    if not _number(cfg["tol"], prefix + "tol") > 0.0:
-        raise ConfigError(f"{prefix}tol must be positive, got {cfg['tol']}")
-    if _number(cfg["n_boundary"], prefix + "n_boundary", int) < 16:
-        raise ConfigError(f"{prefix}n_boundary must be at least 16, got {cfg['n_boundary']}")
-    if _number(cfg["seed"], prefix + "seed", int) < 0:
-        raise ConfigError(f"{prefix}seed must be nonnegative, got {cfg['seed']}")
+def _validate_run(cfg: dict) -> None:
+    """The mesh, angle-grid, solver and seed fields."""
+    if not 2 <= _number(cfg["mesh_level"], "mesh_level", int) <= 9:
+        raise ConfigError(f"mesh_level must lie in [2, 9], got {cfg['mesh_level']}")
+    if _number(cfg["grid_n"], "grid_n", int) < 9:
+        raise ConfigError(f"grid_n must be at least 9, got {cfg['grid_n']}")
+    if not _number(cfg["tol"], "tol") > 0.0:
+        raise ConfigError(f"tol must be positive, got {cfg['tol']}")
+    if _number(cfg["n_boundary"], "n_boundary", int) < 16:
+        raise ConfigError(f"n_boundary must be at least 16, got {cfg['n_boundary']}")
+    if _number(cfg["seed"], "seed", int) < 0:
+        raise ConfigError(f"seed must be nonnegative, got {cfg['seed']}")
     try:
         domain_from_json(cfg["domain"])
     except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"bad {prefix}domain spec: {exc}") from exc
+        raise ConfigError(f"bad domain spec: {exc}") from exc
 
 
-def _validate_verify(v: dict) -> None:
-    _validate_run(v, "verify.", "level")
-    _exponents(v["p_list"], "verify.p_list")
+def _validate_verify_keys(cfg: dict) -> None:
+    """The keys only ``verify`` reads."""
     names = VERIFY_DEFAULTS["suites"]
-    suites = v["suites"]
+    suites = cfg["suites"]
     if not isinstance(suites, list) or not suites or any(s not in names for s in suites):
-        raise ConfigError(f"verify.suites must be a non-empty list from {names}, got {suites!r}")
-    a, b = _number(v["a"], "verify.a"), _number(v["b"], "verify.b")
-    if not 0.0 < a <= b < 1.0:
-        raise ConfigError(f"verify needs 0 < a <= b < 1, got a={a}, b={b}")
-    seq = _numbers(v["a_sequence"], "verify.a_sequence", lambda x: 0.0 < x < 1.0, "lie in (0, 1)")
+        raise ConfigError(f"suites must be a non-empty list from {names}, got {suites!r}")
+    seq = _numbers(cfg["a_sequence"], "a_sequence", lambda x: 0.0 < x < 1.0, "lie in (0, 1)")
     if any(a2 >= a1 for a1, a2 in zip(seq, seq[1:])):
-        raise ConfigError(f"verify.a_sequence must be strictly decreasing, got {seq}")
+        raise ConfigError(f"a_sequence must be strictly decreasing, got {seq}")
     for key in ("n_samples", "n_pairs"):
-        if _number(v[key], f"verify.{key}", int) < 1:
-            raise ConfigError(f"verify.{key} must be at least 1, got {v[key]}")
-
-
-def _known_keys(obj: dict, allowed, prefix: str = "") -> None:
-    unknown = [key for key in obj if key not in allowed]
-    if unknown:
-        raise ConfigError("unknown config key " + ", ".join(prefix + str(k) for k in unknown))
+        if _number(cfg[key], key, int) < 1:
+            raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
 
 
 def _validate(cfg: dict) -> dict:
-    _known_keys(cfg, _DEFAULTS)
+    unknown = [str(key) for key in cfg if key not in _DEFAULTS]
+    if unknown:
+        raise ConfigError("unknown config key " + ", ".join(unknown))
     if cfg["command"] is None:
         raise ConfigError("missing command (use --command or a config file)")
     if cfg["command"] not in ("eigen", "optimize", "sweep", "verify", "bounds"):
@@ -266,7 +260,7 @@ def _validate(cfg: dict) -> dict:
         raise ConfigError(f"a must lie in (0, 1], got {cfg['a']}")
     if cfg["b"] is not None:
         _number(cfg["b"], "b")
-    _validate_run(cfg, "", "mesh_level")
+    _validate_run(cfg)
     _number(cfg["c0"], "c0")
     _number(cfg["lam1p"], "lam1p")
     if cfg["p_values"] is not None:
@@ -282,11 +276,11 @@ def _validate(cfg: dict) -> dict:
             QuadForm.from_dict(cfg["form"])
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"bad form {cfg['form']!r}: {exc}") from exc
-    if cfg["verify"] is not None and not isinstance(cfg["verify"], dict):
-        raise ConfigError("verify must be a JSON object")
-    _known_keys(cfg["verify"] or {}, [*VERIFY_DEFAULTS, "n_boundary"], "verify.")
+    _validate_verify_keys(cfg)
     if cfg["command"] == "verify":
-        _validate_verify({**VERIFY_DEFAULTS, **_verify_config(cfg)})
+        v = _verify_config(cfg)
+        if not 0.0 < v["a"] <= v["b"] < 1.0:
+            raise ConfigError(f"verify needs 0 < a <= b < 1, got a={v['a']}, b={v['b']}")
     return cfg
 
 

@@ -103,9 +103,10 @@ def _is_simple(v: np.ndarray) -> bool:
         if np.any(proper):
             return False
         scale = float(np.max(np.abs(v))) ** 2 + 1.0
-        touching = (np.abs(d1) < 1e-14 * scale) | (np.abs(d2) < 1e-14 * scale)
+        # an endpoint of either edge on the line of the other: collinear
+        # contact between non-adjacent edges counts as non-simple
+        touching = np.min(np.abs([d1, d2, d3, d4]), axis=0) < 1e-14 * scale
         if np.any(touching):
-            # collinear contact between non-adjacent edges counts as non-simple
             for jj, t in zip(j, touching):
                 if not t:
                     continue

@@ -12,6 +12,8 @@ measured up to level 6) and the boundary error falls as O(h^2).
 
 from __future__ import annotations
 
+import os
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,13 +263,27 @@ def _csv_text(header: str, row: str, table: np.ndarray) -> str:
     return header + (row * len(table)) % tuple(table.ravel().tolist())
 
 
+def _atomic_write(path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it onto
+    ``path``: readers see the old file or the whole new one, never a part."""
+    directory = os.path.dirname(os.path.abspath(path)) or "."
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_mesh_csv(m: Mesh, nodes_path, triangles_path) -> None:
     """Write node and triangle lists as CSV (x, y, boundary) / (i0, i1, i2)."""
     nodes = np.column_stack([m.nodes, m.boundary_node])
-    with open(nodes_path, "w", encoding="utf-8") as fh:
-        fh.write(_csv_text("x,y,boundary\n", "%.17g,%.17g,%d\n", nodes))
-    with open(triangles_path, "w", encoding="utf-8") as fh:
-        fh.write(_csv_text("i0,i1,i2\n", "%d,%d,%d\n", m.triangles))
+    _atomic_write(nodes_path, _csv_text("x,y,boundary\n", "%.17g,%.17g,%d\n", nodes))
+    _atomic_write(triangles_path, _csv_text("i0,i1,i2\n", "%d,%d,%d\n", m.triangles))
 
 
 def write_nodal_values_csv(m: Mesh, values: np.ndarray, path, name: str = "u") -> None:
@@ -276,5 +292,4 @@ def write_nodal_values_csv(m: Mesh, values: np.ndarray, path, name: str = "u") -
     if values.shape != (m.n_nodes,):
         raise ValueError("values must have one entry per mesh node")
     table = np.column_stack([m.nodes, values])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_csv_text(f"x,y,{name}\n", "%.17g,%.17g,%.17g\n", table))
+    _atomic_write(path, _csv_text(f"x,y,{name}\n", "%.17g,%.17g,%.17g\n", table))

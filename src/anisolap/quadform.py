@@ -27,6 +27,10 @@ CLASS_ATOL = 1e-12
 # anisotropic index of a decomposition.
 ROUTE_CHECK_ATOL = 1e-10
 
+# Upper end of the levels ``random_member`` draws: it keeps the samples away
+# from the ill-conditioned identity endpoint.
+_B_MAX = 0.995
+
 
 class NegativeBetaError(ValueError):
     """Cross coefficient is negative; conjugate with ``reflect_y`` first."""
@@ -304,14 +308,13 @@ def quant_lower_constant(a: float, b: float, p: float, c0: float, lam1p: float) 
     return 0.5 * p * b ** (0.5 * (2.0 - p)) * lam1p ** (0.5 * (p - 2.0)) * c0 ** (2.0 / p)
 
 
-def random_member(a: float, rng: np.random.Generator, *, b_max: float = 0.995) -> QuadForm:
+def random_member(a: float, rng: np.random.Generator) -> QuadForm:
     """Random normalized form with coercivity at least ``a``, never the identity.
 
-    Samples a level b in [a, a + (b_max - a)) and a uniform extremal index at
-    that level.  ``b_max`` keeps the sample away from the ill-conditioned
-    identity endpoint.
+    Samples a level b in [a, _B_MAX) and a uniform extremal index at that
+    level.
     """
     _check_level_open(a)
-    b = a + (min(b_max, 1.0) - a) * rng.random()
+    b = a + (_B_MAX - a) * rng.random()
     alpha_bar = b + (1.0 - b) * rng.random()
     return make_Q_alpha(b, alpha_bar)

@@ -106,10 +106,6 @@ class SolverConvergenceError(RuntimeError):
         self.best = best
 
 
-def _form_matrix(q: QuadForm) -> np.ndarray:
-    return np.array([[q.alpha, q.beta], [q.beta, q.gamma]])
-
-
 def _maps(m: Mesh, cols: np.ndarray) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """G and Mid of ``m`` on the columns ``cols`` (node -> column index, -1
     for a node held at zero), as CSR built from its arrays: every row holds
@@ -210,7 +206,7 @@ def _energy(area: np.ndarray, m2: np.ndarray, p: float, gu: np.ndarray) -> float
 def energy(m: Mesh, q: QuadForm, p: float, u: np.ndarray) -> float:
     """Anisotropic gradient energy of a nodal field, exact per triangle."""
     grad, _, u = _on_all_nodes(m, u)
-    return _energy(m.tri_area, _form_matrix(q), p, grad @ u)
+    return _energy(m.tri_area, q.matrix(), p, grad @ u)
 
 
 def pnorm_p(m: Mesh | _Operators, u: np.ndarray, p: float) -> float:
@@ -353,7 +349,7 @@ def solve_p(m: Mesh, q: QuadForm, p: float, opts: SolverOptions | None = None) -
     if p <= 1.0:
         raise ValueError(f"need p > 1, got {p}")
     opts = opts or SolverOptions()
-    m2 = _form_matrix(q)
+    m2 = q.matrix()
     ops = _operators(m)
     stiff = ops.stiffness(m2)
     # K is symmetric positive definite: a symmetric ordering and diagonal

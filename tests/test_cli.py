@@ -35,11 +35,7 @@ def payload_text(path: str) -> str:
             id="missing-key",
         ),
         pytest.param({"command": "eigen", "p": "abc"}, "p must", id="non-numeric-p"),
-        pytest.param(
-            {"command": "verify", "verify": {"p_list": [0.5]}},
-            "verify.p_list",
-            id="verify-p-list",
-        ),
+        pytest.param({"command": "verify", "p_values": [0.5]}, "p_values must", id="verify-p-list"),
         pytest.param({"command": "sweep", "p_values": [2.0, 1.0]}, "p_values", id="sweep-p-values"),
         pytest.param({"command": "sweep", "thetas": [0.0, 2.0]}, "thetas", id="sweep-thetas"),
         pytest.param({"command": "sweep", "a_values": [0.0]}, "a_values", id="sweep-a-values"),
@@ -55,86 +51,55 @@ def payload_text(path: str) -> str:
             id="bounds-no-valid-pair",
         ),
         pytest.param({"command": "eigen", "level": 2}, "key level", id="unknown-key"),
+        pytest.param({}, "missing command", id="no-command"),
+        pytest.param({"command": "plot"}, "unknown command", id="unknown-command"),
+        pytest.param({"command": "eigen", "p": 1.0}, "p must exceed 1", id="p-one"),
+        pytest.param({"command": "eigen", "a": 1.5}, "a must lie in (0, 1]", id="a-above-one"),
+        pytest.param({"command": "optimize", "a": 1.0}, "optimize needs a", id="optimize-a-one"),
         pytest.param(
-            {"command": "verify", "verify": {"gridn": 3}},
-            "key verify.gridn",
+            {"command": "verify", "verify": {"suites": ["disk"]}},
+            "unknown config key verify",
             id="verify-unknown-key",
         ),
         pytest.param(
-            {"command": "verify", "verify": {"suites": ["nonsense"]}},
-            "verify.suites",
-            id="verify-unknown-suite",
+            {"command": "verify", "suites": ["nonsense"]}, "suites must", id="verify-unknown-suite"
         ),
+        pytest.param({"command": "verify", "suites": []}, "suites must", id="verify-no-suites"),
         pytest.param(
-            {"command": "verify", "verify": {"suites": []}},
-            "verify.suites",
-            id="verify-no-suites",
-        ),
-        pytest.param(
-            {"command": "verify", "verify": {"a_sequence": [0.25, 0.5]}},
-            "verify.a_sequence",
+            {"command": "verify", "a_sequence": [0.25, 0.5]},
+            "a_sequence must",
             id="verify-a-sequence-increasing",
         ),
         pytest.param(
-            {"command": "verify", "verify": {"a_sequence": [1.5, 0.5]}},
-            "verify.a_sequence",
+            {"command": "verify", "a_sequence": [1.5, 0.5]},
+            "a_sequence must",
             id="verify-a-sequence-range",
         ),
-        pytest.param(
-            {"command": "verify", "verify": {"a": 0.75, "b": 0.5}},
-            "a <= b",
-            id="verify-a-above-b",
-        ),
+        pytest.param({"command": "verify", "a": 0.75, "b": 0.5}, "a <= b", id="verify-a-above-b"),
         pytest.param({"command": "verify", "b": 1.0}, "a <= b", id="verify-b-one"),
         pytest.param(
-            {"command": "verify", "verify": {"n_samples": 0}},
-            "verify.n_samples",
-            id="verify-n-samples",
+            {"command": "verify", "n_samples": 0}, "n_samples must", id="verify-n-samples"
         ),
         pytest.param(
-            {"command": "verify", "verify": {"level": "abc", "suites": ["rigidity"]}},
-            "verify.level",
-            id="verify-level-string",
+            {"command": "verify", "mesh_level": "abc"}, "mesh_level must", id="verify-level-string"
         ),
         pytest.param(
-            {"command": "verify", "verify": {"level": 1, "suites": ["rigidity"]}},
-            "verify.level",
-            id="verify-level-range",
+            {"command": "verify", "mesh_level": 1}, "mesh_level must", id="verify-level-range"
         ),
         pytest.param(
-            {"command": "verify", "verify": {"level": math.inf, "suites": ["rigidity"]}},
-            "verify.level",
+            {"command": "verify", "mesh_level": math.inf},
+            "mesh_level must",
             id="verify-level-infinite",
         ),
+        pytest.param({"command": "verify", "grid_n": 3}, "grid_n must", id="verify-grid-n"),
         pytest.param(
-            {"command": "verify", "verify": {"grid_n": 3, "suites": ["rectangle"]}},
-            "verify.grid_n",
-            id="verify-grid-n",
+            {"command": "verify", "n_boundary": 4}, "n_boundary must", id="verify-n-boundary"
         ),
+        pytest.param({"command": "verify", "n_pairs": 0}, "n_pairs must", id="verify-n-pairs"),
+        pytest.param({"command": "verify", "seed": -1}, "seed must", id="verify-seed"),
+        pytest.param({"command": "verify", "tol": 0.0}, "tol must", id="verify-tol"),
         pytest.param(
-            {"command": "verify", "verify": {"n_boundary": 4, "suites": ["disk"]}},
-            "verify.n_boundary",
-            id="verify-n-boundary",
-        ),
-        pytest.param(
-            {"command": "verify", "verify": {"n_pairs": 0, "level": 2, "suites": ["rigidity"]}},
-            "verify.n_pairs",
-            id="verify-n-pairs",
-        ),
-        pytest.param(
-            {"command": "verify", "verify": {"seed": -1, "level": 2, "suites": ["rigidity"]}},
-            "verify.seed",
-            id="verify-seed",
-        ),
-        pytest.param(
-            {"command": "verify", "verify": {"tol": 0.0, "level": 2, "suites": ["rigidity"]}},
-            "verify.tol",
-            id="verify-tol",
-        ),
-        pytest.param(
-            {"command": "verify", "verify": {"domain": "nonsense", "suites": ["rigidity"]}},
-            "verify.domain",
-            id="verify-domain",
+            {"command": "verify", "domain": "nonsense"}, "bad domain spec", id="verify-domain"
         ),
     ],
 )
@@ -179,7 +144,7 @@ def test_eigen_failure_keeps_options_block(tmp_path, monkeypatch):
 
 def test_verify_rectangle_suite_exits_1(tmp_path):
     rc, out = run_config(
-        tmp_path, {"command": "verify", "mesh_level": 2, "verify": {"suites": ["rectangle"]}}
+        tmp_path, {"command": "verify", "mesh_level": 2, "suites": ["rectangle"]}
     )
     assert rc == 1
     report = json.loads(payload_text(out + ".json"))["payload"]["report"]
@@ -201,7 +166,7 @@ def test_eigen_failure_after_one_iteration_is_reported(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "config, module",
     [
-        ({"command": "verify", "verify": {"suites": ["rectangle"]}}, optimizer),
+        ({"command": "verify", "suites": ["rectangle"]}, optimizer),
         ({"command": "sweep", "thetas": [0.0, 0.5]}, cli),
     ],
     ids=["verify", "sweep"],
@@ -242,8 +207,8 @@ def test_optimize_failure_keeps_profile_so_far(tmp_path, monkeypatch):
 def test_verify_equal_levels_reports_finite_c0(tmp_path):
     # a = b makes the difference bound trivial, but its entry still carries
     # the closed-form constant, a finite number the report can hold
-    verify = {"a": 0.25, "b": 0.25, "suites": ["quantitative"]}
-    rc, out = run_config(tmp_path, {"command": "verify", "mesh_level": 2, "verify": verify})
+    config = {"command": "verify", "mesh_level": 2, "a": 0.25, "b": 0.25, "suites": ["quantitative"]}
+    rc, out = run_config(tmp_path, config)
     assert rc == 0
     entries = json.loads(payload_text(out + ".json"))["payload"]["report"]["entries"]
     measured = entries[1]["measured"]
@@ -264,3 +229,13 @@ def test_sweep_at_full_coercivity_is_isotropic(tmp_path):
     assert rc == 0
     eigen = json.loads(payload_text(out + ".json"))["payload"]["result"]["lambda"]
     assert float(row.split(",")[3]) == eigen
+
+
+def test_verify_accepts_n_boundary_and_reports_none(tmp_path):
+    # n_boundary is kept for existing command lines: it is validated, changes
+    # no mesh and stays out of the verify report
+    config = {"command": "verify", "mesh_level": 2, "n_boundary": 32, "suites": ["rigidity"]}
+    rc, out = run_config(tmp_path, config)
+    assert rc == 0
+    report = json.loads(payload_text(out + ".json"))["payload"]["report"]
+    assert "n_boundary" not in report["config"]

@@ -67,6 +67,18 @@ def test_domain_validation():
         Disk(-1.0)
     with pytest.raises(ValueError):
         Rectangle(0.0, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        Polygon([[0.0, 0.0], [1.0, 0.0], [math.nan, 1.0]])
+    # a bow-tie with unequal lobes (positive area) whose edges cross, and two
+    # triangles whose shared vertex lies inside a non-adjacent edge, that edge
+    # coming after the vertex's edges and before them
+    for vertices in (
+        [[0, 0], [2, 2], [2, 0], [0, 3]],
+        [[0, 0], [4, 0], [4, 4], [2, 0], [0, 4]],
+        [[4, 0], [4, 4], [2, 0], [0, 4], [0, 0]],
+    ):
+        with pytest.raises(ValueError, match="simple"):
+            Polygon(np.array(vertices, dtype=float))
 
 
 # --------------------------------------------------------------------- json

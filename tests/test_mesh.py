@@ -118,6 +118,19 @@ def test_csv_exports(tmp_path):
         write_nodal_values_csv(m, np.ones(3), tmp_path / "bad.csv")
 
 
+def test_csv_writer_keeps_old_file_on_failure(tmp_path):
+    # a write that fails part way (a header the encoder rejects) leaves the
+    # previous file whole and no temporary file behind
+    m = build_mesh(Rectangle(1.0, 1.0), 1)
+    path = tmp_path / "u.csv"
+    write_nodal_values_csv(m, np.ones(m.n_nodes), path)
+    before = path.read_bytes()
+    with pytest.raises(UnicodeEncodeError):
+        write_nodal_values_csv(m, np.zeros(m.n_nodes), path, name="\ud800")
+    assert path.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["u.csv"]
+
+
 def test_csv_exports_match_per_row_formatting(tmp_path):
     # the writers format whole columns at once; the bytes must equal those of
     # formatting every float on its own with ".17g"

@@ -202,6 +202,21 @@ def test_refinement_skipped_when_grid_resolves_tolerance(monkeypatch, c):
     assert res.theta_star in [t for t, _ in res.theta_profile]
 
 
+def test_lambda_min_residual_covers_refinement_solves(monkeypatch):
+    # only the solves off the grid report a residual: their bound residual *
+    # lam reaches the result, and the tie tolerance stays that of the grid
+    grid = set(np.linspace(0.0, 0.5 * math.pi, 9).tolist())
+
+    def profile(mesh, theta, a, p, opts=None):
+        s = 4.0 * (theta - 0.3)
+        return math.exp(s) - s, 0.0 if float(theta) in grid else 0.5
+
+    monkeypatch.setattr(optimizer, "profile_value", profile)
+    res = lambda_min(SQUARE, 0.25, 2.0, 9, level=2)
+    assert res.residual >= 0.5 * res.lambda_min
+    assert len(res.tied_minima) == 1
+
+
 def test_lambda_min_rectangle_spends_one_refinement_solve(monkeypatch):
     # the minimizer theta = 0 is an endpoint: one check solve, then done
     calls = []
