@@ -8,7 +8,6 @@ optimize  minimize over rotations at a coercivity level; JSON result plus a
           rotation-profile CSV
 sweep     tabulate profile values over user theta/a/p grids as CSV
 verify    run the verification suites; JSON report, exit 0 iff all entries pass
-bounds    tabulate the closed-form quantitative constants as CSV
 
 The run configuration is one flat JSON object; flags set some of its keys,
 and a config file passed with --config overrides flag values.  Its keys:
@@ -16,7 +15,7 @@ and a config file passed with --config overrides flag values.  Its keys:
   command              one of the commands above
   domain               a name (square, disk, lshape) or a domain JSON object
   p, a                 exponent and coercivity level
-  b                    upper level of verify and bounds (unset: 0.5)
+  b                    upper level, read by verify only
   mesh_level (--level) refinement level of the domain's mesh, in [2, 9]
   grid_n               angles in the optimize, sweep and verify searches
   tol                  eigenvalue tolerance (see --tol)
@@ -25,9 +24,7 @@ and a config file passed with --config overrides flag values.  Its keys:
   n_boundary           validated (at least 16) and changes no mesh
   form                 the eigen form {"alpha", "beta", "gamma"}
   thetas, a_values     sweep grids
-  b_values             bounds grid
-  p_values             exponent list of sweep, bounds and verify (else [p])
-  c0, lam1p            constants of the bounds table
+  p_values             exponent list of sweep and verify (else [p])
   n_samples, n_pairs,  read by verify only: rigidity samples and pairs, the
   a_sequence, suites   relaxation levels and the suites to run
 
@@ -50,7 +47,7 @@ import numpy as np
 from .geometry import domain_from_json, domain_to_json
 from .mesh import _atomic_write, build_mesh, write_nodal_values_csv
 from .optimizer import VERIFY_DEFAULTS, lambda_min, run_verification
-from .quadform import QuadForm, quant_lower_constant, quant_upper_bound
+from .quadform import QuadForm
 from .solver import SolverConvergenceError, SolverOptions, solve_p
 
 SCHEMA_VERSION = 1
@@ -60,7 +57,6 @@ _DEFAULTS = {
     "domain": "square",
     "p": 2.0,
     "a": 0.25,
-    "b": None,
     "mesh_level": 5,
     "grid_n": 17,
     "tol": 1e-9,
@@ -70,11 +66,8 @@ _DEFAULTS = {
     "form": None,
     "thetas": None,
     "a_values": None,
-    "b_values": None,
     "p_values": None,
-    "c0": 1.0,
-    "lam1p": 1.0,
-    **{key: VERIFY_DEFAULTS[key] for key in ("n_samples", "n_pairs", "a_sequence", "suites")},
+    **{key: VERIFY_DEFAULTS[key] for key in ("b", "n_samples", "n_pairs", "a_sequence", "suites")},
 }
 
 
@@ -131,7 +124,7 @@ def _parse_args(argv) -> dict:
         description="Fundamental frequencies and optimal anisotropies of planar "
         "quadratic-form p-Laplace operators.",
     )
-    ap.add_argument("--command", choices=["eigen", "optimize", "sweep", "verify", "bounds"])
+    ap.add_argument("--command", choices=["eigen", "optimize", "sweep", "verify"])
     ap.add_argument("--config", help="JSON config file; overrides flags")
     ap.add_argument("--domain", help="domain name or inline JSON object")
     ap.add_argument("--domain-file", help="JSON file holding the domain spec")
@@ -201,7 +194,7 @@ def _verify_config(cfg: dict) -> dict:
     return {
         "domain": cfg["domain"],
         "a": float(cfg["a"]),
-        "b": float(VERIFY_DEFAULTS["b"] if cfg["b"] is None else cfg["b"]),
+        "b": float(cfg["b"]),
         "p_list": [float(p) for p in cfg["p_values"] or [cfg["p"]]],
         "level": int(cfg["mesh_level"]),
         "grid_n": int(cfg["grid_n"]),
@@ -252,25 +245,20 @@ def _validate(cfg: dict) -> dict:
         raise ConfigError("unknown config key " + ", ".join(unknown))
     if cfg["command"] is None:
         raise ConfigError("missing command (use --command or a config file)")
-    if cfg["command"] not in ("eigen", "optimize", "sweep", "verify", "bounds"):
+    if cfg["command"] not in ("eigen", "optimize", "sweep", "verify"):
         raise ConfigError(f"unknown command {cfg['command']!r}")
     if not _number(cfg["p"], "p") > 1.0:
         raise ConfigError(f"p must exceed 1, got {cfg['p']}")
     if not 0.0 < _number(cfg["a"], "a") <= 1.0:
         raise ConfigError(f"a must lie in (0, 1], got {cfg['a']}")
-    if cfg["b"] is not None:
-        _number(cfg["b"], "b")
+    _number(cfg["b"], "b")
     _validate_run(cfg)
-    _number(cfg["c0"], "c0")
-    _number(cfg["lam1p"], "lam1p")
     if cfg["p_values"] is not None:
         _exponents(cfg["p_values"], "p_values")
     if cfg["thetas"] is not None:
         _numbers(cfg["thetas"], "thetas", lambda t: 0.0 <= t <= 0.5 * math.pi, "lie in [0, pi/2]")
     if cfg["a_values"] is not None:
         _numbers(cfg["a_values"], "a_values", lambda a: 0.0 < a <= 1.0, "lie in (0, 1]")
-    if cfg["b_values"] is not None:
-        _numbers(cfg["b_values"], "b_values")
     if cfg["form"]:
         try:
             QuadForm.from_dict(cfg["form"])
@@ -402,37 +390,6 @@ def _cmd_verify(cfg: dict) -> int:
     return 0 if report["all_passed"] else 1
 
 
-def _cmd_bounds(cfg: dict) -> int:
-    a_values = cfg["a_values"] or [float(cfg["a"])]
-    b_values = cfg["b_values"] or [float(cfg["b"]) if cfg["b"] is not None else 0.5]
-    p_values = cfg["p_values"] or [float(cfg["p"])]
-    c0 = float(cfg["c0"])
-    lam1p = float(cfg["lam1p"])
-    lines = ["a,b,p,upper_ratio_bound,lower_difference_constant"]
-    for p in p_values:
-        for a in a_values:
-            for b in b_values:
-                a, b, p = float(a), float(b), float(p)
-                if not (0.0 < a <= b < 1.0):
-                    continue
-                up = quant_upper_bound(a, b, p)
-                lo = quant_lower_constant(a, b, p, c0, lam1p)
-                lines.append(
-                    f"{_fmt_float(a)},{_fmt_float(b)},{_fmt_float(p)},"
-                    f"{_fmt_float(up)},{_fmt_float(lo)}"
-                )
-    if len(lines) == 1:
-        raise ConfigError(
-            f"bounds needs a pair with 0 < a <= b < 1, got a {a_values} and b {b_values}"
-        )
-    csv_path = str(cfg["out"])
-    if not csv_path.endswith(".csv"):
-        csv_path += ".csv"
-    _atomic_write(csv_path, "\n".join(lines) + "\n")
-    print(f"bounds table written to {csv_path}")
-    return 0
-
-
 def run(cfg: dict) -> int:
     cfg = _validate(cfg)
     command = cfg["command"]
@@ -442,9 +399,7 @@ def run(cfg: dict) -> int:
         return _cmd_optimize(cfg)
     if command == "sweep":
         return _cmd_sweep(cfg)
-    if command == "verify":
-        return _cmd_verify(cfg)
-    return _cmd_bounds(cfg)
+    return _cmd_verify(cfg)
 
 
 def main(argv=None) -> int:

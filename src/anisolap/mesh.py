@@ -257,12 +257,6 @@ def build_mesh(domain: DomainSpec, level: int, n_boundary: int = 128) -> Mesh:
     return refine(triangulate(polygonize(domain)), level)
 
 
-def _csv_text(header: str, row: str, table: np.ndarray) -> str:
-    """The header line and one ``row``-formatted line per row of ``table``,
-    formatted in one pass (``%.17g`` gives the same text as ``format(x, ".17g")``)."""
-    return header + (row * len(table)) % tuple(table.ravel().tolist())
-
-
 def _atomic_write(path, text: str) -> None:
     """Write ``text`` to a temporary file beside ``path``, then rename it onto
     ``path``: readers see the old file or the whole new one, never a part."""
@@ -279,17 +273,12 @@ def _atomic_write(path, text: str) -> None:
         raise
 
 
-def write_mesh_csv(m: Mesh, nodes_path, triangles_path) -> None:
-    """Write node and triangle lists as CSV (x, y, boundary) / (i0, i1, i2)."""
-    nodes = np.column_stack([m.nodes, m.boundary_node])
-    _atomic_write(nodes_path, _csv_text("x,y,boundary\n", "%.17g,%.17g,%d\n", nodes))
-    _atomic_write(triangles_path, _csv_text("i0,i1,i2\n", "%d,%d,%d\n", m.triangles))
-
-
 def write_nodal_values_csv(m: Mesh, values: np.ndarray, path, name: str = "u") -> None:
     """Write per-node values as CSV rows (x, y, value), floats at 17 significant digits."""
     values = np.asarray(values, dtype=float)
     if values.shape != (m.n_nodes,):
         raise ValueError("values must have one entry per mesh node")
     table = np.column_stack([m.nodes, values])
-    _atomic_write(path, _csv_text(f"x,y,{name}\n", "%.17g,%.17g,%.17g\n", table))
+    # one formatting pass; "%.17g" gives the same text as format(x, ".17g")
+    rows = ("%.17g,%.17g,%.17g\n" * len(table)) % tuple(table.ravel().tolist())
+    _atomic_write(path, f"x,y,{name}\n" + rows)

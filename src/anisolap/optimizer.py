@@ -53,11 +53,11 @@ from .mesh import Mesh, build_mesh
 from .quadform import (
     QuadForm,
     alpha_of_theta,
-    decompose,
     make_Q_alpha,
     quant_lower_constant,
     quant_upper_bound,
     random_member,
+    spectral,
 )
 from .solver import SolverConvergenceError, SolverOptions, solve_p, directional_constant
 
@@ -341,7 +341,7 @@ def verify_rigidity(
     for _ in range(n_pairs):
         q2 = random_member(a, rng)
         if rng.random() < 0.5:
-            q1 = make_Q_alpha(a, decompose(q2, a).alpha_param)  # dominated extremal part
+            q1 = make_Q_alpha(a, alpha_of_theta(a, spectral(q2).theta))  # dominated extremal part
         else:
             w = rng.random()
             q1 = q2

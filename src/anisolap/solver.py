@@ -81,8 +81,8 @@ class SolverOptions:
 @dataclass
 class EigenResult:
     lam: float                # eigenvalue estimate
-    u: np.ndarray             # nodal eigenfunction, unit p-norm: at p = 2 the pencil
-                              # eigenvector (it may change sign), otherwise nonnegative
+    u: np.ndarray             # nodal eigenfunction, unit p-norm; at every p it may change
+                              # sign (a P1 ground state need not keep one sign)
     iterations: int
     residual: float           # dual-norm residual sqrt(g.K^-1 g)/(p lam) of the returned pair
     p: float
@@ -285,17 +285,20 @@ def _descent(
     metric of the form's p = 2 stiffness K (factorized as ``lu``), so the
     iteration count stays nearly flat under mesh refinement.  The step length
     starts from the Barzilai-Borwein value s.Ks / s.y, measured in the same
-    metric, and is halved until the Armijo condition on g.d holds.
-    Nonnegativity is enforced by taking absolute values each iterate (the
-    quotient never increases under that replacement).  The accepted trial's
-    gradients and midpoint values give the next gradient.
+    metric, and is halved until the Armijo condition on g.d holds.  The
+    iterates move on the whole sphere: the ground state of an anisotropic
+    form may change sign at a few nodes of a P1 mesh, and replacing an
+    iterate by |u| would pin those nodes at 0 and can raise the quotient.
+    The quotient is even in u; the start ``u0`` is flipped, if need be, to a
+    nonnegative sum.  The accepted trial's gradients and midpoint values give
+    the next gradient.
 
     An iteration is one gradient and one solve with K.  The descent stops as
     soon as the dual-norm residual sqrt(g.d) / (p lam) is at most ``bound``,
     at ``max_iter`` iterations, or when the line search finds no decrease.
     Returns (u, lam, residual, iterations) of the last iterate; the caller
     compares the residual with the bound."""
-    u, gu, y, lam = _point(ops, m2, p, np.abs(u0))
+    u, gu, y, lam = _point(ops, m2, p, u0 if u0.sum() >= 0.0 else -u0)
     u_prev: np.ndarray | None = None
     g_prev: np.ndarray | None = None
     t = 1.0 / (1.0 + abs(lam))
@@ -319,7 +322,7 @@ def _descent(
 
         t = t0
         for _ in range(60):
-            trial = _point(ops, m2, p, np.abs(u - t * d))
+            trial = _point(ops, m2, p, u - t * d)
             if trial[3] <= lam - 1e-4 * t * gd:
                 break
             t *= 0.5

@@ -39,20 +39,11 @@ def payload_text(path: str) -> str:
         pytest.param({"command": "sweep", "p_values": [2.0, 1.0]}, "p_values", id="sweep-p-values"),
         pytest.param({"command": "sweep", "thetas": [0.0, 2.0]}, "thetas", id="sweep-thetas"),
         pytest.param({"command": "sweep", "a_values": [0.0]}, "a_values", id="sweep-a-values"),
-        pytest.param({"command": "bounds", "b_values": ["half"]}, "b_values", id="bounds-b-values"),
-        pytest.param(
-            {"command": "bounds", "b_values": 0.5},
-            "b_values",
-            id="bounds-b-values-not-list",
-        ),
-        pytest.param(
-            {"command": "bounds", "a_values": [0.6], "b_values": [0.5]},
-            "0 < a <= b < 1",
-            id="bounds-no-valid-pair",
-        ),
         pytest.param({"command": "eigen", "level": 2}, "key level", id="unknown-key"),
+        pytest.param({"command": "verify", "c0": 1.0}, "key c0", id="c0-unknown-key"),
         pytest.param({}, "missing command", id="no-command"),
         pytest.param({"command": "plot"}, "unknown command", id="unknown-command"),
+        pytest.param({"command": "bounds"}, "unknown command", id="bounds-unknown-command"),
         pytest.param({"command": "eigen", "p": 1.0}, "p must exceed 1", id="p-one"),
         pytest.param({"command": "eigen", "a": 1.5}, "a must lie in (0, 1]", id="a-above-one"),
         pytest.param({"command": "optimize", "a": 1.0}, "optimize needs a", id="optimize-a-one"),
@@ -77,6 +68,7 @@ def payload_text(path: str) -> str:
         ),
         pytest.param({"command": "verify", "a": 0.75, "b": 0.5}, "a <= b", id="verify-a-above-b"),
         pytest.param({"command": "verify", "b": 1.0}, "a <= b", id="verify-b-one"),
+        pytest.param({"command": "verify", "b": None}, "b must be a number", id="verify-b-null"),
         pytest.param(
             {"command": "verify", "n_samples": 0}, "n_samples must", id="verify-n-samples"
         ),
@@ -110,15 +102,6 @@ def test_bad_config_exits_2(tmp_path, capsys, config, field):
     assert err.startswith("error: ") and field in err
     assert not (tmp_path / "run.json").exists()
     assert not (tmp_path / "run.csv").exists()
-
-
-def test_bounds_skips_invalid_pairs_of_a_grid(tmp_path):
-    rc, out = run_config(tmp_path, {"command": "bounds", "a_values": [0.25, 0.6], "b_values": [0.5]})
-    assert rc == 0
-    with open(out + ".csv", encoding="utf-8") as fh:
-        header, *rows = fh.read().splitlines()
-    assert header.startswith("a,b,p,") and len(rows) == 1
-    assert rows[0].startswith("0.25,0.5,")
 
 
 def test_eigen_exits_0_with_deterministic_payload(tmp_path):

@@ -15,7 +15,6 @@ from anisolap import (
     polygonize,
     refine,
     triangulate,
-    write_mesh_csv,
     write_nodal_values_csv,
 )
 
@@ -105,12 +104,6 @@ def test_mesh_rejects_clockwise_triangle():
 
 def test_csv_exports(tmp_path):
     m = build_mesh(Rectangle(1.0, 1.0), 1)
-    write_mesh_csv(m, tmp_path / "nodes.csv", tmp_path / "tris.csv")
-    nodes_lines = (tmp_path / "nodes.csv").read_text().strip().splitlines()
-    tris_lines = (tmp_path / "tris.csv").read_text().strip().splitlines()
-    assert nodes_lines[0] == "x,y,boundary"
-    assert len(nodes_lines) == m.n_nodes + 1
-    assert len(tris_lines) == m.n_triangles + 1
     write_nodal_values_csv(m, np.ones(m.n_nodes), tmp_path / "u.csv")
     lines = (tmp_path / "u.csv").read_text().strip().splitlines()
     assert lines[0] == "x,y,u" and len(lines) == m.n_nodes + 1
@@ -132,7 +125,7 @@ def test_csv_writer_keeps_old_file_on_failure(tmp_path):
 
 
 def test_csv_exports_match_per_row_formatting(tmp_path):
-    # the writers format whole columns at once; the bytes must equal those of
+    # the writer formats whole columns at once; the bytes must equal those of
     # formatting every float on its own with ".17g"
     c, s = math.cos(0.4), math.sin(0.4)
     m = build_mesh(Polygon(lshape().vertices @ np.array([[c, -s], [s, c]]).T), 2)
@@ -140,20 +133,14 @@ def test_csv_exports_match_per_row_formatting(tmp_path):
     values = rng.normal(size=m.n_nodes) * 10.0 ** rng.integers(-30, 30, size=m.n_nodes)
     values[:3] = [0.0, -0.0, 1.0 / 3.0]
     write_nodal_values_csv(m, values, tmp_path / "u.csv", name="w")
-    write_mesh_csv(m, tmp_path / "nodes.csv", tmp_path / "tris.csv")
 
     def fmt(x):
         return format(float(x), ".17g")
 
-    expected = {
-        "u.csv": "x,y,w\n"
-        + "".join(f"{fmt(x)},{fmt(y)},{fmt(v)}\n" for (x, y), v in zip(m.nodes, values)),
-        "nodes.csv": "x,y,boundary\n"
-        + "".join(f"{fmt(x)},{fmt(y)},{int(b)}\n" for (x, y), b in zip(m.nodes, m.boundary_node)),
-        "tris.csv": "i0,i1,i2\n" + "".join(f"{t[0]},{t[1]},{t[2]}\n" for t in m.triangles),
-    }
-    for name, text in expected.items():
-        assert (tmp_path / name).read_bytes() == text.encode("utf-8")
+    expected = "x,y,w\n" + "".join(
+        f"{fmt(x)},{fmt(y)},{fmt(v)}\n" for (x, y), v in zip(m.nodes, values)
+    )
+    assert (tmp_path / "u.csv").read_bytes() == expected.encode("utf-8")
 
 
 def test_build_mesh_disk_levels():

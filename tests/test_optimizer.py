@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from anisolap import (
-    ClassTag,
     Disk,
     Mesh,
     OptimizeResult,
@@ -15,17 +14,14 @@ from anisolap import (
     SolverOptions,
     alpha_of_theta,
     build_mesh,
-    classify,
     lambda_min,
     longest_chord,
     lshape,
-    normalize,
     profile_value,
     random_member,
     run_verification,
     solve_p,
     spectral,
-    theta_of_alpha,
     verify_Q0_limit,
     verify_disk,
     verify_quantitative,
@@ -62,9 +58,12 @@ def test_lambda_min_square_invariants():
     assert res.lambda_min <= res.lambda_max + 1e-9
     iso = res.lambda_max
     assert res.lambda_min >= a * iso - 10 * res.residual - 1e-9
-    assert classify(res.extremizer, a) is ClassTag.IN_QA_EXACT
+    # the extremizer has eigenvalues (a, 1) and is diagonalized by theta_star
+    s = spectral(res.extremizer)
+    assert s.mu_min == pytest.approx(a, abs=1e-12)
+    assert s.mu_max == pytest.approx(1.0, abs=1e-12)
     assert res.alpha_star == pytest.approx(alpha_of_theta(a, res.theta_star), abs=1e-10)
-    assert res.theta_star == pytest.approx(theta_of_alpha(a, res.alpha_star), abs=1e-10)
+    assert s.theta == pytest.approx(res.theta_star, abs=1e-10)
     # profile stored at grid resolution
     assert len(res.theta_profile) == 9
     assert res.theta_profile[0][0] == 0.0
@@ -135,7 +134,7 @@ def test_non_normalized_bounds():
         scale = rng.uniform(0.3, 3.0)
         q = random_member(a, rng)
         scaled = QuadForm(scale * q.alpha, scale * q.beta, scale * q.gamma)
-        _, qmax = normalize(scaled)
+        qmax = spectral(scaled).mu_max
         lam = solve_p(mesh, scaled, 2.0).lam
         slack = 1e-6 * lam + 10 * res.residual
         assert res.lambda_min * qmax - slack <= lam <= res.lambda_max * qmax + slack

@@ -4,21 +4,15 @@ import numpy as np
 import pytest
 
 from anisolap import (
-    ClassTag,
     NegativeBetaError,
     NotPositiveDefiniteError,
     QuadForm,
     alpha_of_theta,
-    classify,
-    decompose,
     make_Q_alpha,
-    normalize,
     quant_lower_constant,
     quant_upper_bound,
     random_member,
-    reflect_y,
     spectral,
-    theta_of_alpha,
 )
 
 
@@ -36,6 +30,23 @@ def unit_circle(n: int) -> np.ndarray:
     return np.column_stack([np.cos(phi), np.sin(phi)])
 
 
+def evaluate(q: QuadForm, v) -> float | np.ndarray:
+    """Q(v) = v^T M v from the form's matrix M, for one vector or an (n, 2) array."""
+    v = np.asarray(v, dtype=float)
+    out = np.einsum("...i,ij,...j->...", v, q.matrix(), v)
+    return float(out) if out.ndim == 0 else out
+
+
+def extremal_part(q: QuadForm, a: float) -> QuadForm:
+    """The member of the level-a family at the form's own diagonalizing angle:
+    the dominated part that ``verify_rigidity`` compares ``q`` with."""
+    return make_Q_alpha(a, alpha_of_theta(a, spectral(q).theta))
+
+
+def is_psd(m: np.ndarray, atol: float = 1e-12) -> bool:
+    return bool(np.linalg.eigvalsh(m)[0] >= -atol)
+
+
 def random_form(rng) -> QuadForm:
     alpha = rng.uniform(0.1, 3.0)
     gamma = rng.uniform(0.1, 3.0)
@@ -47,24 +58,25 @@ def random_form(rng) -> QuadForm:
 
 
 def test_eval_euclidean():
-    assert QuadForm(1, 0, 1).eval((3.0, 4.0)) == 25.0
+    assert evaluate(QuadForm(1, 0, 1), (3.0, 4.0)) == 25.0
 
 
 def test_eval_axis():
-    assert QuadForm(0.25, 0, 1).eval((1.0, 0.0)) == 0.25
+    assert evaluate(QuadForm(0.25, 0, 1), (1.0, 0.0)) == 0.25
 
 
 def test_eval_hand_expansion():
-    # 0.5 + 2*0.25 + 0.5
-    assert QuadForm(0.5, 0.25, 0.5).eval((1.0, 1.0)) == pytest.approx(1.5, abs=1e-15)
+    # 0.5 + 2*0.25 + 0.5: the matrix holds beta unhalved off the diagonal
+    assert evaluate(QuadForm(0.5, 0.25, 0.5), (1.0, 1.0)) == pytest.approx(1.5, abs=1e-15)
 
 
 def test_eval_vectorized():
     q = QuadForm(0.7, 0.1, 1.2)
     vs = unit_circle(13)
-    out = q.eval(vs)
+    out = evaluate(q, vs)
     assert out.shape == (13,)
-    assert out[0] == pytest.approx(q.eval(vs[0]))
+    x, y = vs.T
+    np.testing.assert_allclose(out, 0.7 * x * x + 0.2 * x * y + 1.2 * y * y, rtol=0, atol=1e-15)
 
 
 # -------------------------------------------------------------- construction
@@ -82,12 +94,14 @@ def test_constructor_rejects_nonpositive():
 
 
 def test_reflect_y_admits_mirrored_form():
-    q = reflect_y(1.0, -0.5, 2.0)
-    assert (q.alpha, q.beta, q.gamma) == (1.0, 0.5, 2.0)
-    s = spectral(q)
-    # mirroring preserves the eigenvalues
-    direct = spectral(QuadForm(1.0, 0.5, 2.0))
-    assert s.mu_min == direct.mu_min and s.mu_max == direct.mu_max
+    # the message names the cure: the mirror image under y -> -y is admitted
+    with pytest.raises(NegativeBetaError, match="reflection y -> -y"):
+        QuadForm(1.0, -0.5, 2.0)
+    s = spectral(QuadForm(1.0, 0.5, 2.0))
+    # mirroring preserves the eigenvalues of the rejected matrix
+    mu = np.linalg.eigvalsh(np.array([[1.0, -0.5], [-0.5, 2.0]]))
+    assert s.mu_min == pytest.approx(mu[0], abs=1e-15)
+    assert s.mu_max == pytest.approx(mu[1], abs=1e-15)
 
 
 def test_json_round_trip():
@@ -115,7 +129,7 @@ def test_spectral_family_member_brute_force():
     s = spectral(q)
     assert s.mu_min == pytest.approx(0.25, abs=1e-12)
     assert s.mu_max == pytest.approx(1.0, abs=1e-12)
-    vals = q.eval(unit_circle(10_000))
+    vals = evaluate(q, unit_circle(10_000))
     # brute-force extrema over the unit circle as an independent oracle
     assert abs(vals.min() - s.mu_min) < 1e-6
     assert abs(vals.max() - s.mu_max) < 1e-6
@@ -125,11 +139,12 @@ def test_spectral_reconstruction_round_trip():
     rng = np.random.default_rng(3)
     for _ in range(300):
         q = random_form(rng)
-        r = spectral(q).form()
-        scale = spectral(q).mu_max
-        assert abs(r.alpha - q.alpha) <= 1e-12 * scale
-        assert abs(r.beta - q.beta) <= 1e-12 * scale
-        assert abs(r.gamma - q.gamma) <= 1e-12 * scale
+        s = spectral(q)
+        c, sn = math.cos(s.theta), math.sin(s.theta)
+        # composing with R_theta gives the diagonal form: R^T Q R = diag
+        rot = np.array([[c, sn], [-sn, c]])
+        rebuilt = rot @ np.diag([s.mu_min, s.mu_max]) @ rot.T
+        np.testing.assert_allclose(rebuilt, q.matrix(), rtol=0, atol=1e-12 * s.mu_max)
 
 
 def test_spectral_bounds_and_attainment():
@@ -139,64 +154,34 @@ def test_spectral_bounds_and_attainment():
     for _ in range(20):
         q = random_form(rng)
         s = spectral(q)
-        vals = q.eval(vs)
+        vals = evaluate(q, vs)
         assert np.all(vals >= s.mu_min - 1e-10)
         assert np.all(vals <= s.mu_max + 1e-10)
         c, snt = math.cos(s.theta), math.sin(s.theta)
-        assert q.eval((c, -snt)) == pytest.approx(s.mu_min, abs=1e-10)
-        assert q.eval((snt, c)) == pytest.approx(s.mu_max, abs=1e-10)
-
-
-# ----------------------------------------------------------------- normalize
-
-
-def test_normalize_scalar_form():
-    qn, scale = normalize(QuadForm(2, 0, 2))
-    assert qn == QuadForm(1, 0, 1) and scale == 2.0
-
-
-def test_normalize_diagonal():
-    qn, scale = normalize(QuadForm(0.5, 0, 2))
-    assert scale == pytest.approx(2.0, abs=1e-15)
-    assert qn.alpha == pytest.approx(0.25) and qn.gamma == pytest.approx(1.0)
-
-
-def test_normalize_idempotent_on_normalized():
-    qa = QuadForm(0.25, 0, 1)
-    qn, scale = normalize(qa)
-    assert scale == pytest.approx(1.0, abs=1e-15)
-    assert qn == qa
-
-
-# ------------------------------------------------------------------ classify
-
-
-def test_classify_examples():
-    assert classify(QuadForm(0.25, 0, 1), 0.25) is ClassTag.IN_QA_EXACT
-    assert classify(QuadForm(1, 0, 1), 0.25) is ClassTag.IN_QUPPER_A
-    # 0.25 * 0.2 = 0.05 <= 0.1
-    assert classify(QuadForm(0.1, 0, 0.2), 0.25) is ClassTag.IN_QNN_A
-    assert classify(QuadForm(0.1, 0, 1), 0.25) is ClassTag.IN_Q0
-    assert classify(QuadForm(0.1, 0, 2), 0.25) is ClassTag.NOT_NORMALIZED
-
-
-def test_classify_rejects_bad_level():
-    for a in (0.0, -1.0, 1.5):
-        with pytest.raises(ValueError):
-            classify(QuadForm(1, 0, 1), a)
+        assert evaluate(q, (c, -snt)) == pytest.approx(s.mu_min, abs=1e-10)
+        assert evaluate(q, (snt, c)) == pytest.approx(s.mu_max, abs=1e-10)
 
 
 def test_class_inclusions_on_random_members():
     rng = np.random.default_rng(5)
     for _ in range(200):
         q = random_member(0.25, rng)
-        tag = classify(q, 0.25)
-        assert tag in (ClassTag.IN_QA_EXACT, ClassTag.IN_QUPPER_A)
-        # members of the level-a class are in particular non-normalized members
-        assert classify(QuadForm(2 * q.alpha, 2 * q.beta, 2 * q.gamma), 0.25) in (
-            ClassTag.IN_QNN_A,
-            ClassTag.NOT_NORMALIZED,
-        )
+        s = spectral(q)
+        assert s.mu_max == pytest.approx(1.0, abs=1e-12)
+        assert s.mu_min >= 0.25 - 1e-12
+        # scaling keeps the coercivity ratio, not the normalization
+        doubled = spectral(QuadForm(2 * q.alpha, 2 * q.beta, 2 * q.gamma))
+        assert doubled.mu_max == pytest.approx(2.0, abs=1e-12)
+        assert doubled.mu_min / doubled.mu_max >= 0.25 - 1e-12
+
+
+def test_random_member_stays_in_class_near_one():
+    # levels above the sampler's upper end 0.995 still give members of the class
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        s = spectral(random_member(0.999, rng))
+        assert s.mu_min >= 0.999 - 1e-12
+        assert s.mu_max == pytest.approx(1.0, abs=1e-12)
 
 
 # -------------------------------------------------------------- family Q_alpha
@@ -229,7 +214,9 @@ def test_family_sweeps_exact_slice():
     for _ in range(1000):
         a = rng.uniform(0.05, 0.9)
         alpha = a + (1.0 - a) * rng.random()
-        assert classify(make_Q_alpha(a, alpha), a) is ClassTag.IN_QA_EXACT
+        s = spectral(make_Q_alpha(a, alpha))
+        assert s.mu_min == pytest.approx(a, abs=1e-12)
+        assert s.mu_max == pytest.approx(1.0, abs=1e-12)
 
 
 def test_exact_slice_members_match_family():
@@ -250,11 +237,14 @@ def test_angle_index_maps_are_inverse():
     assert alpha_of_theta(0.25, 0.25 * math.pi) == pytest.approx(0.625, abs=1e-15)
     rng = np.random.default_rng(31)
     for _ in range(200):
+        # the diagonalizing angle of the member at alpha_of_theta(a, theta) is theta
         a = rng.uniform(0.05, 0.9)
         theta = rng.uniform(0.0, 0.5 * math.pi)
-        assert theta_of_alpha(a, alpha_of_theta(a, theta)) == pytest.approx(theta, abs=1e-12)
+        q = make_Q_alpha(a, alpha_of_theta(a, theta))
+        assert spectral(q).theta == pytest.approx(theta, abs=1e-12)
         alpha = a + (1.0 - a) * rng.random()
-        assert alpha_of_theta(a, theta_of_alpha(a, alpha)) == pytest.approx(alpha, abs=1e-12)
+        q = make_Q_alpha(a, alpha)
+        assert alpha_of_theta(a, spectral(q).theta) == pytest.approx(alpha, abs=1e-12)
 
 
 def test_angle_maps_reject_out_of_range():
@@ -262,8 +252,6 @@ def test_angle_maps_reject_out_of_range():
         alpha_of_theta(0.25, -0.1)
     with pytest.raises(ValueError):
         alpha_of_theta(0.25, 2.0)
-    with pytest.raises(ValueError):
-        theta_of_alpha(0.25, 0.2)
 
 
 def test_compose_rotation_matches_family():
@@ -281,49 +269,45 @@ def test_compose_rotation_matches_family():
 
 
 def test_decompose_exact_slice_member():
+    # a member of the level-a family is its own extremal part
     q = make_Q_alpha(0.25, 0.7)
-    dec = decompose(q, 0.25)
-    assert dec.b == pytest.approx(0.25, abs=1e-12)
-    assert dec.w_aniso == pytest.approx(1.0, abs=1e-12)
-    assert dec.w_iso == pytest.approx(0.0, abs=1e-12)
-    assert dec.alpha_param == pytest.approx(0.7, abs=1e-10)
+    part = extremal_part(q, 0.25)
+    assert part.alpha == pytest.approx(0.7, abs=1e-10)
+    np.testing.assert_allclose(part.matrix(), q.matrix(), rtol=0, atol=1e-10)
 
 
 def test_decompose_identity_degenerate():
-    dec = decompose(QuadForm(1, 0, 1), 0.25)
-    assert dec.b == 1.0
-    assert dec.alpha_param is None
-    assert dec.w_aniso == 0.0 and dec.w_iso == 1.0
+    # the isotropic form has the tie-break angle 0, so its part is diag(a, 1),
+    # which it dominates
+    part = extremal_part(QuadForm.identity(), 0.25)
+    assert part == QuadForm(0.25, 0.0, 1.0)
+    assert is_psd(QuadForm.identity().matrix() - part.matrix())
 
 
 def test_decompose_round_trip_random():
+    # q = w Q_alpha + (1 - w) I at level a, with w = (1 - b)/(1 - a): the angle
+    # route to the extremal index agrees with the affine route through the
+    # leading coefficient, and q dominates the part pointwise
     rng = np.random.default_rng(41)
     for _ in range(1000):
         a = rng.uniform(0.05, 0.8)
         b = rng.uniform(a, 0.99)
         alpha_bar = b + (1.0 - b) * rng.random()
         q = make_Q_alpha(b, alpha_bar)
-        dec = decompose(q, a)
-        assert dec.b == pytest.approx(b, abs=1e-12)
-        part = make_Q_alpha(a, dec.alpha_param)
-        assert dec.w_aniso * part.alpha + dec.w_iso == pytest.approx(q.alpha, abs=1e-12)
-        assert dec.w_aniso * part.beta == pytest.approx(q.beta, abs=1e-12)
-        assert dec.w_aniso * part.gamma + dec.w_iso == pytest.approx(q.gamma, abs=1e-12)
-        # the difference q - part is positive semidefinite
-        da, db_, dg = q.alpha - part.alpha, q.beta - part.beta, q.gamma - part.gamma
-        assert da >= -1e-12 and dg >= -1e-12
-        assert db_ * db_ - da * dg <= 1e-12
+        part = extremal_part(q, a)
+        affine = 1.0 - (1.0 - a) * (1.0 - alpha_bar) / (1.0 - b)
+        assert part.alpha == pytest.approx(affine, abs=1e-10)
+        w = (1.0 - b) / (1.0 - a)
+        np.testing.assert_allclose(
+            w * part.matrix() + (1.0 - w) * np.eye(2), q.matrix(), rtol=0, atol=1e-12
+        )
+        assert is_psd(q.matrix() - part.matrix())
 
 
 def test_decompose_rejects_low_coercivity():
+    # below the level the ordering fails: q does not dominate its part
     q = make_Q_alpha(0.1, 0.5)  # smallest eigenvalue 0.1 < 0.25
-    with pytest.raises(ValueError):
-        decompose(q, 0.25)
-
-
-def test_decompose_rejects_non_normalized():
-    with pytest.raises(ValueError):
-        decompose(QuadForm(0.5, 0.0, 2.0), 0.25)
+    assert not is_psd(q.matrix() - extremal_part(q, 0.25).matrix())
 
 
 # ------------------------------------------------------- quantitative constants

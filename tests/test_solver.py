@@ -17,8 +17,8 @@ from anisolap import (
     SolverConvergenceError,
     SolverOptions,
     Polygon,
+    alpha_of_theta,
     build_mesh,
-    decompose,
     directional_constant,
     energy,
     interior_dof_map,
@@ -28,6 +28,7 @@ from anisolap import (
     pnorm_p,
     random_member,
     solve_p,
+    spectral,
 )
 from anisolap.solver import (
     _RECORDS,
@@ -215,6 +216,19 @@ def test_iterations_flat_under_refinement(p):
     assert counts[1] <= 2 * counts[0]
 
 
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
+def test_lshape_profile_converges_at_every_angle(p):
+    # on the L3 L-shape the discrete ground state of Q_alpha at p > 2 changes
+    # sign at a few nodes for some angles; the descent must reach its residual
+    # bound there too, rather than stall with those nodes pinned at 0
+    mesh = build_mesh(lshape(), 3)
+    sign_changes = 0
+    for theta in np.linspace(0.0, 0.5 * math.pi, 17):
+        res = solve_p(mesh, make_Q_alpha(0.25, alpha_of_theta(0.25, float(theta))), p)
+        sign_changes += bool(np.any(res.u < 0.0))
+    assert sign_changes > 0
+
+
 def independent_dual_residual(m, u: np.ndarray, lam: float, p: float) -> float:
     """sqrt(r . K^-1 r) / lam for the isotropic energy, assembled from the node
     coordinates alone: r is the gradient of E(u)/p - lam N(u)/p on interior
@@ -394,7 +408,7 @@ def test_gradient_from_trial_values_matches_fresh_evaluation(p):
 @pytest.mark.parametrize(
     "level, p, form, iterations, lam",
     [
-        (5, 1.5, QuadForm.identity(), 77, 5.7016489412776),
+        (5, 1.5, QuadForm.identity(), 75, 5.7016489412776),
         (4, 3.0, make_Q_alpha(0.25, 0.6), 55, 8.43681512763622),
     ],
     ids=["L5-p1.5-identity", "L4-p3-alpha"],
@@ -415,8 +429,7 @@ def test_monotone_under_pointwise_ordering():
     rng = np.random.default_rng(19)
     for _ in range(5):
         q2 = random_member(0.25, rng)
-        dec = decompose(q2, 0.25)
-        q1 = make_Q_alpha(0.25, dec.alpha_param)
+        q1 = make_Q_alpha(0.25, alpha_of_theta(0.25, spectral(q2).theta))
         lam1 = solve_p(m, q1, 2.0, opts).lam
         lam2 = solve_p(m, q2, 2.0, opts).lam
         assert lam1 <= lam2 + 1e-9
