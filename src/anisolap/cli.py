@@ -5,7 +5,8 @@ Commands
 eigen     solve one fundamental-frequency problem; JSON diagnostics plus an
           eigenfunction CSV
 optimize  minimize over rotations at a coercivity level; JSON result plus a
-          rotation-profile CSV
+          rotation-profile CSV, whose values are on the mesh one level
+          below mesh_level when mesh_level >= 4 (the result's profile_level)
 sweep     tabulate profile values over user theta/a/p grids as CSV
 verify    run the verification suites; JSON report, exit 0 iff all entries pass
 

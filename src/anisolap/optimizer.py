@@ -8,29 +8,47 @@ R^T diag(a, 1) R = make_Q_alpha(a, alpha_of_theta(a, theta)) on one mesh of
 the unmoved domain.  The change of variables x -> diag(1, sqrt(a)) R x makes
 it a^(p/2) times the isotropic frequency of the rotated, sheared domain, and
 the identity is exact for P1 elements on the mapped mesh, so a search meshes
-its domain once.
+its domain once per level rather than once per angle.
 
-``lambda_min`` samples the profile on a uniform grid of angles and refines
-each grid minimum from the grid's own samples.  The contract is that the
-profile is unimodal on the grid bracket of that minimum (the grid point and
-its two neighbours): then the returned angle lies within ``theta_tol`` of a
-minimizer.  An interior grid minimum starts Brent's parabolic search with
-golden-section fallback on its bracket, whose three values are already known,
-and the search stops when both bracket ends lie within ``theta_tol`` of the
-best angle.  A grid minimum at an end of [0, pi/2] costs one solve
-``theta_tol`` inward: if that value is not lower, the endpoint is the answer;
-otherwise Brent's search runs on (endpoint, inward angle, neighbour).  A grid
-spacing of at most ``theta_tol`` needs no refinement.  A refined value is the
-least value evaluated, so it never exceeds its grid value.  Grid minima that
-tie within twice the largest solver error bound are all refined and reported.
+``lambda_min`` searches on two nested levels.  It samples the profile on a
+uniform grid of angles on the coarse mesh, one level below the requested
+(fine) one, and solves on the fine mesh only where the answer needs it.
+``refine`` splits each triangle into four, so the coarse profile locates the
+grid minima at about a quarter of the fine cost.  At level
+``MIN_COARSE_LEVEL`` and below the coarse mesh is the fine mesh itself: the
+grid values are then fine values and no solve is repeated.
+
+Each coarse grid minimum is refined at the fine level from the fine values
+of its grid bracket (the grid point and its two neighbours).  The contract
+is that the fine profile is unimodal on that bracket: then the returned
+angle lies within ``theta_tol`` of a minimizer.  Before an interior minimum
+is refined, the fine values of its bracket are checked, and it moves to a
+neighbour whose fine value is lower until none is.  Its refinement is
+Brent's parabolic search with golden-section fallback on the bracket, whose
+three values are known, and stops when both bracket ends lie within
+``theta_tol`` of the best angle.  A grid minimum at an end of [0, pi/2]
+costs one solve ``theta_tol`` inward: if that value is not lower, the
+endpoint is the answer; otherwise Brent's search runs on (endpoint, inward
+angle, neighbour).  A grid spacing of at most ``theta_tol`` needs no
+refinement.  A refined value is the least fine value evaluated, so it never
+exceeds the fine value at its grid point.  The coarse values of the grid
+minima are shifted from their fine values by up to the coarse/fine gap, so
+coarse minima that tie within twice the largest solver error bound plus the
+gap measured at the coarse argmin are all refined and reported: a near-tie
+at the fine level is never dropped.
 
 The solver's error bound on a value lam is ``residual * lam``: the dual-norm
 residual of the eigenpair times its eigenvalue.  The eigenvalue error of a
 near-eigenpair is of the order of the squared residual, so the bound is
-conservative.  The largest bound over the grid and isotropic solves sets the
-tie tolerance of ``lambda_min``; the largest over all its solves, refinement
-solves included, is its result's ``residual``, which sets the margin floors
-of the verify suites.
+conservative.  The largest bound over the coarse grid, the fine solve at the
+coarse argmin and the isotropic solve enters the tie tolerance of
+``lambda_min``; the largest over all its solves, on both levels, is its
+result's ``residual``, which sets the margin floors of the verify suites.
+The coarse value at the optimum, ``lambda_min_coarse``, and its distance from
+``lambda_min``, ``error_estimate``, compare two nested levels.  When the
+difference between successive levels shrinks by a factor r >= 2 per level
+(r = 4 for an O(h^2) error), the estimate is about r - 1 times the true
+error of the fine value, so it bounds that error.
 
 The verify_* functions evaluate the structural claims (strict maximizer,
 monotonicity, profile shape on disks and rectangles, quantitative bounds,
@@ -63,6 +81,9 @@ from .solver import SolverConvergenceError, SolverOptions, solve_p, directional_
 
 DEFAULT_GRID_N = 17
 DEFAULT_THETA_TOL = 1e-4
+# Coarsest mesh level on which ``lambda_min`` samples its profile for a finer
+# level; a search at this level or below samples on its own mesh.
+MIN_COARSE_LEVEL = 3
 
 # Relative slack of the lower difference bound and the directional floor.
 # The directional constants are exact continuum values (closed form on the
@@ -92,8 +113,11 @@ class OptimizeResult:
     multiple_minima: bool = False
     a: float = math.nan
     p: float = math.nan
-    mesh_level: int = -1
-    residual: float = math.nan
+    mesh_level: int = -1              # level of the mesh behind lambda_min and lambda_max
+    profile_level: int = -1           # level of the mesh behind theta_profile
+    lambda_min_coarse: float = math.nan  # the profile's value at theta_star
+    error_estimate: float | None = None  # |lambda_min_coarse - lambda_min|; None on one level
+    residual: float = math.nan        # largest error bound of any solve, coarse ones included
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -185,6 +209,19 @@ def _refine_min(
     return x, fx
 
 
+class _Values(dict):
+    """Values f(thetas[i]) by grid index, each evaluated the first time it is
+    read: ``_refine_min`` reads the fine values of a bracket this way."""
+
+    def __init__(self, f, thetas: np.ndarray):
+        super().__init__()
+        self.f, self.thetas = f, thetas
+
+    def __missing__(self, i):
+        self[i] = value = self.f(self.thetas[i])
+        return value
+
+
 def lambda_min(
     d: DomainSpec,
     a: float,
@@ -197,18 +234,27 @@ def lambda_min(
 ) -> OptimizeResult:
     """Smallest frequency over the coercivity class at level ``a``.
 
-    Meshes the domain once at ``level`` and samples the rotation profile at
-    ``grid_n`` uniform angles in [0, pi/2].  Every grid minimum whose value
-    ties with the least within twice the solver error bound is refined on
-    its own grid bracket (``_refine_min``): Brent's search from the bracket's
-    three known values for an interior point, one solve ``theta_tol`` inward
-    for an endpoint, none when the grid spacing is at most ``theta_tol``.
-    Provided the profile is unimodal on each such bracket, every angle in
-    ``tied_minima`` lies within ``theta_tol`` of a minimizer.  The least of
-    them gives ``theta_star`` and the recovered extremal form.
-    ``lambda_max`` is the isotropic frequency on the same mesh.  A
-    ``SolverConvergenceError`` from any of these solves is re-raised with the
-    (theta, value) grid pairs computed before it as its ``theta_profile``.
+    Samples the rotation profile at ``grid_n`` uniform angles in [0, pi/2] on
+    the coarse mesh: the domain's mesh at ``level`` - 1 when that is at least
+    ``MIN_COARSE_LEVEL``, else the level-``level`` mesh itself.  The fine
+    (level-``level``) mesh gets one solve at the coarse grid argmin, which
+    gives the coarse/fine gap; the isotropic solve, which gives
+    ``lambda_max``; and the solves of the refinements.  Every coarse grid
+    minimum that ties with the least within twice the largest solver error
+    bound plus the gap is refined on its own grid bracket (``_refine_min``)
+    from fine values, after an interior one has moved to any neighbour whose
+    fine value is lower.  Provided the fine profile is unimodal on each such
+    bracket, every angle in ``tied_minima`` lies within ``theta_tol`` of a
+    minimizer.  The least of them gives ``theta_star`` and the recovered
+    extremal form.
+
+    ``lambda_min_coarse`` is the coarse value at ``theta_star``: a grid
+    value, or one coarse solve off the grid.  ``error_estimate`` is its
+    distance from ``lambda_min``.  On one level the grid values are the fine
+    values, no solve is repeated, ``lambda_min_coarse`` is ``lambda_min`` and
+    ``error_estimate`` is None.  A ``SolverConvergenceError`` from any solve
+    is re-raised with the (theta, value) grid pairs computed before it as its
+    ``theta_profile``.
     """
     if not 0.0 < a < 1.0:
         raise ValueError(f"need a in (0, 1), got {a}")
@@ -219,40 +265,62 @@ def lambda_min(
     opts = opts or SolverOptions()
 
     mesh = build_mesh(d, level)
+    profile_level = level - 1 if level - 1 >= MIN_COARSE_LEVEL else level
+    coarse = build_mesh(d, profile_level) if profile_level < level else mesh
     thetas = np.linspace(0.0, 0.5 * math.pi, grid_n)
     profile: list[tuple[float, float]] = []
     bounds: list[float] = []  # the error bound of every solve behind the result
 
-    def f(theta: float) -> float:
-        value, residual = profile_value(mesh, theta, a, p, opts)
-        bounds.append(residual * value)
-        return value
+    def on(m: Mesh):
+        def f(theta: float) -> float:
+            value, residual = profile_value(m, theta, a, p, opts)
+            bounds.append(residual * value)
+            return value
 
+        return f
+
+    f_coarse, f_fine = on(coarse), on(mesh)
     try:
         for th in thetas:
-            profile.append((float(th), f(th)))
+            profile.append((float(th), f_coarse(th)))
+        values = np.array([v for _, v in profile])
+        fine = _Values(f_fine, thetas)
+        if coarse is mesh:
+            fine.update(enumerate(values.tolist()))
+        i_min = int(np.argmin(values))
+        vmin = float(values[i_min])
+        gap = abs(fine[i_min] - vmin)
         iso = solve_p(mesh, QuadForm.identity(), p, opts)
         bounds.append(iso.residual * iso.lam)
-        values = np.array([v for _, v in profile])
-        vmin = float(np.min(values))
-        tie_tol = 2.0 * max(bounds)
+        tie_tol = 2.0 * max(bounds) + gap
         tied_idx = np.flatnonzero(values <= vmin + tie_tol)
-        # merge adjacent grid indices into brackets, refine each
+        # merge adjacent grid indices into brackets, refine each at the fine level
         groups: list[list[int]] = []
         for i in tied_idx:
             if groups and i == groups[-1][-1] + 1:
                 groups[-1].append(int(i))
             else:
                 groups.append([int(i)])
-        tied = []
+        centres: dict[int, None] = {}
         for grp in groups:
             i = grp[int(np.argmin(values[grp]))]
-            tied.append(_refine_min(f, thetas, values, i, theta_tol))
+            while 0 < i < grid_n - 1:
+                j = min((i - 1, i + 1), key=fine.__getitem__)
+                if fine[j] >= fine[i]:
+                    break
+                i = j
+            centres[i] = None
+        tied = [_refine_min(f_fine, thetas, fine, i, theta_tol) for i in centres]
+        tied.sort(key=lambda tv: tv[1])
+        theta_star, lam_min = tied[0]
+        if coarse is mesh:
+            lam_coarse = lam_min
+        else:
+            on_grid = np.flatnonzero(thetas == theta_star)
+            lam_coarse = float(values[on_grid[0]]) if on_grid.size else f_coarse(theta_star)
     except SolverConvergenceError as exc:
         exc.theta_profile = profile
         raise
-    tied.sort(key=lambda tv: tv[1])
-    theta_star, lam_min = tied[0]
 
     alpha_star = alpha_of_theta(a, theta_star)
     extremizer = make_Q_alpha(a, alpha_star)
@@ -264,10 +332,13 @@ def lambda_min(
         extremizer=extremizer,
         theta_profile=profile,
         tied_minima=tied,
-        multiple_minima=len(groups) > 1,
+        multiple_minima=len(tied) > 1,
         a=a,
         p=p,
         mesh_level=level,
+        profile_level=profile_level,
+        lambda_min_coarse=lam_coarse,
+        error_estimate=None if coarse is mesh else abs(lam_coarse - lam_min),
         residual=float(max(bounds)),
     )
 
@@ -482,13 +553,14 @@ def verify_disk(
     """On the unit disk every rotation is equivalent: the profile is flat and
     the optimum equals the scaled isotropic frequency of the sheared disk.
     That target is the profile value at angle 0, a^(p/2) times the isotropic
-    frequency on the sheared image of the disk's mesh."""
+    frequency on the sheared image of the profile's mesh, so it is compared
+    with the optimum's value on that mesh, ``lambda_min_coarse``."""
     opts = opts or SolverOptions()
     res = lambda_min(Disk(1.0), a, p, grid_n, opts, level=level)
     values = np.array([v for _, v in res.theta_profile])
     spread = float((values.max() - values.min()) / values.mean())
     target = res.theta_profile[0][1]
-    rel_err = abs(res.lambda_min - target) / target
+    rel_err = abs(res.lambda_min_coarse - target) / target
 
     return [
         _entry(
@@ -503,7 +575,7 @@ def verify_disk(
         _entry(
             "disk_min_equals_scaled_ellipse",
             "optimal value equals a^(p/2) times the sheared-disk frequency",
-            {"lambda_min": res.lambda_min, "scaled_ellipse": target, "rel_err": rel_err},
+            {"lambda_min": res.lambda_min_coarse, "scaled_ellipse": target, "rel_err": rel_err},
             0.01,
             rel_err < 0.01,
             level,
@@ -547,7 +619,8 @@ def verify_rectangle(
         v for t, v in res.theta_profile
         if DEFAULT_THETA_TOL < t < 0.5 * math.pi - DEFAULT_THETA_TOL
     ]
-    margin = min(interior) - res.lambda_min if interior else math.nan
+    # profile values and the optimum on one mesh, the profile's
+    margin = min(interior) - res.lambda_min_coarse if interior else math.nan
     margin_floor = 3.0 * max(res.residual, opts.tol * res.lambda_min)
 
     return [

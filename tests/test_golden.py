@@ -45,6 +45,14 @@ def file_text(path: str) -> str:
             id="optimize-rect-p2-L3",
         ),
         pytest.param(
+            "optimize_L4",
+            ["--command", "optimize", "--domain", "lshape", "--a", "0.25", "--p", "2",
+             "--grid-n", "17", "--level", "4"],
+            0,
+            ["optimize_L4_profile.csv"],
+            id="optimize-lshape-p2-L4",  # two levels: an L3 profile, interior L4 brackets
+        ),
+        pytest.param(
             "verify",
             ["--command", "verify", "--level", "2"],
             1,  # rectangle_axis_argmin_set FAILs

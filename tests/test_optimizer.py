@@ -29,7 +29,7 @@ from anisolap import (
     verify_rigidity,
 )
 from anisolap import optimizer
-from anisolap.optimizer import X_ARC, Y_ARC
+from anisolap.optimizer import DEFAULT_THETA_TOL, X_ARC, Y_ARC
 
 PI2_HALF = math.pi**2 / 2.0
 SQUARE = Rectangle(1.0, 1.0)
@@ -234,12 +234,104 @@ def test_lambda_min_rectangle_spends_one_refinement_solve(monkeypatch):
 
 def test_lambda_min_lshape_tied_minima_are_symmetric():
     # the L-shape is symmetric about the line y = -x, which maps the form at
-    # theta to the form at pi/2 - theta: its two minimizers tie
-    res = lambda_min(lshape(), 0.25, 2.0, level=3)
-    assert res.multiple_minima
-    (t1, v1), (t2, v2) = res.tied_minima
-    assert abs(t1 + t2 - 0.5 * math.pi) <= 2e-4
-    assert v1 == pytest.approx(v2, rel=1e-9)
+    # theta to the form at pi/2 - theta: its two minimizers tie, on one
+    # level (3) and on two (4, with the profile at 3)
+    for level in (3, 4):
+        res = lambda_min(lshape(), 0.25, 2.0, level=level)
+        assert res.multiple_minima
+        (t1, v1), (t2, v2) = res.tied_minima
+        assert abs(t1 + t2 - 0.5 * math.pi) <= 2e-4
+        assert v1 == pytest.approx(v2, rel=1e-9)
+
+
+# ---------------------------------------------------------------- two-level search
+
+RECT_TALL = Rectangle(1.0, 2.0)
+
+
+@pytest.mark.parametrize(
+    "domain, p, lam, theta, n_tied",
+    [
+        (RECT_TALL, 2.0, 1.236674518143308, 0.0, 1),
+        (SQUARE, 3.0, 3.559898173179352, 0.25 * math.pi, 1),
+        (lshape(), 2.0, 4.665185486335152, 0.2043551948729755, 2),
+    ],
+    ids=["rectangle-p2", "square-p3", "lshape-p2"],
+)
+def test_lambda_min_two_level_keeps_the_answer(domain, p, lam, theta, n_tied):
+    # the values a search sampling its grid on the level-5 mesh itself found
+    res = lambda_min(domain, 0.25, p, level=5)
+    assert (res.mesh_level, res.profile_level) == (5, 4)
+    assert res.lambda_min == pytest.approx(lam, rel=1e-12)
+    assert res.theta_star == pytest.approx(theta, rel=1e-12, abs=1e-15)
+    assert len(res.tied_minima) == n_tied
+
+
+def test_lambda_min_two_level_solve_count(monkeypatch):
+    # the grid is sampled on the level-4 mesh; the level-5 mesh sees the
+    # coarse argmin theta = 0 and the endpoint check theta_tol inward
+    calls = {}
+    real = optimizer.profile_value
+
+    def counting(mesh, theta, *args):
+        calls.setdefault(mesh.n_nodes, []).append(float(theta))
+        return real(mesh, theta, *args)
+
+    monkeypatch.setattr(optimizer, "profile_value", counting)
+    res = lambda_min(RECT_TALL, 0.25, 2.0, level=5)
+    coarse, fine = build_mesh(RECT_TALL, 4).n_nodes, build_mesh(RECT_TALL, 5).n_nodes
+    assert sorted(calls) == sorted([coarse, fine])
+    assert len(calls[coarse]) == 17
+    assert calls[fine] == [0.0, DEFAULT_THETA_TOL]
+    assert res.theta_star == 0.0
+    assert res.lambda_min_coarse == res.theta_profile[0][1]
+
+
+def test_lambda_min_moves_bracket_to_lower_fine_neighbour(monkeypatch):
+    # the coarse profile puts its minimum at 0.75, the fine one at 0.3: the
+    # fine bracket check walks the grid minimum down to the fine bracket
+    fine_nodes = build_mesh(SQUARE, 4).n_nodes
+
+    def profile(mesh, theta, a, p, opts=None):
+        s = 4.0 * (theta - (0.3 if mesh.n_nodes == fine_nodes else 0.75))
+        return math.exp(s) - s, 0.0
+
+    monkeypatch.setattr(optimizer, "profile_value", profile)
+    res = lambda_min(SQUARE, 0.25, 2.0, 9, level=4)
+    assert len(res.tied_minima) == 1
+    assert abs(res.theta_star - 0.3) <= DEFAULT_THETA_TOL
+    assert res.lambda_min == pytest.approx(1.0, abs=1e-7)
+    # one coarse solve off the grid gives the coarse value at theta_star
+    s = 4.0 * (res.theta_star - 0.75)
+    assert res.lambda_min_coarse == pytest.approx(math.exp(s) - s, rel=1e-15)
+    assert res.error_estimate == abs(res.lambda_min_coarse - res.lambda_min)
+
+
+def test_lambda_min_one_level_has_no_error_estimate():
+    res = lambda_min(RECT_TALL, 0.25, 2.0, 9, level=3)
+    assert res.profile_level == res.mesh_level == 3
+    assert res.lambda_min_coarse == res.lambda_min
+    assert res.error_estimate is None
+
+
+def test_error_estimate_bounds_rectangle_error():
+    # at theta = 0 the sheared tall rectangle is the square [-1, 1]^2, whose
+    # continuum value at p = 2 is a pi^2 / 2
+    res = lambda_min(RECT_TALL, 0.25, 2.0, level=5)
+    error = abs(res.lambda_min - 0.25 * PI2_HALF)  # 0.00297
+    assert error <= res.error_estimate <= 4.0 * error  # 0.00894, O(h^2) gives 3
+
+
+def test_error_estimate_bounds_square_error():
+    # no closed form at theta* = pi/4; the reference is the Richardson value
+    # of levels 5 and 6 at that angle (2.8344; levels 4 and 5 give 2.8353)
+    res = lambda_min(SQUARE, 0.25, 2.0, level=5)
+    lam5, lam6 = (
+        profile_value(build_mesh(SQUARE, level), 0.25 * math.pi, 0.25, 2.0)[0]
+        for level in (5, 6)
+    )
+    error = abs(res.lambda_min - (4.0 * lam6 - lam5) / 3.0)  # 0.0207
+    assert error <= res.error_estimate <= 4.0 * error  # 0.0592
 
 
 # ---------------------------------------------------------------- suites
