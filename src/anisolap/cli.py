@@ -10,8 +10,11 @@ optimize  minimize over rotations at a coercivity level; JSON result plus a
 sweep     tabulate profile values over user theta/a/p grids as CSV
 verify    run the verification suites; JSON report, exit 0 iff all entries pass
 
-The run configuration is one flat JSON object; flags set some of its keys,
-and a config file passed with --config overrides flag values.  Its keys:
+The library takes typed arguments and has no run defaults; this module alone
+reads configs, holds the defaults and writes files.  The run configuration is
+one flat JSON object: ``_DEFAULTS`` is its one default table, flags set some
+of its keys, and a config file passed with --config overrides flag values.
+Its keys:
 
   command              one of the commands above
   domain               a name (square, disk, lshape) or a domain JSON object
@@ -29,10 +32,10 @@ and a config file passed with --config overrides flag values.  Its keys:
   n_samples, n_pairs,  read by verify only: rigidity samples and pairs, the
   a_sequence, suites   relaxation levels and the suites to run
 
-Numbers are serialized with 17 significant digits and output files are
-written atomically.  The JSON envelope carries a timestamp outside the
-deterministic ``payload`` section so repeated runs with the same seed produce
-byte-identical payloads.
+Numbers are serialized with 17 significant digits, in the JSON reports and
+the CSV files alike, and output files are written atomically.  The JSON
+envelope carries a timestamp outside the deterministic ``payload`` section so
+repeated runs with the same seed produce byte-identical payloads.
 """
 
 from __future__ import annotations
@@ -41,17 +44,20 @@ import argparse
 import datetime
 import json
 import math
+import os
 import sys
+import tempfile
 
 import numpy as np
 
-from .geometry import domain_from_json, domain_to_json
-from .mesh import _atomic_write, build_mesh, write_nodal_values_csv
-from .optimizer import VERIFY_DEFAULTS, lambda_min, run_verification
+from .geometry import DomainSpec, domain_from_json, domain_to_json
+from .mesh import build_mesh
+from .optimizer import lambda_min, profile_value, run_verification
 from .quadform import QuadForm
 from .solver import SolverConvergenceError, SolverOptions, solve_p
 
 SCHEMA_VERSION = 1
+SUITES = ("rigidity", "quantitative", "relaxation", "disk", "rectangle")
 
 _DEFAULTS = {
     "command": None,
@@ -68,18 +74,16 @@ _DEFAULTS = {
     "thetas": None,
     "a_values": None,
     "p_values": None,
-    **{key: VERIFY_DEFAULTS[key] for key in ("b", "n_samples", "n_pairs", "a_sequence", "suites")},
+    "b": 0.5,
+    "n_samples": 5,
+    "n_pairs": 8,
+    "a_sequence": [0.5, 0.25],
+    "suites": list(SUITES),
 }
 
 
 class ConfigError(ValueError):
     pass
-
-
-def _fmt_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise ConfigError(f"cannot serialize non-finite number {x}")
-    return format(float(x), ".17g")
 
 
 def dumps_stable(obj, indent: int = 0) -> str:
@@ -104,10 +108,40 @@ def dumps_stable(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
+        if not math.isfinite(obj):
+            raise ConfigError(f"cannot serialize non-finite number {obj}")
+        return format(float(obj), ".17g")
     if isinstance(obj, str):
         return json.dumps(obj)
     raise ConfigError(f"cannot serialize value of type {type(obj).__name__}")
+
+
+def _atomic_write(path, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it onto
+    ``path``: readers see the old file or the whole new one, never a part."""
+    directory = os.path.dirname(os.path.abspath(path)) or "."
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _write_csv(path, header: str, rows) -> None:
+    """Write ``rows``, one number per field of ``header``, as CSV lines with
+    floats at 17 significant digits."""
+    table = np.asarray(rows, dtype=float)
+    width = header.count(",") + 1
+    if table.ndim != 2 or table.shape[1] != width:
+        raise ValueError(f"every row must hold one number per field of {header!r}")
+    # one formatting pass; "%.17g" gives the same text as format(x, ".17g")
+    line = ",".join(["%.17g"] * width) + "\n"
+    _atomic_write(path, header + "\n" + (line * len(table)) % tuple(table.ravel().tolist()))
 
 
 def _write_report(path: str, payload: dict) -> None:
@@ -125,7 +159,7 @@ def _parse_args(argv) -> dict:
         description="Fundamental frequencies and optimal anisotropies of planar "
         "quadratic-form p-Laplace operators.",
     )
-    ap.add_argument("--command", choices=["eigen", "optimize", "sweep", "verify"])
+    ap.add_argument("--command", choices=list(_COMMANDS))
     ap.add_argument("--config", help="JSON config file; overrides flags")
     ap.add_argument("--domain", help="domain name or inline JSON object")
     ap.add_argument("--domain-file", help="JSON file holding the domain spec")
@@ -170,9 +204,12 @@ def _parse_args(argv) -> dict:
 
 def _number(value, name: str, kind=float):
     try:
-        return kind(value)
+        x = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name} must be a number, got {value!r}") from exc
+    if kind is int and isinstance(value, float) and x != value:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return x
 
 
 def _numbers(values, name: str, ok=lambda x: True, what: str = "") -> list[float]:
@@ -191,7 +228,8 @@ def _exponents(values, name: str) -> None:
 
 
 def _verify_config(cfg: dict) -> dict:
-    """The config passed to ``run_verification``, read from the flat keys."""
+    """The ``verify`` report's config: the domain, the tolerance and the
+    arguments of ``run_verification``, read from the flat keys."""
     return {
         "domain": cfg["domain"],
         "a": float(cfg["a"]),
@@ -199,17 +237,17 @@ def _verify_config(cfg: dict) -> dict:
         "p_list": [float(p) for p in cfg["p_values"] or [cfg["p"]]],
         "level": int(cfg["mesh_level"]),
         "grid_n": int(cfg["grid_n"]),
-        "seed": int(cfg["seed"]),
-        "tol": float(cfg["tol"]),
         "n_samples": int(cfg["n_samples"]),
         "n_pairs": int(cfg["n_pairs"]),
-        "a_sequence": cfg["a_sequence"],
+        "a_sequence": [float(a) for a in cfg["a_sequence"]],
+        "seed": int(cfg["seed"]),
+        "tol": float(cfg["tol"]),
         "suites": cfg["suites"],
     }
 
 
-def _validate_run(cfg: dict) -> None:
-    """The mesh, angle-grid, solver and seed fields."""
+def _validate_run(cfg: dict) -> DomainSpec:
+    """The mesh, angle-grid, solver and seed fields; returns the parsed domain."""
     if not 2 <= _number(cfg["mesh_level"], "mesh_level", int) <= 9:
         raise ConfigError(f"mesh_level must lie in [2, 9], got {cfg['mesh_level']}")
     if _number(cfg["grid_n"], "grid_n", int) < 9:
@@ -221,17 +259,16 @@ def _validate_run(cfg: dict) -> None:
     if _number(cfg["seed"], "seed", int) < 0:
         raise ConfigError(f"seed must be nonnegative, got {cfg['seed']}")
     try:
-        domain_from_json(cfg["domain"])
+        return domain_from_json(cfg["domain"])
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"bad domain spec: {exc}") from exc
 
 
 def _validate_verify_keys(cfg: dict) -> None:
     """The keys only ``verify`` reads."""
-    names = VERIFY_DEFAULTS["suites"]
     suites = cfg["suites"]
-    if not isinstance(suites, list) or not suites or any(s not in names for s in suites):
-        raise ConfigError(f"suites must be a non-empty list from {names}, got {suites!r}")
+    if not isinstance(suites, list) or not suites or any(s not in SUITES for s in suites):
+        raise ConfigError(f"suites must be a non-empty list from {list(SUITES)}, got {suites!r}")
     seq = _numbers(cfg["a_sequence"], "a_sequence", lambda x: 0.0 < x < 1.0, "lie in (0, 1)")
     if any(a2 >= a1 for a1, a2 in zip(seq, seq[1:])):
         raise ConfigError(f"a_sequence must be strictly decreasing, got {seq}")
@@ -240,37 +277,38 @@ def _validate_verify_keys(cfg: dict) -> None:
             raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
 
 
-def _validate(cfg: dict) -> dict:
+def _validate(cfg: dict) -> DomainSpec:
+    """Check every field of ``cfg``; returns the parsed domain."""
     unknown = [str(key) for key in cfg if key not in _DEFAULTS]
     if unknown:
         raise ConfigError("unknown config key " + ", ".join(unknown))
     if cfg["command"] is None:
         raise ConfigError("missing command (use --command or a config file)")
-    if cfg["command"] not in ("eigen", "optimize", "sweep", "verify"):
+    if cfg["command"] not in _COMMANDS:
         raise ConfigError(f"unknown command {cfg['command']!r}")
     if not _number(cfg["p"], "p") > 1.0:
         raise ConfigError(f"p must exceed 1, got {cfg['p']}")
     if not 0.0 < _number(cfg["a"], "a") <= 1.0:
         raise ConfigError(f"a must lie in (0, 1], got {cfg['a']}")
     _number(cfg["b"], "b")
-    _validate_run(cfg)
+    domain = _validate_run(cfg)
     if cfg["p_values"] is not None:
         _exponents(cfg["p_values"], "p_values")
     if cfg["thetas"] is not None:
         _numbers(cfg["thetas"], "thetas", lambda t: 0.0 <= t <= 0.5 * math.pi, "lie in [0, pi/2]")
     if cfg["a_values"] is not None:
         _numbers(cfg["a_values"], "a_values", lambda a: 0.0 < a <= 1.0, "lie in (0, 1]")
-    if cfg["form"]:
+    if cfg["form"] is not None:
         try:
             QuadForm.from_dict(cfg["form"])
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"bad form {cfg['form']!r}: {exc}") from exc
     _validate_verify_keys(cfg)
     if cfg["command"] == "verify":
-        v = _verify_config(cfg)
-        if not 0.0 < v["a"] <= v["b"] < 1.0:
-            raise ConfigError(f"verify needs 0 < a <= b < 1, got a={v['a']}, b={v['b']}")
-    return cfg
+        a, b = float(cfg["a"]), float(cfg["b"])
+        if not 0.0 < a <= b < 1.0:
+            raise ConfigError(f"verify needs 0 < a <= b < 1, got a={a}, b={b}")
+    return domain
 
 
 def _out_paths(cfg: dict, suffix: str) -> tuple[str, str]:
@@ -288,10 +326,8 @@ def _report_failure(command: str, json_path: str, exc: SolverConvergenceError, *
     return 1
 
 
-def _cmd_eigen(cfg: dict) -> int:
-    domain = domain_from_json(cfg["domain"])
-    form = QuadForm.from_dict(cfg["form"]) if cfg["form"] else QuadForm.identity()
-    opts = SolverOptions(tol=float(cfg["tol"]))
+def _cmd_eigen(cfg: dict, domain: DomainSpec, opts: SolverOptions) -> int:
+    form = QuadForm.from_dict(cfg["form"]) if cfg["form"] is not None else QuadForm.identity()
     options = {"tol": opts.tol, "max_iter": opts.max_iter}
     mesh = build_mesh(domain, int(cfg["mesh_level"]))
     json_path, csv_path = _out_paths(cfg, "_eigenfunction.csv")
@@ -308,17 +344,15 @@ def _cmd_eigen(cfg: dict) -> int:
         "options": options,
     }
     _write_report(json_path, payload)
-    write_nodal_values_csv(mesh, res.u, csv_path)
+    _write_csv(csv_path, "x,y,u", np.column_stack([mesh.nodes, res.u]))
     print(f"lambda = {res.lam:.12g}  ({json_path})")
     return 0
 
 
-def _cmd_optimize(cfg: dict) -> int:
-    domain = domain_from_json(cfg["domain"])
+def _cmd_optimize(cfg: dict, domain: DomainSpec, opts: SolverOptions) -> int:
     a = float(cfg["a"])
     if not 0.0 < a < 1.0:
         raise ConfigError(f"optimize needs a in (0, 1), got {a}")
-    opts = SolverOptions(tol=float(cfg["tol"]))
     json_path, csv_path = _out_paths(cfg, "_profile.csv")
     try:
         res = lambda_min(
@@ -339,46 +373,41 @@ def _cmd_optimize(cfg: dict) -> int:
         "result": res.to_dict(),
     }
     _write_report(json_path, payload)
-    lines = ["theta,lambda"]
-    lines += [f"{_fmt_float(t)},{_fmt_float(v)}" for t, v in res.theta_profile]
-    _atomic_write(csv_path, "\n".join(lines) + "\n")
+    _write_csv(csv_path, "theta,lambda", res.theta_profile)
     print(
         f"lambda_min = {res.lambda_min:.12g} at theta = {res.theta_star:.6g}  ({json_path})"
     )
     return 0
 
 
-def _cmd_sweep(cfg: dict) -> int:
-    from .optimizer import profile_value
-
-    mesh = build_mesh(domain_from_json(cfg["domain"]), int(cfg["mesh_level"]))
+def _cmd_sweep(cfg: dict, domain: DomainSpec, opts: SolverOptions) -> int:
+    mesh = build_mesh(domain, int(cfg["mesh_level"]))
     thetas = cfg["thetas"] or list(np.linspace(0.0, 0.5 * math.pi, int(cfg["grid_n"])))
     a_values = cfg["a_values"] or [float(cfg["a"])]
     p_values = cfg["p_values"] or [float(cfg["p"])]
-    opts = SolverOptions(tol=float(cfg["tol"]))
     csv_path = str(cfg["out"])
     if not csv_path.endswith(".csv"):
         csv_path += ".csv"
-    lines = ["theta,a,p,lambda"]
+    rows = []
     try:
         for p in p_values:
             for a in a_values:
                 for th in thetas:
                     val, _ = profile_value(mesh, float(th), float(a), float(p), opts)
-                    lines.append(
-                        f"{_fmt_float(th)},{_fmt_float(a)},{_fmt_float(p)},{_fmt_float(val)}"
-                    )
+                    rows.append((float(th), float(a), float(p), val))
     except SolverConvergenceError as exc:
         return _report_failure("sweep", csv_path[: -len(".csv")] + ".json", exc)
-    _atomic_write(csv_path, "\n".join(lines) + "\n")
+    _write_csv(csv_path, "theta,a,p,lambda", rows)
     print(f"sweep written to {csv_path}")
     return 0
 
 
-def _cmd_verify(cfg: dict) -> int:
+def _cmd_verify(cfg: dict, domain: DomainSpec, opts: SolverOptions) -> int:
     json_path, _ = _out_paths(cfg, "")
+    config = _verify_config(cfg)
+    args = {key: value for key, value in config.items() if key not in ("domain", "tol")}
     try:
-        report = run_verification(_verify_config(cfg))
+        report = {"config": config, **run_verification(domain, opts, **args)}
     except SolverConvergenceError as exc:
         return _report_failure("verify", json_path, exc)
     payload = {"command": "verify", "status": "ok", "report": report}
@@ -391,16 +420,20 @@ def _cmd_verify(cfg: dict) -> int:
     return 0 if report["all_passed"] else 1
 
 
+_COMMANDS = {
+    "eigen": _cmd_eigen,
+    "optimize": _cmd_optimize,
+    "sweep": _cmd_sweep,
+    "verify": _cmd_verify,
+}
+
+
 def run(cfg: dict) -> int:
-    cfg = _validate(cfg)
-    command = cfg["command"]
-    if command == "eigen":
-        return _cmd_eigen(cfg)
-    if command == "optimize":
-        return _cmd_optimize(cfg)
-    if command == "sweep":
-        return _cmd_sweep(cfg)
-    return _cmd_verify(cfg)
+    """Validate ``cfg``, parse its domain and build its solver options once,
+    and run its command."""
+    domain = _validate(cfg)
+    opts = SolverOptions(tol=float(cfg["tol"]))
+    return _COMMANDS[cfg["command"]](cfg, domain, opts)
 
 
 def main(argv=None) -> int:

@@ -12,8 +12,6 @@ measured up to level 6) and the boundary error falls as O(h^2).
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -252,33 +250,9 @@ def build_mesh(domain: DomainSpec, level: int, n_boundary: int = 128) -> Mesh:
     """The domain's mesh at refinement ``level``: a disk's refined hexagon,
     or the ear-clipped polygon refined ``level`` times.  ``n_boundary`` is
     accepted for existing callers and changes no mesh."""
+    if level < 0:
+        raise ValueError("levels must be nonnegative")
     if isinstance(domain, Disk):
         return _disk_mesh(domain, level)
     return refine(triangulate(polygonize(domain)), level)
 
-
-def _atomic_write(path, text: str) -> None:
-    """Write ``text`` to a temporary file beside ``path``, then rename it onto
-    ``path``: readers see the old file or the whole new one, never a part."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def write_nodal_values_csv(m: Mesh, values: np.ndarray, path, name: str = "u") -> None:
-    """Write per-node values as CSV rows (x, y, value), floats at 17 significant digits."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (m.n_nodes,):
-        raise ValueError("values must have one entry per mesh node")
-    table = np.column_stack([m.nodes, values])
-    # one formatting pass; "%.17g" gives the same text as format(x, ".17g")
-    rows = ("%.17g,%.17g,%.17g\n" * len(table)) % tuple(table.ravel().tolist())
-    _atomic_write(path, f"x,y,{name}\n" + rows)

@@ -60,7 +60,6 @@ level and exponent, so the levels both suites use are searched once.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -372,40 +371,35 @@ def verify_rigidity(
     d: DomainSpec,
     a: float,
     p: float,
-    n_samples: int = 20,
-    opts: SolverOptions | None = None,
+    opts: SolverOptions,
     *,
-    level: int = 4,
-    n_pairs: int = 20,
-    seed: int = 0,
+    level: int,
+    n_samples: int,
+    n_pairs: int,
+    seed: int,
 ) -> list[dict]:
     """Strict dominance of the isotropic form, and discrete monotonicity of the
-    frequency under pointwise ordering of forms, on random samples."""
+    frequency under pointwise ordering of forms, on random samples.  Both
+    entries report the largest error bound ``residual * lam`` of the suite's
+    solves."""
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     if n_pairs < 1:
         raise ValueError("n_pairs must be at least 1")
-    opts = opts or SolverOptions()
     rng = np.random.default_rng(seed)
     mesh = build_mesh(d, level)
-    iso = solve_p(mesh, QuadForm.identity(), p, opts)
-    margin_floor = 3.0 * max(iso.residual * iso.lam, opts.tol * iso.lam)
+    bounds: list[float] = []  # the error bound of every solve
+
+    def frequency(q: QuadForm) -> float:
+        res = solve_p(mesh, q, p, opts)
+        bounds.append(res.residual * res.lam)
+        return res.lam
+
+    lam_iso = frequency(QuadForm.identity())
+    margin_floor = 3.0 * max(bounds[0], opts.tol * lam_iso)
 
     # random_member never draws the identity, the equality case
-    margins = [
-        iso.lam - solve_p(mesh, random_member(a, rng), p, opts).lam for _ in range(n_samples)
-    ]
-    entries = [
-        _entry(
-            "isotropic_maximizer_strict",
-            "every sampled non-isotropic form has strictly smaller frequency",
-            {"lambda_isotropic": iso.lam, "min_margin": min(margins), "n_tested": len(margins)},
-            margin_floor,
-            all(mg > margin_floor for mg in margins),
-            level,
-            iso.residual,
-        )
-    ]
+    margins = [lam_iso - frequency(random_member(a, rng)) for _ in range(n_samples)]
 
     violations = 0
     worst = math.inf
@@ -421,13 +415,22 @@ def verify_rigidity(
                 w * q1.beta,
                 w * q1.gamma + (1 - w),
             )  # blend toward the isotropic form dominates
-        lam1 = solve_p(mesh, q1, p, opts).lam
-        lam2 = solve_p(mesh, q2, p, opts).lam
-        gap = lam2 - lam1
+        lam1 = frequency(q1)
+        gap = frequency(q2) - lam1
         worst = min(worst, gap)
         if gap < -1e-9:
             violations += 1
-    entries.append(
+    residual = max(bounds)
+    return [
+        _entry(
+            "isotropic_maximizer_strict",
+            "every sampled non-isotropic form has strictly smaller frequency",
+            {"lambda_isotropic": lam_iso, "min_margin": min(margins), "n_tested": len(margins)},
+            margin_floor,
+            all(mg > margin_floor for mg in margins),
+            level,
+            residual,
+        ),
         _entry(
             "monotone_form_ordering",
             "pointwise-ordered forms give ordered discrete frequencies",
@@ -435,10 +438,9 @@ def verify_rigidity(
             1e-9,
             violations == 0,
             level,
-            iso.residual,
-        )
-    )
-    return entries
+            residual,
+        ),
+    ]
 
 
 def verify_quantitative(res_a: OptimizeResult, res_b: OptimizeResult, chord: float) -> list[dict]:
@@ -545,17 +547,16 @@ def verify_Q0_limit(results: list[OptimizeResult], chord: float) -> list[dict]:
 def verify_disk(
     a: float,
     p: float,
-    opts: SolverOptions | None = None,
+    opts: SolverOptions,
     *,
-    level: int = 4,
-    grid_n: int = 9,
+    level: int,
+    grid_n: int,
 ) -> list[dict]:
     """On the unit disk every rotation is equivalent: the profile is flat and
     the optimum equals the scaled isotropic frequency of the sheared disk.
     That target is the profile value at angle 0, a^(p/2) times the isotropic
     frequency on the sheared image of the profile's mesh, so it is compared
     with the optimum's value on that mesh, ``lambda_min_coarse``."""
-    opts = opts or SolverOptions()
     res = lambda_min(Disk(1.0), a, p, grid_n, opts, level=level)
     values = np.array([v for _, v in res.theta_profile])
     spread = float((values.max() - values.min()) / values.mean())
@@ -587,14 +588,13 @@ def verify_disk(
 def verify_rectangle(
     a: float,
     p: float,
-    opts: SolverOptions | None = None,
+    opts: SolverOptions,
     *,
-    level: int = 4,
-    grid_n: int = DEFAULT_GRID_N,
+    level: int,
+    grid_n: int,
 ) -> list[dict]:
     """The tall rectangle with aspect 1/sqrt(a): its sheared image at angle 0
     is a square, which quadrilateral symmetrization singles out as optimal."""
-    opts = opts or SolverOptions()
     if not 0.0 < a < 1.0:
         raise ValueError(f"need a in (0, 1), got {a}")
     rect = Rectangle(1.0, 1.0 / math.sqrt(a))
@@ -659,43 +659,31 @@ def verify_rectangle(
     ]
 
 
-# The ``verify`` configuration that ``run_verification`` starts from.
-VERIFY_DEFAULTS = {
-    "domain": "square",
-    "a": 0.25,
-    "b": 0.5,
-    "p_list": [2.0],
-    "level": 3,
-    "grid_n": 9,
-    "n_samples": 5,
-    "n_pairs": 8,
-    "a_sequence": [0.5, 0.25],
-    "seed": 0,
-    "tol": 1e-9,
-    "suites": ["rigidity", "quantitative", "relaxation", "disk", "rectangle"],
-}
+def run_verification(
+    d: DomainSpec,
+    opts: SolverOptions,
+    *,
+    a: float,
+    b: float,
+    p_list: list[float],
+    level: int,
+    grid_n: int,
+    n_samples: int,
+    n_pairs: int,
+    a_sequence: list[float],
+    seed: int,
+    suites: list[str],
+) -> dict:
+    """Run the named ``suites`` on mesh ``level`` at each exponent in
+    ``p_list`` and assemble a deterministic report of their entries.
 
-
-def run_verification(config: dict | None = None) -> dict:
-    """Run the verification suites described by ``config`` and assemble a
-    deterministic report (used by the command-line ``verify`` command).
-
-    The quantitative and relaxation suites judge optimal lower constants at
-    the levels {a, b} and ``a_sequence``; each of those optima is computed
-    once per p, at angle resolution 1e-3, and shared by both suites."""
-    cfg = {**copy.deepcopy(VERIFY_DEFAULTS), **(config or {})}
-    from .geometry import domain_from_json
-
-    d = domain_from_json(cfg["domain"])
-    opts = SolverOptions(tol=float(cfg["tol"]))
-    level = int(cfg["level"])
-    grid_n = int(cfg["grid_n"])
-    suites = cfg["suites"]
-    a, b = float(cfg["a"]), float(cfg["b"])
-    a_sequence = [float(x) for x in cfg["a_sequence"]]
+    The rigidity suite samples ``n_samples`` forms and ``n_pairs`` ordered
+    pairs at level ``a`` from ``seed``; the disk and rectangle suites search
+    ``grid_n`` angles at level ``a``.  The quantitative and relaxation suites
+    judge optimal lower constants at the levels {a, b} and ``a_sequence``;
+    each of those optima is computed once per p, at angle resolution 1e-3,
+    and shared by both suites."""
     entries: list[dict] = []
-    p_list = [float(p) for p in cfg["p_list"]]
-
     levels = []
     if "quantitative" in suites:
         levels += [a, b]
@@ -710,9 +698,7 @@ def run_verification(config: dict | None = None) -> dict:
     if "rigidity" in suites:
         for p in p_list:
             entries += verify_rigidity(
-                d, a, p, int(cfg["n_samples"]), opts,
-                level=level, n_pairs=int(cfg["n_pairs"]),
-                seed=int(cfg["seed"]),
+                d, a, p, opts, level=level, n_samples=n_samples, n_pairs=n_pairs, seed=seed
             )
     if "quantitative" in suites:
         chord = longest_chord(d, X_ARC)
@@ -730,7 +716,6 @@ def run_verification(config: dict | None = None) -> dict:
             entries += verify_rectangle(a, p, opts, level=level, grid_n=grid_n)
 
     return {
-        "config": cfg,
         "entries": entries,
         "n_entries": len(entries),
         "n_passed": sum(1 for e in entries if e["passed"]),

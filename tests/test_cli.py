@@ -1,9 +1,19 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from anisolap import SolverConvergenceError, SolverOptions, cli, optimizer
+from anisolap import (
+    Polygon,
+    Rectangle,
+    SolverConvergenceError,
+    SolverOptions,
+    build_mesh,
+    cli,
+    lshape,
+    optimizer,
+)
 
 
 def run_config(tmp_path, config: dict) -> tuple[int, str]:
@@ -34,6 +44,8 @@ def payload_text(path: str) -> str:
             "form",
             id="missing-key",
         ),
+        pytest.param({"command": "eigen", "form": {}}, "form", id="empty-form"),
+        pytest.param({"command": "eigen", "form": 0}, "form", id="zero-form"),
         pytest.param({"command": "eigen", "p": "abc"}, "p must", id="non-numeric-p"),
         pytest.param({"command": "verify", "p_values": [0.5]}, "p_values must", id="verify-p-list"),
         pytest.param({"command": "sweep", "p_values": [2.0, 1.0]}, "p_values", id="sweep-p-values"),
@@ -90,6 +102,19 @@ def payload_text(path: str) -> str:
         pytest.param({"command": "verify", "n_pairs": 0}, "n_pairs must", id="verify-n-pairs"),
         pytest.param({"command": "verify", "seed": -1}, "seed must", id="verify-seed"),
         pytest.param({"command": "verify", "tol": 0.0}, "tol must", id="verify-tol"),
+        # an integer field holding a non-integral number is not truncated
+        pytest.param(
+            {"command": "eigen", "mesh_level": 2.7}, "mesh_level must", id="level-fraction"
+        ),
+        pytest.param({"command": "optimize", "grid_n": 9.5}, "grid_n must", id="grid-n-fraction"),
+        pytest.param({"command": "verify", "seed": 1.5}, "seed must", id="seed-fraction"),
+        pytest.param(
+            {"command": "verify", "n_samples": 2.5}, "n_samples must", id="n-samples-fraction"
+        ),
+        pytest.param({"command": "verify", "n_pairs": 2.5}, "n_pairs must", id="n-pairs-fraction"),
+        pytest.param(
+            {"command": "eigen", "n_boundary": 16.5}, "n_boundary must", id="n-boundary-fraction"
+        ),
         pytest.param(
             {"command": "verify", "domain": "nonsense"}, "bad domain spec", id="verify-domain"
         ),
@@ -114,6 +139,13 @@ def test_eigen_exits_0_with_deterministic_payload(tmp_path):
     assert payload["status"] == "ok"
     assert sorted(payload["options"]) == ["max_iter", "tol"]
     assert (tmp_path / "a" / "run_eigenfunction.csv").exists()
+
+
+def test_integral_float_fields_are_accepted(tmp_path):
+    # a JSON number with no fractional part is read as the integer it equals
+    rc, out = run_config(tmp_path, {"command": "eigen", "mesh_level": 2.0, "seed": 3.0})
+    assert rc == 0
+    assert json.loads(payload_text(out + ".json"))["payload"]["mesh_level"] == 2
 
 
 def test_eigen_failure_keeps_options_block(tmp_path, monkeypatch):
@@ -147,16 +179,13 @@ def test_eigen_failure_after_one_iteration_is_reported(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "config, module",
-    [
-        ({"command": "verify", "suites": ["rectangle"]}, optimizer),
-        ({"command": "sweep", "thetas": [0.0, 0.5]}, cli),
-    ],
+    "config",
+    [{"command": "verify", "suites": ["rectangle"]}, {"command": "sweep", "thetas": [0.0, 0.5]}],
     ids=["verify", "sweep"],
 )
-def test_solver_failure_is_reported(tmp_path, monkeypatch, capsys, config, module):
+def test_solver_failure_is_reported(tmp_path, monkeypatch, capsys, config):
     # a p-descent cut off after two iterations misses its residual bound
-    monkeypatch.setattr(module, "SolverOptions", lambda tol: SolverOptions(tol=tol, max_iter=2))
+    monkeypatch.setattr(cli, "SolverOptions", lambda tol: SolverOptions(tol=tol, max_iter=2))
     rc, out = run_config(tmp_path, {**config, "mesh_level": 2, "p": 3.0})
     assert rc == 1
     payload = json.loads(payload_text(out + ".json"))["payload"]
@@ -222,3 +251,46 @@ def test_verify_accepts_n_boundary_and_reports_none(tmp_path):
     assert rc == 0
     report = json.loads(payload_text(out + ".json"))["payload"]["report"]
     assert "n_boundary" not in report["config"]
+
+
+def test_csv_exports(tmp_path):
+    m = build_mesh(Rectangle(1.0, 1.0), 1)
+    cli._write_csv(tmp_path / "u.csv", "x,y,u", np.column_stack([m.nodes, np.ones(m.n_nodes)]))
+    lines = (tmp_path / "u.csv").read_text().strip().splitlines()
+    assert lines[0] == "x,y,u" and len(lines) == m.n_nodes + 1
+    with pytest.raises(ValueError):
+        cli._write_csv(tmp_path / "bad.csv", "x,y,u", m.nodes)  # a field short
+    assert not (tmp_path / "bad.csv").exists()
+
+
+def test_csv_writer_keeps_old_file_on_failure(tmp_path):
+    # a write that fails part way (a header the encoder rejects) leaves the
+    # previous file whole and no temporary file behind
+    m = build_mesh(Rectangle(1.0, 1.0), 1)
+    table = np.column_stack([m.nodes, np.ones(m.n_nodes)])
+    path = tmp_path / "u.csv"
+    cli._write_csv(path, "x,y,u", table)
+    before = path.read_bytes()
+    with pytest.raises(UnicodeEncodeError):
+        cli._write_csv(path, "x,y,\ud800", table)
+    assert path.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["u.csv"]
+
+
+def test_csv_exports_match_per_row_formatting(tmp_path):
+    # the writer formats whole columns at once; the bytes must equal those of
+    # formatting every float on its own with ".17g"
+    c, s = math.cos(0.4), math.sin(0.4)
+    m = build_mesh(Polygon(lshape().vertices @ np.array([[c, -s], [s, c]]).T), 2)
+    rng = np.random.default_rng(3)
+    values = rng.normal(size=m.n_nodes) * 10.0 ** rng.integers(-30, 30, size=m.n_nodes)
+    values[:3] = [0.0, -0.0, 1.0 / 3.0]
+    cli._write_csv(tmp_path / "u.csv", "x,y,w", np.column_stack([m.nodes, values]))
+
+    def fmt(x):
+        return format(float(x), ".17g")
+
+    expected = "x,y,w\n" + "".join(
+        f"{fmt(x)},{fmt(y)},{fmt(v)}\n" for (x, y), v in zip(m.nodes, values)
+    )
+    assert (tmp_path / "u.csv").read_bytes() == expected.encode("utf-8")

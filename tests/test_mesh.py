@@ -15,7 +15,6 @@ from anisolap import (
     polygonize,
     refine,
     triangulate,
-    write_nodal_values_csv,
 )
 
 
@@ -102,45 +101,10 @@ def test_mesh_rejects_clockwise_triangle():
         Mesh.from_arrays(nodes, np.array([[0, 2, 1]]))
 
 
-def test_csv_exports(tmp_path):
-    m = build_mesh(Rectangle(1.0, 1.0), 1)
-    write_nodal_values_csv(m, np.ones(m.n_nodes), tmp_path / "u.csv")
-    lines = (tmp_path / "u.csv").read_text().strip().splitlines()
-    assert lines[0] == "x,y,u" and len(lines) == m.n_nodes + 1
-    with pytest.raises(ValueError):
-        write_nodal_values_csv(m, np.ones(3), tmp_path / "bad.csv")
-
-
-def test_csv_writer_keeps_old_file_on_failure(tmp_path):
-    # a write that fails part way (a header the encoder rejects) leaves the
-    # previous file whole and no temporary file behind
-    m = build_mesh(Rectangle(1.0, 1.0), 1)
-    path = tmp_path / "u.csv"
-    write_nodal_values_csv(m, np.ones(m.n_nodes), path)
-    before = path.read_bytes()
-    with pytest.raises(UnicodeEncodeError):
-        write_nodal_values_csv(m, np.zeros(m.n_nodes), path, name="\ud800")
-    assert path.read_bytes() == before
-    assert [f.name for f in tmp_path.iterdir()] == ["u.csv"]
-
-
-def test_csv_exports_match_per_row_formatting(tmp_path):
-    # the writer formats whole columns at once; the bytes must equal those of
-    # formatting every float on its own with ".17g"
-    c, s = math.cos(0.4), math.sin(0.4)
-    m = build_mesh(Polygon(lshape().vertices @ np.array([[c, -s], [s, c]]).T), 2)
-    rng = np.random.default_rng(3)
-    values = rng.normal(size=m.n_nodes) * 10.0 ** rng.integers(-30, 30, size=m.n_nodes)
-    values[:3] = [0.0, -0.0, 1.0 / 3.0]
-    write_nodal_values_csv(m, values, tmp_path / "u.csv", name="w")
-
-    def fmt(x):
-        return format(float(x), ".17g")
-
-    expected = "x,y,w\n" + "".join(
-        f"{fmt(x)},{fmt(y)},{fmt(v)}\n" for (x, y), v in zip(m.nodes, values)
-    )
-    assert (tmp_path / "u.csv").read_bytes() == expected.encode("utf-8")
+@pytest.mark.parametrize("domain", [Disk(1.0), Rectangle(1.0, 1.0)], ids=["disk", "square"])
+def test_build_mesh_rejects_negative_level(domain):
+    with pytest.raises(ValueError, match="levels must be nonnegative"):
+        build_mesh(domain, -1)
 
 
 def test_build_mesh_disk_levels():

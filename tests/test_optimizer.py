@@ -33,6 +33,19 @@ from anisolap.optimizer import DEFAULT_THETA_TOL, X_ARC, Y_ARC
 
 PI2_HALF = math.pi**2 / 2.0
 SQUARE = Rectangle(1.0, 1.0)
+# ``run_verification`` arguments of a small run on the square
+VERIFY_ARGS = {
+    "a": 0.25,
+    "b": 0.5,
+    "p_list": [2.0],
+    "level": 3,
+    "grid_n": 9,
+    "n_samples": 5,
+    "n_pairs": 8,
+    "a_sequence": [0.5, 0.25],
+    "seed": 0,
+    "suites": ["rigidity", "quantitative", "relaxation", "disk", "rectangle"],
+}
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -338,7 +351,9 @@ def test_error_estimate_bounds_square_error():
 
 
 def test_verify_rigidity_entries():
-    entries = verify_rigidity(SQUARE, 0.25, 2.0, n_samples=5, level=3, n_pairs=6, seed=1)
+    entries = verify_rigidity(
+        SQUARE, 0.25, 2.0, SolverOptions(), level=3, n_samples=5, n_pairs=6, seed=1
+    )
     names = [e["name"] for e in entries]
     assert names == ["isotropic_maximizer_strict", "monotone_form_ordering"]
     for e in entries:
@@ -346,10 +361,32 @@ def test_verify_rigidity_entries():
         assert "mesh_level" in e and "solver_residual" in e
 
 
+def test_verify_rigidity_reports_largest_error_bound(monkeypatch):
+    # like every other entry, the rigidity entries report an absolute error
+    # bound, residual * lam, the largest over the suite's solves
+    results = []
+
+    def recording(*args):
+        results.append(solve_p(*args))
+        return results[-1]
+
+    monkeypatch.setattr(optimizer, "solve_p", recording)
+    entries = verify_rigidity(
+        SQUARE, 0.25, 2.0, SolverOptions(), level=3, n_samples=3, n_pairs=3, seed=1
+    )
+    iso = results[0]
+    assert len(results) == 1 + 3 + 2 * 3
+    for e in entries:
+        assert e["solver_residual"] >= iso.residual * iso.lam
+        assert e["solver_residual"] == max(res.residual * res.lam for res in results)
+
+
 def test_verify_rigidity_rejects_no_pairs():
     # with no pair the worst gap would stay infinite, which no report can hold
     with pytest.raises(ValueError, match="n_pairs"):
-        verify_rigidity(SQUARE, 0.25, 2.0, n_samples=1, level=2, n_pairs=0)
+        verify_rigidity(
+            SQUARE, 0.25, 2.0, SolverOptions(), level=2, n_samples=1, n_pairs=0, seed=0
+        )
 
 
 @pytest.fixture(scope="module")
@@ -449,7 +486,9 @@ def test_run_verification_shares_optima(monkeypatch):
 
     monkeypatch.setattr(optimizer, "lambda_min", counting)
     report = run_verification(
-        {"level": 2, "p_list": [2.0, 3.0], "suites": ["quantitative", "relaxation"]}
+        SQUARE,
+        SolverOptions(),
+        **{**VERIFY_ARGS, "level": 2, "p_list": [2.0, 3.0], "suites": ["quantitative", "relaxation"]},
     )
     assert [e["name"] for e in report["entries"]] == [
         "upper_ratio_bound",
@@ -464,14 +503,14 @@ def test_run_verification_shares_optima(monkeypatch):
 
 
 def test_verify_disk_entries():
-    entries = verify_disk(0.25, 2.0, level=3, grid_n=9)
+    entries = verify_disk(0.25, 2.0, SolverOptions(), level=3, grid_n=9)
     assert all(e["passed"] for e in entries)
     # one mesh of the disk carries every angle: the spread is a measurement
     assert 0.0 < entries[0]["measured"]["spread"] < 1e-3
 
 
 def test_verify_rectangle_value_and_margin():
-    entries = verify_rectangle(0.25, 2.0, level=4, grid_n=9)
+    entries = verify_rectangle(0.25, 2.0, SolverOptions(), level=4, grid_n=9)
     by_name = {e["name"]: e for e in entries}
     assert by_name["rectangle_min_value"]["passed"]
     assert by_name["rectangle_interior_margin"]["passed"]
@@ -481,8 +520,8 @@ def test_verify_rectangle_value_and_margin():
 
 
 def test_run_verification_deterministic():
-    cfg = {"level": 3, "grid_n": 9, "n_samples": 3, "n_pairs": 4, "seed": 9}
-    rep1 = run_verification(cfg)
-    rep2 = run_verification(cfg)
+    args = {**VERIFY_ARGS, "n_samples": 3, "n_pairs": 4, "seed": 9}
+    rep1 = run_verification(SQUARE, SolverOptions(), **args)
+    rep2 = run_verification(SQUARE, SolverOptions(), **args)
     assert json.dumps(rep1, sort_keys=True) == json.dumps(rep2, sort_keys=True)
     assert rep1["n_entries"] == len(rep1["entries"])
