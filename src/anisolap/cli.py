@@ -203,6 +203,9 @@ def _parse_args(argv) -> dict:
 
 
 def _number(value, name: str, kind=float):
+    # a JSON string or boolean is a typing mistake even where float() reads it
+    if isinstance(value, (str, bool)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
     try:
         x = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -22,18 +22,33 @@ K(q) = alpha K_xx + beta (K_xy + K_yx) + gamma K_yy.
 
 One path for every p > 1, built on one direct sparse factorization of K.
 Inverse iteration on the generalized symmetric pencil (K, M) gives the p = 2
-ground state.  At p = 2 that is the answer.  For any other p it is the start
-of one projected descent on the unit p-norm sphere at p itself.  The descent
-steps along the Sobolev gradient K^-1 g (Neuberger; for p-eigenvalues, Horak,
-EJDE 2011), so its iteration count stays nearly flat under mesh refinement
-where a plain l2 gradient step needs O(h^-2) steps.  A line-search trial costs
-one product with G and one with Mid, and the accepted trial's products give
-the next gradient.
+ground state u0.  At p = 2 that is the answer.  For any other p it is the
+start of one projected descent on the unit p-norm sphere at p itself, which
+steps along a Sobolev gradient B^-1 g (Neuberger; for p-eigenvalues, Horak,
+EJDE 2011) in one of two metrics B:
+
+- p >= LAGGED_P_CUTOFF: B = K, the p = 2 stiffness.  Near p = 2 it is the
+  right metric and costs no second factorization.
+- p < LAGGED_P_CUTOFF: B = K_w = G^T (m2 (x) diag(|T| q_T^((p-2)/2))) G, the
+  lagged-diffusivity (Kacanov) stiffness, with q_T = Q(grad u0|_T) floored
+  at LAGGED_Q_FLOOR times its mean (Huang, Li and Liu, J. Sci. Comput. 2007;
+  Diening, Fornasier, Tomasi and Wank, Numer. Math. 2020).  Far below p = 2
+  the diffusivity Q^((p-2)/2) varies by orders of magnitude across the
+  domain, and K, which ignores it, lets the iteration count grow under
+  refinement: 51 / 179 descent-plus-inverse iterations at L4 / L6 on the
+  L-shape at p = 1.5, against 41 / 60 with K_w.  K_w is factored once per
+  solve, with the same call as K.  The cut-off is where the second
+  factorization and the second solve per iteration stop paying for the
+  iterations they save; ``_descent`` gives the measurement.
+
+A line-search trial costs one product with G and one with Mid, and the
+accepted trial's products give the next gradient.
 
 Every result reports the dual-norm residual sqrt(g . K^-1 g) / (p lam) of the
-returned pair, g being the gradient of E(u) - lam N(u).  It measures how far
-the pair is from satisfying the discrete eigenvalue equation.  The descent
-computes it every step (g . K^-1 g is the Armijo slope) and stops on it.
+returned pair, g being the gradient of E(u) - lam N(u), always in the metric
+of K whatever metric the descent steps in.  It measures how far the pair is
+from satisfying the discrete eigenvalue equation.  The descent computes it
+every step and stops on it.
 
 ``directional_constant`` is the closed-form constant of the one-derivative
 inequality; it needs no solve.
@@ -55,6 +70,14 @@ from .quadform import QuadForm
 # Smoothing floor inside Q(grad u)^((p-2)/2) factors for p < 2; the reported
 # eigenvalue is always the unsmoothed quotient of the final iterate.
 GRAD_FLOOR = 1e-12
+
+# Below this p the descent's metric is the lagged-diffusivity stiffness K_w of
+# its start, not the p = 2 stiffness K; ``_descent`` has the measured crossover.
+LAGGED_P_CUTOFF = 1.6
+
+# Floor of the lagged diffusivity's Q(grad u0|_T), relative to its mean over
+# the triangles: it keeps K_w's weights finite where the start is flat.
+LAGGED_Q_FLOOR = 1e-3
 
 # Safety factor of the descent's stopping bound.  Near the ground state the
 # relative eigenvalue error is about C residual^2; C measured between 1 and
@@ -275,30 +298,64 @@ def _inverse_iteration(
     return u, it, res <= opts.tol
 
 
+def _factor(a: sp.csc_matrix) -> SuperLU:
+    """Sparse LU of a stiffness matrix.  It is symmetric positive definite: a
+    symmetric ordering and diagonal pivots give less fill than the default
+    column ordering."""
+    return splu(
+        a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+    )
+
+
+def _lagged_stiffness(ops: _Operators, m2: np.ndarray, p: float, gu: np.ndarray) -> sp.csc_matrix:
+    """K_w = G^T (m2 (x) diag(|T| q_T^((p-2)/2))) G, the stiffness of the
+    p-Laplacian's diffusivity frozen at the field whose triangle gradients
+    are ``gu``, with q_T = Q(grad u|_T) floored at LAGGED_Q_FLOOR times its
+    mean."""
+    g = gu.reshape(2, -1)
+    q = (g * (m2 @ g)).sum(axis=0)
+    w = ops.area * np.maximum(q, LAGGED_Q_FLOOR * q.mean()) ** (0.5 * p - 1.0)
+    return (ops.grad_t @ (sp.kron(m2, sp.diags(w), format="csr") @ ops.grad)).tocsc()
+
+
 def _descent(
     ops: _Operators, m2: np.ndarray, p: float, u0: np.ndarray, bound: float, max_iter: int,
     stiff: sp.csc_matrix, lu: SuperLU,
 ) -> tuple[np.ndarray, float, float, int]:
     """Projected Sobolev-gradient descent on the unit p-norm sphere.
 
-    Each step moves along d = K^-1 g, the gradient of the quotient in the
-    metric of the form's p = 2 stiffness K (factorized as ``lu``), so the
-    iteration count stays nearly flat under mesh refinement.  The step length
-    starts from the Barzilai-Borwein value s.Ks / s.y, measured in the same
-    metric, and is halved until the Armijo condition on g.d holds.  The
-    iterates move on the whole sphere: the ground state of an anisotropic
-    form may change sign at a few nodes of a P1 mesh, and replacing an
-    iterate by |u| would pin those nodes at 0 and can raise the quotient.
-    The quotient is even in u; the start ``u0`` is flipped, if need be, to a
-    nonnegative sum.  The accepted trial's gradients and midpoint values give
-    the next gradient.
+    Each step moves along d = B^-1 g, the gradient of the quotient in the
+    metric B.  For p >= LAGGED_P_CUTOFF, B is the form's p = 2 stiffness K
+    (``stiff``, factorized as ``lu``).  For p < LAGGED_P_CUTOFF it is the
+    lagged-diffusivity stiffness K_w of the start (``_lagged_stiffness``),
+    factorized once here.  The cut-off is measured: interleaved in-process
+    ``solve_p`` timings of the identity form on the L5 and L6 L-shape and
+    disk (2-vCPU machine) find K_w faster on all four at p = 1.5 and 1.55
+    but the L5 L-shape, on two of four at p = 1.6 (by at most 4 %, and 26 %
+    slower on the L6 disk), and slower on all four from p = 1.7 on.  Below
+    the cut-off the iterations saved outweigh the second factorization and
+    the second solve per iteration.
 
-    An iteration is one gradient and one solve with K.  The descent stops as
-    soon as the dual-norm residual sqrt(g.d) / (p lam) is at most ``bound``,
-    at ``max_iter`` iterations, or when the line search finds no decrease.
-    Returns (u, lam, residual, iterations) of the last iterate; the caller
-    compares the residual with the bound."""
+    The step length starts from the Barzilai-Borwein value s.Bs / s.y, and is
+    halved until the Armijo condition on g.d holds.  The iterates move on the
+    whole sphere: the ground state of an anisotropic form may change sign at
+    a few nodes of a P1 mesh, and replacing an iterate by |u| would pin those
+    nodes at 0 and can raise the quotient.  The quotient is even in u; the
+    start ``u0`` is flipped, if need be, to a nonnegative sum.  The accepted
+    trial's gradients and midpoint values give the next gradient.
+
+    An iteration is one gradient and one solve with K, plus one with K_w
+    below the cut-off.  The dual-norm residual sqrt(g.K^-1 g) / (p lam) stays
+    in the metric of K in both cases.  The descent stops as soon as it is at
+    most ``bound``, at ``max_iter`` iterations, or when the line search finds
+    no decrease.  Returns (u, lam, residual, iterations) of the last iterate;
+    the caller compares the residual with the bound."""
     u, gu, y, lam = _point(ops, m2, p, u0 if u0.sum() >= 0.0 else -u0)
+    if p < LAGGED_P_CUTOFF:
+        metric = _lagged_stiffness(ops, m2, p, gu)
+        metric_lu = _factor(metric)
+    else:
+        metric, metric_lu = stiff, lu
     u_prev: np.ndarray | None = None
     g_prev: np.ndarray | None = None
     t = 1.0 / (1.0 + abs(lam))
@@ -307,14 +364,16 @@ def _descent(
         it += 1
         g = _gradient(ops, m2, p, gu, y, lam)
         d = lu.solve(g)
-        gd = max(float(g @ d), 0.0)
-        residual = math.sqrt(gd) / (p * lam)
+        residual = math.sqrt(max(float(g @ d), 0.0)) / (p * lam)
         if residual <= bound or it == max_iter:
             return u, lam, residual, it
+        if metric_lu is not lu:
+            d = metric_lu.solve(g)
+        gd = max(float(g @ d), 0.0)
         if u_prev is not None:
             s = u - u_prev
             sy = float(s @ (g - g_prev))
-            t0 = float(s @ (stiff @ s)) / sy if sy > 0.0 else 2.0 * t
+            t0 = float(s @ (metric @ s)) / sy if sy > 0.0 else 2.0 * t
         else:
             t0 = t
         t0 = min(max(t0, 1e-18), 1e8)
@@ -338,16 +397,18 @@ def solve_p(m: Mesh, q: QuadForm, p: float, opts: SolverOptions | None = None) -
 
     The operators of ``m`` come from its record, built by the first solve on
     ``m``; the form's p = 2 stiffness K is the three-term sum of its pieces.
-    One factorization of K serves the inverse iteration, the descent's
-    preconditioner and the reported residual.  The inverse iteration on the
-    p = 2 pencil stops at the relative eigenvalue change ``opts.tol`` and is
-    the result at p = 2.  For other p its ground state is the start of one
-    projected descent at p, stopped at the residual bound
-    sqrt(opts.tol / RESIDUAL_SAFETY).  Raises ``SolverConvergenceError``,
-    carrying the last iterate, when the inverse iteration at p = 2 misses
-    ``opts.tol`` or the descent misses its bound; ``iterations`` counts the
-    iterations of both.  Either way the result's ``residual`` is the dual-norm
-    residual of the returned pair.
+    One factorization of K serves the inverse iteration, the reported
+    residual and, for p >= LAGGED_P_CUTOFF, the descent's metric; below the
+    cut-off the descent factors its lagged-diffusivity metric K_w as well.
+    The inverse iteration on the p = 2 pencil stops at the relative
+    eigenvalue change ``opts.tol`` and is the result at p = 2.  For other p
+    its ground state is the start of one projected descent at p, stopped at
+    the residual bound sqrt(opts.tol / RESIDUAL_SAFETY).  Raises
+    ``SolverConvergenceError``, carrying the last iterate, when the inverse
+    iteration at p = 2 misses ``opts.tol`` or the descent misses its bound;
+    ``iterations`` counts the iterations of both.  Either way the result's
+    ``residual`` is the dual-norm residual of the returned pair, in the
+    metric of K.
     """
     if p <= 1.0:
         raise ValueError(f"need p > 1, got {p}")
@@ -355,11 +416,7 @@ def solve_p(m: Mesh, q: QuadForm, p: float, opts: SolverOptions | None = None) -
     m2 = q.matrix()
     ops = _operators(m)
     stiff = ops.stiffness(m2)
-    # K is symmetric positive definite: a symmetric ordering and diagonal
-    # pivots give less fill than the default column ordering
-    lu = splu(
-        stiff, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
-    )
+    lu = _factor(stiff)
     u, iterations, converged = _inverse_iteration(stiff, ops.mass, lu, opts)
     if p == 2.0:
         failure = f"inverse iteration did not reach tol {opts.tol} in {opts.max_iter} iterations"

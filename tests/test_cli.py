@@ -47,6 +47,17 @@ def payload_text(path: str) -> str:
         pytest.param({"command": "eigen", "form": {}}, "form", id="empty-form"),
         pytest.param({"command": "eigen", "form": 0}, "form", id="zero-form"),
         pytest.param({"command": "eigen", "p": "abc"}, "p must", id="non-numeric-p"),
+        # a numeric string is not a number either
+        pytest.param(
+            {"command": "eigen", "mesh_level": "3"}, "mesh_level must be a number", id="string-level"
+        ),
+        pytest.param({"command": "eigen", "p": "2.0"}, "p must be a number", id="string-p"),
+        pytest.param(
+            {"command": "verify", "a_sequence": [0.5, "0.25"]},
+            "a_sequence must be a number",
+            id="string-a-sequence-entry",
+        ),
+        pytest.param({"command": "verify", "seed": True}, "seed must be a number", id="bool-seed"),
         pytest.param({"command": "verify", "p_values": [0.5]}, "p_values must", id="verify-p-list"),
         pytest.param({"command": "sweep", "p_values": [2.0, 1.0]}, "p_values", id="sweep-p-values"),
         pytest.param({"command": "sweep", "thetas": [0.0, 2.0]}, "thetas", id="sweep-thetas"),
