@@ -10,17 +10,20 @@ optimize  minimize over rotations at a coercivity level; JSON result plus a
 sweep     tabulate profile values over user theta/a/p grids as CSV
 verify    run the verification suites; JSON report, exit 0 iff all entries pass
 
-The library takes typed arguments and has no run defaults; this module alone
-reads configs, holds the defaults and writes files.  The run configuration is
-one flat JSON object: ``_DEFAULTS`` is its one default table, flags set some
-of its keys, and a config file passed with --config overrides flag values.
-Its keys:
+The library takes typed arguments; this module reads configs and writes
+files.  Its runs keep the library's iteration budget and angle tolerance
+(``SolverOptions.max_iter``, ``lambda_min``'s ``theta_tol``) and read the
+``tol`` and ``grid_n`` defaults from it (``SolverOptions.tol``,
+``optimizer.DEFAULT_GRID_N``).  The run configuration is one flat JSON
+object: ``_KEYS`` is its one table, giving each key's default, kind and
+range.  Flags set some of its keys, and a config file passed with --config
+overrides flag values.  Its keys:
 
   command              one of the commands above
   domain               a name (square, disk, lshape) or a domain JSON object
   p, a                 exponent and coercivity level
   b                    upper level, read by verify only
-  mesh_level (--level) refinement level of the domain's mesh, in [2, 9]
+  mesh_level           refinement level of the domain's mesh (--level), in [2, 9]
   grid_n               angles in the optimize, sweep and verify searches
   tol                  eigenvalue tolerance (see --tol)
   out                  output path, without or with its suffix
@@ -47,38 +50,49 @@ import math
 import os
 import sys
 import tempfile
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .geometry import DomainSpec, domain_from_json, domain_to_json
 from .mesh import build_mesh
-from .optimizer import lambda_min, profile_value, run_verification
+from .optimizer import DEFAULT_GRID_N, lambda_min, profile_value, run_verification
 from .quadform import QuadForm
 from .solver import SolverConvergenceError, SolverOptions, solve_p
 
 SCHEMA_VERSION = 1
 SUITES = ("rigidity", "quantitative", "relaxation", "disk", "rectangle")
 
-_DEFAULTS = {
-    "command": None,
-    "domain": "square",
-    "p": 2.0,
-    "a": 0.25,
-    "mesh_level": 5,
-    "grid_n": 17,
-    "tol": 1e-9,
-    "out": "out",
-    "seed": 0,
-    "n_boundary": 128,
-    "form": None,
-    "thetas": None,
-    "a_values": None,
-    "p_values": None,
-    "b": 0.5,
-    "n_samples": 5,
-    "n_pairs": 8,
-    "a_sequence": [0.5, 0.25],
-    "suites": list(SUITES),
+
+class _Key(NamedTuple):
+    default: object
+    kind: type | None = None  # float, int, list (a non-empty list of floats) or None (as given)
+    ok: Callable[[float], bool] = lambda x: True  # the value's, or each list entry's, condition
+    words: str = ""  # that condition, as the error message says it
+
+
+# The run configuration's one table: every key, its default, kind and range.
+# A key whose default is None may be None.
+_KEYS = {
+    "command": _Key(None),
+    "domain": _Key("square"),
+    "p": _Key(2.0, float, lambda p: p > 1.0, "exceed 1"),
+    "a": _Key(0.25, float, lambda a: 0.0 < a <= 1.0, "lie in (0, 1]"),
+    "mesh_level": _Key(5, int, lambda n: 2 <= n <= 9, "lie in [2, 9]"),
+    "grid_n": _Key(DEFAULT_GRID_N, int, lambda n: n >= 9, "be at least 9"),
+    "tol": _Key(SolverOptions.tol, float, lambda t: t > 0.0, "be positive"),
+    "out": _Key("out"),
+    "seed": _Key(0, int, lambda n: n >= 0, "be nonnegative"),
+    "n_boundary": _Key(128, int, lambda n: n >= 16, "be at least 16"),
+    "form": _Key(None),
+    "thetas": _Key(None, list, lambda t: 0.0 <= t <= 0.5 * math.pi, "lie in [0, pi/2]"),
+    "a_values": _Key(None, list, lambda a: 0.0 < a <= 1.0, "lie in (0, 1]"),
+    "p_values": _Key(None, list, lambda p: p > 1.0, "exceed 1"),
+    "b": _Key(0.5, float),
+    "n_samples": _Key(5, int, lambda n: n >= 1, "be at least 1"),
+    "n_pairs": _Key(8, int, lambda n: n >= 1, "be at least 1"),
+    "a_sequence": _Key([0.5, 0.25], list, lambda a: 0.0 < a < 1.0, "lie in (0, 1)"),
+    "suites": _Key(list(SUITES)),
 }
 
 
@@ -154,6 +168,7 @@ def _write_report(path: str, payload: dict) -> None:
 
 
 def _parse_args(argv) -> dict:
+    """The keys that flags set, updated by those of the config file."""
     ap = argparse.ArgumentParser(
         prog="anisolap",
         description="Fundamental frequencies and optimal anisotropies of planar "
@@ -182,11 +197,8 @@ def _parse_args(argv) -> dict:
     ap.add_argument("--seed", type=int)
     ns = ap.parse_args(argv)
 
-    cfg = dict(_DEFAULTS)
-    for key in ("command", "p", "a", "b", "mesh_level", "grid_n", "tol", "out", "seed", "n_boundary"):
-        val = getattr(ns, key)
-        if val is not None:
-            cfg[key] = val
+    flags = ("command", "p", "a", "b", "mesh_level", "grid_n", "tol", "out", "seed", "n_boundary")
+    cfg = {key: getattr(ns, key) for key in flags if getattr(ns, key) is not None}
     if ns.domain_file:
         with open(ns.domain_file, "r", encoding="utf-8") as fh:
             cfg["domain"] = json.load(fh)
@@ -215,103 +227,59 @@ def _number(value, name: str, kind=float):
     return x
 
 
-def _numbers(values, name: str, ok=lambda x: True, what: str = "") -> list[float]:
-    """The entries of a non-empty list of numbers, each satisfying ``ok``."""
-    if not isinstance(values, list) or not values:
-        raise ConfigError(f"{name} must be a non-empty list of numbers, got {values!r}")
-    nums = [_number(x, name) for x in values]
-    for x in nums:
-        if not ok(x):
-            raise ConfigError(f"every entry of {name} must {what}, got {x!r}")
-    return nums
+def _typed(name: str, value):
+    """``value`` read as the kind of the key ``name``; it must meet the key's
+    condition."""
+    key = _KEYS[name]
+    if key.kind is None or (value is None and key.default is None):
+        return value
+    if key.kind is list:
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{name} must be a non-empty list of numbers, got {value!r}")
+        nums = [_number(x, name) for x in value]
+        for x in nums:
+            if not key.ok(x):
+                raise ConfigError(f"every entry of {name} must {key.words}, got {x!r}")
+        return nums
+    x = _number(value, name, key.kind)
+    if not key.ok(x):
+        raise ConfigError(f"{name} must {key.words}, got {value}")
+    return x
 
 
-def _exponents(values, name: str) -> None:
-    _numbers(values, name, lambda p: p > 1.0, "exceed 1")
-
-
-def _verify_config(cfg: dict) -> dict:
-    """The ``verify`` report's config: the domain, the tolerance and the
-    arguments of ``run_verification``, read from the flat keys."""
-    return {
-        "domain": cfg["domain"],
-        "a": float(cfg["a"]),
-        "b": float(cfg["b"]),
-        "p_list": [float(p) for p in cfg["p_values"] or [cfg["p"]]],
-        "level": int(cfg["mesh_level"]),
-        "grid_n": int(cfg["grid_n"]),
-        "n_samples": int(cfg["n_samples"]),
-        "n_pairs": int(cfg["n_pairs"]),
-        "a_sequence": [float(a) for a in cfg["a_sequence"]],
-        "seed": int(cfg["seed"]),
-        "tol": float(cfg["tol"]),
-        "suites": cfg["suites"],
-    }
-
-
-def _validate_run(cfg: dict) -> DomainSpec:
-    """The mesh, angle-grid, solver and seed fields; returns the parsed domain."""
-    if not 2 <= _number(cfg["mesh_level"], "mesh_level", int) <= 9:
-        raise ConfigError(f"mesh_level must lie in [2, 9], got {cfg['mesh_level']}")
-    if _number(cfg["grid_n"], "grid_n", int) < 9:
-        raise ConfigError(f"grid_n must be at least 9, got {cfg['grid_n']}")
-    if not _number(cfg["tol"], "tol") > 0.0:
-        raise ConfigError(f"tol must be positive, got {cfg['tol']}")
-    if _number(cfg["n_boundary"], "n_boundary", int) < 16:
-        raise ConfigError(f"n_boundary must be at least 16, got {cfg['n_boundary']}")
-    if _number(cfg["seed"], "seed", int) < 0:
-        raise ConfigError(f"seed must be nonnegative, got {cfg['seed']}")
-    try:
-        return domain_from_json(cfg["domain"])
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"bad domain spec: {exc}") from exc
-
-
-def _validate_verify_keys(cfg: dict) -> None:
-    """The keys only ``verify`` reads."""
-    suites = cfg["suites"]
-    if not isinstance(suites, list) or not suites or any(s not in SUITES for s in suites):
-        raise ConfigError(f"suites must be a non-empty list from {list(SUITES)}, got {suites!r}")
-    seq = _numbers(cfg["a_sequence"], "a_sequence", lambda x: 0.0 < x < 1.0, "lie in (0, 1)")
-    if any(a2 >= a1 for a1, a2 in zip(seq, seq[1:])):
-        raise ConfigError(f"a_sequence must be strictly decreasing, got {seq}")
-    for key in ("n_samples", "n_pairs"):
-        if _number(cfg[key], key, int) < 1:
-            raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
-
-
-def _validate(cfg: dict) -> DomainSpec:
-    """Check every field of ``cfg``; returns the parsed domain."""
-    unknown = [str(key) for key in cfg if key not in _DEFAULTS]
+def _validate(cfg: dict) -> tuple[dict, DomainSpec]:
+    """Check every key of ``cfg``; returns the config with every key of
+    ``_KEYS`` as its kind, the form parsed, and the parsed domain."""
+    unknown = [str(key) for key in cfg if key not in _KEYS]
     if unknown:
         raise ConfigError("unknown config key " + ", ".join(unknown))
-    if cfg["command"] is None:
+    command = cfg.get("command")
+    if command is None:
         raise ConfigError("missing command (use --command or a config file)")
-    if cfg["command"] not in _COMMANDS:
-        raise ConfigError(f"unknown command {cfg['command']!r}")
-    if not _number(cfg["p"], "p") > 1.0:
-        raise ConfigError(f"p must exceed 1, got {cfg['p']}")
-    if not 0.0 < _number(cfg["a"], "a") <= 1.0:
-        raise ConfigError(f"a must lie in (0, 1], got {cfg['a']}")
-    _number(cfg["b"], "b")
-    domain = _validate_run(cfg)
-    if cfg["p_values"] is not None:
-        _exponents(cfg["p_values"], "p_values")
-    if cfg["thetas"] is not None:
-        _numbers(cfg["thetas"], "thetas", lambda t: 0.0 <= t <= 0.5 * math.pi, "lie in [0, pi/2]")
-    if cfg["a_values"] is not None:
-        _numbers(cfg["a_values"], "a_values", lambda a: 0.0 < a <= 1.0, "lie in (0, 1]")
-    if cfg["form"] is not None:
+    if not isinstance(command, str) or command not in _COMMANDS:
+        raise ConfigError(f"unknown command {command!r}")
+    typed = {name: _typed(name, cfg.get(name, key.default)) for name, key in _KEYS.items()}
+    suites = typed["suites"]
+    if not isinstance(suites, list) or not suites or any(s not in SUITES for s in suites):
+        raise ConfigError(f"suites must be a non-empty list from {list(SUITES)}, got {suites!r}")
+    seq = typed["a_sequence"]
+    if any(a2 >= a1 for a1, a2 in zip(seq, seq[1:])):
+        raise ConfigError(f"a_sequence must be strictly decreasing, got {seq}")
+    a, b = typed["a"], typed["b"]
+    if command == "verify" and not 0.0 < a <= b < 1.0:
+        raise ConfigError(f"verify needs 0 < a <= b < 1, got a={a}, b={b}")
+    if command == "optimize" and not a < 1.0:
+        raise ConfigError(f"optimize needs a in (0, 1), got {a}")
+    form = typed["form"]
+    if form is not None:
         try:
-            QuadForm.from_dict(cfg["form"])
+            typed["form"] = QuadForm.from_dict(form)
         except (ValueError, KeyError, TypeError) as exc:
-            raise ConfigError(f"bad form {cfg['form']!r}: {exc}") from exc
-    _validate_verify_keys(cfg)
-    if cfg["command"] == "verify":
-        a, b = float(cfg["a"]), float(cfg["b"])
-        if not 0.0 < a <= b < 1.0:
-            raise ConfigError(f"verify needs 0 < a <= b < 1, got a={a}, b={b}")
-    return domain
+            raise ConfigError(f"bad form {form!r}: {exc}") from exc
+    try:
+        return typed, domain_from_json(typed["domain"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"bad domain spec: {exc}") from exc
 
 
 def _out_paths(cfg: dict, suffix: str) -> tuple[str, str]:
@@ -330,19 +298,19 @@ def _report_failure(command: str, json_path: str, exc: SolverConvergenceError, *
 
 
 def _cmd_eigen(cfg: dict, domain: DomainSpec, opts: SolverOptions) -> int:
-    form = QuadForm.from_dict(cfg["form"]) if cfg["form"] is not None else QuadForm.identity()
+    form = cfg["form"] if cfg["form"] is not None else QuadForm.identity()
     options = {"tol": opts.tol, "max_iter": opts.max_iter}
-    mesh = build_mesh(domain, int(cfg["mesh_level"]))
+    mesh = build_mesh(domain, cfg["mesh_level"])
     json_path, csv_path = _out_paths(cfg, "_eigenfunction.csv")
     try:
-        res = solve_p(mesh, form, float(cfg["p"]), opts)
+        res = solve_p(mesh, form, cfg["p"], opts)
     except SolverConvergenceError as exc:
         return _report_failure("eigen", json_path, exc, result=exc.best.to_dict(), options=options)
     payload = {
         "command": "eigen",
         "status": "ok",
         "domain": domain_to_json(domain),
-        "mesh_level": int(cfg["mesh_level"]),
+        "mesh_level": cfg["mesh_level"],
         "result": res.to_dict(),
         "options": options,
     }
@@ -353,19 +321,9 @@ def _cmd_eigen(cfg: dict, domain: DomainSpec, opts: SolverOptions) -> int:
 
 
 def _cmd_optimize(cfg: dict, domain: DomainSpec, opts: SolverOptions) -> int:
-    a = float(cfg["a"])
-    if not 0.0 < a < 1.0:
-        raise ConfigError(f"optimize needs a in (0, 1), got {a}")
     json_path, csv_path = _out_paths(cfg, "_profile.csv")
     try:
-        res = lambda_min(
-            domain,
-            a,
-            float(cfg["p"]),
-            int(cfg["grid_n"]),
-            opts,
-            level=int(cfg["mesh_level"]),
-        )
+        res = lambda_min(domain, cfg["a"], cfg["p"], cfg["grid_n"], opts, level=cfg["mesh_level"])
     except SolverConvergenceError as exc:
         profile = [[t, v] for t, v in exc.theta_profile]
         return _report_failure("optimize", json_path, exc, theta_profile=profile)
@@ -384,10 +342,10 @@ def _cmd_optimize(cfg: dict, domain: DomainSpec, opts: SolverOptions) -> int:
 
 
 def _cmd_sweep(cfg: dict, domain: DomainSpec, opts: SolverOptions) -> int:
-    mesh = build_mesh(domain, int(cfg["mesh_level"]))
-    thetas = cfg["thetas"] or list(np.linspace(0.0, 0.5 * math.pi, int(cfg["grid_n"])))
-    a_values = cfg["a_values"] or [float(cfg["a"])]
-    p_values = cfg["p_values"] or [float(cfg["p"])]
+    mesh = build_mesh(domain, cfg["mesh_level"])
+    thetas = cfg["thetas"] or np.linspace(0.0, 0.5 * math.pi, cfg["grid_n"]).tolist()
+    a_values = cfg["a_values"] or [cfg["a"]]
+    p_values = cfg["p_values"] or [cfg["p"]]
     csv_path = str(cfg["out"])
     if not csv_path.endswith(".csv"):
         csv_path += ".csv"
@@ -396,8 +354,8 @@ def _cmd_sweep(cfg: dict, domain: DomainSpec, opts: SolverOptions) -> int:
         for p in p_values:
             for a in a_values:
                 for th in thetas:
-                    val, _ = profile_value(mesh, float(th), float(a), float(p), opts)
-                    rows.append((float(th), float(a), float(p), val))
+                    val, _ = profile_value(mesh, th, a, p, opts)
+                    rows.append((th, a, p, val))
     except SolverConvergenceError as exc:
         return _report_failure("sweep", csv_path[: -len(".csv")] + ".json", exc)
     _write_csv(csv_path, "theta,a,p,lambda", rows)
@@ -407,7 +365,13 @@ def _cmd_sweep(cfg: dict, domain: DomainSpec, opts: SolverOptions) -> int:
 
 def _cmd_verify(cfg: dict, domain: DomainSpec, opts: SolverOptions) -> int:
     json_path, _ = _out_paths(cfg, "")
-    config = _verify_config(cfg)
+    config = {
+        **{key: cfg[key] for key in ("domain", "a", "b")},
+        "p_list": cfg["p_values"] or [cfg["p"]],
+        "level": cfg["mesh_level"],
+        **{key: cfg[key] for key in ("grid_n", "n_samples", "n_pairs", "a_sequence")},
+        **{key: cfg[key] for key in ("seed", "tol", "suites")},
+    }
     args = {key: value for key, value in config.items() if key not in ("domain", "tol")}
     try:
         report = {"config": config, **run_verification(domain, opts, **args)}
@@ -431,19 +395,14 @@ _COMMANDS = {
 }
 
 
-def run(cfg: dict) -> int:
-    """Validate ``cfg``, parse its domain and build its solver options once,
-    and run its command."""
-    domain = _validate(cfg)
-    opts = SolverOptions(tol=float(cfg["tol"]))
-    return _COMMANDS[cfg["command"]](cfg, domain, opts)
-
-
 def main(argv=None) -> int:
+    """Read and validate the config, parse its domain and form and build its
+    solver options once, and run its command."""
     try:
-        cfg = _parse_args(argv if argv is not None else sys.argv[1:])
-        return run(cfg)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
+        cfg, domain = _validate(_parse_args(argv if argv is not None else sys.argv[1:]))
+        return _COMMANDS[cfg["command"]](cfg, domain, SolverOptions(tol=cfg["tol"]))
+    # exit 2 on bad input, an input file that cannot be read or an output not written
+    except (ConfigError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,9 +23,11 @@ class Disk:
     center: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
-        if not self.radius > 0.0:
-            raise ValueError(f"disk radius must be positive, got {self.radius}")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError(f"disk radius must be positive and finite, got {self.radius}")
         object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
+        if not all(map(math.isfinite, self.center)):
+            raise ValueError(f"disk center must be finite, got {self.center}")
 
 
 @dataclass(frozen=True)
@@ -34,8 +36,8 @@ class Rectangle:
     halfheight: float
 
     def __post_init__(self) -> None:
-        if not (self.halfwidth > 0.0 and self.halfheight > 0.0):
-            raise ValueError("rectangle half-extents must be positive")
+        if not (0.0 < self.halfwidth < math.inf and 0.0 < self.halfheight < math.inf):
+            raise ValueError("rectangle half-extents must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -129,6 +130,28 @@ def payload_text(path: str) -> str:
         pytest.param(
             {"command": "verify", "domain": "nonsense"}, "bad domain spec", id="verify-domain"
         ),
+        pytest.param({"command": ["eigen"]}, "unknown command", id="list-command"),
+        # a JSON size that overflows to infinity, or a NaN, is not a domain
+        pytest.param(
+            {"command": "eigen", "domain": {"type": "disk", "radius": math.inf}},
+            "bad domain spec",
+            id="disk-infinite-radius",
+        ),
+        pytest.param(
+            {"command": "eigen", "domain": {"type": "disk", "radius": 1, "center": [math.nan, 0]}},
+            "bad domain spec",
+            id="disk-nan-center",
+        ),
+        pytest.param(
+            {"command": "eigen", "domain": {"type": "rectangle", "hw": math.inf, "hh": 1}},
+            "bad domain spec",
+            id="rectangle-infinite-hw",
+        ),
+        pytest.param(
+            {"command": "eigen", "domain": {"type": "rectangle", "hw": 1, "hh": math.inf}},
+            "bad domain spec",
+            id="rectangle-infinite-hh",
+        ),
     ],
 )
 def test_bad_config_exits_2(tmp_path, capsys, config, field):
@@ -138,6 +161,107 @@ def test_bad_config_exits_2(tmp_path, capsys, config, field):
     assert err.startswith("error: ") and field in err
     assert not (tmp_path / "run.json").exists()
     assert not (tmp_path / "run.csv").exists()
+
+
+def test_inline_domain_overflowing_to_infinity_exits_2(tmp_path, capsys):
+    argv = ["--command", "eigen", "--domain", '{"type":"disk","radius":1e400}']
+    assert cli.main([*argv, "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.startswith("error: bad domain spec")
+    assert list(tmp_path.iterdir()) == []
+
+
+# Each input file that cannot be read, and each output that cannot be
+# written, exits 2 with a message instead of a traceback.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(lambda d: ["--config", str(d)], id="config-directory"),
+        pytest.param(lambda d: ["--config", str(d / "latin1.json")], id="config-not-utf8"),
+        pytest.param(
+            lambda d: ["--command", "eigen", "--domain-file", str(d)], id="domain-file-directory"
+        ),
+        pytest.param(
+            lambda d: ["--command", "eigen", "--level", "2", "--out", str(d / "file" / "run")],
+            id="out-under-a-file",
+        ),
+    ],
+)
+def test_file_errors_exit_2(tmp_path, capsys, argv):
+    latin1 = '{"command": "eigen", "out": "caf\u00e9"}'.encode("latin-1")
+    (tmp_path / "latin1.json").write_bytes(latin1)
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    assert cli.main(argv(tmp_path)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["file", "latin1.json"]
+
+
+@pytest.mark.parametrize("command", ["eigen", "optimize", "sweep", "verify"])
+def test_validate_reads_each_default_as_its_kind(command):
+    cfg, domain = cli._validate(cli._parse_args(["--command", command]))
+    assert domain == Rectangle(1.0, 1.0)
+    assert list(cfg) == list(cli._KEYS)
+    for name, key in cli._KEYS.items():
+        value = cfg[name]
+        assert value == (command if name == "command" else key.default)
+        if key.kind is list and value is not None:
+            assert all(type(x) is float for x in value)
+        elif key.kind in (float, int):
+            assert type(value) is key.kind, name
+
+
+def test_validate_converts_to_each_kind():
+    config = {"command": "sweep", "p": 3, "tol": 1, "mesh_level": 3.0, "thetas": [0, 1]}
+    cfg, _ = cli._validate(config)
+    assert (cfg["p"], cfg["tol"], cfg["mesh_level"], cfg["thetas"]) == (3.0, 1.0, 3, [0.0, 1.0])
+    assert [type(cfg[k]) for k in ("p", "tol", "mesh_level")] == [float, float, int]
+    assert all(type(t) is float for t in cfg["thetas"])
+
+
+# Every default, spelled out, as a config file would hold it.
+SPELLED_OUT_DEFAULTS = {
+    "domain": "square",
+    "p": 2.0,
+    "a": 0.25,
+    "mesh_level": 5,
+    "grid_n": 17,
+    "tol": 1e-9,
+    "out": "out",
+    "seed": 0,
+    "n_boundary": 128,
+    "form": None,
+    "thetas": None,
+    "a_values": None,
+    "p_values": None,
+    "b": 0.5,
+    "n_samples": 5,
+    "n_pairs": 8,
+    "a_sequence": [0.5, 0.25],
+    "suites": ["rigidity", "quantitative", "relaxation", "disk", "rectangle"],
+}
+
+
+@pytest.mark.parametrize("command, rc", [("eigen", 0), ("verify", 1)])
+def test_config_spelling_out_every_default_changes_nothing(tmp_path, monkeypatch, command, rc):
+    assert set(SPELLED_OUT_DEFAULTS) | {"command"} == set(cli._KEYS)
+    (tmp_path / "flags").mkdir()
+    monkeypatch.chdir(tmp_path / "flags")
+    assert cli.main(["--command", command]) == rc
+    (tmp_path / "config").mkdir()
+    monkeypatch.chdir(tmp_path / "config")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"command": command, **SPELLED_OUT_DEFAULTS}), encoding="utf-8")
+    assert cli.main(["--config", str(config)]) == rc
+    assert payload_text(str(tmp_path / "config" / "out.json")) == payload_text(
+        str(tmp_path / "flags" / "out.json")
+    )
+
+
+def test_docstring_names_every_key():
+    key_list = cli.__doc__.split("Its keys:\n\n")[1].split("\n\n")[0]
+    named = set()
+    for line in key_list.splitlines():
+        named.update(re.findall(r"\w+", re.split(r"\s{2,}", line.strip(), maxsplit=1)[0]))
+    assert named == set(cli._KEYS)
 
 
 def test_eigen_exits_0_with_deterministic_payload(tmp_path):

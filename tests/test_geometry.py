@@ -81,6 +81,27 @@ def test_domain_validation():
             Polygon(np.array(vertices, dtype=float))
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Disk(math.inf),
+        lambda: Disk(math.nan),
+        lambda: Disk(1.0, (math.nan, 0.0)),
+        lambda: Disk(1.0, (0.0, -math.inf)),
+        lambda: Rectangle(math.inf, 1.0),
+        lambda: Rectangle(1.0, math.inf),
+        lambda: Rectangle(math.nan, 1.0),
+    ],
+    ids=["disk-inf-radius", "disk-nan-radius", "disk-nan-center", "disk-inf-center",
+         "rect-inf-hw", "rect-inf-hh", "rect-nan-hw"],
+)
+def test_domain_rejects_non_finite_sizes(make):
+    # an infinite size would give an infinite area and chord, and a mesh with
+    # non-finite nodes
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
 # --------------------------------------------------------------------- json
 
 
