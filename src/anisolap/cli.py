@@ -54,7 +54,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .geometry import DomainSpec, domain_from_json, domain_to_json
+from .geometry import DomainSpec, domain_from_json, domain_to_json, read_number
 from .mesh import build_mesh
 from .optimizer import DEFAULT_GRID_N, lambda_min, profile_value, run_verification
 from .quadform import QuadForm
@@ -66,8 +66,8 @@ SUITES = ("rigidity", "quantitative", "relaxation", "disk", "rectangle")
 
 class _Key(NamedTuple):
     default: object
-    kind: type | None = None  # float, int, list (a non-empty list of floats) or None (as given)
-    ok: Callable[[float], bool] = lambda x: True  # the value's, or each list entry's, condition
+    kind: type | None = None  # float, int, str, list (non-empty, of floats) or None (as given)
+    ok: Callable = lambda x: True  # the value's, or each list entry's, condition
     words: str = ""  # that condition, as the error message says it
 
 
@@ -81,7 +81,7 @@ _KEYS = {
     "mesh_level": _Key(5, int, lambda n: 2 <= n <= 9, "lie in [2, 9]"),
     "grid_n": _Key(DEFAULT_GRID_N, int, lambda n: n >= 9, "be at least 9"),
     "tol": _Key(SolverOptions.tol, float, lambda t: t > 0.0, "be positive"),
-    "out": _Key("out"),
+    "out": _Key("out", str, lambda s: s != "", "be a non-empty string"),
     "seed": _Key(0, int, lambda n: n >= 0, "be nonnegative"),
     "n_boundary": _Key(128, int, lambda n: n >= 16, "be at least 16"),
     "form": _Key(None),
@@ -215,16 +215,10 @@ def _parse_args(argv) -> dict:
 
 
 def _number(value, name: str, kind=float):
-    # a JSON string or boolean is a typing mistake even where float() reads it
-    if isinstance(value, (str, bool)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
     try:
-        x = kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
-    if kind is int and isinstance(value, float) and x != value:
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return x
+        return read_number(value, name, kind)
+    except TypeError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _typed(name: str, value):
@@ -232,6 +226,10 @@ def _typed(name: str, value):
     condition."""
     key = _KEYS[name]
     if key.kind is None or (value is None and key.default is None):
+        return value
+    if key.kind is str:
+        if not isinstance(value, str) or not key.ok(value):
+            raise ConfigError(f"{name} must {key.words}, got {value!r}")
         return value
     if key.kind is list:
         if not isinstance(value, list) or not value:

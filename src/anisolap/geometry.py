@@ -259,8 +259,24 @@ def domain_to_json(d: DomainSpec) -> dict:
     raise TypeError(f"not a domain: {d!r}")
 
 
+def read_number(value, name: str, kind: type = float):
+    """The JSON value ``value`` of ``name`` as a ``kind``, float or int.  A
+    string or a boolean is a typing mistake even where float() reads it, and
+    so is an integer too large for a float, or a fraction for an int."""
+    if isinstance(value, (str, bool)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    try:
+        x = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise TypeError(f"{name} must be a number, got {value!r}") from exc
+    if kind is int and isinstance(value, float) and x != value:
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return x
+
+
 def domain_from_json(data) -> DomainSpec:
-    """Parse a domain from its JSON object form or a bare name string."""
+    """Parse a domain from its JSON object form or a bare name string.  Its
+    sizes and coordinates must be numbers, not strings or booleans."""
     if isinstance(data, str):
         return named_domain(data)
     if not isinstance(data, dict) or "type" not in data:
@@ -268,9 +284,11 @@ def domain_from_json(data) -> DomainSpec:
     kind = str(data["type"]).lower()
     if kind == "disk":
         center = data.get("center", (0.0, 0.0))
-        return Disk(float(data["radius"]), (float(center[0]), float(center[1])))
+        return Disk(read_number(data["radius"], "radius"),
+                    (read_number(center[0], "center"), read_number(center[1], "center")))
     if kind == "rectangle":
-        return Rectangle(float(data["hw"]), float(data["hh"]))
+        return Rectangle(read_number(data["hw"], "hw"), read_number(data["hh"], "hh"))
     if kind == "polygon":
-        return Polygon(np.asarray(data["vertices"], dtype=float))
+        vertices = [[read_number(x, "vertices") for x in v] for v in data["vertices"]]
+        return Polygon(np.array(vertices))
     raise ValueError(f"unknown domain type: {data['type']!r}")

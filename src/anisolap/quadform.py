@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import read_number
+
 # Upper end of the levels ``random_member`` draws: it keeps the samples away
 # from the ill-conditioned identity endpoint.
 _B_MAX = 0.995
@@ -75,7 +77,8 @@ class QuadForm:
 
     @classmethod
     def from_dict(cls, data: dict) -> "QuadForm":
-        return cls(float(data["alpha"]), float(data["beta"]), float(data["gamma"]))
+        """The form of a JSON object; its coefficients must be numbers."""
+        return cls(*(read_number(data[key], key) for key in ("alpha", "beta", "gamma")))
 
 
 @dataclass(frozen=True)

@@ -7,18 +7,22 @@ The discrete problem minimizes the Rayleigh quotient
 over zero-trace piecewise-linear functions, held as their values on the
 interior nodes.  Every operator a solve needs depends on the mesh alone, so
 ``_operators`` builds one record per mesh, the first time a solve sees it, and
-keeps it for as long as the mesh lives.  Its two sparse maps
+keeps it for as long as the mesh lives.  Its one sparse map A = [G; Mid],
 
     G    (2 n_tri x n_int)  values -> x gradients of the triangles, then y
     Mid  (3 n_tri x n_int)  values -> values at the triangles' edge midpoints
 
-evaluate everything else.  The energy E(u) = sum |T| Q(Gu)^(p/2) is exact per
-triangle (the integrand is constant); the p-norm N(u) = sum |T|/3 |Mid u|^p is
-the 3-point edge-midpoint rule.  Their gradients are G^T and Mid^T applied to
-per-triangle factors.  The record also holds the consistent mass
-M = Mid^T diag(|T|/3) Mid and three stiffness pieces K_xx = G_x^T diag|T| G_x,
-K_xy + K_yx and K_yy, so the p = 2 stiffness of a form q is the sum
-K(q) = alpha K_xx + beta (K_xy + K_yx) + gamma K_yy.
+evaluates everything else.  The energy E(u) = sum |T| Q(Gu)^(p/2) is exact
+per triangle (the integrand is constant); the p-norm N(u) = sum |T|/3
+|Mid u|^p is the 3-point edge-midpoint rule.  One product A u gives both, and
+one product of A^T with the stacked per-triangle factors gives the gradient
+of E - lam N.  The record also holds one sparsity pattern, the pairs of
+interior nodes that share a triangle, and on it the data of the consistent
+mass M = Mid^T diag(|T|/3) Mid and of three stiffness pieces
+K_xx = G_x^T diag|T| G_x, K_xy + K_yx and K_yy.  The p = 2 stiffness of a form
+q is then three axpys, K(q) = alpha K_xx + beta (K_xy + K_yx) + gamma K_yy,
+and the stiffness of any other triangle weights one assembly of element
+blocks onto the same pattern.
 
 One path for every p > 1, built on one direct sparse factorization of K.
 Inverse iteration on the generalized symmetric pencil (K, M) gives the p = 2
@@ -36,13 +40,17 @@ EJDE 2011) in one of two metrics B:
   the diffusivity Q^((p-2)/2) varies by orders of magnitude across the
   domain, and K, which ignores it, lets the iteration count grow under
   refinement: 51 / 179 descent-plus-inverse iterations at L4 / L6 on the
-  L-shape at p = 1.5, against 41 / 60 with K_w.  K_w is factored once per
-  solve, with the same call as K.  The cut-off is where the second
-  factorization and the second solve per iteration stop paying for the
-  iterations they save; ``_descent`` gives the measurement.
+  L-shape at p = 1.5, against 41 / 60 with K_w.  K_w is assembled and
+  factored once per solve, with the same call as K.  The cut-off is where
+  the second factorization and the second solve per iteration stop paying
+  for the iterations they save; ``_descent`` gives the measurement.
 
-A line-search trial costs one product with G and one with Mid, and the
-accepted trial's products give the next gradient.
+A step of the inverse iteration costs one solve and one product with M.  A
+descent iteration costs one product with A^T and one solve per metric, and a
+line-search trial one product with A; the accepted trial's product gives the
+next gradient.  On the small meshes of the verify suites a product's time
+is mostly scipy's per-call overhead, so these counts, more than the
+arithmetic, set the time of an iteration.
 
 Every result reports the dual-norm residual sqrt(g . K^-1 g) / (p lam) of the
 returned pair, g being the gradient of E(u) - lam N(u), always in the metric
@@ -58,7 +66,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -129,55 +137,115 @@ class SolverConvergenceError(RuntimeError):
         self.best = best
 
 
-def _maps(m: Mesh, cols: np.ndarray) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """G and Mid of ``m`` on the columns ``cols`` (node -> column index, -1
-    for a node held at zero), as CSR built from its arrays: every row holds
-    at most three entries in distinct columns, in increasing column order."""
+def _maps(m: Mesh, cols: np.ndarray) -> sp.csr_matrix:
+    """The stacked map A = [G; Mid] of ``m`` on the columns ``cols`` (node ->
+    column index, -1 for a node held at zero), as CSR built from its arrays:
+    every row holds at most three entries in distinct columns, in increasing
+    column order.  Rows t and n_tri + t of G give the x and y gradient of
+    triangle t, row (2 + k) n_tri + t of Mid the value at its edge k, which
+    joins its local vertices k and k + 1."""
     nt, n_cols = m.n_triangles, int(cols.max()) + 1
-
-    def csr(idx, data):
-        # idx (rows, k) holds each row's columns in increasing order, -1 first
-        keep = idx >= 0
-        indptr = np.zeros(len(idx) + 1, dtype=np.int64)
-        np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
-        return sp.csr_matrix((data[keep], idx[keep], indptr), shape=(len(idx), n_cols))
-
-    # sort each triangle's columns, carrying its gradient weights along
-    c = cols[m.triangles]
+    # sort each triangle's columns, carrying its gradient weights along; the
+    # index arrays are built as the matrix keeps them, in 32 bits
+    c = cols.astype(np.int32)[m.triangles]
     order = np.argsort((c + (n_cols + 1) * np.arange(nt)[:, None]).ravel(), kind="stable")
     c_sorted = c.ravel()[order].reshape(nt, 3)
-    data = np.concatenate([m.grad_map[:, k].ravel()[order] for k in (0, 1)]).reshape(2 * nt, 3)
-    grad = csr(np.tile(c_sorted, (2, 1)), data)
-    # edge k of a triangle joins its local vertices k and k + 1
     a = c.T
     b = np.roll(a, -1, axis=0)
-    ends = np.stack([np.minimum(a, b).ravel(), np.maximum(a, b).ravel()], axis=1)
-    mid = csr(ends, np.full(ends.shape, 0.5))
-    return grad, mid
+    ends = np.stack([np.full(a.size, -1, dtype=np.int32), np.minimum(a, b).ravel(),
+                     np.maximum(a, b).ravel()], axis=1)
+    idx = np.concatenate([c_sorted, c_sorted, ends])
+    data = np.concatenate([m.grad_map[:, 0].ravel()[order], m.grad_map[:, 1].ravel()[order],
+                           np.full(ends.size, 0.5)])
+    # idx holds each row's columns in increasing order, -1 first; its rows'
+    # counts are summed column by column, which is far faster than a
+    # reduction along rows of three
+    keep = idx >= 0
+    indptr = np.zeros(len(idx) + 1, dtype=np.int32)
+    np.cumsum(keep[:, 0].astype(np.int8) + keep[:, 1] + keep[:, 2], out=indptr[1:])
+    return sp.csr_matrix((data[keep.ravel()], idx[keep], indptr), shape=(len(idx), n_cols))
+
+
+# Entry k = 3 a + b of a triangle's 3x3 element block is in row a and column
+# b of the block.
+_BLOCK_ROWS, _BLOCK_COLS = np.repeat(np.arange(3), 3), np.tile(np.arange(3), 3)
 
 
 @dataclass
 class _Operators:
-    """Everything a solve needs of one mesh, on its interior nodes: the maps
-    G and Mid, the mass M and the three pieces of the p = 2 stiffness K(q).
-    ``grad_t`` and ``mid_t`` are the ``.T`` views of the maps, kept so that a
-    product does not rebuild one.  ``_operators`` builds one per mesh."""
+    """Everything a solve needs of one mesh, on its interior nodes.
 
-    grad: sp.csr_matrix   # (2 n_tri, n_int): x gradients of the triangles, then y gradients
-    mid: sp.csr_matrix    # (3 n_tri, n_int): values at edge k of triangle t in row k n_tri + t
-    grad_t: sp.csc_matrix
-    mid_t: sp.csc_matrix
-    area: np.ndarray      # (n_tri,) |T|
-    weight: np.ndarray    # (3 n_tri,) midpoint-rule weights |T|/3
-    mass: sp.csc_matrix   # M = Mid^T diag(|T|/3) Mid, which is |T|/12 (1 + delta_ij) per triangle
-    k_xx: sp.csc_matrix   # G_x^T diag|T| G_x
-    k_xy: sp.csc_matrix   # G_x^T diag|T| G_y + G_y^T diag|T| G_x
-    k_yy: sp.csc_matrix   # G_y^T diag|T| G_y
+    ``a`` is the stacked map A = [G; Mid], so that a field's triangle
+    gradients and edge-midpoint values are one product, and ``a_t`` its
+    ``.T`` view, so that the gradient of the quotient is one product too.
+    Every matrix of the p = 2 pencil has one sparsity pattern, the pairs of
+    interior nodes that share a triangle, held once as ``indices`` and
+    ``indptr`` in CSC order; ``slot`` says where each entry of each
+    triangle's element block lands in its data, and each matrix built on it
+    takes a copy of the pattern, less its exact zeros.  The mass M and the
+    three pieces of the stiffness K(q) are data on it, built once: K(q) is
+    three axpys, and the stiffness of other triangle weights (the lagged
+    diffusivity's K_w) three ``np.bincount`` of element blocks and three
+    axpys.  ``_operators`` builds one per mesh."""
 
-    def stiffness(self, m2: np.ndarray) -> sp.csc_matrix:
-        """K = G^T (m2 (x) diag|T|) G of the symmetric 2x2 matrix ``m2``, as
-        the sum of the three pieces."""
-        return m2[0, 0] * self.k_xx + m2[0, 1] * self.k_xy + m2[1, 1] * self.k_yy
+    a: sp.csr_matrix        # (5 n_tri, n_int), rows as ``_maps`` says
+    a_t: sp.csc_matrix
+    area: np.ndarray        # (n_tri,) |T|
+    weight: np.ndarray      # (3 n_tri,) midpoint-rule weights |T|/3
+    grad_map: np.ndarray    # (n_tri, 2, 3) the mesh's hat-function gradients
+    slot: np.ndarray        # (9, n_tri) data index of block entry k, nnz at a boundary node
+    indices: np.ndarray     # the pattern, CSC with sorted rows
+    indptr: np.ndarray
+    pieces: np.ndarray = field(init=False)   # (3, nnz) data of K_xx, K_xy + K_yx and K_yy
+    mass: sp.csc_matrix = field(init=False)  # M, which is |T|/12 (1 + delta_ij) per triangle
+
+    def __post_init__(self) -> None:
+        self.pieces = self._pieces(self.area)
+        mass = np.where(_BLOCK_ROWS == _BLOCK_COLS, 2.0, 1.0)[:, None] * (self.area / 12.0)
+        self.mass = self._matrix(self._assemble(mass))
+
+    def _pieces(self, b: np.ndarray) -> np.ndarray:
+        """(3, nnz) data of the pieces K_xx, K_xy + K_yx and K_yy of the
+        triangle weights ``b``.  Each piece's blocks are built in one buffer,
+        a row of triangles at a time: whole-block products would touch
+        several times the fresh memory, and take longer for it."""
+        gx, gy = self.grad_map[:, 0].T, self.grad_map[:, 1].T
+        bx, by = b * gx, b * gy
+        block = np.empty((9, len(b)))
+        data = np.empty((3, len(self.indices)))
+        # block entry (i, j) of each piece is the sum over its terms of left_i right_j
+        pieces = (((bx, gx),), ((bx, gy), (by, gx)), ((by, gy),))
+        for piece, ((left, right), *more) in enumerate(pieces):
+            for k, (i, j) in enumerate(zip(_BLOCK_ROWS, _BLOCK_COLS)):
+                np.multiply(left[i], right[j], out=block[k])
+                for left2, right2 in more:
+                    block[k] += left2[i] * right2[j]
+            data[piece] = self._assemble(block)
+        return data
+
+    def _assemble(self, blocks: np.ndarray) -> np.ndarray:
+        """Pattern data of the sum of the (9, n_tri) element blocks."""
+        nnz = len(self.indices)
+        return np.bincount(self.slot.ravel(), blocks.ravel(), minlength=nnz + 1)[:nnz]
+
+    def _matrix(self, data: np.ndarray) -> sp.csc_matrix:
+        """The matrix of ``data`` on a copy of the pattern, less its exact
+        zeros: the identity form's K has some on a mesh with right angles,
+        and a stored zero would be factored as fill."""
+        shape = (len(self.indptr) - 1,) * 2
+        k = sp.csc_matrix((data, self.indices.copy(), self.indptr.copy()), shape=shape)
+        k.eliminate_zeros()
+        return k
+
+    def stiffness(self, m2: np.ndarray, b: np.ndarray | None = None) -> sp.csc_matrix:
+        """K = G^T (m2 (x) diag b) G of the symmetric 2x2 matrix ``m2`` and
+        the triangle weights ``b``.  For b = |T|, the default, that is the
+        form's p = 2 stiffness."""
+        pieces = self.pieces if b is None else self._pieces(b)
+        data = m2[0, 0] * pieces[0]
+        data += m2[0, 1] * pieces[1]
+        data += m2[1, 1] * pieces[2]
+        return self._matrix(data)
 
 
 # Mesh -> its _Operators.  A Mesh is immutable and hashes by identity, so a
@@ -185,38 +253,44 @@ class _Operators:
 _RECORDS: weakref.WeakKeyDictionary[Mesh, _Operators] = weakref.WeakKeyDictionary()
 
 
+def _pattern(c: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stiffness pattern of triangles whose vertices have the (3, n_tri)
+    columns ``c`` (-1 for a boundary node) among ``n``: the slot of each
+    block entry in its data (nnz for an entry with a boundary node), then
+    the pattern's CSC ``indices`` and ``indptr``.
+
+    Block entry k of a triangle has the CSC key column * n + row, or n * n
+    if it has a boundary node.  The distinct keys give the pattern, and the
+    rank of an entry's key is its slot."""
+    held = c < 0
+    held = held[_BLOCK_COLS] | held[_BLOCK_ROWS]
+    keys = np.where(held, n * n, c[_BLOCK_COLS] * n + c[_BLOCK_ROWS])
+    unique, slot = np.unique(keys, return_inverse=True)
+    unique = unique[: np.searchsorted(unique, n * n)]
+    indptr = np.searchsorted(unique, n * np.arange(n + 1))
+    return slot.reshape(keys.shape), (unique % n).astype(np.int32), indptr.astype(np.int32)
+
+
 def _operators(m: Mesh) -> _Operators:
     """The operator record of ``m``, built on the first call for that mesh."""
     ops = _RECORDS.get(m)
     if ops is None:
-        grad, mid = _maps(m, interior_dof_map(m)[0])
-        nt, area = m.n_triangles, m.tri_area
-        weight = np.tile(area / 3.0, 3)
-
-        def scaled(rows, w):
-            # diag(w) rows, in CSC for the products with a transposed map
-            data = rows.data * np.repeat(w, np.diff(rows.indptr))
-            return sp.csr_matrix((data, rows.indices, rows.indptr), shape=rows.shape).tocsc()
-
-        gx, gy = grad[:nt], grad[nt:]
-        agx, agy = scaled(gx, area), scaled(gy, area)
-        k_xy = gx.T @ agy
-        ops = _Operators(
-            grad, mid, grad.T, mid.T, area, weight,
-            mass=mid.T @ scaled(mid, weight),
-            k_xx=gx.T @ agx,
-            k_xy=k_xy + k_xy.T.tocsc(),
-            k_yy=gy.T @ agy,
-        )
+        cols, n = interior_dof_map(m)
+        a = _maps(m, cols)
+        area = m.tri_area
+        ops = _Operators(a, a.T, area, np.tile(area / 3.0, 3), m.grad_map,
+                         *_pattern(cols[m.triangles].T, n))
         _RECORDS[m] = ops
     return ops
 
 
-def _on_all_nodes(m: Mesh, u: np.ndarray) -> tuple[sp.csr_matrix, sp.csr_matrix, np.ndarray]:
+def _on_all_nodes(m: Mesh, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Triangle gradients and edge-midpoint values of the nodal field ``u``."""
     u = np.asarray(u, dtype=float)
     if u.shape != (m.n_nodes,):
         raise ValueError(f"field has {u.shape} entries, mesh has {m.n_nodes} nodes")
-    return *_maps(m, np.arange(m.n_nodes)), u
+    values = _maps(m, np.arange(m.n_nodes)) @ u
+    return values[: 2 * m.n_triangles], values[2 * m.n_triangles :]
 
 
 def _energy(area: np.ndarray, m2: np.ndarray, p: float, gu: np.ndarray) -> float:
@@ -228,8 +302,7 @@ def _energy(area: np.ndarray, m2: np.ndarray, p: float, gu: np.ndarray) -> float
 
 def energy(m: Mesh, q: QuadForm, p: float, u: np.ndarray) -> float:
     """Anisotropic gradient energy of a nodal field, exact per triangle."""
-    grad, _, u = _on_all_nodes(m, u)
-    return _energy(m.tri_area, q.matrix(), p, grad @ u)
+    return _energy(m.tri_area, q.matrix(), p, _on_all_nodes(m, u)[0])
 
 
 def pnorm_p(m: Mesh | _Operators, u: np.ndarray, p: float) -> float:
@@ -239,8 +312,7 @@ def pnorm_p(m: Mesh | _Operators, u: np.ndarray, p: float) -> float:
     solve, ``m`` is the solve's operators and ``u`` the edge-midpoint values
     ``Mid`` already gave (one call per trial point of the line search)."""
     if isinstance(m, Mesh):
-        _, mid, u = _on_all_nodes(m, u)
-        return float(np.tile(m.tri_area / 3.0, 3) @ np.abs(mid @ u) ** p)
+        return float(np.tile(m.tri_area / 3.0, 3) @ np.abs(_on_all_nodes(m, u)[1]) ** p)
     return float(m.weight @ np.abs(u) ** p)
 
 
@@ -250,13 +322,15 @@ def _point(
     """``v`` scaled to unit p-norm, with its triangle gradients, its
     edge-midpoint values and its Rayleigh quotient.  Energy and norm are
     homogeneous, so the quotient is taken before the scaling."""
-    gu, y = ops.grad @ v, ops.mid @ v
-    nrm = pnorm_p(ops, y, p)
+    split = 2 * len(ops.area)
+    values = ops.a @ v
+    nrm = pnorm_p(ops, values[split:], p)
     if nrm <= 0.0:
         raise ValueError("candidate field vanishes identically")
-    lam = _energy(ops.area, m2, p, gu) / nrm
+    lam = _energy(ops.area, m2, p, values[:split]) / nrm
     scale = nrm ** (-1.0 / p)
-    return v * scale, gu * scale, y * scale, lam
+    values *= scale
+    return v * scale, values[:split], values[split:], lam
 
 
 def _gradient(
@@ -270,26 +344,33 @@ def _gradient(
     f = m2 @ g
     q = np.maximum((g * f).sum(axis=0), GRAD_FLOOR if p < 2.0 else 0.0)
     flux = f * (p * ops.area * q ** (0.5 * p - 1.0))
-    w = (lam * p) * ops.weight * np.sign(y) * np.abs(y) ** (p - 1.0)
-    return ops.grad_t @ flux.ravel() - ops.mid_t @ w
+    w = (-lam * p) * ops.weight * np.sign(y) * np.abs(y) ** (p - 1.0)
+    return ops.a_t @ np.concatenate((flux.ravel(), w))
 
 
 def _inverse_iteration(
-    stiff: sp.csc_matrix, mass: sp.csc_matrix, lu: SuperLU, opts: SolverOptions
+    mass: sp.csc_matrix, lu: SuperLU, opts: SolverOptions
 ) -> tuple[np.ndarray, int, bool]:
     """Smallest eigenpair of K u = lam M u by inverse iteration with the
     factorization ``lu`` of K, stopped when the relative eigenvalue change
-    reaches ``opts.tol``.  Returns (u, iterations, converged); the caller
+    reaches ``opts.tol``.  A step is one solve and one product with M: the
+    solve gives K w = M u, so w.Kw = w.Mu, and M w, scaled with w, is the
+    next right-hand side.  Returns (u, iterations, converged); the caller
     decides what a miss means."""
-    u = np.ones(stiff.shape[0])
-    u /= math.sqrt(u @ (mass @ u))
+    u = np.ones(mass.shape[0])
+    mu = mass @ u
+    nrm = math.sqrt(u @ mu)
+    u /= nrm
+    mu /= nrm
     lam_prev = None
     res = math.inf
     for it in range(1, opts.max_iter + 1):
-        w = lu.solve(mass @ u)
-        w /= math.sqrt(w @ (mass @ w))
-        lam = float(w @ (stiff @ w))
-        u = w
+        w = lu.solve(mu)
+        mw = mass @ w
+        ww = float(w @ mw)
+        lam = float(w @ mu) / ww
+        nrm = math.sqrt(ww)
+        u, mu = w / nrm, mw / nrm
         if lam_prev is not None:
             res = abs(lam - lam_prev) / lam
         lam_prev = lam
@@ -307,28 +388,27 @@ def _factor(a: sp.csc_matrix) -> SuperLU:
     )
 
 
-def _lagged_stiffness(ops: _Operators, m2: np.ndarray, p: float, gu: np.ndarray) -> sp.csc_matrix:
-    """K_w = G^T (m2 (x) diag(|T| q_T^((p-2)/2))) G, the stiffness of the
-    p-Laplacian's diffusivity frozen at the field whose triangle gradients
-    are ``gu``, with q_T = Q(grad u|_T) floored at LAGGED_Q_FLOOR times its
-    mean."""
+def _lagged_weights(ops: _Operators, m2: np.ndarray, p: float, gu: np.ndarray) -> np.ndarray:
+    """Triangle weights |T| q_T^((p-2)/2) of K_w = G^T (m2 (x) diag w) G, the
+    stiffness of the p-Laplacian's diffusivity frozen at the field whose
+    triangle gradients are ``gu``, with q_T = Q(grad u|_T) floored at
+    LAGGED_Q_FLOOR times its mean."""
     g = gu.reshape(2, -1)
     q = (g * (m2 @ g)).sum(axis=0)
-    w = ops.area * np.maximum(q, LAGGED_Q_FLOOR * q.mean()) ** (0.5 * p - 1.0)
-    return (ops.grad_t @ (sp.kron(m2, sp.diags(w), format="csr") @ ops.grad)).tocsc()
+    return ops.area * np.maximum(q, LAGGED_Q_FLOOR * q.mean()) ** (0.5 * p - 1.0)
 
 
 def _descent(
     ops: _Operators, m2: np.ndarray, p: float, u0: np.ndarray, bound: float, max_iter: int,
-    stiff: sp.csc_matrix, lu: SuperLU,
+    lu: SuperLU,
 ) -> tuple[np.ndarray, float, float, int]:
     """Projected Sobolev-gradient descent on the unit p-norm sphere.
 
     Each step moves along d = B^-1 g, the gradient of the quotient in the
-    metric B.  For p >= LAGGED_P_CUTOFF, B is the form's p = 2 stiffness K
-    (``stiff``, factorized as ``lu``).  For p < LAGGED_P_CUTOFF it is the
-    lagged-diffusivity stiffness K_w of the start (``_lagged_stiffness``),
-    factorized once here.  The cut-off is measured: interleaved in-process
+    metric B.  For p >= LAGGED_P_CUTOFF, B is the form's p = 2 stiffness K,
+    factorized as ``lu``.  For p < LAGGED_P_CUTOFF it is the
+    lagged-diffusivity stiffness K_w of the start (``_lagged_weights``),
+    assembled and factorized once here.  The cut-off is measured: interleaved in-process
     ``solve_p`` timings of the identity form on the L5 and L6 L-shape and
     disk (2-vCPU machine) find K_w faster on all four at p = 1.5 and 1.55
     but the L5 L-shape, on two of four at p = 1.6 (by at most 4 %, and 26 %
@@ -337,27 +417,33 @@ def _descent(
     the second solve per iteration.
 
     The step length starts from the Barzilai-Borwein value s.Bs / s.y, and is
-    halved until the Armijo condition on g.d holds.  The iterates move on the
+    halved until the Armijo condition on g.d holds.  B = G^T (m2 (x) diag b) G
+    with triangle weights b (|T| for K, the lagged weights for K_w), so s.Bs
+    = sum_T b_T Q(grad s|_T) comes from the triangle gradients of the last
+    two iterates, with no product with B: the descent needs B's
+    factorization only.  The iterates move on the
     whole sphere: the ground state of an anisotropic form may change sign at
     a few nodes of a P1 mesh, and replacing an iterate by |u| would pin those
     nodes at 0 and can raise the quotient.  The quotient is even in u; the
     start ``u0`` is flipped, if need be, to a nonnegative sum.  The accepted
     trial's gradients and midpoint values give the next gradient.
 
-    An iteration is one gradient and one solve with K, plus one with K_w
-    below the cut-off.  The dual-norm residual sqrt(g.K^-1 g) / (p lam) stays
+    An iteration is one gradient (one product with A^T) and one solve with
+    K, plus one with K_w below the cut-off; each line-search trial is one
+    product with A.  The dual-norm residual sqrt(g.K^-1 g) / (p lam) stays
     in the metric of K in both cases.  The descent stops as soon as it is at
     most ``bound``, at ``max_iter`` iterations, or when the line search finds
     no decrease.  Returns (u, lam, residual, iterations) of the last iterate;
     the caller compares the residual with the bound."""
     u, gu, y, lam = _point(ops, m2, p, u0 if u0.sum() >= 0.0 else -u0)
     if p < LAGGED_P_CUTOFF:
-        metric = _lagged_stiffness(ops, m2, p, gu)
-        metric_lu = _factor(metric)
+        b = _lagged_weights(ops, m2, p, gu)
+        metric_lu = _factor(ops.stiffness(m2, b))
     else:
-        metric, metric_lu = stiff, lu
+        b, metric_lu = ops.area, lu
     u_prev: np.ndarray | None = None
     g_prev: np.ndarray | None = None
+    gu_prev: np.ndarray | None = None
     t = 1.0 / (1.0 + abs(lam))
     it = 0
     while True:
@@ -373,11 +459,12 @@ def _descent(
         if u_prev is not None:
             s = u - u_prev
             sy = float(s @ (g - g_prev))
-            t0 = float(s @ (metric @ s)) / sy if sy > 0.0 else 2.0 * t
+            # s.Bs is the p = 2 energy of s with the metric's triangle weights
+            t0 = _energy(b, m2, 2.0, gu - gu_prev) / sy if sy > 0.0 else 2.0 * t
         else:
             t0 = t
         t0 = min(max(t0, 1e-18), 1e8)
-        u_prev, g_prev = u, g
+        u_prev, g_prev, gu_prev = u, g, gu
 
         t = t0
         for _ in range(60):
@@ -396,7 +483,7 @@ def solve_p(m: Mesh, q: QuadForm, p: float, opts: SolverOptions | None = None) -
     """Fundamental frequency for p > 1.
 
     The operators of ``m`` come from its record, built by the first solve on
-    ``m``; the form's p = 2 stiffness K is the three-term sum of its pieces.
+    ``m``; the form's p = 2 stiffness K is three axpys on its pieces' data.
     One factorization of K serves the inverse iteration, the reported
     residual and, for p >= LAGGED_P_CUTOFF, the descent's metric; below the
     cut-off the descent factors its lagged-diffusivity metric K_w as well.
@@ -415,9 +502,8 @@ def solve_p(m: Mesh, q: QuadForm, p: float, opts: SolverOptions | None = None) -
     opts = opts or SolverOptions()
     m2 = q.matrix()
     ops = _operators(m)
-    stiff = ops.stiffness(m2)
-    lu = _factor(stiff)
-    u, iterations, converged = _inverse_iteration(stiff, ops.mass, lu, opts)
+    lu = _factor(ops.stiffness(m2))
+    u, iterations, converged = _inverse_iteration(ops.mass, lu, opts)
     if p == 2.0:
         failure = f"inverse iteration did not reach tol {opts.tol} in {opts.max_iter} iterations"
         u, gu, y, lam = _point(ops, m2, p, u)
@@ -425,7 +511,7 @@ def solve_p(m: Mesh, q: QuadForm, p: float, opts: SolverOptions | None = None) -
         residual = math.sqrt(max(float(g @ lu.solve(g)), 0.0)) / (p * lam)
     else:
         bound = math.sqrt(opts.tol / RESIDUAL_SAFETY)
-        u, lam, residual, it = _descent(ops, m2, p, u, bound, opts.max_iter, stiff, lu)
+        u, lam, residual, it = _descent(ops, m2, p, u, bound, opts.max_iter, lu)
         failure = f"descent stopped at residual {residual:.3g} > {bound:.3g} after {it} iterations"
         iterations += it
         converged = residual <= bound

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -152,6 +155,33 @@ def payload_text(path: str) -> str:
             "bad domain spec",
             id="rectangle-infinite-hh",
         ),
+        # numbers inside the form and the domain object are typed like the others
+        pytest.param(
+            {"command": "eigen", "form": {"alpha": "1", "beta": 0, "gamma": 2}},
+            "bad form",
+            id="string-form-coefficient",
+        ),
+        pytest.param(
+            {"command": "eigen", "form": {"alpha": True, "beta": 0, "gamma": 2}},
+            "bad form",
+            id="bool-form-coefficient",
+        ),
+        pytest.param(
+            {"command": "eigen", "domain": {"type": "disk", "radius": "2"}},
+            "bad domain spec",
+            id="string-disk-radius",
+        ),
+        # a JSON integer too large for a float is mistyped too, not a crash
+        pytest.param(
+            {"command": "eigen", "form": {"alpha": 10**400, "beta": 0, "gamma": 2}},
+            "bad form",
+            id="huge-form-coefficient",
+        ),
+        pytest.param(
+            {"command": "eigen", "domain": {"type": "disk", "radius": 10**400}},
+            "bad domain spec",
+            id="huge-disk-radius",
+        ),
     ],
 )
 def test_bad_config_exits_2(tmp_path, capsys, config, field):
@@ -161,6 +191,32 @@ def test_bad_config_exits_2(tmp_path, capsys, config, field):
     assert err.startswith("error: ") and field in err
     assert not (tmp_path / "run.json").exists()
     assert not (tmp_path / "run.csv").exists()
+
+
+@pytest.mark.parametrize("out", [None, 5, ["run"], ""])
+def test_out_that_is_not_a_path_exits_2(tmp_path, capsys, monkeypatch, out):
+    # a config's "out" overrides the flag; null once wrote None.json
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(
+        json.dumps({"command": "eigen", "mesh_level": 2, "out": out}), encoding="utf-8"
+    )
+    assert cli.main(["--config", "config.json"]) == 2
+    assert capsys.readouterr().err.startswith("error: out must be a non-empty string")
+    assert [f.name for f in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_import_loads_no_unused_scipy_subpackage():
+    # importing the CLI is part of every run's start-up time; these
+    # subpackages are heavy and no command needs them
+    code = (
+        "import sys, anisolap.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+        "[['scipy', s] for s in ('integrate', 'optimize', 'special', 'interpolate')]))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_inline_domain_overflowing_to_infinity_exits_2(tmp_path, capsys):
@@ -205,7 +261,7 @@ def test_validate_reads_each_default_as_its_kind(command):
         assert value == (command if name == "command" else key.default)
         if key.kind is list and value is not None:
             assert all(type(x) is float for x in value)
-        elif key.kind in (float, int):
+        elif key.kind in (float, int, str):
             assert type(value) is key.kind, name
 
 

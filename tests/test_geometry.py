@@ -128,6 +128,27 @@ def test_json_rejects_bad_spec():
         domain_from_json({"type": "torus"})
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"type": "disk", "radius": "2"},
+        {"type": "disk", "radius": True},
+        {"type": "disk", "radius": 1.0, "center": ["0", 0.0]},
+        {"type": "rectangle", "hw": 1.0, "hh": "2"},
+        {"type": "rectangle", "hw": False, "hh": 1.0},
+        {"type": "polygon", "vertices": [[0.0, 0.0], [1.0, "0"], [0.0, 1.0]]},
+        {"type": "polygon", "vertices": [[0.0, 0.0], [True, 0.0], [0.0, 1.0]]},
+        {"type": "disk", "radius": 10**400},
+        {"type": "polygon", "vertices": [[0.0, 0.0], [10**400, 0.0], [0.0, 1.0]]},
+    ],
+)
+def test_json_rejects_strings_and_booleans_as_numbers(spec):
+    # float() would read "2" and True, and overflow on an integer too large
+    # for a float; a JSON spec holding any of them is mistyped
+    with pytest.raises(TypeError, match="must be a number"):
+        domain_from_json(spec)
+
+
 # ------------------------------------------------------------ longest chords
 
 

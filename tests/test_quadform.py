@@ -109,6 +109,14 @@ def test_json_round_trip():
     assert QuadForm.from_dict(q.to_dict()) == q
 
 
+@pytest.mark.parametrize("coefficient", ["1", True, 10**400], ids=["string", "boolean", "huge"])
+def test_from_dict_rejects_strings_and_booleans(coefficient):
+    # float() would read a string or a boolean, and overflow on the integer;
+    # a JSON form holding any of them is mistyped
+    with pytest.raises(TypeError, match="alpha must be a number"):
+        QuadForm.from_dict({"alpha": coefficient, "beta": 0.0, "gamma": 2.0})
+
+
 # ------------------------------------------------------------------ spectral
 
 

@@ -34,8 +34,10 @@ from anisolap.solver import (
     _RECORDS,
     LAGGED_Q_FLOOR,
     RESIDUAL_SAFETY,
+    _energy,
+    _factor,
     _gradient,
-    _lagged_stiffness,
+    _lagged_weights,
     _maps,
     _operators,
     _point,
@@ -305,15 +307,24 @@ def test_descent_budget_miss_raises():
     assert info.value.best.iterations <= 2 * opts.max_iter
 
 
+def triangle_gradients(m, v: np.ndarray) -> np.ndarray:
+    """G v, the stacked x and y triangle gradients of interior values ``v``."""
+    return (_operators(m).a @ v)[: 2 * m.n_triangles]
+
+
 def test_quadratic_matrices_match_element_assembly():
     # K = alpha K_xx + beta (K_xy + K_yx) + gamma K_yy and M from the mesh's
     # operator record against a triangle-by-triangle assembly of the P1
     # stiffness and the consistent mass, for the identity and forms with
     # beta > 0 and beta < 0; likewise the lagged-diffusivity stiffness K_w of
-    # a field that vanishes on x < 0, where its floored q_T is active
+    # a field that vanishes on x < 0, where its floored q_T is active.  M, and
+    # K and K_w of the forms with beta != 0, have the record's one pattern;
+    # the identity's K and K_w drop its exact zeros.  Each holds its own copy
+    # of the pattern, and the record's is left as it was
     m = build_mesh(lshape(), 3)
     idx, n_int = interior_dof_map(m)
     ops = _operators(m)
+    pattern = ops.indices.copy(), ops.indptr.copy()
     p = 1.5
     u = np.random.default_rng(3).normal(size=m.n_nodes)
     u[m.boundary_node | (m.nodes[:, 0] < 0.0)] = 0.0
@@ -337,10 +348,43 @@ def test_quadratic_matrices_match_element_assembly():
                         stiff_ref[i, j] += area * grads[:, a] @ m2 @ grads[:, b]
                         lagged_ref[i, j] += lag * grads[:, a] @ m2 @ grads[:, b]
                         mass_ref[i, j] += area / 12.0 * (2.0 if a == b else 1.0)
-        lagged = _lagged_stiffness(ops, m2, p, ops.grad @ u[~m.boundary_node])
+        weights = _lagged_weights(ops, m2, p, triangle_gradients(m, u[~m.boundary_node]))
+        lagged = ops.stiffness(m2, weights)
         assert any(q < q_floor for *_, q in elements)
         for got, ref in ((ops.stiffness(m2), stiff_ref), (ops.mass, mass_ref), (lagged, lagged_ref)):
             assert np.max(np.abs(got.toarray() - ref)) <= 1e-13 * np.max(np.abs(ref))
+            same = [np.array_equal(getattr(got, f), getattr(ops, f)) for f in ("indices", "indptr")]
+            assert all(same) == (got is ops.mass or m2[0, 1] != 0.0)
+            assert not np.shares_memory(got.indices, ops.indices)
+            assert not np.shares_memory(got.indptr, ops.indptr)
+    assert np.array_equal(ops.indices, pattern[0]) and np.array_equal(ops.indptr, pattern[1])
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_metric_curvature_from_triangle_gradients(p):
+    # the descent's Barzilai-Borwein curvature s.Bs is the p = 2 energy of s
+    # with the metric's triangle weights: |T| for K, the lagged weights for K_w
+    m = build_mesh(lshape(), 4)
+    ops = _operators(m)
+    m2 = make_Q_alpha(0.25, 0.6).matrix()
+    rng = np.random.default_rng(5)
+    s = rng.normal(size=ops.a.shape[1])
+    lagged = _lagged_weights(ops, m2, p, triangle_gradients(m, rng.normal(size=s.shape)))
+    for b in (ops.area, lagged):
+        exact = s @ (ops.stiffness(m2, None if b is ops.area else b) @ s)
+        assert _energy(b, m2, 2.0, triangle_gradients(m, s)) == pytest.approx(exact, rel=1e-13)
+
+
+def test_identity_form_factors_without_the_patterns_zeros():
+    # on the L5 L-shape, whose right angles give the identity form's K exact
+    # zeros, the LU of K has the fill of the matrix less its zeros, not that
+    # of the whole pattern
+    ops = _operators(build_mesh(lshape(), 5))
+    k = ops.stiffness(np.eye(2))
+    full = sp.csc_matrix((ops.pieces[0] + ops.pieces[2], ops.indices, ops.indptr), shape=k.shape)
+    assert k.nnz < full.nnz
+    fills = [lu.L.nnz + lu.U.nnz for lu in (_factor(k), _factor(full))]
+    assert fills == [46298, 61528]
 
 
 @pytest.mark.parametrize("interior", [True, False], ids=["interior", "all-nodes"])
@@ -361,10 +405,10 @@ def test_maps_match_coo_assembly(domain, interior):
     grad_ref = coo(np.arange(2 * nt).reshape(2, nt, 1), c, m.grad_map.transpose(1, 0, 2), 2 * nt)
     ends = np.stack([c, np.roll(c, -1, axis=1)])
     mid_ref = coo(np.arange(3 * nt).reshape(3, nt).T, ends, 0.5, 3 * nt)
-    for got, ref in zip(_maps(m, cols), (grad_ref, mid_ref)):
-        assert got.shape == ref.shape
-        for field in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(got, field), getattr(ref, field))
+    got, ref = _maps(m, cols), sp.vstack((grad_ref, mid_ref), format="csr")
+    assert got.shape == ref.shape
+    for field in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, field), getattr(ref, field))
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -421,13 +465,15 @@ def test_gradient_from_trial_values_matches_fresh_evaluation(p):
     m2 = q.matrix()
     ops = _operators(m)
     rng = np.random.default_rng(7)
-    u = np.abs(rng.normal(size=ops.grad.shape[1]))
+    u = np.abs(rng.normal(size=ops.a.shape[1]))
     d = rng.normal(size=u.shape)
     v, gu, y, lam = _point(ops, m2, p, np.abs(u - 0.3 * d))
     reused = _gradient(ops, m2, p, gu, y, lam)
     full = np.zeros(m.n_nodes)
     full[~m.boundary_node] = v
-    fresh = _gradient(ops, m2, p, ops.grad @ v, ops.mid @ v, energy(m, q, p, full))
+    values = ops.a @ v
+    split = 2 * m.n_triangles
+    fresh = _gradient(ops, m2, p, values[:split], values[split:], energy(m, q, p, full))
     assert pnorm_p(m, full, p) == pytest.approx(1.0, rel=1e-14)
     assert np.max(np.abs(reused - fresh)) <= 1e-14 * np.max(np.abs(fresh))
 
