@@ -76,18 +76,18 @@ class _Key(NamedTuple):
 _KEYS = {
     "command": _Key(None),
     "domain": _Key("square"),
-    "p": _Key(2.0, float, lambda p: p > 1.0, "exceed 1"),
+    "p": _Key(2.0, float, lambda p: 1.0 < p < math.inf, "exceed 1 and be finite"),
     "a": _Key(0.25, float, lambda a: 0.0 < a <= 1.0, "lie in (0, 1]"),
     "mesh_level": _Key(5, int, lambda n: 2 <= n <= 9, "lie in [2, 9]"),
     "grid_n": _Key(DEFAULT_GRID_N, int, lambda n: n >= 9, "be at least 9"),
-    "tol": _Key(SolverOptions.tol, float, lambda t: t > 0.0, "be positive"),
+    "tol": _Key(SolverOptions.tol, float, lambda t: 0.0 < t < math.inf, "be positive and finite"),
     "out": _Key("out", str, lambda s: s != "", "be a non-empty string"),
     "seed": _Key(0, int, lambda n: n >= 0, "be nonnegative"),
     "n_boundary": _Key(128, int, lambda n: n >= 16, "be at least 16"),
     "form": _Key(None),
     "thetas": _Key(None, list, lambda t: 0.0 <= t <= 0.5 * math.pi, "lie in [0, pi/2]"),
     "a_values": _Key(None, list, lambda a: 0.0 < a <= 1.0, "lie in (0, 1]"),
-    "p_values": _Key(None, list, lambda p: p > 1.0, "exceed 1"),
+    "p_values": _Key(None, list, lambda p: 1.0 < p < math.inf, "exceed 1 and be finite"),
     "b": _Key(0.5, float),
     "n_samples": _Key(5, int, lambda n: n >= 1, "be at least 1"),
     "n_pairs": _Key(8, int, lambda n: n >= 1, "be at least 1"),

@@ -25,9 +25,10 @@ class Disk:
     def __post_init__(self) -> None:
         if not 0.0 < self.radius < math.inf:
             raise ValueError(f"disk radius must be positive and finite, got {self.radius}")
-        object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
-        if not all(map(math.isfinite, self.center)):
-            raise ValueError(f"disk center must be finite, got {self.center}")
+        center = tuple(map(float, self.center))
+        if len(center) != 2 or not all(map(math.isfinite, center)):
+            raise ValueError(f"disk center must be two finite numbers, got {self.center}")
+        object.__setattr__(self, "center", center)
 
 
 @dataclass(frozen=True)
@@ -274,6 +275,10 @@ def read_number(value, name: str, kind: type = float):
     return x
 
 
+# The keys of each domain type's JSON object besides "type".
+_JSON_KEYS = {"disk": ("radius", "center"), "rectangle": ("hw", "hh"), "polygon": ("vertices",)}
+
+
 def domain_from_json(data) -> DomainSpec:
     """Parse a domain from its JSON object form or a bare name string.  Its
     sizes and coordinates must be numbers, not strings or booleans."""
@@ -282,13 +287,15 @@ def domain_from_json(data) -> DomainSpec:
     if not isinstance(data, dict) or "type" not in data:
         raise ValueError("domain spec must be a name or an object with a 'type' key")
     kind = str(data["type"]).lower()
+    if kind not in _JSON_KEYS:
+        raise ValueError(f"unknown domain type: {data['type']!r}")
+    unknown = [str(key) for key in data if key != "type" and key not in _JSON_KEYS[kind]]
+    if unknown:
+        raise ValueError(f"unknown {kind} key " + ", ".join(unknown))
     if kind == "disk":
-        center = data.get("center", (0.0, 0.0))
-        return Disk(read_number(data["radius"], "radius"),
-                    (read_number(center[0], "center"), read_number(center[1], "center")))
+        center = tuple(read_number(x, "center") for x in data.get("center", (0.0, 0.0)))
+        return Disk(read_number(data["radius"], "radius"), center)
     if kind == "rectangle":
         return Rectangle(read_number(data["hw"], "hw"), read_number(data["hh"], "hh"))
-    if kind == "polygon":
-        vertices = [[read_number(x, "vertices") for x in v] for v in data["vertices"]]
-        return Polygon(np.array(vertices))
-    raise ValueError(f"unknown domain type: {data['type']!r}")
+    vertices = [[read_number(x, "vertices") for x in v] for v in data["vertices"]]
+    return Polygon(np.array(vertices))

@@ -15,8 +15,11 @@ uniform grid of angles on the coarse mesh, one level below the requested
 (fine) one, and solves on the fine mesh only where the answer needs it.
 ``refine`` splits each triangle into four, so the coarse profile locates the
 grid minima at about a quarter of the fine cost.  At level
-``MIN_COARSE_LEVEL`` and below the coarse mesh is the fine mesh itself: the
-grid values are then fine values and no solve is repeated.
+``MIN_COARSE_LEVEL`` and below the coarse mesh is the fine mesh itself.
+A search keeps one table of solved values and their error bounds, keyed by
+(mesh level, theta), and solves a value the first time it is read.  So no
+(level, theta) is solved twice, and on one level the grid values are the
+fine values.
 
 Each coarse grid minimum is refined at the fine level from the fine values
 of its grid bracket (the grid point and its two neighbours).  The contract
@@ -40,15 +43,15 @@ at the fine level is never dropped.
 The solver's error bound on a value lam is ``residual * lam``: the dual-norm
 residual of the eigenpair times its eigenvalue.  The eigenvalue error of a
 near-eigenpair is of the order of the squared residual, so the bound is
-conservative.  The largest bound over the coarse grid, the fine solve at the
-coarse argmin and the isotropic solve enters the tie tolerance of
-``lambda_min``; the largest over all its solves, on both levels, is its
-result's ``residual``, which sets the margin floors of the verify suites.
-The coarse value at the optimum, ``lambda_min_coarse``, and its distance from
-``lambda_min``, ``error_estimate``, compare two nested levels.  When the
-difference between successive levels shrinks by a factor r >= 2 per level
-(r = 4 for an O(h^2) error), the estimate is about r - 1 times the true
-error of the fine value, so it bounds that error.
+conservative.  The tie tolerance of ``lambda_min`` takes the largest bound
+in the table once the grid and the fine solve at the coarse argmin are in
+it, together with the isotropic solve's; its result's ``residual`` is the
+largest once the search is done.  That sets the margin floors of the verify
+suites.  The coarse value at the optimum, ``lambda_min_coarse``, and its
+distance from ``lambda_min``, ``error_estimate``, compare two nested levels.
+When the difference between successive levels shrinks by a factor r >= 2 per
+level (r = 4 for an O(h^2) error), the estimate is about r - 1 times the
+true error of the fine value, so it bounds that error.
 
 The verify_* functions evaluate the structural claims (strict maximizer,
 monotonicity, profile shape on disks and rectangles, quantitative bounds,
@@ -62,6 +65,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -137,12 +141,10 @@ def profile_value(
     return res.lam, res.residual
 
 
-def _refine_min(
-    f, thetas: np.ndarray, values: np.ndarray, i: int, tol: float
-) -> tuple[float, float]:
-    """Refine the grid minimum ``values[i]`` = f(``thetas[i]``) to (theta,
-    f(theta)) as the module docstring describes: theta lies within ``tol`` of
-    a minimizer if ``f`` is unimodal on the grid bracket of ``thetas[i]``.
+def _refine_min(f, thetas: list[float], i: int, tol: float) -> tuple[float, float]:
+    """Refine the grid minimum at ``thetas[i]`` to (theta, f(theta)) as the
+    module docstring describes: theta lies within ``tol`` of a minimizer if
+    ``f`` is unimodal on the grid bracket of ``thetas[i]``.
 
     On a bracket (lo, x, hi) whose three values are known, f(x) the least,
     Brent's method (Algorithms for Minimization without Derivatives, 1973,
@@ -150,19 +152,19 @@ def _refine_min(
     seen, or takes a golden-section step into the larger side of x when that
     vertex leaves the bracket or the steps stop shrinking.  No step lands
     within tol/2 of x.  f(x) is always the least value evaluated."""
-    x, fx = float(thetas[i]), float(values[i])
+    x, fx = thetas[i], f(thetas[i])
     if thetas[1] - thetas[0] <= tol:
         return x, fx
     if 0 < i < len(thetas) - 1:
-        lo, hi = float(thetas[i - 1]), float(thetas[i + 1])
-        f_lo, f_hi = float(values[i - 1]), float(values[i + 1])
+        lo, hi = thetas[i - 1], thetas[i + 1]
+        f_lo, f_hi = f(lo), f(hi)
     else:
         inward = x + tol if i == 0 else x - tol
         f_in = f(inward)
         if f_in >= fx:
             return x, fx
         j = 1 if i == 0 else i - 1
-        (lo, f_lo), (hi, f_hi) = sorted([(x, fx), (float(thetas[j]), float(values[j]))])
+        (lo, f_lo), (hi, f_hi) = sorted([(x, fx), (thetas[j], f(thetas[j]))])
         x, fx = inward, f_in
     (w, fw), (v, fv) = sorted([(lo, f_lo), (hi, f_hi)], key=lambda pt: pt[1])
     step = last = hi - lo  # lets the first parabola through the bracket be taken
@@ -208,19 +210,6 @@ def _refine_min(
     return x, fx
 
 
-class _Values(dict):
-    """Values f(thetas[i]) by grid index, each evaluated the first time it is
-    read: ``_refine_min`` reads the fine values of a bracket this way."""
-
-    def __init__(self, f, thetas: np.ndarray):
-        super().__init__()
-        self.f, self.thetas = f, thetas
-
-    def __missing__(self, i):
-        self[i] = value = self.f(self.thetas[i])
-        return value
-
-
 def lambda_min(
     d: DomainSpec,
     a: float,
@@ -231,28 +220,24 @@ def lambda_min(
     level: int = 5,
     theta_tol: float = DEFAULT_THETA_TOL,
 ) -> OptimizeResult:
-    """Smallest frequency over the coercivity class at level ``a``.
+    """Smallest frequency over the coercivity class at level ``a``, searched
+    as the module docstring describes.
 
-    Samples the rotation profile at ``grid_n`` uniform angles in [0, pi/2] on
-    the coarse mesh: the domain's mesh at ``level`` - 1 when that is at least
+    The profile is sampled at ``grid_n`` uniform angles in [0, pi/2] on the
+    coarse mesh: the domain's mesh at ``level`` - 1 when that is at least
     ``MIN_COARSE_LEVEL``, else the level-``level`` mesh itself.  The fine
-    (level-``level``) mesh gets one solve at the coarse grid argmin, which
-    gives the coarse/fine gap; the isotropic solve, which gives
-    ``lambda_max``; and the solves of the refinements.  Every coarse grid
-    minimum that ties with the least within twice the largest solver error
-    bound plus the gap is refined on its own grid bracket (``_refine_min``)
-    from fine values, after an interior one has moved to any neighbour whose
-    fine value is lower.  Provided the fine profile is unimodal on each such
-    bracket, every angle in ``tied_minima`` lies within ``theta_tol`` of a
-    minimizer.  The least of them gives ``theta_star`` and the recovered
-    extremal form.
+    mesh gets the isotropic solve, which gives ``lambda_max``, and the solves
+    of the bracket checks and refinements.  Every profile value is read from
+    the search's table, which calls ``profile_value`` once per (level,
+    theta).  Provided the fine profile is unimodal on each refined bracket,
+    every angle in ``tied_minima`` lies within ``theta_tol`` of a minimizer;
+    the least gives ``theta_star`` and the recovered extremal form.
 
     ``lambda_min_coarse`` is the coarse value at ``theta_star``: a grid
     value, or one coarse solve off the grid.  ``error_estimate`` is its
-    distance from ``lambda_min``.  On one level the grid values are the fine
-    values, no solve is repeated, ``lambda_min_coarse`` is ``lambda_min`` and
-    ``error_estimate`` is None.  A ``SolverConvergenceError`` from any solve
-    is re-raised with the (theta, value) grid pairs computed before it as its
+    distance from ``lambda_min``, and None on one level, where the two are
+    one table entry.  A ``SolverConvergenceError`` from any solve is
+    re-raised with the (theta, value) grid pairs in the table as its
     ``theta_profile``.
     """
     if not 0.0 < a < 1.0:
@@ -263,35 +248,27 @@ def lambda_min(
         raise ValueError(f"theta_tol must be positive, got {theta_tol}")
     opts = opts or SolverOptions()
 
-    mesh = build_mesh(d, level)
     profile_level = level - 1 if level - 1 >= MIN_COARSE_LEVEL else level
-    coarse = build_mesh(d, profile_level) if profile_level < level else mesh
-    thetas = np.linspace(0.0, 0.5 * math.pi, grid_n)
-    profile: list[tuple[float, float]] = []
-    bounds: list[float] = []  # the error bound of every solve behind the result
+    meshes = {lv: build_mesh(d, lv) for lv in dict.fromkeys((level, profile_level))}
+    thetas = np.linspace(0.0, 0.5 * math.pi, grid_n).tolist()
+    solved: dict[tuple[int, float], tuple[float, float]] = {}  # -> (value, error bound)
 
-    def on(m: Mesh):
-        def f(theta: float) -> float:
-            value, residual = profile_value(m, theta, a, p, opts)
-            bounds.append(residual * value)
-            return value
+    def value(lv: int, theta: float) -> float:
+        """The table's value at (lv, theta), solved on a miss."""
+        if (lv, theta) not in solved:
+            lam, residual = profile_value(meshes[lv], theta, a, p, opts)
+            solved[lv, theta] = lam, residual * lam
+        return solved[lv, theta][0]
 
-        return f
-
-    f_coarse, f_fine = on(coarse), on(mesh)
+    coarse, fine = partial(value, profile_level), partial(value, level)
     try:
-        for th in thetas:
-            profile.append((float(th), f_coarse(th)))
-        values = np.array([v for _, v in profile])
-        fine = _Values(f_fine, thetas)
-        if coarse is mesh:
-            fine.update(enumerate(values.tolist()))
+        values = np.array([coarse(th) for th in thetas])
         i_min = int(np.argmin(values))
         vmin = float(values[i_min])
-        gap = abs(fine[i_min] - vmin)
-        iso = solve_p(mesh, QuadForm.identity(), p, opts)
-        bounds.append(iso.residual * iso.lam)
-        tie_tol = 2.0 * max(bounds) + gap
+        gap = abs(fine(thetas[i_min]) - vmin)
+        iso = solve_p(meshes[level], QuadForm.identity(), p, opts)
+        iso_bound = iso.residual * iso.lam
+        tie_tol = 2.0 * max(iso_bound, *(bound for _, bound in solved.values())) + gap
         tied_idx = np.flatnonzero(values <= vmin + tie_tol)
         # merge adjacent grid indices into brackets, refine each at the fine level
         groups: list[list[int]] = []
@@ -304,21 +281,20 @@ def lambda_min(
         for grp in groups:
             i = grp[int(np.argmin(values[grp]))]
             while 0 < i < grid_n - 1:
-                j = min((i - 1, i + 1), key=fine.__getitem__)
-                if fine[j] >= fine[i]:
+                j = min((i - 1, i + 1), key=lambda k: fine(thetas[k]))
+                if fine(thetas[j]) >= fine(thetas[i]):
                     break
                 i = j
             centres[i] = None
-        tied = [_refine_min(f_fine, thetas, fine, i, theta_tol) for i in centres]
-        tied.sort(key=lambda tv: tv[1])
+        tied = sorted(
+            (_refine_min(fine, thetas, i, theta_tol) for i in centres), key=lambda tv: tv[1]
+        )
         theta_star, lam_min = tied[0]
-        if coarse is mesh:
-            lam_coarse = lam_min
-        else:
-            on_grid = np.flatnonzero(thetas == theta_star)
-            lam_coarse = float(values[on_grid[0]]) if on_grid.size else f_coarse(theta_star)
+        lam_coarse = coarse(theta_star)
     except SolverConvergenceError as exc:
-        exc.theta_profile = profile
+        exc.theta_profile = [
+            (th, solved[profile_level, th][0]) for th in thetas if (profile_level, th) in solved
+        ]
         raise
 
     alpha_star = alpha_of_theta(a, theta_star)
@@ -329,7 +305,7 @@ def lambda_min(
         theta_star=theta_star,
         alpha_star=alpha_star,
         extremizer=extremizer,
-        theta_profile=profile,
+        theta_profile=[(th, solved[profile_level, th][0]) for th in thetas],
         tied_minima=tied,
         multiple_minima=len(tied) > 1,
         a=a,
@@ -337,8 +313,8 @@ def lambda_min(
         mesh_level=level,
         profile_level=profile_level,
         lambda_min_coarse=lam_coarse,
-        error_estimate=None if coarse is mesh else abs(lam_coarse - lam_min),
-        residual=float(max(bounds)),
+        error_estimate=None if profile_level == level else abs(lam_coarse - lam_min),
+        residual=float(max(iso_bound, *(bound for _, bound in solved.values()))),
     )
 
 

@@ -77,7 +77,11 @@ class QuadForm:
 
     @classmethod
     def from_dict(cls, data: dict) -> "QuadForm":
-        """The form of a JSON object; its coefficients must be numbers."""
+        """The form of a JSON object; its coefficients must be numbers, and it
+        holds no other key."""
+        unknown = [str(key) for key in data if key not in ("alpha", "beta", "gamma")]
+        if unknown:
+            raise ValueError("unknown form key " + ", ".join(unknown))
         return cls(*(read_number(data[key], key) for key in ("alpha", "beta", "gamma")))
 
 

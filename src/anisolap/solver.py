@@ -39,11 +39,8 @@ EJDE 2011) in one of two metrics B:
   Diening, Fornasier, Tomasi and Wank, Numer. Math. 2020).  Far below p = 2
   the diffusivity Q^((p-2)/2) varies by orders of magnitude across the
   domain, and K, which ignores it, lets the iteration count grow under
-  refinement: 51 / 179 descent-plus-inverse iterations at L4 / L6 on the
-  L-shape at p = 1.5, against 41 / 60 with K_w.  K_w is assembled and
-  factored once per solve, with the same call as K.  The cut-off is where
-  the second factorization and the second solve per iteration stop paying
-  for the iterations they save; ``_descent`` gives the measurement.
+  refinement.  K_w is assembled and factored once per solve, with the same
+  call as K.
 
 A step of the inverse iteration costs one solve and one product with M.  A
 descent iteration costs one product with A^T and one solve per metric, and a
@@ -80,7 +77,7 @@ from .quadform import QuadForm
 GRAD_FLOOR = 1e-12
 
 # Below this p the descent's metric is the lagged-diffusivity stiffness K_w of
-# its start, not the p = 2 stiffness K; ``_descent`` has the measured crossover.
+# its start, not the p = 2 stiffness K (``_descent``).
 LAGGED_P_CUTOFF = 1.6
 
 # Floor of the lagged diffusivity's Q(grad u0|_T), relative to its mean over
@@ -408,13 +405,15 @@ def _descent(
     metric B.  For p >= LAGGED_P_CUTOFF, B is the form's p = 2 stiffness K,
     factorized as ``lu``.  For p < LAGGED_P_CUTOFF it is the
     lagged-diffusivity stiffness K_w of the start (``_lagged_weights``),
-    assembled and factorized once here.  The cut-off is measured: interleaved in-process
-    ``solve_p`` timings of the identity form on the L5 and L6 L-shape and
-    disk (2-vCPU machine) find K_w faster on all four at p = 1.5 and 1.55
-    but the L5 L-shape, on two of four at p = 1.6 (by at most 4 %, and 26 %
-    slower on the L6 disk), and slower on all four from p = 1.7 on.  Below
-    the cut-off the iterations saved outweigh the second factorization and
-    the second solve per iteration.
+    assembled and factorized once here.  On the L-shape at p = 1.5 it takes
+    the descent-plus-inverse iterations from 51 / 179 at L4 / L6 with K to
+    41 / 60.  The cut-off is measured: interleaved in-process ``solve_p``
+    timings of the identity form on the L5 and L6 L-shape and disk (2-vCPU
+    machine) find K_w faster on all four at p = 1.5 and 1.55 but the L5
+    L-shape, on two of four at p = 1.6 (by at most 4 %, and 26 % slower on
+    the L6 disk), and slower on all four from p = 1.7 on.  Below the cut-off
+    the iterations saved outweigh the second factorization and the second
+    solve per iteration.
 
     The step length starts from the Barzilai-Borwein value s.Bs / s.y, and is
     halved until the Armijo condition on g.d holds.  B = G^T (m2 (x) diag b) G

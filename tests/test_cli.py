@@ -182,6 +182,34 @@ def payload_text(path: str) -> str:
             "bad domain spec",
             id="huge-disk-radius",
         ),
+        # a center is two numbers, neither truncated nor an index error
+        pytest.param(
+            {"command": "eigen", "domain": {"type": "disk", "radius": 1, "center": [0]}},
+            "disk center must be two",
+            id="disk-short-center",
+        ),
+        pytest.param(
+            {"command": "eigen", "domain": {"type": "disk", "radius": 1, "center": [0, 0, 7]}},
+            "disk center must be two",
+            id="disk-long-center",
+        ),
+        # a misspelt key inside the domain or the form is not ignored
+        pytest.param(
+            {"command": "eigen", "domain": {"type": "disk", "radius": 1, "radus": 2}},
+            "unknown disk key radus",
+            id="disk-unknown-key",
+        ),
+        pytest.param(
+            {"command": "eigen", "form": {"alpha": 1, "beta": 0, "gamma": 2, "gama": 3}},
+            "unknown form key gama",
+            id="form-unknown-key",
+        ),
+        # an infinite exponent or tolerance is caught before any solve
+        pytest.param({"command": "eigen", "p": math.inf}, "p must", id="infinite-p"),
+        pytest.param(
+            {"command": "sweep", "p_values": [2.0, math.inf]}, "p_values must", id="infinite-p-values"
+        ),
+        pytest.param({"command": "eigen", "tol": math.inf}, "tol must", id="infinite-tol"),
     ],
 )
 def test_bad_config_exits_2(tmp_path, capsys, config, field):

@@ -128,6 +128,29 @@ def test_json_rejects_bad_spec():
         domain_from_json({"type": "torus"})
 
 
+@pytest.mark.parametrize("center", [(0.0,), (0.0, 0.0, 7.0)], ids=["one", "three"])
+def test_disk_center_is_two_numbers(center):
+    with pytest.raises(ValueError, match="two finite numbers"):
+        Disk(1.0, center)
+    with pytest.raises(ValueError, match="two finite numbers"):
+        domain_from_json({"type": "disk", "radius": 1.0, "center": list(center)})
+
+
+@pytest.mark.parametrize(
+    "spec, key",
+    [
+        ({"type": "disk", "radius": 1.0, "radus": 2.0}, "disk key radus"),
+        ({"type": "rectangle", "hw": 1.0, "hh": 2.0, "radius": 1.0}, "rectangle key radius"),
+        ({"type": "polygon", "vertices": [[0, 0], [1, 0], [0, 1]], "hw": 1}, "polygon key hw"),
+    ],
+    ids=["disk", "rectangle", "polygon"],
+)
+def test_json_rejects_unknown_keys(spec, key):
+    # a misspelt key would otherwise leave its default in place unnoticed
+    with pytest.raises(ValueError, match="unknown " + key):
+        domain_from_json(spec)
+
+
 @pytest.mark.parametrize(
     "spec",
     [

@@ -53,6 +53,14 @@ def file_text(path: str) -> str:
             id="optimize-lshape-p2-L4",  # two levels: an L3 profile, interior L4 brackets
         ),
         pytest.param(
+            "optimize_L4_p3",
+            ["--command", "optimize", "--domain", "lshape", "--a", "0.25", "--p", "3",
+             "--grid-n", "9", "--level", "4"],
+            0,
+            ["optimize_L4_p3_profile.csv"],
+            id="optimize-lshape-p3-L4",  # two levels at p > 2: both mirror minima refined
+        ),
+        pytest.param(
             "verify",
             ["--command", "verify", "--level", "2"],
             1,  # rectangle_axis_argmin_set FAILs

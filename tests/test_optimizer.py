@@ -300,6 +300,60 @@ def test_lambda_min_two_level_solve_count(monkeypatch):
     assert res.lambda_min_coarse == res.theta_profile[0][1]
 
 
+@pytest.mark.parametrize(
+    "domain, p, level, grid_n, counts",
+    [
+        (RECT_TALL, 2.0, 5, 17, [17, 2]),
+        (SQUARE, 3.0, 3, 9, [11]),
+        (lshape(), 2.0, 4, 17, [18, 16]),
+        (Disk(1.0), 3.0, 3, 9, [10]),
+    ],
+    ids=["rectangle-p2-L5", "square-p3-L3", "lshape-p2-L4", "disk-p3-L3"],
+)
+def test_lambda_min_solves_each_angle_once(monkeypatch, domain, p, level, grid_n, counts):
+    # profile solves per mesh, the grid's first: on one level the bracket
+    # checks and the coarse value at theta_star reread the grid's solves
+    calls = []
+    real = optimizer.profile_value
+
+    def counting(mesh, theta, *args):
+        calls.append((id(mesh), float(theta)))
+        return real(mesh, theta, *args)
+
+    monkeypatch.setattr(optimizer, "profile_value", counting)
+    lambda_min(domain, 0.25, p, grid_n, level=level)
+    assert len(set(calls)) == len(calls)
+    per_mesh: dict[int, int] = {}
+    for mesh_id, _ in calls:
+        per_mesh[mesh_id] = per_mesh.get(mesh_id, 0) + 1
+    assert list(per_mesh.values()) == counts
+
+
+def test_lambda_min_one_level_failure_in_refinement_keeps_the_grid(monkeypatch):
+    # on one level the refinement's angles share the table with the grid;
+    # the third of them fails, and the error carries the grid pairs alone
+    grid = np.linspace(0.0, 0.5 * math.pi, 9).tolist()
+    best = solve_p(build_mesh(SQUARE, 2), QuadForm.identity(), 2.0)
+    off_grid = []
+
+    def curve(theta):
+        s = 4.0 * (theta - 0.3)
+        return math.exp(s) - s
+
+    def profile(mesh, theta, a, p, opts=None):
+        if theta not in grid:
+            off_grid.append(theta)
+            if len(off_grid) == 3:
+                raise SolverConvergenceError("descent stopped", best)
+        return curve(theta), 0.0
+
+    monkeypatch.setattr(optimizer, "profile_value", profile)
+    with pytest.raises(SolverConvergenceError) as info:
+        lambda_min(SQUARE, 0.25, 2.0, 9, level=2)
+    assert len(off_grid) == 3
+    assert info.value.theta_profile == [(t, curve(t)) for t in grid]
+
+
 def test_lambda_min_moves_bracket_to_lower_fine_neighbour(monkeypatch):
     # the coarse profile puts its minimum at 0.75, the fine one at 0.3: the
     # fine bracket check walks the grid minimum down to the fine bracket

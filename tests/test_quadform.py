@@ -117,6 +117,11 @@ def test_from_dict_rejects_strings_and_booleans(coefficient):
         QuadForm.from_dict({"alpha": coefficient, "beta": 0.0, "gamma": 2.0})
 
 
+def test_from_dict_rejects_unknown_keys():
+    with pytest.raises(ValueError, match="unknown form key gama"):
+        QuadForm.from_dict({"alpha": 1.0, "beta": 0.0, "gamma": 2.0, "gama": 3.0})
+
+
 # ------------------------------------------------------------------ spectral
 
 
