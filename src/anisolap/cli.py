@@ -12,8 +12,8 @@ verify    run the verification suites; JSON report, exit 0 iff all entries pass
 
 The library takes typed arguments; this module reads configs and writes
 files.  Its runs keep the library's iteration budget and angle tolerance
-(``SolverOptions.max_iter``, ``lambda_min``'s ``theta_tol``) and read the
-``tol`` and ``grid_n`` defaults from it (``SolverOptions.tol``,
+(``solver.MAX_ITER``, ``lambda_min``'s ``theta_tol``) and read the ``tol``
+and ``grid_n`` defaults from it (``solver.DEFAULT_TOL``,
 ``optimizer.DEFAULT_GRID_N``).  The run configuration is one flat JSON
 object: ``_KEYS`` is its one table, giving each key's default, kind and
 range.  Flags set some of its keys, and a config file passed with --config
@@ -54,11 +54,12 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import solver
 from .geometry import DomainSpec, domain_from_json, domain_to_json, read_number
 from .mesh import build_mesh
 from .optimizer import DEFAULT_GRID_N, lambda_min, profile_value, run_verification
 from .quadform import QuadForm
-from .solver import SolverConvergenceError, SolverOptions, solve_p
+from .solver import SolverConvergenceError, solve_p
 
 SCHEMA_VERSION = 1
 SUITES = ("rigidity", "quantitative", "relaxation", "disk", "rectangle")
@@ -72,26 +73,34 @@ class _Key(NamedTuple):
 
 
 # The run configuration's one table: every key, its default, kind and range.
-# A key whose default is None may be None.
+# A key whose default is None may be None.  An exponent above 20 can overflow
+# Q^(p/2) in a descent's energy (the L-shape at p = 30 and 50; p = 20 ran clean
+# on the square, the disk and the L-shape at levels 2 to 7), and below a
+# coercivity level of 1e-15 make_Q_alpha's rounded alpha gamma - beta^2 = a
+# leaves some angles with no positive definite form.
+_P_RANGE = (lambda p: 1.0 < p <= 20.0, "exceed 1 and be at most 20")
+_A_RANGE = (lambda a: 1e-12 <= a <= 1.0, "lie in (0, 1] and be at least 1e-12")
 _KEYS = {
     "command": _Key(None),
     "domain": _Key("square"),
-    "p": _Key(2.0, float, lambda p: 1.0 < p < math.inf, "exceed 1 and be finite"),
-    "a": _Key(0.25, float, lambda a: 0.0 < a <= 1.0, "lie in (0, 1]"),
+    "p": _Key(2.0, float, *_P_RANGE),
+    "a": _Key(0.25, float, *_A_RANGE),
     "mesh_level": _Key(5, int, lambda n: 2 <= n <= 9, "lie in [2, 9]"),
     "grid_n": _Key(DEFAULT_GRID_N, int, lambda n: n >= 9, "be at least 9"),
-    "tol": _Key(SolverOptions.tol, float, lambda t: 0.0 < t < math.inf, "be positive and finite"),
+    "tol": _Key(solver.DEFAULT_TOL, float, lambda t: 0.0 < t < math.inf, "be positive and finite"),
     "out": _Key("out", str, lambda s: s != "", "be a non-empty string"),
     "seed": _Key(0, int, lambda n: n >= 0, "be nonnegative"),
     "n_boundary": _Key(128, int, lambda n: n >= 16, "be at least 16"),
     "form": _Key(None),
     "thetas": _Key(None, list, lambda t: 0.0 <= t <= 0.5 * math.pi, "lie in [0, pi/2]"),
-    "a_values": _Key(None, list, lambda a: 0.0 < a <= 1.0, "lie in (0, 1]"),
-    "p_values": _Key(None, list, lambda p: 1.0 < p < math.inf, "exceed 1 and be finite"),
+    "a_values": _Key(None, list, *_A_RANGE),
+    "p_values": _Key(None, list, *_P_RANGE),
     "b": _Key(0.5, float),
     "n_samples": _Key(5, int, lambda n: n >= 1, "be at least 1"),
     "n_pairs": _Key(8, int, lambda n: n >= 1, "be at least 1"),
-    "a_sequence": _Key([0.5, 0.25], list, lambda a: 0.0 < a < 1.0, "lie in (0, 1)"),
+    "a_sequence": _Key(
+        [0.5, 0.25], list, lambda a: 1e-12 <= a < 1.0, "lie in (0, 1) and be at least 1e-12"
+    ),
     "suites": _Key(list(SUITES)),
 }
 
@@ -295,13 +304,13 @@ def _report_failure(command: str, json_path: str, exc: SolverConvergenceError, *
     return 1
 
 
-def _cmd_eigen(cfg: dict, domain: DomainSpec, opts: SolverOptions) -> int:
+def _cmd_eigen(cfg: dict, domain: DomainSpec) -> int:
     form = cfg["form"] if cfg["form"] is not None else QuadForm.identity()
-    options = {"tol": opts.tol, "max_iter": opts.max_iter}
+    options = {"tol": cfg["tol"], "max_iter": solver.MAX_ITER}
     mesh = build_mesh(domain, cfg["mesh_level"])
     json_path, csv_path = _out_paths(cfg, "_eigenfunction.csv")
     try:
-        res = solve_p(mesh, form, cfg["p"], opts)
+        res = solve_p(mesh, form, cfg["p"], cfg["tol"])
     except SolverConvergenceError as exc:
         return _report_failure("eigen", json_path, exc, result=exc.best.to_dict(), options=options)
     payload = {
@@ -318,10 +327,12 @@ def _cmd_eigen(cfg: dict, domain: DomainSpec, opts: SolverOptions) -> int:
     return 0
 
 
-def _cmd_optimize(cfg: dict, domain: DomainSpec, opts: SolverOptions) -> int:
+def _cmd_optimize(cfg: dict, domain: DomainSpec) -> int:
     json_path, csv_path = _out_paths(cfg, "_profile.csv")
     try:
-        res = lambda_min(domain, cfg["a"], cfg["p"], cfg["grid_n"], opts, level=cfg["mesh_level"])
+        res = lambda_min(
+            domain, cfg["a"], cfg["p"], cfg["grid_n"], cfg["tol"], level=cfg["mesh_level"]
+        )
     except SolverConvergenceError as exc:
         profile = [[t, v] for t, v in exc.theta_profile]
         return _report_failure("optimize", json_path, exc, theta_profile=profile)
@@ -339,7 +350,7 @@ def _cmd_optimize(cfg: dict, domain: DomainSpec, opts: SolverOptions) -> int:
     return 0
 
 
-def _cmd_sweep(cfg: dict, domain: DomainSpec, opts: SolverOptions) -> int:
+def _cmd_sweep(cfg: dict, domain: DomainSpec) -> int:
     mesh = build_mesh(domain, cfg["mesh_level"])
     thetas = cfg["thetas"] or np.linspace(0.0, 0.5 * math.pi, cfg["grid_n"]).tolist()
     a_values = cfg["a_values"] or [cfg["a"]]
@@ -352,7 +363,7 @@ def _cmd_sweep(cfg: dict, domain: DomainSpec, opts: SolverOptions) -> int:
         for p in p_values:
             for a in a_values:
                 for th in thetas:
-                    val, _ = profile_value(mesh, th, a, p, opts)
+                    val, _ = profile_value(mesh, th, a, p, cfg["tol"])
                     rows.append((th, a, p, val))
     except SolverConvergenceError as exc:
         return _report_failure("sweep", csv_path[: -len(".csv")] + ".json", exc)
@@ -361,7 +372,7 @@ def _cmd_sweep(cfg: dict, domain: DomainSpec, opts: SolverOptions) -> int:
     return 0
 
 
-def _cmd_verify(cfg: dict, domain: DomainSpec, opts: SolverOptions) -> int:
+def _cmd_verify(cfg: dict, domain: DomainSpec) -> int:
     json_path, _ = _out_paths(cfg, "")
     config = {
         **{key: cfg[key] for key in ("domain", "a", "b")},
@@ -370,9 +381,9 @@ def _cmd_verify(cfg: dict, domain: DomainSpec, opts: SolverOptions) -> int:
         **{key: cfg[key] for key in ("grid_n", "n_samples", "n_pairs", "a_sequence")},
         **{key: cfg[key] for key in ("seed", "tol", "suites")},
     }
-    args = {key: value for key, value in config.items() if key not in ("domain", "tol")}
+    args = {key: value for key, value in config.items() if key != "domain"}
     try:
-        report = {"config": config, **run_verification(domain, opts, **args)}
+        report = {"config": config, **run_verification(domain, **args)}
     except SolverConvergenceError as exc:
         return _report_failure("verify", json_path, exc)
     payload = {"command": "verify", "status": "ok", "report": report}
@@ -394,11 +405,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    """Read and validate the config, parse its domain and form and build its
-    solver options once, and run its command."""
+    """Read and validate the config, parse its domain and form once, and run
+    its command."""
     try:
         cfg, domain = _validate(_parse_args(argv if argv is not None else sys.argv[1:]))
-        return _COMMANDS[cfg["command"]](cfg, domain, SolverOptions(tol=cfg["tol"]))
+        return _COMMANDS[cfg["command"]](cfg, domain)
     # exit 2 on bad input, an input file that cannot be read or an output not written
     except (ConfigError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

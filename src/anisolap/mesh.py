@@ -187,35 +187,24 @@ def _split(nodes: np.ndarray, tris: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     return np.vstack([nodes, mids]), tris, counts == 1
 
 
-def refine(m: Mesh, levels: int) -> Mesh:
+def refine(m: Mesh, levels: int, onto: Disk | None = None) -> Mesh:
     """Uniform refinement: each level splits every triangle into 4 via edge
     midpoints.  Children are similar to their parents, so the minimum angle of
-    the coarse mesh is preserved."""
+    the coarse mesh is preserved.  With ``onto``, each level's new boundary
+    nodes are projected onto that disk's circle.  Nested: a level's nodes
+    start with those of the level below."""
     if levels < 0:
         raise ValueError("levels must be nonnegative")
     if levels == 0:
         return m
     nodes, tris = m.nodes, m.triangles
     for _ in range(levels):
-        nodes, tris, _ = _split(nodes, tris)
-    return Mesh.from_arrays(nodes, tris)
-
-
-def _disk_mesh(d: Disk, level: int) -> Mesh:
-    """The centre and the inscribed hexagon (6 equilateral triangles),
-    refined ``level`` times; each level's new boundary nodes are projected
-    onto the circle.  Nested: a level's nodes start with those of the level
-    below."""
-    centre = np.asarray(d.center)
-    nodes = np.vstack([centre, polygonize(d).vertices])
-    ring = np.arange(1, 7)
-    tris = np.column_stack([np.zeros(6, dtype=np.int64), ring, np.roll(ring, -1)])
-    for _ in range(level):
         n = len(nodes)
         nodes, tris, on_boundary = _split(nodes, tris)
-        rim = n + np.flatnonzero(on_boundary)
-        offset = nodes[rim] - centre
-        nodes[rim] = centre + d.radius * offset / np.hypot(offset[:, 0], offset[:, 1])[:, None]
+        if onto is not None:
+            rim = n + np.flatnonzero(on_boundary)
+            offset = nodes[rim] - onto.center
+            nodes[rim] = onto.center + onto.radius * offset / np.hypot(*offset.T)[:, None]
     return Mesh.from_arrays(nodes, tris)
 
 
@@ -247,12 +236,13 @@ def min_angle(m: Mesh) -> float:
 
 
 def build_mesh(domain: DomainSpec, level: int, n_boundary: int = 128) -> Mesh:
-    """The domain's mesh at refinement ``level``: a disk's refined hexagon,
+    """The domain's mesh at refinement ``level``: a disk's fan of its centre
+    and inscribed hexagon (6 equilateral triangles), refined onto its circle,
     or the ear-clipped polygon refined ``level`` times.  ``n_boundary`` is
     accepted for existing callers and changes no mesh."""
-    if level < 0:
-        raise ValueError("levels must be nonnegative")
     if isinstance(domain, Disk):
-        return _disk_mesh(domain, level)
+        ring = np.arange(1, 7)
+        fan = np.column_stack([np.zeros(6, dtype=np.int64), ring, np.roll(ring, -1)])
+        nodes = np.vstack([domain.center, polygonize(domain).vertices])
+        return refine(Mesh.from_arrays(nodes, fan), level, onto=domain)
     return refine(triangulate(polygonize(domain)), level)
-

@@ -80,7 +80,7 @@ from .quadform import (
     random_member,
     spectral,
 )
-from .solver import SolverConvergenceError, SolverOptions, solve_p, directional_constant
+from .solver import DEFAULT_TOL, SolverConvergenceError, directional_constant, solve_p
 
 DEFAULT_GRID_N = 17
 DEFAULT_THETA_TOL = 1e-4
@@ -131,13 +131,13 @@ def profile_value(
     theta: float,
     a: float,
     p: float,
-    opts: SolverOptions | None = None,
+    tol: float = DEFAULT_TOL,
 ) -> tuple[float, float]:
     """Frequency on ``mesh`` of the extremal form at angle ``theta``,
     ``make_Q_alpha(a, alpha_of_theta(a, theta))``, which at a = 1 is the
     isotropic form.  Returns (value, solver residual)."""
     q = QuadForm.identity() if a == 1.0 else make_Q_alpha(a, alpha_of_theta(a, theta))
-    res = solve_p(mesh, q, p, opts)
+    res = solve_p(mesh, q, p, tol)
     return res.lam, res.residual
 
 
@@ -215,7 +215,7 @@ def lambda_min(
     a: float,
     p: float,
     grid_n: int = DEFAULT_GRID_N,
-    opts: SolverOptions | None = None,
+    tol: float = DEFAULT_TOL,
     *,
     level: int = 5,
     theta_tol: float = DEFAULT_THETA_TOL,
@@ -246,7 +246,6 @@ def lambda_min(
         raise ValueError(f"grid_n must be at least 9, got {grid_n}")
     if not theta_tol > 0.0:
         raise ValueError(f"theta_tol must be positive, got {theta_tol}")
-    opts = opts or SolverOptions()
 
     profile_level = level - 1 if level - 1 >= MIN_COARSE_LEVEL else level
     meshes = {lv: build_mesh(d, lv) for lv in dict.fromkeys((level, profile_level))}
@@ -256,7 +255,7 @@ def lambda_min(
     def value(lv: int, theta: float) -> float:
         """The table's value at (lv, theta), solved on a miss."""
         if (lv, theta) not in solved:
-            lam, residual = profile_value(meshes[lv], theta, a, p, opts)
+            lam, residual = profile_value(meshes[lv], theta, a, p, tol)
             solved[lv, theta] = lam, residual * lam
         return solved[lv, theta][0]
 
@@ -266,7 +265,7 @@ def lambda_min(
         i_min = int(np.argmin(values))
         vmin = float(values[i_min])
         gap = abs(fine(thetas[i_min]) - vmin)
-        iso = solve_p(meshes[level], QuadForm.identity(), p, opts)
+        iso = solve_p(meshes[level], QuadForm.identity(), p, tol)
         iso_bound = iso.residual * iso.lam
         tie_tol = 2.0 * max(iso_bound, *(bound for _, bound in solved.values())) + gap
         tied_idx = np.flatnonzero(values <= vmin + tie_tol)
@@ -347,7 +346,7 @@ def verify_rigidity(
     d: DomainSpec,
     a: float,
     p: float,
-    opts: SolverOptions,
+    tol: float,
     *,
     level: int,
     n_samples: int,
@@ -367,12 +366,12 @@ def verify_rigidity(
     bounds: list[float] = []  # the error bound of every solve
 
     def frequency(q: QuadForm) -> float:
-        res = solve_p(mesh, q, p, opts)
+        res = solve_p(mesh, q, p, tol)
         bounds.append(res.residual * res.lam)
         return res.lam
 
     lam_iso = frequency(QuadForm.identity())
-    margin_floor = 3.0 * max(bounds[0], opts.tol * lam_iso)
+    margin_floor = 3.0 * max(bounds[0], tol * lam_iso)
 
     # random_member never draws the identity, the equality case
     margins = [lam_iso - frequency(random_member(a, rng)) for _ in range(n_samples)]
@@ -523,7 +522,7 @@ def verify_Q0_limit(results: list[OptimizeResult], chord: float) -> list[dict]:
 def verify_disk(
     a: float,
     p: float,
-    opts: SolverOptions,
+    tol: float,
     *,
     level: int,
     grid_n: int,
@@ -533,7 +532,7 @@ def verify_disk(
     That target is the profile value at angle 0, a^(p/2) times the isotropic
     frequency on the sheared image of the profile's mesh, so it is compared
     with the optimum's value on that mesh, ``lambda_min_coarse``."""
-    res = lambda_min(Disk(1.0), a, p, grid_n, opts, level=level)
+    res = lambda_min(Disk(1.0), a, p, grid_n, tol, level=level)
     values = np.array([v for _, v in res.theta_profile])
     spread = float((values.max() - values.min()) / values.mean())
     target = res.theta_profile[0][1]
@@ -564,7 +563,7 @@ def verify_disk(
 def verify_rectangle(
     a: float,
     p: float,
-    opts: SolverOptions,
+    tol: float,
     *,
     level: int,
     grid_n: int,
@@ -574,10 +573,10 @@ def verify_rectangle(
     if not 0.0 < a < 1.0:
         raise ValueError(f"need a in (0, 1), got {a}")
     rect = Rectangle(1.0, 1.0 / math.sqrt(a))
-    res = lambda_min(rect, a, p, grid_n, opts, level=level)
+    res = lambda_min(rect, a, p, grid_n, tol, level=level)
 
     square = Rectangle(1.0, 1.0)
-    lam_sq = solve_p(build_mesh(square, level), QuadForm.identity(), p, opts).lam
+    lam_sq = solve_p(build_mesh(square, level), QuadForm.identity(), p, tol).lam
     target = a ** (0.5 * p) * lam_sq
     rel_err = abs(res.lambda_min - target) / target
 
@@ -597,7 +596,7 @@ def verify_rectangle(
     ]
     # profile values and the optimum on one mesh, the profile's
     margin = min(interior) - res.lambda_min_coarse if interior else math.nan
-    margin_floor = 3.0 * max(res.residual, opts.tol * res.lambda_min)
+    margin_floor = 3.0 * max(res.residual, tol * res.lambda_min)
 
     return [
         _entry(
@@ -637,7 +636,7 @@ def verify_rectangle(
 
 def run_verification(
     d: DomainSpec,
-    opts: SolverOptions,
+    tol: float,
     *,
     a: float,
     b: float,
@@ -666,7 +665,7 @@ def run_verification(
     if "relaxation" in suites:
         levels += a_sequence
     optima = {
-        (lv, p): lambda_min(d, lv, p, grid_n, opts, level=level, theta_tol=1e-3)
+        (lv, p): lambda_min(d, lv, p, grid_n, tol, level=level, theta_tol=1e-3)
         for p in p_list
         for lv in dict.fromkeys(levels)
     }
@@ -674,7 +673,7 @@ def run_verification(
     if "rigidity" in suites:
         for p in p_list:
             entries += verify_rigidity(
-                d, a, p, opts, level=level, n_samples=n_samples, n_pairs=n_pairs, seed=seed
+                d, a, p, tol, level=level, n_samples=n_samples, n_pairs=n_pairs, seed=seed
             )
     if "quantitative" in suites:
         chord = longest_chord(d, X_ARC)
@@ -686,10 +685,10 @@ def run_verification(
             entries += verify_Q0_limit([optima[x, p] for x in a_sequence], chord)
     if "disk" in suites:
         for p in p_list:
-            entries += verify_disk(a, p, opts, level=level, grid_n=grid_n)
+            entries += verify_disk(a, p, tol, level=level, grid_n=grid_n)
     if "rectangle" in suites:
         for p in p_list:
-            entries += verify_rectangle(a, p, opts, level=level, grid_n=grid_n)
+            entries += verify_rectangle(a, p, tol, level=level, grid_n=grid_n)
 
     return {
         "entries": entries,

@@ -89,21 +89,15 @@ LAGGED_Q_FLOOR = 1e-3
 # 120 on the square, the L-shape and the disk at level 4, p = 1.5 and 3, with
 # the identity form and make_Q_alpha(0.25, 0.6).  Stopping at residual <=
 # sqrt(tol / RESIDUAL_SAFETY) keeps that error below tol for any C up to
-# RESIDUAL_SAFETY; the bound is 1e-6 at the default tol of 1e-9.
+# RESIDUAL_SAFETY; the bound is 1e-6 at DEFAULT_TOL.
 RESIDUAL_SAFETY = 1000.0
 
+# Eigenvalue tolerance: the inverse iteration stops at this relative change
+# per step, the descent at residual sqrt(tol / RESIDUAL_SAFETY).
+DEFAULT_TOL = 1e-9
 
-@dataclass
-class SolverOptions:
-    tol: float = 1e-9           # eigenvalue tolerance: the inverse iteration stops at this relative
-                                # change per step, the descent at residual sqrt(tol / RESIDUAL_SAFETY)
-    max_iter: int = 20000       # iteration budget of the inverse iteration and of the descent, each
-
-    def __post_init__(self) -> None:
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+# Iteration budget of the inverse iteration and of the descent, each.
+MAX_ITER = 20000
 
 
 @dataclass
@@ -346,14 +340,14 @@ def _gradient(
 
 
 def _inverse_iteration(
-    mass: sp.csc_matrix, lu: SuperLU, opts: SolverOptions
+    mass: sp.csc_matrix, lu: SuperLU, tol: float
 ) -> tuple[np.ndarray, int, bool]:
     """Smallest eigenpair of K u = lam M u by inverse iteration with the
     factorization ``lu`` of K, stopped when the relative eigenvalue change
-    reaches ``opts.tol``.  A step is one solve and one product with M: the
-    solve gives K w = M u, so w.Kw = w.Mu, and M w, scaled with w, is the
-    next right-hand side.  Returns (u, iterations, converged); the caller
-    decides what a miss means."""
+    reaches ``tol`` or after MAX_ITER steps.  A step is one solve and one
+    product with M: the solve gives K w = M u, so w.Kw = w.Mu, and M w,
+    scaled with w, is the next right-hand side.  Returns (u, iterations,
+    converged); the caller decides what a miss means."""
     u = np.ones(mass.shape[0])
     mu = mass @ u
     nrm = math.sqrt(u @ mu)
@@ -361,7 +355,7 @@ def _inverse_iteration(
     mu /= nrm
     lam_prev = None
     res = math.inf
-    for it in range(1, opts.max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         w = lu.solve(mu)
         mw = mass @ w
         ww = float(w @ mw)
@@ -371,9 +365,9 @@ def _inverse_iteration(
         if lam_prev is not None:
             res = abs(lam - lam_prev) / lam
         lam_prev = lam
-        if res <= opts.tol:
+        if res <= tol:
             break
-    return u, it, res <= opts.tol
+    return u, it, res <= tol
 
 
 def _factor(a: sp.csc_matrix) -> SuperLU:
@@ -396,8 +390,7 @@ def _lagged_weights(ops: _Operators, m2: np.ndarray, p: float, gu: np.ndarray) -
 
 
 def _descent(
-    ops: _Operators, m2: np.ndarray, p: float, u0: np.ndarray, bound: float, max_iter: int,
-    lu: SuperLU,
+    ops: _Operators, m2: np.ndarray, p: float, u0: np.ndarray, bound: float, lu: SuperLU
 ) -> tuple[np.ndarray, float, float, int]:
     """Projected Sobolev-gradient descent on the unit p-norm sphere.
 
@@ -431,7 +424,7 @@ def _descent(
     K, plus one with K_w below the cut-off; each line-search trial is one
     product with A.  The dual-norm residual sqrt(g.K^-1 g) / (p lam) stays
     in the metric of K in both cases.  The descent stops as soon as it is at
-    most ``bound``, at ``max_iter`` iterations, or when the line search finds
+    most ``bound``, at MAX_ITER iterations, or when the line search finds
     no decrease.  Returns (u, lam, residual, iterations) of the last iterate;
     the caller compares the residual with the bound."""
     u, gu, y, lam = _point(ops, m2, p, u0 if u0.sum() >= 0.0 else -u0)
@@ -450,7 +443,7 @@ def _descent(
         g = _gradient(ops, m2, p, gu, y, lam)
         d = lu.solve(g)
         residual = math.sqrt(max(float(g @ d), 0.0)) / (p * lam)
-        if residual <= bound or it == max_iter:
+        if residual <= bound or it == MAX_ITER:
             return u, lam, residual, it
         if metric_lu is not lu:
             d = metric_lu.solve(g)
@@ -478,7 +471,7 @@ def _descent(
         u, gu, y, lam = trial
 
 
-def solve_p(m: Mesh, q: QuadForm, p: float, opts: SolverOptions | None = None) -> EigenResult:
+def solve_p(m: Mesh, q: QuadForm, p: float, tol: float = DEFAULT_TOL) -> EigenResult:
     """Fundamental frequency for p > 1.
 
     The operators of ``m`` come from its record, built by the first solve on
@@ -487,30 +480,31 @@ def solve_p(m: Mesh, q: QuadForm, p: float, opts: SolverOptions | None = None) -
     residual and, for p >= LAGGED_P_CUTOFF, the descent's metric; below the
     cut-off the descent factors its lagged-diffusivity metric K_w as well.
     The inverse iteration on the p = 2 pencil stops at the relative
-    eigenvalue change ``opts.tol`` and is the result at p = 2.  For other p
+    eigenvalue change ``tol`` and is the result at p = 2.  For other p
     its ground state is the start of one projected descent at p, stopped at
-    the residual bound sqrt(opts.tol / RESIDUAL_SAFETY).  Raises
+    the residual bound sqrt(tol / RESIDUAL_SAFETY).  Raises
     ``SolverConvergenceError``, carrying the last iterate, when the inverse
-    iteration at p = 2 misses ``opts.tol`` or the descent misses its bound;
+    iteration at p = 2 misses ``tol`` or the descent misses its bound;
     ``iterations`` counts the iterations of both.  Either way the result's
     ``residual`` is the dual-norm residual of the returned pair, in the
     metric of K.
     """
     if p <= 1.0:
         raise ValueError(f"need p > 1, got {p}")
-    opts = opts or SolverOptions()
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     m2 = q.matrix()
     ops = _operators(m)
     lu = _factor(ops.stiffness(m2))
-    u, iterations, converged = _inverse_iteration(ops.mass, lu, opts)
+    u, iterations, converged = _inverse_iteration(ops.mass, lu, tol)
     if p == 2.0:
-        failure = f"inverse iteration did not reach tol {opts.tol} in {opts.max_iter} iterations"
+        failure = f"inverse iteration did not reach tol {tol} in {MAX_ITER} iterations"
         u, gu, y, lam = _point(ops, m2, p, u)
         g = _gradient(ops, m2, p, gu, y, lam)
         residual = math.sqrt(max(float(g @ lu.solve(g)), 0.0)) / (p * lam)
     else:
-        bound = math.sqrt(opts.tol / RESIDUAL_SAFETY)
-        u, lam, residual, it = _descent(ops, m2, p, u, bound, opts.max_iter, lu)
+        bound = math.sqrt(tol / RESIDUAL_SAFETY)
+        u, lam, residual, it = _descent(ops, m2, p, u, bound, lu)
         failure = f"descent stopped at residual {residual:.3g} > {bound:.3g} after {it} iterations"
         iterations += it
         converged = residual <= bound

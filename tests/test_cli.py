@@ -12,11 +12,11 @@ from anisolap import (
     Polygon,
     Rectangle,
     SolverConvergenceError,
-    SolverOptions,
     build_mesh,
     cli,
     lshape,
     optimizer,
+    solver,
 )
 
 
@@ -210,6 +210,18 @@ def payload_text(path: str) -> str:
             {"command": "sweep", "p_values": [2.0, math.inf]}, "p_values must", id="infinite-p-values"
         ),
         pytest.param({"command": "eigen", "tol": math.inf}, "tol must", id="infinite-tol"),
+        # an exponent whose energy can overflow, or a level too small for its
+        # forms to be built, is caught before any solve
+        pytest.param({"command": "eigen", "p": 1e6}, "p must", id="huge-p"),
+        pytest.param({"command": "eigen", "p": 21.0}, "at most 20", id="p-above-20"),
+        pytest.param(
+            {"command": "sweep", "p_values": [2.0, 21.0]}, "p_values must", id="p-values-above-20"
+        ),
+        pytest.param({"command": "optimize", "a": 1e-17}, "at least 1e-12", id="tiny-a"),
+        pytest.param({"command": "sweep", "a_values": [1e-17]}, "a_values must", id="tiny-a-values"),
+        pytest.param(
+            {"command": "verify", "a_sequence": [0.5, 1e-17]}, "a_sequence must", id="tiny-a-sequence"
+        ),
     ],
 )
 def test_bad_config_exits_2(tmp_path, capsys, config, field):
@@ -219,6 +231,19 @@ def test_bad_config_exits_2(tmp_path, capsys, config, field):
     assert err.startswith("error: ") and field in err
     assert not (tmp_path / "run.json").exists()
     assert not (tmp_path / "run.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"command": "eigen", "p": 20.0},
+        {"command": "sweep", "p_values": [20.0], "a_values": [1e-12], "thetas": [0.3]},
+    ],
+    ids=["eigen-p20", "sweep-a1e-12"],
+)
+def test_config_bounds_are_inclusive(tmp_path, config):
+    rc, _ = run_config(tmp_path, {**config, "mesh_level": 2})
+    assert rc == 0
 
 
 @pytest.mark.parametrize("out", [None, 5, ["run"], ""])
@@ -368,7 +393,7 @@ def test_integral_float_fields_are_accepted(tmp_path):
 
 
 def test_eigen_failure_keeps_options_block(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "SolverOptions", lambda tol: SolverOptions(tol=tol, max_iter=2))
+    monkeypatch.setattr(solver, "MAX_ITER", 2)
     rc, out = run_config(tmp_path, {"command": "eigen", "mesh_level": 2})
     assert rc == 1
     payload = json.loads(payload_text(out + ".json"))["payload"]
@@ -389,7 +414,7 @@ def test_verify_rectangle_suite_exits_1(tmp_path):
 def test_eigen_failure_after_one_iteration_is_reported(tmp_path, monkeypatch):
     # one inverse iteration has no relative change to test, but the partial
     # result still carries a finite residual, so the report can be written
-    monkeypatch.setattr(cli, "SolverOptions", lambda tol: SolverOptions(tol=tol, max_iter=1))
+    monkeypatch.setattr(solver, "MAX_ITER", 1)
     rc, out = run_config(tmp_path, {"command": "eigen", "mesh_level": 2, "p": 2.0})
     assert rc == 1
     payload = json.loads(payload_text(out + ".json"))["payload"]
@@ -404,7 +429,7 @@ def test_eigen_failure_after_one_iteration_is_reported(tmp_path, monkeypatch):
 )
 def test_solver_failure_is_reported(tmp_path, monkeypatch, capsys, config):
     # a p-descent cut off after two iterations misses its residual bound
-    monkeypatch.setattr(cli, "SolverOptions", lambda tol: SolverOptions(tol=tol, max_iter=2))
+    monkeypatch.setattr(solver, "MAX_ITER", 2)
     rc, out = run_config(tmp_path, {**config, "mesh_level": 2, "p": 3.0})
     assert rc == 1
     payload = json.loads(payload_text(out + ".json"))["payload"]
@@ -419,11 +444,11 @@ def test_optimize_failure_keeps_profile_so_far(tmp_path, monkeypatch):
     real = optimizer.profile_value
     seen = []
 
-    def failing_at_third(mesh, theta, a, p, opts=None):
-        value = real(mesh, theta, a, p, opts)
+    def failing_at_third(mesh, theta, a, p, tol):
+        value = real(mesh, theta, a, p, tol)
         seen.append((float(theta), value[0]))
         if len(seen) == 3:
-            best = optimizer.solve_p(mesh, optimizer.QuadForm.identity(), p, opts)
+            best = optimizer.solve_p(mesh, optimizer.QuadForm.identity(), p, tol)
             raise SolverConvergenceError("descent stopped", best)
         return value
 

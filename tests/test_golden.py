@@ -14,6 +14,7 @@ from anisolap import cli
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 RECT = '{"type":"rectangle","hw":1,"hh":2}'
+DISK = '{"type":"disk","radius":1.5,"center":[0.5,-0.25]}'
 
 
 def report_text(path: str) -> str:
@@ -35,6 +36,13 @@ def file_text(path: str) -> str:
             0,
             ["eigen_eigenfunction.csv"],
             id="eigen-lshape-p1.5-L3",
+        ),
+        pytest.param(
+            "eigen_disk",
+            ["--command", "eigen", "--domain", DISK, "--p", "3", "--level", "3"],
+            0,
+            ["eigen_disk_eigenfunction.csv"],
+            id="eigen-disk-p3-L3",  # an off-centre disk refined onto its circle, p > 2
         ),
         pytest.param(
             "optimize",

@@ -122,3 +122,17 @@ def test_build_mesh_disk_levels():
         np.testing.assert_array_equal(m.nodes[: coarse.n_nodes], coarse.nodes)
         assert math.degrees(min_angle(m)) >= 40.0
         coarse = m
+
+
+def test_refine_onto_disk_continues_its_mesh():
+    # a disk's mesh refined onto its circle is the mesh of the finer level;
+    # without the projection the new boundary nodes stay on the hexagon's chords
+    disk = Disk(1.5, (0.5, -0.25))
+    m2, m4 = build_mesh(disk, 2), build_mesh(disk, 4)
+    onto = refine(m2, 2, onto=disk)
+    np.testing.assert_array_equal(onto.nodes, m4.nodes)
+    np.testing.assert_array_equal(onto.triangles, m4.triangles)
+    chords = refine(m2, 2)
+    np.testing.assert_array_equal(chords.triangles, m4.triangles)
+    radius = np.hypot(*(chords.nodes[chords.boundary_node] - disk.center).T)
+    assert radius.min() < disk.radius - 1e-3

@@ -11,7 +11,6 @@ from anisolap import (
     QuadForm,
     Rectangle,
     SolverConvergenceError,
-    SolverOptions,
     alpha_of_theta,
     build_mesh,
     lambda_min,
@@ -28,7 +27,7 @@ from anisolap import (
     verify_rectangle,
     verify_rigidity,
 )
-from anisolap import optimizer
+from anisolap import optimizer, solver
 from anisolap.optimizer import DEFAULT_THETA_TOL, X_ARC, Y_ARC
 
 PI2_HALF = math.pi**2 / 2.0
@@ -104,10 +103,11 @@ def test_lambda_min_rejects_bad_arguments():
         lambda_min(SQUARE, 0.25, 2.0, theta_tol=0.0)  # the refinement would never stop
 
 
-def test_lambda_min_failure_carries_profile_so_far():
+def test_lambda_min_failure_carries_profile_so_far(monkeypatch):
     # the first grid solve misses its budget, so no grid value precedes it
+    monkeypatch.setattr(solver, "MAX_ITER", 1)
     with pytest.raises(SolverConvergenceError) as info:
-        lambda_min(SQUARE, 0.25, 2.0, grid_n=9, opts=SolverOptions(max_iter=1), level=2)
+        lambda_min(SQUARE, 0.25, 2.0, grid_n=9, level=2)
     assert info.value.theta_profile == []
     assert math.isfinite(info.value.best.lam)
 
@@ -169,7 +169,7 @@ def refined(monkeypatch, c: float, theta_tol: float = 1e-4):
     grid."""
     calls = []
 
-    def profile(mesh, theta, a, p, opts=None):
+    def profile(mesh, theta, a, p, tol=None):
         calls.append(float(theta))
         s = 4.0 * (theta - c)
         return math.exp(s) - s, 0.0
@@ -219,7 +219,7 @@ def test_lambda_min_residual_covers_refinement_solves(monkeypatch):
     # lam reaches the result, and the tie tolerance stays that of the grid
     grid = set(np.linspace(0.0, 0.5 * math.pi, 9).tolist())
 
-    def profile(mesh, theta, a, p, opts=None):
+    def profile(mesh, theta, a, p, tol=None):
         s = 4.0 * (theta - 0.3)
         return math.exp(s) - s, 0.0 if float(theta) in grid else 0.5
 
@@ -340,7 +340,7 @@ def test_lambda_min_one_level_failure_in_refinement_keeps_the_grid(monkeypatch):
         s = 4.0 * (theta - 0.3)
         return math.exp(s) - s
 
-    def profile(mesh, theta, a, p, opts=None):
+    def profile(mesh, theta, a, p, tol=None):
         if theta not in grid:
             off_grid.append(theta)
             if len(off_grid) == 3:
@@ -359,7 +359,7 @@ def test_lambda_min_moves_bracket_to_lower_fine_neighbour(monkeypatch):
     # fine bracket check walks the grid minimum down to the fine bracket
     fine_nodes = build_mesh(SQUARE, 4).n_nodes
 
-    def profile(mesh, theta, a, p, opts=None):
+    def profile(mesh, theta, a, p, tol=None):
         s = 4.0 * (theta - (0.3 if mesh.n_nodes == fine_nodes else 0.75))
         return math.exp(s) - s, 0.0
 
@@ -406,7 +406,7 @@ def test_error_estimate_bounds_square_error():
 
 def test_verify_rigidity_entries():
     entries = verify_rigidity(
-        SQUARE, 0.25, 2.0, SolverOptions(), level=3, n_samples=5, n_pairs=6, seed=1
+        SQUARE, 0.25, 2.0, 1e-9, level=3, n_samples=5, n_pairs=6, seed=1
     )
     names = [e["name"] for e in entries]
     assert names == ["isotropic_maximizer_strict", "monotone_form_ordering"]
@@ -426,7 +426,7 @@ def test_verify_rigidity_reports_largest_error_bound(monkeypatch):
 
     monkeypatch.setattr(optimizer, "solve_p", recording)
     entries = verify_rigidity(
-        SQUARE, 0.25, 2.0, SolverOptions(), level=3, n_samples=3, n_pairs=3, seed=1
+        SQUARE, 0.25, 2.0, 1e-9, level=3, n_samples=3, n_pairs=3, seed=1
     )
     iso = results[0]
     assert len(results) == 1 + 3 + 2 * 3
@@ -439,7 +439,7 @@ def test_verify_rigidity_rejects_no_pairs():
     # with no pair the worst gap would stay infinite, which no report can hold
     with pytest.raises(ValueError, match="n_pairs"):
         verify_rigidity(
-            SQUARE, 0.25, 2.0, SolverOptions(), level=2, n_samples=1, n_pairs=0, seed=0
+            SQUARE, 0.25, 2.0, 1e-9, level=2, n_samples=1, n_pairs=0, seed=0
         )
 
 
@@ -447,9 +447,8 @@ def test_verify_rigidity_rejects_no_pairs():
 def square_optima():
     """The optima that ``run_verification`` judges, on the square at level 3,
     and the square's longest chords over the two quarter-arcs (its diagonal)."""
-    opts = SolverOptions()
     optima = {
-        a: lambda_min(SQUARE, a, 2.0, 9, opts, level=3, theta_tol=1e-3) for a in (0.5, 0.25)
+        a: lambda_min(SQUARE, a, 2.0, 9, 1e-9, level=3, theta_tol=1e-3) for a in (0.5, 0.25)
     }
     chords = {"x": longest_chord(SQUARE, X_ARC), "y": longest_chord(SQUARE, Y_ARC)}
     return optima, chords
@@ -541,7 +540,7 @@ def test_run_verification_shares_optima(monkeypatch):
     monkeypatch.setattr(optimizer, "lambda_min", counting)
     report = run_verification(
         SQUARE,
-        SolverOptions(),
+        1e-9,
         **{**VERIFY_ARGS, "level": 2, "p_list": [2.0, 3.0], "suites": ["quantitative", "relaxation"]},
     )
     assert [e["name"] for e in report["entries"]] == [
@@ -557,14 +556,14 @@ def test_run_verification_shares_optima(monkeypatch):
 
 
 def test_verify_disk_entries():
-    entries = verify_disk(0.25, 2.0, SolverOptions(), level=3, grid_n=9)
+    entries = verify_disk(0.25, 2.0, 1e-9, level=3, grid_n=9)
     assert all(e["passed"] for e in entries)
     # one mesh of the disk carries every angle: the spread is a measurement
     assert 0.0 < entries[0]["measured"]["spread"] < 1e-3
 
 
 def test_verify_rectangle_value_and_margin():
-    entries = verify_rectangle(0.25, 2.0, SolverOptions(), level=4, grid_n=9)
+    entries = verify_rectangle(0.25, 2.0, 1e-9, level=4, grid_n=9)
     by_name = {e["name"]: e for e in entries}
     assert by_name["rectangle_min_value"]["passed"]
     assert by_name["rectangle_interior_margin"]["passed"]
@@ -575,7 +574,7 @@ def test_verify_rectangle_value_and_margin():
 
 def test_run_verification_deterministic():
     args = {**VERIFY_ARGS, "n_samples": 3, "n_pairs": 4, "seed": 9}
-    rep1 = run_verification(SQUARE, SolverOptions(), **args)
-    rep2 = run_verification(SQUARE, SolverOptions(), **args)
+    rep1 = run_verification(SQUARE, 1e-9, **args)
+    rep2 = run_verification(SQUARE, 1e-9, **args)
     assert json.dumps(rep1, sort_keys=True) == json.dumps(rep2, sort_keys=True)
     assert rep1["n_entries"] == len(rep1["entries"])

@@ -15,7 +15,6 @@ from anisolap import (
     QuadForm,
     Rectangle,
     SolverConvergenceError,
-    SolverOptions,
     Polygon,
     alpha_of_theta,
     build_mesh,
@@ -30,8 +29,10 @@ from anisolap import (
     solve_p,
     spectral,
 )
+from anisolap import solver
 from anisolap.solver import (
     _RECORDS,
+    DEFAULT_TOL,
     LAGGED_Q_FLOOR,
     RESIDUAL_SAFETY,
     _energy,
@@ -148,20 +149,14 @@ def test_eigenresult_invariants():
     assert res.form == q and res.p == 2.0
 
 
-def test_nonconvergence_carries_best_iterate():
+def test_nonconvergence_carries_best_iterate(monkeypatch):
+    monkeypatch.setattr(solver, "MAX_ITER", 1)
     m = build_mesh(Rectangle(1.0, 1.0), 3)
     with pytest.raises(SolverConvergenceError) as info:
-        solve_p(m, QuadForm.identity(), 2.0, SolverOptions(max_iter=1))
+        solve_p(m, QuadForm.identity(), 2.0)
     best = info.value.best
     assert math.isfinite(best.lam) and best.lam > 0
     assert math.isfinite(best.residual)
-
-
-def test_solver_options_validation():
-    with pytest.raises(ValueError):
-        SolverOptions(tol=0.0)
-    with pytest.raises(ValueError):
-        SolverOptions(max_iter=0)
 
 
 # -------------------------------------------------------------- general p path
@@ -175,22 +170,31 @@ def smallest_pencil_eigenvalue(m, m2) -> float:
 
 
 @pytest.mark.parametrize("domain", [Rectangle(1.0, 1.0), lshape()], ids=["square", "lshape"])
-def test_solve_p2_matches_eigsh(domain):
+def test_solve_p2_matches_eigsh(domain, monkeypatch):
     m = build_mesh(domain, 4)
     q = make_Q_alpha(0.25, 0.6)
     res = solve_p(m, q, 2.0)
     assert res.lam == pytest.approx(smallest_pencil_eigenvalue(m, q.matrix()), rel=1e-8)
     # p = 2 is the inverse iteration alone: its count exhausts a budget of one
     # fewer iteration, and no descent step is added to it
-    assert solve_p(m, q, 2.0, SolverOptions(max_iter=res.iterations)).lam == res.lam
+    monkeypatch.setattr(solver, "MAX_ITER", res.iterations)
+    assert solve_p(m, q, 2.0).lam == res.lam
+    monkeypatch.setattr(solver, "MAX_ITER", res.iterations - 1)
     with pytest.raises(SolverConvergenceError):
-        solve_p(m, q, 2.0, SolverOptions(max_iter=res.iterations - 1))
+        solve_p(m, q, 2.0)
 
 
 def test_solve_p_rejects_bad_exponent():
     m = build_mesh(Rectangle(1.0, 1.0), 3)
     with pytest.raises(ValueError):
         solve_p(m, QuadForm.identity(), 1.0)
+
+
+def test_solve_p_rejects_bad_tol():
+    m = build_mesh(Rectangle(1.0, 1.0), 3)
+    for tol in (0.0, -1e-9, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol"):
+            solve_p(m, QuadForm.identity(), 2.0, tol)
 
 
 def test_domain_scaling_homogeneity():
@@ -294,17 +298,16 @@ def test_disk_general_p_converges():
 )
 def test_descent_meets_residual_bound(domain, p):
     # the descent stops on the dual-norm residual, not on a small change of lam
-    opts = SolverOptions()
-    res = solve_p(build_mesh(domain, 4), make_Q_alpha(0.25, 0.6), p, opts)
-    assert res.residual <= math.sqrt(opts.tol / RESIDUAL_SAFETY)
+    res = solve_p(build_mesh(domain, 4), make_Q_alpha(0.25, 0.6), p)
+    assert res.residual <= math.sqrt(DEFAULT_TOL / RESIDUAL_SAFETY)
 
 
-def test_descent_budget_miss_raises():
-    opts = SolverOptions(max_iter=5)
+def test_descent_budget_miss_raises(monkeypatch):
+    monkeypatch.setattr(solver, "MAX_ITER", 5)
     with pytest.raises(SolverConvergenceError) as info:
-        solve_p(build_mesh(lshape(), 4), QuadForm.identity(), 3.0, opts)
-    assert info.value.best.residual > math.sqrt(opts.tol / RESIDUAL_SAFETY)
-    assert info.value.best.iterations <= 2 * opts.max_iter
+        solve_p(build_mesh(lshape(), 4), QuadForm.identity(), 3.0)
+    assert info.value.best.residual > math.sqrt(DEFAULT_TOL / RESIDUAL_SAFETY)
+    assert info.value.best.iterations <= 2 * solver.MAX_ITER
 
 
 def triangle_gradients(m, v: np.ndarray) -> np.ndarray:
@@ -498,13 +501,12 @@ def test_descent_trajectory_is_pinned(level, p, form, iterations, lam):
 
 def test_monotone_under_pointwise_ordering():
     m = build_mesh(Rectangle(1.0, 1.0), 4)
-    opts = SolverOptions(tol=1e-12)
     rng = np.random.default_rng(19)
     for _ in range(5):
         q2 = random_member(0.25, rng)
         q1 = make_Q_alpha(0.25, alpha_of_theta(0.25, spectral(q2).theta))
-        lam1 = solve_p(m, q1, 2.0, opts).lam
-        lam2 = solve_p(m, q2, 2.0, opts).lam
+        lam1 = solve_p(m, q1, 2.0, 1e-12).lam
+        lam2 = solve_p(m, q2, 2.0, 1e-12).lam
         assert lam1 <= lam2 + 1e-9
 
 
