@@ -363,7 +363,7 @@ def _cmd_sweep(cfg: dict, domain: DomainSpec) -> int:
         for p in p_values:
             for a in a_values:
                 for th in thetas:
-                    val, _ = profile_value(mesh, th, a, p, cfg["tol"])
+                    val = profile_value(mesh, th, a, p, cfg["tol"]).lam
                     rows.append((th, a, p, val))
     except SolverConvergenceError as exc:
         return _report_failure("sweep", csv_path[: -len(".csv")] + ".json", exc)

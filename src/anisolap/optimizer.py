@@ -16,10 +16,15 @@ uniform grid of angles on the coarse mesh, one level below the requested
 ``refine`` splits each triangle into four, so the coarse profile locates the
 grid minima at about a quarter of the fine cost.  At level
 ``MIN_COARSE_LEVEL`` and below the coarse mesh is the fine mesh itself.
-A search keeps one table of solved values and their error bounds, keyed by
-(mesh level, theta), and solves a value the first time it is read.  So no
-(level, theta) is solved twice, and on one level the grid values are the
-fine values.
+A search keeps one table of solved values, their error bounds and their
+eigenfunctions, keyed by (mesh level, theta), and solves a value the first
+time it is read.  So no (level, theta) is solved twice, and on one level the
+grid values are the fine values.  Each solve but the first on a level starts
+from the eigenfunction of the nearest angle already solved on that level,
+the smaller angle on a tie (``solve_p``'s ``start``): a neighbouring form's
+ground state is close to the new one, so the solve skips the p = 2 inverse
+iteration at p != 2, and its own iteration takes fewer steps.  The order of
+the solves is fixed, so the starts, and the results, repeat bit for bit.
 
 Each coarse grid minimum is refined at the fine level from the fine values
 of its grid bracket (the grid point and its two neighbours).  The contract
@@ -80,7 +85,13 @@ from .quadform import (
     random_member,
     spectral,
 )
-from .solver import DEFAULT_TOL, SolverConvergenceError, directional_constant, solve_p
+from .solver import (
+    DEFAULT_TOL,
+    EigenResult,
+    SolverConvergenceError,
+    directional_constant,
+    solve_p,
+)
 
 DEFAULT_GRID_N = 17
 DEFAULT_THETA_TOL = 1e-4
@@ -132,13 +143,13 @@ def profile_value(
     a: float,
     p: float,
     tol: float = DEFAULT_TOL,
-) -> tuple[float, float]:
-    """Frequency on ``mesh`` of the extremal form at angle ``theta``,
+    start: np.ndarray | None = None,
+) -> EigenResult:
+    """The solve on ``mesh`` of the extremal form at angle ``theta``,
     ``make_Q_alpha(a, alpha_of_theta(a, theta))``, which at a = 1 is the
-    isotropic form.  Returns (value, solver residual)."""
+    isotropic form, from ``solve_p``'s ``start``."""
     q = QuadForm.identity() if a == 1.0 else make_Q_alpha(a, alpha_of_theta(a, theta))
-    res = solve_p(mesh, q, p, tol)
-    return res.lam, res.residual
+    return solve_p(mesh, q, p, tol, start=start)
 
 
 def _refine_min(f, thetas: list[float], i: int, tol: float) -> tuple[float, float]:
@@ -226,12 +237,14 @@ def lambda_min(
     The profile is sampled at ``grid_n`` uniform angles in [0, pi/2] on the
     coarse mesh: the domain's mesh at ``level`` - 1 when that is at least
     ``MIN_COARSE_LEVEL``, else the level-``level`` mesh itself.  The fine
-    mesh gets the isotropic solve, which gives ``lambda_max``, and the solves
-    of the bracket checks and refinements.  Every profile value is read from
-    the search's table, which calls ``profile_value`` once per (level,
-    theta).  Provided the fine profile is unimodal on each refined bracket,
-    every angle in ``tied_minima`` lies within ``theta_tol`` of a minimizer;
-    the least gives ``theta_star`` and the recovered extremal form.
+    mesh gets the isotropic solve, which gives ``lambda_max`` and starts
+    from nothing, and the solves of the bracket checks and refinements.
+    Every profile value is read from the search's table, which calls
+    ``profile_value`` once per (level, theta), started as the module
+    docstring describes.  Provided the fine profile is unimodal on each
+    refined bracket, every angle in ``tied_minima`` lies within
+    ``theta_tol`` of a minimizer; the least gives ``theta_star`` and the
+    recovered extremal form.
 
     ``lambda_min_coarse`` is the coarse value at ``theta_star``: a grid
     value, or one coarse solve off the grid.  ``error_estimate`` is its
@@ -250,13 +263,21 @@ def lambda_min(
     profile_level = level - 1 if level - 1 >= MIN_COARSE_LEVEL else level
     meshes = {lv: build_mesh(d, lv) for lv in dict.fromkeys((level, profile_level))}
     thetas = np.linspace(0.0, 0.5 * math.pi, grid_n).tolist()
-    solved: dict[tuple[int, float], tuple[float, float]] = {}  # -> (value, error bound)
+    # (level, theta) -> (value, error bound, eigenfunction)
+    solved: dict[tuple[int, float], tuple[float, float, np.ndarray]] = {}
 
     def value(lv: int, theta: float) -> float:
-        """The table's value at (lv, theta), solved on a miss."""
+        """The table's value at (lv, theta), solved on a miss from the
+        eigenfunction of the nearest angle solved on level ``lv``."""
         if (lv, theta) not in solved:
-            lam, residual = profile_value(meshes[lv], theta, a, p, tol)
-            solved[lv, theta] = lam, residual * lam
+            near = min(
+                (th for solved_lv, th in solved if solved_lv == lv),
+                key=lambda th: (abs(th - theta), th),
+                default=None,
+            )
+            start = None if near is None else solved[lv, near][2]
+            res = profile_value(meshes[lv], theta, a, p, tol, start=start)
+            solved[lv, theta] = res.lam, res.residual * res.lam, res.u
         return solved[lv, theta][0]
 
     coarse, fine = partial(value, profile_level), partial(value, level)
@@ -267,7 +288,7 @@ def lambda_min(
         gap = abs(fine(thetas[i_min]) - vmin)
         iso = solve_p(meshes[level], QuadForm.identity(), p, tol)
         iso_bound = iso.residual * iso.lam
-        tie_tol = 2.0 * max(iso_bound, *(bound for _, bound in solved.values())) + gap
+        tie_tol = 2.0 * max(iso_bound, *(bound for _, bound, _ in solved.values())) + gap
         tied_idx = np.flatnonzero(values <= vmin + tie_tol)
         # merge adjacent grid indices into brackets, refine each at the fine level
         groups: list[list[int]] = []
@@ -313,7 +334,7 @@ def lambda_min(
         profile_level=profile_level,
         lambda_min_coarse=lam_coarse,
         error_estimate=None if profile_level == level else abs(lam_coarse - lam_min),
-        residual=float(max(iso_bound, *(bound for _, bound in solved.values()))),
+        residual=float(max(iso_bound, *(bound for _, bound, _ in solved.values()))),
     )
 
 
@@ -356,21 +377,23 @@ def verify_rigidity(
     """Strict dominance of the isotropic form, and discrete monotonicity of the
     frequency under pointwise ordering of forms, on random samples.  Both
     entries report the largest error bound ``residual * lam`` of the suite's
-    solves."""
+    solves.  Every solve of a sampled or paired form starts from the
+    isotropic eigenfunction (``solve_p``'s ``start``)."""
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     if n_pairs < 1:
         raise ValueError("n_pairs must be at least 1")
     rng = np.random.default_rng(seed)
     mesh = build_mesh(d, level)
-    bounds: list[float] = []  # the error bound of every solve
+    iso = solve_p(mesh, QuadForm.identity(), p, tol)
+    lam_iso = iso.lam
+    bounds = [iso.residual * lam_iso]  # the error bound of every solve
 
     def frequency(q: QuadForm) -> float:
-        res = solve_p(mesh, q, p, tol)
+        res = solve_p(mesh, q, p, tol, start=iso.u)
         bounds.append(res.residual * res.lam)
         return res.lam
 
-    lam_iso = frequency(QuadForm.identity())
     margin_floor = 3.0 * max(bounds[0], tol * lam_iso)
 
     # random_member never draws the identity, the equality case

@@ -42,6 +42,14 @@ EJDE 2011) in one of two metrics B:
   refinement.  K_w is assembled and factored once per solve, with the same
   call as K.
 
+A solve may be given a start: a nodal field on the mesh, such as the
+eigenfunction of a nearby form on it.  At p = 2 the inverse iteration starts
+from it instead of the ones vector; at other p the inverse iteration is
+skipped and the descent starts from it (and below the cut-off freezes K_w
+there).  K is still factored, so the stopping rules and the reported
+residual are those of a solve without a start; only the starting point
+moves.  Without a start a solve depends on its arguments alone.
+
 A step of the inverse iteration costs one solve and one product with M.  A
 descent iteration costs one product with A^T and one solve per metric, and a
 line-search trial one product with A; the accepted trial's product gives the
@@ -89,7 +97,10 @@ LAGGED_Q_FLOOR = 1e-3
 # 120 on the square, the L-shape and the disk at level 4, p = 1.5 and 3, with
 # the identity form and make_Q_alpha(0.25, 0.6).  Stopping at residual <=
 # sqrt(tol / RESIDUAL_SAFETY) keeps that error below tol for any C up to
-# RESIDUAL_SAFETY; the bound is 1e-6 at DEFAULT_TOL.
+# RESIDUAL_SAFETY; the bound is 1e-6 at DEFAULT_TOL.  At p = 4 C reaches
+# about 3,000 (the level-5 L-shape with make_Q_alpha(0.25, alpha_of_theta(
+# 0.25, 0.4)) stops 3.0e-9 from its tol-1e-13 value), so there the bound does
+# not hold and the error can exceed tol.
 RESIDUAL_SAFETY = 1000.0
 
 # Eigenvalue tolerance: the inverse iteration stops at this relative change
@@ -105,7 +116,7 @@ class EigenResult:
     lam: float                # eigenvalue estimate
     u: np.ndarray             # nodal eigenfunction, unit p-norm; at every p it may change
                               # sign (a P1 ground state need not keep one sign)
-    iterations: int
+    iterations: int           # iterations that ran: inverse iteration, descent or both
     residual: float           # dual-norm residual sqrt(g.K^-1 g)/(p lam) of the returned pair
     p: float
     form: QuadForm
@@ -340,15 +351,16 @@ def _gradient(
 
 
 def _inverse_iteration(
-    mass: sp.csc_matrix, lu: SuperLU, tol: float
+    mass: sp.csc_matrix, lu: SuperLU, tol: float, u: np.ndarray | None = None
 ) -> tuple[np.ndarray, int, bool]:
     """Smallest eigenpair of K u = lam M u by inverse iteration with the
-    factorization ``lu`` of K, stopped when the relative eigenvalue change
-    reaches ``tol`` or after MAX_ITER steps.  A step is one solve and one
-    product with M: the solve gives K w = M u, so w.Kw = w.Mu, and M w,
-    scaled with w, is the next right-hand side.  Returns (u, iterations,
-    converged); the caller decides what a miss means."""
-    u = np.ones(mass.shape[0])
+    factorization ``lu`` of K, started from ``u`` (the ones vector if None),
+    stopped when the relative eigenvalue change reaches ``tol`` or after
+    MAX_ITER steps.  A step is one solve and one product with M: the solve
+    gives K w = M u, so w.Kw = w.Mu, and M w, scaled with w, is the next
+    right-hand side.  Returns (u, iterations, converged); the caller decides
+    what a miss means."""
+    u = np.ones(mass.shape[0]) if u is None else np.array(u, dtype=float)
     mu = mass @ u
     nrm = math.sqrt(u @ mu)
     u /= nrm
@@ -442,12 +454,13 @@ def _descent(
         it += 1
         g = _gradient(ops, m2, p, gu, y, lam)
         d = lu.solve(g)
-        residual = math.sqrt(max(float(g @ d), 0.0)) / (p * lam)
+        gd = max(float(g @ d), 0.0)
+        residual = math.sqrt(gd) / (p * lam)
         if residual <= bound or it == MAX_ITER:
             return u, lam, residual, it
         if metric_lu is not lu:
             d = metric_lu.solve(g)
-        gd = max(float(g @ d), 0.0)
+            gd = max(float(g @ d), 0.0)
         if u_prev is not None:
             s = u - u_prev
             sy = float(s @ (g - g_prev))
@@ -471,7 +484,9 @@ def _descent(
         u, gu, y, lam = trial
 
 
-def solve_p(m: Mesh, q: QuadForm, p: float, tol: float = DEFAULT_TOL) -> EigenResult:
+def solve_p(
+    m: Mesh, q: QuadForm, p: float, tol: float = DEFAULT_TOL, start: np.ndarray | None = None
+) -> EigenResult:
     """Fundamental frequency for p > 1.
 
     The operators of ``m`` come from its record, built by the first solve on
@@ -482,27 +497,47 @@ def solve_p(m: Mesh, q: QuadForm, p: float, tol: float = DEFAULT_TOL) -> EigenRe
     The inverse iteration on the p = 2 pencil stops at the relative
     eigenvalue change ``tol`` and is the result at p = 2.  For other p
     its ground state is the start of one projected descent at p, stopped at
-    the residual bound sqrt(tol / RESIDUAL_SAFETY).  Raises
-    ``SolverConvergenceError``, carrying the last iterate, when the inverse
-    iteration at p = 2 misses ``tol`` or the descent misses its bound;
-    ``iterations`` counts the iterations of both.  Either way the result's
-    ``residual`` is the dual-norm residual of the returned pair, in the
-    metric of K.
+    the residual bound sqrt(tol / RESIDUAL_SAFETY).
+
+    ``start``, a nodal field on ``m`` that is finite and not zero on the
+    interior nodes, replaces the ones vector as the start of the inverse
+    iteration at p = 2, and the inverse iteration's ground state as the start
+    of the descent at other p, whose inverse iteration is then skipped.  The
+    eigenfunction of a nearby form on ``m`` is a good one.
+
+    Raises ``SolverConvergenceError``, carrying the last iterate, when the
+    inverse iteration at p = 2 misses ``tol`` or the descent misses its
+    bound; ``iterations`` counts the iterations that ran, of both.  Either
+    way the result's ``residual`` is the dual-norm residual of the returned
+    pair, in the metric of K.
     """
     if p <= 1.0:
         raise ValueError(f"need p > 1, got {p}")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != (m.n_nodes,):
+            raise ValueError(f"start has shape {start.shape}, mesh has {m.n_nodes} nodes")
+        if not np.isfinite(start).all():
+            raise ValueError("start is not finite")
+        start = start[~m.boundary_node]
+        if not start.any():
+            raise ValueError("start vanishes on the interior nodes")
     m2 = q.matrix()
     ops = _operators(m)
     lu = _factor(ops.stiffness(m2))
-    u, iterations, converged = _inverse_iteration(ops.mass, lu, tol)
     if p == 2.0:
+        u, iterations, converged = _inverse_iteration(ops.mass, lu, tol, start)
         failure = f"inverse iteration did not reach tol {tol} in {MAX_ITER} iterations"
         u, gu, y, lam = _point(ops, m2, p, u)
         g = _gradient(ops, m2, p, gu, y, lam)
         residual = math.sqrt(max(float(g @ lu.solve(g)), 0.0)) / (p * lam)
     else:
+        if start is None:
+            u, iterations, _ = _inverse_iteration(ops.mass, lu, tol)
+        else:
+            u, iterations = start, 0
         bound = math.sqrt(tol / RESIDUAL_SAFETY)
         u, lam, residual, it = _descent(ops, m2, p, u, bound, lu)
         failure = f"descent stopped at residual {residual:.3g} > {bound:.3g} after {it} iterations"

@@ -444,13 +444,13 @@ def test_optimize_failure_keeps_profile_so_far(tmp_path, monkeypatch):
     real = optimizer.profile_value
     seen = []
 
-    def failing_at_third(mesh, theta, a, p, tol):
-        value = real(mesh, theta, a, p, tol)
-        seen.append((float(theta), value[0]))
+    def failing_at_third(mesh, theta, a, p, tol, start=None):
+        res = real(mesh, theta, a, p, tol, start=start)
+        seen.append((float(theta), res.lam))
         if len(seen) == 3:
             best = optimizer.solve_p(mesh, optimizer.QuadForm.identity(), p, tol)
             raise SolverConvergenceError("descent stopped", best)
-        return value
+        return res
 
     monkeypatch.setattr(optimizer, "profile_value", failing_at_third)
     rc, out = run_config(tmp_path, {"command": "optimize", "mesh_level": 2, "grid_n": 9})

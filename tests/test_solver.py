@@ -197,6 +197,54 @@ def test_solve_p_rejects_bad_tol():
             solve_p(m, QuadForm.identity(), 2.0, tol)
 
 
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize(
+    "make_start, match",
+    [
+        (lambda m: np.ones(m.n_nodes - 1), "shape"),
+        (lambda m: np.ones((m.n_nodes, 1)), "shape"),
+        (lambda m: np.where(np.arange(m.n_nodes) == m.n_nodes // 2, np.nan, 1.0), "finite"),
+        (lambda m: np.where(np.arange(m.n_nodes) == 0, np.inf, 1.0), "finite"),
+        (lambda m: np.where(m.boundary_node, 1.0, 0.0), "vanishes"),
+    ],
+    ids=["short", "column", "nan", "inf", "zero-inside"],
+)
+def test_solve_p_rejects_bad_start(make_start, match, p):
+    m = build_mesh(Rectangle(1.0, 1.0), 2)
+    with pytest.raises(ValueError, match=match):
+        solve_p(m, QuadForm.identity(), p, start=make_start(m))
+
+
+@pytest.mark.parametrize("p, its", [(1.5, 1), (2.0, 2), (3.0, 1)])
+def test_start_at_the_solution_costs_only_the_stopping_test(p, its):
+    # from its own eigenfunction a solve needs only the iterations that its
+    # stopping rule reads: one descent step, whose residual is below the
+    # bound, and no inverse iteration; at p = 2 two inverse steps, the first
+    # change of the eigenvalue being taken between them, which may still
+    # move the eigenvalue within tol
+    m = build_mesh(lshape(), 3)
+    q = make_Q_alpha(0.25, 0.6)
+    cold = solve_p(m, q, p)
+    warm = solve_p(m, q, p, start=cold.u)
+    assert warm.iterations == its < cold.iterations
+    assert warm.lam == pytest.approx(cold.lam, rel=DEFAULT_TOL if p == 2.0 else 1e-14)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_start_from_a_neighbouring_form(p):
+    # the ground state of the form at a nearby angle starts a solve that
+    # ends where a solve without a start ends, within tol, in fewer
+    # iterations; a start of either sign will do, the quotient being even
+    m = build_mesh(lshape(), 4)
+    q = make_Q_alpha(0.25, alpha_of_theta(0.25, 0.5))
+    near = solve_p(m, make_Q_alpha(0.25, alpha_of_theta(0.25, 0.4)), p)
+    cold = solve_p(m, q, p)
+    for start in (near.u, -near.u):
+        warm = solve_p(m, q, p, start=start)
+        assert warm.lam == pytest.approx(cold.lam, rel=DEFAULT_TOL)
+        assert warm.iterations < cold.iterations
+
+
 def test_domain_scaling_homogeneity():
     # doubling the domain scales the frequency by exactly 2^-p discretely
     p = 3.0
