@@ -75,6 +75,13 @@ def file_text(path: str) -> str:
             [],
             id="verify-L2",
         ),
+        pytest.param(
+            "verify_L4_p3",
+            ["--command", "verify", "--level", "4", "--p", "3", "--grid-n", "9", "--seed", "1"],
+            1,  # rectangle_axis_argmin_set FAILs
+            [],
+            id="verify-L4-p3",  # two levels: every search on an L3 profile and L4 brackets
+        ),
     ],
 )
 def test_output_matches_golden(tmp_path, name, argv, rc, files):
