@@ -30,8 +30,8 @@ overrides flag values.  Its keys:
   seed                 seed of the verify samples
   n_boundary           validated (at least 16) and changes no mesh
   form                 the eigen form {"alpha", "beta", "gamma"}
-  thetas, a_values     sweep grids
-  p_values             exponent list of sweep and verify (else [p])
+  thetas, a_values     sweep grids; a_values repeats no entry
+  p_values             exponent list of sweep and verify (else [p]), no repeats
   n_samples, n_pairs,  read by verify only: rigidity samples and pairs, the
   a_sequence, suites   relaxation levels and the suites to run
 
@@ -269,6 +269,10 @@ def _validate(cfg: dict) -> tuple[dict, DomainSpec]:
     suites = typed["suites"]
     if not isinstance(suites, list) or not suites or any(s not in SUITES for s in suites):
         raise ConfigError(f"suites must be a non-empty list from {list(SUITES)}, got {suites!r}")
+    for name in ("p_values", "a_values"):
+        values = typed[name]
+        if values is not None and len(set(values)) < len(values):
+            raise ConfigError(f"{name} must not repeat an entry, got {values}")
     seq = typed["a_sequence"]
     if any(a2 >= a1 for a1, a2 in zip(seq, seq[1:])):
         raise ConfigError(f"a_sequence must be strictly decreasing, got {seq}")
@@ -362,9 +366,12 @@ def _cmd_sweep(cfg: dict, domain: DomainSpec) -> int:
     try:
         for p in p_values:
             for a in a_values:
+                if a == 1.0:  # the isotropic form at every angle: one solve serves them all
+                    lam = profile_value(mesh, thetas[0], a, p, cfg["tol"]).lam
+                    rows += [(th, a, p, lam) for th in thetas]
+                    continue
                 for th in thetas:
-                    val = profile_value(mesh, th, a, p, cfg["tol"]).lam
-                    rows.append((th, a, p, val))
+                    rows.append((th, a, p, profile_value(mesh, th, a, p, cfg["tol"]).lam))
     except SolverConvergenceError as exc:
         return _report_failure("sweep", csv_path[: -len(".csv")] + ".json", exc)
     _write_csv(csv_path, "theta,a,p,lambda", rows)

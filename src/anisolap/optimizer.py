@@ -63,7 +63,12 @@ monotonicity, profile shape on disks and rectangles, quantitative bounds,
 behaviour as the coercivity level is relaxed) on concrete meshes and return
 report entries rather than raising.  The quantitative and relaxation suites
 are judges only: they take optima that ``run_verification`` computes once per
-level and exponent, so the levels both suites use are searched once.
+level and exponent, so the levels both suites use are searched once.  One run
+also shares its meshes, one per (domain, level), and its isotropic solves, one
+per (mesh, p): the rigidity suite's maximizer, the ``lambda_max`` of every
+search and the rectangle suite's square are one solve wherever they share a
+mesh.  Each is made the first time it is asked for, by the same call as
+without sharing, so the report does not change.
 """
 
 from __future__ import annotations
@@ -135,6 +140,29 @@ class OptimizeResult:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+class _Shared:
+    """The meshes, keyed by (domain, level), and the cold isotropic solves,
+    keyed by (mesh, p, tol), of one run.  Each is built or solved the first
+    time it is asked for.  A shared solve's eigenfunction is read-only,
+    because several suites start their solves from it."""
+
+    def __init__(self) -> None:
+        self.meshes: dict[tuple[DomainSpec, int], Mesh] = {}
+        self.solves: dict[tuple[Mesh, float, float], EigenResult] = {}
+
+    def mesh(self, d: DomainSpec, level: int) -> Mesh:
+        if (d, level) not in self.meshes:
+            self.meshes[d, level] = build_mesh(d, level)
+        return self.meshes[d, level]
+
+    def isotropic(self, mesh: Mesh, p: float, tol: float) -> EigenResult:
+        if (mesh, p, tol) not in self.solves:
+            res = solve_p(mesh, QuadForm.identity(), p, tol)
+            res.u.setflags(write=False)
+            self.solves[mesh, p, tol] = res
+        return self.solves[mesh, p, tol]
 
 
 def profile_value(
@@ -230,6 +258,7 @@ def lambda_min(
     *,
     level: int = 5,
     theta_tol: float = DEFAULT_THETA_TOL,
+    shared: _Shared | None = None,
 ) -> OptimizeResult:
     """Smallest frequency over the coercivity class at level ``a``, searched
     as the module docstring describes.
@@ -239,6 +268,9 @@ def lambda_min(
     ``MIN_COARSE_LEVEL``, else the level-``level`` mesh itself.  The fine
     mesh gets the isotropic solve, which gives ``lambda_max`` and starts
     from nothing, and the solves of the bracket checks and refinements.
+    Both meshes and the isotropic solve come from ``shared``, the tables of
+    the run that calls the search (``run_verification``); without it the
+    search makes its own.
     Every profile value is read from the search's table, which calls
     ``profile_value`` once per (level, theta), started as the module
     docstring describes.  Provided the fine profile is unimodal on each
@@ -260,8 +292,9 @@ def lambda_min(
     if not theta_tol > 0.0:
         raise ValueError(f"theta_tol must be positive, got {theta_tol}")
 
+    shared = shared or _Shared()
     profile_level = level - 1 if level - 1 >= MIN_COARSE_LEVEL else level
-    meshes = {lv: build_mesh(d, lv) for lv in dict.fromkeys((level, profile_level))}
+    meshes = {lv: shared.mesh(d, lv) for lv in (level, profile_level)}
     thetas = np.linspace(0.0, 0.5 * math.pi, grid_n).tolist()
     # (level, theta) -> (value, error bound, eigenfunction)
     solved: dict[tuple[int, float], tuple[float, float, np.ndarray]] = {}
@@ -286,7 +319,7 @@ def lambda_min(
         i_min = int(np.argmin(values))
         vmin = float(values[i_min])
         gap = abs(fine(thetas[i_min]) - vmin)
-        iso = solve_p(meshes[level], QuadForm.identity(), p, tol)
+        iso = shared.isotropic(meshes[level], p, tol)
         iso_bound = iso.residual * iso.lam
         tie_tol = 2.0 * max(iso_bound, *(bound for _, bound, _ in solved.values())) + gap
         tied_idx = np.flatnonzero(values <= vmin + tie_tol)
@@ -373,19 +406,22 @@ def verify_rigidity(
     n_samples: int,
     n_pairs: int,
     seed: int,
+    shared: _Shared | None = None,
 ) -> list[dict]:
     """Strict dominance of the isotropic form, and discrete monotonicity of the
     frequency under pointwise ordering of forms, on random samples.  Both
     entries report the largest error bound ``residual * lam`` of the suite's
     solves.  Every solve of a sampled or paired form starts from the
-    isotropic eigenfunction (``solve_p``'s ``start``)."""
+    isotropic eigenfunction (``solve_p``'s ``start``).  The mesh and the
+    isotropic solve come from ``shared``, as in ``lambda_min``."""
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     if n_pairs < 1:
         raise ValueError("n_pairs must be at least 1")
+    shared = shared or _Shared()
     rng = np.random.default_rng(seed)
-    mesh = build_mesh(d, level)
-    iso = solve_p(mesh, QuadForm.identity(), p, tol)
+    mesh = shared.mesh(d, level)
+    iso = shared.isotropic(mesh, p, tol)
     lam_iso = iso.lam
     bounds = [iso.residual * lam_iso]  # the error bound of every solve
 
@@ -549,13 +585,14 @@ def verify_disk(
     *,
     level: int,
     grid_n: int,
+    shared: _Shared | None = None,
 ) -> list[dict]:
     """On the unit disk every rotation is equivalent: the profile is flat and
     the optimum equals the scaled isotropic frequency of the sheared disk.
     That target is the profile value at angle 0, a^(p/2) times the isotropic
     frequency on the sheared image of the profile's mesh, so it is compared
     with the optimum's value on that mesh, ``lambda_min_coarse``."""
-    res = lambda_min(Disk(1.0), a, p, grid_n, tol, level=level)
+    res = lambda_min(Disk(1.0), a, p, grid_n, tol, level=level, shared=shared)
     values = np.array([v for _, v in res.theta_profile])
     spread = float((values.max() - values.min()) / values.mean())
     target = res.theta_profile[0][1]
@@ -590,16 +627,19 @@ def verify_rectangle(
     *,
     level: int,
     grid_n: int,
+    shared: _Shared | None = None,
 ) -> list[dict]:
     """The tall rectangle with aspect 1/sqrt(a): its sheared image at angle 0
-    is a square, which quadrilateral symmetrization singles out as optimal."""
+    is a square, which quadrilateral symmetrization singles out as optimal.
+    The square's mesh and isotropic solve come from ``shared``, as in
+    ``lambda_min``."""
     if not 0.0 < a < 1.0:
         raise ValueError(f"need a in (0, 1), got {a}")
+    shared = shared or _Shared()
     rect = Rectangle(1.0, 1.0 / math.sqrt(a))
-    res = lambda_min(rect, a, p, grid_n, tol, level=level)
+    res = lambda_min(rect, a, p, grid_n, tol, level=level, shared=shared)
 
-    square = Rectangle(1.0, 1.0)
-    lam_sq = solve_p(build_mesh(square, level), QuadForm.identity(), p, tol).lam
+    lam_sq = shared.isotropic(shared.mesh(Rectangle(1.0, 1.0), level), p, tol).lam
     target = a ** (0.5 * p) * lam_sq
     rel_err = abs(res.lambda_min - target) / target
 
@@ -680,7 +720,10 @@ def run_verification(
     ``grid_n`` angles at level ``a``.  The quantitative and relaxation suites
     judge optimal lower constants at the levels {a, b} and ``a_sequence``;
     each of those optima is computed once per p, at angle resolution 1e-3,
-    and shared by both suites."""
+    and shared by both suites.  Every search and suite of the run takes its
+    meshes and isotropic solves from one table of each, so a (domain, level)
+    is meshed once and a (mesh, p) solved once in the whole run."""
+    shared = _Shared()
     entries: list[dict] = []
     levels = []
     if "quantitative" in suites:
@@ -688,7 +731,7 @@ def run_verification(
     if "relaxation" in suites:
         levels += a_sequence
     optima = {
-        (lv, p): lambda_min(d, lv, p, grid_n, tol, level=level, theta_tol=1e-3)
+        (lv, p): lambda_min(d, lv, p, grid_n, tol, level=level, theta_tol=1e-3, shared=shared)
         for p in p_list
         for lv in dict.fromkeys(levels)
     }
@@ -696,7 +739,8 @@ def run_verification(
     if "rigidity" in suites:
         for p in p_list:
             entries += verify_rigidity(
-                d, a, p, tol, level=level, n_samples=n_samples, n_pairs=n_pairs, seed=seed
+                d, a, p, tol, level=level, n_samples=n_samples, n_pairs=n_pairs, seed=seed,
+                shared=shared,
             )
     if "quantitative" in suites:
         chord = longest_chord(d, X_ARC)
@@ -708,10 +752,10 @@ def run_verification(
             entries += verify_Q0_limit([optima[x, p] for x in a_sequence], chord)
     if "disk" in suites:
         for p in p_list:
-            entries += verify_disk(a, p, tol, level=level, grid_n=grid_n)
+            entries += verify_disk(a, p, tol, level=level, grid_n=grid_n, shared=shared)
     if "rectangle" in suites:
         for p in p_list:
-            entries += verify_rectangle(a, p, tol, level=level, grid_n=grid_n)
+            entries += verify_rectangle(a, p, tol, level=level, grid_n=grid_n, shared=shared)
 
     return {
         "entries": entries,

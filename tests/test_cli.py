@@ -222,6 +222,15 @@ def payload_text(path: str) -> str:
         pytest.param(
             {"command": "verify", "a_sequence": [0.5, 1e-17]}, "a_sequence must", id="tiny-a-sequence"
         ),
+        # a repeated entry would run its suites, or write its rows, twice
+        pytest.param(
+            {"command": "verify", "p_values": [2, 2.0]}, "p_values must not repeat", id="repeated-p-values"
+        ),
+        pytest.param(
+            {"command": "sweep", "a_values": [0.25, 1.0, 0.25]},
+            "a_values must not repeat",
+            id="repeated-a-values",
+        ),
     ],
 )
 def test_bad_config_exits_2(tmp_path, capsys, config, field):
@@ -485,6 +494,34 @@ def test_sweep_at_full_coercivity_is_isotropic(tmp_path):
     assert rc == 0
     eigen = json.loads(payload_text(out + ".json"))["payload"]["result"]["lambda"]
     assert float(row.split(",")[3]) == eigen
+
+
+def test_sweep_solves_full_coercivity_once_per_p(tmp_path, monkeypatch):
+    # a = 1 gives the isotropic form at every angle, so one solve per p
+    # serves the whole row set; the CSV is that of solving every angle
+    thetas = np.linspace(0.0, 0.5 * math.pi, 9).tolist()
+    p_values, a_values = [2.0, 3.0], [1.0, 0.25]
+    mesh = build_mesh(Rectangle(1.0, 1.0), 3)
+    expected = [
+        (th, a, p, optimizer.profile_value(mesh, th, a, p).lam)
+        for p in p_values
+        for a in a_values
+        for th in thetas
+    ]
+    cli._write_csv(tmp_path / "expected.csv", "theta,a,p,lambda", expected)
+    calls = []
+
+    def counting(mesh, theta, a, p, *args, **kwargs):
+        calls.append((a, p))
+        return optimizer.profile_value(mesh, theta, a, p, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "profile_value", counting)
+    config = {"command": "sweep", "mesh_level": 3, "p_values": p_values, "a_values": a_values}
+    rc, out = run_config(tmp_path / "sweep", {**config, "thetas": thetas})
+    assert rc == 0
+    assert sorted(calls) == sorted([(1.0, 2.0), (1.0, 3.0)] + [(0.25, p) for p in p_values] * 9)
+    with open(out + ".csv", encoding="utf-8") as fh:
+        assert fh.read() == (tmp_path / "expected.csv").read_text(encoding="utf-8")
 
 
 def test_verify_accepts_n_boundary_and_reports_none(tmp_path):

@@ -604,6 +604,38 @@ def test_run_verification_shares_optima(monkeypatch):
     assert sorted(calls) == [(0.25, 2.0), (0.25, 3.0), (0.5, 2.0), (0.5, 3.0)]
 
 
+@pytest.mark.parametrize(
+    "level, p_list, builds",
+    # the square, the disk and the tall rectangle, each on one level below 4
+    # and on two from 4 on; unshared, the square alone is meshed 4 times per p
+    [(3, [3.0], 3), (4, [1.5, 3.0], 6)],
+    ids=["L3-p3", "L4-p1.5-p3"],
+)
+def test_run_verification_meshes_and_solves_isotropic_once(monkeypatch, level, p_list, builds):
+    built, cold = [], []
+
+    def building(d, lv, *args, **kwargs):
+        built.append((d, lv))
+        return build_mesh(d, lv, *args, **kwargs)
+
+    def solving(m, q, p, tol=DEFAULT_TOL, start=None):
+        res = solve_p(m, q, p, tol, start=start)
+        if q == QuadForm.identity() and start is None:
+            cold.append((m, p, res))
+        return res
+
+    monkeypatch.setattr(optimizer, "build_mesh", building)
+    monkeypatch.setattr(optimizer, "solve_p", solving)
+    run_verification(SQUARE, 1e-9, **{**VERIFY_ARGS, "level": level, "p_list": p_list})
+    assert len(built) == len(set(built)) == builds
+    # one isotropic solve per fine mesh and p: rigidity, lambda_max of every
+    # search and the rectangle suite's square read the square's one solve
+    assert len(cold) == len({(id(m), p) for m, p, _ in cold}) == 3 * len(p_list)
+    for m, p, res in cold:
+        # every suite started from it, and none wrote into it
+        assert res.u.tobytes() == solve_p(m, QuadForm.identity(), p, 1e-9).u.tobytes()
+
+
 def test_verify_disk_entries():
     entries = verify_disk(0.25, 2.0, 1e-9, level=3, grid_n=9)
     assert all(e["passed"] for e in entries)
