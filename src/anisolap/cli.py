@@ -30,7 +30,7 @@ overrides flag values.  Its keys:
   seed                 seed of the verify samples
   n_boundary           validated (at least 16) and changes no mesh
   form                 the eigen form {"alpha", "beta", "gamma"}
-  thetas, a_values     sweep grids; a_values repeats no entry
+  thetas, a_values     sweep grids, no repeats
   p_values             exponent list of sweep and verify (else [p]), no repeats
   n_samples, n_pairs,  read by verify only: rigidity samples and pairs, the
   a_sequence, suites   relaxation levels and the suites to run
@@ -269,7 +269,7 @@ def _validate(cfg: dict) -> tuple[dict, DomainSpec]:
     suites = typed["suites"]
     if not isinstance(suites, list) or not suites or any(s not in SUITES for s in suites):
         raise ConfigError(f"suites must be a non-empty list from {list(SUITES)}, got {suites!r}")
-    for name in ("p_values", "a_values"):
+    for name in ("thetas", "p_values", "a_values"):
         values = typed[name]
         if values is not None and len(set(values)) < len(values):
             raise ConfigError(f"{name} must not repeat an entry, got {values}")

@@ -1,6 +1,7 @@
 """Planar bounded domains: disks, axis-aligned rectangles (given by
 half-extents) and simple counterclockwise polygons, with their areas, longest
-chords and JSON forms.
+chords and JSON forms.  A polygon is simple when no two of its edges that
+share no vertex meet, so it winds once and repeats no vertex.
 
 Anisotropy never moves a domain: a rotated and sheared domain is the same
 domain carrying a quadratic form (see ``optimizer``).  A disk's coarse
@@ -43,7 +44,10 @@ class Rectangle:
 
 @dataclass(frozen=True, eq=False)
 class Polygon:
-    """Simple counterclockwise polygon; vertices are an immutable (n, 2) array."""
+    """Simple counterclockwise polygon; vertices are an immutable (n, 2) array.
+
+    No two edges that share no vertex may meet, by crossing or by touching
+    at a point, so the polygon winds once and repeats no vertex."""
 
     vertices: np.ndarray
 
@@ -70,65 +74,34 @@ def _signed_area(v: np.ndarray) -> float:
     return 0.5 * float(np.sum(x * yn - xn * y))
 
 
-def _is_convex(v: np.ndarray) -> bool:
-    e = np.roll(v, -1, axis=0) - v
-    cross = e[:, 0] * np.roll(e, -1, axis=0)[:, 1] - e[:, 1] * np.roll(e, -1, axis=0)[:, 0]
-    scale = float(np.max(np.abs(v))) ** 2 + 1.0
-    return bool(np.all(cross > -1e-12 * scale))
-
 def _is_simple(v: np.ndarray) -> bool:
-    # Convex CCW polygons are simple; the quadratic check is only needed for
-    # nonconvex input.
-    if _is_convex(v):
-        return True
+    """True when no two edges that share no vertex meet.
+
+    Edge k runs from v[k] to v[k + 1].  Two edges cross when the endpoints
+    of each lie strictly on opposite sides of the other's line.  They touch
+    when an endpoint of one is collinear with the other to within ``eps``,
+    ``triangulate``'s tolerance on twice a triangle's area, and lies in the
+    other's closed bounding box widened by ``eps``.  The pairs are tested a
+    block of rows at a time, so memory stays linear in n."""
     n = len(v)
-    a = v
-    b = np.roll(v, -1, axis=0)
-
-    def orient(p, q, r):
-        return (q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1]) - (
-            q[..., 1] - p[..., 1]
-        ) * (r[..., 0] - p[..., 0])
-
-    for i in range(n - 1):
-        j = np.arange(i + 1, n)
-        # skip edges adjacent to edge i (sharing a vertex)
-        j = j[(j != i + 1) & ~((i == 0) & (j == n - 1))]
-        if len(j) == 0:
-            continue
-        p1, p2 = a[i], b[i]
-        q1, q2 = a[j], b[j]
-        d1 = orient(p1[None, :], p2[None, :], q1)
-        d2 = orient(p1[None, :], p2[None, :], q2)
-        d3 = orient(q1, q2, np.broadcast_to(p1, q1.shape))
-        d4 = orient(q1, q2, np.broadcast_to(p2, q1.shape))
-        proper = (np.sign(d1) * np.sign(d2) < 0) & (np.sign(d3) * np.sign(d4) < 0)
-        if np.any(proper):
+    eps = 1e-12 * (float(np.max(np.abs(v))) ** 2 + 1.0)
+    cols = np.arange(n)
+    step = max(1, 2 ** 14 // n)
+    for start in range(0, n, step):
+        rows = np.arange(start, min(start + step, n))[:, None]
+        # the pairs j >= i + 2, leaving out the adjacent pair (0, n - 1)
+        i, j = np.nonzero((cols >= rows + 2) & ((rows > 0) | (cols < n - 1)))
+        i += start
+        # each endpoint r of either edge of a pair against the other edge pq
+        k = np.concatenate([i, i, j, j])
+        p, q, r = (v.take(x % n, axis=0) for x in (k, k + 1, np.concatenate([j, j + 1, i, i + 1])))
+        d = (q[:, 0] - p[:, 0]) * (r[:, 1] - p[:, 1]) - (q[:, 1] - p[:, 1]) * (r[:, 0] - p[:, 0])
+        side = np.sign(d).reshape(4, -1)
+        cross = (side[0] * side[1] < 0) & (side[2] * side[3] < 0)
+        box = (np.minimum(p, q) - eps <= r) & (r <= np.maximum(p, q) + eps)
+        if np.any(cross) or np.any((np.abs(d) <= eps) & box[:, 0] & box[:, 1]):
             return False
-        scale = float(np.max(np.abs(v))) ** 2 + 1.0
-        # an endpoint of either edge on the line of the other: collinear
-        # contact between non-adjacent edges counts as non-simple
-        touching = np.min(np.abs([d1, d2, d3, d4]), axis=0) < 1e-14 * scale
-        if np.any(touching):
-            for jj, t in zip(j, touching):
-                if not t:
-                    continue
-                if _segments_touch(p1, p2, a[jj], b[jj]):
-                    return False
     return True
-
-
-def _segments_touch(p1, p2, q1, q2) -> bool:
-    def on_seg(p, q, r) -> bool:
-        cross = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-        if abs(cross) > 1e-12 * (1.0 + max(abs(q[0] - p[0]), abs(q[1] - p[1]))) ** 2:
-            return False
-        return (
-            min(p[0], q[0]) - 1e-14 <= r[0] <= max(p[0], q[0]) + 1e-14
-            and min(p[1], q[1]) - 1e-14 <= r[1] <= max(p[1], q[1]) + 1e-14
-        )
-
-    return on_seg(p1, p2, q1) or on_seg(p1, p2, q2) or on_seg(q1, q2, p1) or on_seg(q1, q2, p2)
 
 
 def area(d: DomainSpec) -> float:

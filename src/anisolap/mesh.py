@@ -111,7 +111,9 @@ def triangulate(p: Polygon) -> Mesh:
 
     def blocked(i: int) -> bool:
         # Any other active vertex inside (or on) the candidate triangle
-        # invalidates the ear.  Only reachable for nonconvex polygons.
+        # invalidates the ear.  Only reachable for polygons that are not
+        # strictly convex: where three vertices are collinear, an ear's
+        # diagonal can run through the middle one.
         tri = (verts[prv[i]], verts[i], verts[nxt[i]])
         others = np.flatnonzero(active)
         others = others[(others != i) & (others != prv[i]) & (others != nxt[i])]
@@ -124,7 +126,7 @@ def triangulate(p: Polygon) -> Mesh:
             inside &= cr >= -eps
         return bool(np.any(inside))
 
-    convex_input = all(cross_at(i) > -eps for i in range(n))
+    convex_input = all(cross_at(i) > eps for i in range(n))
 
     quality = np.full(n, -np.inf)
 

@@ -1,9 +1,12 @@
 """Planar positive quadratic forms and the extremal family at a coercivity level.
 
 A form Q(x, y) = alpha*x**2 + 2*beta*x*y + gamma*y**2 is positive definite
-when alpha, gamma > 0 and beta**2 < alpha*gamma.  Only beta >= 0 is admitted:
-a form with a negative cross term is the conjugate of an admitted one by the
-reflection y -> -y.  The extremal family at level ``a`` is
+when alpha, gamma > 0 and beta**2 < alpha*gamma.  Only beta >= 0 is admitted.
+A form with a negative cross term is the conjugate of an admitted one by the
+reflection y -> -y, but that reflection moves the domain too.  So the
+restriction is exact on a domain that the reflection maps onto a translate
+of itself, such as a disk or a rectangle; on another polygon a minimum over
+all forms of a level can have beta < 0.  The extremal family at level ``a`` is
 Q_alpha = R_theta^T diag(a, 1) R_theta, the forms with eigenvalues (a, 1),
 indexed by the leading coefficient alpha = ``alpha_of_theta(a, theta)``.
 ``spectral`` gives the eigenvalues and diagonalizing angle of any form, and

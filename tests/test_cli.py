@@ -231,6 +231,26 @@ def payload_text(path: str) -> str:
             "a_values must not repeat",
             id="repeated-a-values",
         ),
+        pytest.param(
+            {"command": "sweep", "thetas": [0.3, 0.3], "mesh_level": 2},
+            "thetas must not repeat an entry",
+            id="repeated-thetas",
+        ),
+        # a pentagram turns left at every vertex but winds twice: a bad domain,
+        # not a traceback from the mesher
+        pytest.param(
+            {
+                "command": "eigen",
+                "domain": {
+                    "type": "polygon",
+                    "vertices": [
+                        [math.cos(t), math.sin(t)] for t in math.pi / 2 + 4 * math.pi * np.arange(5) / 5
+                    ],
+                },
+            },
+            "bad domain spec",
+            id="pentagram-domain",
+        ),
     ],
 )
 def test_bad_config_exits_2(tmp_path, capsys, config, field):

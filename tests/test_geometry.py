@@ -71,14 +71,40 @@ def test_domain_validation():
         Polygon([[0.0, 0.0], [1.0, 0.0], [math.nan, 1.0]])
     # a bow-tie with unequal lobes (positive area) whose edges cross, and two
     # triangles whose shared vertex lies inside a non-adjacent edge, that edge
-    # coming after the vertex's edges and before them
+    # coming after the vertex's edges and before them; then four polygons
+    # that turn right at no vertex but wind twice or repeat a vertex: a
+    # pentagram, a repeated vertex, the square traced twice and a hexagon
+    pentagram = math.pi / 2 + 4 * math.pi * np.arange(5) / 5
     for vertices in (
         [[0, 0], [2, 2], [2, 0], [0, 3]],
         [[0, 0], [4, 0], [4, 4], [2, 0], [0, 4]],
         [[4, 0], [4, 4], [2, 0], [0, 4], [0, 0]],
+        np.column_stack([np.cos(pentagram), np.sin(pentagram)]),
+        [[0, 0], [1, 0], [1, 0], [1, 1], [0, 1]],
+        [[0, 0], [1, 0], [1, 1], [0, 1]] * 2,
+        [[0, 0], [3, 0], [0, 3], [-2, -3], [0, -2], [2, 1]],
     ):
         with pytest.raises(ValueError, match="simple"):
             Polygon(np.array(vertices, dtype=float))
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [
+        pytest.param([[0, 0], [1, 0], [2, 0], [2, 1], [0, 1]], id="collinear-midpoint"),
+        pytest.param(lshape().vertices, id="lshape"),
+        # (x, y) -> (x, -y), with the order reversed to stay counterclockwise
+        pytest.param(lshape().vertices[::-1] * [1.0, -1.0], id="mirrored-lshape"),
+        pytest.param(
+            np.column_stack(
+                [np.cos(np.arange(64) * math.pi / 32), np.sin(np.arange(64) * math.pi / 32)]
+            ),
+            id="64-gon",
+        ),
+    ],
+)
+def test_polygon_accepts_simple(vertices):
+    np.testing.assert_array_equal(Polygon(vertices).vertices, vertices)
 
 
 @pytest.mark.parametrize(

@@ -45,6 +45,32 @@ def test_lshape_triangulation_conforming():
     assert np.all(cross > 0)
 
 
+def test_collinear_quadrilateral_meshes():
+    # three vertices on x = 3: the ear at (3, 2) would have its diagonal run
+    # through (3, -1), so the convex fast path must not take this polygon
+    poly = Polygon(np.array([[3.0, 2.0], [-1.0, -3.0], [3.0, -1.0], [3.0, 1.0]]))
+    m = triangulate(poly)
+    assert m.n_triangles == 2
+    assert m.tri_area.sum() == pytest.approx(area(poly), rel=1e-12)
+
+
+def test_every_accepted_lattice_polygon_meshes():
+    # random polygons on a small lattice cross, touch, repeat vertices and
+    # have collinear runs; each one that Polygon accepts must mesh
+    rng = np.random.default_rng(0)
+    accepted = 0
+    for _ in range(2000):
+        v = rng.integers(-3, 4, size=(int(rng.integers(3, 9)), 2)).astype(float)
+        try:
+            poly = Polygon(v)
+        except ValueError:
+            continue
+        accepted += 1
+        m = build_mesh(poly, 1)
+        assert m.tri_area.sum() == pytest.approx(area(poly), rel=1e-12)
+    assert accepted == 266
+
+
 def test_refine_counts():
     m = triangulate(polygonize(Rectangle(1.0, 1.0)))
     assert refine(m, 0) is m
