@@ -339,7 +339,9 @@ def _cmd_optimize(cfg: dict, domain: DomainSpec) -> int:
         )
     except SolverConvergenceError as exc:
         profile = [[t, v] for t, v in exc.theta_profile]
-        return _report_failure("optimize", json_path, exc, theta_profile=profile)
+        return _report_failure(
+            "optimize", json_path, exc, theta_profile=profile, mirrored=exc.mirrored
+        )
     payload = {
         "command": "optimize",
         "status": "ok",

@@ -12,6 +12,7 @@ measured up to level 6) and the boundary error falls as O(h^2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,6 +236,41 @@ def min_angle(m: Mesh) -> float:
         cosv = np.clip((s1 * s1 + s2 * s2 - opp * opp) / (2.0 * s1 * s2), -1.0, 1.0)
         out = min(out, float(np.min(np.arccos(cosv))))
     return out
+
+
+def mirror_permutation(m: Mesh) -> np.ndarray | None:
+    """The node permutation of the reflection about the 135 or the 45 degree
+    line through the mesh's centroid (the mean of its nodes), tried in that
+    order: node i reflects onto node ``perm[i]``, so ``u[perm]`` is the
+    reflected image of the nodal field ``u``.  None unless the reflection maps
+    every node onto a node, within 1e-12 of the diameter (the diagonal of the
+    bounding box), and every triangle onto a triangle.
+
+    A reflection about a diagonal swaps the width and the height of the
+    bounding box, so a box that is not square is rejected before any sort.
+    The nodes and their images are matched by sorting both along a direction
+    of irrational slope.  Two distinct nodes that lie within the tolerance
+    along it could sort apart from their images; then the match fails and
+    the result is None, never a wrong permutation."""
+    nodes = m.nodes
+    width, height = nodes.max(axis=0) - nodes.min(axis=0)
+    tol = 1e-12 * math.hypot(width, height)
+    if abs(width - height) > 2.0 * tol:
+        return None
+    d = nodes - nodes.mean(axis=0)
+    slope = np.array([1.0, 0.5 * (math.sqrt(5.0) - 1.0)])
+    order = np.argsort(d @ slope)
+    for sign in (-1.0, 1.0):  # (x, y) -> (-y, -x), then (y, x), about the centroid
+        image = sign * d[:, ::-1]
+        image_order = np.argsort(image @ slope)
+        if np.max(np.hypot(*(image[image_order] - d[order]).T)) > tol:
+            continue
+        perm = np.empty(len(nodes), dtype=np.int64)
+        perm[image_order] = order
+        tris, mapped = (np.sort(t, axis=1) for t in (m.triangles, perm[m.triangles]))
+        if np.array_equal(tris[np.lexsort(tris.T)], mapped[np.lexsort(mapped.T)]):
+            return perm
+    return None
 
 
 def build_mesh(domain: DomainSpec, level: int, n_boundary: int = 128) -> Mesh:

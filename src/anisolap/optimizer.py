@@ -20,11 +20,23 @@ A search keeps one table of solved values, their error bounds and their
 eigenfunctions, keyed by (mesh level, theta), and solves a value the first
 time it is read.  So no (level, theta) is solved twice, and on one level the
 grid values are the fine values.  Each solve but the first on a level starts
-from the eigenfunction of the nearest angle already solved on that level,
+from the eigenfunction of the nearest angle in the table on that level,
 the smaller angle on a tie (``solve_p``'s ``start``): a neighbouring form's
 ground state is close to the new one, so the solve skips the p = 2 inverse
 iteration at p != 2, and its own iteration takes fewer steps.  The order of
 the solves is fixed, so the starts, and the results, repeat bit for bit.
+
+A reflection about a diagonal swaps alpha and gamma of a form and keeps
+beta, so it maps the form at theta to the form at pi/2 - theta.  On a mesh
+that the reflection about the 45 or 135 degree line through its centroid maps
+onto itself (``mirror_permutation``), such as the square's or the L-shape's,
+the profile is therefore symmetric about pi/4, and the eigenfunction at
+pi/2 - theta is the one at theta with its nodes permuted.  A search whose
+meshes are all mirrored (``mirrored``) solves the angles in [0, pi/4] only.
+The grid value at index n - 1 - k is the one at index k, paired by index,
+because the grid of ``np.linspace`` does not mirror exactly; an angle above
+pi/4 off the grid reads the solve at pi/2 - theta.  Either read carries the
+permuted eigenfunction.
 
 Each coarse grid minimum is refined at the fine level from the fine values
 of its grid bracket (the grid point and its two neighbours).  The contract
@@ -38,12 +50,17 @@ three values are known, and stops when both bracket ends lie within
 costs one solve ``theta_tol`` inward: if that value is not lower, the
 endpoint is the answer; otherwise Brent's search runs on (endpoint, inward
 angle, neighbour).  A grid spacing of at most ``theta_tol`` needs no
-refinement.  A refined value is the least fine value evaluated, so it never
-exceeds the fine value at its grid point.  The coarse values of the grid
-minima are shifted from their fine values by up to the coarse/fine gap, so
-coarse minima that tie within twice the largest solver error bound plus the
-gap measured at the coarse argmin are all refined and reported: a near-tie
-at the fine level is never dropped.
+refinement.  A mirrored search refines one grid minimum of each mirror pair,
+the one in [0, pi/4], and reports the image (pi/2 - theta, value) of its
+result with it, unless its bracket holds pi/4: there the result and its
+image are one minimum, reported once.  A grid minimum at pi/4 itself costs
+no refinement solve, because a profile unimodal on its bracket and symmetric
+about pi/4 has its minimizer there.  A refined value is the least fine value
+evaluated, so it never exceeds the fine value at its grid point.  The coarse
+values of the grid minima are shifted from their fine values by up to the
+coarse/fine gap, so coarse minima that tie within twice the largest solver
+error bound plus the gap measured at the coarse argmin are all refined and
+reported: a near-tie at the fine level is never dropped.
 
 The solver's error bound on a value lam is ``residual * lam``: the dual-norm
 residual of the eigenpair times its eigenvalue.  The eigenvalue error of a
@@ -80,7 +97,7 @@ from functools import partial
 import numpy as np
 
 from .geometry import Disk, DomainSpec, Rectangle, longest_chord
-from .mesh import Mesh, build_mesh
+from .mesh import Mesh, build_mesh, mirror_permutation
 from .quadform import (
     QuadForm,
     alpha_of_theta,
@@ -137,6 +154,7 @@ class OptimizeResult:
     lambda_min_coarse: float = math.nan  # the profile's value at theta_star
     error_estimate: float | None = None  # |lambda_min_coarse - lambda_min|; None on one level
     residual: float = math.nan        # largest error bound of any solve, coarse ones included
+    mirrored: bool = False            # the profile above pi/4 was read from its mirror image
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -278,12 +296,18 @@ def lambda_min(
     ``theta_tol`` of a minimizer; the least gives ``theta_star`` and the
     recovered extremal form.
 
+    ``mirror_permutation`` is called once per level.  When every level is
+    mirrored, the search solves angles in [0, pi/4] only and reads the rest
+    from their mirror images, as the module docstring describes, and
+    ``mirrored`` is True; ``theta_profile`` still holds every grid angle,
+    and ``tied_minima`` both minima of a mirror pair.
+
     ``lambda_min_coarse`` is the coarse value at ``theta_star``: a grid
     value, or one coarse solve off the grid.  ``error_estimate`` is its
     distance from ``lambda_min``, and None on one level, where the two are
     one table entry.  A ``SolverConvergenceError`` from any solve is
     re-raised with the (theta, value) grid pairs in the table as its
-    ``theta_profile``.
+    ``theta_profile``, and with ``mirrored``.
     """
     if not 0.0 < a < 1.0:
         raise ValueError(f"need a in (0, 1), got {a}")
@@ -295,14 +319,28 @@ def lambda_min(
     shared = shared or _Shared()
     profile_level = level - 1 if level - 1 >= MIN_COARSE_LEVEL else level
     meshes = {lv: shared.mesh(d, lv) for lv in (level, profile_level)}
+    perms = {lv: mirror_permutation(m) for lv, m in meshes.items()}
+    mirrored = all(perm is not None for perm in perms.values())
     thetas = np.linspace(0.0, 0.5 * math.pi, grid_n).tolist()
+    # the mirror angle pi/2 - theta, by index on the grid
+    twins = dict(zip(thetas, reversed(thetas)))
     # (level, theta) -> (value, error bound, eigenfunction)
     solved: dict[tuple[int, float], tuple[float, float, np.ndarray]] = {}
 
+    def twin(theta: float) -> float:
+        return twins.get(theta, 0.5 * math.pi - theta)
+
     def value(lv: int, theta: float) -> float:
         """The table's value at (lv, theta), solved on a miss from the
-        eigenfunction of the nearest angle solved on level ``lv``."""
+        eigenfunction of the nearest angle in the table on level ``lv``.  On
+        a mirrored search an angle above pi/4 is read from its twin, with the
+        reflected eigenfunction."""
         if (lv, theta) not in solved:
+            if mirrored and twin(theta) < theta:
+                value(lv, twin(theta))
+                lam, bound, u = solved[lv, twin(theta)]
+                solved[lv, theta] = lam, bound, u[perms[lv]]
+                return lam
             near = min(
                 (th for solved_lv, th in solved if solved_lv == lv),
                 key=lambda th: (abs(th - theta), th),
@@ -323,6 +361,8 @@ def lambda_min(
         iso_bound = iso.residual * iso.lam
         tie_tol = 2.0 * max(iso_bound, *(bound for _, bound, _ in solved.values())) + gap
         tied_idx = np.flatnonzero(values <= vmin + tie_tol)
+        if mirrored:  # one of each mirror pair of grid minima
+            tied_idx = tied_idx[2 * tied_idx <= grid_n - 1]
         # merge adjacent grid indices into brackets, refine each at the fine level
         groups: list[list[int]] = []
         for i in tied_idx:
@@ -339,15 +379,23 @@ def lambda_min(
                     break
                 i = j
             centres[i] = None
-        tied = sorted(
-            (_refine_min(fine, thetas, i, theta_tol) for i in centres), key=lambda tv: tv[1]
-        )
+        tied = []
+        for i in centres:
+            if mirrored and 2 * i == grid_n - 1:  # pi/4 itself, the minimizer of its bracket
+                theta, lam = thetas[i], fine(thetas[i])
+            else:
+                theta, lam = _refine_min(fine, thetas, i, theta_tol)
+            tied.append((theta, lam))
+            if mirrored and abs(grid_n - 1 - 2 * i) > 1:  # the bracket misses pi/4
+                tied.append((twin(theta), lam))
+        tied.sort(key=lambda tv: tv[1])
         theta_star, lam_min = tied[0]
         lam_coarse = coarse(theta_star)
     except SolverConvergenceError as exc:
         exc.theta_profile = [
             (th, solved[profile_level, th][0]) for th in thetas if (profile_level, th) in solved
         ]
+        exc.mirrored = mirrored
         raise
 
     alpha_star = alpha_of_theta(a, theta_star)
@@ -368,6 +416,7 @@ def lambda_min(
         lambda_min_coarse=lam_coarse,
         error_estimate=None if profile_level == level else abs(lam_coarse - lam_min),
         residual=float(max(iso_bound, *(bound for _, bound, _ in solved.values()))),
+        mirrored=mirrored,
     )
 
 

@@ -487,6 +487,19 @@ def test_optimize_failure_keeps_profile_so_far(tmp_path, monkeypatch):
     payload = json.loads(payload_text(out + ".json"))["payload"]
     assert payload["status"] == "failed" and payload["partial"]
     assert payload["theta_profile"] == [list(row) for row in seen[:2]]
+    assert payload["mirrored"] is True  # the square's profile above pi/4 is read from its mirror
+
+
+@pytest.mark.parametrize(
+    "domain, mirrored", [("square", True), ("lshape", True), ("disk", False)]
+)
+def test_optimize_payload_says_whether_the_profile_is_mirrored(tmp_path, domain, mirrored):
+    config = {"command": "optimize", "domain": domain, "mesh_level": 2, "grid_n": 9}
+    rc, out = run_config(tmp_path, config)
+    assert rc == 0
+    result = json.loads(payload_text(out + ".json"))["payload"]["result"]
+    assert result["mirrored"] is mirrored
+    assert len(result["theta_profile"]) == 9
 
 
 def test_verify_equal_levels_reports_finite_c0(tmp_path):

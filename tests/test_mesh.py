@@ -16,6 +16,7 @@ from anisolap import (
     refine,
     triangulate,
 )
+from anisolap.mesh import Mesh, mirror_permutation
 
 
 def test_square_minimal_triangulation():
@@ -162,3 +163,79 @@ def test_refine_onto_disk_continues_its_mesh():
     np.testing.assert_array_equal(chords.triangles, m4.triangles)
     radius = np.hypot(*(chords.nodes[chords.boundary_node] - disk.center).T)
     assert radius.min() < disk.radius - 1e-3
+
+
+# (x, y) -> (-y, -x) and (y, x) about the centroid: the 135 and 45 degree lines
+REFLECTIONS = {135: lambda d: -d[:, ::-1], 45: lambda d: d[:, ::-1]}
+
+
+def triangle_set(triangles: np.ndarray) -> set:
+    return {tuple(t) for t in np.sort(triangles, axis=1).tolist()}
+
+
+@pytest.mark.parametrize("level", [2, 3, 4, 5])
+@pytest.mark.parametrize(
+    "domain, axis",
+    [
+        (Rectangle(1.0, 1.0), 135),
+        (lshape(), 135),
+        (Polygon(lshape().vertices[::-1] * [1.0, -1.0]), 45),  # y -> -y
+        (Polygon(np.array([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]], dtype=float)), 45),
+        (Polygon(np.array([[-0.5, -1.25], [1.5, -1.25], [1.5, 0.75], [-0.5, 0.75]])), 135),
+    ],
+    ids=["square", "lshape", "mirrored-lshape", "corner-lshape", "moved-square"],
+)
+def test_mirror_permutation_detects_diagonal_symmetry(domain, axis, level):
+    m = build_mesh(domain, level)
+    perm = mirror_permutation(m)
+    assert perm is not None
+    n = m.n_nodes
+    np.testing.assert_array_equal(np.sort(perm), np.arange(n))
+    np.testing.assert_array_equal(perm[perm], np.arange(n))  # a reflection is an involution
+    d = m.nodes - m.nodes.mean(axis=0)
+    np.testing.assert_allclose(d[perm], REFLECTIONS[axis](d), rtol=0.0, atol=1e-12)
+    assert triangle_set(perm[m.triangles]) == triangle_set(m.triangles)
+    assert np.array_equal(m.boundary_node[perm], m.boundary_node)
+
+
+@pytest.mark.parametrize("level", [2, 3, 4, 5])
+@pytest.mark.parametrize(
+    "domain",
+    [
+        Rectangle(1.0, 2.0),
+        Disk(1.0),
+        Polygon(np.array([[0.0, 0.0], [2.0, 0.0], [2.2, 2.1], [0.1, 1.9]])),
+    ],
+    ids=["rectangle", "disk", "quadrilateral"],
+)
+def test_mirror_permutation_none_without_diagonal_symmetry(domain, level):
+    assert mirror_permutation(build_mesh(domain, level)) is None
+
+
+def test_mirror_permutation_rejects_oblong_box_before_sorting(monkeypatch):
+    def unsorted(*args, **kwargs):
+        raise AssertionError("sorted the nodes of a mesh whose box is not square")
+
+    m = build_mesh(Rectangle(1.0, 2.0), 4)
+    for name in ("argsort", "lexsort", "sort"):
+        monkeypatch.setattr(np, name, unsorted)
+    assert mirror_permutation(m) is None
+
+
+def cut_grid(slashed: set) -> Mesh:
+    """The 2 x 2 grid of unit cells, each cut into two triangles along its
+    "/" diagonal if it is in ``slashed``, else along its "\\" diagonal."""
+    nodes = np.array([[i, j] for j in range(3) for i in range(3)], dtype=float)
+    tris = []
+    for i, j in [(0, 0), (1, 0), (0, 1), (1, 1)]:
+        a, b, c, d = i + 3 * j, i + 1 + 3 * j, i + 4 + 3 * j, i + 3 + 3 * j
+        tris += [(a, b, c), (a, c, d)] if (i, j) in slashed else [(a, b, d), (b, c, d)]
+    return Mesh.from_arrays(nodes, np.array(tris))
+
+
+def test_mirror_permutation_needs_mirrored_triangles():
+    # the nodes are symmetric about both diagonals; cut alike, the cells are
+    # too, but with the cells (0, 0) and (0, 1) cut the other way neither
+    # reflection maps the triangles onto triangles
+    assert mirror_permutation(cut_grid(set())) is not None
+    assert mirror_permutation(cut_grid({(0, 0), (0, 1)})) is None

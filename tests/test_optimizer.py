@@ -14,9 +14,12 @@ from anisolap import (
     SolverConvergenceError,
     alpha_of_theta,
     build_mesh,
+    energy,
     lambda_min,
     longest_chord,
     lshape,
+    make_Q_alpha,
+    pnorm_p,
     profile_value,
     random_member,
     run_verification,
@@ -29,11 +32,15 @@ from anisolap import (
     verify_rigidity,
 )
 from anisolap import optimizer, solver
+from anisolap.mesh import mirror_permutation
 from anisolap.optimizer import DEFAULT_THETA_TOL, X_ARC, Y_ARC
 from anisolap.solver import DEFAULT_TOL
 
 PI2_HALF = math.pi**2 / 2.0
 SQUARE = Rectangle(1.0, 1.0)
+# the tall rectangle has no diagonal mirror, so its searches solve every
+# angle: a fake profile asymmetric about pi/4 may stand in for its solves
+RECT_TALL = Rectangle(1.0, 2.0)
 # ``run_verification`` arguments of a small run on the square
 VERIFY_ARGS = {
     "a": 0.25,
@@ -70,6 +77,26 @@ def test_profile_value_affine_invariance(domain, theta, p):
     value = profile_value(mesh, theta, a, p).lam
     iso = solve_p(mapped, QuadForm.identity(), p).lam
     assert value == pytest.approx(a ** (0.5 * p) * iso, rel=1e-8)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("domain", [SQUARE, lshape()], ids=["square", "lshape"])
+def test_profile_is_symmetric_on_a_mirrored_mesh(domain, p):
+    # the reflection about the mesh's diagonal swaps alpha and gamma of a form
+    # and keeps beta, so it maps the form at theta to the one at pi/2 - theta:
+    # cold solves at the two angles agree, and the reflected eigenfunction
+    # has the same energy under the swapped form, and the same p-norm
+    a, theta = 0.25, 0.3
+    mesh = build_mesh(domain, 3)
+    perm = mirror_permutation(mesh)
+    res, twin = (profile_value(mesh, th, a, p) for th in (theta, 0.5 * math.pi - theta))
+    assert twin.lam == pytest.approx(res.lam, rel=2 * DEFAULT_TOL)
+    q = make_Q_alpha(a, alpha_of_theta(a, theta))
+    swapped = QuadForm(q.gamma, q.beta, q.alpha)
+    assert energy(mesh, swapped, p, res.u[perm]) == pytest.approx(
+        energy(mesh, q, p, res.u), rel=1e-13
+    )
+    assert pnorm_p(mesh, res.u[perm], p) == pytest.approx(pnorm_p(mesh, res.u, p), rel=1e-13)
 
 
 def test_lambda_min_square_invariants():
@@ -183,7 +210,7 @@ def refined(monkeypatch, c: float, theta_tol: float = 1e-4):
         return fake_solve(math.exp(s) - s)
 
     monkeypatch.setattr(optimizer, "profile_value", profile)
-    res = lambda_min(SQUARE, 0.25, 2.0, 9, level=2, theta_tol=theta_tol)
+    res = lambda_min(RECT_TALL, 0.25, 2.0, 9, level=2, theta_tol=theta_tol)
     assert len(res.tied_minima) == 1
     return res, len(calls) - 9
 
@@ -232,7 +259,7 @@ def test_lambda_min_residual_covers_refinement_solves(monkeypatch):
         return fake_solve(math.exp(s) - s, 0.0 if float(theta) in grid else 0.5)
 
     monkeypatch.setattr(optimizer, "profile_value", profile)
-    res = lambda_min(SQUARE, 0.25, 2.0, 9, level=2)
+    res = lambda_min(RECT_TALL, 0.25, 2.0, 9, level=2)
     assert res.residual >= 0.5 * res.lambda_min
     assert len(res.tied_minima) == 1
 
@@ -256,18 +283,70 @@ def test_lambda_min_rectangle_spends_one_refinement_solve(monkeypatch):
 def test_lambda_min_lshape_tied_minima_are_symmetric():
     # the L-shape is symmetric about the line y = -x, which maps the form at
     # theta to the form at pi/2 - theta: its two minimizers tie, on one
-    # level (3) and on two (4, with the profile at 3)
+    # level (3) and on two (4, with the profile at 3).  One is refined, and
+    # the other is its mirror image
     for level in (3, 4):
         res = lambda_min(lshape(), 0.25, 2.0, level=level)
-        assert res.multiple_minima
+        assert res.multiple_minima and res.mirrored
         (t1, v1), (t2, v2) = res.tied_minima
-        assert abs(t1 + t2 - 0.5 * math.pi) <= 2e-4
-        assert v1 == pytest.approx(v2, rel=1e-9)
+        assert t2 == 0.5 * math.pi - t1
+        assert v1 == v2
+
+
+def mirrored_search(monkeypatch, domain, c: float, grid_n: int = 9):
+    """``lambda_min`` on ``domain`` at level 2 with ``optimizer.profile_value``
+    replaced by exp(s) - s, s = 4 (|theta - pi/4| - (pi/4 - c)): symmetric
+    about pi/4, with minimum 1 at c and at pi/2 - c, and unimodal on either
+    side of pi/4.  The result and the angles of the profile calls."""
+    calls = []
+
+    def profile(mesh, theta, a, p, tol=None, start=None):
+        calls.append(float(theta))
+        s = 4.0 * (abs(theta - 0.25 * math.pi) - (0.25 * math.pi - c))
+        u = np.zeros(mesh.n_nodes)  # a mirror read reflects it
+        return EigenResult(math.exp(s) - s, u, 0, 0.0, 2.0, QuadForm.identity())
+
+    monkeypatch.setattr(optimizer, "profile_value", profile)
+    return lambda_min(domain, 0.25, 2.0, grid_n, level=2), calls
+
+
+def test_lambda_min_refines_one_of_each_mirror_pair(monkeypatch):
+    # the square is mirrored: its search solves the grid angles up to pi/4
+    # alone, refines the minimum at c = 0.3 and reports its mirror image,
+    # with the same value.  The tall rectangle is not: it refines both, and
+    # its refinement at c spends the calls that the square's does
+    square, calls = mirrored_search(monkeypatch, SQUARE, 0.3)
+    assert square.mirrored
+    assert all(t <= 0.25 * math.pi for t in calls)
+    (t1, v1), (t2, v2) = square.tied_minima
+    assert abs(t1 - 0.3) <= DEFAULT_THETA_TOL
+    assert (t2, v2) == (0.5 * math.pi - t1, v1)
+    rect, rect_calls = mirrored_search(monkeypatch, RECT_TALL, 0.3)
+    assert not rect.mirrored and len(rect.tied_minima) == 2
+    grid = np.linspace(0.0, 0.5 * math.pi, 9).tolist()
+    refinement = [t for t in rect_calls if t not in grid and t < 0.25 * math.pi]
+    assert calls == grid[:5] + refinement
+
+
+def test_lambda_min_minimum_at_quarter_turn_is_not_refined(monkeypatch):
+    # a unimodal profile symmetric about pi/4 has its minimizer there: the
+    # grid angle pi/4 is the answer, for no call beyond the grid's five
+    res, calls = mirrored_search(monkeypatch, SQUARE, 0.25 * math.pi)
+    assert len(calls) == 5
+    assert res.tied_minima == [(0.25 * math.pi, 1.0)]
+
+
+def test_lambda_min_bracket_across_quarter_turn_reports_one_minimum(monkeypatch):
+    # at grid_n = 10 the grid minima at indices 4 and 5 are mirror images
+    # whose brackets both hold pi/4: one is refined, and reported once
+    res, calls = mirrored_search(monkeypatch, SQUARE, 0.25 * math.pi, grid_n=10)
+    assert all(t <= 0.25 * math.pi for t in calls) and len(calls) > 5
+    assert len(res.tied_minima) == 1
+    assert abs(res.theta_star - 0.25 * math.pi) <= DEFAULT_THETA_TOL
+    assert res.lambda_min == pytest.approx(1.0, abs=1e-7)
 
 
 # ---------------------------------------------------------------- two-level search
-
-RECT_TALL = Rectangle(1.0, 2.0)
 
 
 @pytest.mark.parametrize(
@@ -275,15 +354,15 @@ RECT_TALL = Rectangle(1.0, 2.0)
     [
         (RECT_TALL, 2.0, 1.236674518143308, [0.0]),
         (SQUARE, 3.0, 3.559898173179352, [0.25 * math.pi]),
-        (lshape(), 2.0, 4.665185485401319, [0.20435522644520046, 1.3664411113627264]),
+        (lshape(), 2.0, 4.665185485401319, [0.20435522644520046, 1.3664411003496961]),
     ],
     ids=["rectangle-p2", "square-p3", "lshape-p2"],
 )
 def test_lambda_min_two_level_keeps_the_answer(domain, p, lam, argmins):
     # the answer of the warm-started search; a search that solves every angle
     # from nothing, and one sampling its grid on the level-5 mesh itself,
-    # agree within 2e-10.  The L-shape's mirror minima tie to rounding, so
-    # either may come first
+    # agree within 2e-10.  The L-shape's mirror minimum is pi/2 minus the
+    # refined one, with its value
     res = lambda_min(domain, 0.25, p, level=5)
     assert (res.mesh_level, res.profile_level) == (5, 4)
     assert res.lambda_min == pytest.approx(lam, rel=1e-12)
@@ -315,15 +394,17 @@ def test_lambda_min_two_level_solve_count(monkeypatch):
     "domain, p, level, grid_n, counts",
     [
         (RECT_TALL, 2.0, 5, 17, [17, 2]),
-        (SQUARE, 3.0, 3, 9, [11]),
-        (lshape(), 2.0, 4, 17, [18, 16]),
+        (SQUARE, 3.0, 3, 9, [5]),
+        (lshape(), 2.0, 4, 17, [10, 8]),
         (Disk(1.0), 3.0, 3, 9, [10]),
     ],
     ids=["rectangle-p2-L5", "square-p3-L3", "lshape-p2-L4", "disk-p3-L3"],
 )
 def test_lambda_min_solves_each_angle_once(monkeypatch, domain, p, level, grid_n, counts):
     # profile solves per mesh, the grid's first: on one level the bracket
-    # checks and the coarse value at theta_star reread the grid's solves
+    # checks and the coarse value at theta_star reread the grid's solves.  The
+    # square and the L-shape are mirrored: each solves its grid angles in
+    # [0, pi/4] alone, and the square's grid minimum at pi/4 is not refined
     calls = []
     real = optimizer.profile_value
 
@@ -344,7 +425,7 @@ def test_lambda_min_one_level_failure_in_refinement_keeps_the_grid(monkeypatch):
     # on one level the refinement's angles share the table with the grid;
     # the third of them fails, and the error carries the grid pairs alone
     grid = np.linspace(0.0, 0.5 * math.pi, 9).tolist()
-    best = solve_p(build_mesh(SQUARE, 2), QuadForm.identity(), 2.0)
+    best = solve_p(build_mesh(RECT_TALL, 2), QuadForm.identity(), 2.0)
     off_grid = []
 
     def curve(theta):
@@ -360,7 +441,7 @@ def test_lambda_min_one_level_failure_in_refinement_keeps_the_grid(monkeypatch):
 
     monkeypatch.setattr(optimizer, "profile_value", profile)
     with pytest.raises(SolverConvergenceError) as info:
-        lambda_min(SQUARE, 0.25, 2.0, 9, level=2)
+        lambda_min(RECT_TALL, 0.25, 2.0, 9, level=2)
     assert len(off_grid) == 3
     assert info.value.theta_profile == [(t, curve(t)) for t in grid]
 
@@ -368,14 +449,14 @@ def test_lambda_min_one_level_failure_in_refinement_keeps_the_grid(monkeypatch):
 def test_lambda_min_moves_bracket_to_lower_fine_neighbour(monkeypatch):
     # the coarse profile puts its minimum at 0.75, the fine one at 0.3: the
     # fine bracket check walks the grid minimum down to the fine bracket
-    fine_nodes = build_mesh(SQUARE, 4).n_nodes
+    fine_nodes = build_mesh(RECT_TALL, 4).n_nodes
 
     def profile(mesh, theta, a, p, tol=None, start=None):
         s = 4.0 * (theta - (0.3 if mesh.n_nodes == fine_nodes else 0.75))
         return fake_solve(math.exp(s) - s)
 
     monkeypatch.setattr(optimizer, "profile_value", profile)
-    res = lambda_min(SQUARE, 0.25, 2.0, 9, level=4)
+    res = lambda_min(RECT_TALL, 0.25, 2.0, 9, level=4)
     assert len(res.tied_minima) == 1
     assert abs(res.theta_star - 0.3) <= DEFAULT_THETA_TOL
     assert res.lambda_min == pytest.approx(1.0, abs=1e-7)
