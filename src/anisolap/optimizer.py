@@ -161,19 +161,26 @@ class OptimizeResult:
 
 
 class _Shared:
-    """The meshes, keyed by (domain, level), and the cold isotropic solves,
-    keyed by (mesh, p, tol), of one run.  Each is built or solved the first
-    time it is asked for.  A shared solve's eigenfunction is read-only,
-    because several suites start their solves from it."""
+    """The meshes, keyed by (domain, level), their ``mirror_permutation``,
+    keyed by mesh, and the cold isotropic solves, keyed by (mesh, p, tol),
+    of one run.  Each is built, tested or solved the first time it is asked
+    for.  A shared solve's eigenfunction is read-only, because several
+    suites start their solves from it."""
 
     def __init__(self) -> None:
         self.meshes: dict[tuple[DomainSpec, int], Mesh] = {}
+        self.mirrors: dict[Mesh, np.ndarray | None] = {}
         self.solves: dict[tuple[Mesh, float, float], EigenResult] = {}
 
     def mesh(self, d: DomainSpec, level: int) -> Mesh:
         if (d, level) not in self.meshes:
             self.meshes[d, level] = build_mesh(d, level)
         return self.meshes[d, level]
+
+    def mirror(self, mesh: Mesh) -> np.ndarray | None:
+        if mesh not in self.mirrors:
+            self.mirrors[mesh] = mirror_permutation(mesh)
+        return self.mirrors[mesh]
 
     def isotropic(self, mesh: Mesh, p: float, tol: float) -> EigenResult:
         if (mesh, p, tol) not in self.solves:
@@ -296,11 +303,11 @@ def lambda_min(
     ``theta_tol`` of a minimizer; the least gives ``theta_star`` and the
     recovered extremal form.
 
-    ``mirror_permutation`` is called once per level.  When every level is
-    mirrored, the search solves angles in [0, pi/4] only and reads the rest
-    from their mirror images, as the module docstring describes, and
-    ``mirrored`` is True; ``theta_profile`` still holds every grid angle,
-    and ``tied_minima`` both minima of a mirror pair.
+    ``mirror_permutation`` is called once per mesh of ``shared``.  When
+    every level is mirrored, the search solves angles in [0, pi/4] only and
+    reads the rest from their mirror images, as the module docstring
+    describes, and ``mirrored`` is True; ``theta_profile`` still holds every
+    grid angle, and ``tied_minima`` both minima of a mirror pair.
 
     ``lambda_min_coarse`` is the coarse value at ``theta_star``: a grid
     value, or one coarse solve off the grid.  ``error_estimate`` is its
@@ -319,7 +326,7 @@ def lambda_min(
     shared = shared or _Shared()
     profile_level = level - 1 if level - 1 >= MIN_COARSE_LEVEL else level
     meshes = {lv: shared.mesh(d, lv) for lv in (level, profile_level)}
-    perms = {lv: mirror_permutation(m) for lv, m in meshes.items()}
+    perms = {lv: shared.mirror(m) for lv, m in meshes.items()}
     mirrored = all(perm is not None for perm in perms.values())
     thetas = np.linspace(0.0, 0.5 * math.pi, grid_n).tolist()
     # the mirror angle pi/2 - theta, by index on the grid

@@ -24,12 +24,16 @@ q is then three axpys, K(q) = alpha K_xx + beta (K_xy + K_yx) + gamma K_yy,
 and the stiffness of any other triangle weights one assembly of element
 blocks onto the same pattern.
 
-One path for every p > 1, built on one direct sparse factorization of K.
-Inverse iteration on the generalized symmetric pencil (K, M) gives the p = 2
-ground state u0.  At p = 2 that is the answer.  For any other p it is the
-start of one projected descent on the unit p-norm sphere at p itself, which
-steps along a Sobolev gradient B^-1 g (Neuberger; for p-eigenvalues, Horak,
-EJDE 2011) in one of two metrics B:
+One path for every p > 1, built on one direct factorization of K: a
+Cholesky factorization of its band in the record's reverse Cuthill-McKee
+order of the interior nodes (Cuthill and McKee, 1969; George and Liu, 1981)
+by LAPACK's ``dpbtrf``, or, on a mesh whose band in that order is wider
+than BAND_CUTOFF, SuperLU's sparse LU (``_factor``).  Inverse iteration on
+the generalized symmetric pencil (K, M) gives the p = 2 ground state u0.  At
+p = 2 that is the answer.  For any other p it is the start of one projected
+descent on the unit p-norm sphere at p itself, which steps along a Sobolev
+gradient B^-1 g (Neuberger; for p-eigenvalues, Horak, EJDE 2011) in one of
+two metrics B:
 
 - p >= LAGGED_P_CUTOFF: B = K, the p = 2 stiffness.  Near p = 2 it is the
   right metric and costs no second factorization.
@@ -50,12 +54,16 @@ there).  K is still factored, so the stopping rules and the reported
 residual are those of a solve without a start; only the starting point
 moves.  Without a start a solve depends on its arguments alone.
 
+A factorization of K, or of K_w, costs three axpys on the pattern's data,
+one scatter of its lower triangle into a zeroed band and one ``dpbtrf``; a
+solve with it is one ``dpbtrs`` between a gather and a scatter by the order.
 A step of the inverse iteration costs one solve and one product with M.  A
 descent iteration costs one product with A^T and one solve per metric, and a
 line-search trial one product with A; the accepted trial's product gives the
 next gradient.  On the small meshes of the verify suites a product's time
 is mostly scipy's per-call overhead, so these counts, more than the
-arithmetic, set the time of an iteration.
+arithmetic, set the time of an iteration.  The dot products of the energy,
+the p-norm and the descent are summed by numpy, not by a threaded BLAS.
 
 Every result reports the dual-norm residual sqrt(g . K^-1 g) / (p lam) of the
 returned pair, g being the gradient of E(u) - lam N(u), always in the metric
@@ -75,6 +83,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import SuperLU, splu
 
 from .mesh import Mesh, interior_dof_map
@@ -87,6 +97,18 @@ GRAD_FLOOR = 1e-12
 # Below this p the descent's metric is the lagged-diffusivity stiffness K_w of
 # its start, not the p = 2 stiffness K (``_descent``).
 LAGGED_P_CUTOFF = 1.6
+
+# The widest band, in the reverse Cuthill-McKee order of a mesh's interior
+# nodes, whose stiffnesses are factored as a band (``_Operators.factor``);
+# wider ones go to SuperLU (``_factor``).  Measured in-process on a 2-vCPU
+# machine, band against SuperLU, medians for make_Q_alpha(0.25, 0.6): at
+# level 6 the L-shape (bandwidth 125) factors in 15 against 42 ms and solves
+# in 1.0 against 1.1 ms, the disk (127) in 23 against 126 ms and 1.5 against
+# 2.3 ms.  At level 7 the L-shape (253) factors in 152 against 330 ms but
+# solves in 10 against 7 ms, and its band takes twice the memory of
+# SuperLU's L + U (66 against 31 MB).  The band grows as n^1.5 and would
+# take gigabytes at level 9.
+BAND_CUTOFF = 192
 
 # Floor of the lagged diffusivity's Q(grad u0|_T), relative to its mean over
 # the triangles: it keeps K_w's weights finite where the start is flat.
@@ -188,7 +210,12 @@ class _Operators:
     three pieces of the stiffness K(q) are data on it, built once: K(q) is
     three axpys, and the stiffness of other triangle weights (the lagged
     diffusivity's K_w) three ``np.bincount`` of element blocks and three
-    axpys.  ``_operators`` builds one per mesh."""
+    axpys.  ``order`` is the reverse Cuthill-McKee order of the interior
+    nodes, and ``bandwidth`` the pattern's in it.  Up to BAND_CUTOFF,
+    ``band_slot`` maps each entry of ``band_entries``, the pattern's lower
+    triangle in that order, to its place in LAPACK's lower band storage,
+    in Fortran order (``factor``); above it, both are None.  ``_operators``
+    builds one per mesh."""
 
     a: sp.csr_matrix        # (5 n_tri, n_int), rows as ``_maps`` says
     a_t: sp.csc_matrix
@@ -200,11 +227,29 @@ class _Operators:
     indptr: np.ndarray
     pieces: np.ndarray = field(init=False)   # (3, nnz) data of K_xx, K_xy + K_yx and K_yy
     mass: sp.csc_matrix = field(init=False)  # M, which is |T|/12 (1 + delta_ij) per triangle
+    order: np.ndarray = field(init=False)    # (n_int,) interior node of each band row
+    bandwidth: int = field(init=False)
+    band_entries: np.ndarray | None = field(init=False)  # data index of each lower entry
+    band_slot: np.ndarray | None = field(init=False)     # its index in the raveled band
 
     def __post_init__(self) -> None:
         self.pieces = self._pieces(self.area)
         mass = np.where(_BLOCK_ROWS == _BLOCK_COLS, 2.0, 1.0)[:, None] * (self.area / 12.0)
         self.mass = self._matrix(self._assemble(mass))
+        n = len(self.indptr) - 1
+        pattern = sp.csc_matrix((np.ones(len(self.indices)), self.indices, self.indptr), (n, n))
+        self.order = reverse_cuthill_mckee(pattern, symmetric_mode=True)
+        rank = np.empty(n, dtype=np.int64)
+        rank[self.order] = np.arange(n)
+        rows = rank[self.indices]
+        cols = np.repeat(rank, np.diff(self.indptr))
+        self.bandwidth = int(np.max(rows - cols, initial=0))
+        self.band_entries = self.band_slot = None
+        if self.bandwidth <= BAND_CUTOFF:
+            self.band_entries = np.flatnonzero(rows >= cols)
+            # entry (i, j), i >= j, is at row i - j and column j of the band
+            rows, cols = rows[self.band_entries], cols[self.band_entries]
+            self.band_slot = rows - cols + (self.bandwidth + 1) * cols
 
     def _pieces(self, b: np.ndarray) -> np.ndarray:
         """(3, nnz) data of the pieces K_xx, K_xy + K_yx and K_yy of the
@@ -239,15 +284,51 @@ class _Operators:
         k.eliminate_zeros()
         return k
 
-    def stiffness(self, m2: np.ndarray, b: np.ndarray | None = None) -> sp.csc_matrix:
-        """K = G^T (m2 (x) diag b) G of the symmetric 2x2 matrix ``m2`` and
-        the triangle weights ``b``.  For b = |T|, the default, that is the
-        form's p = 2 stiffness."""
+    def _stiffness_data(self, m2: np.ndarray, b: np.ndarray | None) -> np.ndarray:
         pieces = self.pieces if b is None else self._pieces(b)
         data = m2[0, 0] * pieces[0]
         data += m2[0, 1] * pieces[1]
         data += m2[1, 1] * pieces[2]
-        return self._matrix(data)
+        return data
+
+    def stiffness(self, m2: np.ndarray, b: np.ndarray | None = None) -> sp.csc_matrix:
+        """K = G^T (m2 (x) diag b) G of the symmetric 2x2 matrix ``m2`` and
+        the triangle weights ``b``.  For b = |T|, the default, that is the
+        form's p = 2 stiffness."""
+        return self._matrix(self._stiffness_data(m2, b))
+
+    def factor(self, m2: np.ndarray, b: np.ndarray | None = None) -> _BandCholesky | SuperLU:
+        """A factorization of ``stiffness(m2, b)``, with a ``solve`` method:
+        the banded Cholesky factor of its lower band in ``order`` up to
+        BAND_CUTOFF, else its SuperLU (``_factor``).  The band is scattered
+        into a zeroed buffer and factored in place."""
+        data = self._stiffness_data(m2, b)
+        if self.band_slot is None:
+            return _factor(self._matrix(data))
+        band = np.zeros((self.bandwidth + 1) * len(self.order))
+        band[self.band_slot] = data[self.band_entries]
+        return _BandCholesky(band.reshape(self.bandwidth + 1, -1, order="F"), self.order)
+
+
+class _BandCholesky:
+    """The Cholesky factor of a symmetric positive definite matrix whose rows
+    and columns are taken in the order ``order``, computed by LAPACK's
+    ``dpbtrf`` in place from its lower band ``band`` (bandwidth + 1 rows, in
+    Fortran order); ``solve`` gathers the right-hand side into that order,
+    runs ``dpbtrs`` and scatters the solution back.  Raises
+    ``np.linalg.LinAlgError`` if the matrix is not positive definite."""
+
+    def __init__(self, band: np.ndarray, order: np.ndarray) -> None:
+        self.band, info = dpbtrf(band, lower=1, overwrite_ab=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"band Cholesky failed: dpbtrf info {info}")
+        self.order = order
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        x, _ = dpbtrs(self.band, b[self.order], lower=1, overwrite_b=1)
+        out = np.empty_like(x)
+        out[self.order] = x
+        return out
 
 
 # Mesh -> its _Operators.  A Mesh is immutable and hashes by identity, so a
@@ -295,11 +376,19 @@ def _on_all_nodes(m: Mesh, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values[: 2 * m.n_triangles], values[2 * m.n_triangles :]
 
 
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """x . y, summed by numpy's own loop.  A BLAS ddot splits sums of more
+    than 10,000 entries across threads, and waking a second thread costs
+    more than the sum itself on these meshes, and most after the machine
+    sat idle."""
+    return float(np.einsum("i,i->", x, y))
+
+
 def _energy(area: np.ndarray, m2: np.ndarray, p: float, gu: np.ndarray) -> float:
     """sum_T |T| Q(grad u)^(p/2) from the stacked triangle gradients ``gu``."""
     g = gu.reshape(2, -1)
     q = np.maximum((g * (m2 @ g)).sum(axis=0), 0.0)
-    return float(area @ q ** (0.5 * p))
+    return _dot(area, q ** (0.5 * p))
 
 
 def energy(m: Mesh, q: QuadForm, p: float, u: np.ndarray) -> float:
@@ -314,8 +403,8 @@ def pnorm_p(m: Mesh | _Operators, u: np.ndarray, p: float) -> float:
     solve, ``m`` is the solve's operators and ``u`` the edge-midpoint values
     ``Mid`` already gave (one call per trial point of the line search)."""
     if isinstance(m, Mesh):
-        return float(np.tile(m.tri_area / 3.0, 3) @ np.abs(_on_all_nodes(m, u)[1]) ** p)
-    return float(m.weight @ np.abs(u) ** p)
+        return _dot(np.tile(m.tri_area / 3.0, 3), np.abs(_on_all_nodes(m, u)[1]) ** p)
+    return _dot(m.weight, np.abs(u) ** p)
 
 
 def _point(
@@ -351,7 +440,7 @@ def _gradient(
 
 
 def _inverse_iteration(
-    mass: sp.csc_matrix, lu: SuperLU, tol: float, u: np.ndarray | None = None
+    mass: sp.csc_matrix, lu: _BandCholesky | SuperLU, tol: float, u: np.ndarray | None = None
 ) -> tuple[np.ndarray, int, bool]:
     """Smallest eigenpair of K u = lam M u by inverse iteration with the
     factorization ``lu`` of K, started from ``u`` (the ones vector if None),
@@ -383,9 +472,12 @@ def _inverse_iteration(
 
 
 def _factor(a: sp.csc_matrix) -> SuperLU:
-    """Sparse LU of a stiffness matrix.  It is symmetric positive definite: a
-    symmetric ordering and diagonal pivots give less fill than the default
-    column ordering."""
+    """Sparse LU of a stiffness matrix, the factorization of a mesh whose
+    band in reverse Cuthill-McKee order is wider than BAND_CUTOFF; narrower
+    ones are factored as a band (``_Operators.factor``), which on the meshes
+    up to level 6 is several times faster.  It is symmetric positive
+    definite: a symmetric ordering and diagonal pivots give less fill than
+    the default column ordering."""
     return splu(
         a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
     )
@@ -402,7 +494,12 @@ def _lagged_weights(ops: _Operators, m2: np.ndarray, p: float, gu: np.ndarray) -
 
 
 def _descent(
-    ops: _Operators, m2: np.ndarray, p: float, u0: np.ndarray, bound: float, lu: SuperLU
+    ops: _Operators,
+    m2: np.ndarray,
+    p: float,
+    u0: np.ndarray,
+    bound: float,
+    lu: _BandCholesky | SuperLU,
 ) -> tuple[np.ndarray, float, float, int]:
     """Projected Sobolev-gradient descent on the unit p-norm sphere.
 
@@ -442,7 +539,7 @@ def _descent(
     u, gu, y, lam = _point(ops, m2, p, u0 if u0.sum() >= 0.0 else -u0)
     if p < LAGGED_P_CUTOFF:
         b = _lagged_weights(ops, m2, p, gu)
-        metric_lu = _factor(ops.stiffness(m2, b))
+        metric_lu = ops.factor(m2, b)
     else:
         b, metric_lu = ops.area, lu
     u_prev: np.ndarray | None = None
@@ -454,16 +551,16 @@ def _descent(
         it += 1
         g = _gradient(ops, m2, p, gu, y, lam)
         d = lu.solve(g)
-        gd = max(float(g @ d), 0.0)
+        gd = max(_dot(g, d), 0.0)
         residual = math.sqrt(gd) / (p * lam)
         if residual <= bound or it == MAX_ITER:
             return u, lam, residual, it
         if metric_lu is not lu:
             d = metric_lu.solve(g)
-            gd = max(float(g @ d), 0.0)
+            gd = max(_dot(g, d), 0.0)
         if u_prev is not None:
             s = u - u_prev
-            sy = float(s @ (g - g_prev))
+            sy = _dot(s, g - g_prev)
             # s.Bs is the p = 2 energy of s with the metric's triangle weights
             t0 = _energy(b, m2, 2.0, gu - gu_prev) / sy if sy > 0.0 else 2.0 * t
         else:
@@ -526,7 +623,7 @@ def solve_p(
             raise ValueError("start vanishes on the interior nodes")
     m2 = q.matrix()
     ops = _operators(m)
-    lu = _factor(ops.stiffness(m2))
+    lu = ops.factor(m2)
     if p == 2.0:
         u, iterations, converged = _inverse_iteration(ops.mass, lu, tol, start)
         failure = f"inverse iteration did not reach tol {tol} in {MAX_ITER} iterations"

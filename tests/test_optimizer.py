@@ -717,6 +717,25 @@ def test_run_verification_meshes_and_solves_isotropic_once(monkeypatch, level, p
         assert res.u.tobytes() == solve_p(m, QuadForm.identity(), p, 1e-9).u.tobytes()
 
 
+def test_run_verification_tests_each_mesh_for_a_mirror_once(monkeypatch):
+    # every search of a run reads a mesh's mirror permutation from the run's
+    # table; a standalone search tests each of its two meshes itself
+    tested = []
+
+    def testing(m):
+        tested.append(m)
+        return mirror_permutation(m)
+
+    monkeypatch.setattr(optimizer, "mirror_permutation", testing)
+    run_verification(SQUARE, 1e-9, **{**VERIFY_ARGS, "level": 4, "p_list": [2.0, 3.0]})
+    # the square's, the disk's and the tall rectangle's meshes at levels 3 and 4
+    assert len(tested) == len({id(m) for m in tested}) == 6
+    tested.clear()
+    for p in (2.0, 3.0):
+        lambda_min(SQUARE, 0.25, p, grid_n=9, level=4)
+    assert len(tested) == 4 and len({id(m) for m in tested}) == 4
+
+
 def test_verify_disk_entries():
     entries = verify_disk(0.25, 2.0, 1e-9, level=3, grid_n=9)
     assert all(e["passed"] for e in entries)

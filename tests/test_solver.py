@@ -33,6 +33,7 @@ from anisolap import solver
 from anisolap.solver import (
     _RECORDS,
     DEFAULT_TOL,
+    _BandCholesky,
     LAGGED_Q_FLOOR,
     RESIDUAL_SAFETY,
     _energy,
@@ -427,15 +428,82 @@ def test_metric_curvature_from_triangle_gradients(p):
 
 
 def test_identity_form_factors_without_the_patterns_zeros():
-    # on the L5 L-shape, whose right angles give the identity form's K exact
-    # zeros, the LU of K has the fill of the matrix less its zeros, not that
-    # of the whole pattern
+    # this pins the SuperLU path (``_factor``), which factors the meshes whose
+    # band is wider than BAND_CUTOFF: on the L5 L-shape, whose right angles
+    # give the identity form's K exact zeros, the LU of K has the fill of the
+    # matrix less its zeros, not that of the whole pattern
     ops = _operators(build_mesh(lshape(), 5))
     k = ops.stiffness(np.eye(2))
     full = sp.csc_matrix((ops.pieces[0] + ops.pieces[2], ops.indices, ops.indptr), shape=k.shape)
     assert k.nnz < full.nnz
     fills = [lu.L.nnz + lu.U.nnz for lu in (_factor(k), _factor(full))]
     assert fills == [46298, 61528]
+
+
+@pytest.mark.parametrize("level", [3, 4, 5])
+@pytest.mark.parametrize(
+    "domain", [Rectangle(1.0, 1.0), Disk(1.0), lshape()], ids=["square", "disk", "lshape"]
+)
+def test_band_solves_match_superlu(domain, level):
+    # the banded Cholesky factor of K and of the lagged K_w, for the identity
+    # and for forms with beta > 0 and beta < 0, solves as SuperLU's LU of the
+    # same matrix does
+    m = build_mesh(domain, level)
+    ops = _operators(m)
+    assert ops.band_slot is not None
+    rng = np.random.default_rng(level)
+    gu = triangle_gradients(m, rng.normal(size=ops.a.shape[1]))
+    for m2 in (np.eye(2), make_Q_alpha(0.25, 0.6).matrix(), np.array([[0.9, -0.4], [-0.4, 0.5]])):
+        for b in (None, _lagged_weights(ops, m2, 1.5, gu)):
+            band, lu = ops.factor(m2, b), _factor(ops.stiffness(m2, b))
+            assert isinstance(band, _BandCholesky)
+            for _ in range(2):
+                r = rng.normal(size=ops.a.shape[1])
+                ref = lu.solve(r)
+                assert np.linalg.norm(band.solve(r) - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize(
+    "domain, natural, ordered", [(Disk(1.0), 2261, 63), (lshape(), 1493, 62)], ids=["disk", "lshape"]
+)
+def test_band_order_narrows_the_level5_band(domain, natural, ordered):
+    # the reverse Cuthill-McKee order of the interior nodes takes the band of
+    # the L5 stiffness pattern from its width in node order to a few dozen
+    ops = _operators(build_mesh(domain, 5))
+    cols = np.repeat(np.arange(len(ops.indptr) - 1), np.diff(ops.indptr))
+    assert np.max(np.abs(ops.indices - cols)) == natural
+    assert ops.bandwidth == ordered <= solver.BAND_CUTOFF
+    assert np.array_equal(np.sort(ops.order), np.arange(len(ops.order)))
+
+
+def test_superlu_fallback_is_the_old_path(monkeypatch):
+    # with no mesh admitted to the band, the solve is the one before the band
+    # existed, bit for bit.  That one summed its dot products by BLAS, so
+    # ``_dot`` is swapped back to BLAS here: numpy's loop sums in another
+    # order, which moves this residual by 8e-12 relative and nothing else
+    monkeypatch.setattr(solver, "BAND_CUTOFF", 0)
+    m = build_mesh(Rectangle(1.0, 1.0), 3)
+    assert _operators(m).band_slot is None
+    res = solve_p(m, make_Q_alpha(0.25, 0.6), 3.0)
+    assert (res.lam, res.iterations) == (4.303018529289994, 26)
+    assert res.residual == pytest.approx(6.339493145239382e-07, rel=1e-10)
+    monkeypatch.setattr(solver, "_dot", lambda x, y: float(x @ y))
+    res = solve_p(m, make_Q_alpha(0.25, 0.6), 3.0)
+    assert (res.lam, res.residual, res.iterations) == (4.303018529289994, 6.339493145239382e-07, 26)
+
+
+@pytest.mark.parametrize("n", [7, 384, 10001])
+def test_dot_matches_blas(n):
+    # the energy's, the p-norm's and the descent's sums, in numpy's order
+    rng = np.random.default_rng(n)
+    x, y = rng.normal(size=n), rng.normal(size=n)
+    assert solver._dot(x, y) == pytest.approx(x @ y, rel=1e-13, abs=1e-13 * np.abs(x) @ np.abs(y))
+
+
+def test_band_factor_rejects_a_matrix_that_is_not_positive_definite():
+    ops = _operators(build_mesh(Rectangle(1.0, 1.0), 3))
+    with pytest.raises(np.linalg.LinAlgError):
+        ops.factor(-np.eye(2))
 
 
 @pytest.mark.parametrize("interior", [True, False], ids=["interior", "all-nodes"])
