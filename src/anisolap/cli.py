@@ -29,7 +29,7 @@ overrides flag values.  Its keys:
   out                  output path, without or with its suffix
   seed                 seed of the verify samples
   n_boundary           validated (at least 16) and changes no mesh
-  form                 the eigen form {"alpha", "beta", "gamma"}
+  form                 any positive definite eigen form {"alpha", "beta", "gamma"}
   thetas, a_values     sweep grids, no repeats
   p_values             exponent list of sweep and verify (else [p]), no repeats
   n_samples, n_pairs,  read by verify only: rigidity samples and pairs, the
@@ -76,7 +76,7 @@ class _Key(NamedTuple):
 # A key whose default is None may be None.  An exponent above 20 can overflow
 # Q^(p/2) in a descent's energy (the L-shape at p = 30 and 50; p = 20 ran clean
 # on the square, the disk and the L-shape at levels 2 to 7), and below a
-# coercivity level of 1e-15 make_Q_alpha's rounded alpha gamma - beta^2 = a
+# coercivity level of 1e-15 extremal_form's rounded alpha gamma - beta^2 = a
 # leaves some angles with no positive definite form.
 _P_RANGE = (lambda p: 1.0 < p <= 20.0, "exceed 1 and be at most 20")
 _A_RANGE = (lambda a: 1e-12 <= a <= 1.0, "lie in (0, 1] and be at least 1e-12")

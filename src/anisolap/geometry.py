@@ -29,6 +29,7 @@ class Disk:
         center = tuple(map(float, self.center))
         if len(center) != 2 or not all(map(math.isfinite, center)):
             raise ValueError(f"disk center must be two finite numbers, got {self.center}")
+        _check_extent(max(map(abs, center)) + self.radius, "disk radius plus |center|")
         object.__setattr__(self, "center", center)
 
 
@@ -40,6 +41,8 @@ class Rectangle:
     def __post_init__(self) -> None:
         if not (0.0 < self.halfwidth < math.inf and 0.0 < self.halfheight < math.inf):
             raise ValueError("rectangle half-extents must be positive and finite")
+        _check_extent(self.halfwidth, "rectangle halfwidth hw")
+        _check_extent(self.halfheight, "rectangle halfheight hh")
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,6 +60,7 @@ class Polygon:
             raise ValueError("polygon needs an (n, 2) vertex array with n >= 3")
         if not np.all(np.isfinite(v)):
             raise ValueError("polygon vertices must be finite")
+        _check_extent(float(np.max(np.abs(v))), "polygon vertex coordinate")
         if _signed_area(v) <= 0.0:
             raise ValueError("polygon must be counterclockwise with positive area")
         if not _is_simple(v):
@@ -66,6 +70,13 @@ class Polygon:
 
 
 DomainSpec = Union[Disk, Rectangle, Polygon]
+
+
+def _check_extent(x: float, name: str) -> None:
+    """Reject a largest coordinate ``x`` whose square overflows: the mesh's
+    degeneracy tolerances scale with that square."""
+    if not math.isfinite(x * x):
+        raise ValueError(f"{name} {x} is too large: its square must be a finite float")
 
 
 def _signed_area(v: np.ndarray) -> float:

@@ -4,11 +4,18 @@ The largest frequency needs no search (the isotropic form is the unique
 maximizer); the smallest reduces to a one-parameter search over rotation
 angles theta in [0, pi/2].  With R the counterclockwise rotation by theta,
 the profile value at theta is the frequency of the form
-R^T diag(a, 1) R = make_Q_alpha(a, alpha_of_theta(a, theta)) on one mesh of
-the unmoved domain.  The change of variables x -> diag(1, sqrt(a)) R x makes
+R^T diag(a, 1) R = extremal_form(a, theta) on one mesh of the unmoved
+domain.  The change of variables x -> diag(1, sqrt(a)) R x makes
 it a^(p/2) times the isotropic frequency of the rotated, sheared domain, and
 the identity is exact for P1 elements on the mapped mesh, so a search meshes
 its domain once per level rather than once per angle.
+
+The angles in [0, pi/2] give the extremal forms with beta >= 0 only.  The
+forms at theta in (-pi/2, 0) have beta < 0 and are the conjugates of those at
+-theta by the reflection y -> -y, which moves the domain too.  So the search
+covers the whole class exactly on a domain that the reflection maps onto a
+translate of itself, such as a disk or a rectangle; on another polygon a
+minimum over the class can have beta < 0 (ROADMAP item 14).
 
 ``lambda_min`` searches on two nested levels.  It samples the profile on a
 uniform grid of angles on the coarse mesh, one level below the requested
@@ -100,8 +107,7 @@ from .geometry import Disk, DomainSpec, Rectangle, longest_chord
 from .mesh import Mesh, build_mesh, mirror_permutation
 from .quadform import (
     QuadForm,
-    alpha_of_theta,
-    make_Q_alpha,
+    extremal_form,
     quant_lower_constant,
     quant_upper_bound,
     random_member,
@@ -198,11 +204,9 @@ def profile_value(
     tol: float = DEFAULT_TOL,
     start: np.ndarray | None = None,
 ) -> EigenResult:
-    """The solve on ``mesh`` of the extremal form at angle ``theta``,
-    ``make_Q_alpha(a, alpha_of_theta(a, theta))``, which at a = 1 is the
-    isotropic form, from ``solve_p``'s ``start``."""
-    q = QuadForm.identity() if a == 1.0 else make_Q_alpha(a, alpha_of_theta(a, theta))
-    return solve_p(mesh, q, p, tol, start=start)
+    """The solve on ``mesh`` of ``extremal_form(a, theta)``, which at a = 1
+    is the isotropic form, from ``solve_p``'s ``start``."""
+    return solve_p(mesh, extremal_form(a, theta), p, tol, start=start)
 
 
 def _refine_min(f, thetas: list[float], i: int, tol: float) -> tuple[float, float]:
@@ -405,13 +409,12 @@ def lambda_min(
         exc.mirrored = mirrored
         raise
 
-    alpha_star = alpha_of_theta(a, theta_star)
-    extremizer = make_Q_alpha(a, alpha_star)
+    extremizer = extremal_form(a, theta_star)
     return OptimizeResult(
         lambda_min=lam_min,
         lambda_max=iso.lam,
         theta_star=theta_star,
-        alpha_star=alpha_star,
+        alpha_star=extremizer.alpha,
         extremizer=extremizer,
         theta_profile=[(th, solved[profile_level, th][0]) for th in thetas],
         tied_minima=tied,
@@ -496,7 +499,7 @@ def verify_rigidity(
     for _ in range(n_pairs):
         q2 = random_member(a, rng)
         if rng.random() < 0.5:
-            q1 = make_Q_alpha(a, alpha_of_theta(a, spectral(q2).theta))  # dominated extremal part
+            q1 = extremal_form(a, spectral(q2).theta)  # dominated extremal part
         else:
             w = rng.random()
             q1 = q2

@@ -1,17 +1,13 @@
 """Planar positive quadratic forms and the extremal family at a coercivity level.
 
 A form Q(x, y) = alpha*x**2 + 2*beta*x*y + gamma*y**2 is positive definite
-when alpha, gamma > 0 and beta**2 < alpha*gamma.  Only beta >= 0 is admitted.
-A form with a negative cross term is the conjugate of an admitted one by the
-reflection y -> -y, but that reflection moves the domain too.  So the
-restriction is exact on a domain that the reflection maps onto a translate
-of itself, such as a disk or a rectangle; on another polygon a minimum over
-all forms of a level can have beta < 0.  The extremal family at level ``a`` is
-Q_alpha = R_theta^T diag(a, 1) R_theta, the forms with eigenvalues (a, 1),
-indexed by the leading coefficient alpha = ``alpha_of_theta(a, theta)``.
-``spectral`` gives the eigenvalues and diagonalizing angle of any form, and
-``random_member`` draws forms with largest eigenvalue 1 and smallest at
-least ``a``.
+when alpha, gamma > 0 and beta**2 < alpha*gamma; every such form is admitted,
+whatever the sign of beta.  The extremal family at level ``a`` is
+Q_theta = R_theta^T diag(a, 1) R_theta, the forms with eigenvalues (a, 1),
+built by ``extremal_form(a, theta)`` for theta in [0, pi/2], the angles that
+give beta >= 0.  ``spectral`` gives the eigenvalues and diagonalizing angle
+of any form, and ``random_member`` draws forms with largest eigenvalue 1 and
+smallest at least ``a``.
 
 Everything here is exact closed-form algebra.
 """
@@ -28,10 +24,6 @@ from .geometry import read_number
 # Upper end of the levels ``random_member`` draws: it keeps the samples away
 # from the ill-conditioned identity endpoint.
 _B_MAX = 0.995
-
-
-class NegativeBetaError(ValueError):
-    """Cross coefficient is negative; conjugate by the reflection y -> -y first."""
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -54,10 +46,6 @@ class QuadForm:
         a, b, g = float(self.alpha), float(self.beta), float(self.gamma)
         if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(g)):
             raise NotPositiveDefiniteError("coefficients must be finite")
-        if b < 0.0:
-            raise NegativeBetaError(
-                "beta must be nonnegative; conjugate by the reflection y -> -y"
-            )
         if a <= 0.0 or g <= 0.0 or b * b >= a * g:
             raise NotPositiveDefiniteError(
                 f"({a}, {b}, {g}) is not positive definite: need alpha, gamma > 0 "
@@ -92,9 +80,10 @@ class QuadForm:
 class SpectralData:
     """Eigenvalues of a form and the rotation angle that diagonalizes it.
 
-    ``theta`` is the angle in [0, pi/2] for which composing the form with the
-    rotation R_theta = [[c, s], [-s, c]] yields diag(mu_min, mu_max).
-    Isotropic forms get the deterministic tie-break theta = 0.
+    ``theta`` is the angle in (-pi/2, pi/2] for which composing the form with
+    the rotation R_theta = [[c, s], [-s, c]] yields diag(mu_min, mu_max).  It
+    is negative exactly when beta is.  Isotropic forms get the deterministic
+    tie-break theta = 0.
     """
 
     mu_min: float
@@ -106,38 +95,34 @@ def spectral(q: QuadForm) -> SpectralData:
     """Eigenvalues and diagonalizing angle of the form's symmetric matrix."""
     mid = 0.5 * (q.alpha + q.gamma)
     r = math.hypot(0.5 * (q.alpha - q.gamma), q.beta)
-    # atan2(0, 0) = 0 gives the theta = 0 tie-break for isotropic forms.
-    theta = 0.5 * math.atan2(2.0 * q.beta, q.gamma - q.alpha)
+    # atan2(0, 0) = 0 gives the theta = 0 tie-break for isotropic forms;
+    # adding 0.0 turns a beta of -0.0 into 0.0, so theta = -pi/2 never occurs.
+    theta = 0.5 * math.atan2(2.0 * q.beta + 0.0, q.gamma - q.alpha)
     return SpectralData(mid - r, mid + r, theta)
 
 
-def _check_level_open(a: float) -> None:
-    if not 0.0 < a < 1.0:
-        raise ValueError(f"coercivity level a must lie in (0, 1), got {a}")
-
-
-def make_Q_alpha(a: float, alpha: float) -> QuadForm:
-    """The extremal family member with leading coefficient ``alpha``.
-
-    Coefficients are beta(alpha) = sqrt((1 - alpha)(alpha - a)) and
-    gamma(alpha) = 1 + a - alpha; the result has eigenvalues (a, 1) for every
-    alpha in [a, 1].
-    """
-    _check_level_open(a)
-    if alpha < a - 1e-15 or alpha > 1.0 + 1e-15:
-        raise ValueError(f"alpha must lie in [{a}, 1], got {alpha}")
+def _member(a: float, alpha: float) -> QuadForm:
+    """The level-``a`` extremal form with leading coefficient ``alpha`` in
+    [a, 1] (clamped there): beta = sqrt((1 - alpha)(alpha - a)) >= 0 and
+    gamma = 1 + a - alpha."""
     alpha = min(max(alpha, a), 1.0)
     beta = math.sqrt(max((1.0 - alpha) * (alpha - a), 0.0))
     return QuadForm(alpha, beta, 1.0 + a - alpha)
 
 
-def alpha_of_theta(a: float, theta: float) -> float:
-    """Extremal index swept by the rotation angle: ``1 - (1 - a) cos^2(theta)``."""
-    _check_level_open(a)
+def extremal_form(a: float, theta: float) -> QuadForm:
+    """R_theta^T diag(a, 1) R_theta, R_theta the counterclockwise rotation by
+    ``theta`` in [0, pi/2], at a level ``a`` in (0, 1].
+
+    Its leading coefficient is alpha = 1 - (1 - a) cos^2(theta).  At a < 1 its
+    diagonalizing angle (``spectral``) is theta; at a = 1 it is the identity.
+    """
+    if not 0.0 < a <= 1.0:
+        raise ValueError(f"coercivity level a must lie in (0, 1], got {a}")
     if theta < -1e-12 or theta > 0.5 * math.pi + 1e-12:
         raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
     c = math.cos(min(max(theta, 0.0), 0.5 * math.pi))
-    return 1.0 - (1.0 - a) * c * c
+    return _member(a, 1.0 - (1.0 - a) * c * c)
 
 
 def quant_upper_bound(a: float, b: float, p: float) -> float:
@@ -183,7 +168,7 @@ def random_member(a: float, rng: np.random.Generator) -> QuadForm:
     Samples a level b in [a, max(a, _B_MAX)) and a uniform extremal index at
     that level; for a >= _B_MAX the level is a itself.
     """
-    _check_level_open(a)
+    if not 0.0 < a < 1.0:
+        raise ValueError(f"coercivity level a must lie in (0, 1), got {a}")
     b = a + max(_B_MAX - a, 0.0) * rng.random()
-    alpha_bar = b + (1.0 - b) * rng.random()
-    return make_Q_alpha(b, alpha_bar)
+    return _member(b, b + (1.0 - b) * rng.random())

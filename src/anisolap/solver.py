@@ -101,9 +101,10 @@ LAGGED_P_CUTOFF = 1.6
 # The widest band, in the reverse Cuthill-McKee order of a mesh's interior
 # nodes, whose stiffnesses are factored as a band (``_Operators.factor``);
 # wider ones go to SuperLU (``_factor``).  Measured in-process on a 2-vCPU
-# machine, band against SuperLU, medians for make_Q_alpha(0.25, 0.6): at
-# level 6 the L-shape (bandwidth 125) factors in 15 against 42 ms and solves
-# in 1.0 against 1.1 ms, the disk (127) in 23 against 126 ms and 1.5 against
+# machine, band against SuperLU, medians for the level-0.25 extremal form
+# with alpha = 0.6 (``extremal_form`` at theta = 0.752): at level 6 the
+# L-shape (bandwidth 125) factors in 15 against 42 ms and solves in 1.0
+# against 1.1 ms, the disk (127) in 23 against 126 ms and 1.5 against
 # 2.3 ms.  At level 7 the L-shape (253) factors in 152 against 330 ms but
 # solves in 10 against 7 ms, and its band takes twice the memory of
 # SuperLU's L + U (66 against 31 MB).  The band grows as n^1.5 and would
@@ -117,12 +118,12 @@ LAGGED_Q_FLOOR = 1e-3
 # Safety factor of the descent's stopping bound.  Near the ground state the
 # relative eigenvalue error is about C residual^2; C measured between 1 and
 # 120 on the square, the L-shape and the disk at level 4, p = 1.5 and 3, with
-# the identity form and make_Q_alpha(0.25, 0.6).  Stopping at residual <=
+# the identity form and that extremal form.  Stopping at residual <=
 # sqrt(tol / RESIDUAL_SAFETY) keeps that error below tol for any C up to
 # RESIDUAL_SAFETY; the bound is 1e-6 at DEFAULT_TOL.  At p = 4 C reaches
-# about 3,000 (the level-5 L-shape with make_Q_alpha(0.25, alpha_of_theta(
-# 0.25, 0.4)) stops 3.0e-9 from its tol-1e-13 value), so there the bound does
-# not hold and the error can exceed tol.
+# about 3,000 (the level-5 L-shape with extremal_form(0.25, 0.4) stops
+# 3.0e-9 from its tol-1e-13 value), so there the bound does not hold and the
+# error can exceed tol.
 RESIDUAL_SAFETY = 1000.0
 
 # Eigenvalue tolerance: the inverse iteration stops at this relative change

@@ -39,9 +39,9 @@ def payload_text(path: str) -> str:
     "config, field",
     [
         pytest.param(
-            {"command": "eigen", "form": {"alpha": 1.0, "beta": -0.1, "gamma": 1.0}},
+            {"command": "eigen", "form": {"alpha": 1.0, "beta": 1.0, "gamma": 1.0}},
             "form",
-            id="negative-beta",
+            id="singular-form",
         ),
         pytest.param(
             {"command": "eigen", "form": {"alpha": 1.0, "gamma": 1.0}},
@@ -181,6 +181,25 @@ def payload_text(path: str) -> str:
             {"command": "eigen", "domain": {"type": "disk", "radius": 10**400}},
             "bad domain spec",
             id="huge-disk-radius",
+        ),
+        # a finite size whose square overflows is too large to mesh
+        pytest.param(
+            {"command": "eigen", "domain": {"type": "rectangle", "hw": 1e200, "hh": 1e200}},
+            "rectangle halfwidth hw",
+            id="rectangle-square-overflows",
+        ),
+        pytest.param(
+            {"command": "eigen", "domain": {"type": "disk", "radius": 1e200}},
+            "disk radius",
+            id="disk-square-overflows",
+        ),
+        pytest.param(
+            {
+                "command": "eigen",
+                "domain": {"type": "polygon", "vertices": [[0, 0], [1e155, 0], [0, 1]]},
+            },
+            "polygon vertex",
+            id="polygon-square-overflows",
         ),
         # a center is two numbers, neither truncated nor an index error
         pytest.param(
@@ -412,6 +431,20 @@ def test_eigen_exits_0_with_deterministic_payload(tmp_path):
     assert payload["status"] == "ok"
     assert sorted(payload["options"]) == ["max_iter", "tol"]
     assert (tmp_path / "a" / "run_eigenfunction.csv").exists()
+
+
+def test_negative_beta_form_is_the_mirrored_domains(tmp_path):
+    # (alpha, -beta, gamma) on the L-shape is (alpha, beta, gamma) on its
+    # mirror image in y, by the change of variables y -> -y
+    mirrored = {"type": "polygon", "vertices": (lshape().vertices[::-1] * [1.0, -1.0]).tolist()}
+    lams = []
+    for name, domain, beta in (("lshape", "lshape", -0.3), ("mirrored", mirrored, 0.3)):
+        form = {"alpha": 0.5, "beta": beta, "gamma": 1.0}
+        config = {"command": "eigen", "domain": domain, "form": form, "mesh_level": 3}
+        rc, out = run_config(tmp_path / name, config)
+        assert rc == 0
+        lams.append(json.loads(payload_text(out + ".json"))["payload"]["result"]["lambda"])
+    assert lams[0] == pytest.approx(lams[1], rel=2 * solver.DEFAULT_TOL)
 
 
 def test_integral_float_fields_are_accepted(tmp_path):

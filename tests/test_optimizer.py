@@ -12,13 +12,12 @@ from anisolap import (
     QuadForm,
     Rectangle,
     SolverConvergenceError,
-    alpha_of_theta,
     build_mesh,
     energy,
+    extremal_form,
     lambda_min,
     longest_chord,
     lshape,
-    make_Q_alpha,
     pnorm_p,
     profile_value,
     random_member,
@@ -91,7 +90,7 @@ def test_profile_is_symmetric_on_a_mirrored_mesh(domain, p):
     perm = mirror_permutation(mesh)
     res, twin = (profile_value(mesh, th, a, p) for th in (theta, 0.5 * math.pi - theta))
     assert twin.lam == pytest.approx(res.lam, rel=2 * DEFAULT_TOL)
-    q = make_Q_alpha(a, alpha_of_theta(a, theta))
+    q = extremal_form(a, theta)
     swapped = QuadForm(q.gamma, q.beta, q.alpha)
     assert energy(mesh, swapped, p, res.u[perm]) == pytest.approx(
         energy(mesh, q, p, res.u), rel=1e-13
@@ -109,12 +108,21 @@ def test_lambda_min_square_invariants():
     s = spectral(res.extremizer)
     assert s.mu_min == pytest.approx(a, abs=1e-12)
     assert s.mu_max == pytest.approx(1.0, abs=1e-12)
-    assert res.alpha_star == pytest.approx(alpha_of_theta(a, res.theta_star), abs=1e-10)
+    assert res.alpha_star == res.extremizer.alpha
+    assert res.alpha_star == pytest.approx(1.0 - (1.0 - a) * math.cos(res.theta_star) ** 2, abs=1e-10)
     assert s.theta == pytest.approx(res.theta_star, abs=1e-10)
     # profile stored at grid resolution
     assert len(res.theta_profile) == 9
     assert res.theta_profile[0][0] == 0.0
     assert res.theta_profile[-1][0] == pytest.approx(math.pi / 2)
+
+
+def test_alpha_star_is_the_extremizers_alpha():
+    # at theta_star = 0, 1 - (1 - a) rounds below a = 0.1; alpha_star is the
+    # extremizer's clamped leading coefficient, so it lies in [a, 1]
+    res = lambda_min(Rectangle(1.0, 1.0 / math.sqrt(0.1)), 0.1, 2.0, 9, level=3)
+    assert res.theta_star == 0.0
+    assert res.alpha_star == res.extremizer.alpha == 0.1
 
 
 def test_lambda_min_square_profile_symmetry():
@@ -595,7 +603,7 @@ def optimum(a: float, value: float, p: float = 2.0) -> OptimizeResult:
         lambda_min=value,
         lambda_max=5.0,
         theta_star=0.0,
-        alpha_star=alpha_of_theta(a, 0.0),
+        alpha_star=a,
         extremizer=QuadForm(a, 0.0, 1.0),
         theta_profile=[],
         a=a,

@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from anisolap import (
-    NegativeBetaError,
     NotPositiveDefiniteError,
     QuadForm,
-    alpha_of_theta,
-    make_Q_alpha,
+    extremal_form,
     quant_lower_constant,
     quant_upper_bound,
     random_member,
     spectral,
 )
+from anisolap.quadform import _member
 
 
 def rotated_diagonal(a: float, theta: float) -> QuadForm:
@@ -40,7 +39,7 @@ def evaluate(q: QuadForm, v) -> float | np.ndarray:
 def extremal_part(q: QuadForm, a: float) -> QuadForm:
     """The member of the level-a family at the form's own diagonalizing angle:
     the dominated part that ``verify_rigidity`` compares ``q`` with."""
-    return make_Q_alpha(a, alpha_of_theta(a, spectral(q).theta))
+    return extremal_form(a, spectral(q).theta)
 
 
 def is_psd(m: np.ndarray, atol: float = 1e-12) -> bool:
@@ -82,26 +81,15 @@ def test_eval_vectorized():
 # -------------------------------------------------------------- construction
 
 
-def test_constructor_rejects_negative_beta_distinctly():
-    with pytest.raises(NegativeBetaError):
-        QuadForm(1.0, -0.5, 2.0)
+def test_constructor_admits_negative_beta():
+    q = QuadForm(1.0, -0.5, 2.0)
+    assert (q.alpha, q.beta, q.gamma) == (1.0, -0.5, 2.0)
 
 
 def test_constructor_rejects_nonpositive():
-    for bad in ((0.0, 0.0, 1.0), (1.0, 0.0, -1.0), (1.0, 1.1, 1.0)):
+    for bad in ((0.0, 0.0, 1.0), (1.0, 0.0, -1.0), (1.0, 1.1, 1.0), (1.0, -1.1, 1.0)):
         with pytest.raises(NotPositiveDefiniteError):
             QuadForm(*bad)
-
-
-def test_reflect_y_admits_mirrored_form():
-    # the message names the cure: the mirror image under y -> -y is admitted
-    with pytest.raises(NegativeBetaError, match="reflection y -> -y"):
-        QuadForm(1.0, -0.5, 2.0)
-    s = spectral(QuadForm(1.0, 0.5, 2.0))
-    # mirroring preserves the eigenvalues of the rejected matrix
-    mu = np.linalg.eigvalsh(np.array([[1.0, -0.5], [-0.5, 2.0]]))
-    assert s.mu_min == pytest.approx(mu[0], abs=1e-15)
-    assert s.mu_max == pytest.approx(mu[1], abs=1e-15)
 
 
 def test_json_round_trip():
@@ -137,8 +125,31 @@ def test_spectral_analytic_2x2():
     assert s.mu_max == pytest.approx(0.75, abs=1e-15)
 
 
+def test_spectral_negative_beta():
+    # the conjugate by y -> -y of a form with beta > 0: the same eigenvalues,
+    # and the opposite diagonalizing angle, in (-pi/2, 0)
+    q = QuadForm(1.0, -0.5, 2.0)
+    s = spectral(q)
+    assert -0.5 * math.pi < s.theta < 0.0
+    assert s.theta == -spectral(QuadForm(1.0, 0.5, 2.0)).theta
+    mu = np.linalg.eigvalsh(q.matrix())
+    assert s.mu_min == pytest.approx(mu[0], abs=1e-15)
+    assert s.mu_max == pytest.approx(mu[1], abs=1e-15)
+    c, sn = math.cos(s.theta), math.sin(s.theta)
+    rot = np.array([[c, sn], [-sn, c]])
+    rebuilt = rot @ np.diag([s.mu_min, s.mu_max]) @ rot.T
+    np.testing.assert_allclose(rebuilt, q.matrix(), rtol=0, atol=1e-15)
+
+
+def test_spectral_range_ends():
+    # beta = 0 with gamma < alpha is the end pi/2 of the range, whatever the
+    # sign of the zero
+    for beta in (0.0, -0.0):
+        assert spectral(QuadForm(2.0, beta, 1.0)).theta == 0.5 * math.pi
+
+
 def test_spectral_family_member_brute_force():
-    q = make_Q_alpha(0.25, 0.5)
+    q = _member(0.25, 0.5)
     s = spectral(q)
     assert s.mu_min == pytest.approx(0.25, abs=1e-12)
     assert s.mu_max == pytest.approx(1.0, abs=1e-12)
@@ -201,12 +212,20 @@ def test_random_member_stays_in_class_near_one():
 
 
 def test_family_endpoints():
-    assert make_Q_alpha(0.25, 0.25) == QuadForm(0.25, 0.0, 1.0)
-    assert make_Q_alpha(0.25, 1.0) == QuadForm(1.0, 0.0, 0.25)
+    assert extremal_form(0.25, 0.0) == QuadForm(0.25, 0.0, 1.0)
+    assert extremal_form(0.25, 0.5 * math.pi) == QuadForm(1.0, 0.0, 0.25)
+    # the clamp keeps alpha in [a, 1] where 1 - (1 - a) rounds below a
+    assert 1.0 - (1.0 - 0.1) < 0.1
+    assert extremal_form(0.1, 0.0) == QuadForm(0.1, 0.0, 1.0)
+
+
+def test_family_identity_at_level_one():
+    for theta in np.linspace(0.0, 0.5 * math.pi, 7):
+        assert extremal_form(1.0, float(theta)) == QuadForm.identity()
 
 
 def test_family_midpoint_coefficients():
-    q = make_Q_alpha(0.25, 0.5)
+    q = _member(0.25, 0.5)
     assert q.beta == pytest.approx(math.sqrt(0.125), abs=1e-15)
     assert q.gamma == pytest.approx(0.75, abs=1e-15)
     s = spectral(q)
@@ -214,20 +233,16 @@ def test_family_midpoint_coefficients():
 
 
 def test_family_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        make_Q_alpha(0.25, 0.1)
-    with pytest.raises(ValueError):
-        make_Q_alpha(0.25, 1.2)
-    with pytest.raises(ValueError):
-        make_Q_alpha(1.0, 1.0)
+    for a in (0.0, -0.25, 1.5, math.nan):
+        with pytest.raises(ValueError, match="coercivity level"):
+            extremal_form(a, 0.5)
 
 
 def test_family_sweeps_exact_slice():
     rng = np.random.default_rng(17)
     for _ in range(1000):
         a = rng.uniform(0.05, 0.9)
-        alpha = a + (1.0 - a) * rng.random()
-        s = spectral(make_Q_alpha(a, alpha))
+        s = spectral(extremal_form(a, rng.uniform(0.0, 0.5 * math.pi)))
         assert s.mu_min == pytest.approx(a, abs=1e-12)
         assert s.mu_max == pytest.approx(1.0, abs=1e-12)
 
@@ -239,32 +254,29 @@ def test_exact_slice_members_match_family():
         a = rng.uniform(0.05, 0.9)
         theta = rng.uniform(0.0, 0.5 * math.pi)
         member = rotated_diagonal(a, theta)
-        rebuilt = make_Q_alpha(a, member.alpha)
+        rebuilt = _member(a, member.alpha)
         assert member.beta == pytest.approx(rebuilt.beta, abs=1e-12)
         assert member.gamma == pytest.approx(rebuilt.gamma, abs=1e-12)
 
 
 def test_angle_index_maps_are_inverse():
-    assert alpha_of_theta(0.25, 0.0) == pytest.approx(0.25, abs=1e-15)
-    assert alpha_of_theta(0.25, 0.5 * math.pi) == pytest.approx(1.0, abs=1e-15)
-    assert alpha_of_theta(0.25, 0.25 * math.pi) == pytest.approx(0.625, abs=1e-15)
+    assert extremal_form(0.25, 0.25 * math.pi).alpha == pytest.approx(0.625, abs=1e-15)
     rng = np.random.default_rng(31)
     for _ in range(200):
-        # the diagonalizing angle of the member at alpha_of_theta(a, theta) is theta
+        # the diagonalizing angle of the form at theta is theta
         a = rng.uniform(0.05, 0.9)
         theta = rng.uniform(0.0, 0.5 * math.pi)
-        q = make_Q_alpha(a, alpha_of_theta(a, theta))
-        assert spectral(q).theta == pytest.approx(theta, abs=1e-12)
+        assert spectral(extremal_form(a, theta)).theta == pytest.approx(theta, abs=1e-12)
         alpha = a + (1.0 - a) * rng.random()
-        q = make_Q_alpha(a, alpha)
-        assert alpha_of_theta(a, spectral(q).theta) == pytest.approx(alpha, abs=1e-12)
+        q = extremal_form(a, spectral(_member(a, alpha)).theta)
+        assert q.alpha == pytest.approx(alpha, abs=1e-12)
 
 
 def test_angle_maps_reject_out_of_range():
-    with pytest.raises(ValueError):
-        alpha_of_theta(0.25, -0.1)
-    with pytest.raises(ValueError):
-        alpha_of_theta(0.25, 2.0)
+    with pytest.raises(ValueError, match="theta"):
+        extremal_form(0.25, -0.1)
+    with pytest.raises(ValueError, match="theta"):
+        extremal_form(0.25, 2.0)
 
 
 def test_compose_rotation_matches_family():
@@ -272,7 +284,7 @@ def test_compose_rotation_matches_family():
     for _ in range(100):
         theta = rng.uniform(0.0, 0.5 * math.pi)
         rotated = rotated_diagonal(0.25, theta)
-        rebuilt = make_Q_alpha(0.25, alpha_of_theta(0.25, theta))
+        rebuilt = extremal_form(0.25, theta)
         assert rotated.alpha == pytest.approx(rebuilt.alpha, abs=1e-12)
         assert rotated.beta == pytest.approx(rebuilt.beta, abs=1e-12)
         assert rotated.gamma == pytest.approx(rebuilt.gamma, abs=1e-12)
@@ -283,7 +295,7 @@ def test_compose_rotation_matches_family():
 
 def test_decompose_exact_slice_member():
     # a member of the level-a family is its own extremal part
-    q = make_Q_alpha(0.25, 0.7)
+    q = _member(0.25, 0.7)
     part = extremal_part(q, 0.25)
     assert part.alpha == pytest.approx(0.7, abs=1e-10)
     np.testing.assert_allclose(part.matrix(), q.matrix(), rtol=0, atol=1e-10)
@@ -306,7 +318,7 @@ def test_decompose_round_trip_random():
         a = rng.uniform(0.05, 0.8)
         b = rng.uniform(a, 0.99)
         alpha_bar = b + (1.0 - b) * rng.random()
-        q = make_Q_alpha(b, alpha_bar)
+        q = _member(b, alpha_bar)
         part = extremal_part(q, a)
         affine = 1.0 - (1.0 - a) * (1.0 - alpha_bar) / (1.0 - b)
         assert part.alpha == pytest.approx(affine, abs=1e-10)
@@ -319,7 +331,7 @@ def test_decompose_round_trip_random():
 
 def test_decompose_rejects_low_coercivity():
     # below the level the ordering fails: q does not dominate its part
-    q = make_Q_alpha(0.1, 0.5)  # smallest eigenvalue 0.1 < 0.25
+    q = _member(0.1, 0.5)  # smallest eigenvalue 0.1 < 0.25
     assert not is_psd(q.matrix() - extremal_part(q, 0.25).matrix())
 
 

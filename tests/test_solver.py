@@ -16,20 +16,20 @@ from anisolap import (
     Rectangle,
     SolverConvergenceError,
     Polygon,
-    alpha_of_theta,
     build_mesh,
     directional_constant,
     energy,
+    extremal_form,
     interior_dof_map,
     longest_chord,
     lshape,
-    make_Q_alpha,
     pnorm_p,
     random_member,
     solve_p,
     spectral,
 )
 from anisolap import solver
+from anisolap.quadform import _member
 from anisolap.solver import (
     _RECORDS,
     DEFAULT_TOL,
@@ -140,7 +140,7 @@ def test_refinement_decreases_eigenvalue():
 
 def test_eigenresult_invariants():
     m = build_mesh(lshape(), 3)
-    q = make_Q_alpha(0.25, 0.6)
+    q = _member(0.25, 0.6)
     res = solve_p(m, q, 2.0)
     assert res.lam > 0
     assert np.all(res.u >= 0.0)
@@ -173,7 +173,7 @@ def smallest_pencil_eigenvalue(m, m2) -> float:
 @pytest.mark.parametrize("domain", [Rectangle(1.0, 1.0), lshape()], ids=["square", "lshape"])
 def test_solve_p2_matches_eigsh(domain, monkeypatch):
     m = build_mesh(domain, 4)
-    q = make_Q_alpha(0.25, 0.6)
+    q = _member(0.25, 0.6)
     res = solve_p(m, q, 2.0)
     assert res.lam == pytest.approx(smallest_pencil_eigenvalue(m, q.matrix()), rel=1e-8)
     # p = 2 is the inverse iteration alone: its count exhausts a budget of one
@@ -224,7 +224,7 @@ def test_start_at_the_solution_costs_only_the_stopping_test(p, its):
     # change of the eigenvalue being taken between them, which may still
     # move the eigenvalue within tol
     m = build_mesh(lshape(), 3)
-    q = make_Q_alpha(0.25, 0.6)
+    q = _member(0.25, 0.6)
     cold = solve_p(m, q, p)
     warm = solve_p(m, q, p, start=cold.u)
     assert warm.iterations == its < cold.iterations
@@ -237,8 +237,8 @@ def test_start_from_a_neighbouring_form(p):
     # ends where a solve without a start ends, within tol, in fewer
     # iterations; a start of either sign will do, the quotient being even
     m = build_mesh(lshape(), 4)
-    q = make_Q_alpha(0.25, alpha_of_theta(0.25, 0.5))
-    near = solve_p(m, make_Q_alpha(0.25, alpha_of_theta(0.25, 0.4)), p)
+    q = extremal_form(0.25, 0.5)
+    near = solve_p(m, extremal_form(0.25, 0.4), p)
     cold = solve_p(m, q, p)
     for start in (near.u, -near.u):
         warm = solve_p(m, q, p, start=start)
@@ -258,7 +258,7 @@ def test_domain_scaling_homogeneity():
 
 def test_general_p_invariants():
     m = build_mesh(Rectangle(1.0, 1.0), 4)
-    q = make_Q_alpha(0.25, 0.8)
+    q = _member(0.25, 0.8)
     res = solve_p(m, q, 2.5)
     assert np.all(res.u >= 0.0)
     assert pnorm_p(m, res.u, 2.5) == pytest.approx(1.0, abs=1e-10)
@@ -287,7 +287,7 @@ def test_lshape_profile_converges_at_every_angle(p):
     mesh = build_mesh(lshape(), 3)
     sign_changes = 0
     for theta in np.linspace(0.0, 0.5 * math.pi, 17):
-        res = solve_p(mesh, make_Q_alpha(0.25, alpha_of_theta(0.25, float(theta))), p)
+        res = solve_p(mesh, extremal_form(0.25, float(theta)), p)
         sign_changes += bool(np.any(res.u < 0.0))
     assert sign_changes > 0
 
@@ -347,7 +347,7 @@ def test_disk_general_p_converges():
 )
 def test_descent_meets_residual_bound(domain, p):
     # the descent stops on the dual-norm residual, not on a small change of lam
-    res = solve_p(build_mesh(domain, 4), make_Q_alpha(0.25, 0.6), p)
+    res = solve_p(build_mesh(domain, 4), _member(0.25, 0.6), p)
     assert res.residual <= math.sqrt(DEFAULT_TOL / RESIDUAL_SAFETY)
 
 
@@ -418,7 +418,7 @@ def test_metric_curvature_from_triangle_gradients(p):
     # with the metric's triangle weights: |T| for K, the lagged weights for K_w
     m = build_mesh(lshape(), 4)
     ops = _operators(m)
-    m2 = make_Q_alpha(0.25, 0.6).matrix()
+    m2 = _member(0.25, 0.6).matrix()
     rng = np.random.default_rng(5)
     s = rng.normal(size=ops.a.shape[1])
     lagged = _lagged_weights(ops, m2, p, triangle_gradients(m, rng.normal(size=s.shape)))
@@ -453,7 +453,7 @@ def test_band_solves_match_superlu(domain, level):
     assert ops.band_slot is not None
     rng = np.random.default_rng(level)
     gu = triangle_gradients(m, rng.normal(size=ops.a.shape[1]))
-    for m2 in (np.eye(2), make_Q_alpha(0.25, 0.6).matrix(), np.array([[0.9, -0.4], [-0.4, 0.5]])):
+    for m2 in (np.eye(2), _member(0.25, 0.6).matrix(), np.array([[0.9, -0.4], [-0.4, 0.5]])):
         for b in (None, _lagged_weights(ops, m2, 1.5, gu)):
             band, lu = ops.factor(m2, b), _factor(ops.stiffness(m2, b))
             assert isinstance(band, _BandCholesky)
@@ -484,11 +484,11 @@ def test_superlu_fallback_is_the_old_path(monkeypatch):
     monkeypatch.setattr(solver, "BAND_CUTOFF", 0)
     m = build_mesh(Rectangle(1.0, 1.0), 3)
     assert _operators(m).band_slot is None
-    res = solve_p(m, make_Q_alpha(0.25, 0.6), 3.0)
+    res = solve_p(m, _member(0.25, 0.6), 3.0)
     assert (res.lam, res.iterations) == (4.303018529289994, 26)
     assert res.residual == pytest.approx(6.339493145239382e-07, rel=1e-10)
     monkeypatch.setattr(solver, "_dot", lambda x, y: float(x @ y))
-    res = solve_p(m, make_Q_alpha(0.25, 0.6), 3.0)
+    res = solve_p(m, _member(0.25, 0.6), 3.0)
     assert (res.lam, res.residual, res.iterations) == (4.303018529289994, 6.339493145239382e-07, 26)
 
 
@@ -535,8 +535,8 @@ def test_solve_keeps_no_hidden_state(p):
     # a mesh that has served other forms gives the same solve, bit for bit,
     # as a fresh copy of it; its operator record is released with it
     m = build_mesh(lshape(), 3)
-    q = make_Q_alpha(0.25, 0.6)
-    for other in (QuadForm.identity(), make_Q_alpha(0.5, 0.7)):
+    q = _member(0.25, 0.6)
+    for other in (QuadForm.identity(), _member(0.5, 0.7)):
         solve_p(m, other, p)
     used = solve_p(m, q, p)
     fresh = solve_p(Mesh.from_arrays(m.nodes, m.triangles), q, p)
@@ -553,7 +553,7 @@ def test_solve_keeps_no_hidden_state(p):
 def test_descent_direction_matches_finite_differences():
     m = build_mesh(Rectangle(1.0, 1.0), 3)
     p = 2.5
-    q = make_Q_alpha(0.25, 0.7)
+    q = _member(0.25, 0.7)
     m2 = q.matrix()
     ops = _operators(m)
     rng = np.random.default_rng(13)
@@ -580,7 +580,7 @@ def test_gradient_from_trial_values_matches_fresh_evaluation(p):
     # the descent takes the next gradient from the accepted trial's scaled
     # products; recomputing them from the scaled field must give the same
     m = build_mesh(lshape(), 3)
-    q = make_Q_alpha(0.25, 0.6)
+    q = _member(0.25, 0.6)
     m2 = q.matrix()
     ops = _operators(m)
     rng = np.random.default_rng(7)
@@ -601,7 +601,7 @@ def test_gradient_from_trial_values_matches_fresh_evaluation(p):
     "level, p, form, iterations, lam",
     [
         (5, 1.5, QuadForm.identity(), 43, 5.7016489412776),
-        (4, 3.0, make_Q_alpha(0.25, 0.6), 55, 8.43681512763622),
+        (4, 3.0, _member(0.25, 0.6), 55, 8.43681512763622),
     ],
     ids=["L5-p1.5-identity", "L4-p3-alpha"],
 )
@@ -620,7 +620,7 @@ def test_monotone_under_pointwise_ordering():
     rng = np.random.default_rng(19)
     for _ in range(5):
         q2 = random_member(0.25, rng)
-        q1 = make_Q_alpha(0.25, alpha_of_theta(0.25, spectral(q2).theta))
+        q1 = extremal_form(0.25, spectral(q2).theta)
         lam1 = solve_p(m, q1, 2.0, 1e-12).lam
         lam2 = solve_p(m, q2, 2.0, 1e-12).lam
         assert lam1 <= lam2 + 1e-9
@@ -628,7 +628,7 @@ def test_monotone_under_pointwise_ordering():
 
 def test_monotone_at_general_p():
     m = build_mesh(Rectangle(1.0, 1.0), 3)
-    q1 = make_Q_alpha(0.25, 0.5)
+    q1 = _member(0.25, 0.5)
     lam1 = solve_p(m, q1, 3.0).lam
     lam2 = solve_p(m, QuadForm.identity(), 3.0).lam
     assert lam1 <= lam2 + 1e-9
@@ -643,6 +643,16 @@ def test_bracketing_between_scaled_isotropic_values():
         q = random_member(a, rng)
         lam = solve_p(m, q, 2.0).lam
         assert a * iso - 1e-9 <= lam <= iso + 1e-9
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_negative_beta_is_the_mirrored_domain(p):
+    # the change of variables y -> -y maps the form (alpha, -beta, gamma) on
+    # a domain to (alpha, beta, gamma) on its mirror image in y
+    q = extremal_form(0.25, 0.1946)
+    mirrored = Polygon(lshape().vertices[::-1] * [1.0, -1.0])
+    lam = solve_p(build_mesh(lshape(), 3), QuadForm(q.alpha, -q.beta, q.gamma), p).lam
+    assert lam == pytest.approx(solve_p(build_mesh(mirrored, 3), q, p).lam, rel=2 * DEFAULT_TOL)
 
 
 # ------------------------------------------------------- directional constants
