@@ -7,8 +7,11 @@ eigen     solve one fundamental-frequency problem; JSON diagnostics plus an
 optimize  minimize over rotations at a coercivity level; JSON result plus a
           rotation-profile CSV, whose values are on the mesh one level
           below mesh_level when mesh_level >= 4 (the result's profile_level)
-sweep     tabulate profile values over user theta/a/p grids as CSV
 verify    run the verification suites; JSON report, exit 0 iff all entries pass
+
+``optimize``'s theta in [0, pi/2] covers beta >= 0 only: exact on domains that
+y -> -y maps onto a translate (disks, rectangles), elsewhere an upper bound on
+the class minimum (y-mirrored L-shape, level 4, p = 2: 4.771448 vs 4.717840).
 
 The library takes typed arguments; this module reads configs and writes
 files.  Its runs keep the library's iteration budget and angle tolerance
@@ -24,14 +27,13 @@ overrides flag values.  Its keys:
   p, a                 exponent and coercivity level
   b                    upper level, read by verify only
   mesh_level           refinement level of the domain's mesh (--level), in [2, 9]
-  grid_n               angles in the optimize, sweep and verify searches
+  grid_n               angles in the optimize and verify searches
   tol                  eigenvalue tolerance (see --tol)
   out                  output path, without or with its suffix
   seed                 seed of the verify samples
   n_boundary           validated (at least 16) and changes no mesh
   form                 any positive definite eigen form {"alpha", "beta", "gamma"}
-  thetas, a_values     sweep grids, no repeats
-  p_values             exponent list of sweep and verify (else [p]), no repeats
+  p_values             exponent list of verify (else [p]), no repeats
   n_samples, n_pairs,  read by verify only: rigidity samples and pairs, the
   a_sequence, suites   relaxation levels and the suites to run
 
@@ -57,7 +59,7 @@ import numpy as np
 from . import solver
 from .geometry import DomainSpec, domain_from_json, domain_to_json, read_number
 from .mesh import build_mesh
-from .optimizer import DEFAULT_GRID_N, lambda_min, profile_value, run_verification
+from .optimizer import DEFAULT_GRID_N, lambda_min, run_verification
 from .quadform import QuadForm
 from .solver import SolverConvergenceError, solve_p
 
@@ -67,7 +69,7 @@ SUITES = ("rigidity", "quantitative", "relaxation", "disk", "rectangle")
 
 class _Key(NamedTuple):
     default: object
-    kind: type | None = None  # float, int, str, list (non-empty, of floats) or None (as given)
+    kind: type | None = None  # float, int, str, list (of distinct floats) or None (as given)
     ok: Callable = lambda x: True  # the value's, or each list entry's, condition
     words: str = ""  # that condition, as the error message says it
 
@@ -79,12 +81,11 @@ class _Key(NamedTuple):
 # coercivity level of 1e-15 extremal_form's rounded alpha gamma - beta^2 = a
 # leaves some angles with no positive definite form.
 _P_RANGE = (lambda p: 1.0 < p <= 20.0, "exceed 1 and be at most 20")
-_A_RANGE = (lambda a: 1e-12 <= a <= 1.0, "lie in (0, 1] and be at least 1e-12")
 _KEYS = {
     "command": _Key(None),
     "domain": _Key("square"),
     "p": _Key(2.0, float, *_P_RANGE),
-    "a": _Key(0.25, float, *_A_RANGE),
+    "a": _Key(0.25, float, lambda a: 1e-12 <= a <= 1.0, "lie in (0, 1] and be at least 1e-12"),
     "mesh_level": _Key(5, int, lambda n: 2 <= n <= 9, "lie in [2, 9]"),
     "grid_n": _Key(DEFAULT_GRID_N, int, lambda n: n >= 9, "be at least 9"),
     "tol": _Key(solver.DEFAULT_TOL, float, lambda t: 0.0 < t < math.inf, "be positive and finite"),
@@ -92,8 +93,6 @@ _KEYS = {
     "seed": _Key(0, int, lambda n: n >= 0, "be nonnegative"),
     "n_boundary": _Key(128, int, lambda n: n >= 16, "be at least 16"),
     "form": _Key(None),
-    "thetas": _Key(None, list, lambda t: 0.0 <= t <= 0.5 * math.pi, "lie in [0, pi/2]"),
-    "a_values": _Key(None, list, *_A_RANGE),
     "p_values": _Key(None, list, *_P_RANGE),
     "b": _Key(0.5, float),
     "n_samples": _Key(5, int, lambda n: n >= 1, "be at least 1"),
@@ -247,6 +246,8 @@ def _typed(name: str, value):
         for x in nums:
             if not key.ok(x):
                 raise ConfigError(f"every entry of {name} must {key.words}, got {x!r}")
+        if len(set(nums)) < len(nums):
+            raise ConfigError(f"{name} must not repeat an entry, got {nums}")
         return nums
     x = _number(value, name, key.kind)
     if not key.ok(x):
@@ -269,10 +270,6 @@ def _validate(cfg: dict) -> tuple[dict, DomainSpec]:
     suites = typed["suites"]
     if not isinstance(suites, list) or not suites or any(s not in SUITES for s in suites):
         raise ConfigError(f"suites must be a non-empty list from {list(SUITES)}, got {suites!r}")
-    for name in ("thetas", "p_values", "a_values"):
-        values = typed[name]
-        if values is not None and len(set(values)) < len(values):
-            raise ConfigError(f"{name} must not repeat an entry, got {values}")
     seq = typed["a_sequence"]
     if any(a2 >= a1 for a1, a2 in zip(seq, seq[1:])):
         raise ConfigError(f"a_sequence must be strictly decreasing, got {seq}")
@@ -356,31 +353,6 @@ def _cmd_optimize(cfg: dict, domain: DomainSpec) -> int:
     return 0
 
 
-def _cmd_sweep(cfg: dict, domain: DomainSpec) -> int:
-    mesh = build_mesh(domain, cfg["mesh_level"])
-    thetas = cfg["thetas"] or np.linspace(0.0, 0.5 * math.pi, cfg["grid_n"]).tolist()
-    a_values = cfg["a_values"] or [cfg["a"]]
-    p_values = cfg["p_values"] or [cfg["p"]]
-    csv_path = str(cfg["out"])
-    if not csv_path.endswith(".csv"):
-        csv_path += ".csv"
-    rows = []
-    try:
-        for p in p_values:
-            for a in a_values:
-                if a == 1.0:  # the isotropic form at every angle: one solve serves them all
-                    lam = profile_value(mesh, thetas[0], a, p, cfg["tol"]).lam
-                    rows += [(th, a, p, lam) for th in thetas]
-                    continue
-                for th in thetas:
-                    rows.append((th, a, p, profile_value(mesh, th, a, p, cfg["tol"]).lam))
-    except SolverConvergenceError as exc:
-        return _report_failure("sweep", csv_path[: -len(".csv")] + ".json", exc)
-    _write_csv(csv_path, "theta,a,p,lambda", rows)
-    print(f"sweep written to {csv_path}")
-    return 0
-
-
 def _cmd_verify(cfg: dict, domain: DomainSpec) -> int:
     json_path, _ = _out_paths(cfg, "")
     config = {
@@ -408,7 +380,6 @@ def _cmd_verify(cfg: dict, domain: DomainSpec) -> int:
 _COMMANDS = {
     "eigen": _cmd_eigen,
     "optimize": _cmd_optimize,
-    "sweep": _cmd_sweep,
     "verify": _cmd_verify,
 }
 

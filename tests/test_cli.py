@@ -63,14 +63,13 @@ def payload_text(path: str) -> str:
         ),
         pytest.param({"command": "verify", "seed": True}, "seed must be a number", id="bool-seed"),
         pytest.param({"command": "verify", "p_values": [0.5]}, "p_values must", id="verify-p-list"),
-        pytest.param({"command": "sweep", "p_values": [2.0, 1.0]}, "p_values", id="sweep-p-values"),
-        pytest.param({"command": "sweep", "thetas": [0.0, 2.0]}, "thetas", id="sweep-thetas"),
-        pytest.param({"command": "sweep", "a_values": [0.0]}, "a_values", id="sweep-a-values"),
+        pytest.param({"command": "verify", "p_values": [2.0, 1.0]}, "p_values", id="sweep-p-values"),
         pytest.param({"command": "eigen", "level": 2}, "key level", id="unknown-key"),
         pytest.param({"command": "verify", "c0": 1.0}, "key c0", id="c0-unknown-key"),
         pytest.param({}, "missing command", id="no-command"),
         pytest.param({"command": "plot"}, "unknown command", id="unknown-command"),
         pytest.param({"command": "bounds"}, "unknown command", id="bounds-unknown-command"),
+        pytest.param({"command": "sweep"}, "unknown command", id="sweep-unknown-command"),
         pytest.param({"command": "eigen", "p": 1.0}, "p must exceed 1", id="p-one"),
         pytest.param({"command": "eigen", "a": 1.5}, "a must lie in (0, 1]", id="a-above-one"),
         pytest.param({"command": "optimize", "a": 1.0}, "optimize needs a", id="optimize-a-one"),
@@ -226,7 +225,7 @@ def payload_text(path: str) -> str:
         # an infinite exponent or tolerance is caught before any solve
         pytest.param({"command": "eigen", "p": math.inf}, "p must", id="infinite-p"),
         pytest.param(
-            {"command": "sweep", "p_values": [2.0, math.inf]}, "p_values must", id="infinite-p-values"
+            {"command": "verify", "p_values": [2.0, math.inf]}, "p_values must", id="infinite-p-values"
         ),
         pytest.param({"command": "eigen", "tol": math.inf}, "tol must", id="infinite-tol"),
         # an exponent whose energy can overflow, or a level too small for its
@@ -234,26 +233,15 @@ def payload_text(path: str) -> str:
         pytest.param({"command": "eigen", "p": 1e6}, "p must", id="huge-p"),
         pytest.param({"command": "eigen", "p": 21.0}, "at most 20", id="p-above-20"),
         pytest.param(
-            {"command": "sweep", "p_values": [2.0, 21.0]}, "p_values must", id="p-values-above-20"
+            {"command": "verify", "p_values": [2.0, 21.0]}, "p_values must", id="p-values-above-20"
         ),
         pytest.param({"command": "optimize", "a": 1e-17}, "at least 1e-12", id="tiny-a"),
-        pytest.param({"command": "sweep", "a_values": [1e-17]}, "a_values must", id="tiny-a-values"),
         pytest.param(
             {"command": "verify", "a_sequence": [0.5, 1e-17]}, "a_sequence must", id="tiny-a-sequence"
         ),
-        # a repeated entry would run its suites, or write its rows, twice
+        # a repeated entry would run its suites twice
         pytest.param(
             {"command": "verify", "p_values": [2, 2.0]}, "p_values must not repeat", id="repeated-p-values"
-        ),
-        pytest.param(
-            {"command": "sweep", "a_values": [0.25, 1.0, 0.25]},
-            "a_values must not repeat",
-            id="repeated-a-values",
-        ),
-        pytest.param(
-            {"command": "sweep", "thetas": [0.3, 0.3], "mesh_level": 2},
-            "thetas must not repeat an entry",
-            id="repeated-thetas",
         ),
         # a pentagram turns left at every vertex but winds twice: a bad domain,
         # not a traceback from the mesher
@@ -285,9 +273,9 @@ def test_bad_config_exits_2(tmp_path, capsys, config, field):
     "config",
     [
         {"command": "eigen", "p": 20.0},
-        {"command": "sweep", "p_values": [20.0], "a_values": [1e-12], "thetas": [0.3]},
+        {"command": "optimize", "p": 20.0, "a": 1e-12, "grid_n": 9},
     ],
-    ids=["eigen-p20", "sweep-a1e-12"],
+    ids=["eigen-p20", "optimize-a1e-12"],
 )
 def test_config_bounds_are_inclusive(tmp_path, config):
     rc, _ = run_config(tmp_path, {**config, "mesh_level": 2})
@@ -352,7 +340,7 @@ def test_file_errors_exit_2(tmp_path, capsys, argv):
     assert sorted(f.name for f in tmp_path.iterdir()) == ["file", "latin1.json"]
 
 
-@pytest.mark.parametrize("command", ["eigen", "optimize", "sweep", "verify"])
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
 def test_validate_reads_each_default_as_its_kind(command):
     cfg, domain = cli._validate(cli._parse_args(["--command", command]))
     assert domain == Rectangle(1.0, 1.0)
@@ -367,11 +355,11 @@ def test_validate_reads_each_default_as_its_kind(command):
 
 
 def test_validate_converts_to_each_kind():
-    config = {"command": "sweep", "p": 3, "tol": 1, "mesh_level": 3.0, "thetas": [0, 1]}
+    config = {"command": "verify", "p": 3, "tol": 1, "mesh_level": 3.0, "p_values": [2, 3]}
     cfg, _ = cli._validate(config)
-    assert (cfg["p"], cfg["tol"], cfg["mesh_level"], cfg["thetas"]) == (3.0, 1.0, 3, [0.0, 1.0])
+    assert (cfg["p"], cfg["tol"], cfg["mesh_level"], cfg["p_values"]) == (3.0, 1.0, 3, [2.0, 3.0])
     assert [type(cfg[k]) for k in ("p", "tol", "mesh_level")] == [float, float, int]
-    assert all(type(t) is float for t in cfg["thetas"])
+    assert all(type(p) is float for p in cfg["p_values"])
 
 
 # Every default, spelled out, as a config file would hold it.
@@ -386,8 +374,6 @@ SPELLED_OUT_DEFAULTS = {
     "seed": 0,
     "n_boundary": 128,
     "form": None,
-    "thetas": None,
-    "a_values": None,
     "p_values": None,
     "b": 0.5,
     "n_samples": 5,
@@ -486,8 +472,8 @@ def test_eigen_failure_after_one_iteration_is_reported(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(
     "config",
-    [{"command": "verify", "suites": ["rectangle"]}, {"command": "sweep", "thetas": [0.0, 0.5]}],
-    ids=["verify", "sweep"],
+    [{"command": "verify", "suites": ["rectangle"]}, {"command": "optimize"}],
+    ids=["verify", "optimize"],
 )
 def test_solver_failure_is_reported(tmp_path, monkeypatch, capsys, config):
     # a p-descent cut off after two iterations misses its residual bound
@@ -545,49 +531,6 @@ def test_verify_equal_levels_reports_finite_c0(tmp_path):
     measured = entries[1]["measured"]
     assert measured["c0"] == pytest.approx(math.pi**2 / 8.0)
     assert measured["chord"] == pytest.approx(2.0 * math.sqrt(2.0))
-
-
-def test_sweep_at_full_coercivity_is_isotropic(tmp_path):
-    # a = 1 admits only the isotropic form, at every angle
-    rc, out = run_config(
-        tmp_path / "sweep", {"command": "sweep", "a_values": [1.0], "thetas": [0.3], "mesh_level": 3}
-    )
-    assert rc == 0
-    with open(out + ".csv", encoding="utf-8") as fh:
-        header, row = fh.read().splitlines()
-    assert header == "theta,a,p,lambda"
-    rc, out = run_config(tmp_path / "eigen", {"command": "eigen", "mesh_level": 3})
-    assert rc == 0
-    eigen = json.loads(payload_text(out + ".json"))["payload"]["result"]["lambda"]
-    assert float(row.split(",")[3]) == eigen
-
-
-def test_sweep_solves_full_coercivity_once_per_p(tmp_path, monkeypatch):
-    # a = 1 gives the isotropic form at every angle, so one solve per p
-    # serves the whole row set; the CSV is that of solving every angle
-    thetas = np.linspace(0.0, 0.5 * math.pi, 9).tolist()
-    p_values, a_values = [2.0, 3.0], [1.0, 0.25]
-    mesh = build_mesh(Rectangle(1.0, 1.0), 3)
-    expected = [
-        (th, a, p, optimizer.profile_value(mesh, th, a, p).lam)
-        for p in p_values
-        for a in a_values
-        for th in thetas
-    ]
-    cli._write_csv(tmp_path / "expected.csv", "theta,a,p,lambda", expected)
-    calls = []
-
-    def counting(mesh, theta, a, p, *args, **kwargs):
-        calls.append((a, p))
-        return optimizer.profile_value(mesh, theta, a, p, *args, **kwargs)
-
-    monkeypatch.setattr(cli, "profile_value", counting)
-    config = {"command": "sweep", "mesh_level": 3, "p_values": p_values, "a_values": a_values}
-    rc, out = run_config(tmp_path / "sweep", {**config, "thetas": thetas})
-    assert rc == 0
-    assert sorted(calls) == sorted([(1.0, 2.0), (1.0, 3.0)] + [(0.25, p) for p in p_values] * 9)
-    with open(out + ".csv", encoding="utf-8") as fh:
-        assert fh.read() == (tmp_path / "expected.csv").read_text(encoding="utf-8")
 
 
 def test_verify_accepts_n_boundary_and_reports_none(tmp_path):

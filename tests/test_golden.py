@@ -1,7 +1,7 @@
 """Byte-for-byte comparison of CLI outputs with the files in ``golden/``.
 
 The JSON files are the reports without their ``generated_at`` line, which
-lies outside the deterministic payload; ``sweep`` writes a CSV alone.  A change that moves any digit of a
+lies outside the deterministic payload.  A change that moves any digit of a
 payload must regenerate them (run the argv below with ``--out`` in
 ``golden/``, drop the ``generated_at`` line) and say why the digits moved.
 """
@@ -90,9 +90,3 @@ def test_output_matches_golden(tmp_path, name, argv, rc, files):
     assert got == file_text(os.path.join(GOLDEN, f"{name}.json"))
     for fname in files:
         assert file_text(str(tmp_path / fname)) == file_text(os.path.join(GOLDEN, fname))
-
-
-def test_sweep_matches_golden(tmp_path):
-    argv = ["--command", "sweep", "--level", "3", "--grid-n", "9", "--a", "0.25", "--p", "2"]
-    assert cli.main([*argv, "--out", str(tmp_path / "sweep")]) == 0
-    assert file_text(str(tmp_path / "sweep.csv")) == file_text(os.path.join(GOLDEN, "sweep.csv"))

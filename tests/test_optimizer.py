@@ -19,7 +19,6 @@ from anisolap import (
     longest_chord,
     lshape,
     pnorm_p,
-    profile_value,
     random_member,
     run_verification,
     solve_p,
@@ -32,7 +31,7 @@ from anisolap import (
 )
 from anisolap import optimizer, solver
 from anisolap.mesh import mirror_permutation
-from anisolap.optimizer import DEFAULT_THETA_TOL, X_ARC, Y_ARC
+from anisolap.optimizer import DEFAULT_THETA_TOL, X_ARC, Y_ARC, profile_value
 from anisolap.solver import DEFAULT_TOL
 
 PI2_HALF = math.pi**2 / 2.0
