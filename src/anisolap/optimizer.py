@@ -23,15 +23,16 @@ uniform grid of angles on the coarse mesh, one level below the requested
 ``refine`` splits each triangle into four, so the coarse profile locates the
 grid minima at about a quarter of the fine cost.  At level
 ``MIN_COARSE_LEVEL`` and below the coarse mesh is the fine mesh itself.
-A search keeps one table of solved values, their error bounds and their
-eigenfunctions, keyed by (mesh level, theta), and solves a value the first
-time it is read.  So no (level, theta) is solved twice, and on one level the
-grid values are the fine values.  Each solve but the first on a level starts
-from the eigenfunction of the nearest angle in the table on that level,
-the smaller angle on a tie (``solve_p``'s ``start``): a neighbouring form's
-ground state is close to the new one, so the solve skips the p = 2 inverse
-iteration at p != 2, and its own iteration takes fewer steps.  The order of
-the solves is fixed, so the starts, and the results, repeat bit for bit.
+A search keeps one table of solved values, their error bounds, their
+eigenfunctions and their derivatives in theta, keyed by (mesh level,
+theta), and solves a value the first time it is read.  So no (level, theta)
+is solved twice, and on one level the grid values are the fine values.
+Each solve but the first on a level starts from the eigenfunction of the
+nearest angle in the table on that level, the smaller angle on a tie
+(``solve_p``'s ``start``): a neighbouring form's ground state is close to
+the new one, so the solve skips the p = 2 inverse iteration at p != 2, and
+its own iteration takes fewer steps.  The order of the solves is fixed, so
+the starts, and the results, repeat bit for bit.
 
 A reflection about a diagonal swaps alpha and gamma of a form and keeps
 beta, so it maps the form at theta to the form at pi/2 - theta.  On a mesh
@@ -43,27 +44,29 @@ meshes are all mirrored (``mirrored``) solves the angles in [0, pi/4] only.
 The grid value at index n - 1 - k is the one at index k, paired by index,
 because the grid of ``np.linspace`` does not mirror exactly; an angle above
 pi/4 off the grid reads the solve at pi/2 - theta.  Either read carries the
-permuted eigenfunction.
+permuted eigenfunction and the negated derivative.
 
-Each coarse grid minimum is refined at the fine level from the fine values
-of its grid bracket (the grid point and its two neighbours).  The contract
-is that the fine profile is unimodal on that bracket: then the returned
-angle lies within ``theta_tol`` of a minimizer.  Before an interior minimum
-is refined, the fine values of its bracket are checked, and it moves to a
-neighbour whose fine value is lower until none is.  Its refinement is
-Brent's parabolic search with golden-section fallback on the bracket, whose
-three values are known, and stops when both bracket ends lie within
-``theta_tol`` of the best angle.  A grid minimum at an end of [0, pi/2]
-costs one solve ``theta_tol`` inward: if that value is not lower, the
-endpoint is the answer; otherwise Brent's search runs on (endpoint, inward
-angle, neighbour).  A grid spacing of at most ``theta_tol`` needs no
-refinement.  A mirrored search refines one grid minimum of each mirror pair,
+Every solve also gives the derivative of its value in theta
+(``profile_value``), and each coarse grid minimum is refined by a walk on
+the fine level: the sign of the derivative at the grid point picks its
+downhill neighbour, and the walk moves on while the derivative keeps its
+sign and the value falls.  It ends on a grid point whose derivative points
+out of [0, pi/2], at no solve, or before a value that does not fall;
+otherwise on the two neighbours between which the derivative changes sign.
+A mirrored search stores the derivative at the grid angle pi/4 as 0, by
+symmetry, and a walk stops at it: if the value falls, at pi/4 itself for no
+refinement solve, because a profile unimodal on its bracket and symmetric
+about pi/4 has its minimizer there, and else on the bracket below it.  A
+safeguarded regula falsi on the derivative shrinks the bracket until it is
+at most ``theta_tol`` wide.  The contract is that the fine profile is
+unimodal on the grid bracket (the grid point and its two neighbours) where
+the walk ends: then the returned angle lies within ``theta_tol`` of a
+minimizer.  A mirrored search refines one grid minimum of each mirror pair,
 the one in [0, pi/4], and reports the image (pi/2 - theta, value) of its
-result with it, unless its bracket holds pi/4: there the result and its
-image are one minimum, reported once.  A grid minimum at pi/4 itself costs
-no refinement solve, because a profile unimodal on its bracket and symmetric
-about pi/4 has its minimizer there.  A refined value is the least fine value
-evaluated, so it never exceeds the fine value at its grid point.  The coarse
+result with it, unless the two are one minimum: the result is pi/4, or its
+bracket's ends are mirror images.  The walk moves only to lower values, and
+on a unimodal bracket each regula falsi step lowers the end it replaces, so
+a refined value never exceeds the fine value at its grid point.  The coarse
 values of the grid minima are shifted from their fine values by up to the
 coarse/fine gap, so coarse minima that tie within twice the largest solver
 error bound plus the gap measured at the coarse argmin are all refined and
@@ -117,6 +120,7 @@ from .solver import (
     DEFAULT_TOL,
     EigenResult,
     SolverConvergenceError,
+    _form_gradient,
     directional_constant,
     solve_p,
 )
@@ -139,10 +143,6 @@ SLACK = 0.02
 X_ARC = (-0.5 * math.pi, 0.0)
 Y_ARC = (0.0, 0.5 * math.pi)
 
-# Golden-section fraction of the fallback step in ``_refine_min``.
-_CGOLD = 0.5 * (3.0 - math.sqrt(5.0))
-
-
 @dataclass
 class OptimizeResult:
     lambda_min: float
@@ -161,6 +161,7 @@ class OptimizeResult:
     error_estimate: float | None = None  # |lambda_min_coarse - lambda_min|; None on one level
     residual: float = math.nan        # largest error bound of any solve, coarse ones included
     mirrored: bool = False            # the profile above pi/4 was read from its mirror image
+    dlam_dtheta: float = math.nan     # d lambda_min / d theta at theta_star
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -203,79 +204,65 @@ def profile_value(
     p: float,
     tol: float = DEFAULT_TOL,
     start: np.ndarray | None = None,
-) -> EigenResult:
+) -> tuple[EigenResult, float]:
     """The solve on ``mesh`` of ``extremal_form(a, theta)``, which at a = 1
-    is the isotropic form, from ``solve_p``'s ``start``."""
-    return solve_p(mesh, extremal_form(a, theta), p, tol, start=start)
+    is the isotropic form, from ``solve_p``'s ``start``, and the derivative
+    of its eigenvalue in theta.  That is tr(S dQ/dtheta), S the solve's
+    ``_form_gradient`` and dQ/dtheta = (1 - a) [[sin 2 theta, cos 2 theta],
+    [cos 2 theta, -sin 2 theta]]."""
+    res = solve_p(mesh, extremal_form(a, theta), p, tol, start=start)
+    s = _form_gradient(mesh, res)
+    sin2, cos2 = math.sin(2.0 * theta), math.cos(2.0 * theta)
+    return res, float((1.0 - a) * ((s[0, 0] - s[1, 1]) * sin2 + 2.0 * s[0, 1] * cos2))
 
 
-def _refine_min(f, thetas: list[float], i: int, tol: float) -> tuple[float, float]:
-    """Refine the grid minimum at ``thetas[i]`` to (theta, f(theta)) as the
-    module docstring describes: theta lies within ``tol`` of a minimizer if
-    ``f`` is unimodal on the grid bracket of ``thetas[i]``.
+def _walk(f, thetas: list[float], i: int, axis: int) -> tuple[int, int]:
+    """The indices (lo, hi), hi - lo <= 1, of the grid bracket that the walk
+    from ``thetas[i]`` down the fine profile ends in, as the module docstring
+    describes.  ``f(theta)`` is the fine (value, derivative), and ``axis``
+    the index of pi/4 on a mirrored search, where a walk stops, or -1."""
+    lam, dlam = f(thetas[i])
+    while i != axis:
+        j = i + (1 if dlam < 0.0 else -1)
+        if not 0 <= j < len(thetas):  # an end of the range, whose derivative points out of it
+            break
+        lam_j, dlam_j = f(thetas[j])
+        if j == axis:  # a minimizer short of pi/4 unless the value falls there
+            return (j, j) if lam_j < lam else (i, j)
+        if (dlam_j < 0.0) != (dlam < 0.0):
+            return min(i, j), max(i, j)
+        if lam_j >= lam:
+            break
+        i, lam, dlam = j, lam_j, dlam_j
+    return i, i
 
-    On a bracket (lo, x, hi) whose three values are known, f(x) the least,
-    Brent's method (Algorithms for Minimization without Derivatives, 1973,
-    ch. 5) steps to the vertex of the parabola through the three best points
-    seen, or takes a golden-section step into the larger side of x when that
-    vertex leaves the bracket or the steps stop shrinking.  No step lands
-    within tol/2 of x.  f(x) is always the least value evaluated."""
-    x, fx = thetas[i], f(thetas[i])
-    if thetas[1] - thetas[0] <= tol:
-        return x, fx
-    if 0 < i < len(thetas) - 1:
-        lo, hi = thetas[i - 1], thetas[i + 1]
-        f_lo, f_hi = f(lo), f(hi)
-    else:
-        inward = x + tol if i == 0 else x - tol
-        f_in = f(inward)
-        if f_in >= fx:
-            return x, fx
-        j = 1 if i == 0 else i - 1
-        (lo, f_lo), (hi, f_hi) = sorted([(x, fx), (thetas[j], f(thetas[j]))])
-        x, fx = inward, f_in
-    (w, fw), (v, fv) = sorted([(lo, f_lo), (hi, f_hi)], key=lambda pt: pt[1])
-    step = last = hi - lo  # lets the first parabola through the bracket be taken
-    tol1 = 0.5 * tol
-    while max(x - lo, hi - x) > tol:
-        mid = 0.5 * (lo + hi)
-        r = (x - w) * (fx - fv)
-        q = (x - v) * (fx - fw)
-        num = (x - v) * q - (x - w) * r
-        q = 2.0 * (q - r)
-        if q > 0.0:
-            num = -num
-        q = abs(q)
-        before_last, last = last, step
-        if (
-            abs(before_last) > tol1
-            and abs(num) < abs(0.5 * q * before_last)
-            and q * (lo - x) < num < q * (hi - x)
-        ):
-            step = num / q
-            if x + step - lo < tol or hi - (x + step) < tol:
-                step = math.copysign(tol1, mid - x)
+
+def _regula_falsi(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """(theta, value) at the end of lower value of the bracket [lo, hi] once
+    it is at most ``tol`` wide.  ``f(theta)`` is the fine (value,
+    derivative), negative at ``lo`` and not at ``hi`` unless lo = hi.  Each
+    step goes to the zero of the derivative's chord, at least tol/2 inside
+    the bracket, and replaces the end whose derivative has the new one's
+    sign; an end kept twice in a row has its derivative halved (the Illinois
+    variant: Dowell and Jarratt, BIT 1971).  While the derivative at ``hi``
+    is 0 (pi/4 on a mirrored search), the chord's zero is hi: go halfway."""
+    (f_lo, d_lo), (f_hi, d_hi) = f(lo), f(hi)
+    kept = 0  # +1 after the lower end was kept, -1 after the upper one
+    while hi - lo > tol:
+        x = 0.5 * (lo + hi) if d_hi == 0.0 else lo - d_lo * (hi - lo) / (d_hi - d_lo)
+        x = min(max(x, lo + 0.5 * tol), hi - 0.5 * tol)
+        fx, dx = f(x)
+        if dx < 0.0:
+            lo, f_lo, d_lo = x, fx, dx
+            if kept < 0:
+                d_hi *= 0.5
+            kept = -1
         else:
-            last = (hi - x) if x < mid else (lo - x)
-            step = _CGOLD * last
-        u = x + (step if abs(step) >= tol1 else math.copysign(tol1, step))
-        fu = f(u)
-        if fu <= fx:
-            if u < x:
-                hi = x
-            else:
-                lo = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                lo = u
-            else:
-                hi = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-    return x, fx
+            hi, f_hi, d_hi = x, fx, dx
+            if kept > 0:
+                d_lo *= 0.5
+            kept = 1
+    return (lo, f_lo) if f_lo <= f_hi else (hi, f_hi)
 
 
 def lambda_min(
@@ -296,16 +283,19 @@ def lambda_min(
     coarse mesh: the domain's mesh at ``level`` - 1 when that is at least
     ``MIN_COARSE_LEVEL``, else the level-``level`` mesh itself.  The fine
     mesh gets the isotropic solve, which gives ``lambda_max`` and starts
-    from nothing, and the solves of the bracket checks and refinements.
+    from nothing, and the solves of the walks and the regula falsi steps.
     Both meshes and the isotropic solve come from ``shared``, the tables of
     the run that calls the search (``run_verification``); without it the
     search makes its own.
     Every profile value is read from the search's table, which calls
     ``profile_value`` once per (level, theta), started as the module
-    docstring describes.  Provided the fine profile is unimodal on each
-    refined bracket, every angle in ``tied_minima`` lies within
-    ``theta_tol`` of a minimizer; the least gives ``theta_star`` and the
-    recovered extremal form.
+    docstring describes, and keeps its value and its derivative in theta.
+    Provided the fine profile is unimodal on the grid bracket where each
+    walk ends, every angle in ``tied_minima`` lies within ``theta_tol`` of a
+    minimizer; the least gives ``theta_star`` and the recovered extremal
+    form.  ``dlam_dtheta`` is the fine derivative at ``theta_star``, a
+    first-order certificate: about 0 at an interior minimum, and pointing
+    out of [0, pi/2] at an end.
 
     ``mirror_permutation`` is called once per mesh of ``shared``.  When
     every level is mirrored, the search solves angles in [0, pi/4] only and
@@ -335,73 +325,69 @@ def lambda_min(
     thetas = np.linspace(0.0, 0.5 * math.pi, grid_n).tolist()
     # the mirror angle pi/2 - theta, by index on the grid
     twins = dict(zip(thetas, reversed(thetas)))
-    # (level, theta) -> (value, error bound, eigenfunction)
-    solved: dict[tuple[int, float], tuple[float, float, np.ndarray]] = {}
+    # (level, theta) -> (value, error bound, eigenfunction, derivative in theta)
+    solved: dict[tuple[int, float], tuple[float, float, np.ndarray, float]] = {}
 
     def twin(theta: float) -> float:
         return twins.get(theta, 0.5 * math.pi - theta)
 
-    def value(lv: int, theta: float) -> float:
-        """The table's value at (lv, theta), solved on a miss from the
-        eigenfunction of the nearest angle in the table on level ``lv``.  On
-        a mirrored search an angle above pi/4 is read from its twin, with the
-        reflected eigenfunction."""
+    def value(lv: int, theta: float) -> tuple[float, float]:
+        """The table's value and derivative at (lv, theta), solved on a miss
+        from the eigenfunction of the nearest angle in the table on level
+        ``lv``.  On a mirrored search an angle above pi/4 is read from its
+        twin, with the reflected eigenfunction and the negated derivative."""
         if (lv, theta) not in solved:
             if mirrored and twin(theta) < theta:
                 value(lv, twin(theta))
-                lam, bound, u = solved[lv, twin(theta)]
-                solved[lv, theta] = lam, bound, u[perms[lv]]
-                return lam
+                lam, bound, u, dlam = solved[lv, twin(theta)]
+                solved[lv, theta] = lam, bound, u[perms[lv]], -dlam
+                return lam, -dlam
             near = min(
                 (th for solved_lv, th in solved if solved_lv == lv),
                 key=lambda th: (abs(th - theta), th),
                 default=None,
             )
             start = None if near is None else solved[lv, near][2]
-            res = profile_value(meshes[lv], theta, a, p, tol, start=start)
-            solved[lv, theta] = res.lam, res.residual * res.lam, res.u
-        return solved[lv, theta][0]
+            res, dlam = profile_value(meshes[lv], theta, a, p, tol, start=start)
+            if mirrored and twin(theta) == theta:  # pi/4, where symmetry makes it 0
+                dlam = 0.0
+            solved[lv, theta] = res.lam, res.residual * res.lam, res.u, dlam
+        return solved[lv, theta][0], solved[lv, theta][3]
 
     coarse, fine = partial(value, profile_level), partial(value, level)
     try:
-        values = np.array([coarse(th) for th in thetas])
+        values = np.array([coarse(th)[0] for th in thetas])
         i_min = int(np.argmin(values))
         vmin = float(values[i_min])
-        gap = abs(fine(thetas[i_min]) - vmin)
+        gap = abs(fine(thetas[i_min])[0] - vmin)
         iso = shared.isotropic(meshes[level], p, tol)
         iso_bound = iso.residual * iso.lam
-        tie_tol = 2.0 * max(iso_bound, *(bound for _, bound, _ in solved.values())) + gap
+        tie_tol = 2.0 * max(iso_bound, *(entry[1] for entry in solved.values())) + gap
         tied_idx = np.flatnonzero(values <= vmin + tie_tol)
         if mirrored:  # one of each mirror pair of grid minima
             tied_idx = tied_idx[2 * tied_idx <= grid_n - 1]
-        # merge adjacent grid indices into brackets, refine each at the fine level
+        # merge adjacent grid indices into groups, walk from each group's
+        # least coarse value to its fine grid bracket
         groups: list[list[int]] = []
         for i in tied_idx:
             if groups and i == groups[-1][-1] + 1:
                 groups[-1].append(int(i))
             else:
                 groups.append([int(i)])
-        centres: dict[int, None] = {}
-        for grp in groups:
-            i = grp[int(np.argmin(values[grp]))]
-            while 0 < i < grid_n - 1:
-                j = min((i - 1, i + 1), key=lambda k: fine(thetas[k]))
-                if fine(thetas[j]) >= fine(thetas[i]):
-                    break
-                i = j
-            centres[i] = None
+        axis = (grid_n - 1) // 2 if mirrored and grid_n % 2 else -1
+        brackets = dict.fromkeys(
+            _walk(fine, thetas, grp[int(np.argmin(values[grp]))], axis) for grp in groups
+        )
         tied = []
-        for i in centres:
-            if mirrored and 2 * i == grid_n - 1:  # pi/4 itself, the minimizer of its bracket
-                theta, lam = thetas[i], fine(thetas[i])
-            else:
-                theta, lam = _refine_min(fine, thetas, i, theta_tol)
+        for lo, hi in brackets:
+            theta, lam = _regula_falsi(fine, thetas[lo], thetas[hi], theta_tol)
             tied.append((theta, lam))
-            if mirrored and abs(grid_n - 1 - 2 * i) > 1:  # the bracket misses pi/4
+            if mirrored and lo + hi != grid_n - 1 and twin(theta) != theta:  # two minima
                 tied.append((twin(theta), lam))
         tied.sort(key=lambda tv: tv[1])
         theta_star, lam_min = tied[0]
-        lam_coarse = coarse(theta_star)
+        dlam_dtheta = fine(theta_star)[1]
+        lam_coarse = coarse(theta_star)[0]
     except SolverConvergenceError as exc:
         exc.theta_profile = [
             (th, solved[profile_level, th][0]) for th in thetas if (profile_level, th) in solved
@@ -425,8 +411,9 @@ def lambda_min(
         profile_level=profile_level,
         lambda_min_coarse=lam_coarse,
         error_estimate=None if profile_level == level else abs(lam_coarse - lam_min),
-        residual=float(max(iso_bound, *(bound for _, bound, _ in solved.values()))),
+        residual=float(max(iso_bound, *(entry[1] for entry in solved.values()))),
         mirrored=mirrored,
+        dlam_dtheta=dlam_dtheta,
     )
 
 

@@ -440,6 +440,18 @@ def _gradient(
     return ops.a_t @ np.concatenate((flux.ravel(), w))
 
 
+def _form_gradient(m: Mesh, res: EigenResult) -> np.ndarray:
+    """S = sum_T |T| (p/2) q_T^((p-2)/2) g_T g_T^T of the solved pair ``res``
+    on ``m``, g_T the triangle gradients of its unit-p-norm eigenfunction and
+    q_T = Q(g_T) floored as in ``_gradient``.  The eigenvalue is a minimum
+    over u of a quotient smooth in the form, so dlam = tr(S dQ) for a change
+    dQ of the form (Danskin's theorem; Hellmann-Feynman at p = 2)."""
+    ops = _operators(m)
+    g = (ops.a @ res.u[~m.boundary_node])[: 2 * len(ops.area)].reshape(2, -1)
+    q = np.maximum((g * (res.form.matrix() @ g)).sum(axis=0), GRAD_FLOOR if res.p < 2.0 else 0.0)
+    return np.einsum("it,jt->ij", g * (0.5 * res.p * ops.area * q ** (0.5 * res.p - 1.0)), g)
+
+
 def _inverse_iteration(
     mass: sp.csc_matrix, lu: _BandCholesky | SuperLU, tol: float, u: np.ndarray | None = None
 ) -> tuple[np.ndarray, int, bool]:

@@ -9,6 +9,7 @@ from anisolap import (
     EigenResult,
     Mesh,
     OptimizeResult,
+    Polygon,
     QuadForm,
     Rectangle,
     SolverConvergenceError,
@@ -39,6 +40,8 @@ SQUARE = Rectangle(1.0, 1.0)
 # the tall rectangle has no diagonal mirror, so its searches solve every
 # angle: a fake profile asymmetric about pi/4 may stand in for its solves
 RECT_TALL = Rectangle(1.0, 2.0)
+# a quadrilateral with no symmetry
+QUAD = Polygon(((0.0, 0.0), (2.0, 0.0), (2.5, 1.5), (0.3, 1.2)))
 # ``run_verification`` arguments of a small run on the square
 VERIFY_ARGS = {
     "a": 0.25,
@@ -54,10 +57,18 @@ VERIFY_ARGS = {
 }
 
 
-def fake_solve(lam: float, residual: float = 0.0) -> EigenResult:
+def fake_solve(lam: float, dlam: float, residual: float = 0.0) -> tuple[EigenResult, float]:
     """What a fake ``profile_value`` returns: a solve's value and residual,
-    with no eigenfunction for the next solve to start from."""
-    return EigenResult(lam, None, 0, residual, 2.0, QuadForm.identity())
+    with no eigenfunction for the next solve to start from, and the value's
+    derivative in theta."""
+    return EigenResult(lam, None, 0, residual, 2.0, QuadForm.identity()), dlam
+
+
+def bowl(theta: float, c: float, residual: float = 0.0) -> tuple[EigenResult, float]:
+    """The fake solve of exp(s) - s, s = 4 (theta - c), unimodal and
+    asymmetric with minimum 1 at c, and its derivative 4 (exp(s) - 1)."""
+    s = 4.0 * (theta - c)
+    return fake_solve(math.exp(s) - s, 4.0 * (math.exp(s) - 1.0), residual)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -72,9 +83,31 @@ def test_profile_value_affine_invariance(domain, theta, p):
     c, s = math.cos(theta), math.sin(theta)
     affine = np.diag([1.0, math.sqrt(a)]) @ np.array([[c, -s], [s, c]])
     mapped = Mesh.from_arrays(mesh.nodes @ affine.T, mesh.triangles)
-    value = profile_value(mesh, theta, a, p).lam
+    value = profile_value(mesh, theta, a, p)[0].lam
     iso = solve_p(mapped, QuadForm.identity(), p).lam
     assert value == pytest.approx(a ** (0.5 * p) * iso, rel=1e-8)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+@pytest.mark.parametrize("domain", [lshape(), QUAD], ids=["lshape", "quadrilateral"])
+def test_form_gradient_matches_central_differences(domain, p):
+    # dlam = tr(S dQ) with S from the solve alone (Danskin's theorem), against
+    # central differences of solves at tol 1e-12, h = 1e-4: along theta at
+    # 0.6, as profile_value's derivative, and along a, where dQ/da =
+    # R^T diag(1, 0) R.  At p < 2 a triangle whose nodes all lie on the
+    # boundary has q_T = 0, and S is finite only through the floor of q_T
+    a, theta, h, tol = 0.25, 0.6, 1e-4, 1e-12
+    mesh = build_mesh(domain, 4)
+    res, dlam = profile_value(mesh, theta, a, p, tol)
+    s = solver._form_gradient(mesh, res)
+    assert np.isfinite(s).all()
+    c, sn = math.cos(theta), math.sin(theta)
+    for derivative, form in (
+        (dlam, lambda t: extremal_form(a, theta + t)),
+        (float(np.sum(s * np.outer((c, -sn), (c, -sn)))), lambda t: extremal_form(a + t, theta)),
+    ):
+        plus, minus = (solve_p(mesh, form(t), p, tol, start=res.u).lam for t in (h, -h))
+        assert derivative == pytest.approx((plus - minus) / (2.0 * h), rel=1e-5)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -83,12 +116,16 @@ def test_profile_is_symmetric_on_a_mirrored_mesh(domain, p):
     # the reflection about the mesh's diagonal swaps alpha and gamma of a form
     # and keeps beta, so it maps the form at theta to the one at pi/2 - theta:
     # cold solves at the two angles agree, and the reflected eigenfunction
-    # has the same energy under the swapped form, and the same p-norm
+    # has the same energy under the swapped form, and the same p-norm.  The
+    # derivatives in theta are opposite, as a mirror read stores them
     a, theta = 0.25, 0.3
     mesh = build_mesh(domain, 3)
     perm = mirror_permutation(mesh)
-    res, twin = (profile_value(mesh, th, a, p) for th in (theta, 0.5 * math.pi - theta))
+    (res, dlam), (twin, twin_dlam) = (
+        profile_value(mesh, th, a, p) for th in (theta, 0.5 * math.pi - theta)
+    )
     assert twin.lam == pytest.approx(res.lam, rel=2 * DEFAULT_TOL)
+    assert twin_dlam == pytest.approx(-dlam, rel=1e-5)
     q = extremal_form(a, theta)
     swapped = QuadForm(q.gamma, q.beta, q.alpha)
     assert energy(mesh, swapped, p, res.u[perm]) == pytest.approx(
@@ -206,15 +243,13 @@ def test_optimize_result_serializable():
 
 def refined(monkeypatch, c: float, theta_tol: float = 1e-4):
     """``lambda_min`` at grid_n = 9 with ``optimizer.profile_value`` replaced
-    by exp(4 (theta - c)) - 4 (theta - c), unimodal and asymmetric with
-    minimum 1 at c: the result and the number of profile calls beyond the
-    grid."""
+    by ``bowl`` about c: the result and the number of profile calls beyond
+    the grid."""
     calls = []
 
     def profile(mesh, theta, a, p, tol=None, start=None):
         calls.append(float(theta))
-        s = 4.0 * (theta - c)
-        return fake_solve(math.exp(s) - s)
+        return bowl(theta, c)
 
     monkeypatch.setattr(optimizer, "profile_value", profile)
     res = lambda_min(RECT_TALL, 0.25, 2.0, 9, level=2, theta_tol=theta_tol)
@@ -227,23 +262,29 @@ def test_refinement_finds_off_grid_interior_minimum(monkeypatch):
     res, extra = refined(monkeypatch, c)
     assert abs(res.theta_star - c) <= 1e-4
     assert res.lambda_min == pytest.approx(1.0, abs=1e-7)
-    assert 0 < extra <= 10  # golden section would spend about 18
+    assert 0 < extra <= 6
+    # the first-order certificate: the second derivative is 16 at c
+    assert abs(res.dlam_dtheta) <= 16.0 * 1e-4
 
 
 @pytest.mark.parametrize("c, end", [(-0.2, 0), (2.0, -1)], ids=["zero", "quarter"])
-def test_refinement_endpoint_minimum_costs_one_call(monkeypatch, c, end):
+def test_refinement_endpoint_minimum_costs_no_call(monkeypatch, c, end):
+    # the derivative at the end points out of [0, pi/2]: the end is the answer
     res, extra = refined(monkeypatch, c)
-    assert extra == 1
+    assert extra == 0
     assert (res.theta_star, res.lambda_min) == res.theta_profile[end]
+    assert res.dlam_dtheta == bowl(res.theta_star, c)[1]
+    assert (res.dlam_dtheta > 0.0) == (end == 0)
 
 
 @pytest.mark.parametrize(
     "c, end", [(3e-4, 0), (0.5 * math.pi - 3e-4, -1)], ids=["zero", "quarter"]
 )
 def test_refinement_minimum_near_endpoint_is_found(monkeypatch, c, end):
-    # 3 tol inside the endpoint: the check tol inward is lower, so it refines
+    # 3 tol inside the endpoint: the derivative there points into the range,
+    # so the search brackets the minimum with the end's grid neighbour
     res, extra = refined(monkeypatch, c)
-    assert extra > 1
+    assert extra > 0
     assert abs(res.theta_star - c) <= 1e-4
     assert res.lambda_min < res.theta_profile[end][1]
 
@@ -262,8 +303,7 @@ def test_lambda_min_residual_covers_refinement_solves(monkeypatch):
     grid = set(np.linspace(0.0, 0.5 * math.pi, 9).tolist())
 
     def profile(mesh, theta, a, p, tol=None, start=None):
-        s = 4.0 * (theta - 0.3)
-        return fake_solve(math.exp(s) - s, 0.0 if float(theta) in grid else 0.5)
+        return bowl(theta, 0.3, 0.0 if float(theta) in grid else 0.5)
 
     monkeypatch.setattr(optimizer, "profile_value", profile)
     res = lambda_min(RECT_TALL, 0.25, 2.0, 9, level=2)
@@ -271,8 +311,9 @@ def test_lambda_min_residual_covers_refinement_solves(monkeypatch):
     assert len(res.tied_minima) == 1
 
 
-def test_lambda_min_rectangle_spends_one_refinement_solve(monkeypatch):
-    # the minimizer theta = 0 is an endpoint: one check solve, then done
+def test_lambda_min_rectangle_spends_no_refinement_solve(monkeypatch):
+    # the minimizer theta = 0 is an endpoint whose derivative points out of
+    # [0, pi/2]: the grid's solve there is the answer
     calls = []
     real = optimizer.profile_value
 
@@ -282,9 +323,8 @@ def test_lambda_min_rectangle_spends_one_refinement_solve(monkeypatch):
 
     monkeypatch.setattr(optimizer, "profile_value", counting)
     res = lambda_min(Rectangle(1.0, 2.0), 0.25, 2.0, grid_n=9, level=3)
-    assert len(calls) == 9 + 1
-    assert calls[-1] == pytest.approx(1e-4)
-    assert res.theta_star == 0.0
+    assert len(calls) == 9
+    assert res.theta_star == 0.0 and res.dlam_dtheta > 0.0
 
 
 def test_lambda_min_lshape_tied_minima_are_symmetric():
@@ -304,14 +344,16 @@ def mirrored_search(monkeypatch, domain, c: float, grid_n: int = 9):
     """``lambda_min`` on ``domain`` at level 2 with ``optimizer.profile_value``
     replaced by exp(s) - s, s = 4 (|theta - pi/4| - (pi/4 - c)): symmetric
     about pi/4, with minimum 1 at c and at pi/2 - c, and unimodal on either
-    side of pi/4.  The result and the angles of the profile calls."""
+    side of pi/4, with its derivative.  The result and the angles of the
+    profile calls."""
     calls = []
 
     def profile(mesh, theta, a, p, tol=None, start=None):
         calls.append(float(theta))
         s = 4.0 * (abs(theta - 0.25 * math.pi) - (0.25 * math.pi - c))
         u = np.zeros(mesh.n_nodes)  # a mirror read reflects it
-        return EigenResult(math.exp(s) - s, u, 0, 0.0, 2.0, QuadForm.identity())
+        dlam = 4.0 * (math.exp(s) - 1.0) * float(np.sign(theta - 0.25 * math.pi))
+        return EigenResult(math.exp(s) - s, u, 0, 0.0, 2.0, QuadForm.identity()), dlam
 
     monkeypatch.setattr(optimizer, "profile_value", profile)
     return lambda_min(domain, 0.25, 2.0, grid_n, level=2), calls
@@ -343,6 +385,18 @@ def test_lambda_min_minimum_at_quarter_turn_is_not_refined(monkeypatch):
     assert res.tied_minima == [(0.25 * math.pi, 1.0)]
 
 
+def test_lambda_min_minimum_next_to_quarter_turn_is_refined(monkeypatch):
+    # at c = 0.62 the walk from the grid angle below pi/4 finds a higher value
+    # at pi/4: the minimizer lies between them, where the derivative, 0 at
+    # pi/4 by symmetry, changes sign, and it is refined there
+    res, calls = mirrored_search(monkeypatch, SQUARE, 0.62)
+    assert all(t <= 0.25 * math.pi for t in calls) and len(calls) > 5
+    (t1, v1), (t2, v2) = res.tied_minima
+    assert abs(t1 - 0.62) <= DEFAULT_THETA_TOL
+    assert res.lambda_min == pytest.approx(1.0, abs=1e-7)
+    assert (t2, v2) == (0.5 * math.pi - t1, v1)
+
+
 def test_lambda_min_bracket_across_quarter_turn_reports_one_minimum(monkeypatch):
     # at grid_n = 10 the grid minima at indices 4 and 5 are mirror images
     # whose brackets both hold pi/4: one is refined, and reported once
@@ -361,7 +415,7 @@ def test_lambda_min_bracket_across_quarter_turn_reports_one_minimum(monkeypatch)
     [
         (RECT_TALL, 2.0, 1.236674518143308, [0.0]),
         (SQUARE, 3.0, 3.559898173179352, [0.25 * math.pi]),
-        (lshape(), 2.0, 4.665185485401319, [0.20435522644520046, 1.3664411003496961]),
+        (lshape(), 2.0, 4.665185486160885, [0.20434098471634723, 1.3664553420785492]),
     ],
     ids=["rectangle-p2", "square-p3", "lshape-p2"],
 )
@@ -375,11 +429,14 @@ def test_lambda_min_two_level_keeps_the_answer(domain, p, lam, argmins):
     assert res.lambda_min == pytest.approx(lam, rel=1e-12)
     assert sorted(t for t, _ in res.tied_minima) == pytest.approx(argmins, rel=1e-12, abs=1e-15)
     assert res.theta_star == res.tied_minima[0][0]
+    # the search keeps Python floats, as the table's grid angles are
+    assert {type(x) for pair in res.tied_minima for x in pair} == {float}
+    assert type(res.dlam_dtheta) is float
 
 
 def test_lambda_min_two_level_solve_count(monkeypatch):
     # the grid is sampled on the level-4 mesh; the level-5 mesh sees the
-    # coarse argmin theta = 0 and the endpoint check theta_tol inward
+    # coarse argmin theta = 0 alone, whose derivative points out of [0, pi/2]
     calls = {}
     real = optimizer.profile_value
 
@@ -392,7 +449,7 @@ def test_lambda_min_two_level_solve_count(monkeypatch):
     coarse, fine = build_mesh(RECT_TALL, 4).n_nodes, build_mesh(RECT_TALL, 5).n_nodes
     assert sorted(calls) == sorted([coarse, fine])
     assert len(calls[coarse]) == 17
-    assert calls[fine] == [0.0, DEFAULT_THETA_TOL]
+    assert calls[fine] == [0.0]
     assert res.theta_star == 0.0
     assert res.lambda_min_coarse == res.theta_profile[0][1]
 
@@ -400,16 +457,16 @@ def test_lambda_min_two_level_solve_count(monkeypatch):
 @pytest.mark.parametrize(
     "domain, p, level, grid_n, counts",
     [
-        (RECT_TALL, 2.0, 5, 17, [17, 2]),
+        (RECT_TALL, 2.0, 5, 17, [17, 1]),
         (SQUARE, 3.0, 3, 9, [5]),
-        (lshape(), 2.0, 4, 17, [10, 8]),
+        (lshape(), 2.0, 4, 17, [10, 5]),
         (Disk(1.0), 3.0, 3, 9, [10]),
     ],
     ids=["rectangle-p2-L5", "square-p3-L3", "lshape-p2-L4", "disk-p3-L3"],
 )
 def test_lambda_min_solves_each_angle_once(monkeypatch, domain, p, level, grid_n, counts):
-    # profile solves per mesh, the grid's first: on one level the bracket
-    # checks and the coarse value at theta_star reread the grid's solves.  The
+    # profile solves per mesh, the grid's first: on one level the walks and
+    # the coarse value at theta_star reread the grid's solves.  The
     # square and the L-shape are mirrored: each solves its grid angles in
     # [0, pi/4] alone, and the square's grid minimum at pi/4 is not refined
     calls = []
@@ -435,32 +492,27 @@ def test_lambda_min_one_level_failure_in_refinement_keeps_the_grid(monkeypatch):
     best = solve_p(build_mesh(RECT_TALL, 2), QuadForm.identity(), 2.0)
     off_grid = []
 
-    def curve(theta):
-        s = 4.0 * (theta - 0.3)
-        return math.exp(s) - s
-
     def profile(mesh, theta, a, p, tol=None, start=None):
         if theta not in grid:
             off_grid.append(theta)
             if len(off_grid) == 3:
                 raise SolverConvergenceError("descent stopped", best)
-        return fake_solve(curve(theta))
+        return bowl(theta, 0.3)
 
     monkeypatch.setattr(optimizer, "profile_value", profile)
     with pytest.raises(SolverConvergenceError) as info:
         lambda_min(RECT_TALL, 0.25, 2.0, 9, level=2)
     assert len(off_grid) == 3
-    assert info.value.theta_profile == [(t, curve(t)) for t in grid]
+    assert info.value.theta_profile == [(t, bowl(t, 0.3)[0].lam) for t in grid]
 
 
 def test_lambda_min_moves_bracket_to_lower_fine_neighbour(monkeypatch):
     # the coarse profile puts its minimum at 0.75, the fine one at 0.3: the
-    # fine bracket check walks the grid minimum down to the fine bracket
+    # fine derivative walks the grid minimum down to the fine bracket
     fine_nodes = build_mesh(RECT_TALL, 4).n_nodes
 
     def profile(mesh, theta, a, p, tol=None, start=None):
-        s = 4.0 * (theta - (0.3 if mesh.n_nodes == fine_nodes else 0.75))
-        return fake_solve(math.exp(s) - s)
+        return bowl(theta, 0.3 if mesh.n_nodes == fine_nodes else 0.75)
 
     monkeypatch.setattr(optimizer, "profile_value", profile)
     res = lambda_min(RECT_TALL, 0.25, 2.0, 9, level=4)
@@ -487,9 +539,9 @@ def test_warm_search_agrees_with_cold(monkeypatch, domain, p):
 
     def counted(*args, start=None, **kwargs):
         starts.append(start is not None)
-        res = real(*args, start=start, **kwargs)
+        res, dlam = real(*args, start=start, **kwargs)
         iterations.append(res.iterations)
-        return res
+        return res, dlam
 
     def cold(*args, start=None, **kwargs):
         return counted(*args, **kwargs)
@@ -531,7 +583,7 @@ def test_error_estimate_bounds_square_error():
     # of levels 5 and 6 at that angle (2.8344; levels 4 and 5 give 2.8353)
     res = lambda_min(SQUARE, 0.25, 2.0, level=5)
     lam5, lam6 = (
-        profile_value(build_mesh(SQUARE, level), 0.25 * math.pi, 0.25, 2.0).lam
+        profile_value(build_mesh(SQUARE, level), 0.25 * math.pi, 0.25, 2.0)[0].lam
         for level in (5, 6)
     )
     error = abs(res.lambda_min - (4.0 * lam6 - lam5) / 3.0)  # 0.0207
