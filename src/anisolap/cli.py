@@ -57,7 +57,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import solver
-from .geometry import DomainSpec, domain_from_json, domain_to_json, read_number
+from .geometry import DomainSpec, GeometryError, domain_from_json, domain_to_json, read_number
 from .mesh import build_mesh
 from .optimizer import DEFAULT_GRID_N, lambda_min, run_verification
 from .quadform import QuadForm
@@ -393,6 +393,10 @@ def main(argv=None) -> int:
     # exit 2 on bad input, an input file that cannot be read or an output not written
     except (ConfigError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    # and on a domain admitted by its sizes that is too small to mesh
+    except GeometryError as exc:
+        print(f"error: cannot mesh the domain: {exc}", file=sys.stderr)
         return 2
 
 

@@ -18,6 +18,14 @@ from typing import Union
 import numpy as np
 
 
+class GeometryError(ValueError):
+    """A polygon or a mesh that fails a geometric check: a polygon that is
+    not counterclockwise or not simple, a triangle without positive area or
+    an edge shared by more than two triangles.  Every check scales its
+    tolerance with the largest coordinate, so a domain admitted by its sizes
+    alone can fail one when it is meshed."""
+
+
 @dataclass(frozen=True)
 class Disk:
     radius: float
@@ -62,9 +70,9 @@ class Polygon:
             raise ValueError("polygon vertices must be finite")
         _check_extent(float(np.max(np.abs(v))), "polygon vertex coordinate")
         if _signed_area(v) <= 0.0:
-            raise ValueError("polygon must be counterclockwise with positive area")
+            raise GeometryError("polygon must be counterclockwise with positive area")
         if not _is_simple(v):
-            raise ValueError("polygon must be simple (non-self-intersecting)")
+            raise GeometryError("polygon must be simple (non-self-intersecting)")
         v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
 

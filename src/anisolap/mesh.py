@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Disk, DomainSpec, Polygon, polygonize
+from .geometry import Disk, DomainSpec, GeometryError, Polygon, polygonize
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,7 +43,7 @@ class Mesh:
         area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
         scale = float(np.max(np.abs(nodes))) ** 2 + 1.0
         if np.any(area <= 1e-14 * scale):
-            raise ValueError("all triangles must be counterclockwise with positive area")
+            raise GeometryError("all triangles must be counterclockwise with positive area")
 
         # Edge opposite node i is p_{i+2} - p_{i+1}; rotating it by +90 degrees
         # and dividing by 2|T| gives the gradient of the hat function at i.
@@ -58,7 +58,7 @@ class Mesh:
         keys = edges[:, 0] * np.int64(n) + edges[:, 1]
         uniq, counts = np.unique(keys, return_counts=True)
         if np.any(counts > 2):
-            raise ValueError("non-conforming mesh: an edge is shared by > 2 triangles")
+            raise GeometryError("non-conforming mesh: an edge is shared by > 2 triangles")
         boundary_edges = uniq[counts == 1]
         boundary = np.zeros(n, dtype=bool)
         boundary[boundary_edges // n] = True
@@ -150,7 +150,7 @@ def triangulate(p: Polygon) -> Mesh:
                 refresh(i)
         i = int(np.argmax(quality))
         if not np.isfinite(quality[i]):
-            raise ValueError("ear clipping failed: polygon is degenerate")
+            raise GeometryError("ear clipping failed: polygon is degenerate")
         tris.append((prv[i], i, nxt[i]))
         active[i] = False
         quality[i] = -np.inf

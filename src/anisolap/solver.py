@@ -9,20 +9,24 @@ interior nodes.  Every operator a solve needs depends on the mesh alone, so
 ``_operators`` builds one record per mesh, the first time a solve sees it, and
 keeps it for as long as the mesh lives.  Its one sparse map A = [G; Mid],
 
-    G    (2 n_tri x n_int)  values -> x gradients of the triangles, then y
-    Mid  (3 n_tri x n_int)  values -> values at the triangles' edge midpoints
+    G    (2 n_tri x n_int)   values -> x gradients of the triangles, then y
+    Mid  (n_mid x n_int)     values -> values at the mesh's edge midpoints
 
-evaluates everything else.  The energy E(u) = sum |T| Q(Gu)^(p/2) is exact
-per triangle (the integrand is constant); the p-norm N(u) = sum |T|/3
-|Mid u|^p is the 3-point edge-midpoint rule.  One product A u gives both, and
-one product of A^T with the stacked per-triangle factors gives the gradient
-of E - lam N.  The record also holds one sparsity pattern, the pairs of
-interior nodes that share a triangle, and on it the data of the consistent
-mass M = Mid^T diag(|T|/3) Mid and of three stiffness pieces
-K_xx = G_x^T diag|T| G_x, K_xy + K_yx and K_yy.  The p = 2 stiffness of a form
-q is then three axpys, K(q) = alpha K_xx + beta (K_xy + K_yx) + gamma K_yy,
-and the stiffness of any other triangle weights one assembly of element
-blocks onto the same pattern.
+evaluates everything else.  Mid has one row per edge with an interior end,
+about 1.5 n_tri rows, so A has about 3.5 n_tri rows, not the 5 n_tri of
+three midpoints per triangle.  The energy E(u) = sum |T| Q(Gu)^(p/2) is
+exact per triangle (the integrand is constant); the p-norm N(u) = sum_e w_e
+|Mid u|_e^p is the 3-point edge-midpoint rule on every triangle, each edge's
+weight w_e the summed |T|/3 of its triangles, so each midpoint value and its
+powers are computed once.  One product A u gives both, and one product of
+A^T with the stacked per-triangle and per-edge factors gives the gradient of
+E - lam N.  The record also holds one sparsity pattern, the diagonal and
+both entries of every edge between interior nodes, built from the same edge
+table as Mid, and on it the data of the consistent mass M = Mid^T diag(w)
+Mid and of three stiffness pieces K_xx = G_x^T diag|T| G_x, K_xy + K_yx and
+K_yy.  The p = 2 stiffness of a form q is then three axpys, K(q) = alpha
+K_xx + beta (K_xy + K_yx) + gamma K_yy, and the stiffness of any other
+triangle weights one assembly of element blocks onto the same pattern.
 
 One path for every p > 1, built on one direct factorization of K: a
 Cholesky factorization of its band in the record's reverse Cuthill-McKee
@@ -58,18 +62,29 @@ A factorization of K, or of K_w, costs three axpys on the pattern's data,
 one scatter of its lower triangle into a zeroed band and one ``dpbtrf``; a
 solve with it is one ``dpbtrs`` between a gather and a scatter by the order.
 A step of the inverse iteration costs one solve and one product with M.  A
-descent iteration costs one product with A^T and one solve per metric, and a
-line-search trial one product with A; the accepted trial's product gives the
-next gradient.  On the small meshes of the verify suites a product's time
-is mostly scipy's per-call overhead, so these counts, more than the
-arithmetic, set the time of an iteration.  The dot products of the energy,
-the p-norm and the descent are summed by numpy, not by a threaded BLAS.
+descent iteration costs one product with A^T and one solve in its metric,
+and a line-search trial one product with A; the accepted trial's product
+gives the next gradient.  On the small meshes of the verify suites a
+product's time is mostly scipy's per-call overhead, so these counts, more
+than the arithmetic, set the time of an iteration.  The dot products of the
+energy, the p-norm and the descent are summed by numpy, not by a threaded
+BLAS.
 
 Every result reports the dual-norm residual sqrt(g . K^-1 g) / (p lam) of the
 returned pair, g being the gradient of E(u) - lam N(u), always in the metric
 of K whatever metric the descent steps in.  It measures how far the pair is
-from satisfying the discrete eigenvalue equation.  The descent computes it
-every step and stops on it.
+from satisfying the discrete eigenvalue equation, and the descent stops on
+it.  In the metric K the step's own solve gives it.  Below the cut-off
+K_w - w_min K = G^T (m2 (x) diag(b - w_min |T|)) G is positive semidefinite,
+b the lagged weights and w_min = min_T b_T / |T|, so
+
+    g . K^-1 g >= w_min g . K_w^-1 g,
+
+and an iteration whose w_min g . K_w^-1 g exceeds 2 (bound p lam)^2 cannot
+stop: it costs the one solve with K_w while that holds, and a second, with
+K, for the residual only where it fails, at the last iteration and on a
+line-search exit.  On the L5 L-shape at p = 1.5 that is 6 solves with K in
+29 iterations.
 
 ``directional_constant`` is the closed-form constant of the one-derivative
 inequality; it needs no solve.
@@ -162,33 +177,51 @@ class SolverConvergenceError(RuntimeError):
         self.best = best
 
 
-def _maps(m: Mesh, cols: np.ndarray) -> sp.csr_matrix:
+def _edges(m: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """The edge table of ``m``: the (n_edges, 2) node pairs of its edges, each
+    in increasing order and sorted, and the (n_tri, 3) edge of each
+    triangle's edge k, which joins its local vertices k and k + 1."""
+    n = np.int64(m.n_nodes)
+    t, t_next = m.triangles, m.triangles[:, [1, 2, 0]]
+    keys, tri_edge = np.unique(np.minimum(t, t_next) * n + np.maximum(t, t_next), return_inverse=True)
+    return np.stack([keys // n, keys % n], axis=1), tri_edge
+
+
+def _maps(
+    m: Mesh, cols: np.ndarray, ends: np.ndarray, tri_edge: np.ndarray
+) -> tuple[sp.csr_matrix, np.ndarray]:
     """The stacked map A = [G; Mid] of ``m`` on the columns ``cols`` (node ->
-    column index, -1 for a node held at zero), as CSR built from its arrays:
-    every row holds at most three entries in distinct columns, in increasing
-    column order.  Rows t and n_tri + t of G give the x and y gradient of
-    triangle t, row (2 + k) n_tri + t of Mid the value at its edge k, which
-    joins its local vertices k and k + 1."""
+    column index, -1 for a node held at zero), as CSR built from its arrays,
+    and the midpoint rule's weight of each row of Mid.  Every row holds at
+    most three entries in distinct columns, in increasing column order.  Rows
+    t and n_tri + t of G give the x and y gradient of triangle t.  Mid has one
+    row per edge of the edge table ``ends`` with a column at either end, in
+    the table's order; it gives the value at the edge's midpoint, whose
+    weight is the summed |T|/3 of the edge's triangles ``tri_edge``."""
     nt, n_cols = m.n_triangles, int(cols.max()) + 1
+    cols = cols.astype(np.int32)
     # sort each triangle's columns, carrying its gradient weights along; the
     # index arrays are built as the matrix keeps them, in 32 bits
-    c = cols.astype(np.int32)[m.triangles]
+    c = cols[m.triangles]
     order = np.argsort((c + (n_cols + 1) * np.arange(nt)[:, None]).ravel(), kind="stable")
     c_sorted = c.ravel()[order].reshape(nt, 3)
-    a = c.T
-    b = np.roll(a, -1, axis=0)
-    ends = np.stack([np.full(a.size, -1, dtype=np.int32), np.minimum(a, b).ravel(),
-                     np.maximum(a, b).ravel()], axis=1)
-    idx = np.concatenate([c_sorted, c_sorted, ends])
+    # an edge's columns in increasing order, a held end (-1) first
+    ca, cb = cols[ends[:, 0]], cols[ends[:, 1]]
+    kept = np.maximum(ca, cb) >= 0
+    ca, cb = ca[kept], cb[kept]
+    mid = np.column_stack([np.full(len(ca), -1, dtype=np.int32), np.minimum(ca, cb), np.maximum(ca, cb)])
+    idx = np.concatenate([c_sorted, c_sorted, mid])
     data = np.concatenate([m.grad_map[:, 0].ravel()[order], m.grad_map[:, 1].ravel()[order],
-                           np.full(ends.size, 0.5)])
+                           np.full(mid.size, 0.5)])
     # idx holds each row's columns in increasing order, -1 first; its rows'
     # counts are summed column by column, which is far faster than a
     # reduction along rows of three
     keep = idx >= 0
     indptr = np.zeros(len(idx) + 1, dtype=np.int32)
     np.cumsum(keep[:, 0].astype(np.int8) + keep[:, 1] + keep[:, 2], out=indptr[1:])
-    return sp.csr_matrix((data[keep.ravel()], idx[keep], indptr), shape=(len(idx), n_cols))
+    a = sp.csr_matrix((data[keep.ravel()], idx[keep], indptr), shape=(len(idx), n_cols))
+    weight = np.bincount(tri_edge.ravel(), np.repeat(m.tri_area / 3.0, 3), minlength=len(ends))
+    return a, weight[kept]
 
 
 # Entry k = 3 a + b of a triangle's 3x3 element block is in row a and column
@@ -203,25 +236,27 @@ class _Operators:
     ``a`` is the stacked map A = [G; Mid], so that a field's triangle
     gradients and edge-midpoint values are one product, and ``a_t`` its
     ``.T`` view, so that the gradient of the quotient is one product too.
-    Every matrix of the p = 2 pencil has one sparsity pattern, the pairs of
-    interior nodes that share a triangle, held once as ``indices`` and
-    ``indptr`` in CSC order; ``slot`` says where each entry of each
-    triangle's element block lands in its data, and each matrix built on it
-    takes a copy of the pattern, less its exact zeros.  The mass M and the
-    three pieces of the stiffness K(q) are data on it, built once: K(q) is
-    three axpys, and the stiffness of other triangle weights (the lagged
-    diffusivity's K_w) three ``np.bincount`` of element blocks and three
-    axpys.  ``order`` is the reverse Cuthill-McKee order of the interior
-    nodes, and ``bandwidth`` the pattern's in it.  Up to BAND_CUTOFF,
-    ``band_slot`` maps each entry of ``band_entries``, the pattern's lower
-    triangle in that order, to its place in LAPACK's lower band storage,
-    in Fortran order (``factor``); above it, both are None.  ``_operators``
-    builds one per mesh."""
+    Mid has one row per edge with an interior end, and ``weight`` is each
+    row's midpoint-rule weight, the summed |T|/3 of the edge's triangles.
+    Every matrix of the p = 2 pencil has one sparsity pattern, the diagonal
+    and both entries of every edge between interior nodes, held once as
+    ``indices`` and ``indptr`` in CSC order; ``slot`` says where each entry
+    of each triangle's element block lands in its data, and each matrix
+    built on it takes a copy of the pattern, less its exact zeros.  The
+    mass M and the three pieces of the stiffness K(q) are data on it, built
+    once: K(q) is three axpys, and the stiffness of other triangle weights
+    (the lagged diffusivity's K_w) three ``np.bincount`` of element blocks
+    and three axpys.  ``order`` is the reverse Cuthill-McKee order of the
+    interior nodes, and ``bandwidth`` the pattern's in it.  Up to
+    BAND_CUTOFF, ``band_slot`` maps each entry of ``band_entries``, the
+    pattern's lower triangle in that order, to its place in LAPACK's lower
+    band storage, in Fortran order (``factor``); above it, both are None.
+    ``_operators`` builds one per mesh from its edge table (``_edges``)."""
 
-    a: sp.csr_matrix        # (5 n_tri, n_int), rows as ``_maps`` says
+    a: sp.csr_matrix        # (2 n_tri + n_mid, n_int), rows as ``_maps`` says
     a_t: sp.csc_matrix
     area: np.ndarray        # (n_tri,) |T|
-    weight: np.ndarray      # (3 n_tri,) midpoint-rule weights |T|/3
+    weight: np.ndarray      # (n_mid,) midpoint-rule weights, the summed |T|/3 of each edge
     grad_map: np.ndarray    # (n_tri, 2, 3) the mesh's hat-function gradients
     slot: np.ndarray        # (9, n_tri) data index of block entry k, nnz at a boundary node
     indices: np.ndarray     # the pattern, CSC with sorted rows
@@ -337,22 +372,52 @@ class _BandCholesky:
 _RECORDS: weakref.WeakKeyDictionary[Mesh, _Operators] = weakref.WeakKeyDictionary()
 
 
-def _pattern(c: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The stiffness pattern of triangles whose vertices have the (3, n_tri)
-    columns ``c`` (-1 for a boundary node) among ``n``: the slot of each
-    block entry in its data (nnz for an entry with a boundary node), then
-    the pattern's CSC ``indices`` and ``indptr``.
+def _pattern(
+    cols: np.ndarray, n: int, triangles: np.ndarray, ends: np.ndarray, tri_edge: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stiffness pattern of the mesh ``triangles`` with the edge table
+    ``ends`` and ``tri_edge`` (``_edges``), on the columns ``cols`` (node ->
+    column, -1 for a held node) among ``n``: the (9, n_tri) slot of each
+    block entry in its data (nnz for an entry with a held node), then the
+    pattern's CSC ``indices`` and ``indptr``.
 
-    Block entry k of a triangle has the CSC key column * n + row, or n * n
-    if it has a boundary node.  The distinct keys give the pattern, and the
-    rank of an entry's key is its slot."""
-    held = c < 0
-    held = held[_BLOCK_COLS] | held[_BLOCK_ROWS]
-    keys = np.where(held, n * n, c[_BLOCK_COLS] * n + c[_BLOCK_ROWS])
-    unique, slot = np.unique(keys, return_inverse=True)
-    unique = unique[: np.searchsorted(unique, n * n)]
-    indptr = np.searchsorted(unique, n * np.arange(n + 1))
-    return slot.reshape(keys.shape), (unique % n).astype(np.int32), indptr.astype(np.int32)
+    The pattern is the diagonal and both entries of every edge with two
+    columns.  Column numbers rise with node numbers, so the table's sorted
+    edges (a, b), a < b, are sorted by a, then b: column a holds its rows b
+    below the diagonal in that order, and sorting by b, then a, gives each
+    column b its rows a above the diagonal in order."""
+    a, b = cols[ends[:, 0]], cols[ends[:, 1]]
+    inner = (a >= 0) & (b >= 0)
+    a, b = a[inner], b[inner]
+    below, above = np.bincount(a, minlength=n), np.bincount(b, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(above + 1 + below, out=indptr[1:])
+    nnz = int(indptr[-1])
+    diag = indptr[:-1] + above
+    # an entry's slot is its column's first slot of its kind plus its rank there
+    rank = np.arange(len(a))
+    lower = diag[a] + 1 + rank - (np.cumsum(below) - below)[a]
+    by_b = np.argsort(b * n + a)
+    upper = np.empty_like(lower)
+    upper[by_b] = indptr[b[by_b]] + rank - (np.cumsum(above) - above)[b[by_b]]
+    indices = np.empty(nnz, dtype=np.int32)
+    indices[diag], indices[lower], indices[upper] = np.arange(n), b, a
+    # the slots of each edge's entries above and below the diagonal, and of
+    # each column's diagonal, nnz where a node is held (index -1)
+    edge_upper, edge_lower = np.full(len(ends), nnz), np.full(len(ends), nnz)
+    edge_upper[inner], edge_lower[inner] = upper, lower
+    diag = np.append(diag, nnz)
+    c = cols[triangles]
+    up, lo = edge_upper[tri_edge], edge_lower[tri_edge]
+    # block entry (k, k + 1) of edge k lies above the diagonal where the
+    # column of vertex k is the lower, and entry (k + 1, k) then below it
+    forward = c < c[:, [1, 2, 0]]
+    k, k_next = np.arange(3), np.array([1, 2, 0])
+    slot = np.empty((3, 3, len(c)), dtype=np.int64)
+    slot[k, k_next] = np.where(forward, up, lo).T
+    slot[k_next, k] = np.where(forward, lo, up).T
+    slot[k, k] = diag[c].T
+    return slot.reshape(9, -1), indices, indptr.astype(np.int32)
 
 
 def _operators(m: Mesh) -> _Operators:
@@ -360,21 +425,23 @@ def _operators(m: Mesh) -> _Operators:
     ops = _RECORDS.get(m)
     if ops is None:
         cols, n = interior_dof_map(m)
-        a = _maps(m, cols)
-        area = m.tri_area
-        ops = _Operators(a, a.T, area, np.tile(area / 3.0, 3), m.grad_map,
-                         *_pattern(cols[m.triangles].T, n))
+        edges = _edges(m)
+        a, weight = _maps(m, cols, *edges)
+        ops = _Operators(a, a.T, m.tri_area, weight, m.grad_map,
+                         *_pattern(cols, n, m.triangles, *edges))
         _RECORDS[m] = ops
     return ops
 
 
-def _on_all_nodes(m: Mesh, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Triangle gradients and edge-midpoint values of the nodal field ``u``."""
+def _on_all_nodes(m: Mesh, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Triangle gradients and edge-midpoint values of the nodal field ``u``,
+    and the midpoint rule's weights of its edges."""
     u = np.asarray(u, dtype=float)
     if u.shape != (m.n_nodes,):
         raise ValueError(f"field has {u.shape} entries, mesh has {m.n_nodes} nodes")
-    values = _maps(m, np.arange(m.n_nodes)) @ u
-    return values[: 2 * m.n_triangles], values[2 * m.n_triangles :]
+    a, weight = _maps(m, np.arange(m.n_nodes), *_edges(m))
+    values = a @ u
+    return values[: 2 * m.n_triangles], values[2 * m.n_triangles :], weight
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> float:
@@ -402,10 +469,14 @@ def pnorm_p(m: Mesh | _Operators, u: np.ndarray, p: float) -> float:
 
     ``u`` holds the nodal values of a field on the mesh ``m``.  Inside a
     solve, ``m`` is the solve's operators and ``u`` the edge-midpoint values
-    ``Mid`` already gave (one call per trial point of the line search)."""
+    ``Mid`` already gave (one call per trial point of the line search).
+    Either way the sum runs once over the edges, each midpoint's |u|^p
+    weighted by the summed |T|/3 of the edge's triangles."""
     if isinstance(m, Mesh):
-        return _dot(np.tile(m.tri_area / 3.0, 3), np.abs(_on_all_nodes(m, u)[1]) ** p)
-    return _dot(m.weight, np.abs(u) ** p)
+        _, u, weight = _on_all_nodes(m, u)
+    else:
+        weight = m.weight
+    return _dot(weight, np.abs(u) ** p)
 
 
 def _point(
@@ -496,14 +567,22 @@ def _factor(a: sp.csc_matrix) -> SuperLU:
     )
 
 
-def _lagged_weights(ops: _Operators, m2: np.ndarray, p: float, gu: np.ndarray) -> np.ndarray:
-    """Triangle weights |T| q_T^((p-2)/2) of K_w = G^T (m2 (x) diag w) G, the
-    stiffness of the p-Laplacian's diffusivity frozen at the field whose
+def _lagged_weights(
+    ops: _Operators, m2: np.ndarray, p: float, gu: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Triangle weights b = |T| q_T^((p-2)/2) of K_w = G^T (m2 (x) diag b) G,
+    the stiffness of the p-Laplacian's diffusivity frozen at the field whose
     triangle gradients are ``gu``, with q_T = Q(grad u|_T) floored at
-    LAGGED_Q_FLOOR times its mean."""
+    LAGGED_Q_FLOOR times its mean, and their least ratio min_T b_T / |T|."""
     g = gu.reshape(2, -1)
     q = (g * (m2 @ g)).sum(axis=0)
-    return ops.area * np.maximum(q, LAGGED_Q_FLOOR * q.mean()) ** (0.5 * p - 1.0)
+    diffusivity = np.maximum(q, LAGGED_Q_FLOOR * q.mean()) ** (0.5 * p - 1.0)
+    return ops.area * diffusivity, float(diffusivity.min())
+
+
+def _k_residual(lu: _BandCholesky | SuperLU, g: np.ndarray, p: float, lam: float) -> float:
+    """The dual-norm residual sqrt(g.K^-1 g) / (p lam), K factorized as ``lu``."""
+    return math.sqrt(max(_dot(g, lu.solve(g)), 0.0)) / (p * lam)
 
 
 def _descent(
@@ -527,8 +606,8 @@ def _descent(
     machine) find K_w faster on all four at p = 1.5 and 1.55 but the L5
     L-shape, on two of four at p = 1.6 (by at most 4 %, and 26 % slower on
     the L6 disk), and slower on all four from p = 1.7 on.  Below the cut-off
-    the iterations saved outweigh the second factorization and the second
-    solve per iteration.
+    the iterations saved outweigh the second factorization and, as measured
+    before the skip test below, a second solve per iteration.
 
     The step length starts from the Barzilai-Borwein value s.Bs / s.y, and is
     halved until the Armijo condition on g.d holds.  B = G^T (m2 (x) diag b) G
@@ -542,16 +621,23 @@ def _descent(
     start ``u0`` is flipped, if need be, to a nonnegative sum.  The accepted
     trial's gradients and midpoint values give the next gradient.
 
-    An iteration is one gradient (one product with A^T) and one solve with
-    K, plus one with K_w below the cut-off; each line-search trial is one
-    product with A.  The dual-norm residual sqrt(g.K^-1 g) / (p lam) stays
-    in the metric of K in both cases.  The descent stops as soon as it is at
-    most ``bound``, at MAX_ITER iterations, or when the line search finds
+    An iteration is one gradient (one product with A^T) and one solve in the
+    metric; each line-search trial is one product with A.  The dual-norm
+    residual sqrt(g.K^-1 g) / (p lam) stays in the metric of K in both cases.
+    With B = K the step's solve gives it.  With B = K_w it needs a solve with
+    K, which is skipped while w_min g.K_w^-1 g > 2 (bound p lam)^2, w_min =
+    min_T b_T / |T| the least lagged weight per area: K_w - w_min K is
+    positive semidefinite, so g.K^-1 g >= w_min g.K_w^-1 g, and a skipped
+    iteration is one whose residual lies above the bound (the factor 2
+    covers rounding).  The residual is computed on every iteration the test
+    does not skip, at MAX_ITER and on a line-search exit, so the result does
+    not depend on the skips.  The descent stops as soon as the residual is
+    at most ``bound``, at MAX_ITER iterations, or when the line search finds
     no decrease.  Returns (u, lam, residual, iterations) of the last iterate;
     the caller compares the residual with the bound."""
     u, gu, y, lam = _point(ops, m2, p, u0 if u0.sum() >= 0.0 else -u0)
     if p < LAGGED_P_CUTOFF:
-        b = _lagged_weights(ops, m2, p, gu)
+        b, w_min = _lagged_weights(ops, m2, p, gu)
         metric_lu = ops.factor(m2, b)
     else:
         b, metric_lu = ops.area, lu
@@ -563,14 +649,17 @@ def _descent(
     while True:
         it += 1
         g = _gradient(ops, m2, p, gu, y, lam)
-        d = lu.solve(g)
+        d = metric_lu.solve(g)
         gd = max(_dot(g, d), 0.0)
-        residual = math.sqrt(gd) / (p * lam)
-        if residual <= bound or it == MAX_ITER:
+        residual = None
+        if metric_lu is lu:
+            residual = math.sqrt(gd) / (p * lam)
+        # g.K^-1 g >= w_min g.K_w^-1 g: above this the residual is above the
+        # bound, and it is computed only if the line search fails
+        elif not (w_min * gd > 2.0 * (bound * p * lam) ** 2 and it < MAX_ITER):
+            residual = _k_residual(lu, g, p, lam)
+        if residual is not None and (residual <= bound or it == MAX_ITER):
             return u, lam, residual, it
-        if metric_lu is not lu:
-            d = metric_lu.solve(g)
-            gd = max(_dot(g, d), 0.0)
         if u_prev is not None:
             s = u - u_prev
             sy = _dot(s, g - g_prev)
@@ -590,6 +679,8 @@ def _descent(
         else:
             # No decrease along the gradient (floating-point limit): the
             # residual above the bound reports the miss.
+            if residual is None:
+                residual = _k_residual(lu, g, p, lam)
             return u, lam, residual, it
         u, gu, y, lam = trial
 

@@ -315,6 +315,27 @@ def test_inline_domain_overflowing_to_infinity_exits_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "domain, level, message",
+    [
+        ('{"type":"rectangle","hw":1e-100,"hh":1e-100}', 2, "polygon must be simple"),
+        ('{"type":"disk","radius":1e-200}', 5, "counterclockwise with positive area"),
+        ('{"type":"rectangle","hw":1e-6,"hh":1e-6}', 5, "all triangles must be counterclockwise"),
+    ],
+    ids=["rectangle-1e-100", "disk-1e-200", "rectangle-1e-6-L5"],
+)
+def test_domain_too_small_to_mesh_exits_2(tmp_path, capsys, domain, level, message):
+    # sizes the config admits, but whose polygon or mesh fails a geometric
+    # check whose tolerance scales with the largest coordinate: one error
+    # line, no traceback and no output
+    argv = ["--command", "eigen", "--domain", domain, "--level", str(level)]
+    assert cli.main([*argv, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot mesh the domain: ") and message in err
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 # Each input file that cannot be read, and each output that cannot be
 # written, exits 2 with a message instead of a traceback.
 @pytest.mark.parametrize(

@@ -36,6 +36,7 @@ from anisolap.solver import (
     _BandCholesky,
     LAGGED_Q_FLOOR,
     RESIDUAL_SAFETY,
+    _edges,
     _energy,
     _factor,
     _gradient,
@@ -400,7 +401,7 @@ def test_quadratic_matrices_match_element_assembly():
                         stiff_ref[i, j] += area * grads[:, a] @ m2 @ grads[:, b]
                         lagged_ref[i, j] += lag * grads[:, a] @ m2 @ grads[:, b]
                         mass_ref[i, j] += area / 12.0 * (2.0 if a == b else 1.0)
-        weights = _lagged_weights(ops, m2, p, triangle_gradients(m, u[~m.boundary_node]))
+        weights = _lagged_weights(ops, m2, p, triangle_gradients(m, u[~m.boundary_node]))[0]
         lagged = ops.stiffness(m2, weights)
         assert any(q < q_floor for *_, q in elements)
         for got, ref in ((ops.stiffness(m2), stiff_ref), (ops.mass, mass_ref), (lagged, lagged_ref)):
@@ -421,7 +422,7 @@ def test_metric_curvature_from_triangle_gradients(p):
     m2 = _member(0.25, 0.6).matrix()
     rng = np.random.default_rng(5)
     s = rng.normal(size=ops.a.shape[1])
-    lagged = _lagged_weights(ops, m2, p, triangle_gradients(m, rng.normal(size=s.shape)))
+    lagged = _lagged_weights(ops, m2, p, triangle_gradients(m, rng.normal(size=s.shape)))[0]
     for b in (ops.area, lagged):
         exact = s @ (ops.stiffness(m2, None if b is ops.area else b) @ s)
         assert _energy(b, m2, 2.0, triangle_gradients(m, s)) == pytest.approx(exact, rel=1e-13)
@@ -454,7 +455,7 @@ def test_band_solves_match_superlu(domain, level):
     rng = np.random.default_rng(level)
     gu = triangle_gradients(m, rng.normal(size=ops.a.shape[1]))
     for m2 in (np.eye(2), _member(0.25, 0.6).matrix(), np.array([[0.9, -0.4], [-0.4, 0.5]])):
-        for b in (None, _lagged_weights(ops, m2, 1.5, gu)):
+        for b in (None, _lagged_weights(ops, m2, 1.5, gu)[0]):
             band, lu = ops.factor(m2, b), _factor(ops.stiffness(m2, b))
             assert isinstance(band, _BandCholesky)
             for _ in range(2):
@@ -477,19 +478,23 @@ def test_band_order_narrows_the_level5_band(domain, natural, ordered):
 
 
 def test_superlu_fallback_is_the_old_path(monkeypatch):
-    # with no mesh admitted to the band, the solve is the one before the band
-    # existed, bit for bit.  That one summed its dot products by BLAS, so
-    # ``_dot`` is swapped back to BLAS here: numpy's loop sums in another
-    # order, which moves this residual by 8e-12 relative and nothing else
+    # with no mesh admitted to the band, the solve goes through SuperLU.  Its
+    # values were pinned from the code before the band existed, which summed
+    # its dot products by BLAS, so ``_dot`` is swapped back to BLAS for the
+    # second solve: numpy's loop sums in another order, which moves lambda by
+    # one ulp and this residual by 2.4e-11 relative.  They were re-pinned
+    # when Mid went from three rows per triangle to one per edge: the p-norm
+    # and the gradient now sum each midpoint once, which moved the BLAS
+    # solve's residual by 8.6e-11 relative and left its lambda as it was
     monkeypatch.setattr(solver, "BAND_CUTOFF", 0)
     m = build_mesh(Rectangle(1.0, 1.0), 3)
     assert _operators(m).band_slot is None
     res = solve_p(m, _member(0.25, 0.6), 3.0)
-    assert (res.lam, res.iterations) == (4.303018529289994, 26)
-    assert res.residual == pytest.approx(6.339493145239382e-07, rel=1e-10)
+    assert (res.lam, res.iterations) == (4.303018529289993, 26)
+    assert res.residual == pytest.approx(6.339493145628134e-07, rel=1e-10)
     monkeypatch.setattr(solver, "_dot", lambda x, y: float(x @ y))
     res = solve_p(m, _member(0.25, 0.6), 3.0)
-    assert (res.lam, res.residual, res.iterations) == (4.303018529289994, 6.339493145239382e-07, 26)
+    assert (res.lam, res.residual, res.iterations) == (4.303018529289994, 6.339493145781919e-07, 26)
 
 
 @pytest.mark.parametrize("n", [7, 384, 10001])
@@ -506,11 +511,17 @@ def test_band_factor_rejects_a_matrix_that_is_not_positive_definite():
         ops.factor(-np.eye(2))
 
 
+def edge_table(m):
+    """The mesh's edges as sorted node pairs, in sorted order, built by a set."""
+    return sorted({tuple(sorted(int(x) for x in e)) for t in m.triangles for e in (t[:2], t[1:], t[::2])})
+
+
 @pytest.mark.parametrize("interior", [True, False], ids=["interior", "all-nodes"])
 @pytest.mark.parametrize("domain", [Rectangle(1.0, 1.0), lshape(), Disk(1.0)], ids=["square", "lshape", "disk"])
 def test_maps_match_coo_assembly(domain, interior):
     # G and Mid, built directly as CSR, equal a COO-built reference exactly:
-    # the same rows, column order, stored zeros and values
+    # the same rows, column order, stored zeros and values.  Mid has one row
+    # per edge with a column at either end, in sorted edge order
     m = build_mesh(domain, 3)
     cols = interior_dof_map(m)[0] if interior else np.arange(m.n_nodes)
     nt, n_cols = m.n_triangles, int(cols.max()) + 1
@@ -522,12 +533,57 @@ def test_maps_match_coo_assembly(domain, interior):
         return sp.coo_matrix((vals[keep], (rows[keep], idx[keep])), shape=(n_rows, n_cols)).tocsr()
 
     grad_ref = coo(np.arange(2 * nt).reshape(2, nt, 1), c, m.grad_map.transpose(1, 0, 2), 2 * nt)
-    ends = np.stack([c, np.roll(c, -1, axis=1)])
-    mid_ref = coo(np.arange(3 * nt).reshape(3, nt).T, ends, 0.5, 3 * nt)
-    got, ref = _maps(m, cols), sp.vstack((grad_ref, mid_ref), format="csr")
+    ends = cols[np.array(edge_table(m))]
+    ends = ends[ends.max(axis=1) >= 0]
+    mid_ref = coo(np.arange(len(ends))[:, None], ends, 0.5, len(ends))
+    got, ref = _maps(m, cols, *_edges(m))[0], sp.vstack((grad_ref, mid_ref), format="csr")
     assert got.shape == ref.shape
     for field in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(got, field), getattr(ref, field))
+
+
+@pytest.mark.parametrize(
+    "domain", [Rectangle(1.0, 2.0), lshape(), Disk(1.0)], ids=["rectangle", "lshape", "disk"]
+)
+def test_one_midpoint_per_edge(domain):
+    # Mid has one row per edge with an interior end, weighted by the summed
+    # |T|/3 of its triangles: the same edge-midpoint rule as three midpoints
+    # per triangle, and the same consistent mass
+    m = build_mesh(domain, 3)
+    ops = _operators(m)
+    edges = np.array(edge_table(m))
+    mid = ops.a[2 * m.n_triangles :]
+    assert mid.shape[0] == len(ops.weight) == np.count_nonzero(~m.boundary_node[edges].all(axis=1))
+    lumped = (mid.T @ sp.diags(ops.weight) @ mid).toarray()
+    assert np.max(np.abs(lumped - ops.mass.toarray())) <= 1e-14 * np.max(np.abs(ops.mass))
+    rng = np.random.default_rng(11)
+    u = rng.normal(size=m.n_nodes)
+    uv = u[m.triangles]
+    mids = 0.5 * (uv + uv[:, [1, 2, 0]])
+    for p in (1.5, 2.0, 3.0):
+        per_triangle = np.sum(m.tri_area[:, None] / 3.0 * np.abs(mids) ** p)
+        assert pnorm_p(m, u, p) == pytest.approx(per_triangle, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "domain", [Rectangle(1.0, 2.0), lshape(), Disk(1.0)], ids=["rectangle", "lshape", "disk"]
+)
+def test_edge_pattern_matches_unique_reference(domain):
+    # the stiffness pattern and its slots, built from the edge table, equal
+    # the distinct CSC keys column * n + row of the 9 n_tri block entries and
+    # each entry's rank among them (an entry with a boundary node at nnz)
+    m = build_mesh(domain, 3)
+    ops = _operators(m)
+    cols, n = interior_dof_map(m)
+    c = cols[m.triangles].T
+    rows, columns = np.repeat(c, 3, axis=0), np.tile(c, (3, 1))
+    keys = np.where((rows < 0) | (columns < 0), n * n, columns * n + rows)
+    unique, slot = np.unique(keys, return_inverse=True)
+    unique = unique[unique < n * n]
+    assert np.array_equal(ops.slot, slot.reshape(keys.shape))
+    assert np.array_equal(ops.indices, unique % n)
+    assert np.array_equal(ops.indptr, np.searchsorted(unique, n * np.arange(n + 1)))
+    assert (ops.indices.dtype, ops.indptr.dtype) == (np.int32, np.int32)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -610,6 +666,64 @@ def test_descent_trajectory_is_pinned(level, p, form, iterations, lam):
     res = solve_p(build_mesh(lshape(), level), form, p)
     assert res.iterations == iterations
     assert res.lam == pytest.approx(lam, rel=1e-10)
+
+
+def count_descent_k_solves(monkeypatch) -> list:
+    """Patch ``_descent`` to count the solves with K, the factorization it is
+    passed; returns the list that gains one entry per solve."""
+    calls = []
+    descent = solver._descent
+
+    class Counting:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b):
+            calls.append(1)
+            return self.lu.solve(b)
+
+    monkeypatch.setattr(
+        solver, "_descent", lambda ops, m2, p, u0, bound, lu: descent(ops, m2, p, u0, bound, Counting(lu))
+    )
+    return calls
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["lshape-identity", "lshape-extremal", "disk", "warm-start", "superlu"],
+)
+def test_skipped_k_solves_change_nothing(monkeypatch, case):
+    # below LAGGED_P_CUTOFF an iteration solves with K only when the skip
+    # test w_min g.K_w^-1 g > 2 (bound p lam)^2 fails; with w_min = 0 it
+    # never holds and every iteration solves with K.  The two runs give the
+    # same solve, bit for bit, and the skip saves K solves
+    p = 1.5
+    level = 3 if case == "superlu" else 5
+    m = build_mesh(Disk(1.0) if case == "disk" else lshape(), level)
+    q = extremal_form(0.25, 0.4) if case in ("lshape-extremal", "warm-start") else QuadForm.identity()
+    start = solve_p(m, extremal_form(0.25, 0.5), p).u if case == "warm-start" else None
+    if case == "superlu":
+        monkeypatch.setattr(solver, "BAND_CUTOFF", 0)
+        assert _operators(m).band_slot is None
+    calls = count_descent_k_solves(monkeypatch)
+    skipping = solve_p(m, q, p, start=start)
+    skipped = len(calls)
+    lagged = solver._lagged_weights
+    monkeypatch.setattr(solver, "_lagged_weights", lambda *args: (lagged(*args)[0], 0.0))
+    every = solve_p(m, q, p, start=start)
+    assert skipping.lam == every.lam
+    assert np.array_equal(skipping.u, every.u)
+    assert skipping.residual == every.residual
+    assert skipping.iterations == every.iterations
+    assert skipped < len(calls) - skipped
+
+
+def test_lshape_descent_solves_with_k_at_most_8_times(monkeypatch):
+    # the L5 L-shape at p = 1.5 takes 29 descent iterations; the skip test
+    # holds on all but the last few, so K is solved with 6 times
+    calls = count_descent_k_solves(monkeypatch)
+    solve_p(build_mesh(lshape(), 5), QuadForm.identity(), 1.5)
+    assert 0 < len(calls) <= 8
 
 
 # ----------------------------------------------------- form-ordering structure
