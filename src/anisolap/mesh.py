@@ -8,6 +8,12 @@ convex polygons get balanced fans.  A disk starts from its centre and
 inscribed hexagon, and each refinement level projects its new boundary nodes
 onto the circle, so the angles stay near 60 degrees (44 degrees or more
 measured up to level 6) and the boundary error falls as O(h^2).
+
+Each mesh holds its edge table, built once from the triangles: ``edges``, the
+sorted node pairs of its edges in sorted order, and ``tri_edge``, whose column
+k is the edge of each triangle that joins its local vertices k and k + 1.
+The conformity check and the boundary flags, refinement's midpoints and the
+solver's operators are all read from it.
 """
 
 from __future__ import annotations
@@ -27,6 +33,8 @@ class Mesh:
     boundary_node: np.ndarray  # (n,) bool
     tri_area: np.ndarray       # (m,) float
     grad_map: np.ndarray       # (m, 2, 3): nodal values -> constant gradient
+    edges: np.ndarray          # (n_edges, 2) int, each pair increasing, rows sorted
+    tri_edge: np.ndarray       # (m, 3) int: column k is the edge joining vertices k, k + 1
 
     @classmethod
     def from_arrays(cls, nodes: np.ndarray, triangles: np.ndarray) -> "Mesh":
@@ -53,20 +61,22 @@ class Mesh:
         grad[:, 1, :] = e[:, :, 0]
         grad /= (2.0 * area)[:, None, None]
 
-        edges = np.sort(triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-        n = len(nodes)
-        keys = edges[:, 0] * np.int64(n) + edges[:, 1]
-        uniq, counts = np.unique(keys, return_counts=True)
+        n = np.int64(len(nodes))
+        t_next = triangles[:, [1, 2, 0]]
+        keys, tri_edge, counts = np.unique(
+            np.minimum(triangles, t_next) * n + np.maximum(triangles, t_next),
+            return_inverse=True, return_counts=True,
+        )
         if np.any(counts > 2):
             raise GeometryError("non-conforming mesh: an edge is shared by > 2 triangles")
-        boundary_edges = uniq[counts == 1]
+        edges = np.stack([keys // n, keys % n], axis=1)
+        tri_edge = tri_edge.reshape(-1, 3)
         boundary = np.zeros(n, dtype=bool)
-        boundary[boundary_edges // n] = True
-        boundary[boundary_edges % n] = True
+        boundary[edges[counts == 1]] = True
 
-        for arr in (nodes, triangles, boundary, area, grad):
+        for arr in (nodes, triangles, boundary, area, grad, edges, tri_edge):
             arr.setflags(write=False)
-        return cls(nodes, triangles, boundary, area, grad)
+        return cls(nodes, triangles, boundary, area, grad, edges, tri_edge)
 
     @property
     def n_nodes(self) -> int:
@@ -77,18 +87,13 @@ class Mesh:
         return len(self.triangles)
 
 
-def _min_angle_of(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
-    la = np.linalg.norm(c - b)
-    lb = np.linalg.norm(a - c)
-    lc = np.linalg.norm(b - a)
-    if min(la, lb, lc) <= 0.0:
-        return 0.0
-
-    def ang(opp, s1, s2):
-        cosv = (s1 * s1 + s2 * s2 - opp * opp) / (2.0 * s1 * s2)
-        return float(np.arccos(np.clip(cosv, -1.0, 1.0)))
-
-    return min(ang(la, lb, lc), ang(lb, lc, la), ang(lc, la, lb))
+def _min_angles(p: np.ndarray) -> np.ndarray:
+    """The smallest interior angle (radians) of each triangle of the (k, 3, 2)
+    vertex array ``p``, by the law of cosines: side k is opposite vertex k."""
+    side = np.linalg.norm(p[:, [2, 0, 1]] - p[:, [1, 2, 0]], axis=2)
+    s1, s2 = side[:, [1, 2, 0]], side[:, [2, 0, 1]]
+    cos = (s1 * s1 + s2 * s2 - side * side) / (2.0 * s1 * s2)
+    return np.arccos(np.clip(cos, -1.0, 1.0)).min(axis=1)
 
 
 def triangulate(p: Polygon) -> Mesh:
@@ -137,7 +142,7 @@ def triangulate(p: Polygon) -> Mesh:
         if cross_at(i) <= eps or (not convex_input and blocked(i)):
             quality[i] = -np.inf
         else:
-            quality[i] = _min_angle_of(verts[prv[i]], verts[i], verts[nxt[i]])
+            quality[i] = _min_angles(verts[[prv[i], i, nxt[i]]][None])[0]
 
     for i in range(n):
         refresh(i)
@@ -166,19 +171,14 @@ def triangulate(p: Polygon) -> Mesh:
     return Mesh.from_arrays(verts, np.array(tris, dtype=np.int64))
 
 
-def _split(nodes: np.ndarray, tris: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One level of uniform refinement: every triangle splits into 4 via its
-    edge midpoints, which are appended to the nodes in edge order.  Also
-    returns, per appended node, whether its edge lies on the boundary."""
-    n = len(nodes)
-    edges = np.sort(tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-    keys = edges[:, 0] * np.int64(n) + edges[:, 1]
-    uniq_keys, inv, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    ea, eb = uniq_keys // n, uniq_keys % n
-    mids = 0.5 * (nodes[ea] + nodes[eb])
-    mid_idx = n + inv.reshape(-1, 3)  # columns: midpoints of (01, 12, 20)
-    m01, m12, m20 = mid_idx[:, 0], mid_idx[:, 1], mid_idx[:, 2]
-    v0, v1, v2 = tris[:, 0], tris[:, 1], tris[:, 2]
+def _split(m: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One level of uniform refinement of ``m``: every triangle splits into 4
+    via its edge midpoints, which are appended to the nodes in the order of
+    ``m.edges``.  Also returns, per appended node, whether its edge lies on
+    the boundary (belongs to one triangle)."""
+    mids = 0.5 * (m.nodes[m.edges[:, 0]] + m.nodes[m.edges[:, 1]])
+    m01, m12, m20 = (m.n_nodes + m.tri_edge).T
+    v0, v1, v2 = m.triangles.T
     tris = np.vstack(
         [
             np.column_stack([v0, m01, m20]),
@@ -187,7 +187,7 @@ def _split(nodes: np.ndarray, tris: np.ndarray) -> tuple[np.ndarray, np.ndarray,
             np.column_stack([m01, m12, m20]),
         ]
     )
-    return np.vstack([nodes, mids]), tris, counts == 1
+    return np.vstack([m.nodes, mids]), tris, np.bincount(m.tri_edge.ravel()) == 1
 
 
 def refine(m: Mesh, levels: int, onto: Disk | None = None) -> Mesh:
@@ -195,20 +195,19 @@ def refine(m: Mesh, levels: int, onto: Disk | None = None) -> Mesh:
     midpoints.  Children are similar to their parents, so the minimum angle of
     the coarse mesh is preserved.  With ``onto``, each level's new boundary
     nodes are projected onto that disk's circle.  Nested: a level's nodes
-    start with those of the level below."""
+    start with those of the level below, and node n_nodes + e of the next
+    level is the midpoint of edge e (on the circle, for a boundary edge
+    refined ``onto`` a disk)."""
     if levels < 0:
         raise ValueError("levels must be nonnegative")
-    if levels == 0:
-        return m
-    nodes, tris = m.nodes, m.triangles
     for _ in range(levels):
-        n = len(nodes)
-        nodes, tris, on_boundary = _split(nodes, tris)
+        nodes, tris, on_boundary = _split(m)
         if onto is not None:
-            rim = n + np.flatnonzero(on_boundary)
+            rim = m.n_nodes + np.flatnonzero(on_boundary)
             offset = nodes[rim] - onto.center
             nodes[rim] = onto.center + onto.radius * offset / np.hypot(*offset.T)[:, None]
-    return Mesh.from_arrays(nodes, tris)
+        m = Mesh.from_arrays(nodes, tris)
+    return m
 
 
 def interior_dof_map(m: Mesh) -> tuple[np.ndarray, int]:
@@ -227,15 +226,7 @@ def interior_dof_map(m: Mesh) -> tuple[np.ndarray, int]:
 
 def min_angle(m: Mesh) -> float:
     """Smallest interior angle over all triangles (radians)."""
-    p = m.nodes[m.triangles]
-    out = np.inf
-    la = np.linalg.norm(p[:, 2] - p[:, 1], axis=1)
-    lb = np.linalg.norm(p[:, 0] - p[:, 2], axis=1)
-    lc = np.linalg.norm(p[:, 1] - p[:, 0], axis=1)
-    for opp, s1, s2 in ((la, lb, lc), (lb, lc, la), (lc, la, lb)):
-        cosv = np.clip((s1 * s1 + s2 * s2 - opp * opp) / (2.0 * s1 * s2), -1.0, 1.0)
-        out = min(out, float(np.min(np.arccos(cosv))))
-    return out
+    return float(np.min(_min_angles(m.nodes[m.triangles])))
 
 
 def mirror_permutation(m: Mesh) -> np.ndarray | None:

@@ -21,12 +21,13 @@ weight w_e the summed |T|/3 of its triangles, so each midpoint value and its
 powers are computed once.  One product A u gives both, and one product of
 A^T with the stacked per-triangle and per-edge factors gives the gradient of
 E - lam N.  The record also holds one sparsity pattern, the diagonal and
-both entries of every edge between interior nodes, built from the same edge
-table as Mid, and on it the data of the consistent mass M = Mid^T diag(w)
-Mid and of three stiffness pieces K_xx = G_x^T diag|T| G_x, K_xy + K_yx and
-K_yy.  The p = 2 stiffness of a form q is then three axpys, K(q) = alpha
-K_xx + beta (K_xy + K_yx) + gamma K_yy, and the stiffness of any other
-triangle weights one assembly of element blocks onto the same pattern.
+both entries of every edge between interior nodes.  It and Mid are both read
+from the mesh's own edge table (``Mesh.edges``).  On the pattern it holds the
+data of the consistent mass M = Mid^T diag(w) Mid and of three stiffness
+pieces K_xx = G_x^T diag|T| G_x, K_xy + K_yx and K_yy.  The p = 2 stiffness
+of a form q is then three axpys, K(q) = alpha K_xx + beta (K_xy + K_yx) +
+gamma K_yy, and the stiffness of any other triangle weights one assembly of
+element blocks onto the same pattern.
 
 One path for every p > 1, built on one direct factorization of K: a
 Cholesky factorization of its band in the record's reverse Cuthill-McKee
@@ -177,27 +178,15 @@ class SolverConvergenceError(RuntimeError):
         self.best = best
 
 
-def _edges(m: Mesh) -> tuple[np.ndarray, np.ndarray]:
-    """The edge table of ``m``: the (n_edges, 2) node pairs of its edges, each
-    in increasing order and sorted, and the (n_tri, 3) edge of each
-    triangle's edge k, which joins its local vertices k and k + 1."""
-    n = np.int64(m.n_nodes)
-    t, t_next = m.triangles, m.triangles[:, [1, 2, 0]]
-    keys, tri_edge = np.unique(np.minimum(t, t_next) * n + np.maximum(t, t_next), return_inverse=True)
-    return np.stack([keys // n, keys % n], axis=1), tri_edge
-
-
-def _maps(
-    m: Mesh, cols: np.ndarray, ends: np.ndarray, tri_edge: np.ndarray
-) -> tuple[sp.csr_matrix, np.ndarray]:
+def _maps(m: Mesh, cols: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
     """The stacked map A = [G; Mid] of ``m`` on the columns ``cols`` (node ->
     column index, -1 for a node held at zero), as CSR built from its arrays,
     and the midpoint rule's weight of each row of Mid.  Every row holds at
     most three entries in distinct columns, in increasing column order.  Rows
     t and n_tri + t of G give the x and y gradient of triangle t.  Mid has one
-    row per edge of the edge table ``ends`` with a column at either end, in
-    the table's order; it gives the value at the edge's midpoint, whose
-    weight is the summed |T|/3 of the edge's triangles ``tri_edge``."""
+    row per edge of the mesh's edge table ``m.edges`` with a column at either
+    end, in the table's order; it gives the value at the edge's midpoint,
+    whose weight is the summed |T|/3 of the edge's triangles (``m.tri_edge``)."""
     nt, n_cols = m.n_triangles, int(cols.max()) + 1
     cols = cols.astype(np.int32)
     # sort each triangle's columns, carrying its gradient weights along; the
@@ -206,7 +195,7 @@ def _maps(
     order = np.argsort((c + (n_cols + 1) * np.arange(nt)[:, None]).ravel(), kind="stable")
     c_sorted = c.ravel()[order].reshape(nt, 3)
     # an edge's columns in increasing order, a held end (-1) first
-    ca, cb = cols[ends[:, 0]], cols[ends[:, 1]]
+    ca, cb = cols[m.edges[:, 0]], cols[m.edges[:, 1]]
     kept = np.maximum(ca, cb) >= 0
     ca, cb = ca[kept], cb[kept]
     mid = np.column_stack([np.full(len(ca), -1, dtype=np.int32), np.minimum(ca, cb), np.maximum(ca, cb)])
@@ -220,7 +209,7 @@ def _maps(
     indptr = np.zeros(len(idx) + 1, dtype=np.int32)
     np.cumsum(keep[:, 0].astype(np.int8) + keep[:, 1] + keep[:, 2], out=indptr[1:])
     a = sp.csr_matrix((data[keep.ravel()], idx[keep], indptr), shape=(len(idx), n_cols))
-    weight = np.bincount(tri_edge.ravel(), np.repeat(m.tri_area / 3.0, 3), minlength=len(ends))
+    weight = np.bincount(m.tri_edge.ravel(), np.repeat(m.tri_area / 3.0, 3), minlength=len(m.edges))
     return a, weight[kept]
 
 
@@ -251,7 +240,7 @@ class _Operators:
     BAND_CUTOFF, ``band_slot`` maps each entry of ``band_entries``, the
     pattern's lower triangle in that order, to its place in LAPACK's lower
     band storage, in Fortran order (``factor``); above it, both are None.
-    ``_operators`` builds one per mesh from its edge table (``_edges``)."""
+    ``_operators`` builds one per mesh from its edge table (``Mesh.edges``)."""
 
     a: sp.csr_matrix        # (2 n_tri + n_mid, n_int), rows as ``_maps`` says
     a_t: sp.csc_matrix
@@ -372,21 +361,19 @@ class _BandCholesky:
 _RECORDS: weakref.WeakKeyDictionary[Mesh, _Operators] = weakref.WeakKeyDictionary()
 
 
-def _pattern(
-    cols: np.ndarray, n: int, triangles: np.ndarray, ends: np.ndarray, tri_edge: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The stiffness pattern of the mesh ``triangles`` with the edge table
-    ``ends`` and ``tri_edge`` (``_edges``), on the columns ``cols`` (node ->
-    column, -1 for a held node) among ``n``: the (9, n_tri) slot of each
-    block entry in its data (nnz for an entry with a held node), then the
-    pattern's CSC ``indices`` and ``indptr``.
+def _pattern(m: Mesh, cols: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stiffness pattern of ``m``, read from its edge table ``m.edges``
+    and ``m.tri_edge``, on the columns ``cols`` (node -> column, -1 for a
+    held node) among ``n``: the (9, n_tri) slot of each block entry in its
+    data (nnz for an entry with a held node), then the pattern's CSC
+    ``indices`` and ``indptr``.
 
     The pattern is the diagonal and both entries of every edge with two
     columns.  Column numbers rise with node numbers, so the table's sorted
     edges (a, b), a < b, are sorted by a, then b: column a holds its rows b
     below the diagonal in that order, and sorting by b, then a, gives each
     column b its rows a above the diagonal in order."""
-    a, b = cols[ends[:, 0]], cols[ends[:, 1]]
+    a, b = cols[m.edges[:, 0]], cols[m.edges[:, 1]]
     inner = (a >= 0) & (b >= 0)
     a, b = a[inner], b[inner]
     below, above = np.bincount(a, minlength=n), np.bincount(b, minlength=n)
@@ -404,11 +391,11 @@ def _pattern(
     indices[diag], indices[lower], indices[upper] = np.arange(n), b, a
     # the slots of each edge's entries above and below the diagonal, and of
     # each column's diagonal, nnz where a node is held (index -1)
-    edge_upper, edge_lower = np.full(len(ends), nnz), np.full(len(ends), nnz)
+    edge_upper, edge_lower = np.full(len(m.edges), nnz), np.full(len(m.edges), nnz)
     edge_upper[inner], edge_lower[inner] = upper, lower
     diag = np.append(diag, nnz)
-    c = cols[triangles]
-    up, lo = edge_upper[tri_edge], edge_lower[tri_edge]
+    c = cols[m.triangles]
+    up, lo = edge_upper[m.tri_edge], edge_lower[m.tri_edge]
     # block entry (k, k + 1) of edge k lies above the diagonal where the
     # column of vertex k is the lower, and entry (k + 1, k) then below it
     forward = c < c[:, [1, 2, 0]]
@@ -425,10 +412,8 @@ def _operators(m: Mesh) -> _Operators:
     ops = _RECORDS.get(m)
     if ops is None:
         cols, n = interior_dof_map(m)
-        edges = _edges(m)
-        a, weight = _maps(m, cols, *edges)
-        ops = _Operators(a, a.T, m.tri_area, weight, m.grad_map,
-                         *_pattern(cols, n, m.triangles, *edges))
+        a, weight = _maps(m, cols)
+        ops = _Operators(a, a.T, m.tri_area, weight, m.grad_map, *_pattern(m, cols, n))
         _RECORDS[m] = ops
     return ops
 
@@ -439,7 +424,7 @@ def _on_all_nodes(m: Mesh, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     u = np.asarray(u, dtype=float)
     if u.shape != (m.n_nodes,):
         raise ValueError(f"field has {u.shape} entries, mesh has {m.n_nodes} nodes")
-    a, weight = _maps(m, np.arange(m.n_nodes), *_edges(m))
+    a, weight = _maps(m, np.arange(m.n_nodes))
     values = a @ u
     return values[: 2 * m.n_triangles], values[2 * m.n_triangles :], weight
 

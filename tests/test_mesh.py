@@ -16,6 +16,7 @@ from anisolap import (
     refine,
     triangulate,
 )
+from anisolap.geometry import GeometryError
 from anisolap.mesh import Mesh, mirror_permutation
 
 
@@ -126,6 +127,33 @@ def test_mesh_rejects_clockwise_triangle():
 
     with pytest.raises(ValueError):
         Mesh.from_arrays(nodes, np.array([[0, 2, 1]]))
+
+
+def test_mesh_rejects_edge_shared_by_three_triangles():
+    # edge (0, 1) is a side of all three counterclockwise triangles
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]])
+    with pytest.raises(GeometryError, match="non-conforming"):
+        Mesh.from_arrays(nodes, np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]]))
+
+
+@pytest.mark.parametrize("domain", [lshape(), Disk(1.5, (0.5, -0.25))], ids=["lshape", "disk"])
+def test_edge_table_contract(domain):
+    m = build_mesh(domain, 2)
+    # the sorted node pairs of the edges, in sorted order, as a set builds them
+    ref = sorted({tuple(sorted(e)) for t in m.triangles.tolist() for e in (t[:2], t[1:], t[::2])})
+    np.testing.assert_array_equal(m.edges, np.array(ref))
+    # column k of tri_edge is the edge joining local vertices k and k + 1
+    for k in range(3):
+        ends = np.sort(m.triangles[:, [k, (k + 1) % 3]], axis=1)
+        np.testing.assert_array_equal(m.edges[m.tri_edge[:, k]], ends)
+    for arr in (m.edges, m.tri_edge):
+        assert not arr.flags.writeable
+    if isinstance(domain, Polygon):
+        # refinement appends the midpoint of edge e as node n_nodes + e (a
+        # disk's new boundary nodes are moved onto its circle)
+        fine = refine(m, 1)
+        np.testing.assert_array_equal(fine.nodes[: m.n_nodes], m.nodes)
+        np.testing.assert_array_equal(fine.nodes[m.n_nodes :], m.nodes[m.edges].mean(axis=1))
 
 
 @pytest.mark.parametrize("domain", [Disk(1.0), Rectangle(1.0, 1.0)], ids=["disk", "square"])
