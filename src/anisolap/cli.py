@@ -193,8 +193,9 @@ def _parse_args(argv) -> dict:
     ap.add_argument("--grid-n", type=int, dest="grid_n")
     ap.add_argument(
         "--tol", type=float,
-        help="eigenvalue tolerance (default 1e-9): the p = 2 inverse iteration stops at this "
-        "relative change, the p-descent at dual-norm residual sqrt(tol/1000)",
+        help="eigenvalue tolerance (default 1e-9): at p = 2 the inverse iteration stops at this "
+        "relative change; at other p the p-descent stops at dual-norm residual sqrt(tol/1000), "
+        "from a p = 2 start stopped at the change max(tol, 1e-3)",
     )
     ap.add_argument(
         "--n-boundary", type=int, dest="n_boundary",

@@ -81,10 +81,14 @@ DomainSpec = Union[Disk, Rectangle, Polygon]
 
 
 def _check_extent(x: float, name: str) -> None:
-    """Reject a largest coordinate ``x`` whose square overflows: the mesh's
-    degeneracy tolerances scale with that square."""
-    if not math.isfinite(x * x):
-        raise ValueError(f"{name} {x} is too large: its square must be a finite float")
+    """Reject a largest coordinate ``x`` for which 16 x^2 overflows.  The
+    mesh's degeneracy tolerances scale with x^2, and every product of
+    coordinate differences that the polygon checks, ear clipping and
+    ``mesh._min_angles`` form, and every sum of two of them, is at most
+    16 x^2 in size: the largest are s1^2 + s2^2 and 2 s1 s2 for two sides
+    of a triangle, each at most 2 sqrt(2) x long."""
+    if not math.isfinite(16.0 * x * x):
+        raise ValueError(f"{name} {x} is too large: 16 times its square must be a finite float")
 
 
 def _signed_area(v: np.ndarray) -> float:

@@ -61,17 +61,10 @@ class Mesh:
         grad[:, 1, :] = e[:, :, 0]
         grad /= (2.0 * area)[:, None, None]
 
-        n = np.int64(len(nodes))
-        t_next = triangles[:, [1, 2, 0]]
-        keys, tri_edge, counts = np.unique(
-            np.minimum(triangles, t_next) * n + np.maximum(triangles, t_next),
-            return_inverse=True, return_counts=True,
-        )
+        edges, tri_edge, counts = _edge_table(triangles, len(nodes))
         if np.any(counts > 2):
             raise GeometryError("non-conforming mesh: an edge is shared by > 2 triangles")
-        edges = np.stack([keys // n, keys % n], axis=1)
-        tri_edge = tri_edge.reshape(-1, 3)
-        boundary = np.zeros(n, dtype=bool)
+        boundary = np.zeros(len(nodes), dtype=bool)
         boundary[edges[counts == 1]] = True
 
         for arr in (nodes, triangles, boundary, area, grad, edges, tri_edge):
@@ -85,6 +78,19 @@ class Mesh:
     @property
     def n_triangles(self) -> int:
         return len(self.triangles)
+
+
+def _edge_table(triangles: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The edge table of the (m, 3) ``triangles`` on ``n_nodes`` nodes: the
+    sorted node pairs of the edges in sorted order, the (m, 3) edge of each
+    triangle's local vertices k, k + 1, and each edge's triangle count."""
+    n = np.int64(n_nodes)
+    t_next = triangles[:, [1, 2, 0]]
+    keys, tri_edge, counts = np.unique(
+        np.minimum(triangles, t_next) * n + np.maximum(triangles, t_next),
+        return_inverse=True, return_counts=True,
+    )
+    return np.stack([keys // n, keys % n], axis=1), tri_edge.reshape(-1, 3), counts
 
 
 def _min_angles(p: np.ndarray) -> np.ndarray:
@@ -171,14 +177,17 @@ def triangulate(p: Polygon) -> Mesh:
     return Mesh.from_arrays(verts, np.array(tris, dtype=np.int64))
 
 
-def _split(m: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One level of uniform refinement of ``m``: every triangle splits into 4
-    via its edge midpoints, which are appended to the nodes in the order of
-    ``m.edges``.  Also returns, per appended node, whether its edge lies on
-    the boundary (belongs to one triangle)."""
-    mids = 0.5 * (m.nodes[m.edges[:, 0]] + m.nodes[m.edges[:, 1]])
-    m01, m12, m20 = (m.n_nodes + m.tri_edge).T
-    v0, v1, v2 = m.triangles.T
+def _split(
+    nodes: np.ndarray, triangles: np.ndarray, edges: np.ndarray, tri_edge: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One level of uniform refinement of the triangles on ``nodes`` with the
+    edge table (``edges``, ``tri_edge``): every triangle splits into 4 via
+    its edge midpoints, which are appended to the nodes in the order of
+    ``edges``.  Also returns, per appended node, whether its edge lies on the
+    boundary (belongs to one triangle)."""
+    mids = 0.5 * (nodes[edges[:, 0]] + nodes[edges[:, 1]])
+    m01, m12, m20 = (len(nodes) + tri_edge).T
+    v0, v1, v2 = triangles.T
     tris = np.vstack(
         [
             np.column_stack([v0, m01, m20]),
@@ -187,7 +196,7 @@ def _split(m: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             np.column_stack([m01, m12, m20]),
         ]
     )
-    return np.vstack([m.nodes, mids]), tris, np.bincount(m.tri_edge.ravel()) == 1
+    return np.vstack([nodes, mids]), tris, np.bincount(tri_edge.ravel()) == 1
 
 
 def refine(m: Mesh, levels: int, onto: Disk | None = None) -> Mesh:
@@ -197,17 +206,24 @@ def refine(m: Mesh, levels: int, onto: Disk | None = None) -> Mesh:
     nodes are projected onto that disk's circle.  Nested: a level's nodes
     start with those of the level below, and node n_nodes + e of the next
     level is the midpoint of edge e (on the circle, for a boundary edge
-    refined ``onto`` a disk)."""
+    refined ``onto`` a disk).  A level below the last builds only the edge
+    table that the next split reads; the last is checked and completed by
+    ``Mesh.from_arrays``."""
     if levels < 0:
         raise ValueError("levels must be nonnegative")
-    for _ in range(levels):
-        nodes, tris, on_boundary = _split(m)
+    if levels == 0:
+        return m
+    nodes, tris, edges, tri_edge = m.nodes, m.triangles, m.edges, m.tri_edge
+    for level in range(levels):
+        if level > 0:
+            edges, tri_edge, _ = _edge_table(tris, len(nodes))
+        n_old = len(nodes)
+        nodes, tris, on_boundary = _split(nodes, tris, edges, tri_edge)
         if onto is not None:
-            rim = m.n_nodes + np.flatnonzero(on_boundary)
+            rim = n_old + np.flatnonzero(on_boundary)
             offset = nodes[rim] - onto.center
             nodes[rim] = onto.center + onto.radius * offset / np.hypot(*offset.T)[:, None]
-        m = Mesh.from_arrays(nodes, tris)
-    return m
+    return Mesh.from_arrays(nodes, tris)
 
 
 def interior_dof_map(m: Mesh) -> tuple[np.ndarray, int]:

@@ -35,10 +35,10 @@ order of the interior nodes (Cuthill and McKee, 1969; George and Liu, 1981)
 by LAPACK's ``dpbtrf``, or, on a mesh whose band in that order is wider
 than BAND_CUTOFF, SuperLU's sparse LU (``_factor``).  Inverse iteration on
 the generalized symmetric pencil (K, M) gives the p = 2 ground state u0.  At
-p = 2 that is the answer.  For any other p it is the start of one projected
-descent on the unit p-norm sphere at p itself, which steps along a Sobolev
-gradient B^-1 g (Neuberger; for p-eigenvalues, Horak, EJDE 2011) in one of
-two metrics B:
+p = 2 that is the answer, to tol.  For any other p it is the start, stopped
+at the rougher START_TOL, of one projected descent on the unit p-norm sphere
+at p itself, which steps along a Sobolev gradient B^-1 g (Neuberger; for
+p-eigenvalues, Horak, EJDE 2011) in one of two metrics B:
 
 - p >= LAGGED_P_CUTOFF: B = K, the p = 2 stiffness.  Near p = 2 it is the
   right metric and costs no second factorization.
@@ -64,12 +64,15 @@ one scatter of its lower triangle into a zeroed band and one ``dpbtrf``; a
 solve with it is one ``dpbtrs`` between a gather and a scatter by the order.
 A step of the inverse iteration costs one solve and one product with M.  A
 descent iteration costs one product with A^T and one solve in its metric,
-and a line-search trial one product with A; the accepted trial's product
-gives the next gradient.  On the small meshes of the verify suites a
-product's time is mostly scipy's per-call overhead, so these counts, more
-than the arithmetic, set the time of an iteration.  The dot products of the
-energy, the p-norm and the descent are summed by numpy, not by a threaded
-BLAS.
+and a line-search trial one product with A and two non-integer powers, one
+per triangle and one per edge midpoint (``_point``): the energy and the
+p-norm are sums of each power times its base, and the accepted trial's
+powers and products give the next gradient, times one scalar for the unit
+norm.  On the small meshes of the verify suites a product's time is mostly
+scipy's per-call overhead, so these counts, more than the arithmetic, set
+the time of an iteration.  Every dot product of the inverse iteration, the
+energy, the p-norm, the descent and the residual is summed by numpy, not by
+a threaded BLAS (``_dot``).
 
 Every result reports the dual-norm residual sqrt(g . K^-1 g) / (p lam) of the
 returned pair, g being the gradient of E(u) - lam N(u), always in the metric
@@ -84,8 +87,8 @@ b the lagged weights and w_min = min_T b_T / |T|, so
 and an iteration whose w_min g . K_w^-1 g exceeds 2 (bound p lam)^2 cannot
 stop: it costs the one solve with K_w while that holds, and a second, with
 K, for the residual only where it fails, at the last iteration and on a
-line-search exit.  On the L5 L-shape at p = 1.5 that is 6 solves with K in
-29 iterations.
+line-search exit.  On the L5 L-shape at p = 1.5 that is 2 solves with K in
+28 iterations.
 
 ``directional_constant`` is the closed-form constant of the one-derivative
 inequality; it needs no solve.
@@ -145,6 +148,17 @@ RESIDUAL_SAFETY = 1000.0
 # Eigenvalue tolerance: the inverse iteration stops at this relative change
 # per step, the descent at residual sqrt(tol / RESIDUAL_SAFETY).
 DEFAULT_TOL = 1e-9
+
+# Relative eigenvalue change at which a solve at p != 2 without a start stops
+# the p = 2 inverse iteration that gives its descent's start, when tol is
+# smaller (``solve_p``): the descent alone sets the answer's accuracy.
+# Measured with the identity form on the L-shape, the disk and the square at
+# levels 4-6 and p = 1.3, 1.5, 3 and 4 (36 solves): the start takes 3-5
+# inverse steps instead of 8-14, the total iterations fall in 31 of the 36,
+# and lambda moves by at most 3.5e-10 relative.  On the level-5 L-shape at
+# p = 1.5 the solve takes 33 iterations instead of 43 and ends at residual
+# 3.4e-7; a start stopped at 1e-2 or at 1e-6 ends it at 9.0e-7 or 8.3e-7.
+START_TOL = 1e-3
 
 # Iteration budget of the inverse iteration and of the descent, each.
 MAX_ITER = 20000
@@ -437,63 +451,93 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.einsum("i,i->", x, y))
 
 
-def _energy(area: np.ndarray, m2: np.ndarray, p: float, gu: np.ndarray) -> float:
-    """sum_T |T| Q(grad u)^(p/2) from the stacked triangle gradients ``gu``."""
-    g = gu.reshape(2, -1)
-    q = np.maximum((g * (m2 @ g)).sum(axis=0), 0.0)
-    return _dot(area, q ** (0.5 * p))
-
-
 def energy(m: Mesh, q: QuadForm, p: float, u: np.ndarray) -> float:
     """Anisotropic gradient energy of a nodal field, exact per triangle."""
-    return _energy(m.tri_area, q.matrix(), p, _on_all_nodes(m, u)[0])
+    g = _on_all_nodes(m, u)[0].reshape(2, -1)
+    qt = np.maximum((g * (q.matrix() @ g)).sum(axis=0), 0.0)
+    return _dot(m.tri_area, qt ** (0.5 * p))
 
 
-def pnorm_p(m: Mesh | _Operators, u: np.ndarray, p: float) -> float:
+def pnorm_p(
+    m: Mesh | _Operators, u: np.ndarray, p: float, u_pow: np.ndarray | None = None
+) -> float:
     """Integral of |u|^p of the linear interpolant (edge-midpoint rule).
 
     ``u`` holds the nodal values of a field on the mesh ``m``.  Inside a
-    solve, ``m`` is the solve's operators and ``u`` the edge-midpoint values
-    ``Mid`` already gave (one call per trial point of the line search).
-    Either way the sum runs once over the edges, each midpoint's |u|^p
-    weighted by the summed |T|/3 of the edge's triangles."""
+    solve, ``m`` is the solve's operators, ``u`` the edge-midpoint values
+    ``Mid`` already gave and ``u_pow`` their sign(u) |u|^(p-1), which the
+    gradient reuses, so that |u|^p is the product u u_pow (one call per trial
+    point of the line search).  Either way the sum runs once over the edges,
+    each midpoint's |u|^p weighted by the summed |T|/3 of the edge's
+    triangles."""
     if isinstance(m, Mesh):
         _, u, weight = _on_all_nodes(m, u)
     else:
         weight = m.weight
-    return _dot(weight, np.abs(u) ** p)
+    if u_pow is None:
+        return _dot(weight, np.abs(u) ** p)
+    return float(np.einsum("i,i,i->", weight, u, u_pow))
 
 
-def _point(
-    ops: _Operators, m2: np.ndarray, p: float, v: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """``v`` scaled to unit p-norm, with its triangle gradients, its
-    edge-midpoint values and its Rayleigh quotient.  Energy and norm are
-    homogeneous, so the quotient is taken before the scaling."""
+@dataclass
+class _Point:
+    """A point of the descent: the field v scaled to unit p-norm, its
+    quotient, and what the quotient's gradient there needs, kept from v
+    itself.  The scale s = ||v||_p^-1 enters the gradient as one factor."""
+
+    u: np.ndarray         # (n_int,) s v, of unit p-norm
+    lam: float            # the Rayleigh quotient
+    scale: float          # s
+    gu: np.ndarray        # (2, n_tri) triangle gradients of v, x then y
+    flux: np.ndarray      # (2, n_tri) m2 gu
+    weighted: np.ndarray  # (n_tri,) |T| Q(gu)^(p/2 - 1), Q floored below p = 2
+    y_pow: np.ndarray     # (n_mid,) sign(y) |y|^(p - 1) of v's edge-midpoint values y
+
+
+def _point(ops: _Operators, m2: np.ndarray, p: float, v: np.ndarray) -> _Point:
+    """``v`` scaled to unit p-norm, with its quotient and what the gradient
+    needs there.  One product A v gives the triangle gradients and the
+    edge-midpoint values y, and each takes one non-integer power, Q^(p/2-1)
+    and |y|^(p-1): the energy and the p-norm are sums of Q Q^(p/2-1) and
+    |y| |y|^(p-1).  Energy and norm are homogeneous, so the quotient is taken
+    before the scaling.  Below p = 2 the gradient's Q is floored at
+    GRAD_FLOOR at the scaled field, GRAD_FLOOR / s^2 at v, but the quotient
+    is not smoothed: a triangle under the floor keeps its own Q^(p/2)."""
     split = 2 * len(ops.area)
     values = ops.a @ v
-    nrm = pnorm_p(ops, values[split:], p)
+    y = values[split:]
+    y_pow = np.copysign(np.abs(y) ** (p - 1.0), y)
+    nrm = pnorm_p(ops, y, p, y_pow)
     if nrm <= 0.0:
         raise ValueError("candidate field vanishes identically")
-    lam = _energy(ops.area, m2, p, values[:split]) / nrm
     scale = nrm ** (-1.0 / p)
-    values *= scale
-    return v * scale, values[:split], values[split:], lam
+    gu = values[:split].reshape(2, -1)
+    flux = m2 @ gu
+    q = np.einsum("it,it->t", gu, flux)
+    floor = GRAD_FLOOR / (scale * scale) if p < 2.0 else 0.0
+    q_floored = np.maximum(q, floor)
+    weighted = ops.area * q_floored ** (0.5 * p - 1.0)
+    e = _dot(weighted, q_floored)
+    if q.min() < floor:
+        # the floor smooths the gradient, not the quotient
+        low = np.flatnonzero(q < floor)
+        e += _dot(ops.area[low], np.maximum(q[low], 0.0) ** (0.5 * p) - floor ** (0.5 * p))
+    return _Point(v * scale, e / nrm, scale, gu, flux, weighted, y_pow)
 
 
-def _gradient(
-    ops: _Operators, m2: np.ndarray, p: float, gu: np.ndarray, y: np.ndarray, lam: float
-) -> np.ndarray:
-    """Gradient of the Rayleigh quotient on the operators' columns at a field
-    of unit p-norm, from its triangle gradients ``gu``, edge-midpoint values
-    ``y`` and quotient ``lam``; the unit norm removes the quotient's division
-    by it."""
-    g = gu.reshape(2, -1)
-    f = m2 @ g
-    q = np.maximum((g * f).sum(axis=0), GRAD_FLOOR if p < 2.0 else 0.0)
-    flux = f * (p * ops.area * q ** (0.5 * p - 1.0))
-    w = (-lam * p) * ops.weight * np.sign(y) * np.abs(y) ** (p - 1.0)
-    return ops.a_t @ np.concatenate((flux.ravel(), w))
+def _gradient(ops: _Operators, p: float, pt: _Point) -> np.ndarray:
+    """Gradient of the Rayleigh quotient on the operators' columns at the
+    unit-p-norm field ``pt.u``; the unit norm removes the quotient's division
+    by it.  Both of its terms are homogeneous of degree p - 1, so it is
+    s^(p-1) times their value at the unscaled field, from the powers and the
+    flux that ``_point`` kept."""
+    c = p * pt.scale ** (p - 1.0)
+    split = pt.flux.size
+    terms = np.empty(ops.a.shape[0])
+    np.multiply(pt.flux, c * pt.weighted, out=terms[:split].reshape(2, -1))
+    np.multiply(ops.weight, pt.y_pow, out=terms[split:])
+    terms[split:] *= -c * pt.lam
+    return ops.a_t @ terms
 
 
 def _form_gradient(m: Mesh, res: EigenResult) -> np.ndarray:
@@ -520,7 +564,7 @@ def _inverse_iteration(
     what a miss means."""
     u = np.ones(mass.shape[0]) if u is None else np.array(u, dtype=float)
     mu = mass @ u
-    nrm = math.sqrt(u @ mu)
+    nrm = math.sqrt(_dot(u, mu))
     u /= nrm
     mu /= nrm
     lam_prev = None
@@ -528,8 +572,8 @@ def _inverse_iteration(
     for it in range(1, MAX_ITER + 1):
         w = lu.solve(mu)
         mw = mass @ w
-        ww = float(w @ mw)
-        lam = float(w @ mu) / ww
+        ww = _dot(w, mw)
+        lam = _dot(w, mu) / ww
         nrm = math.sqrt(ww)
         u, mu = w / nrm, mw / nrm
         if lam_prev is not None:
@@ -585,8 +629,8 @@ def _descent(
     factorized as ``lu``.  For p < LAGGED_P_CUTOFF it is the
     lagged-diffusivity stiffness K_w of the start (``_lagged_weights``),
     assembled and factorized once here.  On the L-shape at p = 1.5 it takes
-    the descent-plus-inverse iterations from 51 / 179 at L4 / L6 with K to
-    41 / 60.  The cut-off is measured: interleaved in-process ``solve_p``
+    the descent-plus-inverse iterations from 41 / 176 at L4 / L6 with K to
+    24 / 47.  The cut-off is measured: interleaved in-process ``solve_p``
     timings of the identity form on the L5 and L6 L-shape and disk (2-vCPU
     machine) find K_w faster on all four at p = 1.5 and 1.55 but the L5
     L-shape, on two of four at p = 1.6 (by at most 4 %, and 26 % slower on
@@ -598,42 +642,42 @@ def _descent(
     halved until the Armijo condition on g.d holds.  B = G^T (m2 (x) diag b) G
     with triangle weights b (|T| for K, the lagged weights for K_w), so s.Bs
     = sum_T b_T Q(grad s|_T) comes from the triangle gradients of the last
-    two iterates, with no product with B: the descent needs B's
-    factorization only.  The iterates move on the
+    two iterates, in one ``einsum`` and with no product with B: the descent
+    needs B's factorization only.  The iterates move on the
     whole sphere: the ground state of an anisotropic form may change sign at
     a few nodes of a P1 mesh, and replacing an iterate by |u| would pin those
     nodes at 0 and can raise the quotient.  The quotient is even in u; the
     start ``u0`` is flipped, if need be, to a nonnegative sum.  The accepted
-    trial's gradients and midpoint values give the next gradient.
+    trial's powers and products give the next gradient (``_gradient``).
 
     An iteration is one gradient (one product with A^T) and one solve in the
-    metric; each line-search trial is one product with A.  The dual-norm
-    residual sqrt(g.K^-1 g) / (p lam) stays in the metric of K in both cases.
-    With B = K the step's solve gives it.  With B = K_w it needs a solve with
-    K, which is skipped while w_min g.K_w^-1 g > 2 (bound p lam)^2, w_min =
-    min_T b_T / |T| the least lagged weight per area: K_w - w_min K is
-    positive semidefinite, so g.K^-1 g >= w_min g.K_w^-1 g, and a skipped
-    iteration is one whose residual lies above the bound (the factor 2
-    covers rounding).  The residual is computed on every iteration the test
-    does not skip, at MAX_ITER and on a line-search exit, so the result does
-    not depend on the skips.  The descent stops as soon as the residual is
-    at most ``bound``, at MAX_ITER iterations, or when the line search finds
-    no decrease.  Returns (u, lam, residual, iterations) of the last iterate;
-    the caller compares the residual with the bound."""
-    u, gu, y, lam = _point(ops, m2, p, u0 if u0.sum() >= 0.0 else -u0)
+    metric; each line-search trial is one product with A and one power per
+    array (``_point``).  The dual-norm residual sqrt(g.K^-1 g) / (p lam) stays
+    in the metric of K in both cases.  With B = K the step's solve gives it.
+    With B = K_w it needs a solve with K, which is skipped while w_min
+    g.K_w^-1 g > 2 (bound p lam)^2, w_min = min_T b_T / |T| the least lagged
+    weight per area: K_w - w_min K is positive semidefinite, so g.K^-1 g >=
+    w_min g.K_w^-1 g, and a skipped iteration is one whose residual lies above
+    the bound (the factor 2 covers rounding).  The residual is computed on
+    every iteration the test does not skip, at MAX_ITER and on a line-search
+    exit, so the result does not depend on the skips.  The descent stops as
+    soon as the residual is at most ``bound``, at MAX_ITER iterations, or when
+    the line search finds no decrease.  Returns (u, lam, residual, iterations)
+    of the last iterate; the caller compares the residual with the bound."""
+    pt = _point(ops, m2, p, u0 if u0.sum() >= 0.0 else -u0)
     if p < LAGGED_P_CUTOFF:
-        b, w_min = _lagged_weights(ops, m2, p, gu)
+        b, w_min = _lagged_weights(ops, m2, p, pt.scale * pt.gu)
         metric_lu = ops.factor(m2, b)
     else:
         b, metric_lu = ops.area, lu
-    u_prev: np.ndarray | None = None
+    prev: _Point | None = None
     g_prev: np.ndarray | None = None
-    gu_prev: np.ndarray | None = None
-    t = 1.0 / (1.0 + abs(lam))
+    t = 1.0 / (1.0 + abs(pt.lam))
     it = 0
     while True:
         it += 1
-        g = _gradient(ops, m2, p, gu, y, lam)
+        lam = pt.lam
+        g = _gradient(ops, p, pt)
         d = metric_lu.solve(g)
         gd = max(_dot(g, d), 0.0)
         residual = None
@@ -644,21 +688,21 @@ def _descent(
         elif not (w_min * gd > 2.0 * (bound * p * lam) ** 2 and it < MAX_ITER):
             residual = _k_residual(lu, g, p, lam)
         if residual is not None and (residual <= bound or it == MAX_ITER):
-            return u, lam, residual, it
-        if u_prev is not None:
-            s = u - u_prev
-            sy = _dot(s, g - g_prev)
-            # s.Bs is the p = 2 energy of s with the metric's triangle weights
-            t0 = _energy(b, m2, 2.0, gu - gu_prev) / sy if sy > 0.0 else 2.0 * t
-        else:
-            t0 = t
-        t0 = min(max(t0, 1e-18), 1e8)
-        u_prev, g_prev, gu_prev = u, g, gu
+            return pt.u, lam, residual, it
+        if prev is not None:
+            sy = _dot(pt.u - prev.u, g - g_prev)
+            if sy > 0.0:
+                # s.Bs is the p = 2 energy of s with the metric's triangle weights
+                gs = pt.scale * pt.gu - prev.scale * prev.gu
+                t = float(np.einsum("t,it,it->", b, gs, m2 @ gs)) / sy
+            else:
+                t *= 2.0
+        t = min(max(t, 1e-18), 1e8)
+        prev, g_prev = pt, g
 
-        t = t0
         for _ in range(60):
-            trial = _point(ops, m2, p, u - t * d)
-            if trial[3] <= lam - 1e-4 * t * gd:
+            trial = _point(ops, m2, p, pt.u - t * d)
+            if trial.lam <= lam - 1e-4 * t * gd:
                 break
             t *= 0.5
         else:
@@ -666,8 +710,8 @@ def _descent(
             # residual above the bound reports the miss.
             if residual is None:
                 residual = _k_residual(lu, g, p, lam)
-            return u, lam, residual, it
-        u, gu, y, lam = trial
+            return pt.u, lam, residual, it
+        pt = trial
 
 
 def solve_p(
@@ -681,9 +725,11 @@ def solve_p(
     residual and, for p >= LAGGED_P_CUTOFF, the descent's metric; below the
     cut-off the descent factors its lagged-diffusivity metric K_w as well.
     The inverse iteration on the p = 2 pencil stops at the relative
-    eigenvalue change ``tol`` and is the result at p = 2.  For other p
-    its ground state is the start of one projected descent at p, stopped at
-    the residual bound sqrt(tol / RESIDUAL_SAFETY).
+    eigenvalue change ``tol`` and is the result at p = 2.  For other p its
+    ground state is only the start of one projected descent at p, so it stops
+    at the rougher change max(tol, START_TOL); the descent stops at the
+    residual bound sqrt(tol / RESIDUAL_SAFETY), which alone sets the
+    accuracy of the result.
 
     ``start``, a nodal field on ``m`` that is finite and not zero on the
     interior nodes, replaces the ones vector as the start of the inverse
@@ -716,12 +762,12 @@ def solve_p(
     if p == 2.0:
         u, iterations, converged = _inverse_iteration(ops.mass, lu, tol, start)
         failure = f"inverse iteration did not reach tol {tol} in {MAX_ITER} iterations"
-        u, gu, y, lam = _point(ops, m2, p, u)
-        g = _gradient(ops, m2, p, gu, y, lam)
-        residual = math.sqrt(max(float(g @ lu.solve(g)), 0.0)) / (p * lam)
+        pt = _point(ops, m2, p, u)
+        u, lam = pt.u, pt.lam
+        residual = _k_residual(lu, _gradient(ops, p, pt), p, lam)
     else:
         if start is None:
-            u, iterations, _ = _inverse_iteration(ops.mass, lu, tol)
+            u, iterations, _ = _inverse_iteration(ops.mass, lu, max(tol, START_TOL))
         else:
             u, iterations = start, 0
         bound = math.sqrt(tol / RESIDUAL_SAFETY)

@@ -192,6 +192,13 @@ def payload_text(path: str) -> str:
             "disk radius",
             id="disk-square-overflows",
         ),
+        # a size whose square is finite, but not the sums of products that
+        # the polygon checks and the mesher form: too large, not an overflow
+        pytest.param(
+            {"command": "eigen", "mesh_level": 2, "domain": {"type": "rectangle", "hw": 1e154, "hh": 1e154}},
+            "too large",
+            id="rectangle-products-overflow",
+        ),
         pytest.param(
             {
                 "command": "eigen",

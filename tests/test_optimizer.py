@@ -414,7 +414,7 @@ def test_lambda_min_bracket_across_quarter_turn_reports_one_minimum(monkeypatch)
     "domain, p, lam, argmins",
     [
         (RECT_TALL, 2.0, 1.236674518143308, [0.0]),
-        (SQUARE, 3.0, 3.559898173179352, [0.25 * math.pi]),
+        (SQUARE, 3.0, 3.5598981730918124, [0.25 * math.pi]),
         (lshape(), 2.0, 4.665185486160885, [0.20434098471634723, 1.3664553420785492]),
     ],
     ids=["rectangle-p2", "square-p3", "lshape-p2"],

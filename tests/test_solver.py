@@ -36,7 +36,7 @@ from anisolap.solver import (
     _BandCholesky,
     LAGGED_Q_FLOOR,
     RESIDUAL_SAFETY,
-    _energy,
+    START_TOL,
     _factor,
     _gradient,
     _lagged_weights,
@@ -231,6 +231,30 @@ def test_start_at_the_solution_costs_only_the_stopping_test(p, its):
     assert warm.lam == pytest.approx(cold.lam, rel=DEFAULT_TOL if p == 2.0 else 1e-14)
 
 
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_cold_start_stops_at_start_tol(monkeypatch, p):
+    # without a start, a solve at p != 2 stops the p = 2 inverse iteration
+    # that gives its descent's start at START_TOL, not at tol: 5 steps on the
+    # L5 L-shape instead of 14, and the eigenvalue stays within DEFAULT_TOL
+    # of a solve at tol 1e-12
+    steps = []
+    inverse = solver._inverse_iteration
+
+    def counting(*args):
+        out = inverse(*args)
+        steps.append(out[1])
+        return out
+
+    monkeypatch.setattr(solver, "_inverse_iteration", counting)
+    m = build_mesh(lshape(), 5)
+    res = solve_p(m, QuadForm.identity(), p)
+    assert steps == [steps[0]] and steps[0] <= 6
+    exact = solve_p(m, QuadForm.identity(), p, tol=1e-12)
+    assert exact.residual <= math.sqrt(1e-12 / RESIDUAL_SAFETY)
+    assert res.lam == pytest.approx(exact.lam, rel=DEFAULT_TOL)
+    assert START_TOL > DEFAULT_TOL
+
+
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_start_from_a_neighbouring_form(p):
     # the ground state of the form at a nearby angle starts a solve that
@@ -422,9 +446,10 @@ def test_metric_curvature_from_triangle_gradients(p):
     rng = np.random.default_rng(5)
     s = rng.normal(size=ops.a.shape[1])
     lagged = _lagged_weights(ops, m2, p, triangle_gradients(m, rng.normal(size=s.shape)))[0]
+    gs = triangle_gradients(m, s).reshape(2, -1)
     for b in (ops.area, lagged):
         exact = s @ (ops.stiffness(m2, None if b is ops.area else b) @ s)
-        assert _energy(b, m2, 2.0, triangle_gradients(m, s)) == pytest.approx(exact, rel=1e-13)
+        assert np.einsum("t,it,it->", b, gs, m2 @ gs) == pytest.approx(exact, rel=1e-13)
 
 
 def test_identity_form_factors_without_the_patterns_zeros():
@@ -484,16 +509,21 @@ def test_superlu_fallback_is_the_old_path(monkeypatch):
     # one ulp and this residual by 2.4e-11 relative.  They were re-pinned
     # when Mid went from three rows per triangle to one per edge: the p-norm
     # and the gradient now sum each midpoint once, which moved the BLAS
-    # solve's residual by 8.6e-11 relative and left its lambda as it was
+    # solve's residual by 8.6e-11 relative and left its lambda as it was.
+    # They were re-pinned again when the descent's start stopped at START_TOL
+    # and each trial took one power per array: lambda moved by 2.0e-12
+    # relative, the iterations went 26 -> 23 and the residual 6.34e-7 ->
+    # 5.74e-7.  The inverse iteration's dot products now go through ``_dot``
+    # as well, so the second solve sums all of them by BLAS
     monkeypatch.setattr(solver, "BAND_CUTOFF", 0)
     m = build_mesh(Rectangle(1.0, 1.0), 3)
     assert _operators(m).band_slot is None
     res = solve_p(m, _member(0.25, 0.6), 3.0)
-    assert (res.lam, res.iterations) == (4.303018529289993, 26)
-    assert res.residual == pytest.approx(6.339493145628134e-07, rel=1e-10)
+    assert (res.lam, res.iterations) == (4.303018529281342, 23)
+    assert res.residual == pytest.approx(5.735720894723397e-07, rel=1e-10)
     monkeypatch.setattr(solver, "_dot", lambda x, y: float(x @ y))
     res = solve_p(m, _member(0.25, 0.6), 3.0)
-    assert (res.lam, res.residual, res.iterations) == (4.303018529289994, 6.339493145781919e-07, 26)
+    assert (res.lam, res.residual, res.iterations) == (4.303018529281344, 5.735720895035209e-07, 23)
 
 
 @pytest.mark.parametrize("n", [7, 384, 10001])
@@ -617,8 +647,9 @@ def test_descent_direction_matches_finite_differences():
     for trial in range(3):
         u = np.abs(base + 0.1 * (trial + 1) * rng.normal(size=m.n_nodes))
         u[m.boundary_node] = 0.0
-        u[interior], gu, y, lam = _point(ops, m2, p, u[interior])
-        grad = _gradient(ops, m2, p, gu, y, lam)
+        pt = _point(ops, m2, p, u[interior])
+        u[interior] = pt.u
+        grad = _gradient(ops, p, pt)
         h = 1e-6
         for j in rng.choice(len(interior), size=5, replace=False):
             up, um = u.copy(), u.copy()
@@ -632,8 +663,9 @@ def test_descent_direction_matches_finite_differences():
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_gradient_from_trial_values_matches_fresh_evaluation(p):
-    # the descent takes the next gradient from the accepted trial's scaled
-    # products; recomputing them from the scaled field must give the same
+    # the descent takes the next gradient from the accepted trial's unscaled
+    # powers and flux times one factor s^(p-1); a point taken at the scaled
+    # field itself (scale 1) must give the same gradient and quotient
     m = build_mesh(lshape(), 3)
     q = _member(0.25, 0.6)
     m2 = q.matrix()
@@ -641,22 +673,23 @@ def test_gradient_from_trial_values_matches_fresh_evaluation(p):
     rng = np.random.default_rng(7)
     u = np.abs(rng.normal(size=ops.a.shape[1]))
     d = rng.normal(size=u.shape)
-    v, gu, y, lam = _point(ops, m2, p, np.abs(u - 0.3 * d))
-    reused = _gradient(ops, m2, p, gu, y, lam)
+    pt = _point(ops, m2, p, np.abs(u - 0.3 * d))
+    reused = _gradient(ops, p, pt)
     full = np.zeros(m.n_nodes)
-    full[~m.boundary_node] = v
-    values = ops.a @ v
-    split = 2 * m.n_triangles
-    fresh = _gradient(ops, m2, p, values[:split], values[split:], energy(m, q, p, full))
+    full[~m.boundary_node] = pt.u
+    again = _point(ops, m2, p, pt.u)
+    assert again.scale == pytest.approx(1.0, rel=1e-14)
+    fresh = _gradient(ops, p, again)
     assert pnorm_p(m, full, p) == pytest.approx(1.0, rel=1e-14)
+    assert pt.lam == pytest.approx(energy(m, q, p, full), rel=1e-14)
     assert np.max(np.abs(reused - fresh)) <= 1e-14 * np.max(np.abs(fresh))
 
 
 @pytest.mark.parametrize(
     "level, p, form, iterations, lam",
     [
-        (5, 1.5, QuadForm.identity(), 43, 5.7016489412776),
-        (4, 3.0, _member(0.25, 0.6), 55, 8.43681512763622),
+        (5, 1.5, QuadForm.identity(), 33, 5.701648941261642),
+        (4, 3.0, _member(0.25, 0.6), 41, 8.4368151285493),
     ],
     ids=["L5-p1.5-identity", "L4-p3-alpha"],
 )
@@ -718,8 +751,8 @@ def test_skipped_k_solves_change_nothing(monkeypatch, case):
 
 
 def test_lshape_descent_solves_with_k_at_most_8_times(monkeypatch):
-    # the L5 L-shape at p = 1.5 takes 29 descent iterations; the skip test
-    # holds on all but the last few, so K is solved with 6 times
+    # the L5 L-shape at p = 1.5 takes 28 descent iterations; the skip test
+    # holds on all but the last few, so K is solved with 2 times
     calls = count_descent_k_solves(monkeypatch)
     solve_p(build_mesh(lshape(), 5), QuadForm.identity(), 1.5)
     assert 0 < len(calls) <= 8
