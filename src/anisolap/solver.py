@@ -9,10 +9,13 @@ interior nodes.  Every operator a solve needs depends on the mesh alone, so
 ``_operators`` builds one record per mesh, the first time a solve sees it, and
 keeps it for as long as the mesh lives.  Its one sparse map A = [G; Mid],
 
-    G    (2 n_tri x n_int)   values -> x gradients of the triangles, then y
+    G    (2 n_live x n_int)  values -> x gradients of the triangles, then y
     Mid  (n_mid x n_int)     values -> values at the mesh's edge midpoints
 
-evaluates everything else.  Mid has one row per edge with an interior end,
+evaluates everything else.  G has rows for the n_live triangles with an
+interior node only: a triangle whose three nodes lie on the boundary (two
+at the convex corners of an ear-clipped polygon) has a zero gradient for
+every field.  Mid has one row per edge with an interior end,
 about 1.5 n_tri rows, so A has about 3.5 n_tri rows, not the 5 n_tri of
 three midpoints per triangle.  The energy E(u) = sum |T| Q(Gu)^(p/2) is
 exact per triangle (the integrand is constant); the p-norm N(u) = sum_e w_e
@@ -26,8 +29,9 @@ from the mesh's own edge table (``Mesh.edges``).  On the pattern it holds the
 data of the consistent mass M = Mid^T diag(w) Mid and of three stiffness
 pieces K_xx = G_x^T diag|T| G_x, K_xy + K_yx and K_yy.  The p = 2 stiffness
 of a form q is then three axpys, K(q) = alpha K_xx + beta (K_xy + K_yx) +
-gamma K_yy, and the stiffness of any other triangle weights one assembly of
-element blocks onto the same pattern.
+gamma K_yy.  Any other G^T W G, W a symmetric 2x2 tensor per triangle, is
+one assembly of element blocks onto the same pattern, and any Mid^T diag(c)
+Mid one of Mid's edge products.
 
 One path for every p > 1, built on one direct factorization of K: a
 Cholesky factorization of its band in the record's reverse Cuthill-McKee
@@ -41,7 +45,14 @@ at p itself, which steps along a Sobolev gradient B^-1 g (Neuberger; for
 p-eigenvalues, Horak, EJDE 2011) in one of two metrics B:
 
 - p >= LAGGED_P_CUTOFF: B = K, the p = 2 stiffness.  Near p = 2 it is the
-  right metric and costs no second factorization.
+  right metric and costs no second factorization.  Above p = 2, on a band
+  factor, the descent finishes with shifted Newton steps once its residual
+  is below FINISH_RESIDUAL: d = F^-1 g with F = H - sigma H_N, H the
+  energy's Hessian, H_N the p-norm's and sigma = SHIFT_FRACTION lam, which
+  is the inverse power method for the p-Laplacian (Biezuner, Ercole and
+  Martins, J. Funct. Anal. 2009) shifted toward lam.  The steps in K cut the
+  residual by a factor of only about 0.4 per iteration near the ground
+  state, and the shifted steps converge in a few (``_descent``).
 - p < LAGGED_P_CUTOFF: B = K_w = G^T (m2 (x) diag(|T| q_T^((p-2)/2))) G, the
   lagged-diffusivity (Kacanov) stiffness, with q_T = Q(grad u0|_T) floored
   at LAGGED_Q_FLOOR times its mean (Huang, Li and Liu, J. Sci. Comput. 2007;
@@ -59,20 +70,23 @@ there).  K is still factored, so the stopping rules and the reported
 residual are those of a solve without a start; only the starting point
 moves.  Without a start a solve depends on its arguments alone.
 
-A factorization of K, or of K_w, costs three axpys on the pattern's data,
-one scatter of its lower triangle into a zeroed band and one ``dpbtrf``; a
-solve with it is one ``dpbtrs`` between a gather and a scatter by the order.
-A step of the inverse iteration costs one solve and one product with M.  A
-descent iteration costs one product with A^T and one solve in its metric,
-and a line-search trial one product with A and two non-integer powers, one
-per triangle and one per edge midpoint (``_point``): the energy and the
-p-norm are sums of each power times its base, and the accepted trial's
-powers and products give the next gradient, times one scalar for the unit
-norm.  On the small meshes of the verify suites a product's time is mostly
-scipy's per-call overhead, so these counts, more than the arithmetic, set
-the time of an iteration.  Every dot product of the inverse iteration, the
-energy, the p-norm, the descent and the residual is summed by numpy, not by
-a threaded BLAS (``_dot``).
+A factorization of K costs three axpys on the pattern's data, one scatter
+of its lower triangle into a zeroed band and one ``dpbtrf``; one of K_w, H
+or H_N costs one ``np.bincount`` of element blocks or edge products in
+place of the axpys.  A solve with it is one ``dpbtrs`` between a gather and
+a scatter by the order.  A step of the inverse iteration costs one solve and
+one product with M.  A descent iteration costs one product with A^T and one
+solve in its metric, a Newton step one solve with F more, and F is
+refactored only when a step cuts the residual by less than half (about once
+or twice per solve).  A line-search trial costs one product with A and two
+non-integer powers, one per triangle and one per edge midpoint
+(``_point``): the energy and the p-norm are sums of each power times its
+base, and the accepted trial's powers and products give the next gradient,
+times one scalar for the unit norm.  On the small meshes of the verify
+suites a product's time is mostly scipy's per-call overhead, so these
+counts, more than the arithmetic, set the time of an iteration.  Every dot
+product of the inverse iteration, the energy, the p-norm, the descent and
+the residual is summed by numpy, not by a threaded BLAS (``_dot``).
 
 Every result reports the dual-norm residual sqrt(g . K^-1 g) / (p lam) of the
 returned pair, g being the gradient of E(u) - lam N(u), always in the metric
@@ -99,6 +113,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -139,10 +154,12 @@ LAGGED_Q_FLOOR = 1e-3
 # 120 on the square, the L-shape and the disk at level 4, p = 1.5 and 3, with
 # the identity form and that extremal form.  Stopping at residual <=
 # sqrt(tol / RESIDUAL_SAFETY) keeps that error below tol for any C up to
-# RESIDUAL_SAFETY; the bound is 1e-6 at DEFAULT_TOL.  At p = 4 C reaches
-# about 3,000 (the level-5 L-shape with extremal_form(0.25, 0.4) stops
-# 3.0e-9 from its tol-1e-13 value), so there the bound does not hold and the
-# error can exceed tol.
+# RESIDUAL_SAFETY; the bound is 1e-6 at DEFAULT_TOL.  At p = 4, with the
+# shifted Newton finish, C measured between 12 and 840 on the same domains
+# and forms at levels 4 and 5 against their tol-1e-13 values; the largest,
+# the level-5 L-shape with extremal_form(0.25, 0.4), stops 1.5e-10 from its
+# value.  The descent in the metric of K alone stopped 3.0e-9 from it there
+# (C about 3,000).
 RESIDUAL_SAFETY = 1000.0
 
 # Eigenvalue tolerance: the inverse iteration stops at this relative change
@@ -159,6 +176,19 @@ DEFAULT_TOL = 1e-9
 # p = 1.5 the solve takes 33 iterations instead of 43 and ends at residual
 # 3.4e-7; a start stopped at 1e-2 or at 1e-6 ends it at 9.0e-7 or 8.3e-7.
 START_TOL = 1e-3
+
+# Above p = 2 the descent in the metric of K finishes with shifted Newton
+# steps once its residual is below FINISH_RESIDUAL (``_descent``), on the
+# Hessian shifted by SHIFT_FRACTION times the quotient (``_newton_factor``).
+# A larger FINISH_RESIDUAL pays where a factorization is cheap, a smaller one
+# on larger meshes.  Measured in-process (2-vCPU machine) with 1e-3, 3e-3 and
+# 1e-2: the verify suites at p = 3 and level 3 take 391 / 332 / 312 descent
+# iterations and 67 / 63 / 59 ms (745 iterations without the finish); 36
+# solves of the square, the L-shape and the disk at levels 4-6, p = 3 and 4,
+# the identity form and extremal_form(0.25, 0.4), take 1.32 / 1.51 / 1.66 s
+# in all.  The shift is halved on a factorization that finds F indefinite.
+FINISH_RESIDUAL = 3e-3
+SHIFT_FRACTION = 0.95
 
 # Iteration budget of the inverse iteration and of the descent, each.
 MAX_ITER = 20000
@@ -192,20 +222,27 @@ class SolverConvergenceError(RuntimeError):
         self.best = best
 
 
-def _maps(m: Mesh, cols: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
+def _maps(m: Mesh, cols: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
     """The stacked map A = [G; Mid] of ``m`` on the columns ``cols`` (node ->
     column index, -1 for a node held at zero), as CSR built from its arrays,
-    and the midpoint rule's weight of each row of Mid.  Every row holds at
-    most three entries in distinct columns, in increasing column order.  Rows
-    t and n_tri + t of G give the x and y gradient of triangle t.  Mid has one
-    row per edge of the mesh's edge table ``m.edges`` with a column at either
-    end, in the table's order; it gives the value at the edge's midpoint,
-    whose weight is the summed |T|/3 of the edge's triangles (``m.tri_edge``)."""
-    nt, n_cols = m.n_triangles, int(cols.max()) + 1
+    the midpoint rule's weight of each row of Mid, and the mask of the
+    triangles with a column, whose rows G keeps.  Every row holds at most
+    three entries in distinct columns, in increasing column order.  Rows t
+    and n_live + t of G give the x and y gradient of the t-th kept triangle;
+    a triangle whose three nodes are held has a zero gradient for every
+    field, and no row.  Mid has one row per edge of the mesh's edge table
+    ``m.edges`` with a column at either end, in the table's order; it gives
+    the value at the edge's midpoint, whose weight is the summed |T|/3 of the
+    edge's triangles (``m.tri_edge``)."""
+    n_cols = int(cols.max()) + 1
     cols = cols.astype(np.int32)
+    c, grad_map = cols[m.triangles], m.grad_map
+    live = (c[:, 0] >= 0) | (c[:, 1] >= 0) | (c[:, 2] >= 0)
+    if not live.all():  # a disk has no such triangle, and no copy is made
+        c, grad_map = c[live], grad_map[live]
+    nt = len(c)
     # sort each triangle's columns, carrying its gradient weights along; the
     # index arrays are built as the matrix keeps them, in 32 bits
-    c = cols[m.triangles]
     order = np.argsort((c + (n_cols + 1) * np.arange(nt)[:, None]).ravel(), kind="stable")
     c_sorted = c.ravel()[order].reshape(nt, 3)
     # an edge's columns in increasing order, a held end (-1) first
@@ -214,7 +251,7 @@ def _maps(m: Mesh, cols: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
     ca, cb = ca[kept], cb[kept]
     mid = np.column_stack([np.full(len(ca), -1, dtype=np.int32), np.minimum(ca, cb), np.maximum(ca, cb)])
     idx = np.concatenate([c_sorted, c_sorted, mid])
-    data = np.concatenate([m.grad_map[:, 0].ravel()[order], m.grad_map[:, 1].ravel()[order],
+    data = np.concatenate([grad_map[:, 0].ravel()[order], grad_map[:, 1].ravel()[order],
                            np.full(mid.size, 0.5)])
     # idx holds each row's columns in increasing order, -1 first; its rows'
     # counts are summed column by column, which is far faster than a
@@ -224,7 +261,7 @@ def _maps(m: Mesh, cols: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
     np.cumsum(keep[:, 0].astype(np.int8) + keep[:, 1] + keep[:, 2], out=indptr[1:])
     a = sp.csr_matrix((data[keep.ravel()], idx[keep], indptr), shape=(len(idx), n_cols))
     weight = np.bincount(m.tri_edge.ravel(), np.repeat(m.tri_area / 3.0, 3), minlength=len(m.edges))
-    return a, weight[kept]
+    return a, weight[kept], live
 
 
 # Entry k = 3 a + b of a triangle's 3x3 element block is in row a and column
@@ -239,29 +276,35 @@ class _Operators:
     ``a`` is the stacked map A = [G; Mid], so that a field's triangle
     gradients and edge-midpoint values are one product, and ``a_t`` its
     ``.T`` view, so that the gradient of the quotient is one product too.
-    Mid has one row per edge with an interior end, and ``weight`` is each
-    row's midpoint-rule weight, the summed |T|/3 of the edge's triangles.
-    Every matrix of the p = 2 pencil has one sparsity pattern, the diagonal
-    and both entries of every edge between interior nodes, held once as
-    ``indices`` and ``indptr`` in CSC order; ``slot`` says where each entry
-    of each triangle's element block lands in its data, and each matrix
-    built on it takes a copy of the pattern, less its exact zeros.  The
-    mass M and the three pieces of the stiffness K(q) are data on it, built
-    once: K(q) is three axpys, and the stiffness of other triangle weights
-    (the lagged diffusivity's K_w) three ``np.bincount`` of element blocks
-    and three axpys.  ``order`` is the reverse Cuthill-McKee order of the
+    G has rows for the triangles with an interior node only (``_maps``), and
+    ``area``, ``grad_map`` and ``slot`` hold those triangles alone.  Mid has
+    one row per edge with an interior end, and ``weight`` is each row's
+    midpoint-rule weight, the summed |T|/3 of the edge's triangles.  Every
+    matrix a solve factors or multiplies has one sparsity pattern, the
+    diagonal and both entries of every edge between interior nodes, held
+    once as ``indices`` and ``indptr`` in CSC order; ``slot`` says where each
+    entry of each triangle's element block lands in its data, ``mid_slot``
+    where the four entries of each Mid row's outer product land, and each
+    matrix built on it takes a copy of the pattern, less its exact zeros.
+    The mass M and the three pieces of the stiffness K(q) are data on it,
+    built once: K(q) is three axpys.  Any other G^T W G, W a symmetric 2x2
+    tensor per triangle (the lagged diffusivity's K_w, the energy's Hessian),
+    is one ``np.bincount`` of element blocks (``tensor_data``), and any
+    Mid^T diag(c) Mid (the p-norm's Hessian) one of Mid's outer products
+    (``mid_data``).  ``order`` is the reverse Cuthill-McKee order of the
     interior nodes, and ``bandwidth`` the pattern's in it.  Up to
     BAND_CUTOFF, ``band_slot`` maps each entry of ``band_entries``, the
     pattern's lower triangle in that order, to its place in LAPACK's lower
-    band storage, in Fortran order (``factor``); above it, both are None.
-    ``_operators`` builds one per mesh from its edge table (``Mesh.edges``)."""
+    band storage, in Fortran order (``factor_data``); above it, both are
+    None.  ``_operators`` builds one per mesh from its edge table
+    (``Mesh.edges``)."""
 
-    a: sp.csr_matrix        # (2 n_tri + n_mid, n_int), rows as ``_maps`` says
+    a: sp.csr_matrix        # (2 n_live + n_mid, n_int), rows as ``_maps`` says
     a_t: sp.csc_matrix
-    area: np.ndarray        # (n_tri,) |T|
+    area: np.ndarray        # (n_live,) |T| of the triangles with an interior node
     weight: np.ndarray      # (n_mid,) midpoint-rule weights, the summed |T|/3 of each edge
-    grad_map: np.ndarray    # (n_tri, 2, 3) the mesh's hat-function gradients
-    slot: np.ndarray        # (9, n_tri) data index of block entry k, nnz at a boundary node
+    grad_map: np.ndarray    # (n_live, 2, 3) their hat-function gradients
+    slot: np.ndarray        # (9, n_live) data index of block entry k, nnz at a boundary node
     indices: np.ndarray     # the pattern, CSC with sorted rows
     indptr: np.ndarray
     pieces: np.ndarray = field(init=False)   # (3, nnz) data of K_xx, K_xy + K_yx and K_yy
@@ -272,7 +315,7 @@ class _Operators:
     band_slot: np.ndarray | None = field(init=False)     # its index in the raveled band
 
     def __post_init__(self) -> None:
-        self.pieces = self._pieces(self.area)
+        self.pieces = self._pieces()
         mass = np.where(_BLOCK_ROWS == _BLOCK_COLS, 2.0, 1.0)[:, None] * (self.area / 12.0)
         self.mass = self._matrix(self._assemble(mass))
         n = len(self.indptr) - 1
@@ -290,14 +333,14 @@ class _Operators:
             rows, cols = rows[self.band_entries], cols[self.band_entries]
             self.band_slot = rows - cols + (self.bandwidth + 1) * cols
 
-    def _pieces(self, b: np.ndarray) -> np.ndarray:
+    def _pieces(self) -> np.ndarray:
         """(3, nnz) data of the pieces K_xx, K_xy + K_yx and K_yy of the
-        triangle weights ``b``.  Each piece's blocks are built in one buffer,
+        triangle weights |T|.  Each piece's blocks are built in one buffer,
         a row of triangles at a time: whole-block products would touch
         several times the fresh memory, and take longer for it."""
         gx, gy = self.grad_map[:, 0].T, self.grad_map[:, 1].T
-        bx, by = b * gx, b * gy
-        block = np.empty((9, len(b)))
+        bx, by = self.area * gx, self.area * gy
+        block = np.empty((9, len(self.area)))
         data = np.empty((3, len(self.indices)))
         # block entry (i, j) of each piece is the sum over its terms of left_i right_j
         pieces = (((bx, gx),), ((bx, gy), (by, gx)), ((by, gy),))
@@ -310,9 +353,39 @@ class _Operators:
         return data
 
     def _assemble(self, blocks: np.ndarray) -> np.ndarray:
-        """Pattern data of the sum of the (9, n_tri) element blocks."""
+        """Pattern data of the sum of the (9, n_live) element blocks."""
         nnz = len(self.indices)
         return np.bincount(self.slot.ravel(), blocks.ravel(), minlength=nnz + 1)[:nnz]
+
+    def tensor_data(self, w: np.ndarray) -> np.ndarray:
+        """Pattern data of G^T W G, W the symmetric 2x2 tensor of each
+        triangle given as the (3, n_live) rows W_xx, W_xy and W_yy: block
+        entry (i, j) is grad phi_i . W grad phi_j."""
+        gx, gy = self.grad_map[:, 0].T, self.grad_map[:, 1].T
+        wx, wy = w[0] * gx + w[1] * gy, w[1] * gx + w[2] * gy
+        rows, cols = _BLOCK_ROWS, _BLOCK_COLS
+        return self._assemble(gx[rows] * wx[cols] + gy[rows] * wy[cols])
+
+    @cached_property
+    def mid_slot(self) -> np.ndarray:
+        """(4, n_mid) data index of the entries (a, a), (b, b), (a, b) and
+        (b, a) of each Mid row, a < b its columns, nnz where a is held (-1).
+        Built on first use: only the p-norm's Hessian needs it."""
+        n, nnz = len(self.indptr) - 1, len(self.indices)
+        mid = self.a[2 * len(self.area) :]
+        first, count = mid.indptr[:-1], np.diff(mid.indptr)
+        b = mid.indices[first + count - 1].astype(np.int64)
+        a = np.where(count == 2, mid.indices[first], -1)
+        # the CSC keys column * n + row rise through the data
+        keys = np.repeat(np.arange(n), np.diff(self.indptr)) * n + self.indices
+        rows, cols = np.array([a, b, a, b]), np.array([a, b, b, a])
+        return np.where(np.minimum(rows, cols) < 0, nnz, np.searchsorted(keys, cols * n + rows))
+
+    def mid_data(self, c: np.ndarray) -> np.ndarray:
+        """Pattern data of Mid^T diag(c) Mid: each of the four entries of a
+        Mid row's outer product is c / 4, a held end's landing at nnz."""
+        nnz = len(self.indices)
+        return np.bincount(self.mid_slot.ravel(), np.tile(0.25 * c, 4), minlength=nnz + 1)[:nnz]
 
     def _matrix(self, data: np.ndarray) -> sp.csc_matrix:
         """The matrix of ``data`` on a copy of the pattern, less its exact
@@ -324,24 +397,31 @@ class _Operators:
         return k
 
     def _stiffness_data(self, m2: np.ndarray, b: np.ndarray | None) -> np.ndarray:
-        pieces = self.pieces if b is None else self._pieces(b)
-        data = m2[0, 0] * pieces[0]
-        data += m2[0, 1] * pieces[1]
-        data += m2[1, 1] * pieces[2]
+        if b is not None:
+            return self.tensor_data(np.array([m2[0, 0], m2[0, 1], m2[1, 1]])[:, None] * b)
+        data = m2[0, 0] * self.pieces[0]
+        data += m2[0, 1] * self.pieces[1]
+        data += m2[1, 1] * self.pieces[2]
         return data
 
     def stiffness(self, m2: np.ndarray, b: np.ndarray | None = None) -> sp.csc_matrix:
         """K = G^T (m2 (x) diag b) G of the symmetric 2x2 matrix ``m2`` and
         the triangle weights ``b``.  For b = |T|, the default, that is the
-        form's p = 2 stiffness."""
+        form's p = 2 stiffness, three axpys on the pieces; other weights are
+        one ``tensor_data``."""
         return self._matrix(self._stiffness_data(m2, b))
 
     def factor(self, m2: np.ndarray, b: np.ndarray | None = None) -> _BandCholesky | SuperLU:
-        """A factorization of ``stiffness(m2, b)``, with a ``solve`` method:
-        the banded Cholesky factor of its lower band in ``order`` up to
-        BAND_CUTOFF, else its SuperLU (``_factor``).  The band is scattered
-        into a zeroed buffer and factored in place."""
-        data = self._stiffness_data(m2, b)
+        """A factorization of ``stiffness(m2, b)`` (``factor_data``)."""
+        return self.factor_data(self._stiffness_data(m2, b))
+
+    def factor_data(self, data: np.ndarray) -> _BandCholesky | SuperLU:
+        """A factorization of the symmetric matrix with the pattern data
+        ``data``, with a ``solve`` method: the banded Cholesky factor of its
+        lower band in ``order`` up to BAND_CUTOFF, else its SuperLU
+        (``_factor``).  The band is scattered into a zeroed buffer and
+        factored in place; a band that is not positive definite raises
+        ``np.linalg.LinAlgError``."""
         if self.band_slot is None:
             return _factor(self._matrix(data))
         band = np.zeros((self.bandwidth + 1) * len(self.order))
@@ -426,8 +506,13 @@ def _operators(m: Mesh) -> _Operators:
     ops = _RECORDS.get(m)
     if ops is None:
         cols, n = interior_dof_map(m)
-        a, weight = _maps(m, cols)
-        ops = _Operators(a, a.T, m.tri_area, weight, m.grad_map, *_pattern(m, cols, n))
+        a, weight, live = _maps(m, cols)
+        slot, indices, indptr = _pattern(m, cols, n)
+        area, grad_map = m.tri_area, m.grad_map
+        if not live.all():
+            # compress keeps the slots in C order, which a boolean index would not
+            area, grad_map, slot = area[live], grad_map[live], np.compress(live, slot, axis=1)
+        ops = _Operators(a, a.T, area, weight, grad_map, slot, indices, indptr)
         _RECORDS[m] = ops
     return ops
 
@@ -438,7 +523,7 @@ def _on_all_nodes(m: Mesh, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     u = np.asarray(u, dtype=float)
     if u.shape != (m.n_nodes,):
         raise ValueError(f"field has {u.shape} entries, mesh has {m.n_nodes} nodes")
-    a, weight = _maps(m, np.arange(m.n_nodes))
+    a, weight, _ = _maps(m, np.arange(m.n_nodes))
     values = a @ u
     return values[: 2 * m.n_triangles], values[2 * m.n_triangles :], weight
 
@@ -602,7 +687,8 @@ def _lagged_weights(
     """Triangle weights b = |T| q_T^((p-2)/2) of K_w = G^T (m2 (x) diag b) G,
     the stiffness of the p-Laplacian's diffusivity frozen at the field whose
     triangle gradients are ``gu``, with q_T = Q(grad u|_T) floored at
-    LAGGED_Q_FLOOR times its mean, and their least ratio min_T b_T / |T|."""
+    LAGGED_Q_FLOOR times its mean over the triangles with an interior node,
+    and their least ratio min_T b_T / |T|."""
     g = gu.reshape(2, -1)
     q = (g * (m2 @ g)).sum(axis=0)
     diffusivity = np.maximum(q, LAGGED_Q_FLOOR * q.mean()) ** (0.5 * p - 1.0)
@@ -614,6 +700,46 @@ def _k_residual(lu: _BandCholesky | SuperLU, g: np.ndarray, p: float, lam: float
     return math.sqrt(max(_dot(g, lu.solve(g)), 0.0)) / (p * lam)
 
 
+def _hessians(
+    ops: _Operators, m2: np.ndarray, p: float, u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pattern data of the energy's Hessian H = p G^T (|T| q^(p/2-1) [m2 +
+    (p-2) (m2 g)(m2 g)^T / q]) G and the p-norm's H_N = p (p-1) Mid^T diag(w
+    |y|^(p-2)) Mid at the field ``u``, g and q = Q(g) its triangle gradients
+    and y its edge-midpoint values; q and y^2 are floored at LAGGED_Q_FLOOR
+    times their means, as K_w's q is."""
+    values = ops.a @ u
+    split = 2 * len(ops.area)
+    g = values[:split].reshape(2, -1)
+    flux = m2 @ g
+    q = np.einsum("it,it->t", g, flux)
+    q = np.maximum(q, LAGGED_Q_FLOOR * q.mean())
+    # the rows W_xx, W_xy and W_yy of each triangle's tensor
+    tensor = m2[[0, 0, 1], [0, 1, 1]][:, None] + (p - 2.0) / q * flux[[0, 0, 1]] * flux[[0, 1, 1]]
+    h = ops.tensor_data(p * ops.area * q ** (0.5 * p - 1.0) * tensor)
+    y2 = values[split:] ** 2
+    y2 = np.maximum(y2, LAGGED_Q_FLOOR * y2.mean())
+    return h, ops.mid_data(p * (p - 1.0) * ops.weight * y2 ** (0.5 * p - 1.0))
+
+
+def _newton_factor(
+    ops: _Operators, m2: np.ndarray, p: float, u: np.ndarray, lam: float, shift: float
+) -> tuple[_BandCholesky | SuperLU | None, float]:
+    """The factorization of the shifted Hessian F = H - shift lam H_N
+    (``_hessians``) at the unit-p-norm field ``u`` with quotient ``lam``, and
+    the shift it took.  While ``dpbtrf`` finds F not positive definite the
+    shift is halved, and below 1e-3 it drops to 0, where F = H; None if that
+    fails too."""
+    h, hn = _hessians(ops, m2, p, u)
+    while True:
+        try:
+            return ops.factor_data(h - shift * lam * hn), shift
+        except np.linalg.LinAlgError:
+            if shift == 0.0:
+                return None, shift
+            shift = 0.5 * shift if shift > 1e-3 else 0.0
+
+
 def _descent(
     ops: _Operators,
     m2: np.ndarray,
@@ -622,7 +748,8 @@ def _descent(
     bound: float,
     lu: _BandCholesky | SuperLU,
 ) -> tuple[np.ndarray, float, float, int]:
-    """Projected Sobolev-gradient descent on the unit p-norm sphere.
+    """Projected Sobolev-gradient descent on the unit p-norm sphere, with a
+    shifted Newton finish above p = 2.
 
     Each step moves along d = B^-1 g, the gradient of the quotient in the
     metric B.  For p >= LAGGED_P_CUTOFF, B is the form's p = 2 stiffness K,
@@ -650,6 +777,35 @@ def _descent(
     start ``u0`` is flipped, if need be, to a nonnegative sum.  The accepted
     trial's powers and products give the next gradient (``_gradient``).
 
+    Above p = 2, where K is a band factor, an iteration whose residual is
+    below FINISH_RESIDUAL steps instead along d = F^-1 g from t = 1, under
+    the same Armijo halving: F = H - sigma H_N, H the energy's Hessian and
+    H_N the p-norm's (``_hessians``), sigma = SHIFT_FRACTION lam, halved
+    while ``dpbtrf`` finds F indefinite (``_newton_factor``).  F is factored
+    on the first such iteration and again only after a step that cut the
+    residual by less than half; the stop is still the residual in the metric
+    of K, so a Newton step costs one solve with K more than a step in K.
+    Steps in K cut the residual by about 0.4 per iteration near the ground
+    state, and at p = 4 their count grows under refinement (44 / 99 / 100 /
+    170 on the L3-L6 L-shape); with the finish it is 17 / 21 / 23 / 25, and
+    p = 10 / 20 on the L4 L-shape take 68 / 150 iterations instead of
+    3,234 / 13,283.  The finish does not run elsewhere, for measured reasons
+    (in-process timings, 2-vCPU machine):
+
+    - between the cut-off and 2, the floored Hessian is a poor model: on the
+      L6 L-shape at p = 1.6 a fresh F cut the residual by less than a
+      quarter, F was factored 14 times in 30 iterations, and the solve took
+      435 against 159 ms; at L5 it was 20-25 % slower at p = 1.6 and 1.8;
+    - below the cut-off its metric would be K_w, and a prototype there was
+      slower: the default ``verify --p 1.5`` took 2.11 against 1.26 s;
+    - on SuperLU a factorization costs more than the iterations it saves at
+      p = 3: the L7 L-shape took 0.82 against 0.47-0.70 s (22 against 45
+      iterations), although at p = 4 it took 1.2-1.7 against 2.2-3.0 s.
+
+    It does not pay everywhere it runs: on the L6 disk, whose steps in K
+    converge in 23-37 iterations, the finish's two to three factorizations
+    made p = 3 and 4 solves 18-73 % slower.
+
     An iteration is one gradient (one product with A^T) and one solve in the
     metric; each line-search trial is one product with A and one power per
     array (``_point``).  The dual-norm residual sqrt(g.K^-1 g) / (p lam) stays
@@ -670,6 +826,9 @@ def _descent(
         metric_lu = ops.factor(m2, b)
     else:
         b, metric_lu = ops.area, lu
+    finish = p > 2.0 and ops.band_slot is not None
+    newton: _BandCholesky | SuperLU | None = None
+    shift, last = SHIFT_FRACTION, math.inf
     prev: _Point | None = None
     g_prev: np.ndarray | None = None
     t = 1.0 / (1.0 + abs(pt.lam))
@@ -689,7 +848,17 @@ def _descent(
             residual = _k_residual(lu, g, p, lam)
         if residual is not None and (residual <= bound or it == MAX_ITER):
             return pt.u, lam, residual, it
-        if prev is not None:
+        # the Newton finish: F is factored on entering it and again after a
+        # step that cut the residual by less than half; None ends the finish
+        step = finish and residual < FINISH_RESIDUAL
+        if step and (newton is None or residual > 0.5 * last):
+            newton, shift = _newton_factor(ops, m2, p, pt.u, lam, shift)
+            step = finish = newton is not None
+        if step:
+            d = newton.solve(g)
+            gd = max(_dot(g, d), 0.0)
+            t = 1.0
+        elif prev is not None:
             sy = _dot(pt.u - prev.u, g - g_prev)
             if sy > 0.0:
                 # s.Bs is the p = 2 energy of s with the metric's triangle weights
@@ -698,7 +867,7 @@ def _descent(
             else:
                 t *= 2.0
         t = min(max(t, 1e-18), 1e8)
-        prev, g_prev = pt, g
+        prev, g_prev, last = pt, g, residual
 
         for _ in range(60):
             trial = _point(ops, m2, p, pt.u - t * d)
@@ -723,7 +892,9 @@ def solve_p(
     ``m``; the form's p = 2 stiffness K is three axpys on its pieces' data.
     One factorization of K serves the inverse iteration, the reported
     residual and, for p >= LAGGED_P_CUTOFF, the descent's metric; below the
-    cut-off the descent factors its lagged-diffusivity metric K_w as well.
+    cut-off the descent factors its lagged-diffusivity metric K_w as well,
+    and above p = 2 on a band factor it factors the shifted Hessian F of
+    its Newton finish, about once or twice per solve (``_descent``).
     The inverse iteration on the p = 2 pencil stops at the relative
     eigenvalue change ``tol`` and is the result at p = 2.  For other p its
     ground state is only the start of one projected descent at p, so it stops

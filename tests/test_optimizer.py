@@ -414,7 +414,7 @@ def test_lambda_min_bracket_across_quarter_turn_reports_one_minimum(monkeypatch)
     "domain, p, lam, argmins",
     [
         (RECT_TALL, 2.0, 1.236674518143308, [0.0]),
-        (SQUARE, 3.0, 3.5598981730918124, [0.25 * math.pi]),
+        (SQUARE, 3.0, 3.559898172678107, [0.25 * math.pi]),
         (lshape(), 2.0, 4.665185486160885, [0.20434098471634723, 1.3664553420785492]),
     ],
     ids=["rectangle-p2", "square-p3", "lshape-p2"],
@@ -460,7 +460,7 @@ def test_lambda_min_two_level_solve_count(monkeypatch):
         (RECT_TALL, 2.0, 5, 17, [17, 1]),
         (SQUARE, 3.0, 3, 9, [5]),
         (lshape(), 2.0, 4, 17, [10, 5]),
-        (Disk(1.0), 3.0, 3, 9, [10]),
+        (Disk(1.0), 3.0, 3, 9, [11]),
     ],
     ids=["rectangle-p2-L5", "square-p3-L3", "lshape-p2-L4", "disk-p3-L3"],
 )
@@ -468,7 +468,10 @@ def test_lambda_min_solves_each_angle_once(monkeypatch, domain, p, level, grid_n
     # profile solves per mesh, the grid's first: on one level the walks and
     # the coarse value at theta_star reread the grid's solves.  The
     # square and the L-shape are mirrored: each solves its grid angles in
-    # [0, pi/4] alone, and the square's grid minimum at pi/4 is not refined
+    # [0, pi/4] alone, and the square's grid minimum at pi/4 is not refined.
+    # The disk's profile is flat to within its solves' error, so the count of
+    # its refinement steps follows the last digits of each value: 10 -> 11
+    # when the p > 2 descent gained its Newton finish
     calls = []
     real = optimizer.profile_value
 
@@ -531,8 +534,9 @@ def test_warm_search_agrees_with_cold(monkeypatch, domain, p):
     # every profile solve but the first on each level starts from its nearest
     # solved neighbour; a search whose profile solves all start from nothing
     # finds the same minimum within tol, or its mirror on a tied pair, and
-    # needs more iterations for it.  Not at p = 4, where a solve's error can
-    # exceed tol (the RESIDUAL_SAFETY comment)
+    # needs more iterations for it.  Not at p = 4, where the descent in the
+    # metric of K alone could stop more than tol off (the RESIDUAL_SAFETY
+    # comment); with its Newton finish these searches agree at p = 4 too
     real = optimizer.profile_value
     iterations = []
     starts = []
