@@ -206,8 +206,7 @@ def _parse_args(argv) -> dict:
     ap.add_argument("--seed", type=int)
     ns = ap.parse_args(argv)
 
-    flags = ("command", "p", "a", "b", "mesh_level", "grid_n", "tol", "out", "seed", "n_boundary")
-    cfg = {key: getattr(ns, key) for key in flags if getattr(ns, key) is not None}
+    cfg = {key: value for key, value in vars(ns).items() if key in _KEYS and value is not None}
     if ns.domain_file:
         with open(ns.domain_file, "r", encoding="utf-8") as fh:
             cfg["domain"] = json.load(fh)

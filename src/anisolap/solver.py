@@ -25,13 +25,15 @@ powers are computed once.  One product A u gives both, and one product of
 A^T with the stacked per-triangle and per-edge factors gives the gradient of
 E - lam N.  The record also holds one sparsity pattern, the diagonal and
 both entries of every edge between interior nodes.  It and Mid are both read
-from the mesh's own edge table (``Mesh.edges``).  On the pattern it holds the
-data of the consistent mass M = Mid^T diag(w) Mid and of three stiffness
-pieces K_xx = G_x^T diag|T| G_x, K_xy + K_yx and K_yy.  The p = 2 stiffness
-of a form q is then three axpys, K(q) = alpha K_xx + beta (K_xy + K_yx) +
-gamma K_yy.  Any other G^T W G, W a symmetric 2x2 tensor per triangle, is
-one assembly of element blocks onto the same pattern, and any Mid^T diag(c)
-Mid one of Mid's edge products.
+from the mesh's own edge table (``Mesh.edges``).  Every matrix a solve
+factors is data on the pattern, built by one of three builders.  The p = 2
+stiffness of a form q, K(q) = alpha K_xx + beta (K_xy + K_yx) + gamma K_yy,
+is three axpys on the data of the pieces K_xx = G_x^T diag|T| G_x, K_xy +
+K_yx and K_yy, built once (``k_data``).  Any G^T W G, W a symmetric 2x2
+tensor per triangle, is one assembly of element blocks (``tensor_data``),
+and any Mid^T diag(c) Mid one of Mid's edge products (``mid_data``).  One
+``factor`` factors any of them.  The consistent mass M = Mid^T diag(w) Mid
+is built once, as a matrix.
 
 One path for every p > 1, built on one direct factorization of K: a
 Cholesky factorization of its band in the record's reverse Cuthill-McKee
@@ -59,8 +61,7 @@ p-eigenvalues, Horak, EJDE 2011) in one of two metrics B:
   Diening, Fornasier, Tomasi and Wank, Numer. Math. 2020).  Far below p = 2
   the diffusivity Q^((p-2)/2) varies by orders of magnitude across the
   domain, and K, which ignores it, lets the iteration count grow under
-  refinement.  K_w is assembled and factored once per solve, with the same
-  call as K.
+  refinement.  K_w is one ``tensor_data``, factored once per solve.
 
 A solve may be given a start: a nodal field on the mesh, such as the
 eigenfunction of a nearby form on it.  At p = 2 the inverse iteration starts
@@ -70,10 +71,10 @@ there).  K is still factored, so the stopping rules and the reported
 residual are those of a solve without a start; only the starting point
 moves.  Without a start a solve depends on its arguments alone.
 
-A factorization of K costs three axpys on the pattern's data, one scatter
-of its lower triangle into a zeroed band and one ``dpbtrf``; one of K_w, H
-or H_N costs one ``np.bincount`` of element blocks or edge products in
-place of the axpys.  A solve with it is one ``dpbtrs`` between a gather and
+A factorization costs its data's builder (three axpys for K, one
+``np.bincount`` of element blocks for K_w or H, and one of edge products
+for H_N), one scatter of its lower triangle into a zeroed band and one
+``dpbtrf``.  A solve with it is one ``dpbtrs`` between a gather and
 a scatter by the order.  A step of the inverse iteration costs one solve and
 one product with M.  A descent iteration costs one product with A^T and one
 solve in its metric, a Newton step one solve with F more, and F is
@@ -113,7 +114,6 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -283,21 +283,23 @@ class _Operators:
     matrix a solve factors or multiplies has one sparsity pattern, the
     diagonal and both entries of every edge between interior nodes, held
     once as ``indices`` and ``indptr`` in CSC order; ``slot`` says where each
-    entry of each triangle's element block lands in its data, ``mid_slot``
-    where the four entries of each Mid row's outer product land, and each
-    matrix built on it takes a copy of the pattern, less its exact zeros.
-    The mass M and the three pieces of the stiffness K(q) are data on it,
-    built once: K(q) is three axpys.  Any other G^T W G, W a symmetric 2x2
-    tensor per triangle (the lagged diffusivity's K_w, the energy's Hessian),
-    is one ``np.bincount`` of element blocks (``tensor_data``), and any
-    Mid^T diag(c) Mid (the p-norm's Hessian) one of Mid's outer products
-    (``mid_data``).  ``order`` is the reverse Cuthill-McKee order of the
-    interior nodes, and ``bandwidth`` the pattern's in it.  Up to
+    entry of each triangle's element block lands in its data, and
+    ``mid_slot`` where the four entries of each Mid row's outer product
+    land.  A matrix is built as data on the pattern by one of three
+    builders: ``k_data`` for the form's stiffness K(q), three axpys on the
+    data of its three ``pieces``; ``tensor_data`` for any G^T W G, W a
+    symmetric 2x2 tensor per triangle (the lagged diffusivity's K_w, the
+    energy's Hessian), one ``np.bincount`` of element blocks; and
+    ``mid_data`` for any Mid^T diag(c) Mid (the p-norm's Hessian), one of
+    Mid's outer products.  ``factor`` factors any such data, and ``_matrix``
+    makes it a matrix on a copy of the pattern, less its exact zeros; the
+    mass M is one, built once.  ``order`` is the reverse Cuthill-McKee order
+    of the interior nodes, and ``bandwidth`` the pattern's in it.  Up to
     BAND_CUTOFF, ``band_slot`` maps each entry of ``band_entries``, the
     pattern's lower triangle in that order, to its place in LAPACK's lower
-    band storage, in Fortran order (``factor_data``); above it, both are
-    None.  ``_operators`` builds one per mesh from its edge table
-    (``Mesh.edges``)."""
+    band storage, in Fortran order (``factor``); above it, both are None.
+    ``_operators`` builds one per mesh from its edge table (``Mesh.edges``,
+    ``_maps`` and ``_pattern``)."""
 
     a: sp.csr_matrix        # (2 n_live + n_mid, n_int), rows as ``_maps`` says
     a_t: sp.csc_matrix
@@ -305,6 +307,7 @@ class _Operators:
     weight: np.ndarray      # (n_mid,) midpoint-rule weights, the summed |T|/3 of each edge
     grad_map: np.ndarray    # (n_live, 2, 3) their hat-function gradients
     slot: np.ndarray        # (9, n_live) data index of block entry k, nnz at a boundary node
+    mid_slot: np.ndarray    # (4, n_mid) data index of each Mid row's entries, as ``_pattern`` says
     indices: np.ndarray     # the pattern, CSC with sorted rows
     indptr: np.ndarray
     pieces: np.ndarray = field(init=False)   # (3, nnz) data of K_xx, K_xy + K_yx and K_yy
@@ -357,6 +360,15 @@ class _Operators:
         nnz = len(self.indices)
         return np.bincount(self.slot.ravel(), blocks.ravel(), minlength=nnz + 1)[:nnz]
 
+    def k_data(self, m2: np.ndarray) -> np.ndarray:
+        """Pattern data of the form's p = 2 stiffness K = G^T (m2 (x)
+        diag|T|) G, ``m2`` its symmetric 2x2 matrix: three axpys on the
+        pieces."""
+        data = m2[0, 0] * self.pieces[0]
+        data += m2[0, 1] * self.pieces[1]
+        data += m2[1, 1] * self.pieces[2]
+        return data
+
     def tensor_data(self, w: np.ndarray) -> np.ndarray:
         """Pattern data of G^T W G, W the symmetric 2x2 tensor of each
         triangle given as the (3, n_live) rows W_xx, W_xy and W_yy: block
@@ -365,21 +377,6 @@ class _Operators:
         wx, wy = w[0] * gx + w[1] * gy, w[1] * gx + w[2] * gy
         rows, cols = _BLOCK_ROWS, _BLOCK_COLS
         return self._assemble(gx[rows] * wx[cols] + gy[rows] * wy[cols])
-
-    @cached_property
-    def mid_slot(self) -> np.ndarray:
-        """(4, n_mid) data index of the entries (a, a), (b, b), (a, b) and
-        (b, a) of each Mid row, a < b its columns, nnz where a is held (-1).
-        Built on first use: only the p-norm's Hessian needs it."""
-        n, nnz = len(self.indptr) - 1, len(self.indices)
-        mid = self.a[2 * len(self.area) :]
-        first, count = mid.indptr[:-1], np.diff(mid.indptr)
-        b = mid.indices[first + count - 1].astype(np.int64)
-        a = np.where(count == 2, mid.indices[first], -1)
-        # the CSC keys column * n + row rise through the data
-        keys = np.repeat(np.arange(n), np.diff(self.indptr)) * n + self.indices
-        rows, cols = np.array([a, b, a, b]), np.array([a, b, b, a])
-        return np.where(np.minimum(rows, cols) < 0, nnz, np.searchsorted(keys, cols * n + rows))
 
     def mid_data(self, c: np.ndarray) -> np.ndarray:
         """Pattern data of Mid^T diag(c) Mid: each of the four entries of a
@@ -396,26 +393,7 @@ class _Operators:
         k.eliminate_zeros()
         return k
 
-    def _stiffness_data(self, m2: np.ndarray, b: np.ndarray | None) -> np.ndarray:
-        if b is not None:
-            return self.tensor_data(np.array([m2[0, 0], m2[0, 1], m2[1, 1]])[:, None] * b)
-        data = m2[0, 0] * self.pieces[0]
-        data += m2[0, 1] * self.pieces[1]
-        data += m2[1, 1] * self.pieces[2]
-        return data
-
-    def stiffness(self, m2: np.ndarray, b: np.ndarray | None = None) -> sp.csc_matrix:
-        """K = G^T (m2 (x) diag b) G of the symmetric 2x2 matrix ``m2`` and
-        the triangle weights ``b``.  For b = |T|, the default, that is the
-        form's p = 2 stiffness, three axpys on the pieces; other weights are
-        one ``tensor_data``."""
-        return self._matrix(self._stiffness_data(m2, b))
-
-    def factor(self, m2: np.ndarray, b: np.ndarray | None = None) -> _BandCholesky | SuperLU:
-        """A factorization of ``stiffness(m2, b)`` (``factor_data``)."""
-        return self.factor_data(self._stiffness_data(m2, b))
-
-    def factor_data(self, data: np.ndarray) -> _BandCholesky | SuperLU:
+    def factor(self, data: np.ndarray) -> _BandCholesky | SuperLU:
         """A factorization of the symmetric matrix with the pattern data
         ``data``, with a ``solve`` method: the banded Cholesky factor of its
         lower band in ``order`` up to BAND_CUTOFF, else its SuperLU
@@ -455,21 +433,23 @@ class _BandCholesky:
 _RECORDS: weakref.WeakKeyDictionary[Mesh, _Operators] = weakref.WeakKeyDictionary()
 
 
-def _pattern(m: Mesh, cols: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _pattern(m: Mesh, cols: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
     """The stiffness pattern of ``m``, read from its edge table ``m.edges``
     and ``m.tri_edge``, on the columns ``cols`` (node -> column, -1 for a
     held node) among ``n``: the (9, n_tri) slot of each block entry in its
-    data (nnz for an entry with a held node), then the pattern's CSC
-    ``indices`` and ``indptr``.
+    data and the (4, n_mid) slot of the entries (a, a), (b, b), (a, b) and
+    (b, a) of each row of Mid (``_maps``), a < b its columns (nnz for an
+    entry with a held node), then the pattern's CSC ``indices`` and
+    ``indptr``.
 
     The pattern is the diagonal and both entries of every edge with two
     columns.  Column numbers rise with node numbers, so the table's sorted
     edges (a, b), a < b, are sorted by a, then b: column a holds its rows b
     below the diagonal in that order, and sorting by b, then a, gives each
     column b its rows a above the diagonal in order."""
-    a, b = cols[m.edges[:, 0]], cols[m.edges[:, 1]]
-    inner = (a >= 0) & (b >= 0)
-    a, b = a[inner], b[inner]
+    ends = cols[m.edges[:, 0]], cols[m.edges[:, 1]]
+    inner = (ends[0] >= 0) & (ends[1] >= 0)
+    a, b = ends[0][inner], ends[1][inner]
     below, above = np.bincount(a, minlength=n), np.bincount(b, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(above + 1 + below, out=indptr[1:])
@@ -488,6 +468,10 @@ def _pattern(m: Mesh, cols: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray,
     edge_upper, edge_lower = np.full(len(m.edges), nnz), np.full(len(m.edges), nnz)
     edge_upper[inner], edge_lower[inner] = upper, lower
     diag = np.append(diag, nnz)
+    # Mid's rows are the edges with a column, a held end's (-1) the lower
+    low, high = np.minimum(*ends), np.maximum(*ends)
+    kept = high >= 0
+    mid_slot = np.array([diag[low[kept]], diag[high[kept]], edge_upper[kept], edge_lower[kept]])
     c = cols[m.triangles]
     up, lo = edge_upper[m.tri_edge], edge_lower[m.tri_edge]
     # block entry (k, k + 1) of edge k lies above the diagonal where the
@@ -498,7 +482,7 @@ def _pattern(m: Mesh, cols: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray,
     slot[k, k_next] = np.where(forward, up, lo).T
     slot[k_next, k] = np.where(forward, lo, up).T
     slot[k, k] = diag[c].T
-    return slot.reshape(9, -1), indices, indptr.astype(np.int32)
+    return slot.reshape(9, -1), mid_slot, indices, indptr.astype(np.int32)
 
 
 def _operators(m: Mesh) -> _Operators:
@@ -507,12 +491,12 @@ def _operators(m: Mesh) -> _Operators:
     if ops is None:
         cols, n = interior_dof_map(m)
         a, weight, live = _maps(m, cols)
-        slot, indices, indptr = _pattern(m, cols, n)
+        slot, mid_slot, indices, indptr = _pattern(m, cols, n)
         area, grad_map = m.tri_area, m.grad_map
         if not live.all():
             # compress keeps the slots in C order, which a boolean index would not
             area, grad_map, slot = area[live], grad_map[live], np.compress(live, slot, axis=1)
-        ops = _Operators(a, a.T, area, weight, grad_map, slot, indices, indptr)
+        ops = _Operators(a, a.T, area, weight, grad_map, slot, mid_slot, indices, indptr)
         _RECORDS[m] = ops
     return ops
 
@@ -681,17 +665,24 @@ def _factor(a: sp.csc_matrix) -> SuperLU:
     )
 
 
+def _diffusivity(m2: np.ndarray, p: float, g: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The flux m2 g of the (2, n_live) triangle gradients ``g``, q_T =
+    Q(g_T) floored at LAGGED_Q_FLOOR times its mean over the triangles with
+    an interior node, and the p-Laplacian's diffusivity q_T^((p-2)/2)."""
+    flux = m2 @ g
+    q = (g * flux).sum(axis=0)
+    q = np.maximum(q, LAGGED_Q_FLOOR * q.mean())
+    return flux, q, q ** (0.5 * p - 1.0)
+
+
 def _lagged_weights(
     ops: _Operators, m2: np.ndarray, p: float, gu: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """Triangle weights b = |T| q_T^((p-2)/2) of K_w = G^T (m2 (x) diag b) G,
     the stiffness of the p-Laplacian's diffusivity frozen at the field whose
-    triangle gradients are ``gu``, with q_T = Q(grad u|_T) floored at
-    LAGGED_Q_FLOOR times its mean over the triangles with an interior node,
-    and their least ratio min_T b_T / |T|."""
-    g = gu.reshape(2, -1)
-    q = (g * (m2 @ g)).sum(axis=0)
-    diffusivity = np.maximum(q, LAGGED_Q_FLOOR * q.mean()) ** (0.5 * p - 1.0)
+    triangle gradients are ``gu`` (``_diffusivity``), and their least ratio
+    min_T b_T / |T|."""
+    diffusivity = _diffusivity(m2, p, gu.reshape(2, -1))[2]
     return ops.area * diffusivity, float(diffusivity.min())
 
 
@@ -706,17 +697,15 @@ def _hessians(
     """Pattern data of the energy's Hessian H = p G^T (|T| q^(p/2-1) [m2 +
     (p-2) (m2 g)(m2 g)^T / q]) G and the p-norm's H_N = p (p-1) Mid^T diag(w
     |y|^(p-2)) Mid at the field ``u``, g and q = Q(g) its triangle gradients
-    and y its edge-midpoint values; q and y^2 are floored at LAGGED_Q_FLOOR
-    times their means, as K_w's q is."""
+    and y its edge-midpoint values; q and its diffusivity q^(p/2-1) are K_w's
+    (``_diffusivity``), and y^2 is floored at LAGGED_Q_FLOOR times its mean
+    as q is."""
     values = ops.a @ u
     split = 2 * len(ops.area)
-    g = values[:split].reshape(2, -1)
-    flux = m2 @ g
-    q = np.einsum("it,it->t", g, flux)
-    q = np.maximum(q, LAGGED_Q_FLOOR * q.mean())
+    flux, q, diffusivity = _diffusivity(m2, p, values[:split].reshape(2, -1))
     # the rows W_xx, W_xy and W_yy of each triangle's tensor
     tensor = m2[[0, 0, 1], [0, 1, 1]][:, None] + (p - 2.0) / q * flux[[0, 0, 1]] * flux[[0, 1, 1]]
-    h = ops.tensor_data(p * ops.area * q ** (0.5 * p - 1.0) * tensor)
+    h = ops.tensor_data(p * ops.area * diffusivity * tensor)
     y2 = values[split:] ** 2
     y2 = np.maximum(y2, LAGGED_Q_FLOOR * y2.mean())
     return h, ops.mid_data(p * (p - 1.0) * ops.weight * y2 ** (0.5 * p - 1.0))
@@ -733,7 +722,7 @@ def _newton_factor(
     h, hn = _hessians(ops, m2, p, u)
     while True:
         try:
-            return ops.factor_data(h - shift * lam * hn), shift
+            return ops.factor(h - shift * lam * hn), shift
         except np.linalg.LinAlgError:
             if shift == 0.0:
                 return None, shift
@@ -823,7 +812,7 @@ def _descent(
     pt = _point(ops, m2, p, u0 if u0.sum() >= 0.0 else -u0)
     if p < LAGGED_P_CUTOFF:
         b, w_min = _lagged_weights(ops, m2, p, pt.scale * pt.gu)
-        metric_lu = ops.factor(m2, b)
+        metric_lu = ops.factor(ops.tensor_data(m2[[0, 0, 1], [0, 1, 1]][:, None] * b))
     else:
         b, metric_lu = ops.area, lu
     finish = p > 2.0 and ops.band_slot is not None
@@ -889,18 +878,19 @@ def solve_p(
     """Fundamental frequency for p > 1.
 
     The operators of ``m`` come from its record, built by the first solve on
-    ``m``; the form's p = 2 stiffness K is three axpys on its pieces' data.
-    One factorization of K serves the inverse iteration, the reported
-    residual and, for p >= LAGGED_P_CUTOFF, the descent's metric; below the
-    cut-off the descent factors its lagged-diffusivity metric K_w as well,
-    and above p = 2 on a band factor it factors the shifted Hessian F of
-    its Newton finish, about once or twice per solve (``_descent``).
-    The inverse iteration on the p = 2 pencil stops at the relative
-    eigenvalue change ``tol`` and is the result at p = 2.  For other p its
-    ground state is only the start of one projected descent at p, so it stops
-    at the rougher change max(tol, START_TOL); the descent stops at the
-    residual bound sqrt(tol / RESIDUAL_SAFETY), which alone sets the
-    accuracy of the result.
+    ``m``.  Every matrix the solve factors is built by one of the record's
+    builders and factored by its one ``factor``: the form's p = 2 stiffness
+    K (``k_data``), whose factorization serves the inverse iteration, the
+    reported residual and, for p >= LAGGED_P_CUTOFF, the descent's metric;
+    below the cut-off the descent's lagged-diffusivity metric K_w
+    (``tensor_data``); and above p = 2 on a band factor the shifted Hessian
+    F of its Newton finish (``tensor_data`` and ``mid_data``), about once or
+    twice per solve (``_descent``).  One inverse iteration on the p = 2
+    pencil gives the result at p = 2, stopped at the relative eigenvalue
+    change ``tol``.  For other p its ground state is only the start of one
+    projected descent at p, so it stops at the rougher change max(tol,
+    START_TOL); the descent stops at the residual bound sqrt(tol /
+    RESIDUAL_SAFETY), which alone sets the accuracy of the result.
 
     ``start``, a nodal field on ``m`` that is finite and not zero on the
     interior nodes, replaces the ones vector as the start of the inverse
@@ -929,18 +919,19 @@ def solve_p(
             raise ValueError("start vanishes on the interior nodes")
     m2 = q.matrix()
     ops = _operators(m)
-    lu = ops.factor(m2)
+    lu = ops.factor(ops.k_data(m2))
+    u, iterations = start, 0
+    if p == 2.0 or start is None:
+        # the answer at p = 2; the descent's start at other p
+        u, iterations, converged = _inverse_iteration(
+            ops.mass, lu, tol if p == 2.0 else max(tol, START_TOL), start
+        )
     if p == 2.0:
-        u, iterations, converged = _inverse_iteration(ops.mass, lu, tol, start)
         failure = f"inverse iteration did not reach tol {tol} in {MAX_ITER} iterations"
         pt = _point(ops, m2, p, u)
         u, lam = pt.u, pt.lam
         residual = _k_residual(lu, _gradient(ops, p, pt), p, lam)
     else:
-        if start is None:
-            u, iterations, _ = _inverse_iteration(ops.mass, lu, max(tol, START_TOL))
-        else:
-            u, iterations = start, 0
         bound = math.sqrt(tol / RESIDUAL_SAFETY)
         u, lam, residual, it = _descent(ops, m2, p, u, bound, lu)
         failure = f"descent stopped at residual {residual:.3g} > {bound:.3g} after {it} iterations"

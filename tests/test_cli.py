@@ -322,6 +322,15 @@ def test_inline_domain_overflowing_to_infinity_exits_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("domain", ["", " "], ids=["empty", "blank"])
+def test_empty_domain_flag_exits_2(tmp_path, capsys, domain):
+    # an empty --domain is a bad domain spec, not the default square
+    argv = ["--command", "eigen", "--domain", domain, "--level", "2"]
+    assert cli.main([*argv, "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.startswith("error: bad domain spec: unknown domain name: ''")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "domain, level, message",
     [

@@ -166,7 +166,7 @@ def test_nonconvergence_carries_best_iterate(monkeypatch):
 def smallest_pencil_eigenvalue(m, m2) -> float:
     ops = _operators(m)
     return float(
-        eigsh(ops.stiffness(m2), k=1, M=ops.mass, sigma=0.0, which="LM", return_eigenvectors=False)[0]
+        eigsh(ops._matrix(ops.k_data(m2)), k=1, M=ops.mass, sigma=0.0, which="LM", return_eigenvectors=False)[0]
     )
 
 
@@ -507,9 +507,9 @@ def test_quadratic_matrices_match_element_assembly():
                         lagged_ref[i, j] += lag * grads[:, a] @ m2 @ grads[:, b]
                         mass_ref[i, j] += area / 12.0 * (2.0 if a == b else 1.0)
         weights = _lagged_weights(ops, m2, p, triangle_gradients(m, u[~m.boundary_node]))[0]
-        lagged = ops.stiffness(m2, weights)
+        lagged = ops._matrix(ops.tensor_data(m2[[0, 0, 1], [0, 1, 1]][:, None] * weights))
         assert any(q < q_floor for *_, q in elements)
-        for got, ref in ((ops.stiffness(m2), stiff_ref), (ops.mass, mass_ref), (lagged, lagged_ref)):
+        for got, ref in ((ops._matrix(ops.k_data(m2)), stiff_ref), (ops.mass, mass_ref), (lagged, lagged_ref)):
             assert np.max(np.abs(got.toarray() - ref)) <= 1e-13 * np.max(np.abs(ref))
             same = [np.array_equal(getattr(got, f), getattr(ops, f)) for f in ("indices", "indptr")]
             assert all(same) == (got is ops.mass or m2[0, 1] != 0.0)
@@ -530,7 +530,8 @@ def test_metric_curvature_from_triangle_gradients(p):
     lagged = _lagged_weights(ops, m2, p, triangle_gradients(m, rng.normal(size=s.shape)))[0]
     gs = triangle_gradients(m, s).reshape(2, -1)
     for b in (ops.area, lagged):
-        exact = s @ (ops.stiffness(m2, None if b is ops.area else b) @ s)
+        data = ops.k_data(m2) if b is ops.area else ops.tensor_data(m2[[0, 0, 1], [0, 1, 1]][:, None] * b)
+        exact = s @ (ops._matrix(data) @ s)
         assert np.einsum("t,it,it->", b, gs, m2 @ gs) == pytest.approx(exact, rel=1e-13)
 
 
@@ -540,7 +541,7 @@ def test_identity_form_factors_without_the_patterns_zeros():
     # give the identity form's K exact zeros, the LU of K has the fill of the
     # matrix less its zeros, not that of the whole pattern
     ops = _operators(build_mesh(lshape(), 5))
-    k = ops.stiffness(np.eye(2))
+    k = ops._matrix(ops.k_data(np.eye(2)))
     full = sp.csc_matrix((ops.pieces[0] + ops.pieces[2], ops.indices, ops.indptr), shape=k.shape)
     assert k.nnz < full.nnz
     fills = [lu.L.nnz + lu.U.nnz for lu in (_factor(k), _factor(full))]
@@ -553,21 +554,28 @@ def test_identity_form_factors_without_the_patterns_zeros():
 )
 def test_band_solves_match_superlu(domain, level):
     # the banded Cholesky factor of K and of the lagged K_w, for the identity
-    # and for forms with beta > 0 and beta < 0, solves as SuperLU's LU of the
-    # same matrix does
+    # and for forms with beta > 0 and beta < 0, and of the Newton finish's H
+    # and H - 0.5 lam H_N at the p = 3 ground state, solves as SuperLU's LU
+    # of the same matrix does
     m = build_mesh(domain, level)
     ops = _operators(m)
     assert ops.band_slot is not None
     rng = np.random.default_rng(level)
     gu = triangle_gradients(m, rng.normal(size=ops.a.shape[1]))
+    datas = []
     for m2 in (np.eye(2), _member(0.25, 0.6).matrix(), np.array([[0.9, -0.4], [-0.4, 0.5]])):
         for b in (None, _lagged_weights(ops, m2, 1.5, gu)[0]):
-            band, lu = ops.factor(m2, b), _factor(ops.stiffness(m2, b))
-            assert isinstance(band, _BandCholesky)
-            for _ in range(2):
-                r = rng.normal(size=ops.a.shape[1])
-                ref = lu.solve(r)
-                assert np.linalg.norm(band.solve(r) - ref) <= 1e-13 * np.linalg.norm(ref)
+            datas.append(ops.k_data(m2) if b is None else ops.tensor_data(m2[[0, 0, 1], [0, 1, 1]][:, None] * b))
+    res = solve_p(m, _member(0.25, 0.6), 3.0)
+    h, hn = solver._hessians(ops, res.form.matrix(), 3.0, res.u[~m.boundary_node])
+    datas += [h, h - 0.5 * res.lam * hn]
+    for data in datas:
+        band, lu = ops.factor(data), _factor(ops._matrix(data))
+        assert isinstance(band, _BandCholesky)
+        for _ in range(2):
+            r = rng.normal(size=ops.a.shape[1])
+            ref = lu.solve(r)
+            assert np.linalg.norm(band.solve(r) - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize(
@@ -623,7 +631,7 @@ def test_dot_matches_blas(n):
 def test_band_factor_rejects_a_matrix_that_is_not_positive_definite():
     ops = _operators(build_mesh(Rectangle(1.0, 1.0), 3))
     with pytest.raises(np.linalg.LinAlgError):
-        ops.factor(-np.eye(2))
+        ops.factor(ops.k_data(-np.eye(2)))
 
 
 def edge_table(m):
@@ -687,6 +695,23 @@ def test_one_midpoint_per_edge(domain):
     for p in (1.5, 2.0, 3.0):
         per_triangle = np.sum(m.tri_area[:, None] / 3.0 * np.abs(mids) ** p)
         assert pnorm_p(m, u, p) == pytest.approx(per_triangle, rel=1e-14)
+
+
+@pytest.mark.parametrize("level", [2, 3, 4, 5])
+@pytest.mark.parametrize(
+    "domain",
+    [lshape(), Rectangle(1.0, 2.0), Disk(1.5, (0.5, -0.25))],
+    ids=["lshape", "rectangle", "offset-disk"],
+)
+def test_mid_data_of_the_weights_is_the_mass(domain, level):
+    # Mid^T diag(w) Mid, assembled on the pattern through the Mid slots that
+    # ``_pattern`` reads from the edge table, is the consistent mass: the
+    # edge-midpoint rule is exact for products of P1 functions, so one edge
+    # whose slots were wrong would show
+    ops = _operators(build_mesh(domain, level))
+    got = ops._matrix(ops.mid_data(ops.weight))
+    assert got.nnz == ops.mass.nnz
+    assert abs(got - ops.mass).max() <= 1e-15 * abs(ops.mass).max()
 
 
 @pytest.mark.parametrize(
