@@ -46,19 +46,19 @@ class Mesh:
             raise ValueError("triangles must be an (m, 3) index array")
 
         p = nodes[triangles]  # (m, 3, 2)
-        e1 = p[:, 1] - p[:, 0]
-        e2 = p[:, 2] - p[:, 0]
-        area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+        # edge i, opposite node i, is p_{i+2} - p_{i+1}
+        e = (p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0])
+        area = 0.5 * (e[2][:, 1] * e[1][:, 0] - e[2][:, 0] * e[1][:, 1])
         scale = float(np.max(np.abs(nodes))) ** 2 + 1.0
         if np.any(area <= 1e-14 * scale):
             raise GeometryError("all triangles must be counterclockwise with positive area")
 
-        # Edge opposite node i is p_{i+2} - p_{i+1}; rotating it by +90 degrees
-        # and dividing by 2|T| gives the gradient of the hat function at i.
-        e = p[:, [2, 0, 1], :] - p[:, [1, 2, 0], :]  # (m, 3, 2)
+        # Rotating edge i by +90 degrees and dividing by 2|T| gives the
+        # gradient of the hat function at node i.
         grad = np.empty((len(triangles), 2, 3))
-        grad[:, 0, :] = -e[:, :, 1]
-        grad[:, 1, :] = e[:, :, 0]
+        for i, ei in enumerate(e):
+            np.negative(ei[:, 1], out=grad[:, 0, i])
+            grad[:, 1, i] = ei[:, 0]
         grad /= (2.0 * area)[:, None, None]
 
         edges, tri_edge, counts = _edge_table(triangles, len(nodes))
@@ -107,7 +107,10 @@ def triangulate(p: Polygon) -> Mesh:
 
     Among the currently valid ears the one whose triangle has the largest
     minimum angle is clipped first; ties break on the lowest vertex index, so
-    the result is deterministic.
+    the result is deterministic.  Each clip refreshes the qualities of the
+    ears it changes, all in one vectorized pass: the two neighbours of the
+    clipped vertex, or every active vertex when the polygon is not strictly
+    convex.
     """
     verts = p.vertices
     n = len(verts)
@@ -117,48 +120,42 @@ def triangulate(p: Polygon) -> Mesh:
     scale = float(np.max(np.abs(verts))) ** 2 + 1.0
     eps = 1e-12 * scale
 
-    def cross_at(i: int) -> float:
+    def cross_at(i: np.ndarray) -> np.ndarray:
         a, b, c = verts[prv[i]], verts[i], verts[nxt[i]]
-        return float((b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0]))
+        return (b[:, 0] - a[:, 0]) * (c[:, 1] - b[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - b[:, 0])
 
-    def blocked(i: int) -> bool:
-        # Any other active vertex inside (or on) the candidate triangle
-        # invalidates the ear.  Only reachable for polygons that are not
+    def blocked(i: np.ndarray) -> np.ndarray:
+        # Any other active vertex inside (or on) a candidate triangle
+        # invalidates its ear.  Only reachable for polygons that are not
         # strictly convex: where three vertices are collinear, an ear's
         # diagonal can run through the middle one.
-        tri = (verts[prv[i]], verts[i], verts[nxt[i]])
         others = np.flatnonzero(active)
-        others = others[(others != i) & (others != prv[i]) & (others != nxt[i])]
-        if len(others) == 0:
-            return False
         pts = verts[others]
-        inside = np.ones(len(pts), dtype=bool)
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            cr = (b[0] - a[0]) * (pts[:, 1] - a[1]) - (b[1] - a[1]) * (pts[:, 0] - a[0])
-            inside &= cr >= -eps
-        return bool(np.any(inside))
+        corners = prv[i], i, nxt[i]
+        inside = np.ones((len(i), len(others)), dtype=bool)
+        for a, b in zip(corners, corners[1:] + corners[:1]):
+            (ax, ay), (bx, by) = verts[a].T[:, :, None], verts[b].T[:, :, None]
+            inside &= (bx - ax) * (pts[:, 1] - ay) - (by - ay) * (pts[:, 0] - ax) >= -eps
+        for corner in corners:
+            inside &= others != corner[:, None]
+        return inside.any(axis=1)
 
-    convex_input = all(cross_at(i) > eps for i in range(n))
+    convex_input = bool(np.all(cross_at(np.arange(n)) > eps))
 
     quality = np.full(n, -np.inf)
 
-    def refresh(i: int) -> None:
-        if not active[i]:
-            return
-        if cross_at(i) <= eps or (not convex_input and blocked(i)):
-            quality[i] = -np.inf
-        else:
-            quality[i] = _min_angles(verts[[prv[i], i, nxt[i]]][None])[0]
+    def refresh(i: np.ndarray) -> None:
+        ear = cross_at(i) > eps
+        if not convex_input:
+            ear &= ~blocked(i)
+        quality[i] = -np.inf
+        i = i[ear]
+        quality[i] = _min_angles(verts[np.stack([prv[i], i, nxt[i]], axis=1)])
 
-    for i in range(n):
-        refresh(i)
-
+    refresh(np.arange(n))
     tris = []
     remaining = n
     while remaining > 3:
-        if not convex_input:
-            for i in np.flatnonzero(active):
-                refresh(i)
         i = int(np.argmax(quality))
         if not np.isfinite(quality[i]):
             raise GeometryError("ear clipping failed: polygon is degenerate")
@@ -168,8 +165,7 @@ def triangulate(p: Polygon) -> Mesh:
         a, b = prv[i], nxt[i]
         nxt[a], prv[b] = b, a
         remaining -= 1
-        refresh(a)
-        refresh(b)
+        refresh(np.array([a, b]) if convex_input else np.flatnonzero(active))
     last = np.flatnonzero(active)
     i = last[1]
     tris.append((prv[i], i, nxt[i]))
@@ -280,14 +276,21 @@ def mirror_permutation(m: Mesh) -> np.ndarray | None:
     return None
 
 
+def refine_domain(m: Mesh, domain: DomainSpec, levels: int) -> Mesh:
+    """``refine(m, levels)`` of a mesh ``m`` of ``domain``, onto its circle
+    if it is a disk.  Refining ``build_mesh(domain, level)`` by ``levels``
+    gives ``build_mesh(domain, level + levels)``, array for array."""
+    return refine(m, levels, onto=domain if isinstance(domain, Disk) else None)
+
+
 def build_mesh(domain: DomainSpec, level: int, n_boundary: int = 128) -> Mesh:
     """The domain's mesh at refinement ``level``: a disk's fan of its centre
     and inscribed hexagon (6 equilateral triangles), refined onto its circle,
-    or the ear-clipped polygon refined ``level`` times.  ``n_boundary`` is
-    accepted for existing callers and changes no mesh."""
+    or the ear-clipped polygon refined ``level`` times (``refine_domain``).
+    ``n_boundary`` is accepted for existing callers and changes no mesh."""
     if isinstance(domain, Disk):
         ring = np.arange(1, 7)
         fan = np.column_stack([np.zeros(6, dtype=np.int64), ring, np.roll(ring, -1)])
         nodes = np.vstack([domain.center, polygonize(domain).vertices])
-        return refine(Mesh.from_arrays(nodes, fan), level, onto=domain)
-    return refine(triangulate(polygonize(domain)), level)
+        return refine_domain(Mesh.from_arrays(nodes, fan), domain, level)
+    return refine_domain(triangulate(polygonize(domain)), domain, level)

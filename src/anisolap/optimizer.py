@@ -95,7 +95,10 @@ also shares its meshes, one per (domain, level), and its isotropic solves, one
 per (mesh, p): the rigidity suite's maximizer, the ``lambda_max`` of every
 search and the rectangle suite's square are one solve wherever they share a
 mesh.  Each is made the first time it is asked for, by the same call as
-without sharing, so the report does not change.
+without sharing, so the report does not change.  A mesh is the run's mesh
+of the level below refined by one level when the run holds that one, and is
+built from the domain otherwise; both give the same arrays.  A search asks
+for its coarse mesh before its fine one, so it refines the fine one from it.
 """
 
 from __future__ import annotations
@@ -107,7 +110,7 @@ from functools import partial
 import numpy as np
 
 from .geometry import Disk, DomainSpec, Rectangle, longest_chord
-from .mesh import Mesh, build_mesh, mirror_permutation
+from .mesh import Mesh, build_mesh, mirror_permutation, refine_domain
 from .quadform import (
     QuadForm,
     extremal_form,
@@ -171,8 +174,10 @@ class _Shared:
     """The meshes, keyed by (domain, level), their ``mirror_permutation``,
     keyed by mesh, and the cold isotropic solves, keyed by (mesh, p, tol),
     of one run.  Each is built, tested or solved the first time it is asked
-    for.  A shared solve's eigenfunction is read-only, because several
-    suites start their solves from it."""
+    for.  A mesh is the table's mesh of the level below refined by one level
+    (``refine_domain``) when the table holds it, else ``build_mesh``'s; the
+    two are equal array for array.  A shared solve's eigenfunction is
+    read-only, because several suites start their solves from it."""
 
     def __init__(self) -> None:
         self.meshes: dict[tuple[DomainSpec, int], Mesh] = {}
@@ -181,7 +186,10 @@ class _Shared:
 
     def mesh(self, d: DomainSpec, level: int) -> Mesh:
         if (d, level) not in self.meshes:
-            self.meshes[d, level] = build_mesh(d, level)
+            coarse = self.meshes.get((d, level - 1))
+            self.meshes[d, level] = (
+                build_mesh(d, level) if coarse is None else refine_domain(coarse, d, 1)
+            )
         return self.meshes[d, level]
 
     def mirror(self, mesh: Mesh) -> np.ndarray | None:
@@ -286,7 +294,8 @@ def lambda_min(
     from nothing, and the solves of the walks and the regula falsi steps.
     Both meshes and the isotropic solve come from ``shared``, the tables of
     the run that calls the search (``run_verification``); without it the
-    search makes its own.
+    search makes its own.  The coarse mesh is asked for first, so the fine
+    one is refined from it.
     Every profile value is read from the search's table, which calls
     ``profile_value`` once per (level, theta), started as the module
     docstring describes, and keeps its value and its derivative in theta.
@@ -319,7 +328,7 @@ def lambda_min(
 
     shared = shared or _Shared()
     profile_level = level - 1 if level - 1 >= MIN_COARSE_LEVEL else level
-    meshes = {lv: shared.mesh(d, lv) for lv in (level, profile_level)}
+    meshes = {lv: shared.mesh(d, lv) for lv in (profile_level, level)}
     perms = {lv: shared.mirror(m) for lv, m in meshes.items()}
     mirrored = all(perm is not None for perm in perms.values())
     thetas = np.linspace(0.0, 0.5 * math.pi, grid_n).tolist()

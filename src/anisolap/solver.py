@@ -35,11 +35,13 @@ and any Mid^T diag(c) Mid one of Mid's edge products (``mid_data``).  One
 ``factor`` factors any of them.  The consistent mass M = Mid^T diag(w) Mid
 is built once, as a matrix.
 
-One path for every p > 1, built on one direct factorization of K: a
-Cholesky factorization of its band in the record's reverse Cuthill-McKee
-order of the interior nodes (Cuthill and McKee, 1969; George and Liu, 1981)
-by LAPACK's ``dpbtrf``, or, on a mesh whose band in that order is wider
-than BAND_CUTOFF, SuperLU's sparse LU (``_factor``).  Inverse iteration on
+One path for every p > 1, built on one direct factorization of K in the
+record's reverse Cuthill-McKee order of the interior nodes (Cuthill and
+McKee, 1969; George and Liu, 1981): a Cholesky factorization of its band by
+LAPACK's ``dpbtrf``, or, on a mesh whose band in that order is wider than
+BAND_CUTOFF, SuperLU's sparse LU of the matrix in that order (``_factor``).
+Both factorizations solve between a gather into the order and a gather
+back by its inverse (``_Ordered``).  Inverse iteration on
 the generalized symmetric pencil (K, M) gives the p = 2 ground state u0.  At
 p = 2 that is the answer, to tol.  For any other p it is the start, stopped
 at the rougher START_TOL, of one projected descent on the unit p-norm sphere
@@ -74,9 +76,10 @@ moves.  Without a start a solve depends on its arguments alone.
 A factorization costs its data's builder (three axpys for K, one
 ``np.bincount`` of element blocks for K_w or H, and one of edge products
 for H_N), one scatter of its lower triangle into a zeroed band and one
-``dpbtrf``.  A solve with it is one ``dpbtrs`` between a gather and
-a scatter by the order.  A step of the inverse iteration costs one solve and
-one product with M.  A descent iteration costs one product with A^T and one
+``dpbtrf`` (above BAND_CUTOFF, one gather of the data into the order and
+one SuperLU).  A solve with it is one ``dpbtrs`` between two gathers, by
+the order and by its inverse.  A step of the inverse iteration costs one
+solve and one product with M.  A descent iteration costs one product with A^T and one
 solve in its metric, a Newton step one solve with F more, and F is
 refactored only when a step cuts the residual by less than half (about once
 or twice per solve).  A line-search trial costs one product with A and two
@@ -134,15 +137,17 @@ LAGGED_P_CUTOFF = 1.6
 
 # The widest band, in the reverse Cuthill-McKee order of a mesh's interior
 # nodes, whose stiffnesses are factored as a band (``_Operators.factor``);
-# wider ones go to SuperLU (``_factor``).  Measured in-process on a 2-vCPU
-# machine, band against SuperLU, medians for the level-0.25 extremal form
-# with alpha = 0.6 (``extremal_form`` at theta = 0.752): at level 6 the
-# L-shape (bandwidth 125) factors in 15 against 42 ms and solves in 1.0
-# against 1.1 ms, the disk (127) in 23 against 126 ms and 1.5 against
-# 2.3 ms.  At level 7 the L-shape (253) factors in 152 against 330 ms but
-# solves in 10 against 7 ms, and its band takes twice the memory of
-# SuperLU's L + U (66 against 31 MB).  The band grows as n^1.5 and would
-# take gigabytes at level 9.
+# wider ones go to SuperLU (``_factor``).  Both factor the matrix in that
+# order.  Measured in-process on a 2-vCPU machine with one BLAS thread,
+# band against SuperLU, medians for the level-0.25 extremal form with
+# alpha = 0.6 (``extremal_form`` at theta = 0.752): at level 6 the L-shape
+# (bandwidth 125) factors in 11 against 19 ms and solves in 0.84 against
+# 0.66 ms, the disk (127) in 17 against 36 ms and 1.2 against 1.2 ms.  At
+# level 7 the L-shape (253) factors in 124 against 116 ms and solves in 7.0
+# against 3.3 ms, the disk (255) in 185 against 240 ms and 17 against 7 ms,
+# and each band takes about twice the memory of SuperLU's L + U (66 against
+# 28 MB, 100 against 51 MB).  The band grows as n^1.5 and would take
+# gigabytes at level 9.
 BAND_CUTOFF = 192
 
 # Floor of the lagged diffusivity's Q(grad u0|_T), relative to its mean over
@@ -222,15 +227,17 @@ class SolverConvergenceError(RuntimeError):
         self.best = best
 
 
-def _maps(m: Mesh, cols: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+def _maps(
+    m: Mesh, cols: np.ndarray
+) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray, np.ndarray]:
     """The stacked map A = [G; Mid] of ``m`` on the columns ``cols`` (node ->
     column index, -1 for a node held at zero), as CSR built from its arrays,
-    the midpoint rule's weight of each row of Mid, and the mask of the
-    triangles with a column, whose rows G keeps.  Every row holds at most
-    three entries in distinct columns, in increasing column order.  Rows t
-    and n_live + t of G give the x and y gradient of the t-th kept triangle;
-    a triangle whose three nodes are held has a zero gradient for every
-    field, and no row.  Mid has one row per edge of the mesh's edge table
+    the midpoint rule's weight of each row of Mid, the mask of the triangles
+    with a column, whose rows G keeps, and their ``grad_map``.  Every row
+    holds at most three entries in distinct columns, in increasing column
+    order.  Rows t and n_live + t of G give the x and y gradient of the t-th
+    kept triangle; a triangle whose three nodes are held has a zero gradient
+    for every field, and no row.  Mid has one row per edge of the mesh's edge table
     ``m.edges`` with a column at either end, in the table's order; it gives
     the value at the edge's midpoint, whose weight is the summed |T|/3 of the
     edge's triangles (``m.tri_edge``)."""
@@ -261,7 +268,7 @@ def _maps(m: Mesh, cols: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray, np.ndar
     np.cumsum(keep[:, 0].astype(np.int8) + keep[:, 1] + keep[:, 2], out=indptr[1:])
     a = sp.csr_matrix((data[keep.ravel()], idx[keep], indptr), shape=(len(idx), n_cols))
     weight = np.bincount(m.tri_edge.ravel(), np.repeat(m.tri_area / 3.0, 3), minlength=len(m.edges))
-    return a, weight[kept], live
+    return a, weight[kept], live, grad_map
 
 
 # Entry k = 3 a + b of a triangle's 3x3 element block is in row a and column
@@ -292,12 +299,16 @@ class _Operators:
     energy's Hessian), one ``np.bincount`` of element blocks; and
     ``mid_data`` for any Mid^T diag(c) Mid (the p-norm's Hessian), one of
     Mid's outer products.  ``factor`` factors any such data, and ``_matrix``
-    makes it a matrix on a copy of the pattern, less its exact zeros; the
-    mass M is one, built once.  ``order`` is the reverse Cuthill-McKee order
-    of the interior nodes, and ``bandwidth`` the pattern's in it.  Up to
-    BAND_CUTOFF, ``band_slot`` maps each entry of ``band_entries``, the
-    pattern's lower triangle in that order, to its place in LAPACK's lower
-    band storage, in Fortran order (``factor``); above it, both are None.
+    makes it a matrix on copies of it and of the pattern, less its exact
+    zeros; the mass M is one, built once.  ``order`` is the reverse Cuthill-McKee order
+    of the interior nodes, ``rank`` its inverse, and ``bandwidth`` the
+    pattern's in it; every factorization takes its rows and columns in that
+    order.  Up to BAND_CUTOFF, ``band_slot`` maps each entry of
+    ``band_entries``, the pattern's lower triangle in that order, to its
+    place in LAPACK's lower band storage, in Fortran order (``factor``), and
+    the ``lu_`` fields are None.  Above it, the two band fields are None, and
+    ``lu_indices`` and ``lu_indptr`` hold the whole pattern in that order as
+    CSC, whose k-th entry is entry ``lu_entries[k]`` of the data.
     ``_operators`` builds one per mesh from its edge table (``Mesh.edges``,
     ``_maps`` and ``_pattern``)."""
 
@@ -312,10 +323,14 @@ class _Operators:
     indptr: np.ndarray
     pieces: np.ndarray = field(init=False)   # (3, nnz) data of K_xx, K_xy + K_yx and K_yy
     mass: sp.csc_matrix = field(init=False)  # M, which is |T|/12 (1 + delta_ij) per triangle
-    order: np.ndarray = field(init=False)    # (n_int,) interior node of each band row
+    order: np.ndarray = field(init=False)    # (n_int,) interior node of each row of a factor
+    rank: np.ndarray = field(init=False)     # (n_int,) row of each interior node: order's inverse
     bandwidth: int = field(init=False)
     band_entries: np.ndarray | None = field(init=False)  # data index of each lower entry
     band_slot: np.ndarray | None = field(init=False)     # its index in the raveled band
+    lu_entries: np.ndarray | None = field(init=False)    # data index of each entry in order
+    lu_indices: np.ndarray | None = field(init=False)    # the pattern in order, CSC
+    lu_indptr: np.ndarray | None = field(init=False)
 
     def __post_init__(self) -> None:
         self.pieces = self._pieces()
@@ -324,17 +339,25 @@ class _Operators:
         n = len(self.indptr) - 1
         pattern = sp.csc_matrix((np.ones(len(self.indices)), self.indices, self.indptr), (n, n))
         self.order = reverse_cuthill_mckee(pattern, symmetric_mode=True)
-        rank = np.empty(n, dtype=np.int64)
-        rank[self.order] = np.arange(n)
-        rows = rank[self.indices]
-        cols = np.repeat(rank, np.diff(self.indptr))
+        self.rank = np.empty(n, dtype=np.int64)
+        self.rank[self.order] = np.arange(n)
+        counts = np.diff(self.indptr)
+        rows = self.rank[self.indices]
+        cols = np.repeat(self.rank, counts)
         self.bandwidth = int(np.max(rows - cols, initial=0))
         self.band_entries = self.band_slot = None
+        self.lu_entries = self.lu_indices = self.lu_indptr = None
         if self.bandwidth <= BAND_CUTOFF:
             self.band_entries = np.flatnonzero(rows >= cols)
             # entry (i, j), i >= j, is at row i - j and column j of the band
             rows, cols = rows[self.band_entries], cols[self.band_entries]
             self.band_slot = rows - cols + (self.bandwidth + 1) * cols
+        else:
+            # the whole pattern in order, each column's rows sorted
+            self.lu_entries = np.argsort(cols * n + rows)
+            self.lu_indices = rows[self.lu_entries].astype(np.int32)
+            self.lu_indptr = np.zeros(n + 1, dtype=np.int32)
+            np.cumsum(counts[self.order], out=self.lu_indptr[1:])
 
     def _pieces(self) -> np.ndarray:
         """(3, nnz) data of the pieces K_xx, K_xy + K_yx and K_yy of the
@@ -375,8 +398,12 @@ class _Operators:
         entry (i, j) is grad phi_i . W grad phi_j."""
         gx, gy = self.grad_map[:, 0].T, self.grad_map[:, 1].T
         wx, wy = w[0] * gx + w[1] * gy, w[1] * gx + w[2] * gy
-        rows, cols = _BLOCK_ROWS, _BLOCK_COLS
-        return self._assemble(gx[rows] * wx[cols] + gy[rows] * wy[cols])
+        # one buffer, filled a row of triangles at a time, as in ``_pieces``
+        block = np.empty((9, len(self.area)))
+        for k, (i, j) in enumerate(zip(_BLOCK_ROWS, _BLOCK_COLS)):
+            np.multiply(gx[i], wx[j], out=block[k])
+            block[k] += gy[i] * wy[j]
+        return self._assemble(block)
 
     def mid_data(self, c: np.ndarray) -> np.ndarray:
         """Pattern data of Mid^T diag(c) Mid: each of the four entries of a
@@ -385,47 +412,77 @@ class _Operators:
         return np.bincount(self.mid_slot.ravel(), np.tile(0.25 * c, 4), minlength=nnz + 1)[:nnz]
 
     def _matrix(self, data: np.ndarray) -> sp.csc_matrix:
-        """The matrix of ``data`` on a copy of the pattern, less its exact
-        zeros: the identity form's K has some on a mesh with right angles,
-        and a stored zero would be factored as fill."""
-        shape = (len(self.indptr) - 1,) * 2
-        k = sp.csc_matrix((data, self.indices.copy(), self.indptr.copy()), shape=shape)
-        k.eliminate_zeros()
-        return k
+        """The matrix of ``data`` on the pattern, less its exact zeros
+        (``_csc``)."""
+        return _csc(data, self.indices, self.indptr)
 
-    def factor(self, data: np.ndarray) -> _BandCholesky | SuperLU:
+    def factor(self, data: np.ndarray) -> _Ordered:
         """A factorization of the symmetric matrix with the pattern data
-        ``data``, with a ``solve`` method: the banded Cholesky factor of its
-        lower band in ``order`` up to BAND_CUTOFF, else its SuperLU
-        (``_factor``).  The band is scattered into a zeroed buffer and
-        factored in place; a band that is not positive definite raises
-        ``np.linalg.LinAlgError``."""
+        ``data``, its rows and columns taken in ``order``, with a ``solve``
+        method: the banded Cholesky factor of its lower band up to
+        BAND_CUTOFF, else the SuperLU of the whole matrix (``_factor``), read
+        from the data through ``lu_entries``.  The band is scattered into a
+        zeroed buffer and factored in place; a band that is not positive
+        definite raises ``np.linalg.LinAlgError``."""
         if self.band_slot is None:
-            return _factor(self._matrix(data))
+            return _SparseLU(_csc(data[self.lu_entries], self.lu_indices, self.lu_indptr), self)
         band = np.zeros((self.bandwidth + 1) * len(self.order))
         band[self.band_slot] = data[self.band_entries]
-        return _BandCholesky(band.reshape(self.bandwidth + 1, -1, order="F"), self.order)
+        return _BandCholesky(band.reshape(self.bandwidth + 1, -1, order="F"), self)
 
 
-class _BandCholesky:
-    """The Cholesky factor of a symmetric positive definite matrix whose rows
-    and columns are taken in the order ``order``, computed by LAPACK's
-    ``dpbtrf`` in place from its lower band ``band`` (bandwidth + 1 rows, in
-    Fortran order); ``solve`` gathers the right-hand side into that order,
-    runs ``dpbtrs`` and scatters the solution back.  Raises
-    ``np.linalg.LinAlgError`` if the matrix is not positive definite."""
+def _csc(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> sp.csc_matrix:
+    """The square CSC matrix of copies of ``data`` and of the pattern
+    (``indices``, ``indptr``), less its exact zeros: the identity form's K
+    has some on a mesh with right angles, and a stored zero would be
+    factored as fill.  Removing them compacts the arrays in place, so the
+    caller's are left alone."""
+    shape = (len(indptr) - 1,) * 2
+    k = sp.csc_matrix((data.copy(), indices.copy(), indptr.copy()), shape=shape)
+    k.eliminate_zeros()
+    return k
 
-    def __init__(self, band: np.ndarray, order: np.ndarray) -> None:
+
+class _Ordered:
+    """A factorization of a symmetric matrix whose rows and columns are taken
+    in the record's order ``ops.order``: ``solve`` gathers the right-hand
+    side into that order, solves in it (``_solve``) and gathers the solution
+    back by the inverse permutation ``ops.rank``."""
+
+    def __init__(self, ops: _Operators) -> None:
+        self.order, self.rank = ops.order, ops.rank
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return self._solve(b[self.order])[self.rank]
+
+
+class _BandCholesky(_Ordered):
+    """The Cholesky factor of a symmetric positive definite matrix in the
+    record's order, computed by LAPACK's ``dpbtrf`` in place from its lower
+    band ``band`` (bandwidth + 1 rows, in Fortran order); ``dpbtrs`` solves
+    with it.  Raises ``np.linalg.LinAlgError`` if the matrix is not positive
+    definite."""
+
+    def __init__(self, band: np.ndarray, ops: _Operators) -> None:
+        super().__init__(ops)
         self.band, info = dpbtrf(band, lower=1, overwrite_ab=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"band Cholesky failed: dpbtrf info {info}")
-        self.order = order
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        x, _ = dpbtrs(self.band, b[self.order], lower=1, overwrite_b=1)
-        out = np.empty_like(x)
-        out[self.order] = x
-        return out
+    def _solve(self, b: np.ndarray) -> np.ndarray:
+        return dpbtrs(self.band, b, lower=1, overwrite_b=1)[0]
+
+
+class _SparseLU(_Ordered):
+    """SuperLU's LU (``_factor``) of the matrix ``a``, given in the record's
+    order."""
+
+    def __init__(self, a: sp.csc_matrix, ops: _Operators) -> None:
+        super().__init__(ops)
+        self.lu = _factor(a)
+
+    def _solve(self, b: np.ndarray) -> np.ndarray:
+        return self.lu.solve(b)
 
 
 # Mesh -> its _Operators.  A Mesh is immutable and hashes by identity, so a
@@ -490,12 +547,12 @@ def _operators(m: Mesh) -> _Operators:
     ops = _RECORDS.get(m)
     if ops is None:
         cols, n = interior_dof_map(m)
-        a, weight, live = _maps(m, cols)
+        a, weight, live, grad_map = _maps(m, cols)
         slot, mid_slot, indices, indptr = _pattern(m, cols, n)
-        area, grad_map = m.tri_area, m.grad_map
+        area = m.tri_area
         if not live.all():
             # compress keeps the slots in C order, which a boolean index would not
-            area, grad_map, slot = area[live], grad_map[live], np.compress(live, slot, axis=1)
+            area, slot = area[live], np.compress(live, slot, axis=1)
         ops = _Operators(a, a.T, area, weight, grad_map, slot, mid_slot, indices, indptr)
         _RECORDS[m] = ops
     return ops
@@ -507,7 +564,7 @@ def _on_all_nodes(m: Mesh, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     u = np.asarray(u, dtype=float)
     if u.shape != (m.n_nodes,):
         raise ValueError(f"field has {u.shape} entries, mesh has {m.n_nodes} nodes")
-    a, weight, _ = _maps(m, np.arange(m.n_nodes))
+    a, weight, _, _ = _maps(m, np.arange(m.n_nodes))
     values = a @ u
     return values[: 2 * m.n_triangles], values[2 * m.n_triangles :], weight
 
@@ -622,7 +679,7 @@ def _form_gradient(m: Mesh, res: EigenResult) -> np.ndarray:
 
 
 def _inverse_iteration(
-    mass: sp.csc_matrix, lu: _BandCholesky | SuperLU, tol: float, u: np.ndarray | None = None
+    mass: sp.csc_matrix, lu: _Ordered, tol: float, u: np.ndarray | None = None
 ) -> tuple[np.ndarray, int, bool]:
     """Smallest eigenpair of K u = lam M u by inverse iteration with the
     factorization ``lu`` of K, started from ``u`` (the ones vector if None),
@@ -657,9 +714,13 @@ def _factor(a: sp.csc_matrix) -> SuperLU:
     """Sparse LU of a stiffness matrix, the factorization of a mesh whose
     band in reverse Cuthill-McKee order is wider than BAND_CUTOFF; narrower
     ones are factored as a band (``_Operators.factor``), which on the meshes
-    up to level 6 is several times faster.  It is symmetric positive
+    up to level 6 is about twice as fast.  It is symmetric positive
     definite: a symmetric ordering and diagonal pivots give less fill than
-    the default column ordering."""
+    the default column ordering.  ``_Operators.factor`` passes the matrix in
+    the record's reverse Cuthill-McKee order, from which that ordering finds
+    far less fill than from the mesh's node order: the level-7 disk's K of
+    BAND_CUTOFF's form factors in 0.24 against 2.5 s and solves in 7 against
+    21 ms."""
     return splu(
         a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
     )
@@ -686,7 +747,7 @@ def _lagged_weights(
     return ops.area * diffusivity, float(diffusivity.min())
 
 
-def _k_residual(lu: _BandCholesky | SuperLU, g: np.ndarray, p: float, lam: float) -> float:
+def _k_residual(lu: _Ordered, g: np.ndarray, p: float, lam: float) -> float:
     """The dual-norm residual sqrt(g.K^-1 g) / (p lam), K factorized as ``lu``."""
     return math.sqrt(max(_dot(g, lu.solve(g)), 0.0)) / (p * lam)
 
@@ -713,7 +774,7 @@ def _hessians(
 
 def _newton_factor(
     ops: _Operators, m2: np.ndarray, p: float, u: np.ndarray, lam: float, shift: float
-) -> tuple[_BandCholesky | SuperLU | None, float]:
+) -> tuple[_Ordered | None, float]:
     """The factorization of the shifted Hessian F = H - shift lam H_N
     (``_hessians``) at the unit-p-norm field ``u`` with quotient ``lam``, and
     the shift it took.  While ``dpbtrf`` finds F not positive definite the
@@ -735,7 +796,7 @@ def _descent(
     p: float,
     u0: np.ndarray,
     bound: float,
-    lu: _BandCholesky | SuperLU,
+    lu: _Ordered,
 ) -> tuple[np.ndarray, float, float, int]:
     """Projected Sobolev-gradient descent on the unit p-norm sphere, with a
     shifted Newton finish above p = 2.
@@ -788,8 +849,10 @@ def _descent(
     - below the cut-off its metric would be K_w, and a prototype there was
       slower: the default ``verify --p 1.5`` took 2.11 against 1.26 s;
     - on SuperLU a factorization costs more than the iterations it saves at
-      p = 3: the L7 L-shape took 0.82 against 0.47-0.70 s (22 against 45
-      iterations), although at p = 4 it took 1.2-1.7 against 2.2-3.0 s.
+      p = 3: the L7 L-shape took 0.59 against 0.38 s (22 against 45
+      iterations), and the L7 disk 1.43 against 0.65 s at p = 3 and 1.65
+      against 0.79 s at p = 4, although the L-shape at p = 4 took 1.12
+      against 1.60 s.
 
     It does not pay everywhere it runs: on the L6 disk, whose steps in K
     converge in 23-37 iterations, the finish's two to three factorizations
@@ -816,7 +879,7 @@ def _descent(
     else:
         b, metric_lu = ops.area, lu
     finish = p > 2.0 and ops.band_slot is not None
-    newton: _BandCholesky | SuperLU | None = None
+    newton: _Ordered | None = None
     shift, last = SHIFT_FRACTION, math.inf
     prev: _Point | None = None
     g_prev: np.ndarray | None = None

@@ -17,7 +17,7 @@ from anisolap import (
     triangulate,
 )
 from anisolap.geometry import GeometryError
-from anisolap.mesh import Mesh, mirror_permutation
+from anisolap.mesh import Mesh, mirror_permutation, refine_domain
 
 
 def test_square_minimal_triangulation():
@@ -191,6 +191,63 @@ def test_refine_onto_disk_continues_its_mesh():
     np.testing.assert_array_equal(chords.triangles, m4.triangles)
     radius = np.hypot(*(chords.nodes[chords.boundary_node] - disk.center).T)
     assert radius.min() < disk.radius - 1e-3
+
+
+MESH_FIELDS = ("nodes", "triangles", "boundary_node", "tri_area", "grad_map", "edges", "tri_edge")
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize(
+    "domain",
+    [lshape(), Rectangle(1.0, 2.0), Disk(1.5, (0.5, -0.25))],
+    ids=["lshape", "rectangle", "offset-disk"],
+)
+def test_one_level_refinement_is_the_next_level(domain, level):
+    # the mesh of the level below refined once, onto a disk's circle, is the
+    # level's mesh bit for bit, so a run that holds it can refine it instead
+    # of meshing the domain again
+    coarse, fine = build_mesh(domain, level - 1), build_mesh(domain, level)
+    onto = domain if isinstance(domain, Disk) else None
+    for m in (refine(coarse, 1, onto=onto), refine_domain(coarse, domain, 1)):
+        for name in MESH_FIELDS:
+            got, ref = getattr(m, name), getattr(fine, name)
+            assert got.dtype == ref.dtype
+            assert got.tobytes() == ref.tobytes(), name
+            assert not got.flags.writeable
+
+
+def star(n: int) -> Polygon:
+    """A star of n vertices alternating between radii 1 and 1/2."""
+    phi = 2.0 * math.pi * np.arange(n) / n
+    r = np.where(np.arange(n) % 2 == 0, 1.0, 0.5)
+    return Polygon(np.column_stack([r * np.cos(phi), r * np.sin(phi)]))
+
+
+@pytest.mark.parametrize(
+    "poly, triangles",
+    [
+        (lshape(), [[0, 1, 2], [5, 0, 2], [4, 5, 2], [2, 3, 4]]),
+        (polygonize(Rectangle(1.0, 2.0)), [[3, 0, 1], [1, 2, 3]]),
+        (
+            # collinear runs on y = 0 and x = 2, so no ear is convex-only
+            Polygon(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [2.0, 1.0], [2.0, 2.0],
+                              [1.0, 2.0], [1.0, 1.0], [0.0, 1.0]])),
+            [[7, 0, 1], [1, 2, 3], [3, 4, 5], [3, 5, 6], [1, 3, 6], [1, 6, 7]],
+        ),
+        (
+            star(24),
+            [[23, 0, 1], [15, 16, 17], [1, 2, 3], [3, 4, 5], [7, 8, 9], [11, 12, 13],
+             [19, 20, 21], [5, 6, 7], [9, 10, 11], [13, 14, 15], [17, 18, 19], [21, 22, 23],
+             [13, 15, 17], [11, 13, 17], [9, 11, 17], [7, 9, 17], [5, 7, 17], [3, 5, 17],
+             [3, 17, 19], [3, 19, 21], [1, 3, 21], [1, 21, 23]],
+        ),
+    ],
+    ids=["lshape", "rectangle", "collinear", "star24"],
+)
+def test_triangulate_pins_its_ears(poly, triangles):
+    # the clipping order, ear by ear: the largest minimum angle first, ties
+    # on the lowest vertex index
+    assert triangulate(poly).triangles.tolist() == triangles
 
 
 # (x, y) -> (-y, -x) and (y, x) about the centroid: the 135 and 45 degree lines

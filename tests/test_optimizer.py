@@ -454,6 +454,25 @@ def test_lambda_min_two_level_solve_count(monkeypatch):
     assert res.lambda_min_coarse == res.theta_profile[0][1]
 
 
+@pytest.mark.parametrize("domain", [RECT_TALL, lshape(), Disk(1.0)], ids=["rectangle", "lshape", "disk"])
+def test_lambda_min_meshes_its_domain_once(monkeypatch, domain):
+    # a two-level search builds its coarse mesh and refines it once for the
+    # fine one, which is the fine level's mesh bit for bit
+    built = []
+    shared = optimizer._Shared()
+
+    def building(d, lv, *args, **kwargs):
+        built.append((d, lv))
+        return build_mesh(d, lv, *args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "build_mesh", building)
+    lambda_min(domain, 0.25, 2.0, grid_n=9, level=4, theta_tol=1e-2, shared=shared)
+    assert built == [(domain, 3)]
+    fine, ref = shared.meshes[domain, 4], build_mesh(domain, 4)
+    assert fine.nodes.tobytes() == ref.nodes.tobytes()
+    assert fine.triangles.tobytes() == ref.triangles.tobytes()
+
+
 @pytest.mark.parametrize(
     "domain, p, level, grid_n, counts",
     [
@@ -749,18 +768,24 @@ def test_run_verification_shares_optima(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "level, p_list, builds",
+    "level, p_list, refines",
     # the square, the disk and the tall rectangle, each on one level below 4
-    # and on two from 4 on; unshared, the square alone is meshed 4 times per p
-    [(3, [3.0], 3), (4, [1.5, 3.0], 6)],
+    # and on two from 4 on, the finer refined from the coarser; unshared, the
+    # square alone is meshed 4 times per p
+    [(3, [3.0], 0), (4, [1.5, 3.0], 3)],
     ids=["L3-p3", "L4-p1.5-p3"],
 )
-def test_run_verification_meshes_and_solves_isotropic_once(monkeypatch, level, p_list, builds):
-    built, cold = [], []
+def test_run_verification_meshes_and_solves_isotropic_once(monkeypatch, level, p_list, refines):
+    built, refined, cold = [], [], []
+    refine_domain = optimizer.refine_domain
 
     def building(d, lv, *args, **kwargs):
         built.append((d, lv))
         return build_mesh(d, lv, *args, **kwargs)
+
+    def refining(m, d, levels):
+        refined.append(d)
+        return refine_domain(m, d, levels)
 
     def solving(m, q, p, tol=DEFAULT_TOL, start=None):
         res = solve_p(m, q, p, tol, start=start)
@@ -769,9 +794,12 @@ def test_run_verification_meshes_and_solves_isotropic_once(monkeypatch, level, p
         return res
 
     monkeypatch.setattr(optimizer, "build_mesh", building)
+    monkeypatch.setattr(optimizer, "refine_domain", refining)
     monkeypatch.setattr(optimizer, "solve_p", solving)
     run_verification(SQUARE, 1e-9, **{**VERIFY_ARGS, "level": level, "p_list": p_list})
-    assert len(built) == len(set(built)) == builds
+    assert len(built) == len(set(built)) == 3
+    assert {lv for _, lv in built} == {min(level, 3)}
+    assert len(refined) == len(set(refined)) == refines
     # one isotropic solve per fine mesh and p: rigidity, lambda_max of every
     # search and the rectangle suite's square read the square's one solve
     assert len(cold) == len({(id(m), p) for m, p, _ in cold}) == 3 * len(p_list)

@@ -541,9 +541,12 @@ def test_identity_form_factors_without_the_patterns_zeros():
     # give the identity form's K exact zeros, the LU of K has the fill of the
     # matrix less its zeros, not that of the whole pattern
     ops = _operators(build_mesh(lshape(), 5))
-    k = ops._matrix(ops.k_data(np.eye(2)))
+    data = ops.k_data(np.eye(2))
+    k = ops._matrix(data)
     full = sp.csc_matrix((ops.pieces[0] + ops.pieces[2], ops.indices, ops.indptr), shape=k.shape)
     assert k.nnz < full.nnz
+    # dropping the zeros compacts a copy, not the caller's data
+    assert np.array_equal(data, full.data)
     fills = [lu.L.nnz + lu.U.nnz for lu in (_factor(k), _factor(full))]
     assert fills == [46298, 61528]
 
@@ -552,14 +555,24 @@ def test_identity_form_factors_without_the_patterns_zeros():
 @pytest.mark.parametrize(
     "domain", [Rectangle(1.0, 1.0), Disk(1.0), lshape()], ids=["square", "disk", "lshape"]
 )
-def test_band_solves_match_superlu(domain, level):
+def test_band_solves_match_superlu(monkeypatch, domain, level):
     # the banded Cholesky factor of K and of the lagged K_w, for the identity
     # and for forms with beta > 0 and beta < 0, and of the Newton finish's H
     # and H - 0.5 lam H_N at the p = 3 ground state, solves as SuperLU's LU
-    # of the same matrix does
+    # of the same matrix does, in the mesh's node order and in the record's
+    # reverse Cuthill-McKee order, where a record above BAND_CUTOFF factors it
     m = build_mesh(domain, level)
     ops = _operators(m)
-    assert ops.band_slot is not None
+    assert ops.band_slot is not None and ops.lu_entries is None
+    monkeypatch.setattr(solver, "BAND_CUTOFF", -1)
+    ordered = _operators(build_mesh(domain, level))
+    assert ordered.band_slot is None
+    assert np.array_equal(ordered.order, ops.order)
+    # the ordered pattern is the pattern with its rows and columns permuted
+    perm = sp.csc_matrix((ordered.lu_entries + 1.0, ordered.lu_indices, ordered.lu_indptr), shape=ops.mass.shape)
+    full = sp.csc_matrix((np.arange(1.0, len(ops.indices) + 1), ops.indices, ops.indptr), shape=ops.mass.shape)
+    assert np.array_equal(perm.toarray(), full[ops.order][:, ops.order].toarray())
+    assert perm.has_sorted_indices
     rng = np.random.default_rng(level)
     gu = triangle_gradients(m, rng.normal(size=ops.a.shape[1]))
     datas = []
@@ -570,12 +583,14 @@ def test_band_solves_match_superlu(domain, level):
     h, hn = solver._hessians(ops, res.form.matrix(), 3.0, res.u[~m.boundary_node])
     datas += [h, h - 0.5 * res.lam * hn]
     for data in datas:
-        band, lu = ops.factor(data), _factor(ops._matrix(data))
+        band, lu, sparse = ops.factor(data), _factor(ops._matrix(data)), ordered.factor(data)
         assert isinstance(band, _BandCholesky)
+        assert isinstance(sparse, solver._SparseLU)
         for _ in range(2):
             r = rng.normal(size=ops.a.shape[1])
             ref = lu.solve(r)
-            assert np.linalg.norm(band.solve(r) - ref) <= 1e-13 * np.linalg.norm(ref)
+            for got in (band.solve(r), sparse.solve(r)):
+                assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize(
@@ -607,17 +622,21 @@ def test_superlu_fallback_is_the_old_path(monkeypatch):
     # as well, so the second solve sums all of them by BLAS.  They were
     # re-pinned when G lost the rows of the triangles with no interior node:
     # the energy's sums lost their zero terms, which moved lambda by one ulp
-    # and the residuals by 1.2e-10 and 9.5e-11 relative.  The descent's
+    # and the residuals by 1.2e-10 and 9.5e-11 relative.  They were re-pinned
+    # when SuperLU went to factoring the matrix in the record's reverse
+    # Cuthill-McKee order, as the band does: its pivots and so its rounding
+    # changed, which moved lambda by two ulps and the residuals by 1.9e-11
+    # and 5.6e-11 relative, and left the iterations at 23.  The descent's
     # Newton finish does not run here, on SuperLU
     monkeypatch.setattr(solver, "BAND_CUTOFF", 0)
     m = build_mesh(Rectangle(1.0, 1.0), 3)
     assert _operators(m).band_slot is None
     res = solve_p(m, _member(0.25, 0.6), 3.0)
-    assert (res.lam, res.iterations) == (4.303018529281344, 23)
-    assert res.residual == pytest.approx(5.735720894038222e-07, rel=1e-10)
+    assert (res.lam, res.iterations) == (4.303018529281342, 23)
+    assert res.residual == pytest.approx(5.735720894148246e-07, rel=1e-10)
     monkeypatch.setattr(solver, "_dot", lambda x, y: float(x @ y))
     res = solve_p(m, _member(0.25, 0.6), 3.0)
-    assert (res.lam, res.residual, res.iterations) == (4.303018529281344, 5.735720894489076e-07, 23)
+    assert (res.lam, res.residual, res.iterations) == (4.303018529281342, 5.735720894807684e-07, 23)
 
 
 @pytest.mark.parametrize("n", [7, 384, 10001])
@@ -666,9 +685,10 @@ def test_maps_match_coo_assembly(domain, interior):
     ends = cols[np.array(edge_table(m))]
     ends = ends[ends.max(axis=1) >= 0]
     mid_ref = coo(np.arange(len(ends))[:, None], ends, 0.5, len(ends))
-    got, _, got_live = _maps(m, cols)
+    got, _, got_live, got_grad_map = _maps(m, cols)
     ref = sp.vstack((grad_ref, mid_ref), format="csr")
     assert np.array_equal(got_live, live)
+    assert np.array_equal(got_grad_map, m.grad_map[live])
     assert got.shape == ref.shape
     for field in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(got, field), getattr(ref, field))
