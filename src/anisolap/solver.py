@@ -46,7 +46,9 @@ the generalized symmetric pencil (K, M) gives the p = 2 ground state u0.  At
 p = 2 that is the answer, to tol.  For any other p it is the start, stopped
 at the rougher START_TOL, of one projected descent on the unit p-norm sphere
 at p itself, which steps along a Sobolev gradient B^-1 g (Neuberger; for
-p-eigenvalues, Horak, EJDE 2011) in one of two metrics B:
+p-eigenvalues, Horak, EJDE 2011) in one of two frozen metrics B, corrected
+where it has no Newton finish by the L-BFGS pairs of its last steps
+(Nocedal, Math. Comp. 1980), which with no pair is the Barzilai-Borwein step:
 
 - p >= LAGGED_P_CUTOFF: B = K, the p = 2 stiffness.  Near p = 2 it is the
   right metric and costs no second factorization.  Above p = 2, on a band
@@ -79,8 +81,9 @@ for H_N), one scatter of its lower triangle into a zeroed band and one
 ``dpbtrf`` (above BAND_CUTOFF, one gather of the data into the order and
 one SuperLU).  A solve with it is one ``dpbtrs`` between two gathers, by
 the order and by its inverse.  A step of the inverse iteration costs one
-solve and one product with M.  A descent iteration costs one product with A^T and one
-solve in its metric, a Newton step one solve with F more, and F is
+solve and one product with M.  A descent iteration costs one product with
+A^T and one solve in its metric, and two dot products and three axpys per
+secant pair; a Newton step costs one solve with F more, and F is
 refactored only when a step cuts the residual by less than half (about once
 or twice per solve).  A line-search trial costs one product with A and two
 non-integer powers, one per triangle and one per edge midpoint
@@ -106,7 +109,7 @@ and an iteration whose w_min g . K_w^-1 g exceeds 2 (bound p lam)^2 cannot
 stop: it costs the one solve with K_w while that holds, and a second, with
 K, for the residual only where it fails, at the last iteration and on a
 line-search exit.  On the L5 L-shape at p = 1.5 that is 2 solves with K in
-28 iterations.
+20 iterations.
 
 ``directional_constant`` is the closed-form constant of the one-derivative
 inequality; it needs no solve.
@@ -116,6 +119,7 @@ from __future__ import annotations
 
 import math
 import weakref
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,8 +136,9 @@ from .quadform import QuadForm
 GRAD_FLOOR = 1e-12
 
 # Below this p the descent's metric is the lagged-diffusivity stiffness K_w of
-# its start, not the p = 2 stiffness K (``_descent``).
-LAGGED_P_CUTOFF = 1.6
+# its start, not the p = 2 stiffness K (``_descent``, which gives the
+# measurements).
+LAGGED_P_CUTOFF = 1.65
 
 # The widest band, in the reverse Cuthill-McKee order of a mesh's interior
 # nodes, whose stiffnesses are factored as a band (``_Operators.factor``);
@@ -194,6 +199,15 @@ START_TOL = 1e-3
 # in all.  The shift is halved on a factorization that finds F indefinite.
 FINISH_RESIDUAL = 3e-3
 SHIFT_FRACTION = 0.95
+
+# Secant pairs of the descent's L-BFGS direction where it has no Newton
+# finish (``_descent``).  Cold identity-form solves with 0 / 3 / 5 / 8 pairs:
+# the L5 and L6 L-shape at p = 1.5 take 33 / 25 / 25 / 25 and 47 / 30 / 28 /
+# 29 iterations, the L5 L-shape at p = 1.3 732 / 136 / 118 / 112 and the L5
+# disk at p = 1.7 27 / 17 / 17 / 17.  In-process medians (2-vCPU machine)
+# put 3 pairs within 6 % of the fastest on seven of eight such cases, and at
+# 84 against 68-70 ms at p = 1.3; they cost the fewest operations.
+LBFGS_MEMORY = 3
 
 # Iteration budget of the inverse iteration and of the descent, each.
 MAX_ITER = 20000
@@ -680,14 +694,15 @@ def _form_gradient(m: Mesh, res: EigenResult) -> np.ndarray:
 
 def _inverse_iteration(
     mass: sp.csc_matrix, lu: _Ordered, tol: float, u: np.ndarray | None = None
-) -> tuple[np.ndarray, int, bool]:
+) -> tuple[np.ndarray, int, bool, bool]:
     """Smallest eigenpair of K u = lam M u by inverse iteration with the
     factorization ``lu`` of K, started from ``u`` (the ones vector if None),
     stopped when the relative eigenvalue change reaches ``tol`` or after
     MAX_ITER steps.  A step is one solve and one product with M: the solve
     gives K w = M u, so w.Kw = w.Mu, and M w, scaled with w, is the next
-    right-hand side.  Returns (u, iterations, converged); the caller decides
-    what a miss means."""
+    right-hand side.  A w.Mw out of (0, inf), as where K's entries are near
+    the largest float, breaks it off at the last iterate.  Returns (u,
+    iterations, converged, broken); the caller decides what a miss means."""
     u = np.ones(mass.shape[0]) if u is None else np.array(u, dtype=float)
     mu = mass @ u
     nrm = math.sqrt(_dot(u, mu))
@@ -699,6 +714,8 @@ def _inverse_iteration(
         w = lu.solve(mu)
         mw = mass @ w
         ww = _dot(w, mw)
+        if not 0.0 < ww < math.inf:
+            return u, it - 1, False, True
         lam = _dot(w, mu) / ww
         nrm = math.sqrt(ww)
         u, mu = w / nrm, mw / nrm
@@ -707,7 +724,7 @@ def _inverse_iteration(
         lam_prev = lam
         if res <= tol:
             break
-    return u, it, res <= tol
+    return u, it, res <= tol, False
 
 
 def _factor(a: sp.csc_matrix) -> SuperLU:
@@ -790,6 +807,23 @@ def _newton_factor(
             shift = 0.5 * shift if shift > 1e-3 else 0.0
 
 
+def _two_loop(g: np.ndarray, bg: np.ndarray, pairs: deque, t: float) -> np.ndarray:
+    """The L-BFGS direction H g over t, H the inverse-Hessian estimate of
+    the secant ``pairs`` (s, y, B^-1 y, 1 / s.y), oldest first, from H_0 = t
+    B^-1, by the two-loop recursion (Nocedal, Math. Comp. 1980).  ``bg`` is
+    B^-1 g, and B^-1 of the first loop's q = g - sum_i a_i y_i is bg - sum_i
+    a_i B^-1 y_i, so the direction takes no solve."""
+    q, r, coefs = g.copy(), bg.copy(), []
+    for s, y, by, rho in reversed(pairs):
+        a = rho * _dot(s, q)
+        q -= a * y
+        r -= a * by
+        coefs.append(a)
+    for (s, y, _, rho), a in zip(pairs, reversed(coefs)):
+        r += (a / t - rho * _dot(y, r)) * s
+    return r
+
+
 def _descent(
     ops: _Operators,
     m2: np.ndarray,
@@ -801,31 +835,41 @@ def _descent(
     """Projected Sobolev-gradient descent on the unit p-norm sphere, with a
     shifted Newton finish above p = 2.
 
-    Each step moves along d = B^-1 g, the gradient of the quotient in the
-    metric B.  For p >= LAGGED_P_CUTOFF, B is the form's p = 2 stiffness K,
-    factorized as ``lu``.  For p < LAGGED_P_CUTOFF it is the
-    lagged-diffusivity stiffness K_w of the start (``_lagged_weights``),
-    assembled and factorized once here.  On the L-shape at p = 1.5 it takes
-    the descent-plus-inverse iterations from 41 / 176 at L4 / L6 with K to
-    24 / 47.  The cut-off is measured: interleaved in-process ``solve_p``
-    timings of the identity form on the L5 and L6 L-shape and disk (2-vCPU
-    machine) find K_w faster on all four at p = 1.5 and 1.55 but the L5
-    L-shape, on two of four at p = 1.6 (by at most 4 %, and 26 % slower on
-    the L6 disk), and slower on all four from p = 1.7 on.  Below the cut-off
-    the iterations saved outweigh the second factorization and, as measured
-    before the skip test below, a second solve per iteration.
+    Each step moves along an L-BFGS direction on a metric B, in which the
+    quotient's gradient is B^-1 g.  For p >= LAGGED_P_CUTOFF, B is the
+    form's p = 2 stiffness K, factorized as ``lu``.  For p < LAGGED_P_CUTOFF
+    it is the lagged-diffusivity stiffness K_w of the start
+    (``_lagged_weights``), assembled and factorized once here.  On the
+    L5 / L6 L-shape at p = 1.5 it takes the descent-plus-inverse iterations
+    from 38 / 57 with K to 25 / 30.  The cut-off is measured: medians of 7-9
+    interleaved in-process ``solve_p`` timings of the identity form on the
+    L5 and L6 L-shape and disk (2-vCPU machine, after a first factorization
+    on each) find K_w faster than K on all four by 22-36 / 15-26 / 1-13 % at
+    p = 1.5 / 1.55 / 1.6; at 1.65 / 1.7 it is 6-16 / 1-7 % faster at L5 and
+    1-4 / 16 % slower at L6 (with Barzilai-Borwein steps it was faster at
+    1.6 on two of the four).  Below the cut-off the iterations saved
+    outweigh the second factorization and, as measured before the skip test
+    below, a second solve per iteration.
 
-    The step length starts from the Barzilai-Borwein value s.Bs / s.y, and is
-    halved until the Armijo condition on g.d holds.  B = G^T (m2 (x) diag b) G
-    with triangle weights b (|T| for K, the lagged weights for K_w), so s.Bs
-    = sum_T b_T Q(grad s|_T) comes from the triangle gradients of the last
-    two iterates, in one ``einsum`` and with no product with B: the descent
-    needs B's factorization only.  The iterates move on the
-    whole sphere: the ground state of an anisotropic form may change sign at
-    a few nodes of a P1 mesh, and replacing an iterate by |u| would pin those
-    nodes at 0 and can raise the quotient.  The quotient is even in u; the
-    start ``u0`` is flipped, if need be, to a nonnegative sum.  The accepted
-    trial's powers and products give the next gradient (``_gradient``).
+    The direction d is the two-loop L-BFGS direction (``_two_loop``) of the
+    last LBFGS_MEMORY secant pairs s = du, y = dg from the inverse Hessian t
+    B^-1, t the Barzilai-Borwein value s.Bs / s.y of the newest pair (if
+    s.y <= 0, twice the last step, and no pair is kept).  The trial points
+    are u - t d, t halved until the Armijo condition on g.d holds.  B^-1 y
+    is the difference of two solves B^-1 g, so d takes no solve, and with no
+    pair it is B^-1 g: the Barzilai-Borwein step, bit for bit.  B = G^T (m2
+    (x) diag b) G with triangle weights b (|T| for K, the lagged weights for
+    K_w), so s.Bs = sum_T b_T Q(grad s|_T) comes from the triangle gradients
+    of the last two iterates, in one ``einsum`` and with no product with B:
+    the descent needs B's factorization only.  Where the Newton finish below
+    can run, no pair is kept: with pairs, the verify suites at p = 3 and
+    level 3 took 316 instead of 332 descent iterations but 2-7 % longer.
+    The iterates move on the whole sphere: the ground state of an
+    anisotropic form may change sign at a few nodes of a P1 mesh, and
+    replacing an iterate by |u| would pin those nodes at 0 and can raise the
+    quotient.  The quotient is even in u; the start ``u0`` is flipped, if
+    need be, to a nonnegative sum.  The accepted trial's powers and products
+    give the next gradient (``_gradient``).
 
     Above p = 2, where K is a band factor, an iteration whose residual is
     below FINISH_RESIDUAL steps instead along d = F^-1 g from t = 1, under
@@ -842,10 +886,11 @@ def _descent(
     3,234 / 13,283.  The finish does not run elsewhere, for measured reasons
     (in-process timings, 2-vCPU machine):
 
-    - between the cut-off and 2, the floored Hessian is a poor model: on the
-      L6 L-shape at p = 1.6 a fresh F cut the residual by less than a
-      quarter, F was factored 14 times in 30 iterations, and the solve took
-      435 against 159 ms; at L5 it was 20-25 % slower at p = 1.6 and 1.8;
+    - between 1.6 and 2, in the metric K, the floored Hessian is a poor
+      model: on the L6 L-shape at p = 1.6 a fresh F cut the residual by less
+      than a quarter, F was factored 14 times in 30 iterations, and the
+      solve took 435 against 159 ms; at L5 it was 20-25 % slower at p = 1.6
+      and 1.8;
     - below the cut-off its metric would be K_w, and a prototype there was
       slower: the default ``verify --p 1.5`` took 2.11 against 1.26 s;
     - on SuperLU a factorization costs more than the iterations it saves at
@@ -858,15 +903,14 @@ def _descent(
     converge in 23-37 iterations, the finish's two to three factorizations
     made p = 3 and 4 solves 18-73 % slower.
 
-    An iteration is one gradient (one product with A^T) and one solve in the
-    metric; each line-search trial is one product with A and one power per
-    array (``_point``).  The dual-norm residual sqrt(g.K^-1 g) / (p lam) stays
-    in the metric of K in both cases.  With B = K the step's solve gives it.
-    With B = K_w it needs a solve with K, which is skipped while w_min
-    g.K_w^-1 g > 2 (bound p lam)^2, w_min = min_T b_T / |T| the least lagged
-    weight per area: K_w - w_min K is positive semidefinite, so g.K^-1 g >=
-    w_min g.K_w^-1 g, and a skipped iteration is one whose residual lies above
-    the bound (the factor 2 covers rounding).  The residual is computed on
+    An iteration is one gradient (one product with A^T), one solve in the
+    metric and two dot products and three axpys per secant pair; each
+    line-search trial is one product with A and one power per array
+    (``_point``).  The dual-norm residual sqrt(g.K^-1 g) / (p lam) stays in
+    the metric of K in both cases.  With B = K the step's solve gives it.
+    With B = K_w it needs a solve with K, skipped while w_min g.K_w^-1 g > 2
+    (bound p lam)^2, which puts the residual above the bound (module
+    docstring; the factor 2 covers rounding).  The residual is computed on
     every iteration the test does not skip, at MAX_ITER and on a line-search
     exit, so the result does not depend on the skips.  The descent stops as
     soon as the residual is at most ``bound``, at MAX_ITER iterations, or when
@@ -879,17 +923,18 @@ def _descent(
     else:
         b, metric_lu = ops.area, lu
     finish = p > 2.0 and ops.band_slot is not None
+    pairs: deque = deque(maxlen=0 if finish else LBFGS_MEMORY)
     newton: _Ordered | None = None
     shift, last = SHIFT_FRACTION, math.inf
     prev: _Point | None = None
-    g_prev: np.ndarray | None = None
+    g_prev = bg_prev = None
     t = 1.0 / (1.0 + abs(pt.lam))
     it = 0
     while True:
         it += 1
         lam = pt.lam
         g = _gradient(ops, p, pt)
-        d = metric_lu.solve(g)
+        d = bg = metric_lu.solve(g)
         gd = max(_dot(g, d), 0.0)
         residual = None
         if metric_lu is lu:
@@ -911,15 +956,21 @@ def _descent(
             gd = max(_dot(g, d), 0.0)
             t = 1.0
         elif prev is not None:
-            sy = _dot(pt.u - prev.u, g - g_prev)
+            s, y = pt.u - prev.u, g - g_prev
+            sy = _dot(s, y)
             if sy > 0.0:
                 # s.Bs is the p = 2 energy of s with the metric's triangle weights
                 gs = pt.scale * pt.gu - prev.scale * prev.gu
                 t = float(np.einsum("t,it,it->", b, gs, m2 @ gs)) / sy
+                if pairs.maxlen:
+                    pairs.append((s, y, bg - bg_prev, 1.0 / sy))
             else:
                 t *= 2.0
         t = min(max(t, 1e-18), 1e8)
-        prev, g_prev, last = pt, g, residual
+        if pairs:  # never on a Newton step: where the finish runs none is kept
+            d = _two_loop(g, bg, pairs, t)
+            gd = max(_dot(g, d), 0.0)
+        prev, g_prev, bg_prev, last = pt, g, bg, residual
 
         for _ in range(60):
             trial = _point(ops, m2, p, pt.u - t * d)
@@ -962,8 +1013,8 @@ def solve_p(
     eigenfunction of a nearby form on ``m`` is a good one.
 
     Raises ``SolverConvergenceError``, carrying the last iterate, when the
-    inverse iteration at p = 2 misses ``tol`` or the descent misses its
-    bound; ``iterations`` counts the iterations that ran, of both.  Either
+    inverse iteration at p = 2 misses ``tol`` or breaks off at any p
+    (``_inverse_iteration``), or the descent misses its bound; ``iterations`` counts the iterations that ran, of both.  Either
     way the result's ``residual`` is the dual-norm residual of the returned
     pair, in the metric of K.
     """
@@ -983,14 +1034,16 @@ def solve_p(
     m2 = q.matrix()
     ops = _operators(m)
     lu = ops.factor(ops.k_data(m2))
-    u, iterations = start, 0
+    u, iterations, broken = start, 0, False
     if p == 2.0 or start is None:
         # the answer at p = 2; the descent's start at other p
-        u, iterations, converged = _inverse_iteration(
+        u, iterations, converged, broken = _inverse_iteration(
             ops.mass, lu, tol if p == 2.0 else max(tol, START_TOL), start
         )
-    if p == 2.0:
+    if p == 2.0 or broken:
         failure = f"inverse iteration did not reach tol {tol} in {MAX_ITER} iterations"
+        if broken:
+            failure = f"inverse iteration broke off after {iterations} steps: w.Mw left (0, inf)"
         pt = _point(ops, m2, p, u)
         u, lam = pt.u, pt.lam
         residual = _k_residual(lu, _gradient(ops, p, pt), p, lam)

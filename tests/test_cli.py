@@ -507,6 +507,20 @@ def test_eigen_failure_after_one_iteration_is_reported(tmp_path, monkeypatch):
     assert math.isfinite(payload["result"]["residual"])
 
 
+def test_vanishing_mass_norm_is_a_solver_failure(tmp_path, capsys):
+    # a form near the largest float: K^-1 M u is so small that w.Mw
+    # underflows to 0 on the first step, which once divided by zero
+    form = {"alpha": 1e300, "beta": 0, "gamma": 1}
+    rc, out = run_config(
+        tmp_path, {"command": "eigen", "domain": "square", "p": 2, "mesh_level": 3, "form": form}
+    )
+    assert rc == 1
+    payload = json.loads(payload_text(out + ".json"))["payload"]
+    assert payload["status"] == "failed" and payload["partial"]
+    assert "w.Mw" in payload["error"]
+    assert "solver failed" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "config",
     [{"command": "verify", "suites": ["rectangle"]}, {"command": "optimize"}],
