@@ -313,7 +313,10 @@ def _cmd_eigen(cfg: dict, domain: DomainSpec) -> int:
     try:
         res = solve_p(mesh, form, cfg["p"], cfg["tol"])
     except SolverConvergenceError as exc:
-        return _report_failure("eigen", json_path, exc, result=exc.best.to_dict(), options=options)
+        # a solve that broke off can leave a pair that is not finite: null
+        result = {k: v if not isinstance(v, float) or math.isfinite(v) else None
+                  for k, v in exc.best.to_dict().items()}
+        return _report_failure("eigen", json_path, exc, result=result, options=options)
     payload = {
         "command": "eigen",
         "status": "ok",

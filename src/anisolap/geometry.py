@@ -190,6 +190,10 @@ def _polygon_longest_chord(v: np.ndarray, lo: float, hi: float) -> float:
     corners."""
     edge = np.roll(v, -1, axis=0) - v
     edge_len = np.hypot(edge[:, 0], edge[:, 1])
+    # (v_i - v_k) x edge_i: a corner line through v_k meets the supporting
+    # line of edge i at this over the edge's slope across the line
+    w = v[None] - v[:, None]
+    cross = w[..., 0] * edge[:, 1] - w[..., 1] * edge[:, 0]
     i, j = np.triu_indices(len(v), 1)
     turn = np.mod(np.arctan2(v[j, 1] - v[i, 1], v[j, 0] - v[i, 0]) - lo, math.pi)
     cuts = np.unique(np.concatenate([[0.0, hi - lo], turn[turn < hi - lo]]))
@@ -201,6 +205,13 @@ def _polygon_longest_chord(v: np.ndarray, lo: float, hi: float) -> float:
         along = np.array([math.cos(mid), math.sin(mid)])
         off = v @ np.array([-along[1], along[0]])
         order = np.argsort(off)
+        # position along the corner lines of the cell's two end directions
+        # through each vertex k where they meet each edge's supporting line;
+        # an edge parallel to a line is reached at v[k] itself
+        e = np.array([[math.cos(phi), math.sin(phi)] for phi in (lo + a, lo + b)])
+        slope = e[:, :1] * edge[:, 1] - e[:, 1:] * edge[:, 0]
+        parallel = np.abs(slope) <= 1e-12 * edge_len
+        t = np.where(parallel[:, None], 0.0, cross / np.where(parallel, 1.0, slope)[:, None])
         for k0, k1 in zip(order, order[1:]):
             if off[k1] - off[k0] <= tiny:
                 continue
@@ -209,20 +220,8 @@ def _polygon_longest_chord(v: np.ndarray, lo: float, hi: float) -> float:
             cut = np.flatnonzero(h * h_next < 0.0)
             point = v[cut] + edge[cut] * (h[cut] / (h[cut] - h_next[cut]))[:, None]
             ends = cut[np.argsort(point @ along)].reshape(-1, 2)
-            for phi in (lo + a, lo + b):
-                e = np.array([math.cos(phi), math.sin(phi)])
-                slope = e[0] * edge[:, 1] - e[1] * edge[:, 0]
-                parallel = np.abs(slope) <= 1e-12 * edge_len
-                for k in (k0, k1):
-                    # position along the corner line through v[k] where it
-                    # meets each edge's supporting line; an edge parallel to
-                    # it is reached at v[k] itself
-                    w = v - v[k]
-                    t = np.where(
-                        parallel, 0.0,
-                        (w[:, 0] * edge[:, 1] - w[:, 1] * edge[:, 0]) / np.where(parallel, 1.0, slope),
-                    )
-                    best = max(best, float(np.max(np.abs(t[ends[:, 1]] - t[ends[:, 0]]))))
+            tk = t[:, [k0, k1]]
+            best = max(best, float(np.max(np.abs(tk[..., ends[:, 1]] - tk[..., ends[:, 0]]))))
     return best
 
 

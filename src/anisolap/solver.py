@@ -257,32 +257,38 @@ def _maps(
     edge's triangles (``m.tri_edge``)."""
     n_cols = int(cols.max()) + 1
     cols = cols.astype(np.int32)
-    c, grad_map = cols[m.triangles], m.grad_map
-    live = (c[:, 0] >= 0) | (c[:, 1] >= 0) | (c[:, 2] >= 0)
+    c, grad = cols[m.triangles.T], m.grad_map.transpose(1, 2, 0)
+    live = (c[0] >= 0) | (c[1] >= 0) | (c[2] >= 0)
     if not live.all():  # a disk has no such triangle, and no copy is made
-        c, grad_map = c[live], grad_map[live]
-    nt = len(c)
-    # sort each triangle's columns, carrying its gradient weights along; the
-    # index arrays are built as the matrix keeps them, in 32 bits
-    order = np.argsort((c + (n_cols + 1) * np.arange(nt)[:, None]).ravel(), kind="stable")
-    c_sorted = c.ravel()[order].reshape(nt, 3)
+        c, grad = np.compress(live, c, axis=1), np.compress(live, grad, axis=2)
+    nt = c.shape[1]
     # an edge's columns in increasing order, a held end (-1) first
-    ca, cb = cols[m.edges[:, 0]], cols[m.edges[:, 1]]
-    kept = np.maximum(ca, cb) >= 0
-    ca, cb = ca[kept], cb[kept]
-    mid = np.column_stack([np.full(len(ca), -1, dtype=np.int32), np.minimum(ca, cb), np.maximum(ca, cb)])
-    idx = np.concatenate([c_sorted, c_sorted, mid])
-    data = np.concatenate([grad_map[:, 0].ravel()[order], grad_map[:, 1].ravel()[order],
-                           np.full(mid.size, 0.5)])
-    # idx holds each row's columns in increasing order, -1 first; its rows'
-    # counts are summed column by column, which is far faster than a
-    # reduction along rows of three
-    keep = idx >= 0
-    indptr = np.zeros(len(idx) + 1, dtype=np.int32)
-    np.cumsum(keep[:, 0].astype(np.int8) + keep[:, 1] + keep[:, 2], out=indptr[1:])
-    a = sp.csr_matrix((data[keep.ravel()], idx[keep], indptr), shape=(len(idx), n_cols))
-    weight = np.bincount(m.tri_edge.ravel(), np.repeat(m.tri_area / 3.0, 3), minlength=len(m.edges))
-    return a, weight[kept], live, grad_map
+    ca, cb = cols[m.edges.T]
+    mid = np.column_stack([np.minimum(ca, cb), np.maximum(ca, cb)])
+    kept = mid[:, 1] >= 0
+    # each row's count of columns; the index arrays are int32, as the matrix keeps them
+    valid = (c >= 0).view(np.int8)
+    per_triangle = valid[0] + valid[1] + valid[2]
+    count = np.concatenate([per_triangle, per_triangle, 1 + (mid[kept, 0] >= 0)], dtype=np.int32)
+    indptr = np.zeros(len(count) + 1, dtype=np.int32)
+    np.cumsum(count, out=indptr[1:])
+    nnz_g, nnz = int(indptr[nt]), int(indptr[-1])
+    # vertex k's entry follows those of its triangle's columns below its own,
+    # in the x row and the y row; a held vertex's (-1) goes to a spare slot
+    lt01, lt02, lt12 = ((c[i] < c[j]).view(np.int8) for i, j in ((0, 1), (0, 2), (1, 2)))
+    first = indptr[:nt] - np.int64(3) + count[:nt]
+    indices, data = np.empty(nnz + 1, dtype=np.int32), np.empty(nnz + 1)
+    for k, below in enumerate((2 - lt01 - lt02, 1 + lt01 - lt12, lt02 + lt12)):
+        dest = first + below
+        x_slot, y_slot = np.where(valid[k], dest, nnz), np.where(valid[k], dest + nnz_g, nnz)
+        indices[x_slot], data[x_slot], data[y_slot] = c[k], grad[0, k], grad[1, k]
+    indices[nnz_g : 2 * nnz_g] = indices[:nnz_g]
+    indices[2 * nnz_g : nnz] = mid[mid >= 0]
+    data[2 * nnz_g : nnz] = 0.5
+    a = sp.csr_matrix((data[:nnz], indices[:nnz], indptr), shape=(len(count), n_cols))
+    # an edge has at most two triangles, so its sum is the same in any order
+    weight = np.bincount(m.tri_edge.T.ravel(), np.tile(m.tri_area / 3.0, 3), minlength=len(m.edges))
+    return a, weight[kept], live, grad.transpose(2, 0, 1)
 
 
 # Entry k = 3 a + b of a triangle's 3x3 element block is in row a and column
@@ -298,7 +304,9 @@ class _Operators:
     gradients and edge-midpoint values are one product, and ``a_t`` its
     ``.T`` view, so that the gradient of the quotient is one product too.
     G has rows for the triangles with an interior node only (``_maps``), and
-    ``area``, ``grad_map`` and ``slot`` hold those triangles alone.  Mid has
+    ``area``, ``grad_map`` and ``slot`` hold those triangles alone;
+    ``grad_map`` is the transposed view of a (2, 3, n_live) buffer, whose
+    rows of x and y gradients the builders read.  Mid has
     one row per edge with an interior end, and ``weight`` is each row's
     midpoint-rule weight, the summed |T|/3 of the edge's triangles.  Every
     matrix a solve factors or multiplies has one sparsity pattern, the
@@ -378,7 +386,7 @@ class _Operators:
         triangle weights |T|.  Each piece's blocks are built in one buffer,
         a row of triangles at a time: whole-block products would touch
         several times the fresh memory, and take longer for it."""
-        gx, gy = self.grad_map[:, 0].T, self.grad_map[:, 1].T
+        gx, gy = self.grad_map.transpose(1, 2, 0)
         bx, by = self.area * gx, self.area * gy
         block = np.empty((9, len(self.area)))
         data = np.empty((3, len(self.indices)))
@@ -410,7 +418,7 @@ class _Operators:
         """Pattern data of G^T W G, W the symmetric 2x2 tensor of each
         triangle given as the (3, n_live) rows W_xx, W_xy and W_yy: block
         entry (i, j) is grad phi_i . W grad phi_j."""
-        gx, gy = self.grad_map[:, 0].T, self.grad_map[:, 1].T
+        gx, gy = self.grad_map.transpose(1, 2, 0)
         wx, wy = w[0] * gx + w[1] * gy, w[1] * gx + w[2] * gy
         # one buffer, filled a row of triangles at a time, as in ``_pieces``
         block = np.empty((9, len(self.area)))
@@ -504,23 +512,23 @@ class _SparseLU(_Ordered):
 _RECORDS: weakref.WeakKeyDictionary[Mesh, _Operators] = weakref.WeakKeyDictionary()
 
 
-def _pattern(m: Mesh, cols: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+def _pattern(m: Mesh, cols: np.ndarray, n: int, live: np.ndarray) -> tuple[np.ndarray, ...]:
     """The stiffness pattern of ``m``, read from its edge table ``m.edges``
     and ``m.tri_edge``, on the columns ``cols`` (node -> column, -1 for a
-    held node) among ``n``: the (9, n_tri) slot of each block entry in its
-    data and the (4, n_mid) slot of the entries (a, a), (b, b), (a, b) and
-    (b, a) of each row of Mid (``_maps``), a < b its columns (nnz for an
-    entry with a held node), then the pattern's CSC ``indices`` and
-    ``indptr``.
+    held node) among ``n``: the (9, n_live) slot in its data of each block
+    entry of the triangles ``live`` and the (4, n_mid) slot of the entries
+    (a, a), (b, b), (a, b) and (b, a) of each row of Mid (``_maps``), a < b
+    its columns (nnz for an entry with a held node), then the pattern's CSC
+    ``indices`` and ``indptr``.
 
     The pattern is the diagonal and both entries of every edge with two
     columns.  Column numbers rise with node numbers, so the table's sorted
     edges (a, b), a < b, are sorted by a, then b: column a holds its rows b
     below the diagonal in that order, and sorting by b, then a, gives each
     column b its rows a above the diagonal in order."""
-    ends = cols[m.edges[:, 0]], cols[m.edges[:, 1]]
+    ends = cols[m.edges.T]
     inner = (ends[0] >= 0) & (ends[1] >= 0)
-    a, b = ends[0][inner], ends[1][inner]
+    a, b = np.compress(inner, ends, axis=1)
     below, above = np.bincount(a, minlength=n), np.bincount(b, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(above + 1 + below, out=indptr[1:])
@@ -536,23 +544,26 @@ def _pattern(m: Mesh, cols: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
     indices[diag], indices[lower], indices[upper] = np.arange(n), b, a
     # the slots of each edge's entries above and below the diagonal, and of
     # each column's diagonal, nnz where a node is held (index -1)
-    edge_upper, edge_lower = np.full(len(m.edges), nnz), np.full(len(m.edges), nnz)
+    edge_upper, edge_lower = np.full(len(inner), nnz), np.full(len(inner), nnz)
     edge_upper[inner], edge_lower[inner] = upper, lower
     diag = np.append(diag, nnz)
     # Mid's rows are the edges with a column, a held end's (-1) the lower
     low, high = np.minimum(*ends), np.maximum(*ends)
     kept = high >= 0
     mid_slot = np.array([diag[low[kept]], diag[high[kept]], edge_upper[kept], edge_lower[kept]])
-    c = cols[m.triangles]
-    up, lo = edge_upper[m.tri_edge], edge_lower[m.tri_edge]
     # block entry (k, k + 1) of edge k lies above the diagonal where the
     # column of vertex k is the lower, and entry (k + 1, k) then below it
-    forward = c < c[:, [1, 2, 0]]
-    k, k_next = np.arange(3), np.array([1, 2, 0])
-    slot = np.empty((3, 3, len(c)), dtype=np.int64)
-    slot[k, k_next] = np.where(forward, up, lo).T
-    slot[k_next, k] = np.where(forward, lo, up).T
-    slot[k, k] = diag[c].T
+    c, tri_edge = cols[m.triangles.T], m.tri_edge.T
+    if not live.all():
+        c, tri_edge = np.compress(live, c, axis=1), np.compress(live, tri_edge, axis=1)
+    slot = np.empty((3, 3, c.shape[1]), dtype=np.int64)
+    for k in range(3):
+        j = (k + 1) % 3
+        forward = c[k] < c[j]
+        up, lo = edge_upper[tri_edge[k]], edge_lower[tri_edge[k]]
+        slot[k, j] = np.where(forward, up, lo)
+        slot[j, k] = np.where(forward, lo, up)
+        np.take(diag, c[k], out=slot[k, k])
     return slot.reshape(9, -1), mid_slot, indices, indptr.astype(np.int32)
 
 
@@ -562,11 +573,8 @@ def _operators(m: Mesh) -> _Operators:
     if ops is None:
         cols, n = interior_dof_map(m)
         a, weight, live, grad_map = _maps(m, cols)
-        slot, mid_slot, indices, indptr = _pattern(m, cols, n)
-        area = m.tri_area
-        if not live.all():
-            # compress keeps the slots in C order, which a boolean index would not
-            area, slot = area[live], np.compress(live, slot, axis=1)
+        slot, mid_slot, indices, indptr = _pattern(m, cols, n, live)
+        area = m.tri_area if live.all() else m.tri_area[live]
         ops = _Operators(a, a.T, area, weight, grad_map, slot, mid_slot, indices, indptr)
         _RECORDS[m] = ops
     return ops
@@ -1044,9 +1052,12 @@ def solve_p(
         failure = f"inverse iteration did not reach tol {tol} in {MAX_ITER} iterations"
         if broken:
             failure = f"inverse iteration broke off after {iterations} steps: w.Mw left (0, inf)"
-        pt = _point(ops, m2, p, u)
-        u, lam = pt.u, pt.lam
-        residual = _k_residual(lu, _gradient(ops, p, pt), p, lam)
+        # a broken-off iterate's quotient and residual overflow away from
+        # p = 2 on a form near the largest float: reported, not warned of
+        with np.errstate(**(dict(over="ignore", invalid="ignore") if broken else {})):
+            pt = _point(ops, m2, p, u)
+            u, lam = pt.u, pt.lam
+            residual = _k_residual(lu, _gradient(ops, p, pt), p, lam)
     else:
         bound = math.sqrt(tol / RESIDUAL_SAFETY)
         u, lam, residual, it = _descent(ops, m2, p, u, bound, lu)

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -509,16 +510,24 @@ def test_eigen_failure_after_one_iteration_is_reported(tmp_path, monkeypatch):
 
 def test_vanishing_mass_norm_is_a_solver_failure(tmp_path, capsys):
     # a form near the largest float: K^-1 M u is so small that w.Mw
-    # underflows to 0 on the first step, which once divided by zero
+    # underflows to 0 on the first step, which once divided by zero.  Above
+    # p = 2 the last iterate's quotient overflows, which once warned and then
+    # failed to serialize: the failed result writes it as null (warnings are
+    # errors here)
     form = {"alpha": 1e300, "beta": 0, "gamma": 1}
-    rc, out = run_config(
-        tmp_path, {"command": "eigen", "domain": "square", "p": 2, "mesh_level": 3, "form": form}
-    )
-    assert rc == 1
-    payload = json.loads(payload_text(out + ".json"))["payload"]
-    assert payload["status"] == "failed" and payload["partial"]
-    assert "w.Mw" in payload["error"]
-    assert "solver failed" in capsys.readouterr().err
+    for p in (1.5, 2, 3):
+        config = {"command": "eigen", "domain": "square", "p": p, "mesh_level": 3, "form": form}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out = run_config(tmp_path / str(p), config)
+        assert rc == 1
+        payload = json.loads(payload_text(out + ".json"))["payload"]
+        assert payload["status"] == "failed" and payload["partial"]
+        assert "w.Mw" in payload["error"]
+        result = payload["result"]
+        assert result["p"] == p and result["iterations"] == 0
+        assert (result["lambda"] is None) == (p == 3)
+        assert "solver failed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -270,6 +270,33 @@ def test_longest_chord_closed_forms():
     )
 
 
+def random_star(n: int, seed: int) -> Polygon:
+    """A simple polygon of n vertices at random radii in [0.4, 1] and random
+    angles around the origin, in angular order (seed 7 with n = 12 has four
+    reflex corners)."""
+    rng = np.random.default_rng(seed)
+    phi = np.sort(rng.uniform(0.0, 2.0 * math.pi, n))
+    r = rng.uniform(0.4, 1.0, n)
+    return Polygon([[ri * math.cos(p), ri * math.sin(p)] for ri, p in zip(r, phi)])
+
+
+@pytest.mark.parametrize(
+    "domain, x_chord, y_chord",
+    [
+        (Rectangle(1.0, 1.0), 2.8284271247461903, 2.8284271247461903),
+        (lshape(), 2.23606797749979, 2.8284271247461903),
+        (Rectangle(1.0, 2.0), 4.47213595499958, 4.47213595499958),
+        (random_star(12, 7), 1.983334289282203, 1.624770281475806),
+    ],
+    ids=["square", "lshape", "rectangle", "random-star"],
+)
+def test_longest_chord_is_pinned(domain, x_chord, y_chord):
+    # the chords over the arcs the verify suites read (X_ARC and Y_ARC),
+    # pinned to the last bit, so that a faster evaluation that moves one shows
+    assert longest_chord(domain, QUARTER_X) == x_chord
+    assert longest_chord(domain, QUARTER_Y) == y_chord
+
+
 def test_longest_chord_disk_is_diameter():
     for arc in (QUARTER_X, (0.3, 0.3)):
         assert longest_chord(Disk(1.5, (0.4, -0.2)), arc) == 3.0

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 import weakref
 
@@ -779,6 +780,116 @@ def test_edge_pattern_matches_unique_reference(domain):
     assert np.array_equal(ops.indices, unique % n)
     assert np.array_equal(ops.indptr, np.searchsorted(unique, n * np.arange(n + 1)))
     assert (ops.indices.dtype, ops.indptr.dtype) == (np.int32, np.int32)
+
+
+def _digest(arrays) -> str:
+    """SHA-256 over each named array's name, dtype, shape and C-order bytes
+    (a missing one as None)."""
+    h = hashlib.sha256()
+    for name, arr in arrays:
+        h.update(name.encode())
+        if arr is None:
+            h.update(b"None")
+            continue
+        arr = np.ascontiguousarray(arr)
+        h.update(f"{arr.dtype.str}{arr.shape}".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+# Digests of every Mesh field and of every array of its operator record, with
+# the data that k_data, tensor_data and mid_data build on it (_digest).  Only
+# +, -, *, / and sums enter them, so they are as portable as the goldens.
+LAYOUT_DIGESTS = {
+    "lshape-L2": (
+        "2e73227210baf4b1299e1738fe74f87de3bde502e561cb70758abd9ab72804be",
+        "6d562619107358884f748de688fbb4399dcd117b07e0040bbf360dd7eb758a5b",
+    ),
+    "lshape-L3": (
+        "e2c353a60050afbe0d4fe1ee2e24809223c488fd05499f2e1e243a713d17b229",
+        "aa49958e736bd535d2225fef4772bb8d02054f60cd7a9b07968b6584ca8b365b",
+    ),
+    "lshape-L4": (
+        "b637250d2829683a2490a99ea5da2310585632b1e176c38543e9065175829aec",
+        "e796a771e57483e0af440eebccc6ebc55b1b8df522762f0a630b46491d5c0a9d",
+    ),
+    "lshape-L5": (
+        "2bc7708c335231ffc3427f936866ad7739cffe13665ce3c3ef4ffa35a047e57d",
+        "8bd8e4e81e0e6a7892188a12671d300c90606928c341ff8bd51bb1e6fe8bfbec",
+    ),
+    "rectangle-L2": (
+        "c00d2394c200ea37e4277892230e238177248c2c0cb61ff01214cc783779c0ae",
+        "551c39f8173a6f4c8af0b2596eda60f5f7b9b91c2cacea1dcd76eba63ed13679",
+    ),
+    "rectangle-L3": (
+        "c297f9754187b01c099e465fa4b5cc84b8f748f934c4ed3fc6cd81027a8f963d",
+        "3e1a7c0d86d156c2790419ee7b435a1a343fcc607205b3297bf94135d62ecd7a",
+    ),
+    "rectangle-L4": (
+        "03c02f52cc4316c0c45ea67d6f111285cbd9a0f9182c57eefdc209fe9fbbe845",
+        "f16492616a6e6778383f7737976680e19c9cc2daf1fbdacaa9a4253d0202adb4",
+    ),
+    "rectangle-L5": (
+        "1f35b6981f7a5bbab83da40e7e0c31d454f6c1bf8c5e3c83e53cf4839877e6ca",
+        "1952d05002ccd1933e8c4fc745dc450ecfd9ae76f851ef433081b2d4bb084098",
+    ),
+    "disk-L2": (
+        "e18850b720356aade091df4466fe01b04f0d6f79336c95c7abaa25833f50a9e2",
+        "927e498a359260e55e69ccacde1a33585562c04f37b77b73545a869fb6c8fd7a",
+    ),
+    "disk-L3": (
+        "05f296ecf5e7c9ed243e5a3ffc62a893eb06237ce0a1c1b3c8070d3060b4af77",
+        "200f9089404be3d65440d3bd912cee5dc436751ad5db7f104cf76f6602c09f53",
+    ),
+    "disk-L4": (
+        "e5149cec1b3f89943a89bdb587507ec22a4e75cc2fa4e9d5d709ac15b2506178",
+        "fdea683f2c7f115dad54504433c305e6678fa2058d12cbf705be05f619925b69",
+    ),
+    "disk-L5": (
+        "6500c54123fcb7c07d0a29cbb29521a3e99b35be6783bab53582f3a8be0e0c5e",
+        "be3ad76507afc46188e78b27a9f6b26faf36af401c4ecc0e83a81117b72aaae2",
+    ),
+    "offset-disk-L2": (
+        "ed859e7a34750dbd524694b02fa5faab268f9d335a6c6e575684fe8ef2fd04ff",
+        "f50e61488aa475121938e751679d6caa2731f07de27a105cb0794102a6659647",
+    ),
+    "offset-disk-L3": (
+        "45b68e48498dca1b7866285b614077466f50bda5a190ab6fc4693daaedbaccb1",
+        "15a9f8b04588f8caeff8dcb529507c6d1e0534240cb36b7096772f25843e40f1",
+    ),
+    "offset-disk-L4": (
+        "02ca4565a5a1504677648e71a2a7224d86211765d6b64d102633853dc7936bf9",
+        "53ae660fb968f149d7d575083b59bc38e65a4d44fb403249ff40778476a80b65",
+    ),
+    "offset-disk-L5": (
+        "74be4dbc8bb2bf8f3f60bd42b4bf3dd09409894045d4faca6bcb0ebf47d3b1c7",
+        "40a22ebe060bb34a24ce4ba0bf3640fbc6af0fd15c80d6b655a17e6a91041093",
+    ),
+}
+
+
+def test_mesh_and_record_arrays_are_pinned():
+    # every array a mesh and its record hold, bit for bit: how they are laid
+    # out in memory while built may change, their values may not
+    mesh_fields = ("nodes", "triangles", "boundary_node", "tri_area", "grad_map", "edges", "tri_edge")
+    record_fields = ("area", "weight", "grad_map", "slot", "mid_slot", "indices", "indptr", "pieces",
+                     "order", "rank", "band_entries", "band_slot", "lu_entries", "lu_indices", "lu_indptr")
+    domains = {"lshape": lshape(), "rectangle": Rectangle(1.0, 2.0), "disk": Disk(1.0),
+               "offset-disk": Disk(1.5, (0.5, -0.25))}
+    m2 = np.array([[1.3, 0.2], [0.2, 0.7]])
+    got = {}
+    for name, domain in domains.items():
+        for level in (2, 3, 4, 5):
+            m = build_mesh(domain, level)
+            ops = _operators(m)
+            record = [(f"{matrix}.{part}", getattr(getattr(ops, matrix), part))
+                      for matrix in ("a", "mass") for part in ("data", "indices", "indptr")]
+            record += [(f, getattr(ops, f)) for f in record_fields]
+            w = np.array([ops.area, 0.1 * ops.area, 2.0 * ops.area])
+            record += [("bandwidth", np.array(ops.bandwidth)), ("k", ops.k_data(m2)),
+                       ("tensor", ops.tensor_data(w)), ("mid", ops.mid_data(ops.weight))]
+            got[f"{name}-L{level}"] = (_digest((f, getattr(m, f)) for f in mesh_fields), _digest(record))
+    assert got == LAYOUT_DIGESTS
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
