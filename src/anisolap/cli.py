@@ -11,7 +11,7 @@ verify    run the verification suites; JSON report, exit 0 iff all entries pass
 
 ``optimize``'s theta in [0, pi/2] covers beta >= 0 only: exact on domains that
 y -> -y maps onto a translate (disks, rectangles), elsewhere an upper bound on
-the class minimum (y-mirrored L-shape, level 4, p = 2: 4.771448 vs 4.717840).
+the class minimum.
 
 The library takes typed arguments; this module reads configs and writes
 files.  Its runs keep the library's iteration budget and angle tolerance
@@ -74,13 +74,13 @@ class _Key(NamedTuple):
     words: str = ""  # that condition, as the error message says it
 
 
-# The run configuration's one table: every key, its default, kind and range.
-# A key whose default is None may be None.  An exponent above 20 can overflow
-# Q^(p/2) in a descent's energy (the L-shape at p = 30 and 50; p = 20 ran clean
-# on the square, the disk and the L-shape at levels 2 to 7), and below a
-# coercivity level of 1e-15 extremal_form's rounded alpha gamma - beta^2 = a
-# leaves some angles with no positive definite form.
+# An exponent above 20 can overflow Q^(p/2) in a descent's energy (CHANGES.md:
+# "The solver takes a tolerance, not an options object", with the overflowing
+# exponents in "Contracts in the source").
 _P_RANGE = (lambda p: 1.0 < p <= 20.0, "exceed 1 and be at most 20")
+# The run configuration's one table: every key, its default, kind and range; a
+# key whose default is None may be None.  Below a = 1e-15 extremal_form's rounded
+# alpha gamma - beta^2 = a leaves some angles with no positive definite form.
 _KEYS = {
     "command": _Key(None),
     "domain": _Key("square"),
@@ -193,9 +193,10 @@ def _parse_args(argv) -> dict:
     ap.add_argument("--grid-n", type=int, dest="grid_n")
     ap.add_argument(
         "--tol", type=float,
-        help="eigenvalue tolerance (default 1e-9): at p = 2 the inverse iteration stops at this "
-        "relative change; at other p the p-descent stops at dual-norm residual sqrt(tol/1000), "
-        "from a p = 2 start stopped at the change max(tol, 1e-3)",
+        help=f"eigenvalue tolerance (default {solver.DEFAULT_TOL:g}): at p = 2 the inverse "
+        "iteration stops at this relative change; at other p the p-descent stops at dual-norm "
+        f"residual sqrt(tol/{solver.RESIDUAL_SAFETY:g}), from a p = 2 start stopped at the "
+        f"change max(tol, {solver.START_TOL:g})",
     )
     ap.add_argument(
         "--n-boundary", type=int, dest="n_boundary",

@@ -6,8 +6,8 @@ values to the gradient).  Coarse meshes of polygons come from ear clipping,
 with ears chosen greedily by the minimum angle of the clipped triangle so
 convex polygons get balanced fans.  A disk starts from its centre and
 inscribed hexagon, and each refinement level projects its new boundary nodes
-onto the circle, so the angles stay near 60 degrees (44 degrees or more
-measured up to level 6) and the boundary error falls as O(h^2).
+onto the circle, so the angles stay near 60 degrees (CHANGES.md: "One mesh
+per domain") and the boundary error falls as O(h^2).
 
 Each mesh holds its edge table, built once from the triangles: ``edges``, the
 sorted node pairs of its edges in sorted order, and ``tri_edge``, whose column
@@ -17,8 +17,9 @@ solver's operators are all read from it.
 
 The arrays are stored coordinate-major, as contiguous rows: nodes (2, n),
 triangle vertices and edges (3, m), edge ends (2, n_edges) and gradients one
-(2, 3, m) buffer, which numpy reads several times faster than 2- and 3-wide
-strided columns.  The public fields keep their shapes as transposed views.
+(2, 3, m) buffer, faster to read than strided columns (CHANGES.md: "Meshes
+and operator records built on coordinate-major rows").  The public fields
+keep their shapes as transposed views.
 """
 
 from __future__ import annotations

@@ -1,104 +1,68 @@
 """Extremal anisotropies over the coercivity class at level ``a``.
 
 The largest frequency needs no search (the isotropic form is the unique
-maximizer); the smallest reduces to a one-parameter search over rotation
-angles theta in [0, pi/2].  With R the counterclockwise rotation by theta,
-the profile value at theta is the frequency of the form
-R^T diag(a, 1) R = extremal_form(a, theta) on one mesh of the unmoved
-domain.  The change of variables x -> diag(1, sqrt(a)) R x makes
-it a^(p/2) times the isotropic frequency of the rotated, sheared domain, and
-the identity is exact for P1 elements on the mapped mesh, so a search meshes
-its domain once per level rather than once per angle.
+maximizer); the smallest reduces to a search over rotation angles theta in
+[0, pi/2].  With R the counterclockwise rotation by theta, the profile value
+at theta is the frequency of the form R^T diag(a, 1) R = extremal_form(a,
+theta) on one mesh of the unmoved domain.  The change of variables
+x -> diag(1, sqrt(a)) R x makes it a^(p/2) times the isotropic frequency of
+the rotated, sheared domain, and the identity is exact for P1 elements on the
+mapped mesh, so a search meshes its domain once per level, not once per
+angle.  The angles in [0, pi/2] give the forms with beta >= 0 only; those
+with beta < 0 are their conjugates by y -> -y, which moves the domain too.
+So the search covers the whole class exactly on a domain that y -> -y maps
+onto a translate of itself, such as a disk or a rectangle (ROADMAP item 14).
 
-The angles in [0, pi/2] give the extremal forms with beta >= 0 only.  The
-forms at theta in (-pi/2, 0) have beta < 0 and are the conjugates of those at
--theta by the reflection y -> -y, which moves the domain too.  So the search
-covers the whole class exactly on a domain that the reflection maps onto a
-translate of itself, such as a disk or a rectangle; on another polygon a
-minimum over the class can have beta < 0 (ROADMAP item 14).
-
-``lambda_min`` searches on two nested levels.  It samples the profile on a
-uniform grid of angles on the coarse mesh, one level below the requested
-(fine) one, and solves on the fine mesh only where the answer needs it.
+``lambda_min`` samples the profile on a uniform grid of angles on a coarse
+mesh and solves on the requested (fine) mesh only where the answer needs it;
 ``refine`` splits each triangle into four, so the coarse profile locates the
-grid minima at about a quarter of the fine cost.  At level
-``MIN_COARSE_LEVEL`` and below the coarse mesh is the fine mesh itself.
-A search keeps one table of solved values, their error bounds, their
-eigenfunctions and their derivatives in theta, keyed by (mesh level,
-theta), and solves a value the first time it is read.  So no (level, theta)
-is solved twice, and on one level the grid values are the fine values.
-Each solve but the first on a level starts from the eigenfunction of the
-nearest angle in the table on that level, the smaller angle on a tie
-(``solve_p``'s ``start``): a neighbouring form's ground state is close to
-the new one, so the solve skips the p = 2 inverse iteration at p != 2, and
-its own iteration takes fewer steps.  The order of the solves is fixed, so
-the starts, and the results, repeat bit for bit.
+grid minima at about a quarter of the fine cost.  One table of solved
+values, their error bounds, eigenfunctions and derivatives in theta, keyed by
+(mesh level, theta), solves each entry the first time it is read, from the
+eigenfunction of the nearest angle solved on that level (the smaller on a
+tie; ``solve_p``'s ``start``).  The order of the solves is fixed, so the
+starts, and the results, repeat bit for bit.
 
-A reflection about a diagonal swaps alpha and gamma of a form and keeps
-beta, so it maps the form at theta to the form at pi/2 - theta.  On a mesh
-that the reflection about the 45 or 135 degree line through its centroid maps
-onto itself (``mirror_permutation``), such as the square's or the L-shape's,
-the profile is therefore symmetric about pi/4, and the eigenfunction at
-pi/2 - theta is the one at theta with its nodes permuted.  A search whose
-meshes are all mirrored (``mirrored``) solves the angles in [0, pi/4] only.
-The grid value at index n - 1 - k is the one at index k, paired by index,
-because the grid of ``np.linspace`` does not mirror exactly; an angle above
-pi/4 off the grid reads the solve at pi/2 - theta.  Either read carries the
-permuted eigenfunction and the negated derivative.
+A reflection about a diagonal swaps alpha and gamma and keeps beta, so it
+maps the form at theta to the form at pi/2 - theta.  On a mesh that the
+reflection about the 45 or 135 degree line through its centroid maps onto
+itself (``mirror_permutation``) the profile is symmetric about pi/4, and the
+eigenfunction at pi/2 - theta is the one at theta with its nodes permuted.
+A search whose meshes are all mirrored solves the angles in [0, pi/4] only.
+It reads grid index n - 1 - k from index k, because the grid of
+``np.linspace`` does not mirror exactly, and any other angle above pi/4 from
+pi/2 - theta, with the permuted eigenfunction and the negated derivative.
 
 Every solve also gives the derivative of its value in theta
-(``profile_value``), and each coarse grid minimum is refined by a walk on
-the fine level: the sign of the derivative at the grid point picks its
-downhill neighbour, and the walk moves on while the derivative keeps its
-sign and the value falls.  It ends on a grid point whose derivative points
-out of [0, pi/2], at no solve, or before a value that does not fall;
-otherwise on the two neighbours between which the derivative changes sign.
-A mirrored search stores the derivative at the grid angle pi/4 as 0, by
-symmetry, and a walk stops at it: if the value falls, at pi/4 itself for no
-refinement solve, because a profile unimodal on its bracket and symmetric
-about pi/4 has its minimizer there, and else on the bracket below it.  A
-safeguarded regula falsi on the derivative shrinks the bracket until it is
-at most ``theta_tol`` wide.  The contract is that the fine profile is
-unimodal on the grid bracket (the grid point and its two neighbours) where
-the walk ends: then the returned angle lies within ``theta_tol`` of a
-minimizer.  A mirrored search refines one grid minimum of each mirror pair,
-the one in [0, pi/4], and reports the image (pi/2 - theta, value) of its
-result with it, unless the two are one minimum: the result is pi/4, or its
-bracket's ends are mirror images.  The walk moves only to lower values, and
-on a unimodal bracket each regula falsi step lowers the end it replaces, so
-a refined value never exceeds the fine value at its grid point.  The coarse
-values of the grid minima are shifted from their fine values by up to the
-coarse/fine gap, so coarse minima that tie within twice the largest solver
-error bound plus the gap measured at the coarse argmin are all refined and
-reported: a near-tie at the fine level is never dropped.
+(``profile_value``).  Each coarse grid minimum is refined on the fine level
+by a walk on the derivative's sign (``_walk``) and a safeguarded regula
+falsi (``_regula_falsi``) on the bracket where it ends.  The contract is
+that the fine profile is unimodal on that bracket; then the returned angle
+lies within ``theta_tol`` of a minimizer.  The walk moves only to lower
+values, and on a unimodal bracket each regula falsi step lowers the end it
+replaces, so a refined value never exceeds the fine value at its grid point.
+The coarse values are shifted from the fine ones by up to the coarse/fine
+gap, so coarse minima that tie within twice the largest solver error bound
+plus the gap measured at the coarse argmin are all refined and reported: a
+near-tie on the fine level is never dropped.
 
-The solver's error bound on a value lam is ``residual * lam``: the dual-norm
-residual of the eigenpair times its eigenvalue.  The eigenvalue error of a
-near-eigenpair is of the order of the squared residual, so the bound is
-conservative.  The tie tolerance of ``lambda_min`` takes the largest bound
-in the table once the grid and the fine solve at the coarse argmin are in
-it, together with the isotropic solve's; its result's ``residual`` is the
-largest once the search is done.  That sets the margin floors of the verify
-suites.  The coarse value at the optimum, ``lambda_min_coarse``, and its
-distance from ``lambda_min``, ``error_estimate``, compare two nested levels.
-When the difference between successive levels shrinks by a factor r >= 2 per
-level (r = 4 for an O(h^2) error), the estimate is about r - 1 times the
-true error of the fine value, so it bounds that error.
+The solver's error bound on a value lam is ``residual * lam``.  The
+eigenvalue error of a near-eigenpair is of the order of the squared
+residual, so the bound is conservative; it sets the margin floors of the
+verify suites.  The coarse value at the optimum, ``lambda_min_coarse``, and
+its distance from ``lambda_min``, ``error_estimate``, compare two nested
+levels.  When the difference between successive levels shrinks by a factor
+r >= 2 per level (r = 4 for an O(h^2) error), the estimate is about r - 1
+times the true error of the fine value, so it bounds that error.
 
 The verify_* functions evaluate the structural claims (strict maximizer,
 monotonicity, profile shape on disks and rectangles, quantitative bounds,
 behaviour as the coercivity level is relaxed) on concrete meshes and return
-report entries rather than raising.  The quantitative and relaxation suites
-are judges only: they take optima that ``run_verification`` computes once per
-level and exponent, so the levels both suites use are searched once.  One run
-also shares its meshes, one per (domain, level), and its isotropic solves, one
-per (mesh, p): the rigidity suite's maximizer, the ``lambda_max`` of every
-search and the rectangle suite's square are one solve wherever they share a
-mesh.  Each is made the first time it is asked for, by the same call as
-without sharing, so the report does not change.  A mesh is the run's mesh
-of the level below refined by one level when the run holds that one, and is
-built from the domain otherwise; both give the same arrays.  A search asks
-for its coarse mesh before its fine one, so it refines the fine one from it.
+report entries rather than raising.  ``run_verification`` computes the
+optima that the quantitative and relaxation suites judge once per level and
+exponent, and one run shares its meshes, one per (domain, level), and its
+isotropic solves, one per (mesh, p) (``_Shared``).  Each is made by the same
+call as without sharing, so the report does not change.
 """
 
 from __future__ import annotations
@@ -131,13 +95,13 @@ from .solver import (
 DEFAULT_GRID_N = 17
 DEFAULT_THETA_TOL = 1e-4
 # Coarsest mesh level on which ``lambda_min`` samples its profile for a finer
-# level; a search at this level or below samples on its own mesh.
+# level; at or below it a search samples on its own mesh (CHANGES.md:
+# "Two-level angle search").
 MIN_COARSE_LEVEL = 3
 
-# Relative slack of the lower difference bound and the directional floor.
-# The directional constants are exact continuum values (closed form on the
-# longest chord), not mesh values; the optima they are compared with are
-# conforming finite-element values, which lie above their continuum values.
+# Relative slack of the lower difference bound and the directional floor:
+# the directional constants are exact continuum values, and the optima
+# compared with them conforming finite-element values, which lie above theirs.
 SLACK = 0.02
 
 # Directions, in the unrotated domain, of the x and the y axis of the domain
@@ -225,10 +189,16 @@ def profile_value(
 
 
 def _walk(f, thetas: list[float], i: int, axis: int) -> tuple[int, int]:
-    """The indices (lo, hi), hi - lo <= 1, of the grid bracket that the walk
-    from ``thetas[i]`` down the fine profile ends in, as the module docstring
-    describes.  ``f(theta)`` is the fine (value, derivative), and ``axis``
-    the index of pi/4 on a mirrored search, where a walk stops, or -1."""
+    """The indices (lo, hi), hi - lo <= 1, of the grid bracket where the walk
+    from ``thetas[i]`` down the fine profile ends, ``f(theta)`` the fine (value,
+    derivative).  The walk moves to the neighbour the derivative points down to
+    while the derivative keeps its sign and the value falls.  It ends on a grid
+    point whose derivative points out of [0, pi/2], at no solve, or before a
+    value that does not fall, and otherwise on the two neighbours between which
+    the derivative changes sign.  ``axis`` is the index of pi/4 on a mirrored
+    search, or -1.  A walk stops at pi/4: if the value falls, at pi/4 itself,
+    because a profile unimodal on its bracket and symmetric about pi/4 has its
+    minimizer there, and else on the bracket below it."""
     lam, dlam = f(thetas[i])
     while i != axis:
         j = i + (1 if dlam < 0.0 else -1)
@@ -289,35 +259,28 @@ def lambda_min(
 
     The profile is sampled at ``grid_n`` uniform angles in [0, pi/2] on the
     coarse mesh: the domain's mesh at ``level`` - 1 when that is at least
-    ``MIN_COARSE_LEVEL``, else the level-``level`` mesh itself.  The fine
-    mesh gets the isotropic solve, which gives ``lambda_max`` and starts
-    from nothing, and the solves of the walks and the regula falsi steps.
-    Both meshes and the isotropic solve come from ``shared``, the tables of
-    the run that calls the search (``run_verification``); without it the
-    search makes its own.  The coarse mesh is asked for first, so the fine
-    one is refined from it.
-    Every profile value is read from the search's table, which calls
-    ``profile_value`` once per (level, theta), started as the module
-    docstring describes, and keeps its value and its derivative in theta.
-    Provided the fine profile is unimodal on the grid bracket where each
-    walk ends, every angle in ``tied_minima`` lies within ``theta_tol`` of a
-    minimizer; the least gives ``theta_star`` and the recovered extremal
-    form.  ``dlam_dtheta`` is the fine derivative at ``theta_star``, a
-    first-order certificate: about 0 at an interior minimum, and pointing
-    out of [0, pi/2] at an end.
+    ``MIN_COARSE_LEVEL``, else the level-``level`` mesh itself.  The fine mesh
+    gets the isotropic solve, which gives ``lambda_max``, and the solves of the
+    walks and the regula falsi steps.  Both meshes and the isotropic solve come
+    from ``shared``, the tables of the calling run (``run_verification``), or
+    from the search's own; the coarse mesh is asked for first, so the fine one
+    is refined from it.  Every angle in ``tied_minima`` lies within
+    ``theta_tol`` of a minimizer under the module docstring's contract; the
+    least gives ``theta_star`` and the recovered extremal form.  A mirrored
+    search (``mirrored``) refines the grid minimum of each mirror pair in
+    [0, pi/4] and reports its image (pi/2 - theta, value) with it, unless the
+    two are one minimum: the result is pi/4, or its bracket's ends are mirror
+    images.  ``dlam_dtheta`` is the fine derivative at ``theta_star``: about 0
+    at an interior minimum, and pointing out of [0, pi/2] at an end.
 
-    ``mirror_permutation`` is called once per mesh of ``shared``.  When
-    every level is mirrored, the search solves angles in [0, pi/4] only and
-    reads the rest from their mirror images, as the module docstring
-    describes, and ``mirrored`` is True; ``theta_profile`` still holds every
-    grid angle, and ``tied_minima`` both minima of a mirror pair.
-
-    ``lambda_min_coarse`` is the coarse value at ``theta_star``: a grid
-    value, or one coarse solve off the grid.  ``error_estimate`` is its
-    distance from ``lambda_min``, and None on one level, where the two are
-    one table entry.  A ``SolverConvergenceError`` from any solve is
-    re-raised with the (theta, value) grid pairs in the table as its
-    ``theta_profile``, and with ``mirrored``.
+    The tie tolerance takes the largest error bound in the table once the grid
+    and the fine solve at the coarse argmin are in it, with the isotropic
+    solve's; ``residual`` is the largest once the search is done.
+    ``lambda_min_coarse`` is the coarse value at ``theta_star`` (one coarse
+    solve off the grid), and ``error_estimate`` its distance from
+    ``lambda_min``, None on one level.  A ``SolverConvergenceError`` is
+    re-raised with the grid pairs solved so far as its ``theta_profile``, and
+    with ``mirrored``.
     """
     if not 0.0 < a < 1.0:
         raise ValueError(f"need a in (0, 1), got {a}")

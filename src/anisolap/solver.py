@@ -5,114 +5,39 @@ The discrete problem minimizes the Rayleigh quotient
     R(u) = sum_T |T| Q(grad u|_T)^(p/2) / ||u||_p^p
 
 over zero-trace piecewise-linear functions, held as their values on the
-interior nodes.  Every operator a solve needs depends on the mesh alone, so
-``_operators`` builds one record per mesh, the first time a solve sees it, and
-keeps it for as long as the mesh lives.  Its one sparse map A = [G; Mid],
+interior nodes.  The energy E is exact per triangle, and the p-norm N is the
+edge-midpoint rule.  One operator record per mesh (``_operators``) holds the
+sparse map A = [G; Mid] from the values to the triangle gradients and the
+edge-midpoint values, so one product A u gives both sums and one product
+with A^T the gradient of E - lam N.  Every matrix a solve factors is data on
+one sparsity pattern, factored in the record's reverse Cuthill-McKee order
+(Cuthill and McKee, 1969; George and Liu, 1981): as a band Cholesky, or by
+SuperLU where the band is wider than BAND_CUTOFF.
 
-    G    (2 n_live x n_int)  values -> x gradients of the triangles, then y
-    Mid  (n_mid x n_int)     values -> values at the mesh's edge midpoints
+Inverse iteration on the pencil (K, M), K the form's p = 2 stiffness and M
+the consistent mass, gives the p = 2 ground state u0, the answer at p = 2.
+At other p, u0 starts one projected descent on the unit p-norm sphere along
+Sobolev gradients B^-1 g (Neuberger; for p-eigenvalues, Horak, EJDE 2011) in
+a frozen metric B, with L-BFGS corrections (Nocedal, Math. Comp. 1980):
 
-evaluates everything else.  G has rows for the n_live triangles with an
-interior node only: a triangle whose three nodes lie on the boundary (two
-at the convex corners of an ear-clipped polygon) has a zero gradient for
-every field.  Mid has one row per edge with an interior end,
-about 1.5 n_tri rows, so A has about 3.5 n_tri rows, not the 5 n_tri of
-three midpoints per triangle.  The energy E(u) = sum |T| Q(Gu)^(p/2) is
-exact per triangle (the integrand is constant); the p-norm N(u) = sum_e w_e
-|Mid u|_e^p is the 3-point edge-midpoint rule on every triangle, each edge's
-weight w_e the summed |T|/3 of its triangles, so each midpoint value and its
-powers are computed once.  One product A u gives both, and one product of
-A^T with the stacked per-triangle and per-edge factors gives the gradient of
-E - lam N.  The record also holds one sparsity pattern, the diagonal and
-both entries of every edge between interior nodes.  It and Mid are both read
-from the mesh's own edge table (``Mesh.edges``).  Every matrix a solve
-factors is data on the pattern, built by one of three builders.  The p = 2
-stiffness of a form q, K(q) = alpha K_xx + beta (K_xy + K_yx) + gamma K_yy,
-is three axpys on the data of the pieces K_xx = G_x^T diag|T| G_x, K_xy +
-K_yx and K_yy, built once (``k_data``).  Any G^T W G, W a symmetric 2x2
-tensor per triangle, is one assembly of element blocks (``tensor_data``),
-and any Mid^T diag(c) Mid one of Mid's edge products (``mid_data``).  One
-``factor`` factors any of them.  The consistent mass M = Mid^T diag(w) Mid
-is built once, as a matrix.
-
-One path for every p > 1, built on one direct factorization of K in the
-record's reverse Cuthill-McKee order of the interior nodes (Cuthill and
-McKee, 1969; George and Liu, 1981): a Cholesky factorization of its band by
-LAPACK's ``dpbtrf``, or, on a mesh whose band in that order is wider than
-BAND_CUTOFF, SuperLU's sparse LU of the matrix in that order (``_factor``).
-Both factorizations solve between a gather into the order and a gather
-back by its inverse (``_Ordered``).  Inverse iteration on
-the generalized symmetric pencil (K, M) gives the p = 2 ground state u0.  At
-p = 2 that is the answer, to tol.  For any other p it is the start, stopped
-at the rougher START_TOL, of one projected descent on the unit p-norm sphere
-at p itself, which steps along a Sobolev gradient B^-1 g (Neuberger; for
-p-eigenvalues, Horak, EJDE 2011) in one of two frozen metrics B, corrected
-where it has no Newton finish by the L-BFGS pairs of its last steps
-(Nocedal, Math. Comp. 1980), which with no pair is the Barzilai-Borwein step:
-
-- p >= LAGGED_P_CUTOFF: B = K, the p = 2 stiffness.  Near p = 2 it is the
-  right metric and costs no second factorization.  Above p = 2, on a band
-  factor, the descent finishes with shifted Newton steps once its residual
-  is below FINISH_RESIDUAL: d = F^-1 g with F = H - sigma H_N, H the
-  energy's Hessian, H_N the p-norm's and sigma = SHIFT_FRACTION lam, which
-  is the inverse power method for the p-Laplacian (Biezuner, Ercole and
-  Martins, J. Funct. Anal. 2009) shifted toward lam.  The steps in K cut the
-  residual by a factor of only about 0.4 per iteration near the ground
-  state, and the shifted steps converge in a few (``_descent``).
+- p >= LAGGED_P_CUTOFF: B = K, and above p = 2 on a band factor a finish of
+  shifted Newton steps, the inverse power method for the p-Laplacian
+  (Biezuner, Ercole and Martins, J. Funct. Anal. 2009) shifted toward lam;
 - p < LAGGED_P_CUTOFF: B = K_w = G^T (m2 (x) diag(|T| q_T^((p-2)/2))) G, the
-  lagged-diffusivity (Kacanov) stiffness, with q_T = Q(grad u0|_T) floored
-  at LAGGED_Q_FLOOR times its mean (Huang, Li and Liu, J. Sci. Comput. 2007;
-  Diening, Fornasier, Tomasi and Wank, Numer. Math. 2020).  Far below p = 2
-  the diffusivity Q^((p-2)/2) varies by orders of magnitude across the
-  domain, and K, which ignores it, lets the iteration count grow under
-  refinement.  K_w is one ``tensor_data``, factored once per solve.
-
-A solve may be given a start: a nodal field on the mesh, such as the
-eigenfunction of a nearby form on it.  At p = 2 the inverse iteration starts
-from it instead of the ones vector; at other p the inverse iteration is
-skipped and the descent starts from it (and below the cut-off freezes K_w
-there).  K is still factored, so the stopping rules and the reported
-residual are those of a solve without a start; only the starting point
-moves.  Without a start a solve depends on its arguments alone.
-
-A factorization costs its data's builder (three axpys for K, one
-``np.bincount`` of element blocks for K_w or H, and one of edge products
-for H_N), one scatter of its lower triangle into a zeroed band and one
-``dpbtrf`` (above BAND_CUTOFF, one gather of the data into the order and
-one SuperLU).  A solve with it is one ``dpbtrs`` between two gathers, by
-the order and by its inverse.  A step of the inverse iteration costs one
-solve and one product with M.  A descent iteration costs one product with
-A^T and one solve in its metric, and two dot products and three axpys per
-secant pair; a Newton step costs one solve with F more, and F is
-refactored only when a step cuts the residual by less than half (about once
-or twice per solve).  A line-search trial costs one product with A and two
-non-integer powers, one per triangle and one per edge midpoint
-(``_point``): the energy and the p-norm are sums of each power times its
-base, and the accepted trial's powers and products give the next gradient,
-times one scalar for the unit norm.  On the small meshes of the verify
-suites a product's time is mostly scipy's per-call overhead, so these
-counts, more than the arithmetic, set the time of an iteration.  Every dot
-product of the inverse iteration, the energy, the p-norm, the descent and
-the residual is summed by numpy, not by a threaded BLAS (``_dot``).
+  lagged-diffusivity (Kacanov) stiffness of u0, q_T = Q(grad u0|_T) (Huang,
+  Li and Liu, J. Sci. Comput. 2007; Diening, Fornasier, Tomasi and Wank,
+  Numer. Math. 2020).
 
 Every result reports the dual-norm residual sqrt(g . K^-1 g) / (p lam) of the
-returned pair, g being the gradient of E(u) - lam N(u), always in the metric
-of K whatever metric the descent steps in.  It measures how far the pair is
-from satisfying the discrete eigenvalue equation, and the descent stops on
-it.  In the metric K the step's own solve gives it.  Below the cut-off
+returned pair, g the gradient of E(u) - lam N(u), in the metric of K whatever
+metric the descent steps in; the descent stops on it.  Below the cut-off
 K_w - w_min K = G^T (m2 (x) diag(b - w_min |T|)) G is positive semidefinite,
 b the lagged weights and w_min = min_T b_T / |T|, so
 
     g . K^-1 g >= w_min g . K_w^-1 g,
 
 and an iteration whose w_min g . K_w^-1 g exceeds 2 (bound p lam)^2 cannot
-stop: it costs the one solve with K_w while that holds, and a second, with
-K, for the residual only where it fails, at the last iteration and on a
-line-search exit.  On the L5 L-shape at p = 1.5 that is 2 solves with K in
-20 iterations.
-
-``directional_constant`` is the closed-form constant of the one-derivative
-inequality; it needs no solve.
+stop and skips its solve with K.  ``directional_constant`` is a closed form.
 """
 
 from __future__ import annotations
@@ -135,78 +60,41 @@ from .quadform import QuadForm
 # eigenvalue is always the unsmoothed quotient of the final iterate.
 GRAD_FLOOR = 1e-12
 
-# Below this p the descent's metric is the lagged-diffusivity stiffness K_w of
-# its start, not the p = 2 stiffness K (``_descent``, which gives the
-# measurements).
+# Below this p the descent's metric is K_w, not K (CHANGES.md: "L-BFGS
+# directions in the p-descent's frozen metric").
 LAGGED_P_CUTOFF = 1.65
 
-# The widest band, in the reverse Cuthill-McKee order of a mesh's interior
-# nodes, whose stiffnesses are factored as a band (``_Operators.factor``);
-# wider ones go to SuperLU (``_factor``).  Both factor the matrix in that
-# order.  Measured in-process on a 2-vCPU machine with one BLAS thread,
-# band against SuperLU, medians for the level-0.25 extremal form with
-# alpha = 0.6 (``extremal_form`` at theta = 0.752): at level 6 the L-shape
-# (bandwidth 125) factors in 11 against 19 ms and solves in 0.84 against
-# 0.66 ms, the disk (127) in 17 against 36 ms and 1.2 against 1.2 ms.  At
-# level 7 the L-shape (253) factors in 124 against 116 ms and solves in 7.0
-# against 3.3 ms, the disk (255) in 185 against 240 ms and 17 against 7 ms,
-# and each band takes about twice the memory of SuperLU's L + U (66 against
-# 28 MB, 100 against 51 MB).  The band grows as n^1.5 and would take
-# gigabytes at level 9.
+# The widest band, in the record's reverse Cuthill-McKee order, factored as a
+# band; wider ones go to SuperLU (CHANGES.md: "One mesh chain per search",
+# with its timings in "Contracts in the source").
 BAND_CUTOFF = 192
 
 # Floor of the lagged diffusivity's Q(grad u0|_T), relative to its mean over
 # the triangles: it keeps K_w's weights finite where the start is flat.
 LAGGED_Q_FLOOR = 1e-3
 
-# Safety factor of the descent's stopping bound.  Near the ground state the
-# relative eigenvalue error is about C residual^2; C measured between 1 and
-# 120 on the square, the L-shape and the disk at level 4, p = 1.5 and 3, with
-# the identity form and that extremal form.  Stopping at residual <=
-# sqrt(tol / RESIDUAL_SAFETY) keeps that error below tol for any C up to
-# RESIDUAL_SAFETY; the bound is 1e-6 at DEFAULT_TOL.  At p = 4, with the
-# shifted Newton finish, C measured between 12 and 840 on the same domains
-# and forms at levels 4 and 5 against their tol-1e-13 values; the largest,
-# the level-5 L-shape with extremal_form(0.25, 0.4), stops 1.5e-10 from its
-# value.  The descent in the metric of K alone stopped 3.0e-9 from it there
-# (C about 3,000).
+# The descent stops at residual sqrt(tol / RESIDUAL_SAFETY): relative error C
+# residual^2 stays below tol for C up to it (CHANGES.md: "One descent stage
+# stopped on the dual-norm residual"; at p = 4, "Shifted Newton steps").
 RESIDUAL_SAFETY = 1000.0
 
 # Eigenvalue tolerance: the inverse iteration stops at this relative change
 # per step, the descent at residual sqrt(tol / RESIDUAL_SAFETY).
 DEFAULT_TOL = 1e-9
 
-# Relative eigenvalue change at which a solve at p != 2 without a start stops
-# the p = 2 inverse iteration that gives its descent's start, when tol is
-# smaller (``solve_p``): the descent alone sets the answer's accuracy.
-# Measured with the identity form on the L-shape, the disk and the square at
-# levels 4-6 and p = 1.3, 1.5, 3 and 4 (36 solves): the start takes 3-5
-# inverse steps instead of 8-14, the total iterations fall in 31 of the 36,
-# and lambda moves by at most 3.5e-10 relative.  On the level-5 L-shape at
-# p = 1.5 the solve takes 33 iterations instead of 43 and ends at residual
-# 3.4e-7; a start stopped at 1e-2 or at 1e-6 ends it at 9.0e-7 or 8.3e-7.
+# The relative change at which a cold solve at p != 2 stops the inverse
+# iteration that gives its descent's start, when tol is smaller (CHANGES.md:
+# "Cheaper p ...", item 1).
 START_TOL = 1e-3
 
-# Above p = 2 the descent in the metric of K finishes with shifted Newton
-# steps once its residual is below FINISH_RESIDUAL (``_descent``), on the
-# Hessian shifted by SHIFT_FRACTION times the quotient (``_newton_factor``).
-# A larger FINISH_RESIDUAL pays where a factorization is cheap, a smaller one
-# on larger meshes.  Measured in-process (2-vCPU machine) with 1e-3, 3e-3 and
-# 1e-2: the verify suites at p = 3 and level 3 take 391 / 332 / 312 descent
-# iterations and 67 / 63 / 59 ms (745 iterations without the finish); 36
-# solves of the square, the L-shape and the disk at levels 4-6, p = 3 and 4,
-# the identity form and extremal_form(0.25, 0.4), take 1.32 / 1.51 / 1.66 s
-# in all.  The shift is halved on a factorization that finds F indefinite.
+# Above p = 2 the descent finishes with Newton steps on H - SHIFT_FRACTION lam
+# H_N once its residual is below FINISH_RESIDUAL (CHANGES.md: "Shifted Newton
+# steps finish the p > 2 descent").
 FINISH_RESIDUAL = 3e-3
 SHIFT_FRACTION = 0.95
 
-# Secant pairs of the descent's L-BFGS direction where it has no Newton
-# finish (``_descent``).  Cold identity-form solves with 0 / 3 / 5 / 8 pairs:
-# the L5 and L6 L-shape at p = 1.5 take 33 / 25 / 25 / 25 and 47 / 30 / 28 /
-# 29 iterations, the L5 L-shape at p = 1.3 732 / 136 / 118 / 112 and the L5
-# disk at p = 1.7 27 / 17 / 17 / 17.  In-process medians (2-vCPU machine)
-# put 3 pairs within 6 % of the fastest on seven of eight such cases, and at
-# 84 against 68-70 ms at p = 1.3; they cost the fewest operations.
+# Secant pairs of the descent's L-BFGS direction where it has no Newton finish
+# (CHANGES.md: "L-BFGS directions in the p-descent's frozen metric").
 LBFGS_MEMORY = 3
 
 # Iteration budget of the inverse iteration and of the descent, each.
@@ -216,8 +104,7 @@ MAX_ITER = 20000
 @dataclass
 class EigenResult:
     lam: float                # eigenvalue estimate
-    u: np.ndarray             # nodal eigenfunction, unit p-norm; at every p it may change
-                              # sign (a P1 ground state need not keep one sign)
+    u: np.ndarray             # nodal eigenfunction, unit p-norm; it may change sign
     iterations: int           # iterations that ran: inverse iteration, descent or both
     residual: float           # dual-norm residual sqrt(g.K^-1 g)/(p lam) of the returned pair
     p: float
@@ -245,16 +132,12 @@ def _maps(
     m: Mesh, cols: np.ndarray
 ) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray, np.ndarray]:
     """The stacked map A = [G; Mid] of ``m`` on the columns ``cols`` (node ->
-    column index, -1 for a node held at zero), as CSR built from its arrays,
-    the midpoint rule's weight of each row of Mid, the mask of the triangles
-    with a column, whose rows G keeps, and their ``grad_map``.  Every row
-    holds at most three entries in distinct columns, in increasing column
-    order.  Rows t and n_live + t of G give the x and y gradient of the t-th
-    kept triangle; a triangle whose three nodes are held has a zero gradient
-    for every field, and no row.  Mid has one row per edge of the mesh's edge table
-    ``m.edges`` with a column at either end, in the table's order; it gives
-    the value at the edge's midpoint, whose weight is the summed |T|/3 of the
-    edge's triangles (``m.tri_edge``)."""
+    column, -1 for a node held at zero) as CSR, each row's columns increasing,
+    with the midpoint rule's weight of each row of Mid, the mask of the
+    triangles with a column and their ``grad_map``.  Rows t and n_live + t of G
+    give the x and y gradient of the t-th such triangle; a triangle whose nodes
+    are all held has no row.  Mid has one row per edge of ``m.edges`` with a
+    column, in the table's order, weighted by the summed |T|/3 of its triangles."""
     n_cols = int(cols.max()) + 1
     cols = cols.astype(np.int32)
     c, grad = cols[m.triangles.T], m.grad_map.transpose(1, 2, 0)
@@ -291,48 +174,20 @@ def _maps(
     return a, weight[kept], live, grad.transpose(2, 0, 1)
 
 
-# Entry k = 3 a + b of a triangle's 3x3 element block is in row a and column
-# b of the block.
+# Entry k = 3 a + b of a triangle's 3x3 element block is in its row a, column b.
 _BLOCK_ROWS, _BLOCK_COLS = np.repeat(np.arange(3), 3), np.tile(np.arange(3), 3)
 
 
 @dataclass
 class _Operators:
-    """Everything a solve needs of one mesh, on its interior nodes.
-
-    ``a`` is the stacked map A = [G; Mid], so that a field's triangle
-    gradients and edge-midpoint values are one product, and ``a_t`` its
-    ``.T`` view, so that the gradient of the quotient is one product too.
-    G has rows for the triangles with an interior node only (``_maps``), and
-    ``area``, ``grad_map`` and ``slot`` hold those triangles alone;
-    ``grad_map`` is the transposed view of a (2, 3, n_live) buffer, whose
-    rows of x and y gradients the builders read.  Mid has
-    one row per edge with an interior end, and ``weight`` is each row's
-    midpoint-rule weight, the summed |T|/3 of the edge's triangles.  Every
-    matrix a solve factors or multiplies has one sparsity pattern, the
-    diagonal and both entries of every edge between interior nodes, held
-    once as ``indices`` and ``indptr`` in CSC order; ``slot`` says where each
-    entry of each triangle's element block lands in its data, and
-    ``mid_slot`` where the four entries of each Mid row's outer product
-    land.  A matrix is built as data on the pattern by one of three
-    builders: ``k_data`` for the form's stiffness K(q), three axpys on the
-    data of its three ``pieces``; ``tensor_data`` for any G^T W G, W a
-    symmetric 2x2 tensor per triangle (the lagged diffusivity's K_w, the
-    energy's Hessian), one ``np.bincount`` of element blocks; and
-    ``mid_data`` for any Mid^T diag(c) Mid (the p-norm's Hessian), one of
-    Mid's outer products.  ``factor`` factors any such data, and ``_matrix``
-    makes it a matrix on copies of it and of the pattern, less its exact
-    zeros; the mass M is one, built once.  ``order`` is the reverse Cuthill-McKee order
-    of the interior nodes, ``rank`` its inverse, and ``bandwidth`` the
-    pattern's in it; every factorization takes its rows and columns in that
-    order.  Up to BAND_CUTOFF, ``band_slot`` maps each entry of
-    ``band_entries``, the pattern's lower triangle in that order, to its
-    place in LAPACK's lower band storage, in Fortran order (``factor``), and
-    the ``lu_`` fields are None.  Above it, the two band fields are None, and
-    ``lu_indices`` and ``lu_indptr`` hold the whole pattern in that order as
-    CSC, whose k-th entry is entry ``lu_entries[k]`` of the data.
-    ``_operators`` builds one per mesh from its edge table (``Mesh.edges``,
-    ``_maps`` and ``_pattern``)."""
+    """Everything a solve needs of one mesh, on its interior nodes: one sparsity
+    pattern, the diagonal and both entries of every edge between interior
+    nodes, on which ``k_data``, ``tensor_data`` and ``mid_data`` build data,
+    ``factor`` factors it in ``order`` and ``_matrix`` makes it a matrix.  The
+    triangle arrays hold the triangles with an interior node alone;
+    ``grad_map`` views a (2, 3, n_live) buffer whose rows the builders read.
+    Up to BAND_CUTOFF the ``band_`` fields are set and the ``lu_`` fields are
+    None; above it, the reverse."""
 
     a: sp.csr_matrix        # (2 n_live + n_mid, n_int), rows as ``_maps`` says
     a_t: sp.csc_matrix
@@ -383,9 +238,8 @@ class _Operators:
 
     def _pieces(self) -> np.ndarray:
         """(3, nnz) data of the pieces K_xx, K_xy + K_yx and K_yy of the
-        triangle weights |T|.  Each piece's blocks are built in one buffer,
-        a row of triangles at a time: whole-block products would touch
-        several times the fresh memory, and take longer for it."""
+        triangle weights |T|, each built in one buffer a row of triangles at a
+        time, which touches less fresh memory than whole-block products."""
         gx, gy = self.grad_map.transpose(1, 2, 0)
         bx, by = self.area * gx, self.area * gy
         block = np.empty((9, len(self.area)))
@@ -407,8 +261,7 @@ class _Operators:
 
     def k_data(self, m2: np.ndarray) -> np.ndarray:
         """Pattern data of the form's p = 2 stiffness K = G^T (m2 (x)
-        diag|T|) G, ``m2`` its symmetric 2x2 matrix: three axpys on the
-        pieces."""
+        diag|T|) G, ``m2`` its 2x2 matrix: three axpys on the pieces."""
         data = m2[0, 0] * self.pieces[0]
         data += m2[0, 1] * self.pieces[1]
         data += m2[1, 1] * self.pieces[2]
@@ -434,18 +287,14 @@ class _Operators:
         return np.bincount(self.mid_slot.ravel(), np.tile(0.25 * c, 4), minlength=nnz + 1)[:nnz]
 
     def _matrix(self, data: np.ndarray) -> sp.csc_matrix:
-        """The matrix of ``data`` on the pattern, less its exact zeros
-        (``_csc``)."""
+        """The matrix of ``data`` on the pattern, less its exact zeros."""
         return _csc(data, self.indices, self.indptr)
 
     def factor(self, data: np.ndarray) -> _Ordered:
-        """A factorization of the symmetric matrix with the pattern data
-        ``data``, its rows and columns taken in ``order``, with a ``solve``
-        method: the banded Cholesky factor of its lower band up to
-        BAND_CUTOFF, else the SuperLU of the whole matrix (``_factor``), read
-        from the data through ``lu_entries``.  The band is scattered into a
-        zeroed buffer and factored in place; a band that is not positive
-        definite raises ``np.linalg.LinAlgError``."""
+        """A factorization, with a ``solve`` method, of the symmetric matrix
+        of pattern data ``data`` in ``order``: up to BAND_CUTOFF the Cholesky factor
+        of its lower band, which raises ``np.linalg.LinAlgError`` if the matrix is
+        not positive definite, else SuperLU's (``_factor``)."""
         if self.band_slot is None:
             return _SparseLU(_csc(data[self.lu_entries], self.lu_indices, self.lu_indptr), self)
         band = np.zeros((self.bandwidth + 1) * len(self.order))
@@ -455,10 +304,8 @@ class _Operators:
 
 def _csc(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> sp.csc_matrix:
     """The square CSC matrix of copies of ``data`` and of the pattern
-    (``indices``, ``indptr``), less its exact zeros: the identity form's K
-    has some on a mesh with right angles, and a stored zero would be
-    factored as fill.  Removing them compacts the arrays in place, so the
-    caller's are left alone."""
+    (``indices``, ``indptr``), less its exact zeros, which the identity form's
+    K has on a mesh with right angles and a factorization would keep as fill."""
     shape = (len(indptr) - 1,) * 2
     k = sp.csc_matrix((data.copy(), indices.copy(), indptr.copy()), shape=shape)
     k.eliminate_zeros()
@@ -466,10 +313,9 @@ def _csc(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> sp.csc_ma
 
 
 class _Ordered:
-    """A factorization of a symmetric matrix whose rows and columns are taken
-    in the record's order ``ops.order``: ``solve`` gathers the right-hand
-    side into that order, solves in it (``_solve``) and gathers the solution
-    back by the inverse permutation ``ops.rank``."""
+    """A factorization of a symmetric matrix in the record's order
+    ``ops.order``: ``solve`` gathers the right-hand side into that order, solves
+    in it (``_solve``) and gathers the solution back by ``ops.rank``."""
 
     def __init__(self, ops: _Operators) -> None:
         self.order, self.rank = ops.order, ops.rank
@@ -479,11 +325,9 @@ class _Ordered:
 
 
 class _BandCholesky(_Ordered):
-    """The Cholesky factor of a symmetric positive definite matrix in the
-    record's order, computed by LAPACK's ``dpbtrf`` in place from its lower
-    band ``band`` (bandwidth + 1 rows, in Fortran order); ``dpbtrs`` solves
-    with it.  Raises ``np.linalg.LinAlgError`` if the matrix is not positive
-    definite."""
+    """The Cholesky factor, by ``dpbtrf`` in place, of a symmetric positive
+    definite matrix from its lower band ``band`` (bandwidth + 1 rows, Fortran
+    order); ``np.linalg.LinAlgError`` if it is not positive definite."""
 
     def __init__(self, band: np.ndarray, ops: _Operators) -> None:
         super().__init__(ops)
@@ -496,8 +340,7 @@ class _BandCholesky(_Ordered):
 
 
 class _SparseLU(_Ordered):
-    """SuperLU's LU (``_factor``) of the matrix ``a``, given in the record's
-    order."""
+    """SuperLU's LU (``_factor``) of ``a``, given in the record's order."""
 
     def __init__(self, a: sp.csc_matrix, ops: _Operators) -> None:
         super().__init__(ops)
@@ -513,19 +356,15 @@ _RECORDS: weakref.WeakKeyDictionary[Mesh, _Operators] = weakref.WeakKeyDictionar
 
 
 def _pattern(m: Mesh, cols: np.ndarray, n: int, live: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The stiffness pattern of ``m``, read from its edge table ``m.edges``
-    and ``m.tri_edge``, on the columns ``cols`` (node -> column, -1 for a
-    held node) among ``n``: the (9, n_live) slot in its data of each block
-    entry of the triangles ``live`` and the (4, n_mid) slot of the entries
-    (a, a), (b, b), (a, b) and (b, a) of each row of Mid (``_maps``), a < b
-    its columns (nnz for an entry with a held node), then the pattern's CSC
-    ``indices`` and ``indptr``.
-
-    The pattern is the diagonal and both entries of every edge with two
-    columns.  Column numbers rise with node numbers, so the table's sorted
-    edges (a, b), a < b, are sorted by a, then b: column a holds its rows b
-    below the diagonal in that order, and sorting by b, then a, gives each
-    column b its rows a above the diagonal in order."""
+    """The stiffness pattern of ``m`` on the columns ``cols`` (node ->
+    column, -1 for a held node) among ``n``, read from its edge table: the
+    (9, n_live) data slot of each block entry of the triangles ``live``, the
+    (4, n_mid) slot of the entries (a, a), (b, b), (a, b) and (b, a) of each row
+    of Mid, a < b its columns (nnz for an entry with a held node), and the CSC
+    ``indices`` and ``indptr`` of the diagonal and both entries of every edge
+    with two columns.  Column numbers rise with node numbers, so the table's
+    sorted edges (a, b) give each column a its rows b below the diagonal in
+    order, and sorting by (b, a) each column b its rows a above it."""
     ends = cols[m.edges.T]
     inner = (ends[0] >= 0) & (ends[1] >= 0)
     a, b = np.compress(inner, ends, axis=1)
@@ -592,10 +431,9 @@ def _on_all_nodes(m: Mesh, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> float:
-    """x . y, summed by numpy's own loop.  A BLAS ddot splits sums of more
-    than 10,000 entries across threads, and waking a second thread costs
-    more than the sum itself on these meshes, and most after the machine
-    sat idle."""
+    """x . y, summed by numpy's own loop: a BLAS ddot splits sums of more
+    than 10,000 entries across threads, and waking a second thread costs more
+    than the sum on these meshes (CHANGES.md: "Banded Cholesky")."""
     return float(np.einsum("i,i->", x, y))
 
 
@@ -609,15 +447,10 @@ def energy(m: Mesh, q: QuadForm, p: float, u: np.ndarray) -> float:
 def pnorm_p(
     m: Mesh | _Operators, u: np.ndarray, p: float, u_pow: np.ndarray | None = None
 ) -> float:
-    """Integral of |u|^p of the linear interpolant (edge-midpoint rule).
-
-    ``u`` holds the nodal values of a field on the mesh ``m``.  Inside a
-    solve, ``m`` is the solve's operators, ``u`` the edge-midpoint values
-    ``Mid`` already gave and ``u_pow`` their sign(u) |u|^(p-1), which the
-    gradient reuses, so that |u|^p is the product u u_pow (one call per trial
-    point of the line search).  Either way the sum runs once over the edges,
-    each midpoint's |u|^p weighted by the summed |T|/3 of the edge's
-    triangles."""
+    """Integral of |u|^p of the linear interpolant by the edge-midpoint rule,
+    ``u`` the nodal values of a field on ``m``.  Inside a solve ``m`` is the
+    solve's operators, ``u`` the edge-midpoint values and ``u_pow`` their
+    sign(u) |u|^(p-1), so that |u|^p is u u_pow."""
     if isinstance(m, Mesh):
         _, u, weight = _on_all_nodes(m, u)
     else:
@@ -645,12 +478,11 @@ class _Point:
 def _point(ops: _Operators, m2: np.ndarray, p: float, v: np.ndarray) -> _Point:
     """``v`` scaled to unit p-norm, with its quotient and what the gradient
     needs there.  One product A v gives the triangle gradients and the
-    edge-midpoint values y, and each takes one non-integer power, Q^(p/2-1)
-    and |y|^(p-1): the energy and the p-norm are sums of Q Q^(p/2-1) and
-    |y| |y|^(p-1).  Energy and norm are homogeneous, so the quotient is taken
-    before the scaling.  Below p = 2 the gradient's Q is floored at
-    GRAD_FLOOR at the scaled field, GRAD_FLOOR / s^2 at v, but the quotient
-    is not smoothed: a triangle under the floor keeps its own Q^(p/2)."""
+    edge-midpoint values y, each raised to one non-integer power, Q^(p/2-1) and
+    |y|^(p-1).  The quotient is homogeneous, so it is taken before the scaling.
+    Below p = 2 the gradient's Q is floored at GRAD_FLOOR at the scaled field,
+    GRAD_FLOOR / s^2 at v, but a triangle under the floor keeps its own Q^(p/2)
+    in the quotient."""
     split = 2 * len(ops.area)
     values = ops.a @ v
     y = values[split:]
@@ -674,11 +506,10 @@ def _point(ops: _Operators, m2: np.ndarray, p: float, v: np.ndarray) -> _Point:
 
 
 def _gradient(ops: _Operators, p: float, pt: _Point) -> np.ndarray:
-    """Gradient of the Rayleigh quotient on the operators' columns at the
-    unit-p-norm field ``pt.u``; the unit norm removes the quotient's division
-    by it.  Both of its terms are homogeneous of degree p - 1, so it is
-    s^(p-1) times their value at the unscaled field, from the powers and the
-    flux that ``_point`` kept."""
+    """Gradient of the Rayleigh quotient at the unit-p-norm field
+    ``pt.u``, where the quotient's division by the norm drops out.  Both of its
+    terms are homogeneous of degree p - 1, so it is s^(p-1) times their value
+    at the unscaled field, from what ``_point`` kept."""
     c = p * pt.scale ** (p - 1.0)
     split = pt.flux.size
     terms = np.empty(ops.a.shape[0])
@@ -704,13 +535,11 @@ def _inverse_iteration(
     mass: sp.csc_matrix, lu: _Ordered, tol: float, u: np.ndarray | None = None
 ) -> tuple[np.ndarray, int, bool, bool]:
     """Smallest eigenpair of K u = lam M u by inverse iteration with the
-    factorization ``lu`` of K, started from ``u`` (the ones vector if None),
-    stopped when the relative eigenvalue change reaches ``tol`` or after
-    MAX_ITER steps.  A step is one solve and one product with M: the solve
-    gives K w = M u, so w.Kw = w.Mu, and M w, scaled with w, is the next
-    right-hand side.  A w.Mw out of (0, inf), as where K's entries are near
-    the largest float, breaks it off at the last iterate.  Returns (u,
-    iterations, converged, broken); the caller decides what a miss means."""
+    factorization ``lu`` of K from ``u`` (the ones vector if None), stopped at
+    the relative eigenvalue change ``tol`` or after MAX_ITER steps.  A step is
+    one solve K w = M u, so w.Kw = w.Mu, and one product M w.  A w.Mw out of
+    (0, inf), as where K's entries are near the largest float, breaks it off
+    at the last iterate.  Returns (u, iterations, converged, broken)."""
     u = np.ones(mass.shape[0]) if u is None else np.array(u, dtype=float)
     mu = mass @ u
     nrm = math.sqrt(_dot(u, mu))
@@ -736,16 +565,11 @@ def _inverse_iteration(
 
 
 def _factor(a: sp.csc_matrix) -> SuperLU:
-    """Sparse LU of a stiffness matrix, the factorization of a mesh whose
-    band in reverse Cuthill-McKee order is wider than BAND_CUTOFF; narrower
-    ones are factored as a band (``_Operators.factor``), which on the meshes
-    up to level 6 is about twice as fast.  It is symmetric positive
-    definite: a symmetric ordering and diagonal pivots give less fill than
-    the default column ordering.  ``_Operators.factor`` passes the matrix in
-    the record's reverse Cuthill-McKee order, from which that ordering finds
-    far less fill than from the mesh's node order: the level-7 disk's K of
-    BAND_CUTOFF's form factors in 0.24 against 2.5 s and solves in 7 against
-    21 ms."""
+    """SuperLU's LU of a symmetric positive definite stiffness matrix given in
+    the record's reverse Cuthill-McKee order, for a band wider than
+    BAND_CUTOFF.  A symmetric ordering and diagonal pivots give less fill than
+    the default column ordering, and far less from the RCM order than from the
+    mesh's node order (CHANGES.md: "One mesh chain per search")."""
     return splu(
         a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
     )
@@ -764,10 +588,9 @@ def _diffusivity(m2: np.ndarray, p: float, g: np.ndarray) -> tuple[np.ndarray, .
 def _lagged_weights(
     ops: _Operators, m2: np.ndarray, p: float, gu: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    """Triangle weights b = |T| q_T^((p-2)/2) of K_w = G^T (m2 (x) diag b) G,
-    the stiffness of the p-Laplacian's diffusivity frozen at the field whose
-    triangle gradients are ``gu`` (``_diffusivity``), and their least ratio
-    min_T b_T / |T|."""
+    """Triangle weights b = |T| q_T^((p-2)/2) of K_w = G^T (m2 (x) diag b)
+    G, the p-Laplacian's diffusivity frozen at the triangle gradients ``gu``
+    (``_diffusivity``), and their least ratio w_min = min_T b_T / |T|."""
     diffusivity = _diffusivity(m2, p, gu.reshape(2, -1))[2]
     return ops.area * diffusivity, float(diffusivity.min())
 
@@ -782,10 +605,8 @@ def _hessians(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pattern data of the energy's Hessian H = p G^T (|T| q^(p/2-1) [m2 +
     (p-2) (m2 g)(m2 g)^T / q]) G and the p-norm's H_N = p (p-1) Mid^T diag(w
-    |y|^(p-2)) Mid at the field ``u``, g and q = Q(g) its triangle gradients
-    and y its edge-midpoint values; q and its diffusivity q^(p/2-1) are K_w's
-    (``_diffusivity``), and y^2 is floored at LAGGED_Q_FLOOR times its mean
-    as q is."""
+    |y|^(p-2)) Mid at ``u``: g its triangle gradients, q = Q(g) floored as K_w's
+    is (``_diffusivity``), and y its edge-midpoint values, y^2 floored as q is."""
     values = ops.a @ u
     split = 2 * len(ops.area)
     flux, q, diffusivity = _diffusivity(m2, p, values[:split].reshape(2, -1))
@@ -800,11 +621,9 @@ def _hessians(
 def _newton_factor(
     ops: _Operators, m2: np.ndarray, p: float, u: np.ndarray, lam: float, shift: float
 ) -> tuple[_Ordered | None, float]:
-    """The factorization of the shifted Hessian F = H - shift lam H_N
-    (``_hessians``) at the unit-p-norm field ``u`` with quotient ``lam``, and
-    the shift it took.  While ``dpbtrf`` finds F not positive definite the
-    shift is halved, and below 1e-3 it drops to 0, where F = H; None if that
-    fails too."""
+    """The factorization of F = H - shift lam H_N (``_hessians``) at the
+    unit-p-norm field ``u``, and the shift it took: halved while F is not
+    positive definite, then 0 below 1e-3, and None if even H fails."""
     h, hn = _hessians(ops, m2, p, u)
     while True:
         try:
@@ -841,89 +660,32 @@ def _descent(
     lu: _Ordered,
 ) -> tuple[np.ndarray, float, float, int]:
     """Projected Sobolev-gradient descent on the unit p-norm sphere, with a
-    shifted Newton finish above p = 2.
+    shifted Newton finish above p = 2 (module docstring).
 
-    Each step moves along an L-BFGS direction on a metric B, in which the
-    quotient's gradient is B^-1 g.  For p >= LAGGED_P_CUTOFF, B is the
-    form's p = 2 stiffness K, factorized as ``lu``.  For p < LAGGED_P_CUTOFF
-    it is the lagged-diffusivity stiffness K_w of the start
-    (``_lagged_weights``), assembled and factorized once here.  On the
-    L5 / L6 L-shape at p = 1.5 it takes the descent-plus-inverse iterations
-    from 38 / 57 with K to 25 / 30.  The cut-off is measured: medians of 7-9
-    interleaved in-process ``solve_p`` timings of the identity form on the
-    L5 and L6 L-shape and disk (2-vCPU machine, after a first factorization
-    on each) find K_w faster than K on all four by 22-36 / 15-26 / 1-13 % at
-    p = 1.5 / 1.55 / 1.6; at 1.65 / 1.7 it is 6-16 / 1-7 % faster at L5 and
-    1-4 / 16 % slower at L6 (with Barzilai-Borwein steps it was faster at
-    1.6 on two of the four).  Below the cut-off the iterations saved
-    outweigh the second factorization and, as measured before the skip test
-    below, a second solve per iteration.
+    Each step moves along the two-loop L-BFGS direction d (``_two_loop``) of the
+    last LBFGS_MEMORY secant pairs s = du, y = dg in the metric B, K (``lu``)
+    or, below LAGGED_P_CUTOFF, the K_w of the start, factorized here.  Its
+    initial inverse Hessian is t B^-1, t the Barzilai-Borwein value s.Bs / s.y of
+    the newest pair (if s.y <= 0, twice the last step, and no pair is kept), so
+    with no pair the step is Barzilai-Borwein's.  B = G^T (m2 (x) diag b) G with
+    triangle weights b, so s.Bs = sum_T b_T Q(grad s|_T) needs no product with
+    B.  The trial points are u - t d, t halved until the Armijo condition holds.
+    The iterates move on the whole sphere: a P1 ground state may change sign at
+    a few nodes, and |u| would pin them at 0 and can raise the quotient; ``u0``
+    is flipped, if need be, to a nonnegative sum.
 
-    The direction d is the two-loop L-BFGS direction (``_two_loop``) of the
-    last LBFGS_MEMORY secant pairs s = du, y = dg from the inverse Hessian t
-    B^-1, t the Barzilai-Borwein value s.Bs / s.y of the newest pair (if
-    s.y <= 0, twice the last step, and no pair is kept).  The trial points
-    are u - t d, t halved until the Armijo condition on g.d holds.  B^-1 y
-    is the difference of two solves B^-1 g, so d takes no solve, and with no
-    pair it is B^-1 g: the Barzilai-Borwein step, bit for bit.  B = G^T (m2
-    (x) diag b) G with triangle weights b (|T| for K, the lagged weights for
-    K_w), so s.Bs = sum_T b_T Q(grad s|_T) comes from the triangle gradients
-    of the last two iterates, in one ``einsum`` and with no product with B:
-    the descent needs B's factorization only.  Where the Newton finish below
-    can run, no pair is kept: with pairs, the verify suites at p = 3 and
-    level 3 took 316 instead of 332 descent iterations but 2-7 % longer.
-    The iterates move on the whole sphere: the ground state of an
-    anisotropic form may change sign at a few nodes of a P1 mesh, and
-    replacing an iterate by |u| would pin those nodes at 0 and can raise the
-    quotient.  The quotient is even in u; the start ``u0`` is flipped, if
-    need be, to a nonnegative sum.  The accepted trial's powers and products
-    give the next gradient (``_gradient``).
+    Above p = 2 on a band factor, an iteration whose residual is below
+    FINISH_RESIDUAL steps along d = F^-1 g from t = 1, F = H - sigma H_N
+    (``_newton_factor``), and keeps no pair.  Below p = 2 and on SuperLU the
+    finish was measured not to pay (CHANGES.md: "Shifted Newton steps finish
+    the p > 2 descent"; "One mesh chain per search").
 
-    Above p = 2, where K is a band factor, an iteration whose residual is
-    below FINISH_RESIDUAL steps instead along d = F^-1 g from t = 1, under
-    the same Armijo halving: F = H - sigma H_N, H the energy's Hessian and
-    H_N the p-norm's (``_hessians``), sigma = SHIFT_FRACTION lam, halved
-    while ``dpbtrf`` finds F indefinite (``_newton_factor``).  F is factored
-    on the first such iteration and again only after a step that cut the
-    residual by less than half; the stop is still the residual in the metric
-    of K, so a Newton step costs one solve with K more than a step in K.
-    Steps in K cut the residual by about 0.4 per iteration near the ground
-    state, and at p = 4 their count grows under refinement (44 / 99 / 100 /
-    170 on the L3-L6 L-shape); with the finish it is 17 / 21 / 23 / 25, and
-    p = 10 / 20 on the L4 L-shape take 68 / 150 iterations instead of
-    3,234 / 13,283.  The finish does not run elsewhere, for measured reasons
-    (in-process timings, 2-vCPU machine):
-
-    - between 1.6 and 2, in the metric K, the floored Hessian is a poor
-      model: on the L6 L-shape at p = 1.6 a fresh F cut the residual by less
-      than a quarter, F was factored 14 times in 30 iterations, and the
-      solve took 435 against 159 ms; at L5 it was 20-25 % slower at p = 1.6
-      and 1.8;
-    - below the cut-off its metric would be K_w, and a prototype there was
-      slower: the default ``verify --p 1.5`` took 2.11 against 1.26 s;
-    - on SuperLU a factorization costs more than the iterations it saves at
-      p = 3: the L7 L-shape took 0.59 against 0.38 s (22 against 45
-      iterations), and the L7 disk 1.43 against 0.65 s at p = 3 and 1.65
-      against 0.79 s at p = 4, although the L-shape at p = 4 took 1.12
-      against 1.60 s.
-
-    It does not pay everywhere it runs: on the L6 disk, whose steps in K
-    converge in 23-37 iterations, the finish's two to three factorizations
-    made p = 3 and 4 solves 18-73 % slower.
-
-    An iteration is one gradient (one product with A^T), one solve in the
-    metric and two dot products and three axpys per secant pair; each
-    line-search trial is one product with A and one power per array
-    (``_point``).  The dual-norm residual sqrt(g.K^-1 g) / (p lam) stays in
-    the metric of K in both cases.  With B = K the step's solve gives it.
-    With B = K_w it needs a solve with K, skipped while w_min g.K_w^-1 g > 2
-    (bound p lam)^2, which puts the residual above the bound (module
-    docstring; the factor 2 covers rounding).  The residual is computed on
-    every iteration the test does not skip, at MAX_ITER and on a line-search
-    exit, so the result does not depend on the skips.  The descent stops as
-    soon as the residual is at most ``bound``, at MAX_ITER iterations, or when
-    the line search finds no decrease.  Returns (u, lam, residual, iterations)
-    of the last iterate; the caller compares the residual with the bound."""
+    With B = K_w the residual takes a solve with K, skipped while the module
+    docstring's bound puts it above ``bound`` (the factor 2 covers rounding),
+    and made at MAX_ITER and on a line-search exit, so the result does not
+    depend on the skips.  Returns (u, lam, residual, iterations) at a residual
+    of at most ``bound``, at MAX_ITER, or when the line search finds no
+    decrease."""
     pt = _point(ops, m2, p, u0 if u0.sum() >= 0.0 else -u0)
     if p < LAGGED_P_CUTOFF:
         b, w_min = _lagged_weights(ops, m2, p, pt.scale * pt.gu)
@@ -997,35 +759,20 @@ def _descent(
 def solve_p(
     m: Mesh, q: QuadForm, p: float, tol: float = DEFAULT_TOL, start: np.ndarray | None = None
 ) -> EigenResult:
-    """Fundamental frequency for p > 1.
+    """Fundamental frequency for p > 1, on the operator record of ``m``.
 
-    The operators of ``m`` come from its record, built by the first solve on
-    ``m``.  Every matrix the solve factors is built by one of the record's
-    builders and factored by its one ``factor``: the form's p = 2 stiffness
-    K (``k_data``), whose factorization serves the inverse iteration, the
-    reported residual and, for p >= LAGGED_P_CUTOFF, the descent's metric;
-    below the cut-off the descent's lagged-diffusivity metric K_w
-    (``tensor_data``); and above p = 2 on a band factor the shifted Hessian
-    F of its Newton finish (``tensor_data`` and ``mid_data``), about once or
-    twice per solve (``_descent``).  One inverse iteration on the p = 2
-    pencil gives the result at p = 2, stopped at the relative eigenvalue
-    change ``tol``.  For other p its ground state is only the start of one
-    projected descent at p, so it stops at the rougher change max(tol,
-    START_TOL); the descent stops at the residual bound sqrt(tol /
-    RESIDUAL_SAFETY), which alone sets the accuracy of the result.
-
-    ``start``, a nodal field on ``m`` that is finite and not zero on the
-    interior nodes, replaces the ones vector as the start of the inverse
-    iteration at p = 2, and the inverse iteration's ground state as the start
-    of the descent at other p, whose inverse iteration is then skipped.  The
-    eigenfunction of a nearby form on ``m`` is a good one.
+    At p = 2 the inverse iteration gives the result at the relative change
+    ``tol``; at other p its ground state at max(tol, START_TOL) starts the
+    descent, which stops at the residual sqrt(tol / RESIDUAL_SAFETY).
+    ``start``, a nodal field on ``m``, finite and not zero on the interior
+    nodes, starts the inverse iteration at p = 2, or the descent at other p,
+    instead; K is still factored, so the stopping rules do not change.
 
     Raises ``SolverConvergenceError``, carrying the last iterate, when the
-    inverse iteration at p = 2 misses ``tol`` or breaks off at any p
-    (``_inverse_iteration``), or the descent misses its bound; ``iterations`` counts the iterations that ran, of both.  Either
-    way the result's ``residual`` is the dual-norm residual of the returned
-    pair, in the metric of K.
-    """
+    inverse iteration at p = 2 misses ``tol`` or breaks off at any p, or the
+    descent misses its bound; ``iterations`` counts both.  ``residual`` is the
+    dual-norm residual in the metric of K, NaN where a broken-off pair's
+    quotient is not positive and finite."""
     if p <= 1.0:
         raise ValueError(f"need p > 1, got {p}")
     if not 0.0 < tol < math.inf:
@@ -1056,8 +803,10 @@ def solve_p(
         # p = 2 on a form near the largest float: reported, not warned of
         with np.errstate(**(dict(over="ignore", invalid="ignore") if broken else {})):
             pt = _point(ops, m2, p, u)
-            u, lam = pt.u, pt.lam
-            residual = _k_residual(lu, _gradient(ops, p, pt), p, lam)
+            u, lam, residual = pt.u, pt.lam, math.nan
+            # a quotient out of (0, inf) is part of the break-off: no residual
+            if 0.0 < lam < math.inf:
+                residual = _k_residual(lu, _gradient(ops, p, pt), p, lam)
     else:
         bound = math.sqrt(tol / RESIDUAL_SAFETY)
         u, lam, residual, it = _descent(ops, m2, p, u, bound, lu)
@@ -1076,14 +825,12 @@ def directional_constant(chord: float, p: float) -> float:
     """Optimal constant C in int |d_e u|^p >= C int |u|^p over zero-trace u,
     for a domain whose longest chord in direction e has length ``chord``.
 
-    It is the first Dirichlet eigenvalue of the one-dimensional p-Laplacian
-    on an interval of that length, (p - 1) (pi_p / chord)^p with
-    pi_p = 2 pi / (p sin(pi / p)) (Biezuner, Ercole and Martins, J. Funct.
-    Anal. 2009): the one-dimensional inequality holds chord by chord, and
-    fields concentrated near the longest chord approach it.  The functional
-    controls one derivative only, so the infimum is not attained and no
-    finite-element value converges to it faster than the mesh resolves that
-    concentration; the closed form needs no solve."""
+    It is the first Dirichlet eigenvalue of the one-dimensional p-Laplacian on
+    an interval of that length, (p - 1) (pi_p / chord)^p with pi_p = 2 pi / (p
+    sin(pi / p)) (Biezuner, Ercole and Martins, J. Funct. Anal. 2009): the
+    inequality holds chord by chord, and fields concentrated near the longest
+    chord approach it.  The infimum is not attained, so no finite-element value
+    converges to it faster than the mesh resolves that concentration."""
     if not chord > 0.0:
         raise ValueError(f"chord length must be positive, got {chord}")
     if p <= 1.0:

@@ -513,21 +513,43 @@ def test_vanishing_mass_norm_is_a_solver_failure(tmp_path, capsys):
     # underflows to 0 on the first step, which once divided by zero.  Above
     # p = 2 the last iterate's quotient overflows, which once warned and then
     # failed to serialize: the failed result writes it as null (warnings are
-    # errors here)
+    # errors here).  On a square of half-width 1e90 or 1e150, and on the
+    # 1e90 x 2e90 rectangle that optimize searches, w.Mw overflows on the
+    # first step and the start's quotient underflows to 0, whose residual
+    # once divided by zero: it is written as null
     form = {"alpha": 1e300, "beta": 0, "gamma": 1}
-    for p in (1.5, 2, 3):
-        config = {"command": "eigen", "domain": "square", "p": p, "mesh_level": 3, "form": form}
+    configs = [
+        {"command": "eigen", "domain": "square", "p": p, "mesh_level": 3, "form": form}
+        for p in (1.5, 2, 3)
+    ] + [
+        {"command": "eigen", "domain": {"type": "rectangle", "hw": h, "hh": h}, "p": p,
+         "mesh_level": 3}
+        for h in (1e90, 1e150)
+        for p in (2, 3)
+    ] + [
+        {"command": "optimize", "domain": {"type": "rectangle", "hw": 1e90, "hh": 2e90}, "p": 2,
+         "mesh_level": 3}
+    ]
+    for i, config in enumerate(configs):
+        p = config["p"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rc, out = run_config(tmp_path / str(p), config)
+            rc, out = run_config(tmp_path / str(i), config)
         assert rc == 1
         payload = json.loads(payload_text(out + ".json"))["payload"]
         assert payload["status"] == "failed" and payload["partial"]
         assert "w.Mw" in payload["error"]
+        err = capsys.readouterr().err
+        assert "solver failed" in err and "Traceback" not in err
+        if config["command"] == "optimize":
+            assert payload["theta_profile"] == []
+            continue
         result = payload["result"]
         assert result["p"] == p and result["iterations"] == 0
-        assert (result["lambda"] is None) == (p == 3)
-        assert "solver failed" in capsys.readouterr().err
+        if "form" in config:
+            assert (result["lambda"] is None) == (p == 3)
+        else:
+            assert result["lambda"] == 0 and result["residual"] is None
 
 
 @pytest.mark.parametrize(
