@@ -8,17 +8,20 @@ over zero-trace piecewise-linear functions, held as their values on the
 interior nodes.  The energy E is exact per triangle, and the p-norm N is the
 edge-midpoint rule.  One operator record per mesh (``_operators``) holds the
 sparse map A = [G; Mid] from the values to the triangle gradients and the
-edge-midpoint values, so one product A u gives both sums and one product
-with A^T the gradient of E - lam N.  Every matrix a solve factors is data on
-one sparsity pattern, factored in the record's reverse Cuthill-McKee order
-(Cuthill and McKee, 1969; George and Liu, 1981): as a band Cholesky, or by
-SuperLU where the band is wider than BAND_CUTOFF.
+edge-midpoint values, built on its first use, so one product A u gives both
+sums and one product with A^T the gradient of E - lam N.  Every matrix a
+solve factors is data on one sparsity pattern, factored in the record's
+reverse Cuthill-McKee order (Cuthill and McKee, 1969; George and Liu, 1981):
+as a band Cholesky, or by SuperLU where the band is wider than BAND_CUTOFF.
 
 Inverse iteration on the pencil (K, M), K the form's p = 2 stiffness and M
-the consistent mass, gives the p = 2 ground state u0, the answer at p = 2.
-At other p, u0 starts one projected descent on the unit p-norm sphere along
-Sobolev gradients B^-1 g (Neuberger; for p-eigenvalues, Horak, EJDE 2011) in
-a frozen metric B, with L-BFGS corrections (Nocedal, Math. Comp. 1980):
+the consistent mass, gives the p = 2 ground state u0, the answer at p = 2,
+with no product with A: the midpoint rule is exact for products of P1
+functions, so Mid^T diag(weight) Mid = M, ||u||_2^2 = u.Mu, and the quotient
+is u.Ku / u.Mu.  At other p, u0 starts one projected descent on the unit
+p-norm sphere along Sobolev gradients B^-1 g (Neuberger; for p-eigenvalues,
+Horak, EJDE 2011) in a frozen metric B, with L-BFGS corrections (Nocedal,
+Math. Comp. 1980):
 
 - p >= LAGGED_P_CUTOFF: B = K, and above p = 2 on a band factor a finish of
   shifted Newton steps, the inverse power method for the p-Laplacian
@@ -30,9 +33,11 @@ a frozen metric B, with L-BFGS corrections (Nocedal, Math. Comp. 1980):
 
 Every result reports the dual-norm residual sqrt(g . K^-1 g) / (p lam) of the
 returned pair, g the gradient of E(u) - lam N(u), in the metric of K whatever
-metric the descent steps in; the descent stops on it.  Below the cut-off
-K_w - w_min K = G^T (m2 (x) diag(b - w_min |T|)) G is positive semidefinite,
-b the lagged weights and w_min = min_T b_T / |T|, so
+metric the descent steps in; the descent stops on it.  At p = 2, u of unit
+M-norm, g = 2 r with r = Ku - lam Mu, and the inverse iteration's last step
+carries Ku, so the residual sqrt(r . K^-1 r) / lam takes one solve.  Below
+the cut-off K_w - w_min K = G^T (m2 (x) diag(b - w_min |T|)) G is positive
+semidefinite, b the lagged weights and w_min = min_T b_T / |T|, so
 
     g . K^-1 g >= w_min g . K_w^-1 g,
 
@@ -42,6 +47,7 @@ stop and skips its solve with K.  ``directional_constant`` is a closed form.
 
 from __future__ import annotations
 
+import copy
 import math
 import weakref
 from collections import deque
@@ -128,6 +134,17 @@ class SolverConvergenceError(RuntimeError):
         self.best = best
 
 
+def _live(m: Mesh, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (3, n_live) columns and (2, 3, n_live) hat-function gradients of
+    the triangles of ``m`` with a column in ``cols`` (node -> column, -1 for a
+    held node), and the mask of those triangles."""
+    c, grad = cols[m.triangles.T], m.grad_map.transpose(1, 2, 0)
+    live = (c[0] >= 0) | (c[1] >= 0) | (c[2] >= 0)
+    if not live.all():  # a disk has no such triangle, and no copy is made
+        c, grad = np.compress(live, c, axis=1), np.compress(live, grad, axis=2)
+    return c, grad, live
+
+
 def _maps(
     m: Mesh, cols: np.ndarray
 ) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray, np.ndarray]:
@@ -140,10 +157,7 @@ def _maps(
     column, in the table's order, weighted by the summed |T|/3 of its triangles."""
     n_cols = int(cols.max()) + 1
     cols = cols.astype(np.int32)
-    c, grad = cols[m.triangles.T], m.grad_map.transpose(1, 2, 0)
-    live = (c[0] >= 0) | (c[1] >= 0) | (c[2] >= 0)
-    if not live.all():  # a disk has no such triangle, and no copy is made
-        c, grad = np.compress(live, c, axis=1), np.compress(live, grad, axis=2)
+    c, grad, live = _live(m, cols)
     nt = c.shape[1]
     # an edge's columns in increasing order, a held end (-1) first
     ca, cb = cols[m.edges.T]
@@ -187,12 +201,16 @@ class _Operators:
     triangle arrays hold the triangles with an interior node alone;
     ``grad_map`` views a (2, 3, n_live) buffer whose rows the builders read.
     Up to BAND_CUTOFF the ``band_`` fields are set and the ``lu_`` fields are
-    None; above it, the reverse."""
+    None; above it, the reverse.
 
-    a: sp.csr_matrix        # (2 n_live + n_mid, n_int), rows as ``_maps`` says
-    a_t: sp.csc_matrix
+    The map A = [G; Mid] (``_maps``) as ``a``, (2 n_live + n_mid, n_int) CSR,
+    its transpose ``a_t`` and the (n_mid,) midpoint-rule weights ``weight``,
+    the summed |T|/3 of each edge, are built together on the first read of
+    any of them, from ``mesh`` and ``cols``: a p = 2 solve reads none."""
+
+    mesh: Mesh              # a copy sharing the mesh's arrays, not the key of _RECORDS
+    cols: np.ndarray        # (n_nodes,) column of each node, -1 for a boundary node
     area: np.ndarray        # (n_live,) |T| of the triangles with an interior node
-    weight: np.ndarray      # (n_mid,) midpoint-rule weights, the summed |T|/3 of each edge
     grad_map: np.ndarray    # (n_live, 2, 3) their hat-function gradients
     slot: np.ndarray        # (9, n_live) data index of block entry k, nnz at a boundary node
     mid_slot: np.ndarray    # (4, n_mid) data index of each Mid row's entries, as ``_pattern`` says
@@ -235,6 +253,14 @@ class _Operators:
             self.lu_indices = rows[self.lu_entries].astype(np.int32)
             self.lu_indptr = np.zeros(n + 1, dtype=np.int32)
             np.cumsum(counts[self.order], out=self.lu_indptr[1:])
+
+    def __getattr__(self, name: str):
+        # only a missing attribute gets here: the map fields on their first read
+        if name not in ("a", "a_t", "weight"):
+            raise AttributeError(name)
+        self.a, self.weight, _, _ = _maps(self.mesh, self.cols)
+        self.a_t = self.a.T
+        return getattr(self, name)
 
     def _pieces(self) -> np.ndarray:
         """(3, nnz) data of the pieces K_xx, K_xy + K_yx and K_yy of the
@@ -411,10 +437,11 @@ def _operators(m: Mesh) -> _Operators:
     ops = _RECORDS.get(m)
     if ops is None:
         cols, n = interior_dof_map(m)
-        a, weight, live, grad_map = _maps(m, cols)
+        _, grad, live = _live(m, cols)
         slot, mid_slot, indices, indptr = _pattern(m, cols, n, live)
         area = m.tri_area if live.all() else m.tri_area[live]
-        ops = _Operators(a, a.T, area, weight, grad_map, slot, mid_slot, indices, indptr)
+        grad_map = grad.transpose(2, 0, 1)
+        ops = _Operators(copy.copy(m), cols, area, grad_map, slot, mid_slot, indices, indptr)
         _RECORDS[m] = ops
     return ops
 
@@ -533,35 +560,39 @@ def _form_gradient(m: Mesh, res: EigenResult) -> np.ndarray:
 
 def _inverse_iteration(
     mass: sp.csc_matrix, lu: _Ordered, tol: float, u: np.ndarray | None = None
-) -> tuple[np.ndarray, int, bool, bool]:
+) -> tuple[np.ndarray, int, bool, bool, float, np.ndarray | None]:
     """Smallest eigenpair of K u = lam M u by inverse iteration with the
     factorization ``lu`` of K from ``u`` (the ones vector if None), stopped at
     the relative eigenvalue change ``tol`` or after MAX_ITER steps.  A step is
-    one solve K w = M u, so w.Kw = w.Mu, and one product M w.  A w.Mw out of
-    (0, inf), as where K's entries are near the largest float, breaks it off
-    at the last iterate.  Returns (u, iterations, converged, broken)."""
+    one solve K w = M u_prev and one product M w; the new iterate is u = w /
+    ||w||_M, and its Rayleigh quotient is lam = w.Kw / w.Mw = w.M u_prev / w.Mw.
+    The step also carries K u = M u_prev / ||w||_M, so the residual r = K u -
+    lam M u of the last iterate takes no product with K.  A w.Mw out of (0,
+    inf), as where K's entries are near the largest float, breaks it off at
+    the last iterate.  Returns (u, iterations, converged, broken, lam, r), r
+    None where it broke off."""
     u = np.ones(mass.shape[0]) if u is None else np.array(u, dtype=float)
     mu = mass @ u
     nrm = math.sqrt(_dot(u, mu))
     u /= nrm
     mu /= nrm
     lam_prev = None
-    res = math.inf
+    lam, res = math.nan, math.inf
     for it in range(1, MAX_ITER + 1):
         w = lu.solve(mu)
         mw = mass @ w
         ww = _dot(w, mw)
         if not 0.0 < ww < math.inf:
-            return u, it - 1, False, True
+            return u, it - 1, False, True, lam, None
         lam = _dot(w, mu) / ww
         nrm = math.sqrt(ww)
-        u, mu = w / nrm, mw / nrm
+        u, mu, mu_prev = w / nrm, mw / nrm, mu
         if lam_prev is not None:
             res = abs(lam - lam_prev) / lam
         lam_prev = lam
         if res <= tol:
             break
-    return u, it, res <= tol, False
+    return u, it, res <= tol, False, lam, mu_prev / nrm - lam * mu
 
 
 def _factor(a: sp.csc_matrix) -> SuperLU:
@@ -762,8 +793,12 @@ def solve_p(
     """Fundamental frequency for p > 1, on the operator record of ``m``.
 
     At p = 2 the inverse iteration gives the result at the relative change
-    ``tol``; at other p its ground state at max(tol, START_TOL) starts the
-    descent, which stops at the residual sqrt(tol / RESIDUAL_SAFETY).
+    ``tol``: its last iterate u, of unit M-norm and so of unit 2-norm, its
+    quotient lam and the residual sqrt(r.K^-1 r) / lam of r = Ku - lam Mu,
+    half the gradient g, with Ku carried by its last step; only a broken-off
+    iteration's pair is evaluated through A.  At other p its ground state at
+    max(tol, START_TOL) starts the descent, which stops at the residual
+    sqrt(tol / RESIDUAL_SAFETY).
     ``start``, a nodal field on ``m``, finite and not zero on the interior
     nodes, starts the inverse iteration at p = 2, or the descent at other p,
     instead; K is still factored, so the stopping rules do not change.
@@ -792,21 +827,23 @@ def solve_p(
     u, iterations, broken = start, 0, False
     if p == 2.0 or start is None:
         # the answer at p = 2; the descent's start at other p
-        u, iterations, converged, broken = _inverse_iteration(
+        u, iterations, converged, broken, lam, r = _inverse_iteration(
             ops.mass, lu, tol if p == 2.0 else max(tol, START_TOL), start
         )
-    if p == 2.0 or broken:
-        failure = f"inverse iteration did not reach tol {tol} in {MAX_ITER} iterations"
-        if broken:
-            failure = f"inverse iteration broke off after {iterations} steps: w.Mw left (0, inf)"
+    if broken:
+        failure = f"inverse iteration broke off after {iterations} steps: w.Mw left (0, inf)"
         # a broken-off iterate's quotient and residual overflow away from
         # p = 2 on a form near the largest float: reported, not warned of
-        with np.errstate(**(dict(over="ignore", invalid="ignore") if broken else {})):
+        with np.errstate(over="ignore", invalid="ignore"):
             pt = _point(ops, m2, p, u)
             u, lam, residual = pt.u, pt.lam, math.nan
             # a quotient out of (0, inf) is part of the break-off: no residual
             if 0.0 < lam < math.inf:
                 residual = _k_residual(lu, _gradient(ops, p, pt), p, lam)
+    elif p == 2.0:
+        failure = f"inverse iteration did not reach tol {tol} in {MAX_ITER} iterations"
+        # the gradient of E - lam N at the M-unit u is g = 2 r
+        residual = _k_residual(lu, 2.0 * r, p, lam)
     else:
         bound = math.sqrt(tol / RESIDUAL_SAFETY)
         u, lam, residual, it = _descent(ops, m2, p, u, bound, lu)

@@ -458,6 +458,40 @@ def test_residual_is_dual_norm(p):
         assert res.residual <= 1e-4
 
 
+@pytest.mark.parametrize("case", ["lshape", "lshape-alpha", "disk", "warm", "superlu"])
+def test_p2_answer_is_its_p_laplacian_evaluation(monkeypatch, case):
+    # at p = 2 the solve reports the inverse iteration's own quotient and the
+    # residual of r = Ku - lam Mu, Ku carried by its last step; the
+    # p-Laplacian evaluation of the returned field through A (``_point`` and
+    # ``_gradient``) gives the same lambda and residual, on a band factor
+    # and on SuperLU's
+    if case == "superlu":
+        monkeypatch.setattr(solver, "BAND_CUTOFF", -1)
+    m = build_mesh(Disk(1.0) if case == "disk" else lshape(), 5)
+    q = extremal_form(0.25, 0.4) if case in ("lshape-alpha", "warm") else QuadForm.identity()
+    start = solve_p(m, extremal_form(0.25, 0.5), 2.0).u if case == "warm" else None
+    res = solve_p(m, q, 2.0, start=start)
+    ops = _operators(m)
+    assert (ops.band_slot is None) == (case == "superlu")
+    pt = _point(ops, q.matrix(), 2.0, res.u[~m.boundary_node])
+    assert pt.scale == pytest.approx(1.0, rel=1e-13)
+    assert res.lam == pytest.approx(pt.lam, rel=1e-13)
+    lu = ops.factor(ops.k_data(q.matrix()))
+    ref = solver._k_residual(lu, _gradient(ops, 2.0, pt), 2.0, pt.lam)
+    assert res.residual == pytest.approx(ref, rel=1e-6)
+
+
+def test_p2_solve_leaves_the_map_unbuilt():
+    # the record builds A, A^T and the midpoint weights on their first read:
+    # a p = 2 solve reads none of them, and a p = 3 solve reads all three
+    m = build_mesh(lshape(), 3)
+    maps = {"a", "a_t", "weight"}
+    solve_p(m, QuadForm.identity(), 2.0)
+    assert maps.isdisjoint(vars(_RECORDS[m]))
+    solve_p(m, QuadForm.identity(), 3.0)
+    assert maps.issubset(vars(_RECORDS[m]))
+
+
 def test_disk_general_p_converges():
     m = build_mesh(Disk(1.0), 4)
     res = solve_p(m, QuadForm.identity(), 1.5)
