@@ -551,8 +551,15 @@ def _form_gradient(m: Mesh, res: EigenResult) -> np.ndarray:
     on ``m``, g_T the triangle gradients of its unit-p-norm eigenfunction and
     q_T = Q(g_T) floored as in ``_gradient``.  The eigenvalue is a minimum
     over u of a quotient smooth in the form, so dlam = tr(S dQ) for a change
-    dQ of the form (Danskin's theorem; Hellmann-Feynman at p = 2)."""
+    dQ of the form (Danskin's theorem; Hellmann-Feynman at p = 2).  At p = 2
+    S_xx, 2 S_xy and S_yy are u.K_xx u, u.(K_xy + K_yx) u and u.K_yy u on the
+    stiffness pieces, which reads no A."""
     ops = _operators(m)
+    if res.p == 2.0:
+        u = res.u[~m.boundary_node]
+        # each pattern entry's u_row u_col, the pattern being CSC
+        xx, xy2, yy = ops.pieces @ (u[ops.indices] * np.repeat(u, np.diff(ops.indptr)))
+        return np.array([[xx, 0.5 * xy2], [0.5 * xy2, yy]])
     g = (ops.a @ res.u[~m.boundary_node])[: 2 * len(ops.area)].reshape(2, -1)
     q = np.maximum((g * (res.form.matrix() @ g)).sum(axis=0), GRAD_FLOOR if res.p < 2.0 else 0.0)
     return np.einsum("it,jt->ij", g * (0.5 * res.p * ops.area * q ** (0.5 * res.p - 1.0)), g)

@@ -483,13 +483,21 @@ def test_p2_answer_is_its_p_laplacian_evaluation(monkeypatch, case):
 
 def test_p2_solve_leaves_the_map_unbuilt():
     # the record builds A, A^T and the midpoint weights on their first read:
-    # a p = 2 solve reads none of them, and a p = 3 solve reads all three
+    # a p = 2 solve and its form gradient read none of them, and a p = 3
+    # solve reads all three.  The p = 2 form gradient from the stiffness
+    # pieces is sum_T |T| g_T g_T^T from the triangle gradients through A
     m = build_mesh(lshape(), 3)
+    q = extremal_form(0.25, 0.4)
     maps = {"a", "a_t", "weight"}
-    solve_p(m, QuadForm.identity(), 2.0)
+    res = solve_p(m, q, 2.0)
+    s = solver._form_gradient(m, res)
     assert maps.isdisjoint(vars(_RECORDS[m]))
-    solve_p(m, QuadForm.identity(), 3.0)
+    solve_p(m, q, 3.0)
     assert maps.issubset(vars(_RECORDS[m]))
+    ops = _operators(m)
+    g = triangle_gradients(m, res.u[~m.boundary_node]).reshape(2, -1)
+    ref = np.einsum("it,jt->ij", g * ops.area, g)
+    assert np.allclose(s, ref, rtol=1e-13, atol=0.0)
 
 
 def test_disk_general_p_converges():
