@@ -552,8 +552,8 @@ def _form_gradient(m: Mesh, res: EigenResult) -> np.ndarray:
     q_T = Q(g_T) floored as in ``_gradient``.  The eigenvalue is a minimum
     over u of a quotient smooth in the form, so dlam = tr(S dQ) for a change
     dQ of the form (Danskin's theorem; Hellmann-Feynman at p = 2).  At p = 2
-    S_xx, 2 S_xy and S_yy are u.K_xx u, u.(K_xy + K_yx) u and u.K_yy u on the
-    stiffness pieces, which reads no A."""
+    S_xx, 2 S_xy and S_yy are u.K_xx u, u.(K_xy + K_yx) u and u.K_yy u, read
+    from the stiffness pieces with no product with A."""
     ops = _operators(m)
     if res.p == 2.0:
         u = res.u[~m.boundary_node]
