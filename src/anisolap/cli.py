@@ -19,16 +19,21 @@ files.  Its runs keep the library's iteration budget and angle tolerance
 and ``grid_n`` defaults from it (``solver.DEFAULT_TOL``,
 ``optimizer.DEFAULT_GRID_N``).  The run configuration is one flat JSON
 object: ``_KEYS`` is its one table, giving each key's default, kind and
-range.  Flags set some of its keys, and a config file passed with --config
-overrides flag values.  Its keys:
+range.  The flags --command, --domain, --p, --a, --b, --level, --grid-n,
+--tol, --out, --seed and --n-boundary set the keys of the same name, with
+dashes for underscores, except --level, which sets mesh_level; a flag's
+value is the next argument or follows "=", and its last use wins.
+--domain-file names a JSON file holding the domain, in place of --domain,
+and --config a JSON file holding keys, which override flag values.  -h or
+--help prints this text.  Its keys:
 
   command              one of the commands above
   domain               a name (square, disk, lshape) or a domain JSON object
   p, a                 exponent and coercivity level
   b                    upper level, read by verify only
-  mesh_level           refinement level of the domain's mesh (--level), in [2, 9]
+  mesh_level           refinement level of the domain's mesh, in [2, 9]
   grid_n               angles in the optimize and verify searches
-  tol                  eigenvalue tolerance (see --tol)
+  tol                  eigenvalue tolerance (its stopping rule ends --help)
   out                  output path, without or with its suffix
   seed                 seed of the verify samples
   n_boundary           validated (at least 16) and changes no mesh
@@ -45,13 +50,13 @@ repeated runs with the same seed produce byte-identical payloads.
 
 from __future__ import annotations
 
-import argparse
 import datetime
 import json
 import math
 import os
 import sys
 import tempfile
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -102,6 +107,12 @@ _KEYS = {
     ),
     "suites": _Key(list(SUITES)),
 }
+# The key that each flag sets, None for the two that name JSON files.
+_FLAGS = {
+    "--command": "command", "--domain": "domain", "--p": "p", "--a": "a", "--b": "b",
+    "--level": "mesh_level", "--grid-n": "grid_n", "--tol": "tol", "--out": "out",
+    "--seed": "seed", "--n-boundary": "n_boundary", "--config": None, "--domain-file": None,
+}
 
 
 class ConfigError(ValueError):
@@ -120,10 +131,9 @@ def dumps_stable(obj, indent: int = 0) -> str:
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
+        if not obj:
             return "[]"
-        items = [f"{pad}  {dumps_stable(v, indent + 2)}" for v in seq]
+        items = [f"{pad}  {dumps_stable(v, indent + 2)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if isinstance(obj, bool) or obj is None:
         return json.dumps(obj)
@@ -175,52 +185,46 @@ def _write_report(path: str, payload: dict) -> None:
     _atomic_write(path, dumps_stable(envelope) + "\n")
 
 
+def _json(text: str, source: str):
+    """``text`` read as JSON; ``source`` names it if it nests too deep to read."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ConfigError(f"{source} nests its JSON too deeply") from None
+
+
 def _parse_args(argv) -> dict:
     """The keys that flags set, updated by those of the config file."""
-    ap = argparse.ArgumentParser(
-        prog="anisolap",
-        description="Fundamental frequencies and optimal anisotropies of planar "
-        "quadratic-form p-Laplace operators.",
-    )
-    ap.add_argument("--command", choices=list(_COMMANDS))
-    ap.add_argument("--config", help="JSON config file; overrides flags")
-    ap.add_argument("--domain", help="domain name or inline JSON object")
-    ap.add_argument("--domain-file", help="JSON file holding the domain spec")
-    ap.add_argument("--p", type=float)
-    ap.add_argument("--a", type=float)
-    ap.add_argument("--b", type=float)
-    ap.add_argument("--level", type=int, dest="mesh_level")
-    ap.add_argument("--grid-n", type=int, dest="grid_n")
-    ap.add_argument(
-        "--tol", type=float,
-        help=f"eigenvalue tolerance (default {solver.DEFAULT_TOL:g}): at p = 2 the inverse "
-        "iteration stops at this relative change; at other p the p-descent stops at dual-norm "
-        f"residual sqrt(tol/{solver.RESIDUAL_SAFETY:g}), from a p = 2 start stopped at the "
-        f"change max(tol, {solver.START_TOL:g})",
-    )
-    ap.add_argument(
-        "--n-boundary", type=int, dest="n_boundary",
-        help="validated (at least 16) and kept for existing configs; it no longer changes "
-        "any mesh, a disk being meshed from its inscribed hexagon",
-    )
-    ap.add_argument("--out")
-    ap.add_argument("--seed", type=int)
-    ns = ap.parse_args(argv)
-
-    cfg = {key: value for key, value in vars(ns).items() if key in _KEYS and value is not None}
-    if ns.domain_file:
-        with open(ns.domain_file, "r", encoding="utf-8") as fh:
-            cfg["domain"] = json.load(fh)
-    elif ns.domain:
-        text = ns.domain.strip()
-        cfg["domain"] = json.loads(text) if text.startswith("{") else text
-    if ns.config:
-        with open(ns.config, "r", encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
-        if not isinstance(file_cfg, dict):
-            raise ConfigError("config file must hold a JSON object")
-        cfg.update(file_cfg)
-    return cfg
+    cfg, files, rest = {}, {}, list(argv)
+    while rest:
+        arg = rest.pop(0)
+        flag, eq, text = arg.partition("=")
+        if flag not in _FLAGS:
+            raise ConfigError(f"unknown flag {arg!r}")
+        if not eq and (not rest or rest[0].startswith("--")):
+            raise ConfigError(f"{flag} needs a value")
+        name, text = _FLAGS[flag], text if eq else rest.pop(0)
+        kind = name and _KEYS[name].kind
+        if name is None:
+            files[flag] = text
+        elif kind in (float, int):
+            try:
+                cfg[name] = kind(text)
+            except ValueError:
+                words = "an integer" if kind is int else "a number"
+                raise ConfigError(f"{flag} must be {words}, got {text!r}") from None
+        elif name == "domain":
+            cfg[name] = _json(text, flag) if text.strip().startswith("{") else text.strip()
+        else:
+            cfg[name] = text
+    if "domain" in cfg and "--domain-file" in files:
+        raise ConfigError("--domain and --domain-file both give the domain; give one of them")
+    files = {flag: _json(Path(path).read_text("utf-8"), path) for flag, path in files.items()}
+    if "--domain-file" in files:
+        cfg["domain"] = files["--domain-file"]
+    if not isinstance(files.get("--config", {}), dict):
+        raise ConfigError("config file must hold a JSON object")
+    return cfg | files.get("--config", {})
 
 
 def _number(value, name: str, kind=float):
@@ -292,9 +296,7 @@ def _validate(cfg: dict) -> tuple[dict, DomainSpec]:
 
 
 def _out_paths(cfg: dict, suffix: str) -> tuple[str, str]:
-    base = str(cfg["out"])
-    if base.endswith(".json"):
-        base = base[: -len(".json")]
+    base = cfg["out"].removesuffix(".json")
     return base + ".json", base + suffix
 
 
@@ -390,17 +392,23 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     """Read and validate the config, parse its domain and form once, and run
-    its command."""
+    its command; with -h or --help, print the module docstring and what tol
+    stops."""
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(f"{__doc__}\ntol (default {solver.DEFAULT_TOL:g}): at p = 2 the inverse iteration "
+              "stops at this relative change;\nat other p the p-descent stops at dual-norm "
+              f"residual sqrt(tol/{solver.RESIDUAL_SAFETY:g}),\nfrom a p = 2 start stopped at "
+              f"the change max(tol, {solver.START_TOL:g}).")
+        return 0
     try:
-        cfg, domain = _validate(_parse_args(argv if argv is not None else sys.argv[1:]))
+        cfg, domain = _validate(_parse_args(argv))
         return _COMMANDS[cfg["command"]](cfg, domain)
-    # exit 2 on bad input, an input file that cannot be read or an output not written
-    except (ConfigError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    # and on a domain admitted by its sizes that is too small to mesh
-    except GeometryError as exc:
-        print(f"error: cannot mesh the domain: {exc}", file=sys.stderr)
+    # exit 2 on bad input, an input file that cannot be read, an output not
+    # written, or a domain admitted by its sizes that is too small to mesh
+    except (ConfigError, OSError, UnicodeDecodeError, json.JSONDecodeError, GeometryError) as exc:
+        mesh = "cannot mesh the domain: " if isinstance(exc, GeometryError) else ""
+        print(f"error: {mesh}{exc}", file=sys.stderr)
         return 2
 
 

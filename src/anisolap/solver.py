@@ -188,8 +188,16 @@ def _maps(
     return a, weight[kept], live, grad.transpose(2, 0, 1)
 
 
-# Entry k = 3 a + b of a triangle's 3x3 element block is in its row a, column b.
-_BLOCK_ROWS, _BLOCK_COLS = np.repeat(np.arange(3), 3), np.tile(np.arange(3), 3)
+def _blocks(block: np.ndarray, *terms: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Fill ``block``, the (3, 3, n_live) element blocks, with entry (i, j) the
+    sum over ``terms``, pairs of (3, n_live) rows (left, right), of left_i
+    right_j in their order, one block row i at a time."""
+    (left, right), *more = terms
+    for i in range(3):
+        np.multiply(left[i], right, out=block[i])
+        for left2, right2 in more:
+            block[i] += left2[i] * right2
+    return block
 
 
 @dataclass
@@ -212,7 +220,7 @@ class _Operators:
     cols: np.ndarray        # (n_nodes,) column of each node, -1 for a boundary node
     area: np.ndarray        # (n_live,) |T| of the triangles with an interior node
     grad_map: np.ndarray    # (n_live, 2, 3) their hat-function gradients
-    slot: np.ndarray        # (9, n_live) data index of block entry k, nnz at a boundary node
+    slot: np.ndarray        # (9, n_live) data index of block entry (k // 3, k % 3), or nnz
     mid_slot: np.ndarray    # (4, n_mid) data index of each Mid row's entries, as ``_pattern`` says
     indices: np.ndarray     # the pattern, CSC with sorted rows
     indptr: np.ndarray
@@ -229,7 +237,7 @@ class _Operators:
 
     def __post_init__(self) -> None:
         self.pieces = self._pieces()
-        mass = np.where(_BLOCK_ROWS == _BLOCK_COLS, 2.0, 1.0)[:, None] * (self.area / 12.0)
+        mass = (1.0 + np.eye(3))[:, :, None] * (self.area / 12.0)
         self.mass = self._matrix(self._assemble(mass))
         n = len(self.indptr) - 1
         pattern = sp.csc_matrix((np.ones(len(self.indices)), self.indices, self.indptr), (n, n))
@@ -264,24 +272,19 @@ class _Operators:
 
     def _pieces(self) -> np.ndarray:
         """(3, nnz) data of the pieces K_xx, K_xy + K_yx and K_yy of the
-        triangle weights |T|, each built in one buffer a row of triangles at a
-        time, which touches less fresh memory than whole-block products."""
+        triangle weights |T|, each built in one buffer a block row at a time,
+        which touches less fresh memory than whole-block products."""
         gx, gy = self.grad_map.transpose(1, 2, 0)
         bx, by = self.area * gx, self.area * gy
-        block = np.empty((9, len(self.area)))
+        block = np.empty((3, 3, len(self.area)))
         data = np.empty((3, len(self.indices)))
-        # block entry (i, j) of each piece is the sum over its terms of left_i right_j
         pieces = (((bx, gx),), ((bx, gy), (by, gx)), ((by, gy),))
-        for piece, ((left, right), *more) in enumerate(pieces):
-            for k, (i, j) in enumerate(zip(_BLOCK_ROWS, _BLOCK_COLS)):
-                np.multiply(left[i], right[j], out=block[k])
-                for left2, right2 in more:
-                    block[k] += left2[i] * right2[j]
-            data[piece] = self._assemble(block)
+        for piece, terms in enumerate(pieces):
+            data[piece] = self._assemble(_blocks(block, *terms))
         return data
 
     def _assemble(self, blocks: np.ndarray) -> np.ndarray:
-        """Pattern data of the sum of the (9, n_live) element blocks."""
+        """Pattern data of the sum of the (3, 3, n_live) element blocks."""
         nnz = len(self.indices)
         return np.bincount(self.slot.ravel(), blocks.ravel(), minlength=nnz + 1)[:nnz]
 
@@ -299,12 +302,7 @@ class _Operators:
         entry (i, j) is grad phi_i . W grad phi_j."""
         gx, gy = self.grad_map.transpose(1, 2, 0)
         wx, wy = w[0] * gx + w[1] * gy, w[1] * gx + w[2] * gy
-        # one buffer, filled a row of triangles at a time, as in ``_pieces``
-        block = np.empty((9, len(self.area)))
-        for k, (i, j) in enumerate(zip(_BLOCK_ROWS, _BLOCK_COLS)):
-            np.multiply(gx[i], wx[j], out=block[k])
-            block[k] += gy[i] * wy[j]
-        return self._assemble(block)
+        return self._assemble(_blocks(np.empty((3, 3, len(self.area))), (gx, wx), (gy, wy)))
 
     def mid_data(self, c: np.ndarray) -> np.ndarray:
         """Pattern data of Mid^T diag(c) Mid: each of the four entries of a

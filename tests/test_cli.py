@@ -378,6 +378,85 @@ def test_file_errors_exit_2(tmp_path, capsys, argv):
     assert sorted(f.name for f in tmp_path.iterdir()) == ["file", "latin1.json"]
 
 
+# Each malformed flag is a config error: exit 2 with one error line, no usage
+# text and no traceback.  Unique prefixes of a flag (--lev) are not the flag.
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(["--level", "abc"], "--level must be an integer, got 'abc'", id="level-abc"),
+        pytest.param(["--level", "5.0"], "--level must be an integer, got '5.0'", id="level-float"),
+        pytest.param(["--p"], "--p needs a value", id="p-last"),
+        pytest.param(["--bogus", "1"], "unknown flag '--bogus'", id="unknown-flag"),
+        pytest.param(["--command", "nope"], "unknown command 'nope'", id="unknown-command"),
+        pytest.param(["--out", "--p", "2"], "--out needs a value", id="out-before-flag"),
+        pytest.param(["--lev", "3"], "unknown flag '--lev'", id="prefix"),
+    ],
+)
+def test_bad_flag_exits_2(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    command = [] if "--command" in argv else ["--command", "eigen"]
+    assert cli.main([*command, *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert "Traceback" not in captured.err and "usage:" not in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("first", ["--domain", "--domain-file"])
+def test_domain_and_domain_file_together_exit_2(tmp_path, capsys, first):
+    rect = tmp_path / "rect.json"
+    rect.write_text('{"type": "rectangle", "hw": 0.5, "hh": 1}', encoding="utf-8")
+    flags = {"--domain": "lshape", "--domain-file": str(rect)}
+    second = "--domain-file" if first == "--domain" else "--domain"
+    argv = ["--command", "eigen", first, flags[first], second, flags[second], "--level", "2"]
+    assert cli.main([*argv, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--domain " in err and "--domain-file" in err
+    assert [f.name for f in tmp_path.iterdir()] == ["rect.json"]
+
+
+@pytest.mark.parametrize("flag", ["--domain", "--domain-file", "--config"])
+def test_json_nested_too_deep_exits_2(tmp_path, capsys, flag):
+    # the JSON reader recurses once per level, and the interpreter's limit is
+    # far below this depth
+    deep = "[" * 10_000 + "]" * 10_000
+    text = {"--domain": '{"type": %s}', "--domain-file": "%s", "--config": '{"suites": %s}'}[flag]
+    (tmp_path / "deep.json").write_text(text % deep, encoding="utf-8")
+    value = text % deep if flag == "--domain" else str(tmp_path / "deep.json")
+    argv = ["--command", "eigen", flag, value, "--out", str(tmp_path / "run")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith("nests its JSON too deeply\n")
+    assert [f.name for f in tmp_path.iterdir()] == ["deep.json"]
+
+
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+def test_help_prints_every_key_and_exits_0(tmp_path, capsys, monkeypatch, flag):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["--command", "eigen", flag]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(cli.__doc__)
+    for name in cli._KEYS:
+        assert name in out
+    for name in cli._FLAGS:
+        assert re.search(re.escape(name) + r"(?![\w-])", cli.__doc__), name
+    assert f"sqrt(tol/{solver.RESIDUAL_SAFETY:g})" in out
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "level", [["--level=3"], ["--level", "2", "--level", "3"]], ids=["equals", "last-wins"]
+)
+def test_flag_spellings_give_the_same_payload(tmp_path, level):
+    argv = ["--command", "eigen", "--domain", "lshape", "--p", "1.5"]
+    assert cli.main([*argv, "--level", "3", "--out", str(tmp_path / "spaced")]) == 0
+    assert cli.main([*argv, *level, f"--out={tmp_path / 'other'}"]) == 0
+    assert payload_text(str(tmp_path / "other.json")) == payload_text(str(tmp_path / "spaced.json"))
+    csv = "_eigenfunction.csv"
+    assert (tmp_path / f"other{csv}").read_bytes() == (tmp_path / f"spaced{csv}").read_bytes()
+
+
 @pytest.mark.parametrize("command", list(cli._COMMANDS))
 def test_validate_reads_each_default_as_its_kind(command):
     cfg, domain = cli._validate(cli._parse_args(["--command", command]))
